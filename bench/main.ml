@@ -357,7 +357,7 @@ module Core_bench = struct
      as simulated events per second of harness CPU time. *)
   let t1_end_to_end () =
     let t0 = Sys.time () in
-    let system = Experiments.soaked_system ~exp:"t1" ~seed:42L in
+    let system = Experiments.soaked_system ~exp:"t1" ~seed:42L () in
     let dt = Float.max (Sys.time () -. t0) 1e-9 in
     let n = Engine.events_executed (System.engine system) in
     (n, float_of_int n /. dt)
@@ -555,7 +555,7 @@ module Core_bench = struct
 
   let kv_put_get_once () =
     let module Scenario = Lastcpu_core.Scenario_kvs in
-    let module Netsim = Lastcpu_net.Netsim in
+    let module Workload = Lastcpu_core.Workload in
     let module Kv_proto = Lastcpu_kv.Kv_proto in
     let module Smart_nic = Lastcpu_devices.Smart_nic in
     let module Metrics = Lastcpu_sim.Metrics in
@@ -563,37 +563,27 @@ module Core_bench = struct
     | Error e -> failwith ("kv bench: scenario failed: " ^ e)
     | Ok outcome ->
       let system = outcome.Scenario.system in
-      let app_addr = Smart_nic.endpoint_address (System.nic system 0) in
-      let ep = Netsim.endpoint (System.net system) ~name:"bench-client" in
       let value = String.make kv_value_bytes 'z' in
       let ops = kv_pairs * 2 in
-      let sent = ref 0 and completed = ref 0 in
-      let send_next () =
-        if !sent < ops then begin
-          let corr = !sent in
-          incr sent;
-          let key = Printf.sprintf "bench-%04d" (corr / 2) in
-          let op =
-            if corr land 1 = 0 then Kv_proto.Put (key, value)
-            else Kv_proto.Get key
-          in
-          Netsim.send ep ~dst:app_addr
-            (Kv_proto.encode_request { Kv_proto.corr; op })
-        end
-      in
-      Netsim.set_receiver ep (fun ~src:_ frame ->
-          match Kv_proto.decode_response frame with
-          | Error _ -> ()
-          | Ok _ ->
-            incr completed;
-            send_next ());
       let t0 = Sys.time () in
-      send_next ();
+      let tally =
+        Workload.run (System.engine system)
+          ~submit:
+            (Workload.netsim (System.net system)
+               ~app_addr:(Smart_nic.endpoint_address (System.nic system 0)))
+          ~arrival:(Workload.Closed { ops; think_ns = 0L })
+          ~retry:Workload.No_retry
+          ~make_op:(fun corr ->
+            let key = Printf.sprintf "bench-%04d" (corr / 2) in
+            if corr land 1 = 0 then Kv_proto.Put (key, value)
+            else Kv_proto.Get key)
+          ()
+      in
       System.run_until_quiescent system;
       let dt = Float.max (Sys.time () -. t0) 1e-9 in
-      if !completed <> ops then
-        failwith
-          (Printf.sprintf "kv bench: %d/%d ops completed" !completed ops);
+      let completed = (tally ()).Workload.answered in
+      if completed <> ops then
+        failwith (Printf.sprintf "kv bench: %d/%d ops completed" completed ops);
       let digest =
         Metrics.digest (Lastcpu_sim.Engine.metrics (System.engine system))
       in
@@ -758,10 +748,6 @@ let metrics_snapshot () =
 
 (* --- driver ------------------------------------------------------------------- *)
 
-let all_ids =
-  [ "f1"; "f2"; "t1"; "t2"; "t3"; "t4"; "t5"; "t6"; "t7"; "t8"; "t9"; "t10";
-    "t11"; "t12"; "t13"; "t14"; "t15" ]
-
 (* A typo'd id must fail the invocation (CI smoke steps pass ids by hand;
    a misspelling silently running zero experiments would look green). *)
 let failures = ref 0
@@ -804,9 +790,9 @@ let () =
     match Array.to_list Sys.argv with [] | [ _ ] -> [] | _ :: rest -> rest
   in
   let jobs, args = split_jobs 1 [] raw in
-  let args = if args = [] && raw = [] then all_ids @ [ "micro" ] else args in
+  let args = if args = [] && raw = [] then Experiments.ids @ [ "micro" ] else args in
   let args =
-    List.concat_map (fun a -> if a = "all" then all_ids else [ a ]) args
+    List.concat_map (fun a -> if a = "all" then Experiments.ids else [ a ]) args
   in
   let special = [ "micro"; "metrics"; "core" ] in
   let exp_ids = List.filter (fun a -> not (List.mem a special)) args in

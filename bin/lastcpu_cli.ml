@@ -89,79 +89,78 @@ let figure2_cmd =
 
 (* --- experiment ------------------------------------------------------------- *)
 
-let known_ids =
-  [ "f1"; "f2"; "t1"; "t1-notokens"; "t2"; "t3"; "t4"; "t5"; "t6"; "t7"; "t8";
-    "t9"; "t10"; "t11"; "t12"; "t13"; "t14"; "t15"; "t16"; "t17" ]
-
-(* The one line the resume-smoke CI job diffs between an uninterrupted
+(* One leg of the t16 or t17 soak ([None] for any other id): the segments
+   it ran, the generation it resumed from, and its final line. The final
+   line is what the resume-smoke CI job diffs between an uninterrupted
    checkpointed run and a killed-then-resumed one: everything observable,
    nothing about provenance (which leg ran how many segments goes to
    stderr). *)
-let t16_final_line (r : Experiments.t16_result) =
-  Printf.sprintf "t16 final: digest=0x%016Lx events=%d elapsed_ns=%Ld"
-    r.Experiments.t16_digest r.Experiments.t16_events r.Experiments.t16_elapsed
-
-let t17_final_line (r : Experiments.t17_result) =
-  Printf.sprintf
-    "t17 final: digest=0x%016Lx events=%d elapsed_ns=%Ld quarantines=%d \
-     stale=%d failovers=%d trust=%s"
-    r.Experiments.t17_digest r.Experiments.t17_events r.Experiments.t17_elapsed
-    r.Experiments.t17_quarantines r.Experiments.t17_stale
-    r.Experiments.t17_failovers r.Experiments.t17_rogue_trust
+let soak_leg ~exp ~shards ~seed ~path ?stop_after ?resume () =
+  let torn_final = stop_after <> None in
+  match exp with
+  | "t16" ->
+    let r =
+      Experiments.t16_soak ~lanes:shards ~seed ~snapshot_path:path ?stop_after
+        ~torn_final ?resume ()
+    in
+    Some
+      ( r.Experiments.t16_segments_run,
+        r.Experiments.t16_restored,
+        Printf.sprintf "t16 final: digest=0x%016Lx events=%d elapsed_ns=%Ld"
+          r.Experiments.t16_digest r.Experiments.t16_events
+          r.Experiments.t16_elapsed )
+  | "t17" ->
+    let r =
+      Experiments.t17_soak ~seed ~snapshot_path:path ?stop_after ~torn_final
+        ?resume ()
+    in
+    Some
+      ( r.Experiments.t17_segments_run,
+        r.Experiments.t17_restored,
+        Printf.sprintf
+          "t17 final: digest=0x%016Lx events=%d elapsed_ns=%Ld quarantines=%d \
+           stale=%d failovers=%d trust=%s"
+          r.Experiments.t17_digest r.Experiments.t17_events
+          r.Experiments.t17_elapsed r.Experiments.t17_quarantines
+          r.Experiments.t17_stale r.Experiments.t17_failovers
+          r.Experiments.t17_rogue_trust )
+  | _ -> None
 
 (* Each experiment owns its engine, so distinct ids are independent tasks:
    render every table to a string (in the worker domain), then print the
    strings in submission order. A parallel run's bytes are identical to a
    sequential run's. *)
-let experiment list jobs shards seed snapshot_path checkpoint_every kill_at ids
-    =
+let experiment list jobs shards seed snapshot_path kill_at ids =
   if list then begin
-    List.iter print_endline known_ids;
+    List.iter print_endline Experiments.ids;
     0
   end
   else
     match snapshot_path with
     | Some path -> (
-      (* Checkpointed soak mode: run the single t16 leg this process is
-         asked for, writing whole-machine snapshots at segment
-         boundaries. [--chaos-kill-at B] emulates a kill mid-checkpoint:
-         the boundary-B snapshot is written deliberately torn and the
-         process dies with the canonical SIGKILL exit status. *)
-      match ids with
-      | [] | [ "t16" ] -> (
-        let r =
-          Experiments.t16_soak ~lanes:shards ~seed ~snapshot_path:path
-            ~checkpoint_every ?stop_after:kill_at
-            ~torn_final:(kill_at <> None) ()
-        in
-        match kill_at with
-        | Some _ ->
-          Printf.eprintf
-            "killed mid-checkpoint after %d segment(s); torn snapshot at %s\n"
-            r.Experiments.t16_segments_run path;
-          exit 137
-        | None ->
-          print_endline (t16_final_line r);
-          0)
-      | [ "t17" ] -> (
-        let r =
-          Experiments.t17_soak ~seed ~snapshot_path:path ~checkpoint_every
-            ?stop_after:kill_at ~torn_final:(kill_at <> None) ()
-        in
-        match kill_at with
-        | Some _ ->
-          Printf.eprintf
-            "killed mid-checkpoint after %d segment(s); torn snapshot at %s\n"
-            r.Experiments.t17_segments_run path;
-          exit 137
-        | None ->
-          print_endline (t17_final_line r);
-          0)
-      | _ ->
+      (* Checkpointed soak mode: run the single t16 (default) or t17 leg
+         this process is asked for, writing whole-machine snapshots at
+         segment boundaries. [--chaos-kill-at B] emulates a kill
+         mid-checkpoint: the boundary-B snapshot is written deliberately
+         torn and the process dies with the canonical SIGKILL exit
+         status. *)
+      let exp = match ids with [] -> "t16" | [ id ] -> id | _ -> "" in
+      match soak_leg ~exp ~shards ~seed ~path ?stop_after:kill_at () with
+      | None ->
         Printf.eprintf
           "--snapshot-path drives the t16 and t17 soaks only (got: %s)\n"
           (String.concat " " ids);
-        1)
+        1
+      | Some (segments, _, final) -> (
+        match kill_at with
+        | Some _ ->
+          Printf.eprintf
+            "killed mid-checkpoint after %d segment(s); torn snapshot at %s\n"
+            segments path;
+          exit 137
+        | None ->
+          print_endline final;
+          0))
     | None ->
       let render id () =
         match Experiments.by_id ~shards id with
@@ -199,15 +198,11 @@ let shards_arg =
 let snapshot_path_arg =
   let doc =
     "Run the t16 (or t17) soak in checkpointed mode, writing a whole-machine \
-     snapshot to $(docv) at every segment boundary (the displaced \
+     snapshot to $(docv) at every checkpointable segment boundary (the displaced \
      previous file is kept as a fallback generation)."
   in
   Arg.(
     value & opt (some string) None & info [ "snapshot-path" ] ~docv:"FILE" ~doc)
-
-let checkpoint_every_arg =
-  let doc = "Checkpoint every $(docv)-th segment boundary (default 1)." in
-  Arg.(value & opt int 1 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
 
 let chaos_kill_arg =
   let doc =
@@ -229,7 +224,7 @@ let experiment_cmd =
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(
       const experiment $ list_arg $ jobs_arg $ shards_arg $ seed_arg
-      $ snapshot_path_arg $ checkpoint_every_arg $ chaos_kill_arg $ ids)
+      $ snapshot_path_arg $ chaos_kill_arg $ ids)
 
 (* --- resume ------------------------------------------------------------------------ *)
 
@@ -238,33 +233,18 @@ let generation_name = function
   | Snapshot.Previous -> "previous"
 
 let resume seed shards exp path =
-  match exp with
-  | "t16" ->
-    let r =
-      Experiments.t16_soak ~lanes:shards ~seed ~snapshot_path:path ~resume:true
-        ()
-    in
-    (match r.Experiments.t16_restored with
-    | Some g ->
-      Printf.eprintf "resumed from %s generation; ran %d remaining segment(s)\n"
-        (generation_name g) r.Experiments.t16_segments_run
-    | None -> ());
-    print_endline (t16_final_line r);
-    0
-  | "t17" ->
-    let r =
-      Experiments.t17_soak ~seed ~snapshot_path:path ~resume:true ()
-    in
-    (match r.Experiments.t17_restored with
-    | Some g ->
-      Printf.eprintf "resumed from %s generation; ran %d remaining segment(s)\n"
-        (generation_name g) r.Experiments.t17_segments_run
-    | None -> ());
-    print_endline (t17_final_line r);
-    0
-  | other ->
-    Printf.eprintf "resume drives the t16 and t17 soaks only (got: %s)\n" other;
+  match soak_leg ~exp ~shards ~seed ~path ~resume:true () with
+  | None ->
+    Printf.eprintf "resume drives the t16 and t17 soaks only (got: %s)\n" exp;
     1
+  | Some (segments, restored, final) ->
+    Option.iter
+      (fun g ->
+        Printf.eprintf "resumed from %s generation; ran %d remaining segment(s)\n"
+          (generation_name g) segments)
+      restored;
+    print_endline final;
+    0
 
 let resume_cmd =
   let doc =
@@ -320,7 +300,15 @@ let kv_cmd =
   let n = Arg.(value & pos 0 int 10 & info [] ~docv:"N" ~doc:"Operation pairs.") in
   Cmd.v (Cmd.info "kv" ~doc) Term.(const kv $ seed_arg $ n)
 
-(* --- metrics -------------------------------------------------------------------- *)
+(* --- metrics, chaos, overload: telemetry dumps -------------------------------- *)
+
+let print_metrics system json =
+  let m = Engine.metrics (System.engine system) in
+  print_string (if json then Metrics.to_json m else Metrics.to_prometheus m);
+  0
+
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit a JSON snapshot instead.")
 
 let metrics seed n json =
   match Scenario.run ~spec:(spec_of_seed seed) ~smoke_ops:0 () with
@@ -338,9 +326,7 @@ let metrics seed n json =
       Kv_app.local_op app (Kv_proto.Get key) (fun _ -> ());
       System.run_until_idle system
     done;
-    let m = Engine.metrics (System.engine system) in
-    print_string (if json then Metrics.to_json m else Metrics.to_prometheus m);
-    0
+    print_metrics system json
 
 let metrics_cmd =
   let doc =
@@ -350,51 +336,31 @@ let metrics_cmd =
   let n =
     Arg.(value & opt int 25 & info [ "ops" ] ~docv:"N" ~doc:"KV put+get pairs to drive.")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit a JSON snapshot instead.")
-  in
   Cmd.v (Cmd.info "metrics" ~doc) Term.(const metrics $ seed_arg $ n $ json_arg)
 
-(* --- chaos ------------------------------------------------------------------------ *)
-
-let chaos seed json =
-  let system = Experiments.chaos_soak ~seed () in
-  let m = Engine.metrics (System.engine system) in
-  print_string (if json then Metrics.to_json m else Metrics.to_prometheus m);
-  0
+(* The CPU-less arm of a digest-pinned soak, then its telemetry registry. *)
+let soak_cmd name ~exp ~doc =
+  let run seed json =
+    print_metrics (Experiments.soaked_system ~exp ~seed ()) json
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ seed_arg $ json_arg)
 
 let chaos_cmd =
-  let doc =
-    "Run the T13 chaos soak (seeded fault injection: message loss, \
-     corruption, NAND faults, a storage-device crash) on the CPU-less \
-     design and print the telemetry registry. Identical seeds produce \
-     byte-identical output; CI diffs two runs."
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit a JSON snapshot instead.")
-  in
-  Cmd.v (Cmd.info "chaos" ~doc) Term.(const chaos $ seed_arg $ json_arg)
-
-(* --- overload --------------------------------------------------------------------- *)
-
-let overload seed json =
-  let system = Experiments.overload_soak ~seed () in
-  let m = Engine.metrics (System.engine system) in
-  print_string (if json then Metrics.to_json m else Metrics.to_prometheus m);
-  0
+  soak_cmd "chaos" ~exp:"t13"
+    ~doc:
+      "Run the T13 chaos soak (seeded fault injection: message loss, \
+       corruption, NAND faults, a storage-device crash) on the CPU-less \
+       design and print the telemetry registry. Identical seeds produce \
+       byte-identical output; CI diffs two runs."
 
 let overload_cmd =
-  let doc =
-    "Run the T14 overload probe (open-loop warm\xe2\x86\x92pulse\xe2\x86\x92recover \
-     load with the overload guards armed: bounded queues, KV admission \
-     control, circuit breaker, deadline-carrying control ops) on the \
-     CPU-less design and print the telemetry registry. Identical seeds \
-     produce byte-identical output; CI diffs two runs."
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit a JSON snapshot instead.")
-  in
-  Cmd.v (Cmd.info "overload" ~doc) Term.(const overload $ seed_arg $ json_arg)
+  soak_cmd "overload" ~exp:"t14"
+    ~doc:
+      "Run the T14 overload probe (open-loop warm\xe2\x86\x92pulse\xe2\x86\x92recover \
+       load with the overload guards armed: bounded queues, KV admission \
+       control, circuit breaker, deadline-carrying control ops) on the \
+       CPU-less design and print the telemetry registry. Identical seeds \
+       produce byte-identical output; CI diffs two runs."
 
 (* --- fuzz ------------------------------------------------------------------------- *)
 

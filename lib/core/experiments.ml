@@ -5,13 +5,10 @@ module Costs = Lastcpu_sim.Costs
 module Stats = Lastcpu_sim.Stats
 module Metrics = Lastcpu_sim.Metrics
 module Rng = Lastcpu_sim.Rng
-module Station = Lastcpu_sim.Station
-module Trace = Lastcpu_sim.Trace
 module Sysbus = Lastcpu_bus.Sysbus
 module Device = Lastcpu_device.Device
 module Iommu = Lastcpu_iommu.Iommu
 module Layout = Lastcpu_mem.Layout
-module Netsim = Lastcpu_net.Netsim
 module Fs = Lastcpu_fs.Fs
 module Memctl = Lastcpu_devices.Memctl
 module Smart_ssd = Lastcpu_devices.Smart_ssd
@@ -80,6 +77,28 @@ let sequentially n f k_done =
   let rec go i = if i = n then k_done () else f i (fun () -> go (i + 1)) in
   go 0
 
+(* Completions per virtual second of [workers] closed loops over the next
+   20 ms of virtual time. [worker w] sets up loop [w] and returns its op,
+   which is re-sent as soon as the previous one completes. *)
+let closed_loop_rate engine ~workers worker =
+  let completed = ref 0 in
+  let stop = ref false in
+  for w = 0 to workers - 1 do
+    let op = worker w in
+    let rec loop () =
+      if not !stop then
+        op (fun () ->
+            incr completed;
+            loop ())
+    in
+    loop ()
+  done;
+  let t0 = Engine.now engine in
+  Engine.run ~until:(Int64.add t0 20_000_000L) engine;
+  stop := true;
+  let elapsed = Int64.to_float (Int64.sub (Engine.now engine) t0) in
+  float_of_int !completed /. (elapsed *. 1e-9)
+
 (* Experiment tallies live in the engine's telemetry registry, under the
    "experiment" actor, alongside the subsystem counters they are compared
    against; [lat] is a {!Metrics.histogram} handle. *)
@@ -91,6 +110,21 @@ let measure engine lat op k =
 
 let experiment_hist engine name =
   Metrics.histogram (Engine.metrics engine) ~actor:"experiment" ~name
+
+(* A built and booted system; a failed boot raises "<name>: <error>". *)
+let booted ~name spec =
+  let system = System.build ~spec () in
+  (match System.boot system with
+  | Ok () -> ()
+  | Error e -> invalid_arg (name ^ ": " ^ e));
+  system
+
+(* The paper's KVS machine ({!Scenario_kvs}); a failed bring-up raises
+   "<name>: <error>". *)
+let kvs_machine ~name ?spec ?smoke_ops () =
+  match Scenario_kvs.run ?spec ?smoke_ops () with
+  | Ok outcome -> outcome
+  | Error e -> invalid_arg (name ^ ": " ^ e)
 
 (* --- F1: architecture -------------------------------------------------------- *)
 
@@ -104,10 +138,7 @@ let f1 () =
       accel_count = 1;
     }
   in
-  let system = System.build ~spec () in
-  (match System.boot system with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("f1: " ^ e));
+  let system = booted ~name:"f1" spec in
   let lines = String.split_on_char '\n' (System.topology system) in
   {
     id = "f1";
@@ -121,54 +152,65 @@ let f1 () =
 (* --- F2: KVS initialization sequence ----------------------------------------- *)
 
 let f2 () =
-  match Scenario_kvs.run () with
-  | Error e -> invalid_arg ("f2: " ^ e)
-  | Ok outcome ->
-    let steps = Scenario_kvs.figure2_steps outcome in
-    {
-      id = "f2";
-      title = "KV-store application initialization sequence (paper Figure 2)";
-      claim = "the seven-step bring-up works with no CPU involved";
-      columns = [ "step"; "virtual time (ns)"; "message"; "description" ];
-      rows =
-        List.map
-          (fun (s : Scenario_kvs.step) ->
-            [
-              string_of_int s.Scenario_kvs.n;
-              ns64 s.Scenario_kvs.at_ns;
-              s.Scenario_kvs.kind;
-              s.Scenario_kvs.description;
-            ])
-          steps;
-      notes =
-        [
-          Printf.sprintf "%d/7 steps observed; KVS smoke operations passed"
-            (List.length steps);
-        ];
-    }
+  let outcome = kvs_machine ~name:"f2" () in
+  let steps = Scenario_kvs.figure2_steps outcome in
+  {
+    id = "f2";
+    title = "KV-store application initialization sequence (paper Figure 2)";
+    claim = "the seven-step bring-up works with no CPU involved";
+    columns = [ "step"; "virtual time (ns)"; "message"; "description" ];
+    rows =
+      List.map
+        (fun (s : Scenario_kvs.step) ->
+          [
+            string_of_int s.Scenario_kvs.n;
+            ns64 s.Scenario_kvs.at_ns;
+            s.Scenario_kvs.kind;
+            s.Scenario_kvs.description;
+          ])
+        steps;
+    notes =
+      [
+        Printf.sprintf "%d/7 steps observed; KVS smoke operations passed"
+          (List.length steps);
+      ];
+  }
 
 (* --- T1: control-plane operation latency -------------------------------------- *)
 
 let iters_t1 = 50
 
+(* Run each (name, op) stage [iters_t1] times back to back, stages in list
+   order, timing every op into the stage's histogram; [k_done] runs after
+   the last stage. Returns the histograms by stage name. *)
+let t1_stages engine stages k_done =
+  let results = Hashtbl.create 8 in
+  let timed =
+    List.map
+      (fun (name, op) ->
+        let h = experiment_hist engine name in
+        Hashtbl.replace results name h;
+        (h, op))
+      stages
+  in
+  let rec go = function
+    | [] -> k_done ()
+    | (h, op) :: rest ->
+      sequentially iters_t1 (fun i k -> measure engine h (op i) k) (fun () ->
+          go rest)
+  in
+  go timed;
+  results
+
 let t1_decentralized ?(seed = 42L) ?(tie = Engine.Fifo) ?(sanitize = false)
     ~enable_tokens () =
   let spec = { System.default_spec with enable_tokens; seed; tie; sanitize } in
-  let system = System.build ~spec () in
-  (match System.boot system with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("t1: " ^ e));
+  let system = booted ~name:"t1" spec in
   let engine = System.engine system in
   let dev = Smart_nic.device (System.nic system 0) in
   let mc = Memctl.id (System.memctl system) in
   let ssd_id = Smart_ssd.id (System.ssd system 0) in
   let pasid = System.fresh_pasid system in
-  let results = Hashtbl.create 8 in
-  let record name =
-    let h = experiment_hist engine name in
-    Hashtbl.replace results name h;
-    h
-  in
   let service =
     match
       List.find_opt
@@ -178,61 +220,40 @@ let t1_decentralized ?(seed = 42L) ?(tie = Engine.Fifo) ?(sanitize = false)
     | Some s -> s
     | None -> invalid_arg "t1: ssd has no file service"
   in
-  let discover_stats = record "discover" in
-  let open_stats = record "open" in
-  let alloc_stats = record "alloc+map" in
-  let grant_stats = record "grant" in
-  let free_stats = record "free" in
   let tokens = Array.make iters_t1 None in
   let va i = Int64.add 0x5000_0000L (Int64.of_int (i * 0x10000)) in
   let done_ = ref false in
-  sequentially iters_t1
-    (fun _ k ->
-      measure engine discover_stats
-        (fun k' ->
-          Device.discover dev ~kind:Types.File_service ~query:"" (fun _ -> k' ()))
-        k)
-    (fun () ->
-      sequentially iters_t1
-        (fun _ k ->
-          measure engine open_stats
-            (fun k' ->
-              Device.open_service dev ~provider:ssd_id ~service ~pasid
-                ~params:[ ("user", "bench") ] (fun _ -> k' ()))
-            k)
-        (fun () ->
-          sequentially iters_t1
-            (fun i k ->
-              measure engine alloc_stats
-                (fun k' ->
-                  Device.alloc dev ~memctl:mc ~pasid ~va:(va i) ~bytes:16384L
-                    ~perm:Types.perm_rw (fun res ->
-                      (match res with
-                      | Ok token -> tokens.(i) <- Some token
-                      | Error _ -> ());
-                      k' ()))
-                k)
-            (fun () ->
-              sequentially iters_t1
-                (fun i k ->
-                  match tokens.(i) with
-                  | None -> k ()
-                  | Some token ->
-                    measure engine grant_stats
-                      (fun k' ->
-                        Device.grant dev ~to_device:ssd_id ~pasid ~va:(va i)
-                          ~bytes:16384L ~perm:Types.perm_rw ~auth:token
-                          (fun _ -> k' ()))
-                      k)
-                (fun () ->
-                  sequentially iters_t1
-                    (fun i k ->
-                      measure engine free_stats
-                        (fun k' ->
-                          Device.free dev ~memctl:mc ~pasid ~va:(va i)
-                            ~bytes:16384L (fun _ -> k' ()))
-                        k)
-                    (fun () -> done_ := true)))));
+  let results =
+    t1_stages engine
+      [
+        ( "discover",
+          fun _ k -> Device.discover dev ~kind:Types.File_service ~query:"" (fun _ -> k ()) );
+        ( "open",
+          fun _ k ->
+            Device.open_service dev ~provider:ssd_id ~service ~pasid
+              ~params:[ ("user", "bench") ] (fun _ -> k ()) );
+        ( "alloc+map",
+          fun i k ->
+            Device.alloc dev ~memctl:mc ~pasid ~va:(va i) ~bytes:16384L
+              ~perm:Types.perm_rw (fun res ->
+                (match res with
+                | Ok token -> tokens.(i) <- Some token
+                | Error _ -> ());
+                k ()) );
+        ( "grant",
+          fun i k ->
+            match tokens.(i) with
+            | None -> invalid_arg "t1: grant without a token (alloc failed)"
+            | Some token ->
+              Device.grant dev ~to_device:ssd_id ~pasid ~va:(va i) ~bytes:16384L
+                ~perm:Types.perm_rw ~auth:token (fun _ -> k ()) );
+        ( "free",
+          fun i k ->
+            Device.free dev ~memctl:mc ~pasid ~va:(va i) ~bytes:16384L (fun _ ->
+                k ()) );
+      ]
+      (fun () -> done_ := true)
+  in
   System.run_until_idle system;
   assert !done_;
   (system, results)
@@ -243,52 +264,20 @@ let t1_centralized () =
   (match Fs.create (Central.fs central) ~user:"root" "/target" with
   | Ok () -> ()
   | Error e -> invalid_arg (Fs.error_to_string e));
-  let results = Hashtbl.create 8 in
-  let record name =
-    let h = experiment_hist engine name in
-    Hashtbl.replace results name h;
-    h
-  in
-  let discover_stats = record "discover" in
-  let open_stats = record "open" in
-  let mmap_stats = record "alloc+map" in
-  let grant_stats = record "grant" in
-  let free_stats = record "free" in
   let kern = Central.kernel central in
   let done_ = ref false in
-  sequentially iters_t1
-    (fun _ k ->
-      measure engine discover_stats
-        (fun k' -> Central.discover central ~query:"" (fun () -> k' ()))
-        k)
-    (fun () ->
-      sequentially iters_t1
-        (fun _ k ->
-          measure engine open_stats
-            (fun k' ->
-              Central.open_file central ~path:"/target" ~user:"bench" (fun _ ->
-                  k' ()))
-            k)
-        (fun () ->
-          sequentially iters_t1
-            (fun _ k ->
-              measure engine mmap_stats
-                (fun k' -> Central.setup_shared central ~bytes:16384L (fun () -> k' ()))
-                k)
-            (fun () ->
-              sequentially iters_t1
-                (fun _ k ->
-                  measure engine grant_stats
-                    (fun k' -> Kernel.syscall kern ~name:"grant" (fun () -> k' ()))
-                    k)
-                (fun () ->
-                  sequentially iters_t1
-                    (fun _ k ->
-                      measure engine free_stats
-                        (fun k' ->
-                          Central.teardown_shared central (fun () -> k' ()))
-                        k)
-                    (fun () -> done_ := true)))));
+  let results =
+    t1_stages engine
+      [
+        ("discover", fun _ k -> Central.discover central ~query:"" k);
+        ( "open",
+          fun _ k -> Central.open_file central ~path:"/target" ~user:"bench" (fun _ -> k ()) );
+        ("alloc+map", fun _ k -> Central.setup_shared central ~bytes:16384L k);
+        ("grant", fun _ k -> Kernel.syscall kern ~name:"grant" k);
+        ("free", fun _ k -> Central.teardown_shared central k);
+      ]
+      (fun () -> done_ := true)
+  in
   Engine.run engine;
   assert !done_;
   results
@@ -326,110 +315,102 @@ let t1 ?(enable_tokens = true) () =
 
 (* --- KVS workload machinery (used by T2 and T7) ------------------------------- *)
 
-(* A closed-loop remote client on the simulated network. Client endpoints
-   are named per-network ("client-<endpoint count>"): a process-global
-   counter would be shared mutable state across the parallel runner's
-   domains. *)
-let fresh_client net =
-  Netsim.endpoint net
-    ~name:(Printf.sprintf "client-%d" (Netsim.endpoint_count net))
+(* [clients] closed-loop {!Workload} clients, each on its own [submit ()]
+   path, sending the next op as soon as the previous one is answered
+   (after [think_ns]). [make_op c j] is client [c]'s [j]-th op; answered
+   latencies go to the histogram [hist], which is returned; [on_done] runs
+   once per client. *)
+let kv_clients engine ~submit ~hist ~clients ~ops ?(think_ns = 0L) ~make_op
+    ~on_done () =
+  let lat = experiment_hist engine hist in
+  for c = 0 to clients - 1 do
+    let (_ : unit -> Workload.tally) =
+      Workload.run engine ~submit:(submit ())
+        ~arrival:(Workload.Closed { ops; think_ns })
+        ~retry:Workload.No_retry ~make_op:(make_op c)
+        ~on_settle:(fun _ -> function
+          | Workload.Answered ns -> Metrics.observe lat (Int64.to_float ns)
+          | Workload.Rejected | Workload.Gave_up -> ())
+        ~on_done ()
+    in
+    ()
+  done;
+  lat
 
-let kv_closed_loop_client system ~app_addr ~ops ~think_ns ~make_op ~lat ~on_done =
-  let engine = System.engine system in
-  let net = System.net system in
-  let ep = fresh_client net in
-  let outstanding = Hashtbl.create 4 in
-  let sent = ref 0 in
-  let completed = ref 0 in
-  let send_next () =
-    if !sent < ops then begin
-      let corr = !sent in
-      incr sent;
-      Hashtbl.replace outstanding corr (Engine.now engine);
-      Netsim.send ep ~dst:app_addr
-        (Kv_proto.encode_request { Kv_proto.corr; op = make_op corr })
-    end
-  in
-  Netsim.set_receiver ep (fun ~src:_ frame ->
-      match Kv_proto.decode_response frame with
-      | Error _ -> ()
-      | Ok { Kv_proto.corr; _ } -> (
-        match Hashtbl.find_opt outstanding corr with
-        | None -> ()
-        | Some t0 ->
-          Hashtbl.remove outstanding corr;
-          Metrics.observe lat (Int64.to_float (Int64.sub (Engine.now engine) t0));
-          incr completed;
-          if !completed = ops then on_done ()
-          else if think_ns > 0L then Engine.schedule engine ~delay:think_ns send_next
-          else send_next ()));
-  send_next ()
+(* A fresh network client of the KVS hosted on the system's first NIC. *)
+let nic_kv system () =
+  Workload.netsim (System.net system)
+    ~app_addr:(Smart_nic.endpoint_address (System.nic system 0))
 
-let preload_store store ~keys ~value_bytes k_done =
+(* Put [keys] values of [value_bytes] each, then [drain] the engine. *)
+let preload_store store ~keys ~value_bytes ~drain =
   let value = String.make value_bytes 'v' in
+  let loaded = ref false in
   sequentially keys
     (fun i k ->
       Store.put store ~key:(Printf.sprintf "key-%06d" i) ~value (fun _ -> k ()))
-    k_done
+    (fun () -> loaded := true);
+  drain ();
+  assert !loaded
 
 (* --- T2: performance isolation ------------------------------------------------ *)
 
 let t2_ops = 300
 let t2_keys = 128
 
+(* The measured tenant, the same for both designs: one closed-loop client
+   doing pure gets, which isolates coordination latency from NAND program
+   time (it would otherwise dominate p99 identically in both designs).
+   [stop] ends the noise once the client is done. *)
+let t2_measure engine ~submit ~drain ~rng ~stop =
+  let finished = ref false in
+  let lat =
+    kv_clients engine ~submit ~hist:"kv_get" ~clients:1 ~ops:t2_ops
+      ~make_op:(fun _ _ ->
+        Kv_proto.Get
+          (Printf.sprintf "key-%06d" (Rng.zipf rng ~n:t2_keys ~theta:0.99)))
+      ~on_done:(fun () ->
+        finished := true;
+        stop := true)
+      ()
+  in
+  drain ();
+  assert !finished;
+  Metrics.report lat
+
 (* Decentralized: measure KVS get/put latency with and without a
    control-plane-noisy neighbour (alloc/free closed loop on a second NIC). *)
 let t2_decentralized ~noisy =
   let spec = { System.default_spec with nic_count = 2 } in
-  match Scenario_kvs.run ~spec () with
-  | Error e -> invalid_arg ("t2: " ^ e)
-  | Ok outcome ->
-    let system = outcome.Scenario_kvs.system in
-    let app = outcome.Scenario_kvs.app in
-    let engine = System.engine system in
-    let rng = Engine.fork_rng engine in
-    (* Preload. *)
-    let loaded = ref false in
-    preload_store (Kv_app.store app) ~keys:t2_keys ~value_bytes:64 (fun () ->
-        loaded := true);
-    System.run_until_idle system;
-    assert !loaded;
-    (* Noise: four closed alloc/free loops from nic1 (a control-plane-heavy
-       tenant churning mappings as fast as the system lets it). *)
-    let stop = ref false in
-    if noisy then begin
-      let noise_dev = Smart_nic.device (System.nic system 1) in
-      let mc = Memctl.id (System.memctl system) in
-      for j = 0 to 3 do
-        let noise_pasid = System.fresh_pasid system in
-        let va = Int64.add 0x7000_0000L (Int64.of_int (j * 0x100000)) in
-        let rec noise_loop () =
-          if not !stop then
-            Device.alloc noise_dev ~memctl:mc ~pasid:noise_pasid ~va
-              ~bytes:4096L ~perm:Types.perm_rw (fun _ ->
-                Device.free noise_dev ~memctl:mc ~pasid:noise_pasid ~va
-                  ~bytes:4096L (fun _ -> noise_loop ()))
-        in
-        noise_loop ()
-      done
-    end;
-    let lat = experiment_hist engine "kv_get" in
-    let finished = ref false in
-    let make_op _ =
-      (* Pure gets: isolates coordination latency from NAND program time,
-         which would otherwise dominate p99 identically in both designs. *)
-      Kv_proto.Get
-        (Printf.sprintf "key-%06d" (Rng.zipf rng ~n:t2_keys ~theta:0.99))
-    in
-    kv_closed_loop_client system
-      ~app_addr:(Smart_nic.endpoint_address (System.nic system 0))
-      ~ops:t2_ops ~think_ns:0L ~make_op ~lat
-      ~on_done:(fun () ->
-        finished := true;
-        stop := true);
-    System.run_until_idle system;
-    assert !finished;
-    Metrics.report lat
+  let outcome = kvs_machine ~name:"t2" ~spec () in
+  let system = outcome.Scenario_kvs.system in
+  let app = outcome.Scenario_kvs.app in
+  let engine = System.engine system in
+  let rng = Engine.fork_rng engine in
+  preload_store (Kv_app.store app) ~keys:t2_keys ~value_bytes:64
+    ~drain:(fun () -> System.run_until_idle system);
+  (* Noise: four closed alloc/free loops from nic1 (a control-plane-heavy
+     tenant churning mappings as fast as the system lets it). *)
+  let stop = ref false in
+  if noisy then begin
+    let noise_dev = Smart_nic.device (System.nic system 1) in
+    let mc = Memctl.id (System.memctl system) in
+    for j = 0 to 3 do
+      let noise_pasid = System.fresh_pasid system in
+      let va = Int64.add 0x7000_0000L (Int64.of_int (j * 0x100000)) in
+      let rec noise_loop () =
+        if not !stop then
+          Device.alloc noise_dev ~memctl:mc ~pasid:noise_pasid ~va
+            ~bytes:4096L ~perm:Types.perm_rw (fun _ ->
+              Device.free noise_dev ~memctl:mc ~pasid:noise_pasid ~va
+                ~bytes:4096L (fun _ -> noise_loop ()))
+      in
+      noise_loop ()
+    done
+  end;
+  t2_measure engine ~submit:(nic_kv system)
+    ~drain:(fun () -> System.run_until_idle system)
+    ~rng ~stop
 
 (* Centralized: same store logic; network ops and noise share the CPU. *)
 let t2_centralized ~noisy =
@@ -437,10 +418,8 @@ let t2_centralized ~noisy =
   let central = Central.create engine () in
   let rng = Engine.fork_rng engine in
   let store = Store.create (Central.store_backend central ~path:"/kv.log" ~user:"kvs") in
-  let loaded = ref false in
-  preload_store store ~keys:t2_keys ~value_bytes:64 (fun () -> loaded := true);
-  Engine.run engine;
-  assert !loaded;
+  preload_store store ~keys:t2_keys ~value_bytes:64 ~drain:(fun () ->
+      Engine.run engine);
   let stop = ref false in
   if noisy then begin
     let kern = Central.kernel central in
@@ -453,29 +432,10 @@ let t2_centralized ~noisy =
       noise_loop ()
     done
   end;
-  let lat = experiment_hist engine "kv_get" in
-  let finished = ref false in
-  let completed = ref 0 in
-  let rec next i =
-    if i = t2_ops then ()
-    else begin
-      let t0 = Engine.now engine in
-      let key = Printf.sprintf "key-%06d" (Rng.zipf rng ~n:t2_keys ~theta:0.99) in
-      let work k = Store.get store key (fun _ -> k ()) in
-      Central.kv_network_op central work (fun () ->
-          Metrics.observe lat (Int64.to_float (Int64.sub (Engine.now engine) t0));
-          incr completed;
-          if !completed = t2_ops then begin
-            finished := true;
-            stop := true
-          end
-          else next (i + 1))
-    end
-  in
-  next 0;
-  Engine.run engine;
-  assert !finished;
-  Metrics.report lat
+  t2_measure engine
+    ~submit:(fun () -> Workload.central central store)
+    ~drain:(fun () -> Engine.run engine)
+    ~rng ~stop
 
 let t2 () =
   let d_quiet = t2_decentralized ~noisy:false in
@@ -522,8 +482,6 @@ let t2 () =
 
 (* --- T3: control-plane scalability --------------------------------------------- *)
 
-let t3_duration = 20_000_000L (* 20 ms virtual *)
-
 let t3_decentralized ?(memctls = 1) ?(lanes = 1) ~apps () =
   let spec =
     {
@@ -533,54 +491,23 @@ let t3_decentralized ?(memctls = 1) ?(lanes = 1) ~apps () =
       bus_lanes = lanes;
     }
   in
-  let system = System.build ~spec () in
-  (match System.boot system with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("t3: " ^ e));
+  let system = booted ~name:"t3" spec in
   let mcs = Array.of_list (List.map Memctl.id (System.memctls system)) in
-  let completed = ref 0 in
-  let stop = ref false in
-  for i = 0 to apps - 1 do
-    let dev = Smart_nic.device (System.nic system i) in
-    let mc = mcs.(i mod Array.length mcs) in
-    let pasid = System.fresh_pasid system in
-    let va = Int64.add 0x6000_0000L (Int64.of_int (i * 0x100000)) in
-    let rec loop () =
-      if not !stop then
+  closed_loop_rate (System.engine system) ~workers:apps (fun i ->
+      let dev = Smart_nic.device (System.nic system i) in
+      let mc = mcs.(i mod Array.length mcs) in
+      let pasid = System.fresh_pasid system in
+      let va = Int64.add 0x6000_0000L (Int64.of_int (i * 0x100000)) in
+      fun k ->
         Device.alloc dev ~memctl:mc ~pasid ~va ~bytes:4096L ~perm:Types.perm_rw
-          (fun _ ->
-            Device.free dev ~memctl:mc ~pasid ~va ~bytes:4096L (fun _ ->
-                incr completed;
-                loop ()))
-    in
-    loop ()
-  done;
-  let engine = System.engine system in
-  let t0 = Engine.now engine in
-  Engine.run ~until:(Int64.add t0 t3_duration) engine;
-  stop := true;
-  let elapsed = Int64.to_float (Int64.sub (Engine.now engine) t0) in
-  float_of_int !completed /. (elapsed *. 1e-9)
+          (fun _ -> Device.free dev ~memctl:mc ~pasid ~va ~bytes:4096L (fun _ -> k ())))
 
 let t3_centralized ?(cores = 1) ~apps () =
   let engine = Engine.create () in
   let kern = Kernel.create engine ~cores () in
-  let completed = ref 0 in
-  let stop = ref false in
-  for _ = 1 to apps do
-    let rec loop () =
-      if not !stop then
-        Kernel.syscall kern ~name:"mmap" (fun () ->
-            Kernel.syscall kern ~name:"munmap" (fun () ->
-                incr completed;
-                loop ()))
-    in
-    loop ()
-  done;
-  Engine.run ~until:t3_duration engine;
-  stop := true;
-  let elapsed = Int64.to_float (Engine.now engine) in
-  float_of_int !completed /. (elapsed *. 1e-9)
+  closed_loop_rate engine ~workers:apps (fun _ k ->
+      Kernel.syscall kern ~name:"mmap" (fun () ->
+          Kernel.syscall kern ~name:"munmap" k))
 
 let t3 () =
   let app_counts = [ 1; 2; 4; 8; 16; 32 ] in
@@ -628,66 +555,64 @@ let t3 () =
 (* --- T4: failure handling -------------------------------------------------------- *)
 
 let t4_decentralized () =
-  match Scenario_kvs.run () with
-  | Error e -> invalid_arg ("t4: " ^ e)
-  | Ok outcome ->
-    let system = outcome.Scenario_kvs.system in
-    let engine = System.engine system in
-    let bus = System.bus system in
-    let ssd = System.ssd system 0 in
-    let nic_dev = Smart_nic.device (System.nic system 0) in
-    (* Observe Device_failed at the NIC. *)
-    let detected_at = ref None in
-    Device.set_app_handler nic_dev (fun msg ->
-        match msg.Message.payload with
-        | Message.Device_failed _ when !detected_at = None ->
-          detected_at := Some (Engine.now engine)
-        | _ -> ());
-    let routed () =
-      Metrics.counter_read (Engine.metrics engine) ~actor:(Sysbus.actor bus)
-        ~name:"routed"
-    in
-    let messages_before = routed () in
-    let t_fail = Engine.now engine in
-    Sysbus.fail_device bus (Smart_ssd.id ssd);
-    System.run_until_idle system;
-    let detection =
-      match !detected_at with
-      | Some t -> Int64.sub t t_fail
-      | None -> -1L
-    in
-    (* Recovery: revive the device, re-announce, re-run the Figure-2
-       sequence, recover the store from the surviving log. *)
-    let t_revive = Engine.now engine in
-    Sysbus.revive_device bus (Smart_ssd.id ssd);
-    Device.reannounce (Smart_ssd.device ssd);
-    let recovered = ref None in
-    let pasid = System.fresh_pasid system in
-    File_client.connect nic_dev
-      ~memctl:(Memctl.id (System.memctl system))
-      ~pasid ~shm_va:0x9000_0000L ~user:"kvs" ~path_hint:"/kv/data.log"
-      (fun res ->
-        match res with
-        | Error e -> invalid_arg ("t4 reconnect: " ^ e)
-        | Ok fc ->
-          Lastcpu_kv.File_backend.create fc ~path:"/kv/data.log" (fun res ->
-              match res with
-              | Error e -> invalid_arg ("t4 backend: " ^ e)
-              | Ok fb ->
-                let store = Store.create (Lastcpu_kv.File_backend.backend fb) in
-                Store.recover store (fun res ->
-                    match res with
-                    | Error e -> invalid_arg ("t4 recover: " ^ e)
-                    | Ok n -> recovered := Some (n, Engine.now engine))));
-    System.run_until_idle system;
-    (match !recovered with
-    | None -> invalid_arg "t4: recovery never completed"
-    | Some (records, t_done) ->
-      let messages_after = routed () in
-      ( detection,
-        Int64.sub t_done t_revive,
-        records,
-        messages_after - messages_before ))
+  let outcome = kvs_machine ~name:"t4" () in
+  let system = outcome.Scenario_kvs.system in
+  let engine = System.engine system in
+  let bus = System.bus system in
+  let ssd = System.ssd system 0 in
+  let nic_dev = Smart_nic.device (System.nic system 0) in
+  (* Observe Device_failed at the NIC. *)
+  let detected_at = ref None in
+  Device.set_app_handler nic_dev (fun msg ->
+      match msg.Message.payload with
+      | Message.Device_failed _ when !detected_at = None ->
+        detected_at := Some (Engine.now engine)
+      | _ -> ());
+  let routed () =
+    Metrics.counter_read (Engine.metrics engine) ~actor:(Sysbus.actor bus)
+      ~name:"routed"
+  in
+  let messages_before = routed () in
+  let t_fail = Engine.now engine in
+  Sysbus.fail_device bus (Smart_ssd.id ssd);
+  System.run_until_idle system;
+  let detection =
+    match !detected_at with
+    | Some t -> Int64.sub t t_fail
+    | None -> -1L
+  in
+  (* Recovery: revive the device, re-announce, re-run the Figure-2
+     sequence, recover the store from the surviving log. *)
+  let t_revive = Engine.now engine in
+  Sysbus.revive_device bus (Smart_ssd.id ssd);
+  Device.reannounce (Smart_ssd.device ssd);
+  let recovered = ref None in
+  let pasid = System.fresh_pasid system in
+  File_client.connect nic_dev
+    ~memctl:(Memctl.id (System.memctl system))
+    ~pasid ~shm_va:0x9000_0000L ~user:"kvs" ~path_hint:"/kv/data.log"
+    (fun res ->
+      match res with
+      | Error e -> invalid_arg ("t4 reconnect: " ^ e)
+      | Ok fc ->
+        Lastcpu_kv.File_backend.create fc ~path:"/kv/data.log" (fun res ->
+            match res with
+            | Error e -> invalid_arg ("t4 backend: " ^ e)
+            | Ok fb ->
+              let store = Store.create (Lastcpu_kv.File_backend.backend fb) in
+              Store.recover store (fun res ->
+                  match res with
+                  | Error e -> invalid_arg ("t4 recover: " ^ e)
+                  | Ok n -> recovered := Some (n, Engine.now engine))));
+  System.run_until_idle system;
+  (match !recovered with
+  | None -> invalid_arg "t4: recovery never completed"
+  | Some (records, t_done) ->
+    let messages_after = routed () in
+    ( detection,
+      Int64.sub t_done t_revive,
+      records,
+      messages_after - messages_before ))
 
 let t4_centralized () =
   (* The kernel learns of the failure via an interrupt, resets the device
@@ -840,36 +765,19 @@ let t5 () =
 (* --- T6: virtqueue throughput ------------------------------------------------------ *)
 
 let t6_one ~depth ~via_bus =
-  match Scenario_kvs.run () with
-  | Error e -> invalid_arg ("t6: " ^ e)
-  | Ok outcome ->
-    let system = outcome.Scenario_kvs.system in
-    let engine = System.engine system in
-    let nic_dev = Smart_nic.device (System.nic system 0) in
-    let ssd_dev = Smart_ssd.device (System.ssd system 0) in
-    if via_bus then begin
-      Device.route_doorbells_via_bus nic_dev true;
-      Device.route_doorbells_via_bus ssd_dev true
-    end;
-    let fc = Kv_app.client outcome.Scenario_kvs.app in
-    (* Closed loop of [depth] concurrent small reads of the log file. *)
-    let duration = 20_000_000L (* 20 ms *) in
-    let completed = ref 0 in
-    let stop = ref false in
-    let rec loop () =
-      if not !stop then
-        File_client.read fc "/kv/data.log" ~off:0 ~len:64 (fun _ ->
-            incr completed;
-            loop ())
-    in
-    for _ = 1 to depth do
-      loop ()
-    done;
-    let t0 = Engine.now engine in
-    Engine.run ~until:(Int64.add t0 duration) engine;
-    stop := true;
-    let elapsed = Int64.to_float (Int64.sub (Engine.now engine) t0) in
-    float_of_int !completed /. (elapsed *. 1e-9)
+  let outcome = kvs_machine ~name:"t6" () in
+  let system = outcome.Scenario_kvs.system in
+  let engine = System.engine system in
+  let nic_dev = Smart_nic.device (System.nic system 0) in
+  let ssd_dev = Smart_ssd.device (System.ssd system 0) in
+  if via_bus then begin
+    Device.route_doorbells_via_bus nic_dev true;
+    Device.route_doorbells_via_bus ssd_dev true
+  end;
+  let fc = Kv_app.client outcome.Scenario_kvs.app in
+  (* Closed loop of [depth] concurrent small reads of the log file. *)
+  closed_loop_rate engine ~workers:depth (fun _ k ->
+      File_client.read fc "/kv/data.log" ~off:0 ~len:64 (fun _ -> k ()))
 
 let t6 ?(doorbells_via_bus = false) () =
   let depths = [ 1; 2; 4; 8; 16 ] in
@@ -914,76 +822,47 @@ let t7_mix_op rng mix_get_pct =
   if Rng.int rng 100 < mix_get_pct then Kv_proto.Get key
   else Kv_proto.Put (key, String.make 100 'w')
 
+(* The measured phase, the same for both designs: [t7_clients] closed-loop
+   clients, each on its own [submit ()] path and its own seeded mix. *)
+let t7_measure engine ~submit ~drain ~mix_get_pct =
+  let finished = ref 0 in
+  let t0 = Engine.now engine in
+  let rngs =
+    Array.init t7_clients (fun c -> Rng.create ~seed:(Int64.of_int (1001 + c)))
+  in
+  let lat =
+    kv_clients engine ~submit ~hist:"kv_mixed" ~clients:t7_clients
+      ~ops:(t7_ops / t7_clients)
+      ~make_op:(fun c _ -> t7_mix_op rngs.(c) mix_get_pct)
+      ~on_done:(fun () -> incr finished)
+      ()
+  in
+  drain ();
+  assert (!finished = t7_clients);
+  let elapsed = Int64.to_float (Int64.sub (Engine.now engine) t0) in
+  let throughput = float_of_int t7_ops /. (elapsed *. 1e-9) in
+  (throughput, Metrics.report lat)
+
 let t7_decentralized ~mix_get_pct =
-  match Scenario_kvs.run () with
-  | Error e -> invalid_arg ("t7: " ^ e)
-  | Ok outcome ->
-    let system = outcome.Scenario_kvs.system in
-    let engine = System.engine system in
-    let app = outcome.Scenario_kvs.app in
-    let loaded = ref false in
-    preload_store (Kv_app.store app) ~keys:t7_keys ~value_bytes:100 (fun () ->
-        loaded := true);
-    System.run_until_idle system;
-    assert !loaded;
-    let lat = experiment_hist engine "kv_mixed" in
-    let finished = ref 0 in
-    let t0 = Engine.now engine in
-    for c = 1 to t7_clients do
-      let rng = Rng.create ~seed:(Int64.of_int (1000 + c)) in
-      kv_closed_loop_client system
-        ~app_addr:(Smart_nic.endpoint_address (System.nic system 0))
-        ~ops:(t7_ops / t7_clients) ~think_ns:0L
-        ~make_op:(fun _ -> t7_mix_op rng mix_get_pct)
-        ~lat
-        ~on_done:(fun () -> incr finished)
-    done;
-    System.run_until_idle system;
-    assert (!finished = t7_clients);
-    let elapsed = Int64.to_float (Int64.sub (Engine.now engine) t0) in
-    let throughput = float_of_int t7_ops /. (elapsed *. 1e-9) in
-    (throughput, Metrics.report lat)
+  let outcome = kvs_machine ~name:"t7" () in
+  let system = outcome.Scenario_kvs.system in
+  let app = outcome.Scenario_kvs.app in
+  preload_store (Kv_app.store app) ~keys:t7_keys ~value_bytes:100
+    ~drain:(fun () -> System.run_until_idle system);
+  t7_measure (System.engine system) ~submit:(nic_kv system)
+    ~drain:(fun () -> System.run_until_idle system)
+    ~mix_get_pct
 
 let t7_centralized ~mix_get_pct =
   let engine = Engine.create () in
   let central = Central.create engine () in
   let store = Store.create (Central.store_backend central ~path:"/kv.log" ~user:"kvs") in
-  let loaded = ref false in
-  preload_store store ~keys:t7_keys ~value_bytes:100 (fun () -> loaded := true);
-  Engine.run engine;
-  assert !loaded;
-  let lat = experiment_hist engine "kv_mixed" in
-  let finished = ref 0 in
-  let t0 = Engine.now engine in
-  for c = 1 to t7_clients do
-    let rng = Rng.create ~seed:(Int64.of_int (1000 + c)) in
-    let remaining = ref (t7_ops / t7_clients) in
-    let rec next () =
-      if !remaining = 0 then incr finished
-      else begin
-        decr remaining;
-        let t_start = Engine.now engine in
-        let op = t7_mix_op rng mix_get_pct in
-        let work k =
-          match op with
-          | Kv_proto.Get key -> Store.get store key (fun _ -> k ())
-          | Kv_proto.Put (key, value) -> Store.put store ~key ~value (fun _ -> k ())
-          | Kv_proto.Del key -> Store.delete store key (fun _ -> k ())
-          | Kv_proto.Scan p -> Store.scan_prefix store ~prefix:p (fun _ -> k ())
-        in
-        Central.kv_network_op central work (fun () ->
-            Metrics.observe lat
-              (Int64.to_float (Int64.sub (Engine.now engine) t_start));
-            next ())
-      end
-    in
-    next ()
-  done;
-  Engine.run engine;
-  assert (!finished = t7_clients);
-  let elapsed = Int64.to_float (Int64.sub (Engine.now engine) t0) in
-  let throughput = float_of_int t7_ops /. (elapsed *. 1e-9) in
-  (throughput, Metrics.report lat)
+  preload_store store ~keys:t7_keys ~value_bytes:100 ~drain:(fun () ->
+      Engine.run engine);
+  t7_measure engine
+    ~submit:(fun () -> Workload.central central store)
+    ~drain:(fun () -> Engine.run engine)
+    ~mix_get_pct
 
 let t7 () =
   let mixes = [ ("YCSB-C (100% get)", 100); ("YCSB-B (95% get)", 95); ("YCSB-A (50% get)", 50) ] in
@@ -1028,124 +907,117 @@ let t7 () =
 (* --- T8: fault containment ------------------------------------------------------------ *)
 
 let t8 () =
-  match Scenario_kvs.run () with
-  | Error e -> invalid_arg ("t8: " ^ e)
-  | Ok outcome ->
-    let system = outcome.Scenario_kvs.system in
-    let app = outcome.Scenario_kvs.app in
-    let nic1_dev = Smart_nic.device (System.nic system 0) in
-    (* Bystander ops before/after each injected fault must all succeed. *)
-    let bystander_ok = ref 0 and bystander_fail = ref 0 in
-    let bystander_op k =
-      Kv_app.local_op app (Kv_proto.Put ("bystander", "alive")) (fun reply ->
-          (match reply with
-          | Kv_proto.Done -> incr bystander_ok
-          | _ -> incr bystander_fail);
-          k ())
-    in
-    (* Scenario A: DMA read of an unmapped address on a victim PASID. *)
-    let victim_pasid = System.fresh_pasid system in
-    let faults_before = Device.fault_count nic1_dev in
-    let dma = Device.dma nic1_dev ~pasid:victim_pasid in
-    let scenario_a =
-      match Lastcpu_virtio.Dma.read_u64 dma 0xDEAD_0000L with
-      | _ -> "no fault (BUG)"
-      | exception Lastcpu_virtio.Dma.Dma_fault f ->
-        Printf.sprintf "fault delivered to device (reason=%s)"
-          (match f.Iommu.reason with
-          | Iommu.Not_mapped -> "not-mapped"
-          | Iommu.Protection -> "protection")
-    in
-    let faults_a = Device.fault_count nic1_dev - faults_before in
-    let done1 = ref false in
-    bystander_op (fun () -> done1 := true);
-    System.run_until_idle system;
-    (* Scenario B: write through a read-only mapping. *)
-    let ro_pasid = System.fresh_pasid system in
-    let mc = Memctl.id (System.memctl system) in
-    let alloc_done = ref false in
-    Device.alloc nic1_dev ~memctl:mc ~pasid:ro_pasid ~va:0xA000_0000L
-      ~bytes:4096L ~perm:Types.perm_r (fun res ->
-        (match res with Ok _ -> () | Error e ->
-          invalid_arg ("t8 alloc: " ^ Types.error_code_to_string e));
-        alloc_done := true);
-    System.run_until_idle system;
-    assert !alloc_done;
-    let faults_before_b = Device.fault_count nic1_dev in
-    let dma_ro = Device.dma nic1_dev ~pasid:ro_pasid in
-    let scenario_b =
-      match Lastcpu_virtio.Dma.write_u8 dma_ro 0xA000_0000L 1 with
+  let outcome = kvs_machine ~name:"t8" () in
+  let system = outcome.Scenario_kvs.system in
+  let app = outcome.Scenario_kvs.app in
+  let nic1_dev = Smart_nic.device (System.nic system 0) in
+  (* Bystander ops before/after each injected fault must all succeed. *)
+  let bystander_ok = ref 0 and bystander_fail = ref 0 in
+  let bystander_op k =
+    Kv_app.local_op app (Kv_proto.Put ("bystander", "alive")) (fun reply ->
+        (match reply with
+        | Kv_proto.Done -> incr bystander_ok
+        | _ -> incr bystander_fail);
+        k ())
+  in
+  (* One faulting access: its outcome and the faults the device counted. *)
+  let probe access =
+    let before = Device.fault_count nic1_dev in
+    let outcome =
+      match access () with
       | () -> "no fault (BUG)"
-      | exception Lastcpu_virtio.Dma.Dma_fault f ->
+      | exception Dma.Dma_fault f ->
         Printf.sprintf "fault delivered to device (reason=%s)"
           (match f.Iommu.reason with
           | Iommu.Not_mapped -> "not-mapped"
           | Iommu.Protection -> "protection")
     in
-    let faults_b = Device.fault_count nic1_dev - faults_before_b in
-    let done2 = ref false in
-    bystander_op (fun () -> done2 := true);
-    System.run_until_idle system;
-    assert (!done1 && !done2);
-    {
-      id = "t8";
-      title = "fault containment: IOMMU faults stay on the faulting device";
-      claim =
-        "each device handles its own faults; no external entity is involved \
-         (paper S4 Error Handling)";
-      columns = [ "scenario"; "outcome"; "faults delivered"; "bystander app" ];
-      rows =
+    (outcome, Device.fault_count nic1_dev - before)
+  in
+  (* Scenario A: DMA read of an unmapped address on a victim PASID. *)
+  let victim_pasid = System.fresh_pasid system in
+  let scenario_a, faults_a =
+    probe (fun () ->
+        ignore (Dma.read_u64 (Device.dma nic1_dev ~pasid:victim_pasid) 0xDEAD_0000L))
+  in
+  let done1 = ref false in
+  bystander_op (fun () -> done1 := true);
+  System.run_until_idle system;
+  (* Scenario B: write through a read-only mapping. *)
+  let ro_pasid = System.fresh_pasid system in
+  let mc = Memctl.id (System.memctl system) in
+  let alloc_done = ref false in
+  Device.alloc nic1_dev ~memctl:mc ~pasid:ro_pasid ~va:0xA000_0000L
+    ~bytes:4096L ~perm:Types.perm_r (fun res ->
+      (match res with Ok _ -> () | Error e ->
+        invalid_arg ("t8 alloc: " ^ Types.error_code_to_string e));
+      alloc_done := true);
+  System.run_until_idle system;
+  assert !alloc_done;
+  let scenario_b, faults_b =
+    probe (fun () ->
+        Dma.write_u8 (Device.dma nic1_dev ~pasid:ro_pasid) 0xA000_0000L 1)
+  in
+  let done2 = ref false in
+  bystander_op (fun () -> done2 := true);
+  System.run_until_idle system;
+  assert (!done1 && !done2);
+  {
+    id = "t8";
+    title = "fault containment: IOMMU faults stay on the faulting device";
+    claim =
+      "each device handles its own faults; no external entity is involved \
+       (paper S4 Error Handling)";
+    columns = [ "scenario"; "outcome"; "faults delivered"; "bystander app" ];
+    rows =
+      [
         [
-          [
-            "read of unmapped VA";
-            scenario_a;
-            string_of_int faults_a;
-            Printf.sprintf "%d ok / %d failed" !bystander_ok !bystander_fail;
-          ];
-          [
-            "write via read-only grant";
-            scenario_b;
-            string_of_int faults_b;
-            Printf.sprintf "%d ok / %d failed" !bystander_ok !bystander_fail;
-          ];
+          "read of unmapped VA";
+          scenario_a;
+          string_of_int faults_a;
+          Printf.sprintf "%d ok / %d failed" !bystander_ok !bystander_fail;
         ];
-      notes =
-        [ "bystander = the KVS application on its own PASID, same device" ];
-    }
+        [
+          "write via read-only grant";
+          scenario_b;
+          string_of_int faults_b;
+          Printf.sprintf "%d ok / %d failed" !bystander_ok !bystander_fail;
+        ];
+      ];
+    notes =
+      [ "bystander = the KVS application on its own PASID, same device" ];
+  }
 
 (* --- T9: boot / discovery scaling ------------------------------------------------------ *)
 
 let t9 () =
   let boot_with ~ssds ~nics =
     let spec = { System.default_spec with ssd_count = ssds; nic_count = nics } in
-    let system = System.build ~spec () in
-    match System.boot system with
-    | Error e -> invalid_arg ("t9: " ^ e)
-    | Ok () ->
-      let boot_ns = Engine.now (System.engine system) in
-      (* Then a discovery broadcast storm: every NIC discovers a file
-         service simultaneously. *)
-      let answered = ref 0 in
-      let engine = System.engine system in
-      let t0 = Engine.now engine in
-      let last_answer = ref t0 in
-      List.iter
-        (fun nic ->
-          Device.discover (Smart_nic.device nic) ~kind:Types.File_service
-            ~query:"" (fun r ->
-              if r <> None then begin
-                incr answered;
-                last_answer := Engine.now engine
-              end))
-        (System.nics system);
-      System.run_until_idle system;
-      let storm_ns = Int64.sub !last_answer t0 in
-      let broadcasts =
-        Metrics.counter_read (Engine.metrics engine)
-          ~actor:(Sysbus.actor (System.bus system))
-          ~name:"broadcasts"
-      in
-      (boot_ns, storm_ns, !answered, broadcasts)
+    let system = booted ~name:"t9" spec in
+    let boot_ns = Engine.now (System.engine system) in
+    (* Then a discovery broadcast storm: every NIC discovers a file
+       service simultaneously. *)
+    let answered = ref 0 in
+    let engine = System.engine system in
+    let t0 = Engine.now engine in
+    let last_answer = ref t0 in
+    List.iter
+      (fun nic ->
+        Device.discover (Smart_nic.device nic) ~kind:Types.File_service
+          ~query:"" (fun r ->
+            if r <> None then begin
+              incr answered;
+              last_answer := Engine.now engine
+            end))
+      (System.nics system);
+    System.run_until_idle system;
+    let storm_ns = Int64.sub !last_answer t0 in
+    let broadcasts =
+      Metrics.counter_read (Engine.metrics engine)
+        ~actor:(Sysbus.actor (System.bus system))
+        ~name:"broadcasts"
+    in
+    (boot_ns, storm_ns, !answered, broadcasts)
   in
   let rows =
     List.map
@@ -1240,8 +1112,7 @@ let t10 () =
 
 let t11 () =
   let spec = { System.default_spec with accel_count = 1 } in
-  let system = System.build ~spec () in
-  (match System.boot system with Ok () -> () | Error e -> invalid_arg ("t11: " ^ e));
+  let system = booted ~name:"t11" spec in
   let engine = System.engine system in
   let dev = Smart_nic.device (System.nic system 0) in
   let mc = Memctl.id (System.memctl system) in
@@ -1311,44 +1182,42 @@ let t11 () =
 
 let t12 () =
   let measure ~puts =
-    match Scenario_kvs.run ~smoke_ops:0 () with
-    | Error e -> invalid_arg ("t12: " ^ e)
-    | Ok outcome ->
-      let system = outcome.Scenario_kvs.system in
-      let engine = System.engine system in
-      let app = outcome.Scenario_kvs.app in
-      (* Churn a small live set so the log is mostly dead records. *)
-      let live_keys = 32 in
-      for i = 1 to puts do
-        Store.put (Kv_app.store app)
-          ~key:(Printf.sprintf "k%03d" (i mod live_keys))
-          ~value:(String.make 64 'v') (fun _ -> ())
-      done;
+    let outcome = kvs_machine ~name:"t12" ~smoke_ops:0 () in
+    let system = outcome.Scenario_kvs.system in
+    let engine = System.engine system in
+    let app = outcome.Scenario_kvs.app in
+    (* Churn a small live set so the log is mostly dead records. *)
+    let live_keys = 32 in
+    for i = 1 to puts do
+      Store.put (Kv_app.store app)
+        ~key:(Printf.sprintf "k%03d" (i mod live_keys))
+        ~value:(String.make 64 'v') (fun _ -> ())
+    done;
+    System.run_until_idle system;
+    let relaunch () =
+      let t0 = Engine.now engine in
+      let result = ref None in
+      Kv_app.launch ~nic:(System.nic system 0)
+        ~memctl:(Memctl.id (System.memctl system))
+        ~pasid:(System.fresh_pasid system)
+        ~shm_va:
+          (Int64.add 0x9000_0000L
+             (Int64.mul (Int64.of_int (System.fresh_pasid system)) 0x100_0000L))
+        ~user:"kvs" ~log_path:"/kv/data.log" ~start_device:false ()
+        (fun r -> result := Some (r, Engine.now engine));
       System.run_until_idle system;
-      let relaunch () =
-        let t0 = Engine.now engine in
-        let result = ref None in
-        Kv_app.launch ~nic:(System.nic system 0)
-          ~memctl:(Memctl.id (System.memctl system))
-          ~pasid:(System.fresh_pasid system)
-          ~shm_va:
-            (Int64.add 0x9000_0000L
-               (Int64.mul (Int64.of_int (System.fresh_pasid system)) 0x100_0000L))
-          ~user:"kvs" ~log_path:"/kv/data.log" ~start_device:false ()
-          (fun r -> result := Some (r, Engine.now engine));
-        System.run_until_idle system;
-        match !result with
-        | Some (Ok app', t_done) ->
-          (Kv_app.recovered_records app', Int64.sub t_done t0)
-        | _ -> invalid_arg "t12: relaunch failed"
-      in
-      let records_before, recovery_before = relaunch () in
-      let compacted = ref false in
-      Store.compact (Kv_app.store app) (fun r -> compacted := Result.is_ok r);
-      System.run_until_idle system;
-      if not !compacted then invalid_arg "t12: compaction failed";
-      let records_after, recovery_after = relaunch () in
-      (records_before, recovery_before, records_after, recovery_after)
+      match !result with
+      | Some (Ok app', t_done) ->
+        (Kv_app.recovered_records app', Int64.sub t_done t0)
+      | _ -> invalid_arg "t12: relaunch failed"
+    in
+    let records_before, recovery_before = relaunch () in
+    let compacted = ref false in
+    Store.compact (Kv_app.store app) (fun r -> compacted := Result.is_ok r);
+    System.run_until_idle system;
+    if not !compacted then invalid_arg "t12: compaction failed";
+    let records_after, recovery_after = relaunch () in
+    (records_before, recovery_before, records_after, recovery_after)
   in
   let rows =
     List.map
@@ -1407,98 +1276,30 @@ let t13_crash =
 
 let t13_plan = { Faults.default_chaos with Faults.crashes = [ t13_crash ] }
 
-type t13_stats = {
-  mutable attempted : int;  (** distinct client ops issued *)
-  mutable succeeded : int;  (** ops that eventually got a non-error reply *)
-  mutable resends : int;  (** client-level retransmissions *)
-  mutable converged : bool;  (** every op completed (success or give-up) *)
-}
-
-(* A closed-loop client that survives the chaos: each op is retransmitted
-   (same correlation id — the KVS ops are idempotent) on an escalating
-   timer until a non-[Failed] reply arrives or the attempts run out. *)
-let t13_chaos_client system ~app_addr ~ops ~think_ns ~op_timeout ~op_retries
-    ~make_op ~stats ~on_done =
-  let engine = System.engine system in
-  let net = System.net system in
-  let ep = fresh_client net in
-  let outstanding : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let sent = ref 0 in
-  let finished = ref 0 in
-  let rec send_op corr frame timeout tries_left =
-    Netsim.send ep ~dst:app_addr frame;
-    Engine.schedule engine ~delay:timeout (fun () ->
-        if Hashtbl.mem outstanding corr then
-          if tries_left > 0 then begin
-            stats.resends <- stats.resends + 1;
-            send_op corr frame (Int64.mul timeout 2L) (tries_left - 1)
-          end
-          else begin
-            Hashtbl.remove outstanding corr;
-            finish_op ()
-          end)
-  and next_op () =
-    if !sent < ops then begin
-      let corr = !sent in
-      incr sent;
-      stats.attempted <- stats.attempted + 1;
-      Hashtbl.replace outstanding corr ();
-      let frame = Kv_proto.encode_request { Kv_proto.corr; op = make_op corr } in
-      send_op corr frame op_timeout op_retries
-    end
-  and finish_op () =
-    incr finished;
-    if !finished = ops then on_done ()
-    else if think_ns > 0L then Engine.schedule engine ~delay:think_ns next_op
-    else next_op ()
-  in
-  Netsim.set_receiver ep (fun ~src:_ frame ->
-      match Kv_proto.decode_response frame with
-      | Error _ -> ()
-      | Ok { Kv_proto.corr; reply } -> (
-        match reply with
-        | Kv_proto.Failed _ ->
-          (* Transient server-side failure; the resend timer retries. *)
-          ()
-        | _ ->
-          if Hashtbl.mem outstanding corr then begin
-            Hashtbl.remove outstanding corr;
-            stats.succeeded <- stats.succeeded + 1;
-            finish_op ()
-          end));
-  next_op ()
-
 let t13_make_op i =
   let key = Printf.sprintf "key-%04d" (i mod 64) in
   if i land 1 = 0 then Kv_proto.Put (key, Printf.sprintf "value-%06d" i)
   else Kv_proto.Get key
 
-(* Returns the soaked system plus (stats, device retries, failovers,
-   crashes injected). *)
-let t13_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed () =
-  let spec =
-    {
-      System.default_spec with
-      System.seed;
-      ssd_count = 2;
-      fault_plan = t13_plan;
-      tie;
-      sanitize;
-    }
-  in
+(* The failover KV machine of T13 and T17: provision /kv on ssd0 only,
+   boot, launch the KVS on nic0 with a supervisor that re-attaches on a
+   fresh pasid/mapping, then provision ssd1. With one willing provider at
+   launch, discovery deterministically pins the app to ssd0, the device
+   the experiment will crash; afterwards re-discovery finds ssd1 (the log
+   itself is per-provider: failover restores availability, not the dead
+   device's data). *)
+let failover_kvs ~name spec =
   let system = System.build ~spec () in
-  (* Provision the KV directory only on ssd0 for now: discovery then has a
-     single willing provider, so the app deterministically attaches to the
-     device the fault plan will crash. *)
   let provision ssd =
     match Fs.mkdir (Smart_ssd.fs ssd) ~user:"root" ~mode:0o777 "/kv" with
     | Ok () -> ()
-    | Error e -> invalid_arg ("t13: mkdir /kv: " ^ Fs.error_to_string e)
+    | Error e ->
+      invalid_arg (Printf.sprintf "%s: mkdir /kv: %s" name (Fs.error_to_string e))
   in
   provision (System.ssd system 0);
   (match System.boot system with
   | Ok () -> ()
-  | Error e -> invalid_arg ("t13: boot: " ^ e));
+  | Error e -> invalid_arg (Printf.sprintf "%s: boot: %s" name e));
   let next_va = ref 0x4000_0000L in
   let fresh_attach () =
     let va = !next_va in
@@ -1515,46 +1316,64 @@ let t13_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed () =
     (fun r -> launched := Some r);
   System.run_until_idle system;
   match !launched with
-  | None -> invalid_arg "t13: launch did not complete"
-  | Some (Error e) -> invalid_arg ("t13: launch: " ^ e)
+  | None -> invalid_arg (name ^ ": launch did not complete")
+  | Some (Error e) -> invalid_arg (Printf.sprintf "%s: launch: %s" name e)
   | Some (Ok app) ->
-    (* Now provision the second SSD: when ssd0 crashes, re-discovery finds
-       a willing alternate (the log itself is per-provider — the failover
-       restores availability, not the dead device's data). *)
     provision (System.ssd system 1);
-    let stats = { attempted = 0; succeeded = 0; resends = 0; converged = false } in
-    t13_chaos_client system
-      ~app_addr:(Smart_nic.endpoint_address (System.nic system 0))
-      ~ops:t13_ops ~think_ns:t13_think_ns ~op_timeout:2_000_000L ~op_retries:10
-      ~make_op:t13_make_op ~stats
-      ~on_done:(fun () -> stats.converged <- true);
-    (* Control-plane churn alongside the data plane: a second tenant doing
-       open-loop alloc/free pairs through the NIC. Its request/response
-       round trips ride the faulty bus, exercising the device framework's
-       retry/backoff (2% message loss ⇒ a handful of retries). *)
-    let engine = System.engine system in
-    let nic_dev = Smart_nic.device (System.nic system 0) in
-    let mc = Memctl.id (System.memctl system) in
-    let churn_pasid = System.fresh_pasid system in
-    let rec churn i =
-      if i < 200 then begin
-        let va = Int64.add 0x8000_0000L (Int64.of_int (i * 4096)) in
-        Device.alloc nic_dev ~memctl:mc ~pasid:churn_pasid ~va ~bytes:4096L
-          ~perm:Types.perm_rw ~timeout:300_000L ~retries:6 (fun _ ->
-            Device.free nic_dev ~memctl:mc ~pasid:churn_pasid ~va ~bytes:4096L
-              (fun _ -> ()));
-        Engine.schedule engine ~delay:500_000L (fun () -> churn (i + 1))
-      end
-    in
-    churn 0;
-    System.run_until_idle system;
-    let m = Engine.metrics (System.engine system) in
-    let nic_dev = Smart_nic.device (System.nic system 0) in
-    ( system,
-      stats,
-      Device.request_retries nic_dev,
-      Kv_app.failovers app,
-      Metrics.counter_read m ~actor:"faults" ~name:"crashes_injected" )
+    (system, app)
+
+(* Returns the soaked system plus ((client tally, converged), device
+   retries, failovers, crashes injected). *)
+let t13_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed () =
+  let spec =
+    {
+      System.default_spec with
+      System.seed;
+      ssd_count = 2;
+      fault_plan = t13_plan;
+      tie;
+      sanitize;
+    }
+  in
+  let system, app = failover_kvs ~name:"t13" spec in
+  let engine = System.engine system in
+  (* Each op is retransmitted (same correlation id: the KVS ops are
+     idempotent) on an escalating timer until a non-[Failed] reply arrives
+     or the attempts run out. *)
+  let converged = ref false in
+  let tally =
+    Workload.run engine ~submit:(nic_kv system ())
+      ~arrival:(Workload.Closed { ops = t13_ops; think_ns = t13_think_ns })
+      ~retry:(Workload.Doubling { timeout_ns = 2_000_000L; retries = 10 })
+      ~make_op:t13_make_op
+      ~on_done:(fun () -> converged := true)
+      ()
+  in
+  (* Control-plane churn alongside the data plane: a second tenant doing
+     open-loop alloc/free pairs through the NIC. Its request/response
+     round trips ride the faulty bus, exercising the device framework's
+     retry/backoff (2% message loss ⇒ a handful of retries). *)
+  let nic_dev = Smart_nic.device (System.nic system 0) in
+  let mc = Memctl.id (System.memctl system) in
+  let churn_pasid = System.fresh_pasid system in
+  let rec churn i =
+    if i < 200 then begin
+      let va = Int64.add 0x8000_0000L (Int64.of_int (i * 4096)) in
+      Device.alloc nic_dev ~memctl:mc ~pasid:churn_pasid ~va ~bytes:4096L
+        ~perm:Types.perm_rw ~timeout:300_000L ~retries:6 (fun _ ->
+          Device.free nic_dev ~memctl:mc ~pasid:churn_pasid ~va ~bytes:4096L
+            (fun _ -> ()));
+      Engine.schedule engine ~delay:500_000L (fun () -> churn (i + 1))
+    end
+  in
+  churn 0;
+  System.run_until_idle system;
+  ( system,
+    (tally (), !converged),
+    Device.request_retries nic_dev,
+    Kv_app.failovers app,
+    Metrics.counter_read (Engine.metrics engine) ~actor:"faults"
+      ~name:"crashes_injected" )
 
 let t13_centralized ~seed () =
   let engine = Engine.create ~seed ~fault_plan:t13_plan () in
@@ -1563,7 +1382,11 @@ let t13_centralized ~seed () =
     Store.create ~metrics:(Engine.metrics engine) ~actor:"kv"
       (Central.store_backend central ~path:"/kv.log" ~user:"kvs")
   in
-  let stats = { attempted = 0; succeeded = 0; resends = 0; converged = false } in
+  (* Hand-rolled rather than a {!Workload} client: it retries after a
+     failed reply with backoff, not on a timeout, and thinks after the
+     last op too, which a closed-loop client does not. *)
+  let attempted = ref 0 and succeeded = ref 0 and resends = ref 0 in
+  let converged = ref false in
   let run_op i k =
     let rec attempt tries_left backoff =
       let ok = ref false in
@@ -1584,11 +1407,11 @@ let t13_centralized ~seed () =
                 tx ()))
         (fun () ->
           if !ok then begin
-            stats.succeeded <- stats.succeeded + 1;
+            incr succeeded;
             k ()
           end
           else if tries_left > 0 then begin
-            stats.resends <- stats.resends + 1;
+            incr resends;
             Engine.schedule engine ~delay:backoff (fun () ->
                 attempt (tries_left - 1) (Int64.mul backoff 2L))
           end
@@ -1598,32 +1421,31 @@ let t13_centralized ~seed () =
   in
   sequentially t13_ops
     (fun i k ->
-      stats.attempted <- stats.attempted + 1;
+      incr attempted;
       run_op i (fun () -> Engine.schedule engine ~delay:t13_think_ns k))
-    (fun () -> stats.converged <- true);
+    (fun () -> converged := true);
   Engine.run engine;
   ( engine,
-    stats,
+    ( {
+        Workload.sent = !attempted;
+        answered = !succeeded;
+        resends = !resends;
+      },
+      !converged ),
     Metrics.counter_read (Engine.metrics engine) ~actor:"faults"
       ~name:"crashes_injected" )
 
-(* CLI/CI entry point: run the CPU-less soak and hand back the system so
-   the caller can snapshot the telemetry registry (the determinism check
-   diffs two such snapshots). *)
-let chaos_soak ?(seed = 42L) () =
-  let system, _, _, _, _ = t13_decentralized ~seed () in
-  system
-
 let t13 ?(seed = 42L) () =
-  let system, d_stats, d_retries, d_failovers, d_crashes =
+  let system, (d_stats, d_converged), d_retries, d_failovers, d_crashes =
     t13_decentralized ~seed ()
   in
   let d_elapsed = Engine.now (System.engine system) in
-  let c_engine, c_stats, c_crashes = t13_centralized ~seed () in
+  let c_engine, (c_stats, c_converged), c_crashes = t13_centralized ~seed () in
   let c_elapsed = Engine.now c_engine in
   let pct s =
     Printf.sprintf "%.1f%%"
-      (100. *. float_of_int s.succeeded /. float_of_int (max 1 s.attempted))
+      (100. *. float_of_int s.Workload.answered
+      /. float_of_int (max 1 s.Workload.sent))
   in
   let yesno b = if b then "yes" else "no" in
   {
@@ -1642,27 +1464,27 @@ let t13 ?(seed = 42L) () =
       [
         [
           "CPU-less";
-          string_of_int d_stats.attempted;
-          string_of_int d_stats.succeeded;
+          string_of_int d_stats.Workload.sent;
+          string_of_int d_stats.answered;
           pct d_stats;
           string_of_int d_stats.resends;
           string_of_int d_retries;
           string_of_int d_failovers;
           string_of_int d_crashes;
           ns64 d_elapsed;
-          yesno d_stats.converged;
+          yesno d_converged;
         ];
         [
           "centralized";
-          string_of_int c_stats.attempted;
-          string_of_int c_stats.succeeded;
+          string_of_int c_stats.Workload.sent;
+          string_of_int c_stats.answered;
           pct c_stats;
           string_of_int c_stats.resends;
           "-";
           "-";
           string_of_int c_crashes;
           ns64 c_elapsed;
-          yesno c_stats.converged;
+          yesno c_converged;
         ];
       ];
     notes =
@@ -1735,24 +1557,11 @@ let t14_schedule ~rng () =
           Int64.add pulse_end
             (Int64.add (Int64.mul (Int64.of_int j) t14_recover_gap_ns) jitter) ))
 
-type t14_op = {
-  op_phase : t14_phase;
-  mutable sent_at : int64;
-  mutable done_at : int64 option;  (** first successful reply *)
-  mutable was_shed : bool;  (** got a busy rejection; client stops retrying *)
+type t14_stats = {
+  t14_ops : (t14_phase * Workload.outcome option) list;
+      (** per op: its phase and how it settled ([None]: never did) *)
+  t14_resends : int;
 }
-
-type t14_stats = { t14_ops : t14_op array; mutable t14_resends : int }
-
-let t14_fresh_stats schedule =
-  {
-    t14_ops =
-      Array.map
-        (fun (phase, _) ->
-          { op_phase = phase; sent_at = 0L; done_at = None; was_shed = false })
-        schedule;
-    t14_resends = 0;
-  }
 
 (* All Puts: they bottleneck on the WAL's flash programs, so sustained
    over-rate arrivals queue instead of completing. Gets would serve from
@@ -1761,71 +1570,45 @@ let t14_make_op i =
   Kv_proto.Put (Printf.sprintf "k%04d" (i mod 128), Printf.sprintf "v%06d" i)
 
 let t14_phase_cells stats phase =
-  let n = ref 0 and good = ref 0 and shed = ref 0 in
-  Array.iter
-    (fun op ->
-      if op.op_phase = phase then begin
-        incr n;
-        if op.was_shed then incr shed;
-        match op.done_at with
-        | Some at when Int64.sub at op.sent_at <= t14_slo_ns -> incr good
-        | _ -> ()
-      end)
-    stats.t14_ops;
-  (!n, !good, !shed)
+  List.fold_left
+    (fun (n, good, shed) (p, outcome) ->
+      if p <> phase then (n, good, shed)
+      else
+        match outcome with
+        | Some (Workload.Answered ns) when ns <= t14_slo_ns -> (n + 1, good + 1, shed)
+        | Some Workload.Rejected -> (n + 1, good, shed + 1)
+        | _ -> (n + 1, good, shed))
+    (0, 0, 0) stats.t14_ops
 
 let t14_goodput_pct stats phase =
   let n, good, _ = t14_phase_cells stats phase in
   Printf.sprintf "%.0f%%" (100. *. float_of_int good /. float_of_int (max 1 n))
 
-(* The client: open-loop sender over the real network, naive fixed-interval
+(* The client: the schedule's open-loop arrivals, naive fixed-interval
    retransmit on silence (same corr — the server executes duplicates, which
    is exactly the amplification the guards exist to cap), and a
-   backpressure-honoring stop on a busy rejection. *)
-let t14_open_loop_client system ~app_addr ~start_ns ~schedule ~stats =
-  let engine = System.engine system in
-  let net = System.net system in
-  let ep = fresh_client net in
-  Netsim.set_receiver ep (fun ~src:_ frame ->
-      match Kv_proto.decode_response frame with
-      | Error _ -> ()
-      | Ok { Kv_proto.corr; reply } ->
-        if corr >= 0 && corr < t14_total then begin
-          let st = stats.t14_ops.(corr) in
-          if st.done_at = None && not st.was_shed then begin
-            match reply with
-            | Kv_proto.Failed _ -> st.was_shed <- true
-            | _ -> st.done_at <- Some (Engine.now engine)
-          end
-        end);
-  Array.iteri
-    (fun i (_, off) ->
-      let st = stats.t14_ops.(i) in
-      Engine.schedule_at engine ~time:(Int64.add start_ns off) (fun () ->
-          st.sent_at <- Engine.now engine;
-          let frame =
-            Kv_proto.encode_request { Kv_proto.corr = i; op = t14_make_op i }
-          in
-          let rec send tries_left =
-            Netsim.send ep ~dst:app_addr frame;
-            Engine.schedule engine ~delay:t14_client_timeout_ns (fun () ->
-                if st.done_at = None && (not st.was_shed) && tries_left > 0
-                then begin
-                  stats.t14_resends <- stats.t14_resends + 1;
-                  send (tries_left - 1)
-                end)
-          in
-          send t14_client_retries))
-    schedule
-
-type t14_guard_counters = {
-  g_bus_rejected : int;
-  g_bus_expired : int;
-  g_dev_rejected : int;
-  g_breaker_opens : int;
-  g_breaker_fast_fails : int;
-  g_kv_shed : int;
-}
+   backpressure-honoring stop on a busy rejection. Returns a reader of the
+   run's stats. *)
+let t14_client engine ~submit ~start_ns schedule =
+  let outcomes = Array.make t14_total None in
+  let tally =
+    Workload.run engine ~submit
+      ~arrival:
+        (Workload.Open
+           { start_ns; offsets = Array.to_list (Array.map snd schedule) })
+      ~retry:
+        (Workload.Fixed
+           { interval_ns = t14_client_timeout_ns; retries = t14_client_retries })
+      ~make_op:t14_make_op
+      ~on_settle:(fun i o -> outcomes.(i) <- Some o)
+      ()
+  in
+  fun () ->
+    {
+      t14_ops =
+        Array.to_list (Array.mapi (fun i (phase, _) -> (phase, outcomes.(i))) schedule);
+      t14_resends = (tally ()).Workload.resends;
+    }
 
 let t14_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed ~guards ()
     =
@@ -1865,11 +1648,10 @@ let t14_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed ~guards ()
       Device.enable_circuit_breaker nic_dev ~threshold:3
         ~cooldown_ns:2_000_000L
     end;
-    let schedule = t14_schedule ~rng:(Engine.fork_rng engine) () in
-    let stats = t14_fresh_stats schedule in
-    t14_open_loop_client system
-      ~app_addr:(Smart_nic.endpoint_address (System.nic system 0))
-      ~start_ns:(Engine.now engine) ~schedule ~stats;
+    let stats =
+      t14_client engine ~submit:(nic_kv system ()) ~start_ns:(Engine.now engine)
+        (t14_schedule ~rng:(Engine.fork_rng engine) ())
+    in
     (* Control-plane tenant alongside the data-plane flood: open-loop
        alloc requests through the NIC device; with guards on they carry a
        deadline so any hop can shed them once they are useless. Their
@@ -1896,18 +1678,7 @@ let t14_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed ~guards ()
               | _ -> ()))
     done;
     System.run_until_idle system;
-    let bus = System.bus system in
-    let counters =
-      {
-        g_bus_rejected = Sysbus.messages_rejected bus;
-        g_bus_expired = Sysbus.messages_expired bus;
-        g_dev_rejected = Device.queue_rejections nic_dev;
-        g_breaker_opens = Device.breaker_opens nic_dev;
-        g_breaker_fast_fails = Device.breaker_fast_fails nic_dev;
-        g_kv_shed = Kv_app.ops_shed app;
-      }
-    in
-    (system, stats, counters, !churn_ok, churn_n)
+    (system, app, stats (), !churn_ok, churn_n)
 
 let t14_centralized ~seed ~guards () =
   let engine = Engine.create ~seed () in
@@ -1920,57 +1691,24 @@ let t14_centralized ~seed ~guards () =
     Store.create ~metrics:(Engine.metrics engine) ~actor:"kv"
       (Central.store_backend central ~path:"/kv.log" ~user:"kvs")
   in
-  let schedule = t14_schedule ~rng:(Engine.fork_rng engine) () in
-  let stats = t14_fresh_stats schedule in
-  Array.iteri
-    (fun i (_, off) ->
-      let st = stats.t14_ops.(i) in
-      Engine.schedule_at engine ~time:off (fun () ->
-          st.sent_at <- Engine.now engine;
-          let rec send tries_left =
-            let work tx =
-              match t14_make_op i with
-              | Kv_proto.Put (key, value) ->
-                Store.put store ~key ~value (fun _ -> tx ())
-              | _ -> tx ()
-            in
-            let complete () =
-              if st.done_at = None && not st.was_shed then
-                st.done_at <- Some (Engine.now engine)
-            in
-            (if guards then
-               Central.try_kv_network_op central work
-                 ~on_busy:(fun ~retry_after_ns:_ ->
-                   (* The NIC's frame was refused EAGAIN-style; a
-                      backpressure-honoring client stops resending. *)
-                   if st.done_at = None then st.was_shed <- true)
-                 complete
-             else Central.kv_network_op central work complete);
-            Engine.schedule engine ~delay:t14_client_timeout_ns (fun () ->
-                if st.done_at = None && (not st.was_shed) && tries_left > 0
-                then begin
-                  stats.t14_resends <- stats.t14_resends + 1;
-                  send (tries_left - 1)
-                end)
-          in
-          send t14_client_retries))
-    schedule;
+  (* A refused frame comes back as a busy reply: the client stops
+     resending, as a backpressure-honoring NIC client would. *)
+  let stats =
+    t14_client engine ~submit:(Workload.central central store) ~start_ns:0L
+      (t14_schedule ~rng:(Engine.fork_rng engine) ())
+  in
   Engine.run engine;
-  (engine, central, stats)
-
-(* CLI/CI entry point: the guarded CPU-less run, handed back so the caller
-   can snapshot telemetry (the overload determinism check diffs two). *)
-let overload_soak ?(seed = 42L) () =
-  let system, _, _, _, _ = t14_decentralized ~seed ~guards:true () in
-  system
+  (engine, central, stats ())
 
 let t14 ?(seed = 42L) () =
-  let d_off_sys, d_off, d_off_c, d_off_churn, churn_n =
+  let d_off_sys, d_off_app, d_off, d_off_churn, churn_n =
     t14_decentralized ~seed ~guards:false ()
   in
-  let d_on_sys, d_on, d_on_c, d_on_churn, _ =
+  let d_on_sys, d_on_app, d_on, d_on_churn, _ =
     t14_decentralized ~seed ~guards:true ()
   in
+  let on_bus = System.bus d_on_sys in
+  let on_nic = Smart_nic.device (System.nic d_on_sys 0) in
   let c_off_eng, _, c_off = t14_centralized ~seed ~guards:false () in
   let c_on_eng, c_on_central, c_on = t14_centralized ~seed ~guards:true () in
   let row design guard_label stats elapsed =
@@ -2022,9 +1760,14 @@ let t14 ?(seed = 42L) () =
           "CPU-less guard counters (on): kv shed=%d, bus rejected=%d, bus \
            expired=%d, nic queue rejected=%d, breaker opens=%d fast-fails=%d \
            (off run: kv shed=%d, bus rejected=%d)"
-          d_on_c.g_kv_shed d_on_c.g_bus_rejected d_on_c.g_bus_expired
-          d_on_c.g_dev_rejected d_on_c.g_breaker_opens
-          d_on_c.g_breaker_fast_fails d_off_c.g_kv_shed d_off_c.g_bus_rejected;
+          (Kv_app.ops_shed d_on_app)
+          (Sysbus.messages_rejected on_bus)
+          (Sysbus.messages_expired on_bus)
+          (Device.queue_rejections on_nic)
+          (Device.breaker_opens on_nic)
+          (Device.breaker_fast_fails on_nic)
+          (Kv_app.ops_shed d_off_app)
+          (Sysbus.messages_rejected (System.bus d_off_sys));
         Printf.sprintf
           "control plane under data-plane flood: %d/%d allocs ok (guards \
            off), %d/%d (guards on)"
@@ -2036,17 +1779,6 @@ let t14 ?(seed = 42L) () =
       ];
   }
 
-(* --- same-tick ordering sanitizer ----------------------------------------- *)
-
-(* The determinism contract says that when several events share a virtual
-   timestamp, their relative order must not leak into observable state.
-   Check it empirically: run a workload once under the contractual FIFO
-   tie-break and once under a perturbation (LIFO flips every colliding
-   pair; a seed-salted permutation scrambles larger groups), journalling a
-   digest of observable state (metrics registry + bus frame digest) after
-   every multi-event tick. Any divergence is a same-tick ordering race,
-   reported with the labels of the events that collided. *)
-
 (* --- T15: temporal decoupling ------------------------------------------------ *)
 
 (* Four device clusters (shards), each a full System on its own engine,
@@ -2057,11 +1789,97 @@ let t14 ?(seed = 42L) () =
    the windows run on — which is exactly what makes digest equality across
    lane counts a meaningful statement. *)
 
-let t15_shard_count = 4
-let t15_lookahead_ns = 50_000L
+let ring_shards = 4
+let ring_lookahead_ns = 50_000L
+
+type ring = {
+  systems : System.t array;
+  engines : Engine.t array;
+  temporal : Temporal.t;
+  remote_mc : int array;
+      (** [remote_mc.(i)]: the proxy id shard [i] addresses to reach shard
+          [i+1]'s memory controller *)
+}
+
+(* The ring of T15 and T16. Bring-up is sequential and per-shard
+   self-contained: each cluster boots and launches its KVS before any
+   coupling exists, so the setup schedule is trivially lane-independent.
+   [customize i spec] adjusts shard [i]'s spec. Ring links: shard i's NIC
+   <-> shard (i+1)'s memory controller. *)
+let build_ring ~name ~seed ~tie ~sanitize ?quantum
+    ?(customize = fun _ spec -> spec) () =
+  let systems =
+    Array.init ring_shards (fun i ->
+        let spec =
+          {
+            System.default_spec with
+            System.seed = Int64.add seed (Int64.of_int (1000 * i));
+            shard = i;
+            tie;
+            sanitize;
+          }
+        in
+        (kvs_machine
+           ~name:(Printf.sprintf "%s: shard %d" name i)
+           ~spec:(customize i spec) ~smoke_ops:0 ())
+          .Scenario_kvs.system)
+  in
+  let engines = Array.map System.engine systems in
+  let temporal = Temporal.create ?quantum ~lookahead:ring_lookahead_ns engines in
+  let links = Shardlink.create temporal (Array.map System.bus systems) in
+  let remote_mc =
+    Array.init ring_shards (fun i ->
+        let next = (i + 1) mod ring_shards in
+        let nic_dev = Smart_nic.device (System.nic systems.(i) 0) in
+        let proxy_on_i, _ =
+          Shardlink.link links
+            ~a:(i, Device.id nic_dev)
+            ~b:(next, Memctl.id (System.memctl systems.(next)))
+        in
+        proxy_on_i)
+  in
+  { systems; engines; temporal; remote_mc }
+
+(* Shard [i]'s load. Local data plane: [clients] closed-loop KVS clients
+   (5 us think time) into histogram [hist]. Cross-shard control plane:
+   [allocs] alloc/free pairs, one every [gap_ns], from the shard's NIC
+   against the next shard's memory controller, at [va_base] upwards.
+   Every churn request and response crosses the quantum boundary;
+   timeouts cover the 2x-lookahead round trip with room for queueing. *)
+let ring_load ring i ~hist ~clients ~ops ~make_op ~on_done ~va_base ~allocs
+    ~gap_ns =
+  let system = ring.systems.(i) in
+  let (_ : Metrics.histogram) =
+    kv_clients ring.engines.(i) ~submit:(nic_kv system) ~hist ~clients ~ops
+      ~think_ns:5_000L ~make_op ~on_done ()
+  in
+  let nic_dev = Smart_nic.device (System.nic system 0) in
+  let pasid = System.fresh_pasid system in
+  let proxy = ring.remote_mc.(i) in
+  let rec churn j =
+    if j < allocs then begin
+      let va = Int64.add va_base (Int64.of_int (j * 4096)) in
+      Device.alloc nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
+        ~perm:Types.perm_rw ~timeout:800_000L ~retries:4 (fun _ ->
+          Device.free nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
+            (fun _ -> ()));
+      Engine.schedule ring.engines.(i) ~delay:gap_ns (fun () -> churn (j + 1))
+    end
+  in
+  churn 0
+
+(* (digest, events, elapsed): per-shard metrics digests combined in shard
+   order from [salt], events executed summed over shards, and the max
+   shard virtual clock. *)
+let ring_fold ring ~salt =
+  ( Array.fold_left
+      (fun acc e -> Sanitizer.combine acc (Metrics.digest (Engine.metrics e)))
+      salt ring.engines,
+    Array.fold_left (fun a e -> a + Engine.events_executed e) 0 ring.engines,
+    Array.fold_left (fun a e -> max a (Engine.now e)) 0L ring.engines )
+
 let t15_kv_clients = 3
 let t15_kv_ops = 400
-let t15_think_ns = 5_000L
 let t15_remote_allocs = 120
 let t15_remote_gap_ns = 400_000L
 
@@ -2077,80 +1895,20 @@ type t15_result = {
   t15_systems : System.t array;
 }
 
-let t15_soak ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(tie = Engine.Fifo)
+let t15_soak ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(tie = Engine.Fifo)
     ?(sanitize = false) ?clock ~seed () =
   if shards < 1 then invalid_arg "t15: shards must be >= 1";
-  (* Bring-up is sequential and per-shard self-contained: each cluster
-     boots and launches its KVS before any coupling exists, so the setup
-     schedule is trivially lane-independent. *)
-  let systems =
-    Array.init t15_shard_count (fun i ->
-        let spec =
-          {
-            System.default_spec with
-            System.seed = Int64.add seed (Int64.of_int (1000 * i));
-            shard = i;
-            tie;
-            sanitize;
-          }
-        in
-        match Scenario_kvs.run ~spec ~smoke_ops:0 () with
-        | Error e -> invalid_arg (Printf.sprintf "t15: shard %d: %s" i e)
-        | Ok outcome -> outcome.Scenario_kvs.system)
-  in
-  let engines = Array.map System.engine systems in
-  let temporal = Temporal.create ~quantum ~lookahead:t15_lookahead_ns engines in
-  let links = Shardlink.create temporal (Array.map System.bus systems) in
-  (* Ring links: shard i's NIC <-> shard (i+1)'s memory controller.
-     [remote_mc.(i)] is the proxy id shard i addresses to reach it. *)
-  let remote_mc =
-    Array.init t15_shard_count (fun i ->
-        let next = (i + 1) mod t15_shard_count in
-        let nic_dev = Smart_nic.device (System.nic systems.(i) 0) in
-        let proxy_on_i, _ =
-          Shardlink.link links
-            ~a:(i, Device.id nic_dev)
-            ~b:(next, Memctl.id (System.memctl systems.(next)))
-        in
-        proxy_on_i)
-  in
-  let kv_done = Array.make t15_shard_count 0 in
-  Array.iteri
-    (fun i system ->
-      let engine = engines.(i) in
-      (* Local data plane: closed-loop KVS clients per shard. *)
-      let lat = experiment_hist engine "kv_shard" in
-      let app_addr = Smart_nic.endpoint_address (System.nic system 0) in
-      for c = 0 to t15_kv_clients - 1 do
-        kv_closed_loop_client system ~app_addr ~ops:t15_kv_ops
-          ~think_ns:t15_think_ns
-          ~make_op:(fun j ->
-            let key = Printf.sprintf "key-%04d" ((j + (c * 7)) mod 64) in
-            if j mod 3 = 0 then Kv_proto.Put (key, Printf.sprintf "v-%d-%d" c j)
-            else Kv_proto.Get key)
-          ~lat
-          ~on_done:(fun () -> kv_done.(i) <- kv_done.(i) + 1)
-      done;
-      (* Cross-shard control plane: paced alloc/free pairs against the next
-         shard's memory controller. Every request and response crosses the
-         quantum boundary; timeouts cover the 2x-lookahead round trip with
-         room for queueing. *)
-      let nic_dev = Smart_nic.device (System.nic system 0) in
-      let pasid = System.fresh_pasid system in
-      let proxy = remote_mc.(i) in
-      let rec churn j =
-        if j < t15_remote_allocs then begin
-          let va = Int64.add 0x9000_0000L (Int64.of_int (j * 4096)) in
-          Device.alloc nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
-            ~perm:Types.perm_rw ~timeout:800_000L ~retries:4 (fun _ ->
-              Device.free nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
-                (fun _ -> ()));
-          Engine.schedule engine ~delay:t15_remote_gap_ns (fun () ->
-              churn (j + 1))
-        end
-      in
-      churn 0)
-    systems;
+  let ring = build_ring ~name:"t15" ~seed ~tie ~sanitize ~quantum () in
+  let kv_done = Array.make ring_shards 0 in
+  for i = 0 to ring_shards - 1 do
+    ring_load ring i ~hist:"kv_shard" ~clients:t15_kv_clients ~ops:t15_kv_ops
+      ~make_op:(fun c j ->
+        let key = Printf.sprintf "key-%04d" ((j + (c * 7)) mod 64) in
+        if j mod 3 = 0 then Kv_proto.Put (key, Printf.sprintf "v-%d-%d" c j)
+        else Kv_proto.Get key)
+      ~on_done:(fun () -> kv_done.(i) <- kv_done.(i) + 1)
+      ~va_base:0x9000_0000L ~allocs:t15_remote_allocs ~gap_ns:t15_remote_gap_ns
+  done;
   (* Wall time of the coupled phase only: the per-shard bring-up above is
      sequential by design in every configuration, so including it would
      dilute the quantity the bench compares across lane counts. The clock
@@ -2161,7 +1919,7 @@ let t15_soak ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(tie = Engine.Fifo)
   let pool = Parallel.Pool.create ~lanes:shards in
   Fun.protect
     ~finally:(fun () -> Parallel.Pool.shutdown pool)
-    (fun () -> Temporal.run ~pool temporal);
+    (fun () -> Temporal.run ~pool ring.temporal);
   let run_seconds = tick () -. t_start in
   Array.iteri
     (fun i n ->
@@ -2170,23 +1928,18 @@ let t15_soak ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(tie = Engine.Fifo)
           (Printf.sprintf "t15: shard %d: %d/%d kv clients converged" i n
              t15_kv_clients))
     kv_done;
-  let digest =
-    Array.fold_left
-      (fun acc e -> Sanitizer.combine acc (Metrics.digest (Engine.metrics e)))
-      0x743135L (* "t15" *) engines
-  in
+  let digest, events, elapsed = ring_fold ring ~salt:0x743135L (* "t15" *) in
   {
-    t15_events =
-      Array.fold_left (fun a e -> a + Engine.events_executed e) 0 engines;
-    t15_elapsed = Array.fold_left (fun a e -> max a (Engine.now e)) 0L engines;
+    t15_events = events;
+    t15_elapsed = elapsed;
     t15_digest = digest;
-    t15_boundary = Temporal.boundary_events temporal;
-    t15_windows = Temporal.windows_run temporal;
+    t15_boundary = Temporal.boundary_events ring.temporal;
+    t15_windows = Temporal.windows_run ring.temporal;
     t15_run_seconds = run_seconds;
-    t15_systems = systems;
+    t15_systems = ring.systems;
   }
 
-let t15 ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(seed = 42L) () =
+let t15 ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(seed = 42L) () =
   let r = t15_soak ~shards ~quantum ~seed () in
   (* Deliberately lane-count-free output: CI diffs the rendered table
      between --shards 1 and --shards 4 runs, so every cell must be a pure
@@ -2204,7 +1957,7 @@ let t15 ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(seed = 42L) () =
     rows =
       [
         [
-          string_of_int t15_shard_count;
+          string_of_int ring_shards;
           string_of_int r.t15_events;
           ns64 r.t15_elapsed;
           string_of_int r.t15_boundary;
@@ -2217,7 +1970,7 @@ let t15 ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(seed = 42L) () =
         Printf.sprintf
           "quantum=%Ldns lookahead=%Ldns; ring of %d clusters, %d kv \
            clients x %d ops + %d cross-shard alloc/free pairs per shard"
-          quantum t15_lookahead_ns t15_shard_count t15_kv_clients t15_kv_ops
+          quantum ring_lookahead_ns ring_shards t15_kv_clients t15_kv_ops
           t15_remote_allocs;
       ];
   }
@@ -2235,12 +1988,9 @@ let t15 ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(seed = 42L) () =
    the uninterrupted run and the killed-and-resumed run, including when
    the kill lands mid-checkpoint and leaves a torn primary on disk. *)
 
-let t16_shard_count = 4
-let t16_lookahead_ns = 50_000L
 let t16_segments = 5
 let t16_kv_clients = 2
 let t16_kv_ops = 80
-let t16_think_ns = 5_000L
 let t16_remote_allocs = 40
 let t16_remote_gap_ns = 300_000L
 let t16_pings = 12
@@ -2259,8 +2009,6 @@ let t16_ping_gap_ns = 150_000L
 let t16_crash =
   { Faults.device = "ssd1"; at_ns = 5_000_000L; down_ns = 135_000_000L }
 
-let t16_tag seed = Printf.sprintf "t16:%Ld" seed
-
 type t16_result = {
   t16_digest : int64;  (** per-shard metrics digests, combined in shard order *)
   t16_events : int;  (** events executed, summed over shards *)
@@ -2273,276 +2021,152 @@ type t16_result = {
 }
 
 let t16_soak ?(lanes = 1) ?(tie = Engine.Fifo) ?(sanitize = false)
-    ?snapshot_path ?(checkpoint_every = 1) ?(resume = false) ?stop_after
-    ?(torn_final = false) ~seed () =
+    ?snapshot_path ?resume ?stop_after ?torn_final ~seed () =
   if lanes < 1 then invalid_arg "t16: lanes must be >= 1";
-  if checkpoint_every < 1 then invalid_arg "t16: checkpoint_every must be >= 1";
   (* Deterministic rebuild: this block is the "identical builder" the
      snapshot contract requires — a resumed process runs exactly it, then
      overlays the saved state. *)
-  let systems =
-    Array.init t16_shard_count (fun i ->
-        let spec =
+  let ring =
+    build_ring ~name:"t16" ~seed ~tie ~sanitize
+      ~customize:(fun i spec ->
+        if i = 0 then
           {
-            System.default_spec with
-            System.seed = Int64.add seed (Int64.of_int (1000 * i));
-            shard = i;
-            tie;
-            sanitize;
-            ssd_count = (if i = 0 then 2 else 1);
-            fault_plan =
-              (if i = 0 then
-                 { Faults.zero with Faults.crashes = [ t16_crash ] }
-               else Faults.zero);
+            spec with
+            System.ssd_count = 2;
+            fault_plan = { Faults.zero with Faults.crashes = [ t16_crash ] };
           }
-        in
-        match Scenario_kvs.run ~spec ~smoke_ops:0 () with
-        | Error e -> invalid_arg (Printf.sprintf "t16: shard %d: %s" i e)
-        | Ok outcome -> outcome.Scenario_kvs.system)
-  in
-  let engines = Array.map System.engine systems in
-  let temporal = Temporal.create ~lookahead:t16_lookahead_ns engines in
-  let links = Shardlink.create temporal (Array.map System.bus systems) in
-  let remote_mc =
-    Array.init t16_shard_count (fun i ->
-        let next = (i + 1) mod t16_shard_count in
-        let nic_dev = Smart_nic.device (System.nic systems.(i) 0) in
-        let proxy_on_i, _ =
-          Shardlink.link links
-            ~a:(i, Device.id nic_dev)
-            ~b:(next, Memctl.id (System.memctl systems.(next)))
-        in
-        proxy_on_i)
+        else spec)
+      ()
   in
   (* Breaker on the shard that pings the crashing SSD: its Open /
      Half_open phase at each boundary is exactly the device-state-machine
      payload the checkpoint must carry. *)
   Device.enable_circuit_breaker
-    (Smart_nic.device (System.nic systems.(0) 0))
+    (Smart_nic.device (System.nic ring.systems.(0) 0))
     ~threshold:3 ~cooldown_ns:1_000_000L;
-  (* Segment progress rides the snapshot like any other state: a resumed
-     process learns where to continue from the file, not from flags. *)
-  let progress = ref 0 in
-  Engine.register_snapshot engines.(0) ~name:"t16-progress"
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
-      Snapshot.W.varint w !progress;
-      Snapshot.W.contents w)
-    ~restore:(fun data ->
-      progress := Snapshot.R.varint (Snapshot.R.of_string data));
-  let target = Checkpoint.Sharded temporal in
-  let tag = t16_tag seed in
-  let restored = ref None in
-  if resume then begin
-    match snapshot_path with
-    | None -> invalid_arg "t16: resume requires a snapshot path"
-    | Some path -> (
-      match Checkpoint.restore ~path ~tag target with
-      | Ok gen -> restored := Some gen
-      | Error e -> invalid_arg ("t16: resume: " ^ e))
-  end;
-  let kv_done = Array.make t16_shard_count 0 in
-  let install_segment seg =
-    Array.iteri
-      (fun i system ->
-        let engine = engines.(i) in
-        let lat = experiment_hist engine "kv_t16" in
-        let app_addr = Smart_nic.endpoint_address (System.nic system 0) in
-        for c = 0 to t16_kv_clients - 1 do
-          kv_closed_loop_client system ~app_addr ~ops:t16_kv_ops
-            ~think_ns:t16_think_ns
-            ~make_op:(fun j ->
-              let key =
-                Printf.sprintf "key-%d-%03d" seg ((j + (c * 13)) mod 48)
-              in
-              if (j + seg) mod 3 = 0 then
-                Kv_proto.Put (key, Printf.sprintf "v-%d-%d-%d" seg c j)
-              else Kv_proto.Get key)
-            ~lat
-            ~on_done:(fun () -> kv_done.(i) <- kv_done.(i) + 1)
-        done;
-        (* Cross-shard alloc/free churn over the ring, as in t15 — every
-           request and response crosses the quantum boundary. *)
+  let seg_done = Array.make ring_shards 0 in
+  let install seg =
+    Array.fill seg_done 0 ring_shards 0;
+    for i = 0 to ring_shards - 1 do
+      ring_load ring i ~hist:"kv_t16" ~clients:t16_kv_clients ~ops:t16_kv_ops
+        ~make_op:(fun c j ->
+          let key = Printf.sprintf "key-%d-%03d" seg ((j + (c * 13)) mod 48) in
+          if (j + seg) mod 3 = 0 then
+            Kv_proto.Put (key, Printf.sprintf "v-%d-%d-%d" seg c j)
+          else Kv_proto.Get key)
+        ~on_done:(fun () -> seg_done.(i) <- seg_done.(i) + 1)
+        ~va_base:
+          (Int64.add 0xA000_0000L (Int64.of_int (seg * t16_remote_allocs * 4096)))
+        ~allocs:t16_remote_allocs ~gap_ns:t16_remote_gap_ns;
+      if i = 0 then begin
+        (* Pings against the crash-windowed SSD: image loads, which a live
+           SSD answers with "load-ok". While it is down they time out and
+           trip the NIC's per-peer breaker. *)
+        let system = ring.systems.(0) in
         let nic_dev = Smart_nic.device (System.nic system 0) in
-        let pasid = System.fresh_pasid system in
-        let proxy = remote_mc.(i) in
-        let rec churn j =
-          if j < t16_remote_allocs then begin
-            let va =
-              Int64.add 0xA000_0000L
-                (Int64.of_int (((seg * t16_remote_allocs) + j) * 4096))
-            in
-            Device.alloc nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
-              ~perm:Types.perm_rw ~timeout:800_000L ~retries:4 (fun _ ->
-                Device.free nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
-                  (fun _ -> ()));
-            Engine.schedule engine ~delay:t16_remote_gap_ns (fun () ->
-                churn (j + 1))
-          end
+        let target_ssd = Smart_ssd.id (System.ssd system 1) in
+        let rec ping j =
+          if j < t16_pings then
+            Device.request nic_dev ~timeout:200_000L ~retries:1
+              ~dst:(Types.Device target_ssd)
+              (Message.Load_image
+                 { image = Printf.sprintf "probe-%d-%02d" seg j; bytes = 512L })
+              (fun _ ->
+                Engine.schedule ring.engines.(0) ~delay:t16_ping_gap_ns
+                  (fun () -> ping (j + 1)))
         in
-        churn 0;
-        if i = 0 then begin
-          (* Pings against the crash-windowed SSD: image loads, which a
-             live SSD answers with "load-ok". While it is down they time
-             out and trip the NIC's per-peer breaker. *)
-          let target_ssd = Smart_ssd.id (System.ssd system 1) in
-          let rec ping j =
-            if j < t16_pings then
-              Device.request nic_dev ~timeout:200_000L ~retries:1
-                ~dst:(Types.Device target_ssd)
-                (Message.Load_image
-                   { image = Printf.sprintf "probe-%d-%02d" seg j; bytes = 512L })
-                (fun _ ->
-                  Engine.schedule engine ~delay:t16_ping_gap_ns (fun () ->
-                      ping (j + 1)))
-          in
-          ping 0
-        end)
-      systems
+        ping 0
+      end
+    done
   in
-  let segments_run = ref 0 in
-  let stopping = ref false in
-  let pool = Parallel.Pool.create ~lanes in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.shutdown pool)
-    (fun () ->
-      while !progress < t16_segments && not !stopping do
-        let seg = !progress in
-        let before = Array.copy kv_done in
-        install_segment seg;
-        Temporal.run_until_quiescent ~pool temporal;
-        Array.iteri
-          (fun i n ->
-            if n - before.(i) <> t16_kv_clients then
-              invalid_arg
-                (Printf.sprintf
-                   "t16: shard %d segment %d: %d/%d kv clients converged" i seg
-                   (n - before.(i))
-                   t16_kv_clients))
-          kv_done;
-        progress := seg + 1;
-        incr segments_run;
-        let boundary = seg + 1 in
-        (match snapshot_path with
-        | Some path when boundary mod checkpoint_every = 0 ->
-          let torn =
-            torn_final
-            && (match stop_after with Some s -> s = boundary | None -> false)
-          in
-          if torn then Checkpoint.save ~torn_keep_bytes:96 ~path ~tag target
-          else Checkpoint.save ~path ~tag target
-        | _ -> ());
-        match stop_after with
-        | Some s when s = boundary -> stopping := true
-        | _ -> ()
-      done);
-  let digest =
-    Array.fold_left
-      (fun acc e -> Sanitizer.combine acc (Metrics.digest (Engine.metrics e)))
-      0x743136L (* "t16" *) engines
+  let check seg =
+    Array.iteri
+      (fun i n ->
+        if n <> t16_kv_clients then
+          invalid_arg
+            (Printf.sprintf
+               "t16: shard %d segment %d: %d/%d kv clients converged" i seg n
+               t16_kv_clients))
+      seg_done
   in
+  let leg =
+    Soak.run ~name:"t16" ~seed ~lanes ~segments:t16_segments ?snapshot_path
+      ?resume ?stop_after ?torn_final ~install ~check
+      (Checkpoint.Sharded ring.temporal)
+  in
+  let digest, events, elapsed = ring_fold ring ~salt:0x743136L (* "t16" *) in
   {
     t16_digest = digest;
-    t16_events =
-      Array.fold_left (fun a e -> a + Engine.events_executed e) 0 engines;
-    t16_elapsed = Array.fold_left (fun a e -> max a (Engine.now e)) 0L engines;
-    t16_segments_run = !segments_run;
-    t16_restored = !restored;
-    t16_systems = systems;
+    t16_events = events;
+    t16_elapsed = elapsed;
+    t16_segments_run = leg.Soak.segments_run;
+    t16_restored = leg.Soak.restored;
+    t16_systems = ring.systems;
   }
 
 let t16_kill_boundary = 3
 
 let t16 ?(lanes = 1) ?(seed = 42L) () =
-  let path = Filename.temp_file "lastcpu-t16" ".snap" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; Snapshot.previous_generation path ])
-    (fun () ->
-      let full = t16_soak ~lanes ~seed () in
-      (* Kill leg: checkpoint every boundary, die "mid-checkpoint" at
-         boundary 3 — the file written there is torn, exactly the on-disk
-         state of a process killed between write and rename. *)
-      let killed =
-        t16_soak ~lanes ~seed ~snapshot_path:path ~stop_after:t16_kill_boundary
-          ~torn_final:true ()
-      in
-      (* Resume leg: fresh topology; the torn primary must be rejected and
-         the previous generation (boundary 2) restored, re-running one
-         segment deterministically before the remaining two. *)
-      let resumed = t16_soak ~lanes ~seed ~snapshot_path:path ~resume:true () in
-      let fellback =
-        match resumed.t16_restored with
-        | Some Snapshot.Previous -> true
-        | Some Snapshot.Primary | None -> false
-      in
-      let identical =
-        resumed.t16_digest = full.t16_digest
-        && resumed.t16_events = full.t16_events
-        && resumed.t16_elapsed = full.t16_elapsed
-      in
-      (* Lane-count-free output: CI diffs the rendered table between
-         --shards 1 and --shards 4 runs of the whole kill/resume cycle. *)
-      {
-        id = "t16";
-        title = "crash-survivable simulation: kill-resume soak over snapshots";
-        claim =
-          "a run checkpointed at quiescent segment boundaries can be \
-           killed — even mid-checkpoint, leaving a torn file — and \
-           resumed from disk into a freshly rebuilt topology with \
-           bit-identical observable state";
-        columns = [ "run"; "segments"; "events"; "elapsed (ns)"; "digest" ];
-        rows =
-          [
-            [
-              "uninterrupted";
-              string_of_int full.t16_segments_run;
-              string_of_int full.t16_events;
-              ns64 full.t16_elapsed;
-              Printf.sprintf "0x%016Lx" full.t16_digest;
-            ];
-            [
-              "killed at boundary 3 (torn)";
-              string_of_int killed.t16_segments_run;
-              "-";
-              "-";
-              "-";
-            ];
-            [
-              (match resumed.t16_restored with
-              | Some Snapshot.Previous -> "resumed (previous generation)"
-              | Some Snapshot.Primary -> "resumed (primary)"
-              | None -> "resumed (no snapshot!)");
-              string_of_int resumed.t16_segments_run;
-              string_of_int resumed.t16_events;
-              ns64 resumed.t16_elapsed;
-              Printf.sprintf "0x%016Lx" resumed.t16_digest;
-            ];
-            [
-              "verdict";
-              "";
-              "";
-              "";
-              (if identical && fellback then "bit-identical"
-               else "DIVERGED");
-            ];
-          ];
-        notes =
-          [
-            Printf.sprintf
-              "%d segments, checkpoint per boundary; ring of %d clusters, %d \
-               kv clients x %d ops + %d cross-shard alloc/free pairs per \
-               shard per segment; ssd1 crash window [%Ldns, %Ldns] spans two \
-               checkpoints"
-              t16_segments t16_shard_count t16_kv_clients t16_kv_ops
-              t16_remote_allocs t16_crash.Faults.at_ns
-              (Int64.add t16_crash.Faults.at_ns t16_crash.Faults.down_ns);
-            "torn primary at the kill boundary forces restore from the \
-             previous generation: one segment is re-run deterministically";
-          ];
-      })
+  (* Kill leg: checkpoint every boundary, die "mid-checkpoint" at boundary
+     3 — the file written there is torn, exactly the on-disk state of a
+     process killed between write and rename. Resume leg: fresh topology;
+     the torn primary must be rejected and the previous generation
+     (boundary 2) restored, re-running one segment deterministically
+     before the remaining two. *)
+  let full, killed, resumed =
+    Soak.kill_resume ~name:"t16" ~kill_boundary:t16_kill_boundary
+      (t16_soak ~lanes ~seed ~tie:Engine.Fifo ~sanitize:false)
+  in
+  let identical =
+    resumed.t16_digest = full.t16_digest
+    && resumed.t16_events = full.t16_events
+    && resumed.t16_elapsed = full.t16_elapsed
+  in
+  let run_row name (r : t16_result) =
+    [
+      name;
+      string_of_int r.t16_segments_run;
+      string_of_int r.t16_events;
+      ns64 r.t16_elapsed;
+      Printf.sprintf "0x%016Lx" r.t16_digest;
+    ]
+  in
+  (* Lane-count-free output: CI diffs the rendered table between
+     --shards 1 and --shards 4 runs of the whole kill/resume cycle. *)
+  {
+    id = "t16";
+    title = "crash-survivable simulation: kill-resume soak over snapshots";
+    claim =
+      "a run checkpointed at quiescent segment boundaries can be killed — \
+       even mid-checkpoint, leaving a torn file — and resumed from disk \
+       into a freshly rebuilt topology with bit-identical observable state";
+    columns = [ "run"; "segments"; "events"; "elapsed (ns)"; "digest" ];
+    rows =
+      [
+        run_row "uninterrupted" full;
+        [
+          Soak.killed_label t16_kill_boundary;
+          string_of_int killed.t16_segments_run;
+          "-";
+          "-";
+          "-";
+        ];
+        run_row (Soak.resumed_label resumed.t16_restored) resumed;
+        Soak.verdict_row ~columns:5 ~identical resumed.t16_restored;
+      ];
+    notes =
+      [
+        Printf.sprintf
+          "%d segments, checkpoint per boundary; ring of %d clusters, %d kv \
+           clients x %d ops + %d cross-shard alloc/free pairs per shard per \
+           segment; ssd1 crash window [%Ldns, %Ldns] spans two checkpoints"
+          t16_segments ring_shards t16_kv_clients t16_kv_ops t16_remote_allocs
+          t16_crash.Faults.at_ns
+          (Int64.add t16_crash.Faults.at_ns t16_crash.Faults.down_ns);
+        "torn primary at the kill boundary forces restore from the previous \
+         generation: one segment is re-run deterministically";
+      ];
+  }
 
 (* --- T17: rogue-device containment soak --------------------------------------- *)
 
@@ -2563,7 +2187,6 @@ let t17_kv_ops = 60
 let t17_think_ns = 5_000L
 let t17_rogue_va = 0x6000_0000L
 let t17_rogue_bytes = 8192L
-let t17_tag seed = Printf.sprintf "t17:%Ld" seed
 
 (* Checkpoints stop after this boundary: segment 2 crashes the KV provider
    and [Kv_app.save_state] deliberately refuses to checkpoint a failed-over
@@ -2588,13 +2211,13 @@ type t17_result = {
   t17_system : System.t;
 }
 
-let t17_soak ?snapshot_path ?(checkpoint_every = 1) ?(resume = false)
-    ?stop_after ?(torn_final = false) ~seed () =
-  if checkpoint_every < 1 then invalid_arg "t17: checkpoint_every must be >= 1";
+let t17_soak ?snapshot_path ?resume ?stop_after ?torn_final ~seed () =
   (* Deterministic rebuild (the snapshot contract's "identical builder"):
      topology, KV launch and the rogue's one legitimate allocation —
      including the capability token it will later replay — are all
-     pre-checkpoint state, recomputed identically by a resuming process. *)
+     pre-checkpoint state, recomputed identically by a resuming process.
+     As in T13, discovery pins the app to ssd0, the device segment 2 will
+     crash. *)
   let spec =
     {
       System.default_spec with
@@ -2604,44 +2227,10 @@ let t17_soak ?snapshot_path ?(checkpoint_every = 1) ?(resume = false)
       quarantine = Some Sysbus.default_quarantine;
     }
   in
-  let system = System.build ~spec () in
-  let provision ssd =
-    match Fs.mkdir (Smart_ssd.fs ssd) ~user:"root" ~mode:0o777 "/kv" with
-    | Ok () -> ()
-    | Error e -> invalid_arg ("t17: mkdir /kv: " ^ Fs.error_to_string e)
-  in
-  (* Only ssd0 is provisioned before launch, as in T13: discovery pins the
-     app to the device segment 2 will crash. *)
-  provision (System.ssd system 0);
-  (match System.boot system with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("t17: boot: " ^ e));
+  let system, app = failover_kvs ~name:"t17" spec in
   let engine = System.engine system in
   let bus = System.bus system in
   let mc = System.memctl system in
-  let next_va = ref 0x4000_0000L in
-  let fresh_attach () =
-    let va = !next_va in
-    next_va := Int64.add va 0x100_0000L;
-    (System.fresh_pasid system, va)
-  in
-  let launched = ref None in
-  let pasid, shm_va = fresh_attach () in
-  Kv_app.launch
-    ~nic:(System.nic system 0)
-    ~memctl:(Memctl.id mc) ~pasid ~shm_va ~user:"kvs" ~log_path:"/kv/data.log"
-    ~req_timeout:300_000L ~req_retries:6 ~supervisor:fresh_attach ()
-    (fun r -> launched := Some r);
-  System.run_until_idle system;
-  let app =
-    match !launched with
-    | None -> invalid_arg "t17: launch did not complete"
-    | Some (Error e) -> invalid_arg ("t17: launch: " ^ e)
-    | Some (Ok app) -> app
-  in
-  (* The alternate provider comes up after the app pinned itself to ssd0:
-     when ssd0 dies, re-discovery finds ssd1 willing. *)
-  provision (System.ssd system 1);
   let ssd0_id = Smart_ssd.id (System.ssd system 0) in
   let ssd1_id = Smart_ssd.id (System.ssd system 1) in
   let ssd0_services = Sysbus.services_of bus ssd0_id in
@@ -2689,21 +2278,21 @@ let t17_soak ?snapshot_path ?(checkpoint_every = 1) ?(resume = false)
            auth = rogue_token;
          })
   in
-  let kv_done = ref 0 in
+  let seg_done = ref 0 in
   let install_kv seg =
-    let lat = experiment_hist engine "kv_t17" in
-    let app_addr = Smart_nic.endpoint_address (System.nic system 0) in
-    for c = 0 to t17_kv_clients - 1 do
-      kv_closed_loop_client system ~app_addr ~ops:t17_kv_ops
-        ~think_ns:t17_think_ns
-        ~make_op:(fun j ->
+    seg_done := 0;
+    let (_ : Metrics.histogram) =
+      kv_clients engine ~submit:(nic_kv system) ~hist:"kv_t17"
+        ~clients:t17_kv_clients ~ops:t17_kv_ops ~think_ns:t17_think_ns
+        ~make_op:(fun c j ->
           let key = Printf.sprintf "key-%d-%03d" seg ((j + (c * 17)) mod 40) in
           if (j + seg) mod 3 = 0 then
             Kv_proto.Put (key, Printf.sprintf "v-%d-%d-%d" seg c j)
           else Kv_proto.Get key)
-        ~lat
-        ~on_done:(fun () -> incr kv_done)
-    done
+        ~on_done:(fun () -> incr seg_done)
+        ()
+    in
+    ()
   in
   let at delay f = Engine.schedule engine ~delay f in
   let require cond what = if not cond then invalid_arg ("t17: " ^ what) in
@@ -2817,37 +2406,12 @@ let t17_soak ?snapshot_path ?(checkpoint_every = 1) ?(resume = false)
           raw (replay_directive ~corr:9102))
     | _ -> ()
   in
-  let progress = ref 0 in
-  Engine.register_snapshot engine ~name:"t17-progress"
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
-      Snapshot.W.varint w !progress;
-      Snapshot.W.contents w)
-    ~restore:(fun data ->
-      progress := Snapshot.R.varint (Snapshot.R.of_string data));
-  let target = Checkpoint.Single engine in
-  let tag = t17_tag seed in
-  let restored = ref None in
-  if resume then begin
-    match snapshot_path with
-    | None -> invalid_arg "t17: resume requires a snapshot path"
-    | Some path -> (
-      match Checkpoint.restore ~path ~tag target with
-      | Ok gen -> restored := Some gen
-      | Error e -> invalid_arg ("t17: resume: " ^ e))
-  end;
-  let segments_run = ref 0 in
-  let stopping = ref false in
-  while !progress < t17_segments && not !stopping do
-    let seg = !progress in
-    let before = !kv_done in
-    install_segment seg;
-    System.run_until_idle system;
+  let check seg =
     require
-      (!kv_done - before = t17_kv_clients)
-      (Printf.sprintf "segment %d: %d/%d kv clients converged" seg
-         (!kv_done - before) t17_kv_clients);
-    (match seg with
+      (!seg_done = t17_kv_clients)
+      (Printf.sprintf "segment %d: %d/%d kv clients converged" seg !seg_done
+         t17_kv_clients);
+    match seg with
     | 1 ->
       require
         (Sysbus.trust_of bus rogue_id = Sysbus.Quarantined)
@@ -2870,33 +2434,21 @@ let t17_soak ?snapshot_path ?(checkpoint_every = 1) ?(resume = false)
       require
         (Sysbus.trust_of bus rogue_id = Sysbus.Suspect)
         "paroled rogue should be suspect, not quarantined or trusted"
-    | _ -> ());
-    progress := seg + 1;
-    incr segments_run;
-    let boundary = seg + 1 in
-    (match snapshot_path with
-    | Some path
-      when boundary mod checkpoint_every = 0 && boundary <= t17_kill_boundary
-      ->
-      let torn =
-        torn_final
-        && (match stop_after with Some s -> s = boundary | None -> false)
-      in
-      if torn then Checkpoint.save ~torn_keep_bytes:96 ~path ~tag target
-      else Checkpoint.save ~path ~tag target
-    | _ -> ());
-    match stop_after with
-    | Some s when s = boundary -> stopping := true
     | _ -> ()
-  done;
+  in
+  let leg =
+    Soak.run ~name:"t17" ~seed ~segments:t17_segments
+      ~last_checkpoint:t17_kill_boundary ?snapshot_path ?resume ?stop_after
+      ?torn_final ~install:install_segment ~check (Checkpoint.Single engine)
+  in
   {
     t17_digest =
       Sanitizer.combine 0x743137L (* "t17" *)
         (Metrics.digest (Engine.metrics engine));
     t17_events = Engine.events_executed engine;
     t17_elapsed = Engine.now engine;
-    t17_segments_run = !segments_run;
-    t17_restored = !restored;
+    t17_segments_run = leg.Soak.segments_run;
+    t17_restored = leg.Soak.restored;
     t17_quarantines = Sysbus.quarantines bus;
     t17_revocations = Sysbus.revocations bus;
     t17_stale = Sysbus.stale_tokens bus;
@@ -2908,99 +2460,69 @@ let t17_soak ?snapshot_path ?(checkpoint_every = 1) ?(resume = false)
   }
 
 let t17 ?(seed = 42L) () =
-  let path = Filename.temp_file "lastcpu-t17" ".snap" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; Snapshot.previous_generation path ])
-    (fun () ->
-      let full = t17_soak ~seed () in
-      (* Kill leg: die mid-checkpoint at the last checkpointable boundary —
-         the barrage segment's own boundary — leaving a torn primary. *)
-      let killed =
-        t17_soak ~seed ~snapshot_path:path ~stop_after:t17_kill_boundary
-          ~torn_final:true ()
-      in
-      (* Resume leg: torn primary rejected, previous generation restored;
-         the entire barrage re-runs deterministically. *)
-      let resumed = t17_soak ~seed ~snapshot_path:path ~resume:true () in
-      let fellback =
-        match resumed.t17_restored with
-        | Some Snapshot.Previous -> true
-        | Some Snapshot.Primary | None -> false
-      in
-      let identical =
-        resumed.t17_digest = full.t17_digest
-        && resumed.t17_events = full.t17_events
-        && resumed.t17_elapsed = full.t17_elapsed
-      in
-      let run_row name (r : t17_result) final =
-        [
-          name;
-          string_of_int r.t17_segments_run;
-          string_of_int r.t17_quarantines;
-          string_of_int r.t17_stale;
-          string_of_int r.t17_failovers;
-          r.t17_rogue_trust;
-          (if final then Printf.sprintf "0x%016Lx" r.t17_digest else "-");
-        ]
-      in
-      {
-        id = "t17";
-        title = "rogue-device containment: quarantine, revocation, failover";
-        claim =
-          "a device that turns hostile mid-run is quarantined by \
-           misbehavior scoring, its capabilities revoked by one epoch \
-           bump, and the workload it served fails over and recovers — \
-           deterministically, surviving a torn-checkpoint kill-resume \
-           bit-identically";
-        columns =
-          [ "run"; "segments"; "quarantines"; "stale"; "failovers";
-            "rogue trust"; "digest" ];
-        rows =
-          [
-            run_row "uninterrupted" full true;
-            run_row
-              (Printf.sprintf "killed at boundary %d (torn)" t17_kill_boundary)
-              killed false;
-            run_row
-              (match resumed.t17_restored with
-              | Some Snapshot.Previous -> "resumed (previous generation)"
-              | Some Snapshot.Primary -> "resumed (primary)"
-              | None -> "resumed (no snapshot!)")
-              resumed true;
-            [
-              "verdict";
-              "";
-              "";
-              "";
-              "";
-              "";
-              (if identical && fellback then "bit-identical" else "DIVERGED");
-            ];
-          ];
-        notes =
-          [
-            Printf.sprintf
-              "%d segments, %d kv clients x %d ops each; barrage evidence: \
-               dma fault + forged mac + corr replay storm + spoofed source \
-               (weights %d/%d/%d/%d, threshold %d); %d frames fenced, %d \
-               malformed rejected"
-              t17_segments t17_kv_clients t17_kv_ops
-              Sysbus.default_quarantine.Sysbus.dma_fault_weight
-              Sysbus.default_quarantine.Sysbus.bad_token_weight
-              Sysbus.default_quarantine.Sysbus.replay_weight
-              Sysbus.default_quarantine.Sysbus.spoof_weight
-              Sysbus.default_quarantine.Sysbus.quarantine_score
-              full.t17_fenced full.t17_malformed;
-            "re-admission is reset-line -> re-announce only: a bare \
-             heartbeat from the revived provider is ignored, and the \
-             paroled rogue's pre-revocation token is NACKed stale";
-            "single-engine soak: --shards cannot perturb it, and the \
-             kill-resume legs above are the determinism evidence";
-          ];
-      })
+  (* Kill leg: die mid-checkpoint at the last checkpointable boundary — the
+     barrage segment's own boundary — leaving a torn primary. Resume leg:
+     torn primary rejected, previous generation restored; the entire
+     barrage re-runs deterministically. *)
+  let full, killed, resumed =
+    Soak.kill_resume ~name:"t17" ~kill_boundary:t17_kill_boundary
+      (t17_soak ~seed)
+  in
+  let identical =
+    resumed.t17_digest = full.t17_digest
+    && resumed.t17_events = full.t17_events
+    && resumed.t17_elapsed = full.t17_elapsed
+  in
+  let run_row name (r : t17_result) final =
+    [
+      name;
+      string_of_int r.t17_segments_run;
+      string_of_int r.t17_quarantines;
+      string_of_int r.t17_stale;
+      string_of_int r.t17_failovers;
+      r.t17_rogue_trust;
+      (if final then Printf.sprintf "0x%016Lx" r.t17_digest else "-");
+    ]
+  in
+  {
+    id = "t17";
+    title = "rogue-device containment: quarantine, revocation, failover";
+    claim =
+      "a device that turns hostile mid-run is quarantined by misbehavior \
+       scoring, its capabilities revoked by one epoch bump, and the \
+       workload it served fails over and recovers — deterministically, \
+       surviving a torn-checkpoint kill-resume bit-identically";
+    columns =
+      [ "run"; "segments"; "quarantines"; "stale"; "failovers"; "rogue trust";
+        "digest" ];
+    rows =
+      [
+        run_row "uninterrupted" full true;
+        run_row (Soak.killed_label t17_kill_boundary) killed false;
+        run_row (Soak.resumed_label resumed.t17_restored) resumed true;
+        Soak.verdict_row ~columns:7 ~identical resumed.t17_restored;
+      ];
+    notes =
+      [
+        Printf.sprintf
+          "%d segments, %d kv clients x %d ops each; barrage evidence: dma \
+           fault + forged mac + corr replay storm + spoofed source (weights \
+           %d/%d/%d/%d, threshold %d); %d frames fenced, %d malformed \
+           rejected"
+          t17_segments t17_kv_clients t17_kv_ops
+          Sysbus.default_quarantine.Sysbus.dma_fault_weight
+          Sysbus.default_quarantine.Sysbus.bad_token_weight
+          Sysbus.default_quarantine.Sysbus.replay_weight
+          Sysbus.default_quarantine.Sysbus.spoof_weight
+          Sysbus.default_quarantine.Sysbus.quarantine_score
+          full.t17_fenced full.t17_malformed;
+        "re-admission is reset-line -> re-announce only: a bare heartbeat \
+         from the revived provider is ignored, and the paroled rogue's \
+         pre-revocation token is NACKed stale";
+        "single-engine soak: --shards cannot perturb it, and the kill-resume \
+         legs above are the determinism evidence";
+      ];
+  }
 
 type sanitize_report = {
   san_exp : string;
@@ -3009,63 +2531,51 @@ type sanitize_report = {
   san_divergence : Sanitizer.divergence option;  (** [None] = no race found *)
 }
 
-let sanitize_journal ~exp ~seed ~tie =
-  let engine_of_system system = System.engine system in
-  match exp with
-  | "t15" ->
-    (* Multi-shard: per-shard journals concatenated in shard order — a
-       deterministic flattening, so journal equality still means "same
-       observable schedule everywhere". *)
-    let r = t15_soak ~tie ~sanitize:true ~seed () in
-    List.concat_map
-      (fun system -> Engine.sanitizer_journal (System.engine system))
-      (Array.to_list r.t15_systems)
-  | _ ->
-    let system =
-      match exp with
-      | "t1" ->
-        let system, _ =
-          t1_decentralized ~seed ~tie ~sanitize:true ~enable_tokens:true ()
-        in
-        system
-      | "t13" ->
-        let system, _, _, _, _ = t13_decentralized ~tie ~sanitize:true ~seed () in
-        system
-      | "t14" ->
+(* The digest-pinned single-engine soaks: the CPU-less arms whose metrics
+   digests and sanitizer journals the determinism goldens pin, and whose
+   telemetry the chaos/overload CLI commands dump. *)
+let pinned_soaks =
+  [
+    ( "t1",
+      fun ~seed ~tie ~sanitize ->
+        fst (t1_decentralized ~seed ~tie ~sanitize ~enable_tokens:true ()) );
+    ( "t13",
+      fun ~seed ~tie ~sanitize ->
+        let system, _, _, _, _ = t13_decentralized ~tie ~sanitize ~seed () in
+        system );
+    ( "t14",
+      fun ~seed ~tie ~sanitize ->
         let system, _, _, _, _ =
-          t14_decentralized ~tie ~sanitize:true ~seed ~guards:true ()
+          t14_decentralized ~tie ~sanitize ~seed ~guards:true ()
         in
-        system
-      | _ -> invalid_arg ("sanitize: unknown experiment " ^ exp)
-    in
-    Engine.sanitizer_journal (engine_of_system system)
+        system );
+  ]
 
-let sanitize_experiments = [ "t1"; "t13"; "t14"; "t15" ]
+let soaked_system ?(tie = Engine.Fifo) ?(sanitize = false) ~exp ~seed () =
+  match List.assoc_opt exp pinned_soaks with
+  | Some run -> run ~seed ~tie ~sanitize
+  | None -> invalid_arg ("sanitize: unknown experiment " ^ exp)
 
-(* One full run of a digest-pinned experiment, returning the soaked
-   system (the bench reads events-executed and wall time off it). *)
-let soaked_system ~exp ~seed =
-  match exp with
-  | "t1" ->
-    let system, _ = t1_decentralized ~seed ~enable_tokens:true () in
-    system
-  | "t13" ->
-    let system, _, _, _, _ = t13_decentralized ~seed () in
-    system
-  | "t14" ->
-    let system, _, _, _, _ = t14_decentralized ~seed ~guards:true () in
-    system
-  | _ -> invalid_arg ("soaked_system: unknown experiment " ^ exp)
+(* Multi-shard t15: per-shard journals concatenated in shard order — a
+   deterministic flattening, so journal equality still means "same
+   observable schedule everywhere". *)
+let t15_journal (r : t15_result) =
+  List.concat_map
+    (fun system -> Engine.sanitizer_journal (System.engine system))
+    (Array.to_list r.t15_systems)
 
-(* Golden-digest hook: one full run of an experiment, reduced to the
-   metrics digest. The determinism-equivalence test pins these values, so
-   hot-path changes (lazy labels, heap tuning) are provably observation-
-   preserving. *)
+let sanitize_journal ~exp ~seed ~tie =
+  if exp = "t15" then t15_journal (t15_soak ~tie ~sanitize:true ~seed ())
+  else
+    Engine.sanitizer_journal
+      (System.engine (soaked_system ~tie ~sanitize:true ~exp ~seed ()))
+
+let sanitize_experiments = List.map fst pinned_soaks @ [ "t15" ]
+
 let metrics_digest ~exp ~seed =
-  match exp with
-  | "t15" -> (t15_soak ~seed ()).t15_digest
-  | _ ->
-    Metrics.digest (Engine.metrics (System.engine (soaked_system ~exp ~seed)))
+  if exp = "t15" then (t15_soak ~seed ()).t15_digest
+  else
+    Metrics.digest (Engine.metrics (System.engine (soaked_system ~exp ~seed ())))
 
 let sanitize ?(seed = 42L) ~exp () =
   let perturbations =
@@ -3096,12 +2606,7 @@ let sanitize ?(seed = 42L) ~exp () =
       Ownership.enable ();
       Fun.protect ~finally:Ownership.disable @@ fun () ->
       let r = t15_soak ~shards ~tie ~sanitize:true ~seed () in
-      let journal =
-        List.concat_map
-          (fun system -> Engine.sanitizer_journal (System.engine system))
-          (Array.to_list r.t15_systems)
-      in
-      (r.t15_digest, journal)
+      (r.t15_digest, t15_journal r)
     in
     let ref_digest, _ = run ~tie:Engine.Fifo ~shards:1 in
     List.map
@@ -3147,48 +2652,30 @@ let sanitize ?(seed = 42L) ~exp () =
 
 (* --- registry ------------------------------------------------------------------------- *)
 
-let all () =
+let registry ~shards =
   [
-    f1 ();
-    f2 ();
-    t1 ();
-    t2 ();
-    t3 ();
-    t4 ();
-    t5 ();
-    t6 ~doorbells_via_bus:true ();
-    t7 ();
-    t8 ();
-    t9 ();
-    t10 ();
-    t11 ();
-    t12 ();
-    t13 ();
-    t14 ();
-    t15 ();
-    t16 ();
-    t17 ();
+    ("f1", f1);
+    ("f2", f2);
+    ("t1", fun () -> t1 ());
+    ("t1-notokens", fun () -> t1 ~enable_tokens:false ());
+    ("t2", t2);
+    ("t3", t3);
+    ("t4", t4);
+    ("t5", t5);
+    ("t6", fun () -> t6 ~doorbells_via_bus:true ());
+    ("t7", t7);
+    ("t8", t8);
+    ("t9", t9);
+    ("t10", t10);
+    ("t11", t11);
+    ("t12", t12);
+    ("t13", fun () -> t13 ());
+    ("t14", fun () -> t14 ());
+    ("t15", fun () -> t15 ~shards ());
+    ("t16", fun () -> t16 ~lanes:shards ());
+    ("t17", fun () -> t17 ());
   ]
 
-let by_id ?(shards = 1) = function
-  | "f1" -> Some f1
-  | "f2" -> Some f2
-  | "t1" -> Some (fun () -> t1 ())
-  | "t1-notokens" -> Some (fun () -> t1 ~enable_tokens:false ())
-  | "t2" -> Some t2
-  | "t3" -> Some (fun () -> t3 ())
-  | "t4" -> Some t4
-  | "t5" -> Some t5
-  | "t6" -> Some (fun () -> t6 ~doorbells_via_bus:true ())
-  | "t7" -> Some t7
-  | "t8" -> Some t8
-  | "t9" -> Some t9
-  | "t10" -> Some t10
-  | "t11" -> Some t11
-  | "t12" -> Some t12
-  | "t13" -> Some (fun () -> t13 ())
-  | "t14" -> Some (fun () -> t14 ())
-  | "t15" -> Some (fun () -> t15 ~shards ())
-  | "t16" -> Some (fun () -> t16 ~lanes:shards ())
-  | "t17" -> Some (fun () -> t17 ())
-  | _ -> None
+let ids = List.map fst (registry ~shards:1)
+let by_id ?(shards = 1) id = List.assoc_opt id (registry ~shards)
+let all () = List.map (fun (_, run) -> run ()) (registry ~shards:1)

@@ -73,11 +73,6 @@ val t13 : ?seed:int64 -> unit -> table
     crash→revive window), reporting ops completed, retries, failovers and
     convergence. *)
 
-val chaos_soak : ?seed:int64 -> unit -> System.t
-(** Run the CPU-less half of {!t13} and return the soaked system; callers
-    snapshot its telemetry registry. Same seed ⇒ byte-identical snapshot
-    (the CI determinism job diffs two runs). *)
-
 val t14 : ?seed:int64 -> unit -> table
 (** Overload probe: an open-loop warm→pulse→recover load replayed on both
     designs with the overload guards off and on. Guards off, the pulse's
@@ -85,11 +80,6 @@ val t14 : ?seed:int64 -> unit -> table
     collapsed (metastable failure); guards on (bounded queues, admission
     control, E_busy backpressure, circuit breaker, EAGAIN run queues) the
     pulse is shed and recovery goodput returns to the warm baseline. *)
-
-val overload_soak : ?seed:int64 -> unit -> System.t
-(** Run the guarded CPU-less half of {!t14} and return the system; callers
-    snapshot its telemetry registry (the overload CI determinism job
-    diffs two runs). *)
 
 (** {2 T15: temporal decoupling} *)
 
@@ -151,24 +141,17 @@ val t16_soak :
   ?tie:Lastcpu_sim.Engine.tie_break ->
   ?sanitize:bool ->
   ?snapshot_path:string ->
-  ?checkpoint_every:int ->
   ?resume:bool ->
   ?stop_after:int ->
   ?torn_final:bool ->
   seed:int64 ->
   unit ->
   t16_result
-(** The t15 ring run as checkpointed segments. With [snapshot_path] a
-    whole-machine snapshot ({!Checkpoint.save}) is written after every
-    [checkpoint_every]-th segment boundary (a quiescent quantum edge).
-    [stop_after:b] abandons the run right after boundary [b]'s checkpoint
-    — the in-process stand-in for a kill; with [torn_final] that last
-    checkpoint is written deliberately truncated (a kill mid-checkpoint).
-    [resume] rebuilds nothing differently: the identical topology is
-    built, then {!Checkpoint.restore} overlays the snapshot (falling back
-    to the previous generation when the primary is torn) and the loop
-    continues from the restored segment counter. [lanes] is the
-    execution-lane count only; results are lane-independent. *)
+(** The t15 ring run as five segments on the {!Soak} loop: with
+    [snapshot_path], a whole-machine snapshot at every segment boundary (a
+    quiescent quantum edge); [resume], [stop_after] and [torn_final] as in
+    {!Soak.run}. [lanes] is the execution-lane count only; results are
+    lane-independent. *)
 
 val t16_kill_boundary : int
 (** Segment boundary after which the kill leg of {!t16} dies (3). *)
@@ -203,23 +186,22 @@ type t17_result = {
 
 val t17_soak :
   ?snapshot_path:string ->
-  ?checkpoint_every:int ->
   ?resume:bool ->
   ?stop_after:int ->
   ?torn_final:bool ->
   seed:int64 ->
   unit ->
   t17_result
-(** Six checkpointed segments on one engine: warm-up; the rogue NIC's
-    barrage (DMA overreach, forged MAC, a same-corr privileged replay
+(** Six segments on one engine, on the {!Soak} loop: warm-up; the rogue
+    NIC's barrage (DMA overreach, forged MAC, a same-corr privileged replay
     storm, a spoofed source, malformed raw frames) ending in quarantine
-    and revocation; a KV provider crash and failover; a no-silent-resurrection
-    revive (bare heartbeat ignored, explicit re-announce honored); parole
-    re-admission with a stale pre-revocation token replay; and recovery.
-    Checkpointing stops after boundary {!t17_kill_boundary} because
-    [Kv_app.save_state] refuses once the app has failed over. The soak
-    asserts each segment's containment postcondition and raises
-    [Invalid_argument] on any violation. *)
+    and revocation; a KV provider crash and failover; a
+    no-silent-resurrection revive (bare heartbeat ignored, explicit
+    re-announce honored); parole re-admission with a stale pre-revocation
+    token replay; and recovery. Checkpointing stops after boundary
+    {!t17_kill_boundary} because [Kv_app.save_state] refuses once the app
+    has failed over. The soak asserts each segment's containment
+    postcondition and raises [Invalid_argument] on any violation. *)
 
 val t17_kill_boundary : int
 (** Boundary where the kill leg of {!t17} dies mid-checkpoint (2) — the
@@ -244,10 +226,20 @@ val sanitize_experiments : string list
 (** Experiment ids the sanitizer can drive
     (["t1"; "t13"; "t14"; "t15"]). *)
 
-val soaked_system : exp:string -> seed:int64 -> System.t
-(** Build and run experiment [exp] ("t1", "t13" or "t14") to completion
-    with the given seed, returning the soaked system. The bench reads
-    events-executed and the metrics registry off it. *)
+val soaked_system :
+  ?tie:Lastcpu_sim.Heap.tie_break ->
+  ?sanitize:bool ->
+  exp:string ->
+  seed:int64 ->
+  unit ->
+  System.t
+(** Build and run the CPU-less arm of a digest-pinned soak — ["t1"],
+    ["t13"] (the chaos soak) or ["t14"] (the guarded overload run) — to
+    completion with the given seed, returning the soaked system. Callers
+    read its telemetry registry: the golden digests, the [chaos] and
+    [overload] CLI commands (same seed ⇒ byte-identical snapshot; CI diffs
+    two runs) and the bench.
+    @raise Invalid_argument for any other [exp]. *)
 
 val metrics_digest : exp:string -> seed:int64 -> int64
 (** Build and run experiment [exp] ("t1", "t13", "t14" or "t15") with the
@@ -281,11 +273,14 @@ val sanitize : ?seed:int64 -> exp:string -> unit -> sanitize_report list
     perturbed tie the shard-ordered journal must be bit-identical between
     one and four execution lanes. *)
 
+val ids : string list
+(** Every experiment id, in table order: "f1", "f2", "t1", "t1-notokens",
+    "t2".."t17". *)
+
 val all : unit -> table list
-(** Every figure and table, in order. *)
+(** Every figure and table, in {!ids} order. *)
 
 val by_id : ?shards:int -> string -> (unit -> table) option
-(** Look up an experiment by id ("f1", "f2", "t1", "t1-notokens",
-    "t2".."t15"). [shards] (default 1) sets the execution-lane count for
-    "t15" (ignored by every other experiment — their tables are
-    single-engine runs). *)
+(** Look up an experiment by id (one of {!ids}). [shards] (default 1) sets
+    the execution-lane count for "t15" and "t16" (ignored by every other
+    experiment — their tables are single-engine runs). *)

@@ -14,8 +14,8 @@ let encode r =
     Wire.Writer.string w key);
   let body = Wire.Writer.contents w in
   (* Framing: u32 length with the top bit marking "CRC follows", then the
-     CRC-32 of the body, then the body. Legacy logs (no top bit, no CRC)
-     still decode; the marker bit is free because record bodies are tiny. *)
+     CRC-32 of the body, then the body. A word without the marker is not a
+     record: replay stops there, as at a torn tail. *)
   let len = String.length body in
   let crc = Wire.crc32 body in
   let u32 v =
@@ -53,20 +53,18 @@ let decode_all data =
     if pos + 4 > total then (List.rev acc, pos)
     else begin
       let word = u32_at pos in
-      let checksummed = word land 0x8000_0000 <> 0 in
       let len = word land 0x7fff_ffff in
-      let header = if checksummed then 8 else 4 in
-      if len = 0 || pos + header + len > total then (List.rev acc, pos)
+      if word land 0x8000_0000 = 0 || len = 0 || pos + 8 + len > total then
+        (List.rev acc, pos)
       else begin
-        let body = String.sub data (pos + header) len in
+        let body = String.sub data (pos + 8) len in
         (* A CRC mismatch means the record (or its tail) never fully hit
            flash: stop here, exactly like a short final record. *)
-        if checksummed && Wire.crc32 body <> u32_at (pos + 4) then
-          (List.rev acc, pos)
+        if Wire.crc32 body <> u32_at (pos + 4) then (List.rev acc, pos)
         else
           match decode_body body with
           | None -> (List.rev acc, pos)
-          | Some r -> go (pos + header + len) (r :: acc)
+          | Some r -> go (pos + 8 + len) (r :: acc)
       end
     end
   in

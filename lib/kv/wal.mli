@@ -4,9 +4,8 @@
     torn tail (crash mid-append), and carry a per-record CRC-32 so a
     record whose bytes were damaged in place is treated the same way:
     [u32 (body-length | 0x80000000) | u32 crc32(body) | body], where body
-    = [op byte | key | value] in wire encoding. The length word's top bit
-    marks the CRC's presence: legacy logs written without it ([u32
-    body-length | body]) still replay. *)
+    = [op byte | key | value] in wire encoding. A length word without the
+    top bit is not a record: replay stops there, as at a torn tail. *)
 
 type record = Put of { key : string; value : string } | Del of { key : string }
 

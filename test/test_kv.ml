@@ -58,10 +58,11 @@ let test_wal_crc_detects_bit_rot () =
   let decoded, _ = Wal.decode_all (r1 ^ flip r2 5) in
   Alcotest.(check int) "crc word damage" 1 (List.length decoded)
 
-(* Logs written before the CRC existed ([u32 len | body], no top bit) must
-   still replay: upgraded code meets old logs on disk. *)
-let test_wal_accepts_legacy_records () =
-  let legacy r =
+(* A record framed without the CRC marker ([u32 len | body], no top bit)
+   is not a record: replay keeps everything before it and stops there,
+   exactly as at a torn tail. *)
+let test_wal_rejects_unmarked_records () =
+  let unmarked r =
     let framed = Wal.encode r in
     let body = String.sub framed 8 (String.length framed - 8) in
     let len = String.length body in
@@ -72,22 +73,18 @@ let test_wal_accepts_legacy_records () =
     Bytes.set b 3 (Char.chr ((len lsr 24) land 0xff));
     Bytes.to_string b ^ body
   in
-  let records =
-    [ Wal.Put { key = "old"; value = "value" }; Wal.Del { key = "old" } ]
+  let good = Wal.encode (Wal.Put { key = "new"; value = "v" }) in
+  let log =
+    good
+    ^ unmarked (Wal.Put { key = "old"; value = "value" })
+    ^ Wal.encode (Wal.Del { key = "new" })
   in
-  let mixed =
-    (* Legacy records followed by a current one: both formats in one log. *)
-    String.concat "" (List.map legacy records)
-    ^ Wal.encode (Wal.Put { key = "new"; value = "v" })
-  in
-  let decoded, stop = Wal.decode_all mixed in
-  Alcotest.(check int) "full parse" (String.length mixed) stop;
-  Alcotest.(check bool) "records preserved" true
-    (decoded = records @ [ Wal.Put { key = "new"; value = "v" } ]);
-  (* A torn legacy tail still stops cleanly. *)
-  let l = legacy (Wal.Put { key = "t"; value = "orn" }) in
-  let decoded, stop = Wal.decode_all (String.sub l 0 (String.length l - 1)) in
-  Alcotest.(check int) "torn legacy" 0 (List.length decoded);
+  let decoded, stop = Wal.decode_all log in
+  Alcotest.(check bool) "records before it kept" true
+    (decoded = [ Wal.Put { key = "new"; value = "v" } ]);
+  Alcotest.(check int) "stops at the unmarked record" (String.length good) stop;
+  let decoded, stop = Wal.decode_all (unmarked (Wal.Del { key = "old" })) in
+  Alcotest.(check int) "nothing replayed" 0 (List.length decoded);
   Alcotest.(check int) "at start" 0 stop
 
 let wal_prop =
@@ -530,7 +527,7 @@ let () =
           Alcotest.test_case "crc detects bit rot" `Quick
             test_wal_crc_detects_bit_rot;
           Alcotest.test_case "legacy records" `Quick
-            test_wal_accepts_legacy_records;
+            test_wal_rejects_unmarked_records;
           QCheck_alcotest.to_alcotest wal_prop;
         ] );
       ( "store",
