@@ -26,6 +26,7 @@ type t = {
   m_gc_moves : Metrics.counter;
   m_gc_runs : Metrics.counter;
   m_free_blocks : Metrics.gauge;
+  zero : string;  (* the one all-zero page every unmapped read returns *)
 }
 
 let ppn ~geo ~block ~page = (block * geo.Nand.pages_per_block) + page
@@ -60,6 +61,7 @@ let create ?nand ?(op_ratio = 0.125) ?metrics ?(actor = "ftl") () =
       m_gc_moves = Metrics.counter m ~actor ~name:"gc_moves";
       m_gc_runs = Metrics.counter m ~actor ~name:"gc_runs";
       m_free_blocks = Metrics.gauge m ~actor ~name:"free_blocks";
+      zero = String.make geo.page_size '\000';
     }
   in
   Metrics.set t.m_free_blocks (float_of_int t.free_block_count);
@@ -77,7 +79,7 @@ let read t ~lpn =
   | Error _ as e -> e
   | Ok () ->
     let p = t.map.(lpn) in
-    if p < 0 then Ok (String.make t.geo.page_size '\000')
+    if p < 0 then Ok t.zero
     else
       Nand.read_page t.nand ~block:(block_of ~geo:t.geo p)
         ~page:(page_of ~geo:t.geo p)
@@ -172,12 +174,9 @@ let rec gc t =
       match Nand.erase_block t.nand ~block:victim with
       | Error _ as e -> e
       | Ok () ->
-        Array.iteri
-          (fun i s ->
-            ignore s;
-            let p = ppn ~geo:t.geo ~block:victim ~page:i in
-            t.state.(p) <- Free)
-          (Array.make t.geo.pages_per_block ());
+        Array.fill t.state
+          (ppn ~geo:t.geo ~block:victim ~page:0)
+          t.geo.pages_per_block Free;
         t.free_in_block.(victim) <- 0;
         t.invalid_in_block.(victim) <- 0;
         t.free_blocks <- t.free_blocks @ [ victim ];
@@ -222,8 +221,6 @@ let trim t ~lpn =
       invalidate t p;
       t.map.(lpn) <- -1
     end
-
-let flush_stats _t = ()
 
 let gc_runs t = Metrics.counter_value t.m_gc_runs
 let moved_pages t = Metrics.counter_value t.m_gc_moves

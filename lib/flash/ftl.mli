@@ -36,8 +36,6 @@ val write : t -> lpn:int -> string -> (unit, string) result
 val trim : t -> lpn:int -> unit
 (** Drop the mapping (logical delete). *)
 
-val flush_stats : t -> unit
-
 (** Accounting: *)
 
 val gc_runs : t -> int

@@ -8,7 +8,7 @@ let default_geometry = { blocks = 256; pages_per_block = 64; page_size = 4096 }
 type page_state = Erased | Programmed
 
 type block = {
-  pages : Bytes.t option array;  (* None = erased *)
+  pages : string option array;  (* None = erased; never copied, never mutated *)
   crcs : int array;  (* CRC-32 of each programmed page (the on-die ECC);
                         -1 = not yet computed. The CRC is a pure function
                         of the immutable page bytes, so it is computed
@@ -23,6 +23,7 @@ type t = {
   data : block array;
   faults : Faults.t option;
   tag : string; (* distinguishes fault keys between chips on one engine *)
+  erased : string; (* the one all-0xFF page every erased read returns *)
   mutable read_count : int;
   mutable program_count : int;
   mutable erase_total : int;
@@ -34,6 +35,7 @@ let create ?(geometry = default_geometry) ?faults ?(tag = "nand") () =
   {
     geo = geometry;
     tag;
+    erased = String.make geometry.page_size '\xff';
     data =
       Array.init geometry.blocks (fun _ ->
           {
@@ -61,15 +63,14 @@ let page_state t ~block ~page =
     match t.data.(block).pages.(page) with None -> Erased | Some _ -> Programmed)
 
 (* The stored checksum of a programmed page, computing and caching it on
-   first use. [b] must be the stored (unflipped) page bytes; they are
-   never mutated between program and erase, so the lazy value is
-   identical to what eager computation at program time would have
-   stored. *)
-let page_crc t ~block ~page b =
+   first use. [s] must be the stored (unflipped) page; it is immutable,
+   so the lazy value is identical to what eager computation at program
+   time would have stored. *)
+let page_crc t ~block ~page s =
   let c = t.data.(block).crcs.(page) in
   if c >= 0 then c
   else begin
-    let c = Wire.crc32 (Bytes.unsafe_to_string b) in
+    let c = Wire.crc32 s in
     t.data.(block).crcs.(page) <- c;
     c
   end
@@ -80,8 +81,8 @@ let read_page t ~block ~page =
   | Ok () ->
     t.read_count <- t.read_count + 1;
     (match t.data.(block).pages.(page) with
-    | None -> Ok (String.make t.geo.page_size '\xff')
-    | Some b -> (
+    | None -> Ok t.erased
+    | Some stored -> (
       (* Programmed pages can suffer injected transient read failures or
          bit flips; the per-page CRC (the ECC stand-in) catches flips, so
          both surface as an I/O error the caller can retry. Erased pages
@@ -94,18 +95,19 @@ let read_page t ~block ~page =
         if Faults.nand_read_fails f ~key then Error "transient read failure"
         else
           match Faults.nand_bit_flip f ~key ~len:t.geo.page_size with
-          | None -> Ok (Bytes.to_string b)
+          | None -> Ok stored
           | Some bit ->
-            let flipped = Bytes.copy b in
+            (* The flip lands in a private copy: stored pages never change. *)
+            let flipped = Bytes.of_string stored in
             let i = bit / 8 in
             Bytes.set flipped i
               (Char.chr
                  (Char.code (Bytes.get flipped i) lxor (1 lsl (bit mod 8))));
-            let s = Bytes.to_string flipped in
-            if Wire.crc32 s <> page_crc t ~block ~page b then
+            let s = Bytes.unsafe_to_string flipped in
+            if Wire.crc32 s <> page_crc t ~block ~page stored then
               Error "uncorrectable bit error (ECC)"
             else Ok s)
-      | Some _ | None -> Ok (Bytes.to_string b)))
+      | Some _ | None -> Ok stored))
 
 let program_page t ~block ~page data =
   match check t ~block ~page with
@@ -117,15 +119,15 @@ let program_page t ~block ~page data =
       | Some _ -> Error "page not erased"
       | None ->
         t.program_count <- t.program_count + 1;
-        let b =
-          if String.length data = t.geo.page_size then Bytes.of_string data
+        let stored =
+          if String.length data = t.geo.page_size then data
           else begin
-            let b = Bytes.make t.geo.page_size '\xff' in
+            let b = Bytes.of_string t.erased in
             Bytes.blit_string data 0 b 0 (String.length data);
-            b
+            Bytes.unsafe_to_string b
           end
         in
-        t.data.(block).pages.(page) <- Some b;
+        t.data.(block).pages.(page) <- Some stored;
         t.data.(block).crcs.(page) <- -1;
         Ok ()
     end
@@ -166,12 +168,12 @@ let save w t =
         (fun i p ->
           match p with
           | None -> ()
-          | Some b -> programmed := (i, b) :: !programmed)
+          | Some s -> programmed := (i, s) :: !programmed)
         blk.pages;
       Snapshot.W.list w
-        (fun w (i, b) ->
+        (fun w (i, s) ->
           Snapshot.W.varint w i;
-          Snapshot.W.string w (Bytes.to_string b))
+          Snapshot.W.string w s)
         (List.rev !programmed))
     t.data;
   Snapshot.W.varint w t.read_count;
@@ -198,7 +200,7 @@ let restore r t =
         let contents = Snapshot.R.string r in
         if i < 0 || i >= pages_per_block || String.length contents <> page_size
         then raise (Snapshot.R.Corrupt "nand page out of shape");
-        blk.pages.(i) <- Some (Bytes.of_string contents)
+        blk.pages.(i) <- Some contents
       done)
     t.data;
   t.read_count <- Snapshot.R.varint r;

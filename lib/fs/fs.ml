@@ -52,8 +52,10 @@ type t = {
   root_ino : int;
   (* Device-DRAM block cache (write-through): models the on-device cache
      hierarchy of §2.3. Reads served from here cost no NAND operation;
-     every write still programs flash (durability preserved). *)
-  cache : (int, Bytes.t) Hashtbl.t option;
+     every write still programs flash (durability preserved). An entry is
+     the very string the NAND page holds (DESIGN §14, "Storage pages"). *)
+  cache : (int, string) Hashtbl.t option;
+  zero : string;  (* the one all-zero block every zero-fill writes *)
   m_block_reads : Metrics.counter;
   m_block_writes : Metrics.counter;
   m_cache_hits : Metrics.counter;
@@ -71,12 +73,12 @@ type inode = {
 
 (* Low-level block IO ----------------------------------------------------- *)
 
+(* A block is one immutable string shared by the cache and the NAND page:
+   [read_block] hands it out as is; only [update_block] copies. *)
 let read_block t b =
   Metrics.incr t.m_block_reads;
   let from_flash () =
-    match Ftl.read t.ftl ~lpn:b with
-    | Ok s -> Ok (Bytes.of_string s)
-    | Error e -> Error (Io e)
+    Result.map_error (fun e -> Io e) (Ftl.read t.ftl ~lpn:b)
   in
   match t.cache with
   | None -> from_flash ()
@@ -84,32 +86,34 @@ let read_block t b =
     match Hashtbl.find_opt cache b with
     | Some cached ->
       Metrics.incr t.m_cache_hits;
-      Ok (Bytes.copy cached)
-    | None -> (
-      match from_flash () with
-      | Ok data ->
-        Hashtbl.replace cache b (Bytes.copy data);
-        Ok data
-      | Error _ as e -> e))
+      Ok cached
+    | None ->
+      let res = from_flash () in
+      Result.iter (Hashtbl.replace cache b) res;
+      res)
 
 let write_block t b data =
   Metrics.incr t.m_block_writes;
-  match Ftl.write t.ftl ~lpn:b (Bytes.to_string data) with
+  match Ftl.write t.ftl ~lpn:b data with
   | Ok () ->
-    (match t.cache with
-    | None -> ()
-    | Some cache -> Hashtbl.replace cache b (Bytes.copy data));
+    Option.iter (fun cache -> Hashtbl.replace cache b data) t.cache;
     Ok ()
   | Error e -> Error (Io e)
 
+(* Write block [b] as [base] modified by [f]: the one copy a write takes. *)
+let update_block t b base f =
+  let buf = Bytes.of_string base in
+  f buf;
+  write_block t b (Bytes.unsafe_to_string buf)
+
 let ( let* ) = Result.bind
 
-(* u32 little-endian in a bytes buffer *)
-let get_u32 b off =
-  Char.code (Bytes.get b off)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 3)) lsl 24)
+(* u32 little-endian: read from a block string, written into a buffer *)
+let get_u32 s off =
+  Char.code s.[off]
+  lor (Char.code s.[off + 1] lsl 8)
+  lor (Char.code s.[off + 2] lsl 16)
+  lor (Char.code s.[off + 3] lsl 24)
 
 let set_u32 b off v =
   Bytes.set b off (Char.chr (v land 0xff));
@@ -117,8 +121,7 @@ let set_u32 b off v =
   Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xff));
   Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xff))
 
-let get_u16 b off =
-  Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
+let get_u16 s off = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8)
 
 let set_u16 b off v =
   Bytes.set b off (Char.chr (v land 0xff));
@@ -126,30 +129,30 @@ let set_u16 b off v =
 
 (* Inode (de)serialisation ------------------------------------------------ *)
 
-let inode_to_bytes ino =
-  let b = Bytes.make inode_size '\000' in
-  Bytes.set b 0 (if ino.used then '\001' else '\000');
-  Bytes.set b 1 (match ino.kind with Regular -> '\000' | Directory -> '\001');
-  set_u32 b 2 ino.size;
-  set_u16 b 6 ino.mode;
+(* Both work on the inode slot at byte [o] of an inode-table block. *)
+let encode_inode b o ino =
+  Bytes.fill b o inode_size '\000';
+  Bytes.set b o (if ino.used then '\001' else '\000');
+  Bytes.set b (o + 1) (match ino.kind with Regular -> '\000' | Directory -> '\001');
+  set_u32 b (o + 2) ino.size;
+  set_u16 b (o + 6) ino.mode;
   let olen = min owner_max (String.length ino.owner) in
-  Bytes.set b 8 (Char.chr olen);
-  Bytes.blit_string ino.owner 0 b 9 olen;
+  Bytes.set b (o + 8) (Char.chr olen);
+  Bytes.blit_string ino.owner 0 b (o + 9) olen;
   for i = 0 to ndirect - 1 do
-    set_u32 b (48 + (4 * i)) ino.direct.(i)
+    set_u32 b (o + 48 + (4 * i)) ino.direct.(i)
   done;
-  set_u32 b (48 + (4 * ndirect)) ino.indirect;
-  b
+  set_u32 b (o + 48 + (4 * ndirect)) ino.indirect
 
-let inode_of_bytes b =
-  let used = Bytes.get b 0 = '\001' in
-  let kind = if Bytes.get b 1 = '\001' then Directory else Regular in
-  let size = get_u32 b 2 in
-  let mode = get_u16 b 6 in
-  let olen = Char.code (Bytes.get b 8) in
-  let owner = Bytes.sub_string b 9 olen in
-  let direct = Array.init ndirect (fun i -> get_u32 b (48 + (4 * i))) in
-  let indirect = get_u32 b (48 + (4 * ndirect)) in
+let decode_inode s o =
+  let used = s.[o] = '\001' in
+  let kind = if s.[o + 1] = '\001' then Directory else Regular in
+  let size = get_u32 s (o + 2) in
+  let mode = get_u16 s (o + 6) in
+  let olen = Char.code s.[o + 8] in
+  let owner = String.sub s (o + 9) olen in
+  let direct = Array.init ndirect (fun i -> get_u32 s (o + 48 + (4 * i))) in
+  let indirect = get_u32 s (o + 48 + (4 * ndirect)) in
   { used; kind; size; mode; owner; direct; indirect }
 
 let inodes_per_block t = t.block_size / inode_size
@@ -159,16 +162,15 @@ let read_inode t ino =
   else begin
     let blk = t.itable_start + (ino / inodes_per_block t) in
     let off = ino mod inodes_per_block t * inode_size in
-    let* b = read_block t blk in
-    Ok (inode_of_bytes (Bytes.sub b off inode_size))
+    let* s = read_block t blk in
+    Ok (decode_inode s off)
   end
 
 let write_inode t ino node =
   let blk = t.itable_start + (ino / inodes_per_block t) in
   let off = ino mod inodes_per_block t * inode_size in
-  let* b = read_block t blk in
-  Bytes.blit (inode_to_bytes node) 0 b off inode_size;
-  write_block t blk b
+  let* s = read_block t blk in
+  update_block t blk s (fun buf -> encode_inode buf off node)
 
 let alloc_inode t =
   let rec scan ino =
@@ -181,9 +183,9 @@ let alloc_inode t =
 
 (* Block bitmap ----------------------------------------------------------- *)
 
-let bit_get b i = Char.code (Bytes.get b (i / 8)) land (1 lsl (i mod 8)) <> 0
+let bit_get s i = Char.code s.[i / 8] land (1 lsl (i mod 8)) <> 0
 
-let bit_set b i v =
+let bit_set i v b =
   let cur = Char.code (Bytes.get b (i / 8)) in
   let mask = 1 lsl (i mod 8) in
   Bytes.set b (i / 8) (Char.chr (if v then cur lor mask else cur land lnot mask))
@@ -203,12 +205,11 @@ let alloc_block t =
           let blk = base + i in
           if blk >= t.total_blocks then Error No_space
           else if blk >= t.data_start && not (bit_get b i) then begin
-            bit_set b i true;
-            let* () = write_block t (t.bitmap_start + bi) b in
+            let* () = update_block t (t.bitmap_start + bi) b (bit_set i true) in
             (* Zero the block so stale contents never leak between files —
                the isolation property §2.1 demands of a multi-client
                device. *)
-            let* () = write_block t blk (Bytes.make t.block_size '\000') in
+            let* () = write_block t blk t.zero in
             Ok blk
           end
           else scan_bit (i + 1)
@@ -228,8 +229,7 @@ let free_block t blk =
     let* b = read_block t (t.bitmap_start + bi) in
     if not (bit_get b i) then Error (Invalid "double free of block")
     else begin
-      bit_set b i false;
-      let* () = write_block t (t.bitmap_start + bi) b in
+      let* () = update_block t (t.bitmap_start + bi) b (bit_set i false) in
       Ftl.trim t.ftl ~lpn:blk;
       Ok ()
     end
@@ -288,8 +288,7 @@ let bmap t node n ~grow =
       else if not grow then Ok 0
       else begin
         let* blk = alloc_block t in
-        set_u32 ind (4 * idx) blk;
-        let* () = write_block t ind_blk ind in
+        let* () = update_block t ind_blk ind (fun b -> set_u32 b (4 * idx) blk) in
         Ok blk
       end
     end
@@ -315,8 +314,8 @@ let read_inode_data t node ~off ~len =
           go (pos + chunk)
         end
         else
-          let* b = read_block t blk in
-          Bytes.blit b boff out pos chunk;
+          let* s = read_block t blk in
+          Bytes.blit_string s boff out pos chunk;
           go (pos + chunk)
       end
     in
@@ -335,9 +334,10 @@ let write_inode_data t ino node ~off data =
         let boff = fpos mod t.block_size in
         let chunk = min (len - pos) (t.block_size - boff) in
         let* blk = bmap t node n ~grow:true in
-        let* b = read_block t blk in
-        Bytes.blit_string data pos b boff chunk;
-        let* () = write_block t blk b in
+        let* s = read_block t blk in
+        let* () =
+          update_block t blk s (fun buf -> Bytes.blit_string data pos buf boff chunk)
+        in
         go (pos + chunk)
       end
     in
@@ -417,10 +417,10 @@ let free_blocks_beyond t node ~keep_blocks =
   end
   else begin
     let* ind = read_block t node.indirect in
-    for i = keep_blocks - ndirect to ptrs_per_block t - 1 do
-      set_u32 ind (4 * i) 0
-    done;
-    write_block t node.indirect ind
+    update_block t node.indirect ind (fun buf ->
+        for i = keep_blocks - ndirect to ptrs_per_block t - 1 do
+          set_u32 buf (4 * i) 0
+        done)
   end
 
 let write_dir_entries t ino node entries =
@@ -491,13 +491,12 @@ let require node ~user ~want path =
 (* Superblock ------------------------------------------------------------- *)
 
 let write_superblock t =
-  let b = Bytes.make t.block_size '\000' in
-  Bytes.blit_string magic 0 b 0 (String.length magic);
-  set_u32 b 8 t.total_blocks;
-  set_u32 b 12 t.bitmap_blocks;
-  set_u32 b 16 t.itable_blocks;
-  set_u32 b 20 t.root_ino;
-  write_block t 0 b
+  update_block t 0 t.zero (fun b ->
+      Bytes.blit_string magic 0 b 0 (String.length magic);
+      set_u32 b 8 t.total_blocks;
+      set_u32 b 12 t.bitmap_blocks;
+      set_u32 b 16 t.itable_blocks;
+      set_u32 b 20 t.root_ino)
 
 let layout ?(cache = true) ?metrics ?(actor = "fs") ftl =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
@@ -523,6 +522,7 @@ let layout ?(cache = true) ?metrics ?(actor = "fs") ftl =
     ninodes = itable_blocks * (block_size / inode_size);
     root_ino = 0;
     cache = (if cache then Some (Hashtbl.create 1024) else None);
+    zero = String.make block_size '\000';
     m_block_reads = Metrics.counter m ~actor ~name:"block_reads";
     m_block_writes = Metrics.counter m ~actor ~name:"block_writes";
     m_cache_hits = Metrics.counter m ~actor ~name:"cache_hits";
@@ -541,13 +541,13 @@ let format ?cache ?metrics ?actor ftl =
         | Ok () ->
           if bi >= t.bitmap_blocks then Ok ()
           else begin
-            let b = Bytes.make t.block_size '\000' in
-            let base = bi * (t.block_size * 8) in
-            for i = 0 to (t.block_size * 8) - 1 do
-              let blk = base + i in
-              if blk < t.data_start && blk < t.total_blocks then bit_set b i true
-            done;
-            init (bi + 1) (write_block t (t.bitmap_start + bi) b)
+            (* data_start < total_blocks, checked above *)
+            let used =
+              min (bits_per_block t) (t.data_start - (bi * bits_per_block t))
+            in
+            init (bi + 1)
+              (update_block t (t.bitmap_start + bi) t.zero (fun b ->
+                   for i = 0 to used - 1 do bit_set i true b done))
           end
       in
       init 0 (Ok ())
@@ -560,8 +560,7 @@ let format ?cache ?metrics ?actor ftl =
         | Ok () ->
           if i >= t.itable_blocks then Ok ()
           else
-            zero (i + 1)
-              (write_block t (t.itable_start + i) (Bytes.make t.block_size '\000'))
+            zero (i + 1) (write_block t (t.itable_start + i) t.zero)
       in
       zero 0 (Ok ())
     in
@@ -584,7 +583,7 @@ let format ?cache ?metrics ?actor ftl =
 let mount ?cache ?metrics ?actor ftl =
   let t = layout ?cache ?metrics ?actor ftl in
   let* b = read_block t 0 in
-  if not (String.equal (Bytes.sub_string b 0 (String.length magic)) magic) then
+  if not (String.equal (String.sub b 0 (String.length magic)) magic) then
     Error (Invalid "bad superblock magic")
   else if get_u32 b 8 <> t.total_blocks then
     Error (Invalid "superblock geometry mismatch")
@@ -941,7 +940,7 @@ let save w t =
       Snapshot.W.list w
         (fun w (b, data) ->
           Snapshot.W.varint w b;
-          Snapshot.W.string w (Bytes.to_string data))
+          Snapshot.W.string w data)
         (Detmap.bindings cache))
     t.cache
 
@@ -956,7 +955,7 @@ let restore r t =
       let data = Snapshot.R.string r in
       if String.length data <> t.block_size then
         raise (Snapshot.R.Corrupt "fs cache block has wrong size");
-      Hashtbl.replace cache b (Bytes.of_string data)
+      Hashtbl.replace cache b data
     done
   | true, None | false, Some _ ->
     invalid_arg "Fs.restore: cache presence differs from checkpoint"

@@ -14,6 +14,7 @@ module Physmem = Lastcpu_mem.Physmem
 module Sysbus = Lastcpu_bus.Sysbus
 module Device = Lastcpu_device.Device
 module Nand = Lastcpu_flash.Nand
+module Snapshot = Lastcpu_sim.Snapshot
 module Experiments = Lastcpu_core.Experiments
 
 let check = Alcotest.(check int)
@@ -175,7 +176,18 @@ let test_nand_bit_flip_caught_by_page_crc () =
   | Error e -> Alcotest.(check string) "ecc error" "uncorrectable bit error (ECC)" e
   | Ok _ -> Alcotest.fail "flip not injected");
   checkb "counted" true
-    (Metrics.counter_read m ~actor:"faults" ~name:"nand_bit_flips" > 0)
+    (Metrics.counter_read m ~actor:"faults" ~name:"nand_bit_flips" > 0);
+  (* The flip hit a private copy: the programmed string and the stored
+     page (read back from a fault-free chip restored from this one) are
+     both byte-identical to what was written. *)
+  Alcotest.(check string) "programmed string untouched" (String.make 4096 'x') page;
+  let w = Snapshot.W.create () in
+  Nand.save w nand;
+  let clean = Nand.create () in
+  Nand.restore (Snapshot.R.of_string (Snapshot.W.contents w)) clean;
+  match Nand.read_page clean ~block:0 ~page:0 with
+  | Ok stored -> Alcotest.(check string) "stored page unchanged" page stored
+  | Error e -> Alcotest.fail ("clean read: " ^ e)
 
 (* --- retry / give-up / late responses ---------------------------------------- *)
 

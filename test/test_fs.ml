@@ -272,6 +272,56 @@ let test_fsck_counts_usage () =
   (* 2 data blocks + 1 root-dir data block appeared (root dir grew). *)
   Alcotest.(check bool) "usage grew by >= 2" true (after - before >= 2)
 
+(* A returned string is never a view of the cached block: a later partial
+   write into the same block must not show through it. *)
+let test_read_result_unchanged_by_later_write cache () =
+  let fs, _ = mkfs ~cache () in
+  ok (Fs.create fs ~user:"u" "/f");
+  ok (Fs.write fs ~user:"u" "/f" ~off:0 (String.make 100 'a'));
+  let first = ok (Fs.read fs ~user:"u" "/f" ~off:0 ~len:100) in
+  ok (Fs.write fs ~user:"u" "/f" ~off:10 "BBBB");
+  Alcotest.(check string) "earlier read unchanged" (String.make 100 'a') first;
+  Alcotest.(check string) "re-read merged"
+    (String.make 10 'a' ^ "BBBB" ^ String.make 86 'a')
+    (ok (Fs.read fs ~user:"u" "/f" ~off:0 ~len:100))
+
+(* Accounting pin: one fixed sequence on a geometry small enough that GC
+   runs. Every FS block access and every NAND operation is simulated cost,
+   so these counts must only move with a deliberate model change. *)
+let test_accounting_pinned cache () =
+  let m = Lastcpu_sim.Metrics.create () in
+  let nand =
+    Nand.create ~geometry:{ Nand.blocks = 16; pages_per_block = 16; page_size = 4096 } ()
+  in
+  let ftl = Ftl.create ~nand () in
+  let fs = ok (Fs.format ~cache ~metrics:m ftl) in
+  ok (Fs.create fs ~user:"u" "/old");
+  ok (Fs.write fs ~user:"u" "/old" ~off:0 (String.make 6000 'o'));
+  ok (Fs.create fs ~user:"u" "/log");
+  (* 1 KiB appends: 150 KiB crosses the 12 direct blocks into the indirect
+     one and writes the 256-page chip past full. *)
+  for i = 0 to 149 do
+    ok
+      (Fs.write fs ~user:"u" "/log" ~off:(i * 1024)
+         (String.make 1024 (Char.chr (65 + (i mod 26)))))
+  done;
+  ok (Fs.rename fs ~user:"u" "/log" "/old");
+  ok (Fs.unlink fs ~user:"u" "/old");
+  let fs_count name = Lastcpu_sim.Metrics.counter_read m ~actor:"fs" ~name in
+  Alcotest.(check (list int))
+    "block_reads, cache_hits, block_writes, programs, reads, erases, gc_runs"
+    (if cache then [ 974; 974; 476; 503; 27; 18; 18 ]
+     else [ 974; 0; 476; 503; 1001; 18; 18 ])
+    [
+      fs_count "block_reads";
+      fs_count "cache_hits";
+      fs_count "block_writes";
+      Nand.programs nand;
+      Nand.reads nand;
+      Nand.total_erases nand;
+      Ftl.gc_runs ftl;
+    ]
+
 let fs_model_prop =
   (* Random write/read sequences against a pure byte-array model. *)
   QCheck.Test.make ~name:"fs file contents match byte-array model" ~count:25
@@ -326,6 +376,14 @@ let () =
           Alcotest.test_case "cache equivalence" `Quick test_cache_equivalence;
           Alcotest.test_case "fsck after torture" `Quick test_fsck_clean_after_torture;
           Alcotest.test_case "fsck usage accounting" `Quick test_fsck_counts_usage;
+          Alcotest.test_case "read result unchanged by later write (cache)" `Quick
+            (test_read_result_unchanged_by_later_write true);
+          Alcotest.test_case "read result unchanged by later write (no cache)" `Quick
+            (test_read_result_unchanged_by_later_write false);
+          Alcotest.test_case "accounting pinned (cache)" `Quick
+            (test_accounting_pinned true);
+          Alcotest.test_case "accounting pinned (no cache)" `Quick
+            (test_accounting_pinned false);
           QCheck_alcotest.to_alcotest fs_model_prop;
         ] );
     ]
