@@ -3,7 +3,7 @@
    Subcommands:
      lastcpu topology             print the booted system (Figure 1)
      lastcpu figure2 [--trace]    run the KVS bring-up and show the sequence
-     lastcpu experiment <id>      run one experiment table (f1..t12)
+     lastcpu experiment [<id>..]  run experiment tables (every one without ids)
      lastcpu kv <n>               run n KV smoke operations end to end
      lastcpu metrics [--json]     run a booted KVS workload, dump telemetry
      lastcpu chaos [--json]       run the T13 fault soak, dump telemetry
@@ -129,7 +129,7 @@ let soak_leg ~exp ~shards ~seed ~path ?stop_after ?resume () =
 (* Each experiment owns its engine, so distinct ids are independent tasks:
    render every table to a string (in the worker domain), then print the
    strings in submission order. A parallel run's bytes are identical to a
-   sequential run's. *)
+   sequential run's. No ids means every id, in registry order. *)
 let experiment list jobs shards seed snapshot_path kill_at ids =
   if list then begin
     List.iter print_endline Experiments.ids;
@@ -167,6 +167,7 @@ let experiment list jobs shards seed snapshot_path kill_at ids =
         | None -> Error id
         | Some f -> Ok (Format.asprintf "%a" Experiments.print_table (f ()))
       in
+      let ids = if ids = [] then Experiments.ids else ids in
       let rc = ref 0 in
       List.iter
         (function
@@ -216,7 +217,9 @@ let chaos_kill_arg =
 let experiment_cmd =
   let doc = "Run experiment tables (see EXPERIMENTS.md for the index)." in
   let ids =
-    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids.")
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"ID" ~doc:"Experiment ids (default: every experiment).")
   in
   let list_arg =
     Arg.(value & flag & info [ "list" ] ~doc:"List known experiment ids.")

@@ -1889,14 +1889,11 @@ type t15_result = {
   t15_digest : int64;  (** per-shard metrics digests, combined in shard order *)
   t15_boundary : int;  (** cross-shard messages delivered at quantum edges *)
   t15_windows : int;  (** rendezvous windows executed *)
-  t15_run_seconds : float;
-      (** wall time of the coupled soak phase alone (setup excluded),
-          measured with the caller-injected [clock]; [0.] without one *)
   t15_systems : System.t array;
 }
 
 let t15_soak ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(tie = Engine.Fifo)
-    ?(sanitize = false) ?clock ~seed () =
+    ?(sanitize = false) ~seed () =
   if shards < 1 then invalid_arg "t15: shards must be >= 1";
   let ring = build_ring ~name:"t15" ~seed ~tie ~sanitize ~quantum () in
   let kv_done = Array.make ring_shards 0 in
@@ -1909,18 +1906,10 @@ let t15_soak ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(tie = Engine.Fifo)
       ~on_done:(fun () -> kv_done.(i) <- kv_done.(i) + 1)
       ~va_base:0x9000_0000L ~allocs:t15_remote_allocs ~gap_ns:t15_remote_gap_ns
   done;
-  (* Wall time of the coupled phase only: the per-shard bring-up above is
-     sequential by design in every configuration, so including it would
-     dilute the quantity the bench compares across lane counts. The clock
-     is injected by the caller (the bench) — simulation code itself never
-     reads host time. *)
-  let tick = match clock with None -> fun () -> 0. | Some f -> f in
-  let t_start = tick () in
   let pool = Parallel.Pool.create ~lanes:shards in
   Fun.protect
     ~finally:(fun () -> Parallel.Pool.shutdown pool)
     (fun () -> Temporal.run ~pool ring.temporal);
-  let run_seconds = tick () -. t_start in
   Array.iteri
     (fun i n ->
       if n <> t15_kv_clients then
@@ -1935,7 +1924,6 @@ let t15_soak ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(tie = Engine.Fifo)
     t15_digest = digest;
     t15_boundary = Temporal.boundary_events ring.temporal;
     t15_windows = Temporal.windows_run ring.temporal;
-    t15_run_seconds = run_seconds;
     t15_systems = ring.systems;
   }
 
@@ -2678,4 +2666,3 @@ let registry ~shards =
 
 let ids = List.map fst (registry ~shards:1)
 let by_id ?(shards = 1) id = List.assoc_opt id (registry ~shards)
-let all () = List.map (fun (_, run) -> run ()) (registry ~shards:1)

@@ -91,9 +91,6 @@ type t15_result = {
           determinism contract pins: independent of lane count *)
   t15_boundary : int;  (** cross-shard messages delivered at quantum edges *)
   t15_windows : int;  (** rendezvous windows executed *)
-  t15_run_seconds : float;
-      (** wall time of the coupled soak phase alone (setup excluded),
-          measured with the caller-injected [clock]; [0.] without one *)
   t15_systems : System.t array;
 }
 
@@ -102,7 +99,6 @@ val t15_soak :
   ?quantum:int64 ->
   ?tie:Lastcpu_sim.Engine.tie_break ->
   ?sanitize:bool ->
-  ?clock:(unit -> float) ->
   seed:int64 ->
   unit ->
   t15_result
@@ -238,7 +234,7 @@ val soaked_system :
     completion with the given seed, returning the soaked system. Callers
     read its telemetry registry: the golden digests, the [chaos] and
     [overload] CLI commands (same seed ⇒ byte-identical snapshot; CI diffs
-    two runs) and the bench.
+    two runs).
     @raise Invalid_argument for any other [exp]. *)
 
 val metrics_digest : exp:string -> seed:int64 -> int64
@@ -276,9 +272,6 @@ val sanitize : ?seed:int64 -> exp:string -> unit -> sanitize_report list
 val ids : string list
 (** Every experiment id, in table order: "f1", "f2", "t1", "t1-notokens",
     "t2".."t17". *)
-
-val all : unit -> table list
-(** Every figure and table, in {!ids} order. *)
 
 val by_id : ?shards:int -> string -> (unit -> table) option
 (** Look up an experiment by id (one of {!ids}). [shards] (default 1) sets

@@ -6,8 +6,8 @@
     and the bus), then optionally drives a few operations.
 
     [figure2_steps] extracts from the run trace the seven-step message
-    sequence of Figure 2, in order, so tests and the bench harness can
-    compare it against the paper. *)
+    sequence of Figure 2, in order, so tests and the CLI can compare
+    it against the paper. *)
 
 type outcome = {
   system : System.t;

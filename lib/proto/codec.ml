@@ -217,8 +217,8 @@ module Emit (W : SINK) = struct
     W.varint w m.corr;
     payload w m.payload;
     (* Deadline trailer, after the payload so the header layout pinned by
-       the conformance tests is untouched. A frame that ends at the payload
-       (the pre-deadline format) still decodes, as deadline-less. *)
+       the conformance tests is untouched. Every frame carries it; one that
+       ends at the payload is malformed. *)
     W.option w W.int64 m.deadline_ns
 end
 
@@ -390,9 +390,7 @@ let decode s =
   let dst = r_dest r in
   let corr = Reader.varint r in
   let payload = decode_payload r in
-  let deadline_ns =
-    if Reader.at_end r then None else Reader.option r Reader.int64
-  in
+  let deadline_ns = Reader.option r Reader.int64 in
   if not (Reader.at_end r) then raise (Malformed "trailing bytes");
   Message.make ?deadline_ns ~src ~dst ~corr payload
 

@@ -7,8 +7,8 @@
 val encode : Message.t -> string
 val decode : string -> Message.t
 (** @raise Wire.Malformed on any framing or tag error. The optional
-    [deadline_ns] travels as a trailer after the payload; frames from
-    before the deadline field (no trailer) decode as deadline-less. *)
+    [deadline_ns] travels as a trailer after the payload; a frame without
+    the trailer is malformed. *)
 
 val encode_into : Message.t -> Slice.t -> pos:int -> int
 (** Encode directly into a caller-provided slice (a DRAM view, a

@@ -5,7 +5,7 @@
 type t = {
   mutable state : int64;
   (* Zipf sampling caches the harmonic normalisation for a given (n, theta)
-     because the bench harness draws millions of samples per config. *)
+     because a workload draws millions of samples per config. *)
   mutable zipf_cache : (int * float * float) option;
 }
 

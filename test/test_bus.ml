@@ -427,6 +427,39 @@ let test_notify_fast_path () =
   Alcotest.(check int) "station untouched by notify" 2
     (Lastcpu_sim.Station.jobs_completed (Sysbus.station bus))
 
+(* Allocation budget of the routing hot path: one Heartbeat through the
+   bus (hop + station + hop) with tracing off, to a no-op handler. With
+   trace and sanitize off the path formats no frame descriptions, so the
+   minor words per message are the routing machinery alone; a change that
+   adds per-message allocation fails here. *)
+let route_words_budget = 68.
+
+let test_route_allocation_budget () =
+  let engine = Engine.create ~trace_capacity:0 ~queue_hint:16 () in
+  let bus = Sysbus.create engine in
+  let attach name =
+    Sysbus.attach bus ~name ~iommu:(Iommu.create ()) ~handler:(fun _ -> ())
+  in
+  let a = attach "a" and b = attach "b" in
+  List.iter
+    (fun src ->
+      Sysbus.send bus
+        (Message.make ~src ~dst:Types.Bus ~corr:0
+           (Message.Device_alive { services = [] })))
+    [ a; b ];
+  Engine.run engine;
+  let msgs = 20_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to msgs do
+    Sysbus.send bus
+      (Message.make ~src:a ~dst:(Types.Device b) ~corr:0 Message.Heartbeat);
+    Engine.run engine
+  done;
+  let per_msg = (Gc.minor_words () -. w0) /. float_of_int msgs in
+  if per_msg > route_words_budget then
+    Alcotest.failf "bus route (trace off): %.2f minor words/msg > budget %.0f"
+      per_msg route_words_budget
+
 (* Fuzz: arbitrary well-formed messages from arbitrary sources never crash
    the bus, and mapping counters only grow via properly authorized
    directives (here: none, since no controller is registered). *)
@@ -489,6 +522,8 @@ let () =
           Alcotest.test_case "broadcast" `Quick test_broadcast_excludes_sender;
           Alcotest.test_case "undeliverable bounce" `Quick test_undeliverable_bounces_error;
           Alcotest.test_case "notify fast path" `Quick test_notify_fast_path;
+          Alcotest.test_case "route allocation budget" `Quick
+            test_route_allocation_budget;
         ] );
       ( "privileged",
         [

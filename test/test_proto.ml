@@ -236,14 +236,21 @@ let test_codec_deadline_roundtrip () =
 
 (* Frames from before the deadline trailer existed must still decode (as
    deadline-free): peers with older encodings stay interoperable. *)
-let test_codec_accepts_legacy_frames () =
+(* A frame that ends at the payload, without the deadline trailer, is
+   malformed on both decode surfaces. *)
+let test_codec_rejects_legacy_frames () =
   let msg = Message.make ~src:3 ~dst:Types.Bus ~corr:9 Message.Heartbeat in
   let framed = Codec.encode msg in
-  (* Strip the one-byte [None] trailer to reconstruct the legacy frame. *)
+  (* Strip the one-byte [None] trailer. *)
   let legacy = String.sub framed 0 (String.length framed - 1) in
-  let decoded = Codec.decode legacy in
-  Alcotest.(check bool) "legacy frame decodes" true (msg = decoded);
-  Alcotest.(check bool) "no deadline" true (decoded.Message.deadline_ns = None)
+  let reason =
+    match Codec.decode legacy with
+    | _ -> Alcotest.fail "trailer-less frame decoded"
+    | exception Wire.Malformed reason -> reason
+  in
+  Alcotest.(check (result unit string))
+    "decode_result: the same Malformed reason" (Error reason)
+    (Result.map ignore (Codec.decode_result legacy))
 
 (* Property: random fuzz of valid encodings with a flipped byte either decodes
    to something (fine) or raises Malformed — never crashes differently. *)
@@ -357,7 +364,7 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
           Alcotest.test_case "rejects trailing bytes" `Quick test_codec_rejects_trailing;
           Alcotest.test_case "deadline roundtrip" `Quick test_codec_deadline_roundtrip;
-          Alcotest.test_case "legacy frames" `Quick test_codec_accepts_legacy_frames;
+          Alcotest.test_case "legacy frames" `Quick test_codec_rejects_legacy_frames;
           QCheck_alcotest.to_alcotest codec_fuzz_prop;
           Alcotest.test_case "wire size positive" `Quick test_wire_size_positive;
           Alcotest.test_case "encoded_size every constructor" `Quick

@@ -311,6 +311,33 @@ let test_engine_determinism () =
   in
   Alcotest.(check (list int64)) "identical runs" (run_once ()) (run_once ())
 
+(* Allocation budget of the schedule->pop loop: a fixed-width wave of
+   self-rescheduling events drains with trace and sanitize off. The ping
+   closure is allocated once, so the minor words per event are the queue
+   machinery alone. *)
+let schedule_words_budget = 8.
+
+let test_engine_allocation_budget () =
+  let e = Engine.create ~trace_capacity:0 ~queue_hint:64 () in
+  let remaining = ref 200_000 in
+  let rec ping () =
+    if !remaining > 0 then begin
+      decr remaining;
+      Engine.schedule e ~delay:1L ping
+    end
+  in
+  for _ = 1 to 8 do
+    Engine.schedule e ~delay:1L ping
+  done;
+  let w0 = Gc.minor_words () in
+  Engine.run e;
+  let per_event =
+    (Gc.minor_words () -. w0) /. float_of_int (Engine.events_executed e)
+  in
+  if per_event > schedule_words_budget then
+    Alcotest.failf "schedule->pop: %.2f minor words/event > budget %.0f"
+      per_event schedule_words_budget
+
 (* --- Station --------------------------------------------------------------- *)
 
 let test_station_serializes () =
@@ -437,6 +464,8 @@ let () =
           Alcotest.test_case "until" `Quick test_engine_until;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
+          Alcotest.test_case "allocation budget" `Quick
+            test_engine_allocation_budget;
         ] );
       ( "station",
         [
