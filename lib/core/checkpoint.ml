@@ -13,34 +13,38 @@ let engines = function
 let engine_section i = Printf.sprintf "%d/engine" i
 let hook_section i name = Printf.sprintf "%d/hook/%s" i name
 
+(* Every section after [meta] in file order, with its saver and restorer:
+   [temporal] (multi-shard only), then per shard the engine before its
+   hooks, so a hook re-arms a static (e.g. the bus liveness sweep) only
+   after the engine has reconciled the rebuilt ones. *)
+let parts target =
+  let coordinator =
+    match target with
+    | Single _ -> []
+    | Sharded tp ->
+      [ ("temporal", (fun () -> Temporal.save_state tp), Temporal.restore_state tp) ]
+  in
+  let shard i e =
+    (engine_section i, (fun () -> Engine.save_state e), Engine.restore_state e)
+    :: List.map
+         (fun (name, save, restore) -> (hook_section i name, save, restore))
+         (Engine.snapshot_hooks e)
+  in
+  coordinator @ List.concat (Array.to_list (Array.mapi shard (engines target)))
+
 let save ?torn_keep_bytes ~path ~tag target =
-  let es = engines target in
   let meta =
     let w = Snapshot.W.create () in
     Snapshot.W.string w tag;
-    Snapshot.W.varint w (Array.length es);
+    Snapshot.W.varint w (Array.length (engines target));
     Snapshot.W.contents w
   in
-  let head =
+  let sections =
     { Snapshot.name = "meta"; body = meta }
-    ::
-    (match target with
-    | Single _ -> []
-    | Sharded tp -> [ { Snapshot.name = "temporal"; body = Temporal.save_state tp } ])
+    :: List.map
+         (fun (name, save, _restore) -> { Snapshot.name; body = save () })
+         (parts target)
   in
-  let shards =
-    Array.to_list
-      (Array.mapi
-         (fun i e ->
-           { Snapshot.name = engine_section i; body = Engine.save_state e }
-           :: List.map
-                (fun (name, save, _restore) ->
-                  { Snapshot.name = hook_section i name; body = save () })
-                (Engine.snapshot_hooks e))
-         es)
-    |> List.concat
-  in
-  let sections = head @ shards in
   match torn_keep_bytes with
   | None -> Snapshot.write ~path sections
   | Some keep_bytes -> Snapshot.write_torn ~path ~keep_bytes sections
@@ -75,21 +79,11 @@ let restore ~path ~tag target =
           (Mismatch
              (Printf.sprintf "snapshot has %d shard(s), topology has %d"
                 saved_shards (Array.length es)));
-      (match target with
-      | Single _ -> ()
-      | Sharded tp -> Temporal.restore_state tp (find "temporal"));
-      (* Per shard: the engine first — reconciling the rebuilt static
-         events against the saved pending times — then every hook in
-         registration order, so a hook whose restore re-arms a static
-         (e.g. the bus liveness sweep) schedules it after the queue
-         filter has run, not into it. *)
-      Array.iteri
-        (fun i e ->
-          Engine.restore_state e (find (engine_section i));
-          List.iter
-            (fun (name, _save, restore) -> restore (find (hook_section i name)))
-            (Engine.snapshot_hooks e))
-        es;
+      (* Look every section up before the first restorer runs, so a
+         missing one fails the restore with nothing mutated. *)
+      parts target
+      |> List.map (fun (name, _save, restore) -> (find name, restore))
+      |> List.iter (fun (body, restore) -> restore body);
       Ok generation
     with
     | Mismatch m -> Error m

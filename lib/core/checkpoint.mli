@@ -40,5 +40,6 @@ val restore :
     is missing, torn or corrupt) and overlay it onto the freshly rebuilt
     [target]. [Error] covers: both generations unreadable, tag mismatch,
     shard-count mismatch, a registered hook with no matching section, or a
-    section whose contents don't fit the rebuilt topology. On success the
+    section whose contents don't fit the rebuilt topology. Every failure
+    but the last is detected before any state is touched. On success the
     returned generation says which file actually restored. *)

@@ -1,7 +1,7 @@
 /* memcpy bridges between OCaml strings/bytes and Bigarray byte slices.
    The stdlib has no bytes<->bigarray blit; without these the zero-copy
    data plane would fall back to byte-at-a-time loops. Bounds are checked
-   on the OCaml side (Slice). */
+   on the OCaml side (Slice). CRC-32 is in lib/sim/crc32_stubs.c. */
 
 #include <string.h>
 #include <caml/mlvalues.h>
@@ -23,59 +23,4 @@ CAMLprim value lastcpu_blit_ba_to_bytes(value ba, value src_off, value dst,
   memcpy(Bytes_val(dst) + Long_val(dst_off),
          (char *)Caml_ba_data_val(ba) + Long_val(src_off), Long_val(len));
   return Val_unit;
-}
-
-/* CRC-32 (IEEE 802.3, reflected 0xEDB88320), slice-by-8. Bit-identical to
-   the table-driven OCaml loop it replaces, roughly an order of magnitude
-   faster; the WAL and the NAND ECC model checksum every 4 KiB page, so
-   this sits squarely on the storage hot path. */
-
-#include <stdint.h>
-
-static uint32_t crc_tab[8][256];
-static int crc_init_done = 0;
-
-static void crc_init(void)
-{
-  int n, k;
-  for (n = 0; n < 256; n++) {
-    uint32_t c = (uint32_t)n;
-    for (k = 0; k < 8; k++)
-      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    crc_tab[0][n] = c;
-  }
-  for (n = 0; n < 256; n++) {
-    uint32_t c = crc_tab[0][n];
-    for (k = 1; k < 8; k++) {
-      c = crc_tab[0][c & 0xff] ^ (c >> 8);
-      crc_tab[k][n] = c;
-    }
-  }
-  crc_init_done = 1;
-}
-
-/* string -> pos -> len -> int (crc in [0, 2^32), fits an OCaml int) */
-CAMLprim value lastcpu_crc32(value vs, value vpos, value vlen)
-{
-  const unsigned char *p;
-  long len = Long_val(vlen);
-  uint32_t c = 0xFFFFFFFFu;
-  if (!crc_init_done) crc_init();
-  p = (const unsigned char *)String_val(vs) + Long_val(vpos);
-  while (len >= 8) {
-    uint32_t lo = (uint32_t)p[0] | ((uint32_t)p[1] << 8)
-                | ((uint32_t)p[2] << 16) | ((uint32_t)p[3] << 24);
-    uint32_t hi = (uint32_t)p[4] | ((uint32_t)p[5] << 8)
-                | ((uint32_t)p[6] << 16) | ((uint32_t)p[7] << 24);
-    c ^= lo;
-    c = crc_tab[7][c & 0xff] ^ crc_tab[6][(c >> 8) & 0xff]
-      ^ crc_tab[5][(c >> 16) & 0xff] ^ crc_tab[4][c >> 24]
-      ^ crc_tab[3][hi & 0xff] ^ crc_tab[2][(hi >> 8) & 0xff]
-      ^ crc_tab[1][(hi >> 16) & 0xff] ^ crc_tab[0][hi >> 24];
-    p += 8;
-    len -= 8;
-  }
-  while (len-- > 0)
-    c = crc_tab[0][(c ^ *p++) & 0xff] ^ (c >> 8);
-  return Val_long((long)(c ^ 0xFFFFFFFFu));
 }

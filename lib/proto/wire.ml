@@ -293,16 +293,15 @@ end
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). Guards framed
    payloads against in-flight corruption, doubles as the NAND ECC model
    and the WAL record checksum, so it runs over every 4 KiB page on the
-   storage path — hence the slice-by-8 C stub. [crc32_reference] is the
+   storage path — hence the slice-by-8 C stub, shared with the snapshot
+   format ({!Lastcpu_sim.Snapshot.crc32}). [crc32_reference] is the
    original OCaml loop, kept so the test suite can pin the stub to it. *)
-external crc32_stub : string -> int -> int -> int = "lastcpu_crc32" [@@noalloc]
-
 let crc32_sub s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Wire.crc32_sub";
-  crc32_stub s pos len
+  Lastcpu_sim.Snapshot.crc32_update 0 s pos len
 
-let crc32 s = crc32_stub s 0 (String.length s)
+let crc32 s = Lastcpu_sim.Snapshot.crc32 s
 
 let crc_table =
   lazy

@@ -18,32 +18,20 @@
    This module is deliberately engine-free: it knows bytes, not
    simulations. Subsystems encode their state with [W]/[R]; the engine's
    hook registry (see Engine.register_snapshot) decides what gets written.
-   lastcpu_sim depends only on fmt, so the CRC32 lives here rather than
-   reusing the wire-protocol one in lib/proto. *)
+   The CRC-32 is the C stub in crc32_stubs.c, which Wire shares. *)
 
 let version = 1
 let magic = "LCSN"
 
-(* --- CRC32 (IEEE 802.3, reflected), table-driven ------------------------- *)
+external crc32 : string -> int = "lastcpu_crc32" [@@noalloc]
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+external crc32_unchecked :
+  int -> string -> int -> int -> int = "lastcpu_crc32_update" [@@noalloc]
 
-let crc32_sub s pos len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
-let crc32 s = crc32_sub s 0 (String.length s)
+let crc32_update crc s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Snapshot.crc32_update";
+  crc32_unchecked crc s pos len
 
 (* --- field codec ---------------------------------------------------------- *)
 
@@ -129,7 +117,7 @@ module R = struct
 
   let varint r =
     let rec go shift acc =
-      if shift > Sys.int_size then corrupt "varint overflow at %d" r.pos;
+      if shift >= Sys.int_size then corrupt "varint overflow at %d" r.pos;
       let b = u8 r in
       let acc = acc lor ((b land 0x7f) lsl shift) in
       if b land 0x80 = 0 then acc else go (shift + 7) acc
@@ -143,21 +131,22 @@ module R = struct
   let bool r = u8 r <> 0
   let float r = Int64.float_of_bits (i64 r)
 
+  (* A length or element count read from the file: every element takes
+     at least one byte, so a count past the bytes left is corrupt. *)
+  let count r =
+    let n = varint r in
+    if n < 0 || n > String.length r.buf - r.pos then
+      corrupt "count %d at %d exceeds the bytes left" n r.pos;
+    n
+
   let string r =
-    let len = varint r in
-    if r.pos + len > String.length r.buf then
-      corrupt "truncated (string of %d bytes at %d)" len r.pos;
+    let len = count r in
     let s = String.sub r.buf r.pos len in
     r.pos <- r.pos + len;
     s
 
-  let list r f =
-    let n = varint r in
-    List.init n (fun _ -> f r)
-
-  let array r f =
-    let n = varint r in
-    Array.init n (fun _ -> f r)
+  let list r f = List.init (count r) (fun _ -> f r)
+  let array r f = Array.init (count r) (fun _ -> f r)
 
   let option r f = if bool r then Some (f r) else None
 end
@@ -166,22 +155,41 @@ end
 
 type section = { name : string; body : string }
 
-let encode sections =
-  let w = W.create () in
-  Buffer.add_string w magic;
-  W.u32 w version;
+(* Stream the container through [emit], folding the file CRC over each
+   piece as it goes, so the file is never assembled in memory. Returns the
+   4-byte trailer instead of emitting it, so [write_torn] can cut it. *)
+let stream emit sections =
+  let crc = ref 0 in
+  let put s =
+    crc := crc32_update !crc s 0 (String.length s);
+    emit s
+  in
+  let frame f =
+    let w = W.create () in
+    f w;
+    put (W.contents w)
+  in
+  frame (fun w ->
+      Buffer.add_string w magic;
+      W.u32 w version);
   List.iter
     (fun { name; body } ->
-      W.u8 w (Char.code 'S');
-      W.string w name;
-      W.varint w (String.length body);
-      W.u32 w (crc32 body);
-      Buffer.add_string w body)
+      frame (fun w ->
+          W.u8 w (Char.code 'S');
+          W.string w name;
+          W.varint w (String.length body);
+          W.u32 w (crc32 body));
+      put body)
     sections;
-  W.u8 w (Char.code 'E');
-  let prefix = Buffer.length w in
-  W.u32 w (crc32_sub (Buffer.contents w) 0 prefix);
-  W.contents w
+  frame (fun w -> W.u8 w (Char.code 'E'));
+  let trailer = W.create () in
+  W.u32 trailer !crc;
+  W.contents trailer
+
+let encode sections =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (stream (Buffer.add_string b) sections);
+  Buffer.contents b
 
 let decode s =
   try
@@ -195,23 +203,22 @@ let decode s =
       match Char.chr (R.u8 r) with
       | 'S' ->
         let name = R.string r in
-        let len = R.varint r in
+        let len = R.count r in
         let crc = R.u32 r in
         let start = r.R.pos in
-        if start + len > String.length s then
+        if len > String.length s - start then
           R.corrupt "truncated section %S" name;
-        if crc32_sub s start len <> crc then
+        if crc32_update 0 s start len <> crc then
           R.corrupt "checksum mismatch in section %S" name;
         let body = String.sub s start len in
         r.R.pos <- start + len;
         sections ({ name; body } :: acc)
       | 'E' ->
         let prefix = r.R.pos in
-        if R.u32 r <> crc32_sub s 0 prefix then
+        if R.u32 r <> crc32_update 0 s 0 prefix then
           R.corrupt "file checksum mismatch";
         List.rev acc
       | c -> R.corrupt "bad frame tag %C" c
-      | exception Invalid_argument _ -> R.corrupt "bad frame tag"
     in
     Ok (sections [])
   with R.Corrupt m -> Error m
@@ -223,53 +230,42 @@ let find sections name =
 
 let previous_generation path = path ^ ".1"
 
-let write_raw path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
-
 let rotate path =
   if Sys.file_exists path then Sys.rename path (previous_generation path)
 
 let write ~path sections =
-  let data = encode sections in
   let tmp = path ^ ".tmp" in
-  write_raw tmp data;
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc (stream (output_string oc) sections));
   rotate path;
   Sys.rename tmp path
 
 (* Chaos hook: simulate the host dying mid-checkpoint. The previous
    generation has already been rotated out of the way (as a real
-   checkpoint would), and the primary is left torn at [keep_bytes] — the
-   exact on-disk state a kill -9 between [write_raw] and [rename] of a
-   non-atomic writer would leave. [load] must reject it and fall back. *)
+   checkpoint would), and the primary is left torn at [keep_bytes], never
+   past the trailer's third byte — the on-disk state a kill -9 mid-write
+   of a non-atomic writer would leave. [load] must reject it. *)
 let write_torn ~path ~keep_bytes sections =
-  let data = encode sections in
-  let keep = min keep_bytes (String.length data - 1) in
-  let keep = if keep < 0 then 0 else keep in
   rotate path;
-  write_raw path (String.sub data 0 keep)
+  Out_channel.with_open_bin path (fun oc ->
+      let left = ref (max 0 keep_bytes) in
+      let emit s =
+        let n = min !left (String.length s) in
+        output_substring oc s 0 n;
+        left := !left - n
+      in
+      emit (String.sub (stream emit sections) 0 3))
 
 let read_file path =
   if not (Sys.file_exists path) then Error (path ^ ": no such file")
-  else begin
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let data = really_input_string ic len in
-    close_in ic;
-    Ok data
-  end
+  else Ok (In_channel.with_open_bin path In_channel.input_all)
 
 type generation = Primary | Previous
 
 let load ~path =
   let attempt p =
-    match read_file p with
-    | Error e -> Error e
-    | Ok data -> (
-      match decode data with
-      | Ok sections -> Ok sections
-      | Error e -> Error (p ^ ": " ^ e))
+    Result.bind (read_file p) (fun data ->
+        Result.map_error (fun e -> p ^ ": " ^ e) (decode data))
   in
   match attempt path with
   | Ok sections -> Ok (Primary, sections)

@@ -15,8 +15,13 @@
 val version : int
 (** Format version stamped into (and required of) every file. *)
 
-val crc32 : string -> int
-(** IEEE CRC32 of a string (also used by tests to corrupt files precisely). *)
+external crc32 : string -> int = "lastcpu_crc32" [@@noalloc]
+(** IEEE CRC-32 of a string; the tree's one CRC-32, a C stub. *)
+
+val crc32_update : int -> string -> int -> int -> int
+(** [crc32_update crc s pos len] extends [crc], the CRC-32 of a prefix
+    ([0] if empty), over [len] bytes of [s] at [pos]. Raises
+    [Invalid_argument] when the range falls outside [s]. *)
 
 (** Field writer: append-only buffer of primitive encodings. *)
 module W : sig
@@ -43,7 +48,7 @@ module W : sig
 end
 
 (** Field reader over a section body. Every decoder raises {!R.Corrupt} on
-    malformed input rather than returning garbage. *)
+    malformed input, including a count negative or past the bytes left. *)
 module R : sig
   exception Corrupt of string
 
@@ -82,15 +87,15 @@ val previous_generation : string -> string
 (** The on-disk name of the displaced previous snapshot ([path ^ ".1"]). *)
 
 val write : path:string -> section list -> unit
-(** Atomically replace the snapshot at [path]: write to a temp file,
-    rotate any existing [path] to [path ^ ".1"], then rename into place.
-    At most two generations are kept. *)
+(** Atomically replace the snapshot at [path]: stream {!encode}'s bytes to
+    a temp file, rotate any existing [path] to [path ^ ".1"], then rename
+    into place. At most two generations are kept. *)
 
 val write_torn : path:string -> keep_bytes:int -> section list -> unit
-(** Chaos hook: leave [path] deliberately torn (first [keep_bytes] bytes
-    only) after rotating the previous generation, reproducing the on-disk
-    state of a process killed mid-checkpoint by a non-atomic writer.
-    {!load} must reject the primary and fall back. *)
+(** Chaos hook: leave [path] deliberately torn (the first [keep_bytes]
+    bytes of {!encode}, never all) after rotating the previous generation,
+    reproducing the on-disk state of a process killed mid-checkpoint by a
+    non-atomic writer. {!load} must reject the primary and fall back. *)
 
 val load : path:string -> (generation * section list, string) result
 (** Read and verify [path]; on any failure (missing, torn, corrupt), try

@@ -6,6 +6,7 @@ module Message = Lastcpu_proto.Message
 module Codec = Lastcpu_proto.Codec
 module Wire = Lastcpu_proto.Wire
 module Slice = Lastcpu_proto.Slice
+module Snapshot = Lastcpu_sim.Snapshot
 
 (* --- Wire primitives ---------------------------------------------------- *)
 
@@ -316,9 +317,10 @@ let test_encoded_size_all_constructors () =
 (* --- CRC-32 stub --------------------------------------------------------- *)
 
 (* The C stub must be bit-identical to the original OCaml loop: WAL
-   records and NAND page checksums feed golden digests, so a divergence
-   would corrupt every pinned experiment. Lengths probe the slice-by-8
-   boundary (0..32) plus a full NAND page. *)
+   records, NAND page checksums and snapshot files feed golden digests, so
+   a divergence would corrupt every pinned experiment. Lengths 0..70 at
+   offsets 0..7 probe every slice-by-8 alignment, plus a full NAND page
+   and 1 MiB of pseudo-random bytes; the update form must chain. *)
 let test_crc32_stub_matches_reference () =
   let check s =
     Alcotest.(check int)
@@ -328,16 +330,36 @@ let test_crc32_stub_matches_reference () =
   check "";
   Alcotest.(check int) "IEEE 802.3 check value" 0xCBF43926
     (Wire.crc32 "123456789");
-  for len = 0 to 32 do
-    check (String.init len (fun i -> Char.chr ((i * 37) land 0xff)))
+  let base = String.init 80 (fun i -> Char.chr ((i * 37) land 0xff)) in
+  for pos = 0 to 7 do
+    for len = 0 to 70 do
+      Alcotest.(check int)
+        (Printf.sprintf "crc32_update at %d, %d bytes" pos len)
+        (Wire.crc32_reference (String.sub base pos len))
+        (Snapshot.crc32_update 0 base pos len)
+    done
   done;
   check (String.init 4096 (fun i -> Char.chr ((i * 131) land 0xff)));
+  let rng = Random.State.make [| 16 |] in
+  let mib = String.init (1 lsl 20) (fun _ -> Char.chr (Random.State.int rng 256)) in
+  check mib;
+  let a = String.sub mib 0 12_345 and b = String.sub mib 12_345 70_000 in
+  Alcotest.(check int) "crc32_update chains"
+    (Wire.crc32 (a ^ b))
+    (Snapshot.crc32_update (Wire.crc32 a) b 0 (String.length b));
   let s = "hello, world" in
   Alcotest.(check int) "crc32_sub window" (Wire.crc32 (String.sub s 3 5))
     (Wire.crc32_sub s 3 5);
   Alcotest.check_raises "crc32_sub bounds"
     (Invalid_argument "Wire.crc32_sub") (fun () ->
-      ignore (Wire.crc32_sub s 8 10))
+      ignore (Wire.crc32_sub s 8 10));
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "crc32_update range %d, %d" pos len)
+        (Invalid_argument "Snapshot.crc32_update") (fun () ->
+          ignore (Snapshot.crc32_update 0 s pos len)))
+    [ (-1, 1); (0, -1); (8, 10); (1, max_int) ]
 
 let () =
   Alcotest.run "proto"

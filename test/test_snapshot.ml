@@ -106,6 +106,124 @@ let test_truncation_rejected () =
     | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %d-byte prefix" keep)
   done
 
+(* The on-disk format, pinned byte for byte: an encoding change would
+   orphan every snapshot already written. *)
+let test_format_pinned () =
+  let fixed =
+    [
+      { Snapshot.name = "meta"; body = "\x03tag\x01" };
+      { Snapshot.name = "0/hook/kv"; body = "0123456789abcdef\xff" };
+    ]
+  in
+  let hex =
+    String.concat ""
+      (List.map
+         (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (String.to_seq (Snapshot.encode fixed))))
+  in
+  Alcotest.(check string) "encoding"
+    "4c43534e0100000053046d65746105e7d6717103746167015309302f686f6f6b2f6b7611e6a5b84030313233343536373839616263646566ff4599b8c1a9"
+    hex
+
+(* A torn write is exactly a prefix of the encoding, and never all of it. *)
+let test_torn_write_is_prefix () =
+  let path = temp_snapshot () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      let full = Snapshot.encode sections in
+      let n = String.length full in
+      List.iter
+        (fun k ->
+          Snapshot.write_torn ~path ~keep_bytes:k sections;
+          let on_disk = In_channel.with_open_bin path In_channel.input_all in
+          let want = max 0 (min k (n - 1)) in
+          Alcotest.(check string)
+            (Printf.sprintf "first %d bytes" k)
+            (String.sub full 0 want) on_disk)
+        [ -1; 0; 1; 7; 8; 9; 20; n / 2; n - 4; n - 1; n; n + 10 ])
+
+(* Counts read from an untrusted file become [Corrupt], never an
+   allocation failure or an [Invalid_argument] from the stdlib. *)
+let test_crafted_counts_rejected () =
+  let rejects what bytes read =
+    match read (Snapshot.R.of_string bytes) with
+    | exception Snapshot.R.Corrupt _ -> ()
+    | _ -> Alcotest.fail (what ^ " accepted")
+  in
+  let varint n =
+    let w = Snapshot.W.create () in
+    Snapshot.W.varint w n;
+    Snapshot.W.contents w
+  in
+  (* Ten bytes: past 63 bits (it would decode to -1). *)
+  let ten = String.make 9 '\xff' ^ "\x01" in
+  rejects "10-byte varint" ten Snapshot.R.varint;
+  rejects "10-byte string count" ten Snapshot.R.string;
+  (* Nine bytes with bit 62 set: a negative count. *)
+  let negative = String.make 8 '\x80' ^ "\x40" in
+  rejects "negative string count" negative Snapshot.R.string;
+  rejects "negative list count" negative (fun r ->
+      Snapshot.R.list r Snapshot.R.u8);
+  rejects "negative array count" negative (fun r ->
+      Snapshot.R.array r Snapshot.R.u8);
+  (* Counts larger than the bytes left. *)
+  rejects "2^50 array count" (varint (1 lsl 50)) (fun r ->
+      Snapshot.R.array r Snapshot.R.u8);
+  rejects "2^50 list count" (varint (1 lsl 50)) (fun r ->
+      Snapshot.R.list r Snapshot.R.u8);
+  rejects "string past the end" (varint 5 ^ "abcd") Snapshot.R.string;
+  (* The largest count that fits still decodes. *)
+  Alcotest.(check string) "exact-fit string" "abcd"
+    (Snapshot.R.string (Snapshot.R.of_string (varint 4 ^ "abcd")))
+
+(* A section length read from the file is a count like any other: one
+   near max_int (whose end offset would overflow) or one with bit 62 set
+   (negative) must give [Error], and [load] must fall back to the previous
+   generation rather than raise. The stored CRCs are 0 and the file CRC is
+   correct, so only the length is at fault. *)
+let test_crafted_section_length_rejected () =
+  let crafted len_bytes =
+    let w = Snapshot.W.create () in
+    String.iter (fun c -> Snapshot.W.u8 w (Char.code c)) "LCSN";
+    Snapshot.W.u32 w 1;
+    Snapshot.W.u8 w (Char.code 'S');
+    Snapshot.W.string w "n";
+    String.iter (fun c -> Snapshot.W.u8 w (Char.code c)) len_bytes;
+    Snapshot.W.u32 w 0;
+    Snapshot.W.u8 w (Char.code 'x');
+    Snapshot.W.u8 w (Char.code 'E');
+    let prefix = Snapshot.W.contents w in
+    Snapshot.W.u32 w (Snapshot.crc32 prefix);
+    Snapshot.W.contents w
+  in
+  let max_len =
+    let w = Snapshot.W.create () in
+    Snapshot.W.varint w max_int;
+    Snapshot.W.contents w
+  in
+  let negative_len = String.make 8 '\x80' ^ "\x40" in
+  let path = temp_snapshot () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      List.iter
+        (fun (what, len_bytes) ->
+          let bytes = crafted len_bytes in
+          (match Snapshot.decode bytes with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail (what ^ " accepted by decode"));
+          Snapshot.write ~path [ { Snapshot.name = "n"; body = "good" } ];
+          Snapshot.write_torn ~path ~keep_bytes:0 [];
+          Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+          match Snapshot.load ~path with
+          | Ok (Snapshot.Previous, s) ->
+            Alcotest.(check (option string)) (what ^ ": fallback")
+              (Some "good") (Snapshot.find s "n")
+          | Ok (Snapshot.Primary, _) -> Alcotest.fail (what ^ " loaded")
+          | Error e -> Alcotest.fail e)
+        [ ("max_int length", max_len); ("negative length", negative_len) ])
+
 let test_generations_and_fallback () =
   let path = temp_snapshot () in
   Fun.protect
@@ -397,14 +515,34 @@ let test_checkpoint_mismatches () =
         in
         Alcotest.(check bool) "tag named in error" true (contains e "exp-a")
       | Ok _ -> Alcotest.fail "tag mismatch accepted");
-      (* A topology with an extra hook the snapshot has no section for. *)
+      (* A topology with an extra hook the snapshot has no section for.
+         The engine and an earlier hook do have sections, but the restore
+         must fail before either is applied. *)
+      let saved = Engine.create () in
+      Engine.register_snapshot saved ~name:"early"
+        ~save:(fun () -> "state")
+        ~restore:(fun _ -> ());
+      Engine.schedule saved ~delay:500L (fun () -> ());
+      Engine.run_until_quiescent saved;
+      Checkpoint.save ~path ~tag:"exp-a" (Checkpoint.Single saved);
       let extra = Engine.create () in
+      let early_restored = ref false in
+      Engine.register_snapshot extra ~name:"early"
+        ~save:(fun () -> "")
+        ~restore:(fun _ -> early_restored := true);
       Engine.register_snapshot extra ~name:"late-subsystem"
         ~save:(fun () -> "")
         ~restore:(fun _ -> ());
-      match Checkpoint.restore ~path ~tag:"exp-a" (Checkpoint.Single extra) with
+      Engine.schedule_static_at extra ~time:200L (fun () -> ());
+      (match
+         Checkpoint.restore ~path ~tag:"exp-a" (Checkpoint.Single extra)
+       with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "hook without a section accepted")
+      | Ok _ -> Alcotest.fail "hook without a section accepted");
+      Alcotest.(check bool) "earlier hook untouched" false !early_restored;
+      Alcotest.(check int64) "clock untouched" 0L (Engine.now extra);
+      Alcotest.(check int) "executed untouched" 0 (Engine.events_executed extra);
+      Alcotest.(check int) "static still queued" 1 (Engine.pending extra))
 
 (* --- whole-machine round trip -------------------------------------------- *)
 
@@ -531,6 +669,13 @@ let () =
           Alcotest.test_case "bit flip rejected" `Quick test_bit_flip_rejected;
           Alcotest.test_case "truncation rejected" `Quick
             test_truncation_rejected;
+          Alcotest.test_case "format pinned" `Quick test_format_pinned;
+          Alcotest.test_case "torn write is a prefix" `Quick
+            test_torn_write_is_prefix;
+          Alcotest.test_case "crafted counts rejected" `Quick
+            test_crafted_counts_rejected;
+          Alcotest.test_case "crafted section length rejected" `Quick
+            test_crafted_section_length_rejected;
           Alcotest.test_case "generations and fallback" `Quick
             test_generations_and_fallback;
         ] );
