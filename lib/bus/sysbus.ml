@@ -125,20 +125,16 @@ type t = {
   m_undeliverable : Metrics.counter;
   m_control_bytes : Metrics.counter;
   m_doorbells_dropped : Metrics.counter;
-  (* Registered lazily, on the first shed message: a run that never sheds
-     keeps its telemetry snapshot identical to pre-overload builds. *)
-  mutable m_expired : Metrics.counter option;
-  (* Same lazy policy: single-shard runs never cross a boundary, and their
-     telemetry snapshot must stay identical to pre-shard builds. *)
-  mutable m_boundary_out : Metrics.counter option;
-  (* Containment telemetry, all lazy for the same reason: a run with no
-     misbehaving device keeps a pre-containment telemetry snapshot. *)
-  mutable m_stale_tokens : Metrics.counter option;
-  mutable m_malformed : Metrics.counter option;
-  mutable m_misbehavior : Metrics.counter option;
-  mutable m_fenced : Metrics.counter option;
-  mutable m_quarantines : Metrics.counter option;
-  mutable m_revocations : Metrics.counter option;
+  (* Registered on first use (see [Metrics.lazy_counter]): shedding,
+     shard crossings and containment. *)
+  m_expired : Metrics.lazy_counter;
+  m_boundary_out : Metrics.lazy_counter;
+  m_stale_tokens : Metrics.lazy_counter;
+  m_malformed : Metrics.lazy_counter;
+  m_misbehavior : Metrics.lazy_counter;
+  m_fenced : Metrics.lazy_counter;
+  m_quarantines : Metrics.lazy_counter;
+  m_revocations : Metrics.lazy_counter;
   (* Sanitizer probe: commutative (order-insensitive) digest of every frame
      committed to the wire. Hashes route and payload kind only — corr ids,
      nonces and addresses inside payloads legally permute when same-tick
@@ -155,56 +151,6 @@ type t = {
 let bus_src = -1 (* messages originated by the bus itself *)
 
 let trace t kind detail = Engine.trace_event t.engine ~actor:"bus" ~kind detail
-
-(* All containment counters follow the lazy-registration policy: first
-   increment creates the instrument, so a clean run's telemetry snapshot is
-   byte-identical to a build without the containment layer. *)
-let lazy_bump t get set name =
-  let c =
-    match get t with
-    | Some c -> c
-    | None ->
-      let c = Metrics.counter (Engine.metrics t.engine) ~actor:t.actor ~name in
-      set t (Some c);
-      c
-  in
-  Metrics.incr c
-
-let bump_stale t =
-  lazy_bump t
-    (fun t -> t.m_stale_tokens)
-    (fun t v -> t.m_stale_tokens <- v)
-    "stale_tokens"
-
-let bump_malformed t =
-  lazy_bump t
-    (fun t -> t.m_malformed)
-    (fun t v -> t.m_malformed <- v)
-    "malformed_frames"
-
-let bump_misbehavior t =
-  lazy_bump t
-    (fun t -> t.m_misbehavior)
-    (fun t v -> t.m_misbehavior <- v)
-    "misbehavior_reports"
-
-let bump_fenced t =
-  lazy_bump t
-    (fun t -> t.m_fenced)
-    (fun t v -> t.m_fenced <- v)
-    "messages_fenced"
-
-let bump_quarantines t =
-  lazy_bump t
-    (fun t -> t.m_quarantines)
-    (fun t v -> t.m_quarantines <- v)
-    "quarantines"
-
-let bump_revocations t =
-  lazy_bump t
-    (fun t -> t.m_revocations)
-    (fun t v -> t.m_revocations <- v)
-    "revocations"
 
 (* One stable identity per frame: route + payload kind. Triple duty — the
    sanitizer event label, the fault-injection content key, and the frame
@@ -325,7 +271,7 @@ let on_revoke t f = t.revoke_hooks <- t.revoke_hooks @ [ f ]
    tokens are not chased: they die passively at the next [verify_token]. *)
 let revoke t id =
   Hashtbl.replace t.epochs id (current_epoch t id + 1);
-  bump_revocations t;
+  Metrics.bump t.m_revocations;
   trace t "bus.revoke"
     (Printf.sprintf "dev%d (%s) capabilities revoked, epoch now %d" id
        t.devices.(id).name (current_epoch t id));
@@ -337,7 +283,7 @@ let quarantine_device t id =
   let s = t.devices.(id) in
   if s.trust <> Quarantined then begin
     s.trust <- Quarantined;
-    bump_quarantines t;
+    Metrics.bump t.m_quarantines;
     trace t "bus.quarantine"
       (Printf.sprintf "dev%d (%s) quarantined, score=%d" id s.name
          s.misbehavior);
@@ -377,7 +323,7 @@ let report_misbehavior t ~src ~weight ~what =
       let s = t.devices.(src) in
       if s.shard = t.home_shard && s.trust <> Quarantined then begin
         s.misbehavior <- s.misbehavior + weight;
-        bump_misbehavior t;
+        Metrics.bump t.m_misbehavior;
         trace t "bus.misbehavior"
           (Printf.sprintf "dev%d (%s): %s, score %d" src s.name what
              s.misbehavior);
@@ -539,6 +485,7 @@ let create ?(config = default_config) ?(shard = 0) engine =
   let m = Engine.metrics engine in
   let actor = Metrics.claim_actor m "bus" in
   let counter name = Metrics.counter m ~actor ~name in
+  let lazy_counter name = Metrics.lazy_counter m ~actor ~name in
   let lane_telemetry =
     match config.lane_capacity with None -> None | Some _ -> Some (m, actor)
   in
@@ -566,14 +513,14 @@ let create ?(config = default_config) ?(shard = 0) engine =
       m_undeliverable = counter "undeliverable";
       m_control_bytes = counter "control_bytes";
       m_doorbells_dropped = counter "doorbells_dropped";
-      m_expired = None;
-      m_boundary_out = None;
-      m_stale_tokens = None;
-      m_malformed = None;
-      m_misbehavior = None;
-      m_fenced = None;
-      m_quarantines = None;
-      m_revocations = None;
+      m_expired = lazy_counter "expired_dropped";
+      m_boundary_out = lazy_counter "boundary_out";
+      m_stale_tokens = lazy_counter "stale_tokens";
+      m_malformed = lazy_counter "malformed_frames";
+      m_misbehavior = lazy_counter "misbehavior_reports";
+      m_fenced = lazy_counter "messages_fenced";
+      m_quarantines = lazy_counter "quarantines";
+      m_revocations = lazy_counter "revocations";
       frame_digest = 0L;
       next_sweep = 0L;
       sweep_gen = 0;
@@ -640,22 +587,7 @@ let set_boundary t mailbox =
     invalid_arg "Sysbus.set_boundary: boundary mailbox already wired";
   t.boundary <- Some mailbox
 
-let boundary_out t =
-  match t.m_boundary_out with None -> 0 | Some c -> Metrics.counter_value c
-
-let bump_boundary_out t =
-  let c =
-    match t.m_boundary_out with
-    | Some c -> c
-    | None ->
-      let c =
-        Metrics.counter (Engine.metrics t.engine) ~actor:t.actor
-          ~name:"boundary_out"
-      in
-      t.m_boundary_out <- Some c;
-      c
-  in
-  Metrics.incr c
+let boundary_out t = Metrics.lazy_value t.m_boundary_out
 
 (* Hand a frame to the cross-shard mailbox. Callers account the frame's
    wire size against this bus segment (it does travel up to the border);
@@ -669,7 +601,7 @@ let boundary_post t ~dst_shard (msg : Message.t) =
           (Shardlink.create missing?)"
          dst_shard)
   | Some mailbox ->
-    bump_boundary_out t;
+    Metrics.bump t.m_boundary_out;
     mailbox ~dst_shard msg
 
 let attach ?shard t ~name ~iommu ~handler =
@@ -754,25 +686,10 @@ let station t = t.lanes.(0)
 let stations t = Array.to_list t.lanes
 let device_queue_capacity t = t.config.device_queue_capacity
 
-let messages_expired t =
-  match t.m_expired with None -> 0 | Some c -> Metrics.counter_value c
+let messages_expired t = Metrics.lazy_value t.m_expired
 
 let messages_rejected t =
   Array.fold_left (fun a s -> a + Station.jobs_rejected s) 0 t.lanes
-
-let bump_expired t =
-  let c =
-    match t.m_expired with
-    | Some c -> c
-    | None ->
-      let c =
-        Metrics.counter (Engine.metrics t.engine) ~actor:t.actor
-          ~name:"expired_dropped"
-      in
-      t.m_expired <- Some c;
-      c
-  in
-  Metrics.incr c
 
 let lane_for t src =
   (* Hash by source so each device's messages stay ordered. *)
@@ -812,7 +729,7 @@ let verify_token t ~src ~expect_wielder (token : Token.t) =
            was revoked since mint. Counted apart from forgeries — a burst of
            stale uses is the expected echo of a revocation, not an attack on
            the MAC. *)
-        bump_stale t;
+        Metrics.bump t.m_stale_tokens;
         Error "stale capability epoch"
       end
       else begin
@@ -1056,7 +973,7 @@ let deliver_unicast t (msg : Message.t) dst =
     (* The deadline passed while the message sat in the lane queue:
        delivering it now cannot help the requester, so shed it here
        rather than spend the target's cycles on it. *)
-    bump_expired t;
+    Metrics.bump t.m_expired;
     trace t "bus.expired"
       (Printf.sprintf "%s to dev%d past deadline, shed"
          (Message.payload_tag msg.payload) dst)
@@ -1118,7 +1035,7 @@ let send_routed t (msg : Message.t) =
   let arrive () =
     let now = Engine.now t.engine in
     if Message.expired msg ~now then begin
-      bump_expired t;
+      Metrics.bump t.m_expired;
       trace t "bus.expired"
         (Printf.sprintf "%s from dev%d past deadline on arrival, shed"
            (Message.payload_tag msg.payload) msg.src)
@@ -1182,7 +1099,7 @@ let send_routed t (msg : Message.t) =
 let send t (msg : Message.t) =
   Ownership.touch t.owner_cell;
   if quarantined_src t msg.src then begin
-    bump_fenced t;
+    Metrics.bump t.m_fenced;
     trace t "bus.fenced"
       (Printf.sprintf "%s from quarantined dev%d dropped"
          (Message.payload_tag msg.payload) msg.src)
@@ -1196,7 +1113,7 @@ let send t (msg : Message.t) =
 let send_raw t ~src bytes =
   Ownership.touch t.owner_cell;
   if quarantined_src t src then begin
-    bump_fenced t;
+    Metrics.bump t.m_fenced;
     trace t "bus.fenced"
       (Printf.sprintf "raw frame from quarantined dev%d dropped" src)
   end
@@ -1206,7 +1123,7 @@ let send_raw t ~src bytes =
       (if src >= 0 && src < Array.length t.devices then
          let s = t.devices.(src) in
          s.malformed_frames <- s.malformed_frames + 1);
-      bump_malformed t;
+      Metrics.bump t.m_malformed;
       score_malformed t ~src ~what:("malformed frame: " ^ reason);
       trace t "bus.malformed"
         (Printf.sprintf "frame from dev%d dropped: %s" src reason)
@@ -1226,7 +1143,7 @@ let send_raw t ~src bytes =
 let notify t ~src ~dst ~queue =
   Ownership.touch t.owner_cell;
   if quarantined_src t src then begin
-    bump_fenced t;
+    Metrics.bump t.m_fenced;
     trace t "bus.fenced"
       (Printf.sprintf "doorbell from quarantined dev%d dropped" src)
   end
@@ -1287,17 +1204,8 @@ let trust_to_string = function
   | Suspect -> "suspect"
   | Quarantined -> "quarantined"
 
-let stale_tokens t =
-  match t.m_stale_tokens with None -> 0 | Some c -> Metrics.counter_value c
-
-let messages_fenced t =
-  match t.m_fenced with None -> 0 | Some c -> Metrics.counter_value c
-
-let malformed_total t =
-  match t.m_malformed with None -> 0 | Some c -> Metrics.counter_value c
-
-let quarantines t =
-  match t.m_quarantines with None -> 0 | Some c -> Metrics.counter_value c
-
-let revocations t =
-  match t.m_revocations with None -> 0 | Some c -> Metrics.counter_value c
+let stale_tokens t = Metrics.lazy_value t.m_stale_tokens
+let messages_fenced t = Metrics.lazy_value t.m_fenced
+let malformed_total t = Metrics.lazy_value t.m_malformed
+let quarantines t = Metrics.lazy_value t.m_quarantines
+let revocations t = Metrics.lazy_value t.m_revocations

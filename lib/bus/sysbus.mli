@@ -115,8 +115,8 @@ val set_boundary : t -> (dst_shard:int -> Message.t -> unit) -> unit
     @raise Invalid_argument if already wired. *)
 
 val boundary_out : t -> int
-(** Frames handed to the boundary mailbox so far. The counter registers
-    lazily on first use, so single-shard telemetry snapshots are unchanged. *)
+(** Frames handed to the boundary mailbox so far (a
+    {!Lastcpu_sim.Metrics.lazy_counter}). *)
 
 val register_controller :
   t -> Types.device_id -> resource:string -> key:Token.key -> unit

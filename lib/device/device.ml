@@ -76,31 +76,15 @@ type t = {
   m_gave_up : Metrics.counter;
   breakers : (int, breaker) Hashtbl.t;
   mutable breaker_cfg : breaker_cfg option;
-  (* Overload instruments are registered lazily / at enable time so a run
-     with no overload knobs keeps its telemetry snapshot unchanged. *)
-  mutable m_breaker_opened : Metrics.counter option;
-  mutable m_breaker_fast_fails : Metrics.counter option;
-  mutable m_expired : Metrics.counter option;
-  (* Lazy for the same reason: only a run facing a rogue peer ever sees a
-     forged failure notification. *)
-  mutable m_forged_failures : Metrics.counter option;
+  (* Registered on first use (see [Metrics.lazy_counter]); the breaker
+     pair when [enable_circuit_breaker] switches the breaker on. *)
+  m_breaker_opened : Metrics.lazy_counter;
+  m_breaker_fast_fails : Metrics.lazy_counter;
+  m_expired : Metrics.lazy_counter;
+  m_forged_failures : Metrics.lazy_counter;
 }
 
 let recent_size = 64
-
-let bump_forged_failures t =
-  let c =
-    match t.m_forged_failures with
-    | Some c -> c
-    | None ->
-      let c =
-        Metrics.counter (Engine.metrics t.engine) ~actor:t.actor
-          ~name:"forged_failures"
-      in
-      t.m_forged_failures <- Some c;
-      c
-  in
-  Metrics.incr c
 
 let remember_corr t corr =
   t.recent.(t.recent_idx) <- corr;
@@ -173,7 +157,7 @@ let dispatch t (msg : Message.t) =
         match t.app_handler with Some f -> f msg | None -> ()
       end
       else begin
-        bump_forged_failures t;
+        Metrics.bump t.m_forged_failures;
         Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.forged-failure"
           (Printf.sprintf "Device_failed{dev%d} claimed by dev%d, ignored"
              device msg.src)
@@ -245,27 +229,13 @@ let dispatch t (msg : Message.t) =
           t.services)
     | _ -> to_app ())
 
-let bump_expired t =
-  let c =
-    match t.m_expired with
-    | Some c -> c
-    | None ->
-      let c =
-        Metrics.counter (Engine.metrics t.engine) ~actor:t.actor
-          ~name:"expired_dropped"
-      in
-      t.m_expired <- Some c;
-      c
-  in
-  Metrics.incr c
-
 let handle t msg =
   (* Per-device monitor: messages are processed serially with a fixed
      per-message cost — the "modest hardware" of §2.2. *)
   let costs = Engine.costs t.engine in
   let now = Engine.now t.engine in
   if Message.expired msg ~now then begin
-    bump_expired t;
+    Metrics.bump t.m_expired;
     Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.expired"
       (Printf.sprintf "%s past deadline, shed" (Message.payload_tag msg.payload))
   end
@@ -301,12 +271,11 @@ let dma t ~pasid =
     Hashtbl.replace t.dmas pasid d;
     d
 
-(* Checkpointing: counters, the recent-corr dedup ring, open connections,
-   circuit breakers and per-PASID DMA access counts — everything a resumed
-   run observes. [pending] continuations are deliberately not saved: at a
-   quiescent checkpoint every in-flight request has either completed or
-   timed out, so the table holds at most dead entries whose responses were
-   already lost. *)
+(* Checkpointing: counters, the recent-corr dedup ring, open connections
+   and circuit breakers — everything a resumed run observes. [pending]
+   continuations are deliberately not saved: at a quiescent checkpoint
+   every in-flight request has either completed or timed out, so the table
+   holds at most dead entries whose responses were already lost. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
 let save_state t =
@@ -334,11 +303,6 @@ let save_state t =
       | Half_open -> Snapshot.W.u8 w 2);
       Snapshot.W.varint w b.failures)
     (Detmap.bindings t.breakers);
-  Snapshot.W.list w
-    (fun w (pasid, d) ->
-      Snapshot.W.vint w pasid;
-      Snapshot.W.varint w (Dma.accesses d))
-    (Detmap.bindings t.dmas);
   Snapshot.W.contents w
 
 let restore_state t body =
@@ -373,12 +337,6 @@ let restore_state t body =
     in
     let failures = Snapshot.R.varint r in
     Hashtbl.replace t.breakers peer { state; failures }
-  done;
-  let n = Snapshot.R.varint r in
-  for _ = 1 to n do
-    let pasid = Snapshot.R.vint r in
-    let accesses = Snapshot.R.varint r in
-    Dma.set_accesses (dma t ~pasid) accesses
   done
 
 let create ?shard sysbus ~mem ~name ?tlb_sets ?tlb_ways ?(no_tlb = false) () =
@@ -390,6 +348,7 @@ let create ?shard sysbus ~mem ~name ?tlb_sets ?tlb_ways ?(no_tlb = false) () =
       ~actor:(actor ^ ".iommu") ()
   in
   let counter n = Metrics.counter m ~actor ~name:n in
+  let lazy_counter n = Metrics.lazy_counter m ~actor ~name:n in
   let queue_capacity = Sysbus.device_queue_capacity sysbus in
   let station_telemetry =
     match queue_capacity with None -> None | Some _ -> Some (m, actor)
@@ -430,10 +389,10 @@ let create ?shard sysbus ~mem ~name ?tlb_sets ?tlb_ways ?(no_tlb = false) () =
       m_gave_up = counter "gave_up";
       breakers = Hashtbl.create 4;
       breaker_cfg = None;
-      m_breaker_opened = None;
-      m_breaker_fast_fails = None;
-      m_expired = None;
-      m_forged_failures = None;
+      m_breaker_opened = lazy_counter "breaker_opened";
+      m_breaker_fast_fails = lazy_counter "breaker_fast_fails";
+      m_expired = lazy_counter "expired_dropped";
+      m_forged_failures = lazy_counter "forged_failures";
     }
   in
   let id =
@@ -543,11 +502,9 @@ let peer_of_dst = function Types.Device d -> d | Types.Bus | Types.Broadcast -> 
 let enable_circuit_breaker t ~threshold ~cooldown_ns =
   if threshold <= 0 then invalid_arg "enable_circuit_breaker: threshold";
   if cooldown_ns <= 0L then invalid_arg "enable_circuit_breaker: cooldown_ns";
-  let m = Engine.metrics t.engine in
   t.breaker_cfg <- Some { threshold; cooldown_ns };
-  t.m_breaker_opened <- Some (Metrics.counter m ~actor:t.actor ~name:"breaker_opened");
-  t.m_breaker_fast_fails <-
-    Some (Metrics.counter m ~actor:t.actor ~name:"breaker_fast_fails")
+  Metrics.bump ~by:0 t.m_breaker_opened;
+  Metrics.bump ~by:0 t.m_breaker_fast_fails
 
 let breaker_for t peer =
   match Hashtbl.find_opt t.breakers peer with
@@ -588,7 +545,7 @@ let observe_peer_result t peer (payload : Message.payload) =
           | _ -> cooldown_ns
         in
         b.state <- Open (Int64.add (Engine.now t.engine) window);
-        (match t.m_breaker_opened with Some c -> Metrics.incr c | None -> ());
+        Metrics.bump t.m_breaker_opened;
         Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.breaker-open"
           (Printf.sprintf "peer=%d failures=%d window=%Ldns" peer b.failures
              window)
@@ -634,7 +591,7 @@ let request t ?deadline_ns ?timeout ?(retries = 0) ~dst payload k =
     (* Shed locally, costing nothing downstream. The synthetic busy reply
        deliberately bypasses [observe_peer_result]: fast-fails must not
        extend the open window they are caused by. *)
-    (match t.m_breaker_fast_fails with Some c -> Metrics.incr c | None -> ());
+    Metrics.bump t.m_breaker_fast_fails;
     Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.breaker-reject"
       (Printf.sprintf "peer=%d retry-after=%Ldns" peer remaining);
     Engine.schedule t.engine ~delay:0L (fun () ->
@@ -806,8 +763,7 @@ let requests_sent t = Metrics.counter_value t.m_sent
 let late_discover_responses t = Metrics.counter_value t.m_discover_late
 let late_responses t = Metrics.counter_value t.m_request_late
 
-let forged_failures t =
-  match t.m_forged_failures with None -> 0 | Some c -> Metrics.counter_value c
+let forged_failures t = Metrics.lazy_value t.m_forged_failures
 let request_retries t = Metrics.counter_value t.m_retries
 let requests_gave_up t = Metrics.counter_value t.m_gave_up
 let actor t = t.actor
@@ -818,13 +774,8 @@ let breaker_state t ~peer =
   | Some { state = Open _; _ } -> `Open
   | Some { state = Half_open; _ } -> `Half_open
 
-let breaker_opens t =
-  match t.m_breaker_opened with Some c -> Metrics.counter_value c | None -> 0
-
-let breaker_fast_fails t =
-  match t.m_breaker_fast_fails with Some c -> Metrics.counter_value c | None -> 0
-
-let messages_expired t =
-  match t.m_expired with Some c -> Metrics.counter_value c | None -> 0
+let breaker_opens t = Metrics.lazy_value t.m_breaker_opened
+let breaker_fast_fails t = Metrics.lazy_value t.m_breaker_fast_fails
+let messages_expired t = Metrics.lazy_value t.m_expired
 
 let queue_rejections t = Station.jobs_rejected t.station

@@ -220,13 +220,6 @@ let walks t = Metrics.counter_value t.m_walks
 let walk_levels t = Metrics.counter_value t.m_walk_levels
 let faults t = Metrics.counter_value t.m_faults
 
-let reset_counters t =
-  Metrics.reset_counter t.m_translations;
-  Metrics.reset_counter t.m_walks;
-  Metrics.reset_counter t.m_walk_levels;
-  Metrics.reset_counter t.m_faults;
-  match t.tlb with None -> () | Some tlb -> Tlb.reset_counters tlb
-
 (* Checkpointing: per-PASID page tables plus the TLB (counters restore via
    the shared Metrics registry; the fault handler is a closure the rebuilt
    device re-attaches). *)

@@ -113,8 +113,6 @@ val walk_levels : t -> int
 (** Total levels touched across all walks (each full walk adds 4). *)
 
 val faults : t -> int
-val reset_counters : t -> unit
-
 val access_perm : access -> Proto_perm.t
 (** The minimal permission required for an access. *)
 

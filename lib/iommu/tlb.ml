@@ -133,11 +133,6 @@ let hits t = Metrics.counter_value t.m_hits
 let misses t = Metrics.counter_value t.m_misses
 let evictions t = Metrics.counter_value t.m_evictions
 
-let reset_counters t =
-  Metrics.reset_counter t.m_hits;
-  Metrics.reset_counter t.m_misses;
-  Metrics.reset_counter t.m_evictions
-
 let capacity t = t.sets * t.ways
 
 (* Checkpointing: replacement state (valid bits, LRU stamps, the clock) is

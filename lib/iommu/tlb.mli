@@ -44,7 +44,6 @@ val misses : t -> int
 val evictions : t -> int
 (** Valid entries displaced by [insert] for a different page. *)
 
-val reset_counters : t -> unit
 val capacity : t -> int
 
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit

@@ -24,7 +24,7 @@ type t = {
   engine : Engine.t;
   actor : string;
   m_served : Metrics.counter;
-  m_failovers : Metrics.counter option;
+  m_failovers : Metrics.lazy_counter;  (* registered with a supervisor *)
   mutable recovered : int;
   (* While a failover is re-running the Figure-2 attach against another
      provider, incoming ops are parked here and drained once the new
@@ -121,8 +121,7 @@ let install_fast_path t =
             Smart_nic.send_packet t.nic ~dst:src
               (Kv_proto.encode_response { corr; reply })))
 
-let failovers t =
-  match t.m_failovers with None -> 0 | Some c -> Metrics.counter_value c
+let failovers t = Metrics.lazy_value t.m_failovers
 
 (* Checkpointing: store index + watermark, log offset, file-client ring
    state, and the app's own counters. [parked] holds continuations, which
@@ -220,7 +219,7 @@ let install_supervisor t ~dev ~memctl ~user ~log_path ~auth ~req_timeout
   Device.on_device_failed dev (fun ~device ->
       if (not t.failing_over) && device = File_client.provider t.fc then begin
         t.failing_over <- true;
-        (match t.m_failovers with Some c -> Metrics.incr c | None -> ());
+        Metrics.bump t.m_failovers;
         Engine.trace_event t.engine ~actor:t.actor ~kind:"kv.failover"
           (Printf.sprintf "provider dev%d failed, re-running discovery" device);
         File_client.abort_in_flight t.fc "provider failed";
@@ -273,10 +272,7 @@ let launch ~nic ~memctl ~pasid ~shm_va ~user ~log_path ?auth
                   engine;
                   actor;
                   m_served = Metrics.counter m ~actor ~name:"ops_served";
-                  m_failovers =
-                    (match supervisor with
-                    | None -> None
-                    | Some _ -> Some (Metrics.counter m ~actor ~name:"failovers"));
+                  m_failovers = Metrics.lazy_counter m ~actor ~name:"failovers";
                   recovered = 0;
                   failing_over = false;
                   parked = Queue.create ();
@@ -284,6 +280,8 @@ let launch ~nic ~memctl ~pasid ~shm_va ~user ~log_path ?auth
                   client_in_flight = 0;
                 }
               in
+              if Option.is_some supervisor then
+                Metrics.bump ~by:0 t.m_failovers;
               Store.recover store (fun res ->
                   match res with
                   | Error m -> k (Error ("recover: " ^ m))

@@ -28,9 +28,7 @@ and t = {
   m_delivered : Metrics.counter;
   m_dropped : Metrics.counter;
   m_bytes : Metrics.counter;
-  (* Lazy, like Sysbus's boundary counter: single-shard runs must keep a
-     telemetry snapshot identical to pre-shard builds. *)
-  mutable m_boundary_out : Metrics.counter option;
+  m_boundary_out : Metrics.lazy_counter;  (* first shard crossing *)
   (* Ownership tag for the dynamic shard sanitizer (see Sysbus). *)
   owner_cell : Ownership.tracker;
 }
@@ -102,7 +100,7 @@ let create ?(shard = 0) engine =
       m_delivered = Metrics.counter m ~actor ~name:"frames_delivered";
       m_dropped = Metrics.counter m ~actor ~name:"frames_dropped";
       m_bytes = Metrics.counter m ~actor ~name:"bytes_carried";
-      m_boundary_out = None;
+      m_boundary_out = Metrics.lazy_counter m ~actor ~name:"boundary_out";
       owner_cell = Ownership.tracker ~name:("net:" ^ actor) ~owner:shard;
     }
   in
@@ -118,20 +116,7 @@ let set_boundary t uplink =
     invalid_arg "Netsim.set_boundary: boundary uplink already wired";
   t.boundary <- Some uplink
 
-let boundary_out t =
-  match t.m_boundary_out with None -> 0 | Some c -> Metrics.counter_value c
-
-let bump_boundary_out t =
-  let c =
-    match t.m_boundary_out with
-    | Some c -> c
-    | None ->
-      let m = Engine.metrics t.engine in
-      let c = Metrics.counter m ~actor:t.actor ~name:"boundary_out" in
-      t.m_boundary_out <- Some c;
-      c
-  in
-  Metrics.incr c
+let boundary_out t = Metrics.lazy_value t.m_boundary_out
 
 let endpoint ?shard t ~name =
   if Hashtbl.mem t.names name then
@@ -207,7 +192,7 @@ let boundary_post t ~src ~dst frame =
          "Netsim: frame for remote endpoint %d but no boundary uplink wired"
          dst)
   | Some uplink ->
-    bump_boundary_out t;
+    Metrics.bump t.m_boundary_out;
     Metrics.incr ~by:(String.length frame) t.m_bytes;
     uplink ~dst_shard:t.endpoints.(dst).ep_shard ~src ~dst frame
 

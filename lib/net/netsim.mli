@@ -46,8 +46,8 @@ val inject : t -> src:int -> dst:int -> string -> unit
     traffic). *)
 
 val boundary_out : t -> int
-(** Frames handed to the boundary uplink so far. The counter registers
-    lazily on first use, so single-shard telemetry is unchanged. *)
+(** Frames handed to the boundary uplink so far (a
+    {!Lastcpu_sim.Metrics.lazy_counter}). *)
 
 val endpoint_count : t -> int
 (** Number of attached endpoints. Useful for minting deterministic

@@ -1,5 +1,5 @@
 (* A byte slice: the common currency of the zero-copy data plane. DRAM
-   views (Physmem), DMI grants (Dma.map_direct) and codec cursors
+   views (Physmem), DMI grants (Dma.map_single) and codec cursors
    (Wire.View_reader/View_writer) all carry this one type, so payloads
    move bigarray-to-bigarray with memcpy underneath instead of
    round-tripping through intermediate strings. *)

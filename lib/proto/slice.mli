@@ -1,6 +1,6 @@
 (** Byte slices: the common currency of the zero-copy data plane.
 
-    DRAM views ([Physmem.view]), DMI grants ([Dma.map_direct]) and codec
+    DRAM views ([Physmem.view]), DMI grants ([Dma.map_single]) and codec
     cursors ({!Wire.View_reader}/{!Wire.View_writer}) all carry this one
     bigarray type, so payloads move bigarray-to-bigarray (memcpy
     underneath) instead of round-tripping through intermediate strings.

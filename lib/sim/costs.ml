@@ -6,10 +6,8 @@ type t = {
   iommu_walk_level_ns : int64;
   tlb_hit_ns : int64;
   syscall_ns : int64;
-  context_switch_ns : int64;
   kernel_op_ns : int64;
   interrupt_ns : int64;
-  dram_access_ns : int64;
   flash_read_page_ns : int64;
   flash_write_page_ns : int64;
   flash_erase_block_ns : int64;
@@ -25,8 +23,7 @@ type t = {
 (* Public order-of-magnitude sources:
    - PCIe round trip ~ 1 us  => 500 ns per hop
    - syscall with spectre/meltdown mitigations ~ 1-2 us
-   - context switch ~ 2-5 us
-   - DRAM ~ 100 ns, NAND read ~ 50 us, program ~ 500 us, erase ~ 3 ms
+   - NAND read ~ 50 us, program ~ 500 us, erase ~ 3 ms
    - intra-rack link ~ 1 us, ~ 10 GbE => 0.1 ns/byte (we use 1 ns/byte to
      keep serialisation visible at small message sizes). *)
 let default =
@@ -38,10 +35,8 @@ let default =
     iommu_walk_level_ns = 100L;
     tlb_hit_ns = 2L;
     syscall_ns = 1500L;
-    context_switch_ns = 3000L;
     kernel_op_ns = 800L;
     interrupt_ns = 2000L;
-    dram_access_ns = 100L;
     flash_read_page_ns = 50_000L;
     flash_write_page_ns = 500_000L;
     flash_erase_block_ns = 3_000_000L;
@@ -64,10 +59,8 @@ let zero =
     iommu_walk_level_ns = 0L;
     tlb_hit_ns = 0L;
     syscall_ns = 0L;
-    context_switch_ns = 0L;
     kernel_op_ns = 0L;
     interrupt_ns = 0L;
-    dram_access_ns = 0L;
     flash_read_page_ns = 0L;
     flash_write_page_ns = 0L;
     flash_erase_block_ns = 0L;

@@ -16,10 +16,8 @@ type t = {
   iommu_walk_level_ns : int64;  (** one page-table level of a hardware walk *)
   tlb_hit_ns : int64;  (** TLB lookup *)
   syscall_ns : int64;  (** baseline: user->kernel crossing w/ mitigations *)
-  context_switch_ns : int64;  (** baseline: CPU context switch *)
   kernel_op_ns : int64;  (** baseline: kernel control-op service time *)
   interrupt_ns : int64;  (** baseline: device interrupt to CPU *)
-  dram_access_ns : int64;  (** one DRAM access *)
   flash_read_page_ns : int64;  (** NAND page read *)
   flash_write_page_ns : int64;  (** NAND page program *)
   flash_erase_block_ns : int64;  (** NAND block erase *)

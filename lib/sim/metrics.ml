@@ -71,7 +71,6 @@ let histogram t ~actor ~name =
 
 let incr ?(by = 1) c = c.count <- c.count + by
 let counter_value c = c.count
-let reset_counter c = c.count <- 0
 let set g v = g.level <- v
 let gauge_value g = g.level
 
@@ -94,6 +93,35 @@ let find t ~actor ~name =
 
 let counter_read t ~actor ~name =
   match find t ~actor ~name with Some (Counter_v n) -> n | _ -> 0
+
+(* A counter registered on its first bump. Unbound, it reads through the
+   registry rather than reporting 0, so a counter that [restore_state]
+   pre-created reads its restored value before the handle's first bump. *)
+type lazy_counter = {
+  reg : t;
+  l_actor : string;
+  l_name : string;
+  mutable bound : counter option;
+}
+
+let lazy_counter reg ~actor ~name =
+  { reg; l_actor = actor; l_name = name; bound = None }
+
+let bump ?(by = 1) l =
+  let c =
+    match l.bound with
+    | Some c -> c
+    | None ->
+      let c = counter l.reg ~actor:l.l_actor ~name:l.l_name in
+      l.bound <- Some c;
+      c
+  in
+  c.count <- c.count + by
+
+let lazy_value l =
+  match l.bound with
+  | Some c -> c.count
+  | None -> counter_read l.reg ~actor:l.l_actor ~name:l.l_name
 
 (* Deterministic listing: sorted by (actor, instrument). *)
 let snapshot t =
@@ -129,9 +157,9 @@ let size t = Hashtbl.length t.table
    rebuilt topology re-resolves the same keys, so overwriting the record
    a handle points at is what makes the handle see restored values.
    Instruments that existed at checkpoint time but not yet in the rebuilt
-   registry (lazily created ones) are pre-created here; a later lazy
-   [counter]/[gauge]/[histogram] call finds and binds to the restored
-   record. The claimed-actor table is part of the state: a post-restore
+   registry (lazily created ones) are pre-created here; a later
+   [counter]/[gauge]/[histogram] call or lazy-counter [bump] finds and
+   binds to the restored record. The claimed-actor table is part of the state: a post-restore
    [claim_actor] must uniquify against the original run's claims, not the
    rebuild's. *)
 let save_state t =

@@ -34,7 +34,6 @@ val histogram : t -> actor:string -> name:string -> histogram
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
-val reset_counter : counter -> unit
 
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
@@ -52,6 +51,31 @@ val find : t -> actor:string -> name:string -> value option
 val counter_read : t -> actor:string -> name:string -> int
 (** Counter value by name; [0] if absent or not a counter. *)
 
+(** {2 Lazily registered counters}
+
+    A counter that must not appear in the registry until something
+    happens: a run that never sheds, crosses a shard boundary or meets a
+    misbehaving device keeps the telemetry snapshot (and so every digest)
+    it had before the counter existed. This is the one place that policy
+    lives. An instrument registered only when a feature is enabled
+    takes the same handle with a zero {!bump} where the feature is
+    switched on. *)
+
+type lazy_counter
+
+val lazy_counter : t -> actor:string -> name:string -> lazy_counter
+(** A handle for [(actor, name)]; registers nothing. *)
+
+val bump : ?by:int -> lazy_counter -> unit
+(** Add [by] (default 1). The first bump registers the counter, or binds
+    to the record {!restore_state} already put there, and every later
+    bump is a plain increment. [~by:0] registers without counting. *)
+
+val lazy_value : lazy_counter -> int
+(** The registry's value for the handle's key: [0] while it is absent.
+    Never registers. Reads correctly after {!restore_state}, before the
+    handle's first bump. *)
+
 val snapshot : t -> (string * string * value) list
 (** All instruments, sorted by (actor, instrument). *)
 
@@ -68,8 +92,8 @@ val restore_state : t -> string -> unit
 (** Overwrite the registry with state written by {!save_state}.
     Instrument records already present (a rebuilt topology re-registered
     them) are mutated in place so existing handles observe the restored
-    values; instruments not yet re-created are added and later lazy
-    registration binds to them.
+    values; instruments not yet re-created are added, and a lazy counter's
+    first {!bump} binds to them ({!lazy_value} reads them before that).
     @raise Invalid_argument if a key changed instrument type.
     @raise Snapshot.R.Corrupt on malformed input. *)
 

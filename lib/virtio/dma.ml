@@ -7,7 +7,7 @@ exception Dma_fault of Iommu.fault
 (* A direct-map grant: the DRAM view for one (va, len, access) range,
    kept until the IOMMU tells us the underlying mapping changed. Host-side
    cache only — the modeled translation accounting is replayed on every
-   access (see [map_direct]), so hits and invalidations never move a
+   access (see [map_single]), so hits and invalidations never move a
    digest. *)
 type grant = { base_pa : int64; gview : Physmem.view }
 
@@ -15,7 +15,6 @@ type t = {
   iommu : Iommu.t;
   pasid : int;
   mem : Physmem.t;
-  mutable access_count : int;
   grants : (int64 * int * int, grant) Hashtbl.t;  (* va, len, access tag *)
   mutable dmi_hits : int;
   mutable dmi_invalidations : int;
@@ -27,7 +26,6 @@ let create ~iommu ~pasid ~mem =
       iommu;
       pasid;
       mem;
-      access_count = 0;
       grants = Hashtbl.create 16;
       dmi_hits = 0;
       dmi_invalidations = 0;
@@ -43,7 +41,6 @@ let create ~iommu ~pasid ~mem =
 let pasid t = t.pasid
 
 let translate t va access =
-  t.access_count <- t.access_count + 1;
   match Iommu.translate t.iommu ~pasid:t.pasid ~va ~access with
   | Iommu.Ok_pa pa -> pa
   | Iommu.Fault f -> raise (Dma_fault f)
@@ -53,7 +50,6 @@ let translate t va access =
    at a time, and boxing an Int64 per byte would dominate the simulation.
    Simulated VAs are far below 2^62, so the round trips are exact. *)
 let translate_i t vai access =
-  t.access_count <- t.access_count + 1;
   let pa = Iommu.translate_pa t.iommu ~pasid:t.pasid ~vai ~access in
   if pa >= 0 then pa else raise (Dma_fault (Iommu.last_fault t.iommu))
 
@@ -154,55 +150,34 @@ let write_bytes_sub t va b ~pos ~len =
 let page_bytes = Int64.to_int Layout.page_size
 let access_tag = function Iommu.Read -> 0 | Iommu.Write -> 1 | Iommu.Exec -> 2
 
-(* The zero-copy contract (DESIGN.md §14): [map_direct] replays exactly
-   the per-page-fragment translations the copying path ([read_bytes] /
-   [write_bytes]) performs — IOMMU and TLB counters are registry state
-   folded into the golden digests, so the fast path must change host
-   time only, never modeled behaviour. What a grant hit skips is the
-   host-side view reconstruction; what the view itself eliminates is the
-   string round-trip on either side. On a fault the usual [Dma_fault]
-   escapes, precisely as the copying path would have faulted. *)
-let map_direct t ~va ~len ~perm =
-  if len <= 0 then invalid_arg "Dma.map_direct: length must be positive";
-  let first_pa = translate t va perm in
-  let contiguous = ref true in
-  let covered = ref (min len (page_bytes - Layout.offset_in_page va)) in
-  while !covered < len do
-    let frag_va = Int64.add va (Int64.of_int !covered) in
-    let pa = translate t frag_va perm in
-    if pa <> Int64.add first_pa (Int64.of_int !covered) then
-      contiguous := false;
-    covered := !covered + min (len - !covered) page_bytes
-  done;
-  if not !contiguous then None
+(* The zero-copy contract (DESIGN.md §14): when [va, va+len) lies inside
+   one IOMMU page the probe is exactly the one translation the copying
+   path ([read_bytes] / [write_bytes]) would spend — IOMMU and TLB
+   counters are registry state folded into the golden digests, so the
+   fast path must change host time only, never modeled behaviour — and it
+   cannot fail halfway (a page always sits inside one backing chunk).
+   Multi-page ranges return None without touching the IOMMU, leaving the
+   caller's copy path as the only translation pass. What a grant hit
+   skips is the host-side view reconstruction; what the view itself
+   eliminates is the string round-trip on either side. On a fault the
+   usual [Dma_fault] escapes, precisely as the copying path would have
+   faulted. *)
+let map_single t ~va ~len ~perm =
+  if len <= 0 || Layout.offset_in_page va + len > page_bytes then None
   else begin
+    let pa = translate t va perm in
     let key = (va, len, access_tag perm) in
     match Hashtbl.find_opt t.grants key with
-    | Some g when g.base_pa = first_pa ->
+    | Some g when g.base_pa = pa ->
       t.dmi_hits <- t.dmi_hits + 1;
       Some g.gview
     | _ -> (
-      match Physmem.view t.mem first_pa len with
-      | exception Invalid_argument _ ->
-        None (* crosses a backing-chunk boundary: caller takes the copy path *)
+      match Physmem.view t.mem pa len with
+      | exception Invalid_argument _ -> None (* caller takes the copy path *)
       | gview ->
-        Hashtbl.replace t.grants key { base_pa = first_pa; gview };
+        Hashtbl.replace t.grants key { base_pa = pa; gview };
         Some gview)
   end
 
-(* The single-page special case hot paths want: when [va, va+len) lies
-   inside one IOMMU page the probe is exactly one translation — the same
-   one the copying path would spend — and cannot fail halfway (a page
-   always sits inside one backing chunk). Multi-page ranges return None
-   without touching the IOMMU, leaving the caller's copy path as the only
-   translation pass; a failed multi-fragment [map_direct] probe would
-   translate the range twice, which the frozen digests cannot absorb. *)
-let map_single t ~va ~len ~perm =
-  if len <= 0 || Layout.offset_in_page va + len > page_bytes then None
-  else map_direct t ~va ~len ~perm
-
 let dmi_hits t = t.dmi_hits
 let dmi_invalidations t = t.dmi_invalidations
-
-let accesses t = t.access_count
-let set_accesses t n = t.access_count <- n

@@ -35,38 +35,26 @@ val write_string_sub : t -> int64 -> string -> pos:int -> len:int -> unit
 val write_bytes_sub : t -> int64 -> Bytes.t -> pos:int -> len:int -> unit
 (** Write a slice of the argument without carving an intermediate string. *)
 
-val map_direct :
-  t ->
-  va:int64 ->
-  len:int ->
-  perm:Lastcpu_iommu.Iommu.access ->
-  Lastcpu_mem.Physmem.view option
-(** DMI-style direct grant: a window straight onto backing DRAM for
-    [va, va+len). Replays exactly the per-page-fragment translations the
-    copying path performs (IOMMU/TLB counters feed golden digests — the
-    fast path may only change host time), then returns the cached view if
-    the translation is unchanged, or rebuilds it. [None] when the range's
-    physical pages are not contiguous (or cross a backing-chunk boundary):
-    take the copying path. Raises {!Dma_fault} exactly where
-    [read_bytes]/[write_bytes] would.
-
-    Grants are dropped whenever this PASID's mappings shrink (IOMMU unmap,
-    PASID teardown, capability revocation, quarantine — all funnel through
-    {!Lastcpu_iommu.Iommu.on_invalidate}); do not hold a view across
-    events, re-request it per access instead (hits are cheap). *)
-
 val map_single :
   t ->
   va:int64 ->
   len:int ->
   perm:Lastcpu_iommu.Iommu.access ->
   Lastcpu_mem.Physmem.view option
-(** {!map_direct} restricted to ranges inside one IOMMU page, where the
-    probe is exactly one translation (the one the copying path would
-    spend) and cannot fail partway. Multi-page ranges return [None]
-    without touching the IOMMU, so the caller's copy-path fallback
-    remains the only translation pass — the form digest-frozen hot paths
-    must use. *)
+(** DMI-style direct grant: a window straight onto backing DRAM for
+    [va, va+len), when that range lies inside one IOMMU page. The probe is
+    exactly the one translation the copying path would spend (IOMMU/TLB
+    counters feed golden digests — the fast path may only change host
+    time), then returns the cached view if the translation is unchanged,
+    or rebuilds it. Multi-page ranges return [None] without touching the
+    IOMMU, so the caller's copy-path fallback remains the only translation
+    pass. Raises {!Dma_fault} exactly where [read_bytes]/[write_bytes]
+    would.
+
+    Grants are dropped whenever this PASID's mappings shrink (IOMMU unmap,
+    PASID teardown, capability revocation, quarantine — all funnel through
+    {!Lastcpu_iommu.Iommu.on_invalidate}); do not hold a view across
+    events, re-request it per access instead (hits are cheap). *)
 
 val dmi_hits : t -> int
 (** Direct-map grants served from cache (host-perf observability; not
@@ -74,11 +62,3 @@ val dmi_hits : t -> int
 
 val dmi_invalidations : t -> int
 (** Cached grants dropped by mapping-change notifications. *)
-
-val accesses : t -> int
-(** Number of translated accesses performed (cost accounting: each is at
-    most one DRAM touch after translation; multi-byte accesses within one
-    page count once). *)
-
-val set_accesses : t -> int -> unit
-(** Overwrite the access counter (checkpoint restore only). *)

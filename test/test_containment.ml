@@ -13,6 +13,7 @@ module Iommu = Lastcpu_iommu.Iommu
 module Sysbus = Lastcpu_bus.Sysbus
 module System = Lastcpu_core.System
 module Checkpoint = Lastcpu_core.Checkpoint
+module Experiments = Lastcpu_core.Experiments
 module Device = Lastcpu_device.Device
 module Smart_nic = Lastcpu_devices.Smart_nic
 module Memctl = Lastcpu_devices.Memctl
@@ -250,6 +251,40 @@ let test_epoch_survives_checkpoint () =
       Alcotest.(check int)
         "stale replay rejected after restore" 1
         (Sysbus.stale_tokens bus2))
+
+(* The containment counters answer "why was this device quarantined?", so
+   they must read right in a resumed run too. A clean kill after boundary 2
+   resumes from the intact primary, past the barrage: the resumed process
+   never bumps these counters, and they must still report the restored
+   registry values, not 0. *)
+let test_counters_read_after_resume () =
+  let path = Filename.temp_file "lastcpu-t17" ".snap" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; Snapshot.previous_generation path ])
+    (fun () ->
+      let seed = 42L in
+      let full = Experiments.t17_soak ~seed () in
+      ignore
+        (Experiments.t17_soak ~seed ~snapshot_path:path ~stop_after:2 ()
+          : Experiments.t17_result);
+      let resumed =
+        Experiments.t17_soak ~seed ~snapshot_path:path ~resume:true ()
+      in
+      Alcotest.(check bool)
+        "restored the primary" true
+        (resumed.Experiments.t17_restored = Some Snapshot.Primary);
+      let same name field =
+        Alcotest.(check int) name (field full) (field resumed)
+      in
+      same "quarantines" (fun r -> r.Experiments.t17_quarantines);
+      same "fenced" (fun r -> r.Experiments.t17_fenced);
+      same "malformed" (fun r -> r.Experiments.t17_malformed);
+      same "revocations" (fun r -> r.Experiments.t17_revocations);
+      Alcotest.(check int64) "digest" full.Experiments.t17_digest
+        resumed.Experiments.t17_digest)
 
 (* --- quarantine state machine --------------------------------------------- *)
 
@@ -529,6 +564,8 @@ let () =
           Alcotest.test_case "wrong wielder" `Quick test_wrong_wielder_rejected;
           Alcotest.test_case "epoch survives checkpoint" `Quick
             test_epoch_survives_checkpoint;
+          Alcotest.test_case "counters read after resume" `Quick
+            test_counters_read_after_resume;
         ] );
       ( "quarantine",
         [

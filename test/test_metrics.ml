@@ -59,6 +59,44 @@ let test_snapshot_sorted () =
     keys;
   Alcotest.(check (list string)) "actors" [ "alpha"; "zeta" ] (Metrics.actors m)
 
+(* --- lazily registered counters ----------------------------------------------- *)
+
+let test_lazy_unbumped () =
+  let m = Metrics.create () in
+  ignore (Metrics.counter m ~actor:"a" ~name:"ops");
+  let before = Metrics.snapshot m and digest = Metrics.digest m in
+  let l = Metrics.lazy_counter m ~actor:"a" ~name:"shed" in
+  check "value while absent" 0 (Metrics.lazy_value l);
+  checkb "snapshot unchanged" true (Metrics.snapshot m = before);
+  checkb "digest unchanged" true (Int64.equal (Metrics.digest m) digest);
+  Metrics.bump ~by:0 l;
+  check "zero bump registers" 2 (Metrics.size m);
+  Metrics.bump l;
+  Metrics.bump ~by:2 l;
+  check "bumped" 3 (Metrics.lazy_value l);
+  check "registry agrees" 3 (Metrics.counter_read m ~actor:"a" ~name:"shed")
+
+(* A rebuilt topology's handle is unbound when the registry is restored. *)
+let restored_registry () =
+  let m = Metrics.create () in
+  Metrics.bump ~by:5 (Metrics.lazy_counter m ~actor:"bus" ~name:"quarantines");
+  let m' = Metrics.create () in
+  let l = Metrics.lazy_counter m' ~actor:"bus" ~name:"quarantines" in
+  Metrics.restore_state m' (Metrics.save_state m);
+  (m', l)
+
+let test_lazy_reads_restored () =
+  let _, l = restored_registry () in
+  check "restored value before any bump" 5 (Metrics.lazy_value l)
+
+let test_lazy_bump_continues () =
+  let m, l = restored_registry () in
+  Metrics.bump l;
+  check "continues from the restored value" 6 (Metrics.lazy_value l);
+  check "one instrument" 1 (Metrics.size m);
+  check "registry agrees" 6
+    (Metrics.counter_read m ~actor:"bus" ~name:"quarantines")
+
 (* --- histogram edge cases ---------------------------------------------------- *)
 
 let test_histogram_empty () =
@@ -185,6 +223,14 @@ let () =
           Alcotest.test_case "handles" `Quick test_handles;
           Alcotest.test_case "claim_actor" `Quick test_claim_actor;
           Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
+        ] );
+      ( "lazy counter",
+        [
+          Alcotest.test_case "unbumped is invisible" `Quick test_lazy_unbumped;
+          Alcotest.test_case "reads restored value" `Quick
+            test_lazy_reads_restored;
+          Alcotest.test_case "bump continues after restore" `Quick
+            test_lazy_bump_continues;
         ] );
       ( "histogram",
         [
