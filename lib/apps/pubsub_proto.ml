@@ -30,25 +30,21 @@ let encode_request { corr; op } =
     Wire.Writer.bool w retain);
   Wire.Writer.contents w
 
-let decode_request s =
-  match
-    let r = Wire.Reader.create s in
-    let corr = Wire.Reader.varint r in
-    let op =
-      match Wire.Reader.byte r with
-      | 0 -> Subscribe (Wire.Reader.string r)
-      | 1 -> Unsubscribe (Wire.Reader.string r)
-      | 2 ->
-        let topic = Wire.Reader.string r in
-        let payload = Wire.Reader.string r in
-        let retain = Wire.Reader.bool r in
-        Publish { topic; payload; retain }
-      | n -> raise (Wire.Malformed (Printf.sprintf "bad op %d" n))
-    in
-    { corr; op }
-  with
-  | v -> Ok v
-  | exception Wire.Malformed m -> Error m
+let decode_request =
+  Wire.decode (fun r ->
+      let corr = Wire.Reader.varint r in
+      let op =
+        match Wire.Reader.byte r with
+        | 0 -> Subscribe (Wire.Reader.string r)
+        | 1 -> Unsubscribe (Wire.Reader.string r)
+        | 2 ->
+          let topic = Wire.Reader.string r in
+          let payload = Wire.Reader.string r in
+          let retain = Wire.Reader.bool r in
+          Publish { topic; payload; retain }
+        | n -> raise (Wire.Malformed (Printf.sprintf "bad op %d" n))
+      in
+      { corr; op })
 
 let encode_frame f =
   let w = Wire.Writer.create () in
@@ -69,27 +65,23 @@ let encode_frame f =
     Wire.Writer.string w payload);
   Wire.Writer.contents w
 
-let decode_frame s =
-  match
-    let r = Wire.Reader.create s in
-    match Wire.Reader.byte r with
-    | 0 ->
-      let corr = Wire.Reader.varint r in
-      let reply =
-        match Wire.Reader.byte r with
-        | 0 -> Acked (Wire.Reader.varint r)
-        | 1 -> Rejected (Wire.Reader.string r)
-        | n -> raise (Wire.Malformed (Printf.sprintf "bad reply %d" n))
-      in
-      Response { corr; reply }
-    | 1 ->
-      let topic = Wire.Reader.string r in
-      let payload = Wire.Reader.string r in
-      Event { topic; payload }
-    | n -> raise (Wire.Malformed (Printf.sprintf "bad frame %d" n))
-  with
-  | v -> Ok v
-  | exception Wire.Malformed m -> Error m
+let decode_frame =
+  Wire.decode (fun r ->
+      match Wire.Reader.byte r with
+      | 0 ->
+        let corr = Wire.Reader.varint r in
+        let reply =
+          match Wire.Reader.byte r with
+          | 0 -> Acked (Wire.Reader.varint r)
+          | 1 -> Rejected (Wire.Reader.string r)
+          | n -> raise (Wire.Malformed (Printf.sprintf "bad reply %d" n))
+        in
+        Response { corr; reply }
+      | 1 ->
+        let topic = Wire.Reader.string r in
+        let payload = Wire.Reader.string r in
+        Event { topic; payload }
+      | n -> raise (Wire.Malformed (Printf.sprintf "bad frame %d" n)))
 
 let topic_matches ~pattern topic =
   let n = String.length pattern in

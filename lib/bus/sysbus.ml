@@ -48,7 +48,7 @@ type config = {
   lanes : int;
   lane_capacity : int option;
   device_queue_capacity : int option;
-  quarantine : quarantine_config option;
+  quarantine : bool;
 }
 
 let default_config =
@@ -58,7 +58,7 @@ let default_config =
     lanes = 1;
     lane_capacity = None (* unbounded *);
     device_queue_capacity = None (* unbounded *);
-    quarantine = None (* scoring off: bit-identical to pre-containment *);
+    quarantine = false (* scoring off: bit-identical to pre-containment *);
   }
 
 type trust = Trusted | Suspect | Quarantined
@@ -316,59 +316,52 @@ let release_quarantine t id =
    configured with a quarantine policy, so default-config runs never take
    this path at all. *)
 let report_misbehavior t ~src ~weight ~what =
-  match t.config.quarantine with
-  | None -> ()
-  | Some qc ->
-    if src >= 0 && src < Array.length t.devices then begin
-      let s = t.devices.(src) in
-      if s.shard = t.home_shard && s.trust <> Quarantined then begin
-        s.misbehavior <- s.misbehavior + weight;
-        Metrics.bump t.m_misbehavior;
-        trace t "bus.misbehavior"
-          (Printf.sprintf "dev%d (%s): %s, score %d" src s.name what
-             s.misbehavior);
-        if s.misbehavior >= qc.quarantine_score then quarantine_device t src
-        else if s.misbehavior >= qc.suspect_score && s.trust = Trusted then begin
-          s.trust <- Suspect;
-          trace t "bus.suspect"
-            (Printf.sprintf "dev%d (%s) now suspect, score %d" src s.name
-               s.misbehavior)
-        end
+  if t.config.quarantine && src >= 0 && src < Array.length t.devices then begin
+    let s = t.devices.(src) in
+    if s.shard = t.home_shard && s.trust <> Quarantined then begin
+      s.misbehavior <- s.misbehavior + weight;
+      Metrics.bump t.m_misbehavior;
+      trace t "bus.misbehavior"
+        (Printf.sprintf "dev%d (%s): %s, score %d" src s.name what
+           s.misbehavior);
+      if s.misbehavior >= default_quarantine.quarantine_score then
+        quarantine_device t src
+      else if
+        s.misbehavior >= default_quarantine.suspect_score && s.trust = Trusted
+      then begin
+        s.trust <- Suspect;
+        trace t "bus.suspect"
+          (Printf.sprintf "dev%d (%s) now suspect, score %d" src s.name
+             s.misbehavior)
       end
     end
+  end
 
 let score_bad_token t ~src ~what =
-  match t.config.quarantine with
-  | None -> ()
-  | Some qc -> report_misbehavior t ~src ~weight:qc.bad_token_weight ~what
+  report_misbehavior t ~src ~weight:default_quarantine.bad_token_weight ~what
 
 let score_malformed t ~src ~what =
-  match t.config.quarantine with
-  | None -> ()
-  | Some qc -> report_misbehavior t ~src ~weight:qc.malformed_weight ~what
+  report_misbehavior t ~src ~weight:default_quarantine.malformed_weight ~what
 
 (* Replay evidence: privileged operations arriving again and again under
    one correlation id. Legitimate [Device.request] retransmits reuse their
    corr (that is how receiver-side dedup works), so the first
    [replay_allowance] repeats are free; past that each repeat scores. *)
 let note_privileged_corr t ~src ~corr =
-  match t.config.quarantine with
-  | None -> ()
-  | Some qc ->
-    if src >= 0 && src < Array.length t.devices then begin
-      let s = t.devices.(src) in
-      if corr = s.last_priv_corr then begin
-        s.last_priv_corr_count <- s.last_priv_corr_count + 1;
-        if s.last_priv_corr_count > qc.replay_allowance then
-          report_misbehavior t ~src ~weight:qc.replay_weight
-            ~what:(Printf.sprintf "replayed corr %d (x%d)" corr
-                     s.last_priv_corr_count)
-      end
-      else begin
-        s.last_priv_corr <- corr;
-        s.last_priv_corr_count <- 1
-      end
+  if t.config.quarantine && src >= 0 && src < Array.length t.devices then begin
+    let s = t.devices.(src) in
+    if corr = s.last_priv_corr then begin
+      s.last_priv_corr_count <- s.last_priv_corr_count + 1;
+      if s.last_priv_corr_count > default_quarantine.replay_allowance then
+        report_misbehavior t ~src ~weight:default_quarantine.replay_weight
+          ~what:(Printf.sprintf "replayed corr %d (x%d)" corr
+                   s.last_priv_corr_count)
     end
+    else begin
+      s.last_priv_corr <- corr;
+      s.last_priv_corr_count <- 1
+    end
+  end
 
 (* Checkpointing. Saved per slot: liveness, service registry and IOMMU
    contents — everything [Device_alive]/crash handling mutates after
@@ -381,7 +374,7 @@ let save_state t =
       Snapshot.W.string w s.name;
       Snapshot.W.bool w s.live;
       Snapshot.W.bool w s.connected;
-      Snapshot.W.i64 w s.last_heartbeat;
+      Snapshot.W.int64 w s.last_heartbeat;
       Snapshot.W.list w
         (fun w (d : Message.service_desc) ->
           Snapshot.W.string w (Types.service_kind_to_string d.Message.kind);
@@ -391,8 +384,8 @@ let save_state t =
       Iommu.save w s.iommu)
     t.devices;
   Array.iter (fun lane -> Station.save w lane) t.lanes;
-  Snapshot.W.i64 w t.frame_digest;
-  Snapshot.W.i64 w t.next_sweep;
+  Snapshot.W.int64 w t.frame_digest;
+  Snapshot.W.int64 w t.next_sweep;
   (* Containment state, appended so the layout above keeps its shape. *)
   Snapshot.W.array w
     (fun w (s : device_slot) ->
@@ -429,7 +422,7 @@ let restore_state t body =
            id slot.name name);
     slot.live <- Snapshot.R.bool r;
     slot.connected <- Snapshot.R.bool r;
-    slot.last_heartbeat <- Snapshot.R.i64 r;
+    slot.last_heartbeat <- Snapshot.R.int64 r;
     slot.services <-
       Snapshot.R.list r (fun r ->
           let kind_s = Snapshot.R.string r in
@@ -445,8 +438,8 @@ let restore_state t body =
     Iommu.restore r slot.iommu
   done;
   Array.iter (fun lane -> Station.restore r lane) t.lanes;
-  t.frame_digest <- Snapshot.R.i64 r;
-  let next_sweep = Snapshot.R.i64 r in
+  t.frame_digest <- Snapshot.R.int64 r;
+  let next_sweep = Snapshot.R.int64 r in
   let nc = Snapshot.R.varint r in
   if nc <> Array.length t.devices then
     raise (Snapshot.R.Corrupt "containment state device count mismatch");
@@ -631,15 +624,13 @@ let attach ?shard t ~name ~iommu ~handler =
   (* With a quarantine policy in force, tap the device's IOMMU fault stream:
      an out-of-grant DMA is containment evidence. The device's own fault
      handler (its fault queue) is untouched — this is a read-only observer. *)
-  (match t.config.quarantine with
-  | None -> ()
-  | Some qc ->
-    if shard = t.home_shard then
-      Iommu.add_fault_observer iommu (fun (f : Iommu.fault) ->
-          report_misbehavior t ~src:id ~weight:qc.dma_fault_weight
-            ~what:
-              (Printf.sprintf "DMA fault pasid=%d va=0x%Lx" f.Iommu.pasid
-                 f.Iommu.va)));
+  if t.config.quarantine && shard = t.home_shard then
+    Iommu.add_fault_observer iommu (fun (f : Iommu.fault) ->
+        report_misbehavior t ~src:id
+          ~weight:default_quarantine.dma_fault_weight
+          ~what:
+            (Printf.sprintf "DMA fault pasid=%d va=0x%Lx" f.Iommu.pasid
+               f.Iommu.va));
   id
 
 let slot t id =
@@ -1129,11 +1120,8 @@ let send_raw t ~src bytes =
         (Printf.sprintf "frame from dev%d dropped: %s" src reason)
     | Ok msg ->
       if msg.src <> src then begin
-        (match t.config.quarantine with
-        | None -> ()
-        | Some qc ->
-          report_misbehavior t ~src ~weight:qc.spoof_weight
-            ~what:(Printf.sprintf "spoofed src %d" msg.src));
+        report_misbehavior t ~src ~weight:default_quarantine.spoof_weight
+          ~what:(Printf.sprintf "spoofed src %d" msg.src);
         trace t "bus.spoofed"
           (Printf.sprintf "dev%d forged src %d, dropped" src msg.src)
       end

@@ -34,6 +34,8 @@ type quarantine_config = {
 }
 
 val default_quarantine : quarantine_config
+(** The one quarantine policy: the weights and thresholds the bus scores
+    with when [config.quarantine] is set. *)
 
 type config = {
   enable_tokens : bool;
@@ -50,10 +52,11 @@ type config = {
   device_queue_capacity : int option;
       (** advisory bound devices apply to their own request stations (read
           via {!device_queue_capacity}); [None] (default) = unbounded. *)
-  quarantine : quarantine_config option;
-      (** misbehavior scoring and automatic quarantine. [None] (default)
-          disables scoring entirely: no counters register, no observers
-          attach, and runs are bit-identical to pre-containment builds. *)
+  quarantine : bool;
+      (** misbehavior scoring and automatic quarantine under
+          {!default_quarantine}. [false] (default) disables scoring
+          entirely: no counters register, no observers attach, and runs
+          are bit-identical to pre-containment builds. *)
 }
 
 val default_config : config

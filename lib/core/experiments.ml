@@ -2212,7 +2212,7 @@ let t17_soak ?snapshot_path ?resume ?stop_after ?torn_final ~seed () =
       System.seed;
       nic_count = 2;
       ssd_count = 2;
-      quarantine = Some Sysbus.default_quarantine;
+      quarantine = true;
     }
   in
   let system, app = failover_kvs ~name:"t17" spec in

@@ -200,7 +200,7 @@ let run ?(seed = 42L) ?(iters = 400) () =
       System.seed;
       nic_count = 2;
       ssd_count = 1;
-      quarantine = Some Sysbus.default_quarantine;
+      quarantine = true;
     }
   in
   let sys = System.build ~spec () in

@@ -25,16 +25,14 @@ type spec = {
   bus_lanes : int;
   bus_lane_capacity : int option;
   device_queue_capacity : int option;
-  ssd_geometry : Lastcpu_flash.Nand.geometry option;
   with_auth : bool;
   users : (string * string) list;
   with_console : bool;
-  dram_pages : int;
   fault_plan : Lastcpu_sim.Faults.plan;
   tie : Engine.tie_break;
   sanitize : bool;
   shard : int;
-  quarantine : Sysbus.quarantine_config option;
+  quarantine : bool;
 }
 
 let default_spec =
@@ -50,16 +48,14 @@ let default_spec =
     bus_lanes = 1;
     bus_lane_capacity = None;
     device_queue_capacity = None;
-    ssd_geometry = None;
     with_auth = false;
     users = [];
     with_console = false;
-    dram_pages = 65536;
     fault_plan = Lastcpu_sim.Faults.zero;
     tie = Engine.Fifo;
     sanitize = false;
     shard = 0;
-    quarantine = None;
+    quarantine = false;
   }
 
 type t = {
@@ -76,6 +72,9 @@ type t = {
   console_dev : Console_dev.t option;
   mutable next_pasid : int;
 }
+
+(* DRAM pages per memory controller (256 MiB each). *)
+let dram_pages = 65536
 
 let build ?(spec = default_spec) () =
   let engine =
@@ -103,11 +102,11 @@ let build ?(spec = default_spec) () =
         let base =
           Int64.add 0x1000_0000L
             (Int64.mul (Int64.of_int i)
-               (Int64.mul (Int64.of_int spec.dram_pages) 4096L))
+               (Int64.mul (Int64.of_int dram_pages) 4096L))
         in
         Memctl.create sysbus ~mem:memory
           ~name:(if i = 0 then "memctl" else Printf.sprintf "memctl%d" i)
-          ~dram_base:base ~dram_pages:spec.dram_pages ())
+          ~dram_base:base ~dram_pages ())
   in
   let auth_dev =
     if spec.with_auth then Some (Auth_dev.create sysbus ~mem:memory ~users:spec.users ())
@@ -118,7 +117,7 @@ let build ?(spec = default_spec) () =
     List.init spec.ssd_count (fun i ->
         Smart_ssd.create sysbus ~mem:memory
           ~name:(Printf.sprintf "ssd%d" i)
-          ?geometry:spec.ssd_geometry ?auth_key ())
+          ?auth_key ())
   in
   let nic_list =
     List.init spec.nic_count (fun i ->

@@ -22,11 +22,9 @@ type spec = {
       (** bound each bus lane's queue; [None] (default) = unbounded *)
   device_queue_capacity : int option;
       (** bound each device's request station; [None] (default) = unbounded *)
-  ssd_geometry : Lastcpu_flash.Nand.geometry option;
   with_auth : bool;
   users : (string * string) list;
   with_console : bool;
-  dram_pages : int;
   fault_plan : Lastcpu_sim.Faults.plan;
       (** seeded chaos plan carried by the engine; {!Lastcpu_sim.Faults.zero}
           (the default) injects nothing *)
@@ -39,8 +37,9 @@ type spec = {
   shard : int;
       (** home shard id for this system's bus and network in a temporally
           decoupled multi-shard run (default [0]; irrelevant outside one) *)
-  quarantine : Lastcpu_bus.Sysbus.quarantine_config option;
-      (** bus misbehavior scoring + automatic quarantine; [None] (default)
+  quarantine : bool;
+      (** bus misbehavior scoring + automatic quarantine under
+          {!Lastcpu_bus.Sysbus.default_quarantine}; [false] (default)
           disables the policy entirely (bit-identical to pre-containment) *)
 }
 

@@ -296,11 +296,11 @@ let save_state t =
     (fun w (peer, (b : breaker)) ->
       Snapshot.W.vint w peer;
       (match b.state with
-      | Closed -> Snapshot.W.u8 w 0
+      | Closed -> Snapshot.W.byte w 0
       | Open until ->
-        Snapshot.W.u8 w 1;
-        Snapshot.W.i64 w until
-      | Half_open -> Snapshot.W.u8 w 2);
+        Snapshot.W.byte w 1;
+        Snapshot.W.int64 w until
+      | Half_open -> Snapshot.W.byte w 2);
       Snapshot.W.varint w b.failures)
     (Detmap.bindings t.breakers);
   Snapshot.W.contents w
@@ -329,9 +329,9 @@ let restore_state t body =
   for _ = 1 to n do
     let peer = Snapshot.R.vint r in
     let state =
-      match Snapshot.R.u8 r with
+      match Snapshot.R.byte r with
       | 0 -> Closed
-      | 1 -> Open (Snapshot.R.i64 r)
+      | 1 -> Open (Snapshot.R.int64 r)
       | 2 -> Half_open
       | _ -> raise (Snapshot.R.Corrupt "bad breaker state tag")
     in

@@ -96,14 +96,16 @@ let create sysbus ~mem ~name () =
             (Message.App_message
                { tag = "job-done"; body = Accel_proto.encode_outcome outcome })
         in
-        let r = Lastcpu_proto.Wire.Reader.create body in
+        let module Wire = Lastcpu_proto.Wire in
         match
-          let pasid = Lastcpu_proto.Wire.Reader.varint r in
-          (pasid, Lastcpu_proto.Wire.Reader.string r)
+          Wire.decode
+            (fun r ->
+              let pasid = Wire.Reader.varint r in
+              (pasid, Wire.Reader.string r))
+            body
         with
-        | exception Lastcpu_proto.Wire.Malformed m ->
-          respond (Accel_proto.Fault ("malformed envelope: " ^ m))
-        | pasid, job_bytes -> (
+        | Error m -> respond (Accel_proto.Fault ("malformed envelope: " ^ m))
+        | Ok (pasid, job_bytes) -> (
           match Accel_proto.decode_job job_bytes with
           | Error m -> respond (Accel_proto.Fault ("malformed job: " ^ m))
           | Ok job ->

@@ -36,32 +36,28 @@ let encode_job j =
     Wire.Writer.int64 w dst);
   Wire.Writer.contents w
 
-let decode_job s =
-  match
-    let r = Wire.Reader.create s in
-    match Wire.Reader.byte r with
-    | 0 ->
-      let va = Wire.Reader.int64 r in
-      let len = Wire.Reader.varint r in
-      Checksum { va; len }
-    | 1 ->
-      let va = Wire.Reader.int64 r in
-      let len = Wire.Reader.varint r in
-      Word_count { va; len }
-    | 2 ->
-      let src = Wire.Reader.int64 r in
-      let dst = Wire.Reader.int64 r in
-      let len = Wire.Reader.varint r in
-      Upper { src; dst; len }
-    | 3 ->
-      let va = Wire.Reader.int64 r in
-      let len = Wire.Reader.varint r in
-      let dst = Wire.Reader.int64 r in
-      Histogram { va; len; dst }
-    | n -> raise (Wire.Malformed (Printf.sprintf "bad job tag %d" n))
-  with
-  | j -> Ok j
-  | exception Wire.Malformed m -> Error m
+let decode_job =
+  Wire.decode (fun r ->
+      match Wire.Reader.byte r with
+      | 0 ->
+        let va = Wire.Reader.int64 r in
+        let len = Wire.Reader.varint r in
+        Checksum { va; len }
+      | 1 ->
+        let va = Wire.Reader.int64 r in
+        let len = Wire.Reader.varint r in
+        Word_count { va; len }
+      | 2 ->
+        let src = Wire.Reader.int64 r in
+        let dst = Wire.Reader.int64 r in
+        let len = Wire.Reader.varint r in
+        Upper { src; dst; len }
+      | 3 ->
+        let va = Wire.Reader.int64 r in
+        let len = Wire.Reader.varint r in
+        let dst = Wire.Reader.int64 r in
+        Histogram { va; len; dst }
+      | n -> raise (Wire.Malformed (Printf.sprintf "bad job tag %d" n)))
 
 let encode_outcome o =
   let w = Wire.Writer.create () in
@@ -77,14 +73,10 @@ let encode_outcome o =
     Wire.Writer.string w m);
   Wire.Writer.contents w
 
-let decode_outcome s =
-  match
-    let r = Wire.Reader.create s in
-    match Wire.Reader.byte r with
-    | 0 -> Value (Wire.Reader.int64 r)
-    | 1 -> Written (Wire.Reader.varint r)
-    | 2 -> Fault (Wire.Reader.string r)
-    | n -> raise (Wire.Malformed (Printf.sprintf "bad outcome tag %d" n))
-  with
-  | o -> Ok o
-  | exception Wire.Malformed m -> Error m
+let decode_outcome =
+  Wire.decode (fun r ->
+      match Wire.Reader.byte r with
+      | 0 -> Value (Wire.Reader.int64 r)
+      | 1 -> Written (Wire.Reader.varint r)
+      | 2 -> Fault (Wire.Reader.string r)
+      | n -> raise (Wire.Malformed (Printf.sprintf "bad outcome tag %d" n)))

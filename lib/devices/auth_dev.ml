@@ -91,24 +91,24 @@ let create sysbus ~mem ?(users = []) () =
       let w = Snapshot.W.create () in
       Snapshot.W.varint w t.attempts;
       Snapshot.W.varint w t.failures;
-      Snapshot.W.i64 w (Rng.state t.rng);
+      Snapshot.W.int64 w (Rng.state t.rng);
       Snapshot.W.list w
         (fun w (user, d) ->
           Snapshot.W.string w user;
-          Snapshot.W.i64 w d)
+          Snapshot.W.int64 w d)
         (Detmap.bindings t.passwd);
       Snapshot.W.contents w)
     ~restore:(fun data ->
       let r = Snapshot.R.of_string data in
       t.attempts <- Snapshot.R.varint r;
       t.failures <- Snapshot.R.varint r;
-      Rng.set_state t.rng (Snapshot.R.i64 r);
+      Rng.set_state t.rng (Snapshot.R.int64 r);
       Hashtbl.reset t.passwd;
       List.iter
         (fun (user, d) -> Hashtbl.replace t.passwd user d)
         (Snapshot.R.list r (fun r ->
              let user = Snapshot.R.string r in
-             let d = Snapshot.R.i64 r in
+             let d = Snapshot.R.int64 r in
              (user, d))));
   Device.start dev;
   t

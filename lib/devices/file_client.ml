@@ -138,8 +138,8 @@ let save w t =
   Snapshot.W.varint w t.completed;
   Snapshot.W.list w
     (fun w s ->
-      Snapshot.W.i64 w s.req_va;
-      Snapshot.W.i64 w s.resp_va)
+      Snapshot.W.int64 w s.req_va;
+      Snapshot.W.int64 w s.resp_va)
     t.free_slots;
   Vq.Driver.save w t.driver
 
@@ -147,8 +147,8 @@ let restore r t =
   t.completed <- Snapshot.R.varint r;
   t.free_slots <-
     Snapshot.R.list r (fun r ->
-        let req_va = Snapshot.R.i64 r in
-        let resp_va = Snapshot.R.i64 r in
+        let req_va = Snapshot.R.int64 r in
+        let resp_va = Snapshot.R.int64 r in
         { req_va; resp_va });
   Hashtbl.reset t.by_head;
   Queue.clear t.waiting;

@@ -48,7 +48,7 @@ module Detmap = Lastcpu_sim.Detmap
 let save_state t =
   let w = Snapshot.W.create () in
   Buddy.save w t.buddy;
-  Snapshot.W.i64 w (Rng.state t.rng);
+  Snapshot.W.int64 w (Rng.state t.rng);
   Snapshot.W.list w
     (fun w (pasid, pages) ->
       Snapshot.W.vint w pasid;
@@ -57,9 +57,9 @@ let save_state t =
   Snapshot.W.list w
     (fun w ((pasid, va), (a : allocation)) ->
       Snapshot.W.vint w pasid;
-      Snapshot.W.i64 w va;
-      Snapshot.W.i64 w a.pa;
-      Snapshot.W.i64 w a.bytes;
+      Snapshot.W.int64 w va;
+      Snapshot.W.int64 w a.pa;
+      Snapshot.W.int64 w a.bytes;
       Snapshot.W.varint w a.pages;
       Snapshot.W.vint w a.subject)
     (Detmap.bindings t.allocations);
@@ -68,19 +68,19 @@ let save_state t =
   Snapshot.W.list w
     (fun w (pasid, l) ->
       Snapshot.W.vint w pasid;
-      Snapshot.W.list w (fun w va -> Snapshot.W.i64 w va) !l)
+      Snapshot.W.list w (fun w va -> Snapshot.W.int64 w va) !l)
     (Detmap.bindings t.by_pasid);
   Snapshot.W.list w
     (fun w (pasid, va) ->
       Snapshot.W.vint w pasid;
-      Snapshot.W.i64 w va)
+      Snapshot.W.int64 w va)
     (List.map fst (Detmap.bindings t.inflight));
   Snapshot.W.contents w
 
 let restore_state t body =
   let r = Snapshot.R.of_string body in
   Buddy.restore r t.buddy;
-  Rng.set_state t.rng (Snapshot.R.i64 r);
+  Rng.set_state t.rng (Snapshot.R.int64 r);
   Hashtbl.reset t.charged;
   let n = Snapshot.R.varint r in
   for _ = 1 to n do
@@ -92,9 +92,9 @@ let restore_state t body =
   let n = Snapshot.R.varint r in
   for _ = 1 to n do
     let pasid = Snapshot.R.vint r in
-    let va = Snapshot.R.i64 r in
-    let pa = Snapshot.R.i64 r in
-    let bytes = Snapshot.R.i64 r in
+    let va = Snapshot.R.int64 r in
+    let pa = Snapshot.R.int64 r in
+    let bytes = Snapshot.R.int64 r in
     let pages = Snapshot.R.varint r in
     let subject = Snapshot.R.vint r in
     Hashtbl.replace t.allocations (pasid, va) { va; pa; bytes; pages; subject }
@@ -103,14 +103,14 @@ let restore_state t body =
   let n = Snapshot.R.varint r in
   for _ = 1 to n do
     let pasid = Snapshot.R.vint r in
-    let l = Snapshot.R.list r Snapshot.R.i64 in
+    let l = Snapshot.R.list r Snapshot.R.int64 in
     Hashtbl.replace t.by_pasid pasid (ref l)
   done;
   Hashtbl.reset t.inflight;
   let n = Snapshot.R.varint r in
   for _ = 1 to n do
     let pasid = Snapshot.R.vint r in
-    let va = Snapshot.R.i64 r in
+    let va = Snapshot.R.int64 r in
     Hashtbl.replace t.inflight (pasid, va) ()
   done
 

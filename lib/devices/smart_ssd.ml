@@ -47,18 +47,14 @@ let encode_vq_attach ~queue ~base ~size ~pasid ~user =
   Wire.Writer.string w user;
   Wire.Writer.contents w
 
-let decode_vq_attach s =
-  match
-    let r = Wire.Reader.create s in
-    let queue = Wire.Reader.varint r in
-    let base = Wire.Reader.int64 r in
-    let size = Wire.Reader.varint r in
-    let pasid = Wire.Reader.varint r in
-    let user = Wire.Reader.string r in
-    (queue, base, size, pasid, user)
-  with
-  | v -> Ok v
-  | exception Wire.Malformed m -> Error m
+let decode_vq_attach =
+  Wire.decode (fun r ->
+      let queue = Wire.Reader.varint r in
+      let base = Wire.Reader.int64 r in
+      let size = Wire.Reader.varint r in
+      let pasid = Wire.Reader.varint r in
+      let user = Wire.Reader.string r in
+      (queue, base, size, pasid, user))
 
 (* NAND cost accounting ----------------------------------------------------- *)
 

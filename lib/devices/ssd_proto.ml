@@ -216,20 +216,14 @@ end
 module Parse_str = Parse (Wire.Reader)
 module Parse_view = Parse (Wire.View_reader)
 
-let decode_request s =
-  match Parse_str.request (Wire.Reader.create s) with
-  | r -> Ok r
-  | exception Wire.Malformed m -> Error m
+let decode_request = Wire.decode Parse_str.request
 
 let decode_request_view ?pos ?len v =
   match Parse_view.request (Wire.View_reader.create ?pos ?len v) with
   | r -> Ok r
   | exception Wire.Malformed m -> Error m
 
-let decode_response s =
-  match Parse_str.response (Wire.Reader.create s) with
-  | r -> Ok r
-  | exception Wire.Malformed m -> Error m
+let decode_response = Wire.decode Parse_str.response
 
 let decode_response_view ?pos ?len v =
   match Parse_view.response (Wire.View_reader.create ?pos ?len v) with

@@ -243,11 +243,11 @@ let save w t =
   Snapshot.W.array w
     (fun w s ->
       match s with
-      | Free -> Snapshot.W.u8 w 0
+      | Free -> Snapshot.W.byte w 0
       | Valid lpn ->
-        Snapshot.W.u8 w 1;
+        Snapshot.W.byte w 1;
         Snapshot.W.varint w lpn
-      | Invalid -> Snapshot.W.u8 w 2)
+      | Invalid -> Snapshot.W.byte w 2)
     t.state;
   Snapshot.W.array w (fun w n -> Snapshot.W.varint w n) t.free_in_block;
   Snapshot.W.array w (fun w n -> Snapshot.W.varint w n) t.invalid_in_block;
@@ -270,7 +270,7 @@ let restore r t =
   read_into t.map Snapshot.R.vint "map";
   read_into t.state
     (fun r ->
-      match Snapshot.R.u8 r with
+      match Snapshot.R.byte r with
       | 0 -> Free
       | 1 -> Valid (Snapshot.R.varint r)
       | 2 -> Invalid

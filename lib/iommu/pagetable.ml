@@ -222,18 +222,18 @@ let save w t =
   iter t (fun ~va ~pa ~perm -> entries := (va, pa, perm) :: !entries);
   Snapshot.W.list w
     (fun w (va, pa, perm) ->
-      Snapshot.W.i64 w va;
-      Snapshot.W.i64 w pa;
-      Snapshot.W.u8 w (Proto_perm.to_bits perm))
+      Snapshot.W.int64 w va;
+      Snapshot.W.int64 w pa;
+      Snapshot.W.byte w (Proto_perm.to_bits perm))
     (List.rev !entries)
 
 let restore r t =
   reset t;
   let n = Snapshot.R.varint r in
   for _ = 1 to n do
-    let va = Snapshot.R.i64 r in
-    let pa = Snapshot.R.i64 r in
-    let perm = Proto_perm.of_bits (Snapshot.R.u8 r) in
+    let va = Snapshot.R.int64 r in
+    let pa = Snapshot.R.int64 r in
+    let perm = Proto_perm.of_bits (Snapshot.R.byte r) in
     match map t ~va ~pa ~perm with
     | Ok () -> ()
     | Error e -> raise (Snapshot.R.Corrupt ("pagetable entry rejected: " ^ e))

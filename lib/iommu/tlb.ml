@@ -152,9 +152,9 @@ let save w t =
         (fun s ->
           Snapshot.W.bool w s.valid;
           Snapshot.W.vint w s.pasid;
-          Snapshot.W.i64 w (Int64.of_int s.vpn);
-          Snapshot.W.i64 w (Int64.of_int s.ppn);
-          Snapshot.W.u8 w (Proto_perm.to_bits s.perm);
+          Snapshot.W.int64 w (Int64.of_int s.vpn);
+          Snapshot.W.int64 w (Int64.of_int s.ppn);
+          Snapshot.W.byte w (Proto_perm.to_bits s.perm);
           Snapshot.W.varint w s.lru)
         set)
     t.slots
@@ -171,9 +171,9 @@ let restore r t =
         (fun s ->
           s.valid <- Snapshot.R.bool r;
           s.pasid <- Snapshot.R.vint r;
-          s.vpn <- Int64.to_int (Snapshot.R.i64 r);
-          s.ppn <- Int64.to_int (Snapshot.R.i64 r);
-          s.perm <- Proto_perm.of_bits (Snapshot.R.u8 r);
+          s.vpn <- Int64.to_int (Snapshot.R.int64 r);
+          s.ppn <- Int64.to_int (Snapshot.R.int64 r);
+          s.perm <- Proto_perm.of_bits (Snapshot.R.byte r);
           s.lru <- Snapshot.R.varint r)
         set)
     t.slots

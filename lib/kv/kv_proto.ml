@@ -32,25 +32,21 @@ let encode_request { corr; op } =
     Wire.Writer.string w prefix);
   Wire.Writer.contents w
 
-let decode_request s =
-  match
-    let r = Wire.Reader.create s in
-    let corr = Wire.Reader.varint r in
-    let op =
-      match Wire.Reader.byte r with
-      | 0 -> Get (Wire.Reader.string r)
-      | 1 ->
-        let key = Wire.Reader.string r in
-        let value = Wire.Reader.string r in
-        Put (key, value)
-      | 2 -> Del (Wire.Reader.string r)
-      | 3 -> Scan (Wire.Reader.string r)
-      | n -> raise (Wire.Malformed (Printf.sprintf "bad op %d" n))
-    in
-    { corr; op }
-  with
-  | v -> Ok v
-  | exception Wire.Malformed m -> Error m
+let decode_request =
+  Wire.decode (fun r ->
+      let corr = Wire.Reader.varint r in
+      let op =
+        match Wire.Reader.byte r with
+        | 0 -> Get (Wire.Reader.string r)
+        | 1 ->
+          let key = Wire.Reader.string r in
+          let value = Wire.Reader.string r in
+          Put (key, value)
+        | 2 -> Del (Wire.Reader.string r)
+        | 3 -> Scan (Wire.Reader.string r)
+        | n -> raise (Wire.Malformed (Printf.sprintf "bad op %d" n))
+      in
+      { corr; op })
 
 let encode_response { corr; reply } =
   let w = Wire.Writer.create () in
@@ -75,25 +71,21 @@ let encode_response { corr; reply } =
     Wire.Writer.string w m);
   Wire.Writer.contents w
 
-let decode_response s =
-  match
-    let r = Wire.Reader.create s in
-    let corr = Wire.Reader.varint r in
-    let reply =
-      match Wire.Reader.byte r with
-      | 0 -> Value (Wire.Reader.option r Wire.Reader.string)
-      | 1 -> Done
-      | 2 -> Deleted (Wire.Reader.bool r)
-      | 3 ->
-        Pairs
-          (Wire.Reader.list r (fun r ->
-               let k = Wire.Reader.string r in
-               let v = Wire.Reader.string r in
-               (k, v)))
-      | 4 -> Failed (Wire.Reader.string r)
-      | n -> raise (Wire.Malformed (Printf.sprintf "bad result tag %d" n))
-    in
-    { corr; reply }
-  with
-  | v -> Ok v
-  | exception Wire.Malformed m -> Error m
+let decode_response =
+  Wire.decode (fun r ->
+      let corr = Wire.Reader.varint r in
+      let reply =
+        match Wire.Reader.byte r with
+        | 0 -> Value (Wire.Reader.option r Wire.Reader.string)
+        | 1 -> Done
+        | 2 -> Deleted (Wire.Reader.bool r)
+        | 3 ->
+          Pairs
+            (Wire.Reader.list r (fun r ->
+                 let k = Wire.Reader.string r in
+                 let v = Wire.Reader.string r in
+                 (k, v)))
+        | 4 -> Failed (Wire.Reader.string r)
+        | n -> raise (Wire.Malformed (Printf.sprintf "bad result tag %d" n))
+      in
+      { corr; reply })

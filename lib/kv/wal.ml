@@ -16,30 +16,27 @@ let encode r =
   (* Framing: u32 length with the top bit marking "CRC follows", then the
      CRC-32 of the body, then the body. A word without the marker is not a
      record: replay stops there, as at a torn tail. *)
-  let len = String.length body in
-  let crc = Wire.crc32 body in
-  let u32 v =
-    let b = Bytes.create 4 in
-    Bytes.set b 0 (Char.chr (v land 0xff));
-    Bytes.set b 1 (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set b 2 (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set b 3 (Char.chr ((v lsr 24) land 0xff));
-    Bytes.to_string b
-  in
-  u32 (len lor 0x8000_0000) ^ u32 crc ^ body
+  let head = Wire.Writer.create () in
+  Wire.Writer.u32 head (String.length body lor 0x8000_0000);
+  Wire.Writer.u32 head (Wire.crc32 body);
+  Wire.Writer.contents head ^ body
 
+(* The whole body must decode, to its last byte: a short or malformed
+   body stops replay like a torn tail. *)
 let decode_body body =
-  let r = Wire.Reader.create body in
-  match Wire.Reader.byte r with
-  | 0 ->
-    let key = Wire.Reader.string r in
-    let value = Wire.Reader.string r in
-    if Wire.Reader.at_end r then Some (Put { key; value }) else None
-  | 1 ->
-    let key = Wire.Reader.string r in
-    if Wire.Reader.at_end r then Some (Del { key }) else None
-  | _ -> None
-  | exception Wire.Malformed _ -> None
+  let record r =
+    let record =
+      match Wire.Reader.byte r with
+      | 0 ->
+        let key = Wire.Reader.string r in
+        let value = Wire.Reader.string r in
+        Some (Put { key; value })
+      | 1 -> Some (Del { key = Wire.Reader.string r })
+      | _ -> None
+    in
+    if Wire.Reader.at_end r then record else None
+  in
+  Option.join (Result.to_option (Wire.decode record body))
 
 let decode_all data =
   let total = String.length data in

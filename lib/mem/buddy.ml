@@ -124,7 +124,7 @@ let largest_free_block t =
 module Snapshot = Lastcpu_sim.Snapshot
 
 let save w t =
-  Snapshot.W.i64 w t.base;
+  Snapshot.W.int64 w t.base;
   Snapshot.W.varint w t.pages;
   Array.iter
     (fun set ->
@@ -140,7 +140,7 @@ let save w t =
     (Lastcpu_sim.Detmap.bindings t.allocated)
 
 let restore r t =
-  let base = Snapshot.R.i64 r in
+  let base = Snapshot.R.int64 r in
   let pages = Snapshot.R.varint r in
   if base <> t.base || pages <> t.pages then
     invalid_arg "Buddy.restore: geometry differs from checkpoint";

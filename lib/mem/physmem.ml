@@ -227,15 +227,15 @@ let frame_contents t page =
   Bytes.unsafe_to_string out
 
 let save w t =
-  Snapshot.W.i64 w t.size;
+  Snapshot.W.int64 w t.size;
   Snapshot.W.list w
     (fun w (page, ()) ->
-      Snapshot.W.i64 w page;
+      Snapshot.W.int64 w page;
       Snapshot.W.string w (frame_contents t page))
     (Lastcpu_sim.Detmap.bindings t.touched)
 
 let restore r t =
-  let size = Snapshot.R.i64 r in
+  let size = Snapshot.R.int64 r in
   if size <> t.size then
     invalid_arg "Physmem.restore: DRAM size differs from checkpoint";
   Hashtbl.reset t.chunks;
@@ -244,7 +244,7 @@ let restore r t =
   t.last_touched <- -1;
   let n = Snapshot.R.varint r in
   for _ = 1 to n do
-    let page = Snapshot.R.i64 r in
+    let page = Snapshot.R.int64 r in
     let contents = Snapshot.R.string r in
     if String.length contents <> frame_size then
       raise (Snapshot.R.Corrupt "physmem frame has wrong size");

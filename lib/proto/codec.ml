@@ -385,7 +385,7 @@ let encoded_size (m : Message.t) =
   Sizer.size s
 
 let decode s =
-  let r = Reader.create s in
+  let r = Reader.of_string s in
   let src = Reader.varint r in
   let dst = r_dest r in
   let corr = Reader.varint r in
@@ -409,7 +409,7 @@ let decode_framed s =
   let n = String.length s in
   if n < 8 then raise (Malformed "framed message too short");
   let body = String.sub s 0 (n - 8) in
-  let r = Reader.create (String.sub s (n - 8) 8) in
+  let r = Reader.of_string (String.sub s (n - 8) 8) in
   let crc = Reader.int64 r in
   if Int64.of_int (Wire.crc32 body) <> crc then
     raise (Malformed "CRC mismatch");

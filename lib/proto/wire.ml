@@ -1,4 +1,7 @@
-exception Malformed of string
+(* The string-backed field codec is the snapshot one: bus frames, app
+   protocols and checkpoints share one byte layout, one reader and its
+   length checks, and one exception. *)
+exception Malformed = Lastcpu_sim.Snapshot.R.Corrupt
 
 (* The shared shapes of the three write targets (growable buffer, slice
    cursor, byte counter) and the two read cursors (string, slice). Codecs
@@ -29,98 +32,15 @@ module type SOURCE = sig
   val at_end : t -> bool
 end
 
-module Writer = struct
-  type t = Buffer.t
+module Writer = Lastcpu_sim.Snapshot.W
+module Reader = Lastcpu_sim.Snapshot.R
 
-  let create () = Buffer.create 64
-  let byte t b = Buffer.add_char t (Char.chr (b land 0xff))
+let decode f s =
+  match f (Reader.of_string s) with
+  | v -> Ok v
+  | exception Malformed m -> Error m
 
-  let varint t v =
-    assert (v >= 0);
-    let rec go v =
-      if v < 0x80 then byte t v
-      else begin
-        byte t (v land 0x7f lor 0x80);
-        go (v lsr 7)
-      end
-    in
-    go v
-
-  let int64 t v =
-    for shift = 0 to 7 do
-      byte t (Int64.to_int (Int64.shift_right_logical v (shift * 8)))
-    done
-
-  let string t s =
-    varint t (String.length s);
-    Buffer.add_string t s
-
-  let bool t b = byte t (if b then 1 else 0)
-
-  let list t f xs =
-    varint t (List.length xs);
-    List.iter (f t) xs
-
-  let option t f = function
-    | None -> bool t false
-    | Some x ->
-      bool t true;
-      f t x
-
-  let contents = Buffer.contents
-  let length = Buffer.length
-end
-
-module Reader = struct
-  type t = { data : string; mutable pos : int }
-
-  let create data = { data; pos = 0 }
-
-  let byte t =
-    if t.pos >= String.length t.data then raise (Malformed "truncated");
-    let b = Char.code t.data.[t.pos] in
-    t.pos <- t.pos + 1;
-    b
-
-  let varint t =
-    let rec go shift acc =
-      if shift > 62 then raise (Malformed "varint too long");
-      let b = byte t in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
-
-  let int64 t =
-    let v = ref 0L in
-    for shift = 0 to 7 do
-      v := Int64.logor !v (Int64.shift_left (Int64.of_int (byte t)) (shift * 8))
-    done;
-    !v
-
-  let string t =
-    let len = varint t in
-    if t.pos + len > String.length t.data then raise (Malformed "truncated string");
-    let s = String.sub t.data t.pos len in
-    t.pos <- t.pos + len;
-    s
-
-  let bool t =
-    match byte t with
-    | 0 -> false
-    | 1 -> true
-    | n -> raise (Malformed (Printf.sprintf "bad bool %d" n))
-
-  let list t f =
-    let n = varint t in
-    List.init n (fun _ -> f t)
-
-  let option t f = if bool t then Some (f t) else None
-
-  let at_end t = t.pos = String.length t.data
-end
-
-(* Byte counter with the Writer's exact signature: drive the same encode
+(* Byte counter with the Writer's encoding signature: drive the same encode
    logic through it and [size] is the encoded length, with no buffer and
    no bytes materialised. Codec.encoded_size is built on this. *)
 module Sizer = struct
@@ -260,16 +180,25 @@ module View_reader = struct
     done;
     !v
 
+  (* The string reader's count rule: a length or count that is negative
+     or runs past the window is malformed. *)
+  let count t =
+    let n = varint t in
+    if n < 0 || n > t.limit - t.pos then
+      raise
+        (Malformed
+           (Printf.sprintf "count %d at %d exceeds the bytes left" n t.pos));
+    n
+
   let take t len =
-    if len < 0 || t.pos + len > t.limit then
+    if len < 0 || len > t.limit - t.pos then
       raise (Malformed "truncated string");
     let v = Slice.sub t.data t.pos len in
     t.pos <- t.pos + len;
     v
 
   let string t =
-    let len = varint t in
-    if t.pos + len > t.limit then raise (Malformed "truncated string");
+    let len = count t in
     let s = Slice.to_string t.data ~pos:t.pos ~len in
     t.pos <- t.pos + len;
     s
@@ -282,10 +211,7 @@ module View_reader = struct
     | 1 -> true
     | n -> raise (Malformed (Printf.sprintf "bad bool %d" n))
 
-  let list t f =
-    let n = varint t in
-    List.init n (fun _ -> f t)
-
+  let list t f = List.init (count t) (fun _ -> f t)
   let option t f = if bool t then Some (f t) else None
   let at_end t = t.pos = t.limit
 end

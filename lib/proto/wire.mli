@@ -1,10 +1,16 @@
-(** Binary wire primitives for the bus protocol codec.
+(** Binary wire primitives for the bus protocol codec and the app
+    protocols.
 
     Little-endian fixed ints, LEB128 varints, length-prefixed strings and
-    lists, over a growable write buffer and a cursor-based reader. Decoding
-    failures raise [Malformed]. *)
+    lists. One field codec serves frames and checkpoints: {!Writer} and
+    {!Reader} are {!Lastcpu_sim.Snapshot.W} and {!Lastcpu_sim.Snapshot.R},
+    and the slice cursors here follow the same layout and count rule.
+    Decoding failures raise [Malformed]. *)
 
 exception Malformed of string
+(** Bound to the snapshot reader's {!Lastcpu_sim.Snapshot.R.Corrupt}: one
+    exception for every decoding failure, so a [Malformed] handler also
+    catches every failure of {!Reader}. *)
 
 (** The shared shape of the write targets ({!Writer}, {!View_writer},
     {!Sizer}): a codec functorized over [SINK] defines its byte layout
@@ -35,40 +41,21 @@ module type SOURCE = sig
   val at_end : t -> bool
 end
 
-module Writer : sig
-  type t
+module Writer = Lastcpu_sim.Snapshot.W
+(** The growable-buffer writer: the snapshot field writer itself. *)
 
-  val create : unit -> t
-  val byte : t -> int -> unit
-  val varint : t -> int -> unit
-  (** Unsigned LEB128; requires the value to be non-negative. *)
+module Reader = Lastcpu_sim.Snapshot.R
+(** The string cursor: the snapshot field reader itself. Every failure,
+    including a length or count that is negative or runs past the bytes
+    left, raises [Malformed]. *)
 
-  val int64 : t -> int64 -> unit
-  val string : t -> string -> unit
-  val bool : t -> bool -> unit
-  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
-  val option : t -> (t -> 'a -> unit) -> 'a option -> unit
-  val contents : t -> string
-  val length : t -> int
-end
+val decode : (Reader.t -> 'a) -> string -> ('a, string) result
+(** [decode f s] runs [f] over a reader on [s]; [Malformed reason]
+    becomes [Error reason]. Trailing bytes are not checked. *)
 
-module Reader : sig
-  type t
-
-  val create : string -> t
-  val byte : t -> int
-  val varint : t -> int
-  val int64 : t -> int64
-  val string : t -> string
-  val bool : t -> bool
-  val list : t -> (t -> 'a) -> 'a list
-  val option : t -> (t -> 'a) -> 'a option
-  val at_end : t -> bool
-end
-
-(** Byte counter with {!Writer}'s signature: drive the same encode logic
-    through it and {!Sizer.size} is the encoded length — no buffer, no
-    bytes materialised. *)
+(** Byte counter with {!Writer}'s encoding signature: drive the same
+    encode logic through it and {!Sizer.size} is the encoded length — no
+    buffer, no bytes materialised. *)
 module Sizer : sig
   type t
 
@@ -111,7 +98,9 @@ end
 
 (** Cursor over a slice (a DRAM view): decode straight out of backing
     memory. {!View_reader.view} hands payload fields back as sub-windows
-    sharing storage with the underlying slice. *)
+    sharing storage with the underlying slice. Like {!Reader}, a length
+    or count that is negative or runs past the window raises
+    [Malformed]. *)
 module View_reader : sig
   type t
 

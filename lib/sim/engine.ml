@@ -242,27 +242,27 @@ let register_snapshot t ~name ~save ~restore =
 let snapshot_hooks t = List.rev t.hooks
 
 let save_sani w s =
-  Snapshot.W.i64 w s.cur_time;
+  Snapshot.W.int64 w s.cur_time;
   Snapshot.W.varint w s.cur_count;
   (* Raw stored order on both lists (labels reversed, ticks newest-first):
      restore writes them back verbatim, so journal output is unchanged. *)
   Snapshot.W.list w Snapshot.W.string s.cur_labels;
   Snapshot.W.list w
     (fun w (tk : Sanitizer.tick) ->
-      Snapshot.W.i64 w tk.time;
+      Snapshot.W.int64 w tk.time;
       Snapshot.W.list w Snapshot.W.string tk.labels;
-      Snapshot.W.i64 w tk.state_hash)
+      Snapshot.W.int64 w tk.state_hash)
     s.ticks
 
 let restore_sani r s =
-  s.cur_time <- Snapshot.R.i64 r;
+  s.cur_time <- Snapshot.R.int64 r;
   s.cur_count <- Snapshot.R.varint r;
   s.cur_labels <- Snapshot.R.list r Snapshot.R.string;
   s.ticks <-
     Snapshot.R.list r (fun r ->
-        let time = Snapshot.R.i64 r in
+        let time = Snapshot.R.int64 r in
         let labels = Snapshot.R.list r Snapshot.R.string in
-        { Sanitizer.time; labels; state_hash = Snapshot.R.i64 r })
+        { Sanitizer.time; labels; state_hash = Snapshot.R.int64 r })
 
 (* Capture the engine's own state. The queue must be quiescent: closures
    cannot be serialized, so only the multiset of pending STATIC timestamps
@@ -274,12 +274,12 @@ let save_state t =
   if not (quiescent t) then
     invalid_arg "Engine.save_state: queue has volatile events";
   let w = Snapshot.W.create () in
-  Snapshot.W.i64 w t.clock;
+  Snapshot.W.int64 w t.clock;
   Snapshot.W.varint w t.executed;
   Snapshot.W.varint w t.next_span;
-  Snapshot.W.i64 w (Rng.state t.rng);
+  Snapshot.W.int64 w (Rng.state t.rng);
   let entries = Heap.to_sorted_list t.queue in
-  Snapshot.W.list w (fun w (time, _) -> Snapshot.W.i64 w time) entries;
+  Snapshot.W.list w (fun w (time, _) -> Snapshot.W.int64 w time) entries;
   List.iter (fun (time, f) -> Heap.push t.queue ~priority:time f) entries;
   Snapshot.W.option w save_sani t.sani;
   Snapshot.W.string w (Metrics.save_state t.metrics);
@@ -296,11 +296,11 @@ let save_state t =
    surviving half of the window). *)
 let restore_state t s =
   let r = Snapshot.R.of_string s in
-  let clock = Snapshot.R.i64 r in
+  let clock = Snapshot.R.int64 r in
   t.executed <- Snapshot.R.varint r;
   t.next_span <- Snapshot.R.varint r;
-  Rng.set_state t.rng (Snapshot.R.i64 r);
-  let saved_times = Snapshot.R.list r Snapshot.R.i64 in
+  Rng.set_state t.rng (Snapshot.R.int64 r);
+  let saved_times = Snapshot.R.list r Snapshot.R.int64 in
   (* [W.option] frames the sani payload with a presence bool. *)
   (match (Snapshot.R.bool r, t.sani) with
   | true, Some s -> restore_sani r s

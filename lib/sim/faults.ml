@@ -238,7 +238,7 @@ let save_state t =
   let w = Snapshot.W.create () in
   Snapshot.W.list w
     (fun w ((key, cls), n) ->
-      Snapshot.W.i64 w key;
+      Snapshot.W.int64 w key;
       Snapshot.W.varint w cls;
       Snapshot.W.varint w n)
     (Detmap.bindings t.occ);
@@ -250,6 +250,6 @@ let restore_state t s =
   List.iter
     (fun (slot, n) -> Hashtbl.replace t.occ slot n)
     (Snapshot.R.list r (fun r ->
-         let key = Snapshot.R.i64 r in
+         let key = Snapshot.R.int64 r in
          let cls = Snapshot.R.varint r in
          ((key, cls), Snapshot.R.varint r)))

@@ -16,8 +16,8 @@ let rng t = t.rng
    campaign continues the exact mutant sequence the uninterrupted one
    would have produced. The harness that owns the campaign (Protofuzz)
    embeds these in its own snapshot section. *)
-let save w t = Snapshot.W.i64 w (Rng.state t.rng)
-let restore r t = Rng.set_state t.rng (Snapshot.R.i64 r)
+let save w t = Snapshot.W.int64 w (Rng.state t.rng)
+let restore r t = Rng.set_state t.rng (Snapshot.R.int64 r)
 let pick t n = Rng.int t.rng n
 let choice t arr = arr.(Rng.int t.rng (Array.length arr))
 let byte t = Rng.int t.rng 256

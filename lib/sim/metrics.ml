@@ -176,13 +176,13 @@ let save_state t =
       Snapshot.W.string w name;
       match ins with
       | Counter c ->
-        Snapshot.W.u8 w 0;
+        Snapshot.W.byte w 0;
         Snapshot.W.vint w c.count
       | Gauge g ->
-        Snapshot.W.u8 w 1;
+        Snapshot.W.byte w 1;
         Snapshot.W.float w g.level
       | Histogram h ->
-        Snapshot.W.u8 w 2;
+        Snapshot.W.byte w 2;
         Stats.Histogram.save w h.hist;
         Stats.Summary.save w h.summ)
     (Detmap.bindings t.table);
@@ -206,7 +206,7 @@ let restore_state t s =
         (Printf.sprintf "Metrics.restore_state: %s/%s changed instrument type"
            actor name)
     in
-    match Snapshot.R.u8 r with
+    match Snapshot.R.byte r with
     | 0 -> (
       let v = Snapshot.R.vint r in
       match Hashtbl.find_opt t.table key with

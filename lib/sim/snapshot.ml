@@ -1,4 +1,5 @@
-(* Versioned, CRC-framed snapshot container and field codec.
+(* Versioned, CRC-framed snapshot container, and the field codec shared
+   with the bus and app protocols.
 
    A snapshot file is a flat sequence of named sections:
 
@@ -35,37 +36,42 @@ let crc32_update crc s pos len =
 
 (* --- field codec ---------------------------------------------------------- *)
 
+(* The tree's one string-backed field codec: bus frames, app protocols,
+   WAL records and checkpoint sections all use this layout (Wire aliases
+   [W]/[R] as its Writer/Reader). Ints are little-endian, lengths and
+   counts unsigned LEB128, strings and lists length-prefixed. *)
 module W = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 256
+  (* Small on purpose: kv-read encodes one short reply per op. *)
+  let create () = Buffer.create 64
   let contents w = Buffer.contents w
-  let u8 w n = Buffer.add_char w (Char.chr (n land 0xff))
+  let byte w n = Buffer.add_char w (Char.chr (n land 0xff))
 
   let u32 w n =
-    u8 w n;
-    u8 w (n lsr 8);
-    u8 w (n lsr 16);
-    u8 w (n lsr 24)
+    byte w n;
+    byte w (n lsr 8);
+    byte w (n lsr 16);
+    byte w (n lsr 24)
 
-  let i64 w n =
+  let int64 w n =
     for shift = 0 to 7 do
-      u8 w (Int64.to_int (Int64.shift_right_logical n (8 * shift)))
+      byte w (Int64.to_int (Int64.shift_right_logical n (8 * shift)))
     done
 
   (* Unsigned LEB128; lengths and other non-negative quantities. *)
   let rec varint w n =
     assert (n >= 0);
-    if n < 0x80 then u8 w n
+    if n < 0x80 then byte w n
     else begin
-      u8 w (0x80 lor (n land 0x7f));
+      byte w (0x80 lor (n land 0x7f));
       varint w (n lsr 7)
     end
 
   (* Zigzag-encoded signed int, for quantities that may go negative. *)
   let vint w n = varint w ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
-  let bool w b = u8 w (if b then 1 else 0)
-  let float w f = i64 w (Int64.bits_of_float f)
+  let bool w b = byte w (if b then 1 else 0)
+  let float w f = int64 w (Int64.bits_of_float f)
 
   let string w s =
     varint w (String.length s);
@@ -93,32 +99,32 @@ module R = struct
 
   let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
   let of_string buf = { buf; pos = 0 }
-  let eof r = r.pos >= String.length r.buf
+  let at_end r = r.pos >= String.length r.buf
 
-  let u8 r =
-    if r.pos >= String.length r.buf then corrupt "truncated (u8 at %d)" r.pos;
+  let byte r =
+    if r.pos >= String.length r.buf then corrupt "truncated (byte at %d)" r.pos;
     let c = Char.code r.buf.[r.pos] in
     r.pos <- r.pos + 1;
     c
 
   let u32 r =
-    let a = u8 r in
-    let b = u8 r in
-    let c = u8 r in
-    let d = u8 r in
+    let a = byte r in
+    let b = byte r in
+    let c = byte r in
+    let d = byte r in
     a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24)
 
-  let i64 r =
+  let int64 r =
     let v = ref 0L in
     for shift = 0 to 7 do
-      v := Int64.logor !v (Int64.shift_left (Int64.of_int (u8 r)) (8 * shift))
+      v := Int64.logor !v (Int64.shift_left (Int64.of_int (byte r)) (8 * shift))
     done;
     !v
 
   let varint r =
     let rec go shift acc =
       if shift >= Sys.int_size then corrupt "varint overflow at %d" r.pos;
-      let b = u8 r in
+      let b = byte r in
       let acc = acc lor ((b land 0x7f) lsl shift) in
       if b land 0x80 = 0 then acc else go (shift + 7) acc
     in
@@ -128,11 +134,16 @@ module R = struct
     let n = varint r in
     (n lsr 1) lxor (-(n land 1))
 
-  let bool r = u8 r <> 0
-  let float r = Int64.float_of_bits (i64 r)
+  let bool r =
+    match byte r with
+    | 0 -> false
+    | 1 -> true
+    | n -> corrupt "bad bool %d at %d" n (r.pos - 1)
 
-  (* A length or element count read from the file: every element takes
-     at least one byte, so a count past the bytes left is corrupt. *)
+  let float r = Int64.float_of_bits (int64 r)
+
+  (* A length or element count from the input: every element takes at
+     least one byte, so a count past the bytes left is corrupt. *)
   let count r =
     let n = varint r in
     if n < 0 || n > String.length r.buf - r.pos then
@@ -175,13 +186,13 @@ let stream emit sections =
   List.iter
     (fun { name; body } ->
       frame (fun w ->
-          W.u8 w (Char.code 'S');
+          W.byte w (Char.code 'S');
           W.string w name;
           W.varint w (String.length body);
           W.u32 w (crc32 body));
       put body)
     sections;
-  frame (fun w -> W.u8 w (Char.code 'E'));
+  frame (fun w -> W.byte w (Char.code 'E'));
   let trailer = W.create () in
   W.u32 trailer !crc;
   W.contents trailer
@@ -200,7 +211,7 @@ let decode s =
     let v = R.u32 r in
     if v <> version then R.corrupt "unsupported version %d" v;
     let rec sections acc =
-      match Char.chr (R.u8 r) with
+      match Char.chr (R.byte r) with
       | 'S' ->
         let name = R.string r in
         let len = R.count r in

@@ -1,4 +1,5 @@
-(** Versioned, CRC-framed snapshot container and field codec.
+(** Versioned, CRC-framed snapshot container, and the tree's one
+    string-backed field codec ({!W}/{!R}).
 
     A snapshot is a flat list of named, length-prefixed, individually
     checksummed sections. The framing makes torn writes structurally
@@ -23,15 +24,22 @@ val crc32_update : int -> string -> int -> int -> int
     ([0] if empty), over [len] bytes of [s] at [pos]. Raises
     [Invalid_argument] when the range falls outside [s]. *)
 
+(** The field codec. One byte layout serves bus frames, app protocols,
+    WAL records and snapshot sections: {!Lastcpu_proto.Wire} re-exports
+    [W] and [R] as its [Writer] and [Reader], and they satisfy its
+    [SINK]/[SOURCE] shapes. Fixed ints are little-endian; lengths and
+    counts are unsigned LEB128; strings, lists and arrays carry a length
+    or count prefix. *)
+
 (** Field writer: append-only buffer of primitive encodings. *)
 module W : sig
   type t
 
   val create : unit -> t
   val contents : t -> string
-  val u8 : t -> int -> unit
+  val byte : t -> int -> unit
   val u32 : t -> int -> unit
-  val i64 : t -> int64 -> unit
+  val int64 : t -> int64 -> unit
 
   val varint : t -> int -> unit
   (** Unsigned LEB128; the argument must be non-negative. *)
@@ -47,18 +55,20 @@ module W : sig
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
 end
 
-(** Field reader over a section body. Every decoder raises {!R.Corrupt} on
-    malformed input, including a count negative or past the bytes left. *)
+(** Field reader over bytes from a peer or a file. Every decoder raises
+    {!R.Corrupt} on malformed input: a truncated field, an over-long
+    varint, a bool byte other than 0 or 1, or a length or count that is
+    negative or runs past the bytes left. No other exception escapes. *)
 module R : sig
   exception Corrupt of string
 
   type t
 
   val of_string : string -> t
-  val eof : t -> bool
-  val u8 : t -> int
+  val at_end : t -> bool
+  val byte : t -> int
   val u32 : t -> int
-  val i64 : t -> int64
+  val int64 : t -> int64
   val varint : t -> int
   val vint : t -> int
   val bool : t -> bool

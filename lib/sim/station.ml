@@ -73,20 +73,20 @@ let total_wait_ns t = t.wait_total
    engine's quiescence protocol); the scalar accounting below is the whole
    state. *)
 let save w t =
-  Snapshot.W.i64 w t.busy_until;
+  Snapshot.W.int64 w t.busy_until;
   Snapshot.W.varint w t.in_flight;
   Snapshot.W.varint w t.completed;
   Snapshot.W.varint w t.rejected;
-  Snapshot.W.i64 w t.busy_total;
-  Snapshot.W.i64 w t.wait_total
+  Snapshot.W.int64 w t.busy_total;
+  Snapshot.W.int64 w t.wait_total
 
 let restore r t =
-  t.busy_until <- Snapshot.R.i64 r;
+  t.busy_until <- Snapshot.R.int64 r;
   t.in_flight <- Snapshot.R.varint r;
   t.completed <- Snapshot.R.varint r;
   t.rejected <- Snapshot.R.varint r;
-  t.busy_total <- Snapshot.R.i64 r;
-  t.wait_total <- Snapshot.R.i64 r
+  t.busy_total <- Snapshot.R.int64 r;
+  t.wait_total <- Snapshot.R.int64 r
 
 let drain_ns t ~now =
   if t.busy_until > now then Int64.sub t.busy_until now else 0L

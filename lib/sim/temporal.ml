@@ -252,7 +252,7 @@ let save_state t =
         invalid_arg "Temporal.save_state: unflushed outbox entries")
     t.shards;
   let w = Snapshot.W.create () in
-  Snapshot.W.i64 w t.base;
+  Snapshot.W.int64 w t.base;
   Snapshot.W.varint w t.boundary_events;
   Snapshot.W.varint w t.windows;
   Snapshot.W.array w (fun w s -> Snapshot.W.varint w s.oseq) t.shards;
@@ -260,7 +260,7 @@ let save_state t =
 
 let restore_state t s =
   let r = Snapshot.R.of_string s in
-  t.base <- Snapshot.R.i64 r;
+  t.base <- Snapshot.R.int64 r;
   t.boundary_events <- Snapshot.R.varint r;
   t.windows <- Snapshot.R.varint r;
   let oseqs = Snapshot.R.array r Snapshot.R.varint in

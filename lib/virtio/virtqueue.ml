@@ -234,7 +234,7 @@ module Driver = struct
   module Snapshot = Lastcpu_sim.Snapshot
 
   let save w t =
-    Snapshot.W.i64 w t.raw.Raw.base;
+    Snapshot.W.int64 w t.raw.Raw.base;
     Snapshot.W.varint w t.raw.Raw.size;
     Snapshot.W.varint w t.free_head;
     Snapshot.W.varint w t.free_count;
@@ -245,7 +245,7 @@ module Driver = struct
     Snapshot.W.varint w t.completion_count
 
   let restore r ~dma =
-    let base = Snapshot.R.i64 r in
+    let base = Snapshot.R.int64 r in
     let size = Snapshot.R.varint r in
     check_size size;
     let free_head = Snapshot.R.varint r in
@@ -356,12 +356,12 @@ module Device = struct
   module Snapshot = Lastcpu_sim.Snapshot
 
   let save w t =
-    Snapshot.W.i64 w t.raw.Raw.base;
+    Snapshot.W.int64 w t.raw.Raw.base;
     Snapshot.W.varint w t.raw.Raw.size;
     Snapshot.W.varint w t.avail_seen
 
   let restore r ~dma =
-    let base = Snapshot.R.i64 r in
+    let base = Snapshot.R.int64 r in
     let size = Snapshot.R.varint r in
     check_size size;
     let avail_seen = Snapshot.R.varint r in

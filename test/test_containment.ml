@@ -120,7 +120,7 @@ let announce bus dev =
        (Message.Device_alive { services = [] }))
 
 let quarantine_config =
-  { Sysbus.default_config with Sysbus.quarantine = Some Sysbus.default_quarantine }
+  { Sysbus.default_config with Sysbus.quarantine = true }
 
 (* A deterministic three-slot rig: a controller and two subject devices.
    [seed] keeps rebuilds identical for the checkpoint round-trip test. *)
@@ -437,7 +437,7 @@ let booted_quarantine () =
     {
       System.default_spec with
       System.nic_count = 2;
-      quarantine = Some Sysbus.default_quarantine;
+      quarantine = true;
     }
   in
   let system = System.build ~spec () in

@@ -246,10 +246,10 @@ let test_physmem_restores_old_format () =
   let page = 4096 in
   let frame = String.init page (fun i -> Char.chr ((i * 7) land 0xff)) in
   let w = Snapshot.W.create () in
-  Snapshot.W.i64 w 1_000_000L;
+  Snapshot.W.int64 w 1_000_000L;
   Snapshot.W.list w
     (fun w (addr, bytes) ->
-      Snapshot.W.i64 w addr;
+      Snapshot.W.int64 w addr;
       Snapshot.W.string w bytes)
     [ (2L, frame); (16L, frame) ];  (* pages at 0x2000, 0x10000 *)
   let m = Physmem.create ~size:1_000_000L () in
@@ -261,7 +261,7 @@ let test_physmem_restores_old_format () =
     (Char.code frame.[17])
     (Char.code (Bigarray.Array1.get (Physmem.view m 65_536L page) 17));
   let w2 = Snapshot.W.create () in
-  Snapshot.W.i64 w2 999_999L;
+  Snapshot.W.int64 w2 999_999L;
   let m2 = Physmem.create ~size:1_000_000L () in
   Alcotest.check_raises "size mismatch rejected"
     (Invalid_argument "Physmem.restore: DRAM size differs from checkpoint")

@@ -16,6 +16,15 @@ module Auth_dev = Lastcpu_devices.Auth_dev
 module Dma = Lastcpu_virtio.Dma
 module Iommu = Lastcpu_iommu.Iommu
 module File_client = Lastcpu_devices.File_client
+module Codec = Lastcpu_proto.Codec
+module Slice = Lastcpu_proto.Slice
+module Fuzz = Lastcpu_sim.Fuzz
+module Netsim = Lastcpu_net.Netsim
+module Kv_proto = Lastcpu_kv.Kv_proto
+module Wal = Lastcpu_kv.Wal
+module Ssd_proto = Lastcpu_devices.Ssd_proto
+module Accel_proto = Lastcpu_devices.Accel_proto
+module Pubsub_proto = Lastcpu_apps.Pubsub_proto
 
 let booted ?spec () =
   let system = System.build ?spec () in
@@ -231,6 +240,210 @@ let test_session_token_wrong_user_rejected () =
     | Some (Ok _) -> Alcotest.fail "identity confusion accepted"
     | None -> Alcotest.fail "connect never completed")
 
+(* --- Untrusted bytes ----------------------------------------------------- *)
+
+(* A 9-byte LEB128 varint that decodes to -1: the length or count a
+   hostile peer can put in any prefix position. *)
+let negative_varint = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
+
+(* What a decoder of peer bytes is fed: every truncation of a valid
+   encoding, the negative varint inserted at and written over every
+   offset (so it lands in each length and count field), and seeded byte
+   mutations. *)
+let hostile_variants fuzz valid =
+  let n = String.length valid in
+  let offsets = List.init (n + 1) Fun.id in
+  let truncations = List.map (fun k -> String.sub valid 0 k) offsets in
+  let spliced =
+    List.concat_map
+      (fun i ->
+        let pre = String.sub valid 0 i in
+        let rest = String.sub valid i (n - i) in
+        let over = if i < n then String.sub valid (i + 1) (n - i - 1) else "" in
+        [ pre ^ negative_varint ^ rest; pre ^ negative_varint ^ over ])
+      offsets
+  in
+  let mutants =
+    List.init 64 (fun _ -> Fuzz.mutate_bytes fuzz (Fuzz.mutate_bytes fuzz valid))
+  in
+  truncations @ spliced @ mutants
+
+(* [decode] must decode each valid encoding and return (never raise) on
+   every hostile variant of it. *)
+let check_total name decode valids =
+  let fuzz = Fuzz.create ~seed:(Int64.of_int (Hashtbl.hash name)) in
+  List.iter
+    (fun valid ->
+      (match decode valid with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s rejected a valid encoding: %s" name e);
+      List.iter
+        (fun input ->
+          match decode input with
+          | Ok _ | Error _ -> ()
+          | exception e ->
+            Alcotest.failf "%s raised %s on %S" name (Printexc.to_string e)
+              input)
+        (hostile_variants fuzz valid))
+    valids
+
+(* Slice decoders read a window inside a larger slice, so a count that
+   runs past the window still lands on readable bytes. *)
+let in_window decode s =
+  decode ~pos:3 ~len:(String.length s) (Slice.of_string ("pad" ^ s ^ "tail"))
+
+let kv_requests =
+  List.map
+    (fun op -> Kv_proto.encode_request { Kv_proto.corr = 300; op })
+    [ Kv_proto.Get "key"; Put ("key", "value"); Del "k"; Scan "pre" ]
+
+let kv_responses =
+  List.map
+    (fun reply -> Kv_proto.encode_response { Kv_proto.corr = 7; reply })
+    [
+      Kv_proto.Value (Some "v");
+      Value None;
+      Done;
+      Deleted true;
+      Pairs [ ("a", "1"); ("bc", "22") ];
+      Failed "busy";
+    ]
+
+let ssd_requests =
+  List.map Ssd_proto.encode_request
+    [
+      Ssd_proto.Write { path = "/f"; off = 200; data = "hello" };
+      Read { path = "/f"; off = 0; len = 4096 };
+      Rename { from_path = "/a"; to_path = "/b" };
+      Bwrite { handle = 1; lba = 9; data = "blk" };
+      Bread { handle = 1; lba = 9; count = 2 };
+    ]
+
+let ssd_responses =
+  List.map Ssd_proto.encode_response
+    [
+      Ssd_proto.Ok_names [ "a"; "bc"; "" ];
+      Ok_stat { size = 300; kind_dir = false; owner = "alice"; mode = 0o644 };
+      Ok_data "payload";
+      Ok_handle 4;
+      Err "no such file";
+    ]
+
+let accel_jobs =
+  List.map Accel_proto.encode_job
+    [
+      Accel_proto.Checksum { va = 0x4000_0000L; len = 300 };
+      Upper { src = 0x4000_0000L; dst = 0x4000_1000L; len = 64 };
+      Histogram { va = 0x4000_0000L; len = 128; dst = 0x4000_2000L };
+    ]
+
+let accel_outcomes =
+  List.map Accel_proto.encode_outcome
+    [ Accel_proto.Value 5L; Written 300; Fault "unmapped" ]
+
+let pubsub_requests =
+  List.map
+    (fun op -> Pubsub_proto.encode_request { Pubsub_proto.corr = 3; op })
+    [
+      Pubsub_proto.Subscribe "sensors/*";
+      Unsubscribe "t";
+      Publish { topic = "t"; payload = "p"; retain = true };
+    ]
+
+let pubsub_frames =
+  List.map Pubsub_proto.encode_frame
+    [
+      Pubsub_proto.Response { corr = 3; reply = Acked 2 };
+      Response { corr = 4; reply = Rejected "no" };
+      Event { topic = "t"; payload = "p" };
+    ]
+
+(* WAL record and framed bus frame bodies: the mutations are applied to
+   the body, then framed with a valid CRC, so they reach the decoder. *)
+let wal_frame body =
+  let u32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff)) in
+  u32 (String.length body lor 0x8000_0000)
+  ^ u32 (Lastcpu_proto.Wire.crc32 body)
+  ^ body
+
+let wal_bodies =
+  List.map
+    (fun r ->
+      let s = Wal.encode r in
+      String.sub s 8 (String.length s - 8))
+    [ Wal.Put { key = "key"; value = "value" }; Del { key = "gone" } ]
+
+let codec_bodies =
+  List.map
+    (fun payload -> Codec.encode (Message.make ~src:2 ~dst:Types.Bus ~corr:5 payload))
+    [
+      Message.Device_alive
+        {
+          services =
+            [
+              { Message.kind = Types.Kv_service; name = "kv"; version = 1 };
+              { kind = Types.File_service; name = "fs"; version = 2 };
+            ];
+        };
+      App_message { tag = "job-submit"; body = "body" };
+    ]
+
+let test_app_decoders_total () =
+  check_total "Kv_proto.decode_request" Kv_proto.decode_request kv_requests;
+  check_total "Kv_proto.decode_response" Kv_proto.decode_response kv_responses;
+  check_total "Ssd_proto.decode_request" Ssd_proto.decode_request ssd_requests;
+  check_total "Ssd_proto.decode_request_view"
+    (in_window (fun ~pos ~len -> Ssd_proto.decode_request_view ~pos ~len))
+    ssd_requests;
+  check_total "Ssd_proto.decode_response" Ssd_proto.decode_response
+    ssd_responses;
+  check_total "Ssd_proto.decode_response_view"
+    (in_window (fun ~pos ~len -> Ssd_proto.decode_response_view ~pos ~len))
+    ssd_responses;
+  check_total "Accel_proto.decode_job" Accel_proto.decode_job accel_jobs;
+  check_total "Accel_proto.decode_outcome" Accel_proto.decode_outcome
+    accel_outcomes;
+  check_total "Pubsub_proto.decode_request" Pubsub_proto.decode_request
+    pubsub_requests;
+  check_total "Pubsub_proto.decode_frame" Pubsub_proto.decode_frame
+    pubsub_frames;
+  check_total "Smart_ssd.decode_vq_attach" Smart_ssd.decode_vq_attach
+    [
+      Smart_ssd.encode_vq_attach ~queue:2 ~base:0x4000_0000L ~size:256
+        ~pasid:7 ~user:"alice";
+    ];
+  check_total "Wal.decode_all"
+    (fun body -> Ok (Wal.decode_all (wal_frame body)))
+    wal_bodies;
+  check_total "Codec.decode_framed_result"
+    (fun body -> Codec.decode_framed_result (Codec.frame body))
+    codec_bodies
+
+(* A KV request whose key length is the negative varint: corr 1, op Get,
+   then a length of -1. *)
+let test_hostile_kv_frame_contained () =
+  match Scenario.run ~smoke_ops:1 () with
+  | Error e -> Alcotest.fail e
+  | Ok outcome ->
+    let system = outcome.Scenario.system in
+    let nic_addr = Smart_nic.endpoint_address (System.nic system 0) in
+    let peer = Netsim.endpoint (System.net system) ~name:"hostile-peer" in
+    let replies = ref [] in
+    Netsim.set_receiver peer (fun ~src:_ frame ->
+        match Kv_proto.decode_response frame with
+        | Ok r -> replies := r :: !replies
+        | Error e -> Alcotest.fail e);
+    let frame = "\x01\x00" ^ negative_varint in
+    Alcotest.(check int) "an 11-byte frame" 11 (String.length frame);
+    Netsim.send peer ~dst:nic_addr frame;
+    System.run_until_idle system;
+    Netsim.send peer ~dst:nic_addr
+      (Kv_proto.encode_request { Kv_proto.corr = 2; op = Kv_proto.Get "absent" });
+    System.run_until_idle system;
+    match !replies with
+    | [ { Kv_proto.corr = 2; reply = Kv_proto.Value None } ] -> ()
+    | _ -> Alcotest.fail "the Get after the hostile frame was not answered"
+
 let () =
   Alcotest.run "security"
     [
@@ -248,5 +461,12 @@ let () =
             test_session_tokens_required_when_auth_enabled;
           Alcotest.test_case "session user binding" `Quick
             test_session_token_wrong_user_rejected;
+        ] );
+      ( "untrusted bytes",
+        [
+          Alcotest.test_case "app decoders never raise" `Quick
+            test_app_decoders_total;
+          Alcotest.test_case "hostile kv frame contained" `Quick
+            test_hostile_kv_frame_contained;
         ] );
     ]

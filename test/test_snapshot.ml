@@ -38,9 +38,9 @@ let cleanup path =
 
 let test_codec_roundtrip () =
   let w = Snapshot.W.create () in
-  Snapshot.W.u8 w 0xAB;
+  Snapshot.W.byte w 0xAB;
   Snapshot.W.u32 w 123_456_789;
-  Snapshot.W.i64 w (-77L);
+  Snapshot.W.int64 w (-77L);
   Snapshot.W.varint w 300;
   Snapshot.W.vint w (-42);
   Snapshot.W.bool w true;
@@ -48,12 +48,12 @@ let test_codec_roundtrip () =
   Snapshot.W.string w "hello \x00 binary";
   Snapshot.W.list w Snapshot.W.string [ "a"; "bb"; "" ];
   Snapshot.W.array w Snapshot.W.varint [| 1; 0; 9999 |];
-  Snapshot.W.option w Snapshot.W.i64 (Some 5L);
-  Snapshot.W.option w Snapshot.W.i64 None;
+  Snapshot.W.option w Snapshot.W.int64 (Some 5L);
+  Snapshot.W.option w Snapshot.W.int64 None;
   let r = Snapshot.R.of_string (Snapshot.W.contents w) in
-  Alcotest.(check int) "u8" 0xAB (Snapshot.R.u8 r);
+  Alcotest.(check int) "u8" 0xAB (Snapshot.R.byte r);
   Alcotest.(check int) "u32" 123_456_789 (Snapshot.R.u32 r);
-  Alcotest.(check int64) "i64" (-77L) (Snapshot.R.i64 r);
+  Alcotest.(check int64) "i64" (-77L) (Snapshot.R.int64 r);
   Alcotest.(check int) "varint" 300 (Snapshot.R.varint r);
   Alcotest.(check int) "vint" (-42) (Snapshot.R.vint r);
   Alcotest.(check bool) "bool" true (Snapshot.R.bool r);
@@ -64,10 +64,10 @@ let test_codec_roundtrip () =
   Alcotest.(check (array int)) "array" [| 1; 0; 9999 |]
     (Snapshot.R.array r Snapshot.R.varint);
   Alcotest.(check (option int64)) "some" (Some 5L)
-    (Snapshot.R.option r Snapshot.R.i64);
+    (Snapshot.R.option r Snapshot.R.int64);
   Alcotest.(check (option int64)) "none" None
-    (Snapshot.R.option r Snapshot.R.i64);
-  Alcotest.(check bool) "eof" true (Snapshot.R.eof r)
+    (Snapshot.R.option r Snapshot.R.int64);
+  Alcotest.(check bool) "eof" true (Snapshot.R.at_end r)
 
 let sections =
   [
@@ -164,14 +164,14 @@ let test_crafted_counts_rejected () =
   let negative = String.make 8 '\x80' ^ "\x40" in
   rejects "negative string count" negative Snapshot.R.string;
   rejects "negative list count" negative (fun r ->
-      Snapshot.R.list r Snapshot.R.u8);
+      Snapshot.R.list r Snapshot.R.byte);
   rejects "negative array count" negative (fun r ->
-      Snapshot.R.array r Snapshot.R.u8);
+      Snapshot.R.array r Snapshot.R.byte);
   (* Counts larger than the bytes left. *)
   rejects "2^50 array count" (varint (1 lsl 50)) (fun r ->
-      Snapshot.R.array r Snapshot.R.u8);
+      Snapshot.R.array r Snapshot.R.byte);
   rejects "2^50 list count" (varint (1 lsl 50)) (fun r ->
-      Snapshot.R.list r Snapshot.R.u8);
+      Snapshot.R.list r Snapshot.R.byte);
   rejects "string past the end" (varint 5 ^ "abcd") Snapshot.R.string;
   (* The largest count that fits still decodes. *)
   Alcotest.(check string) "exact-fit string" "abcd"
@@ -185,14 +185,14 @@ let test_crafted_counts_rejected () =
 let test_crafted_section_length_rejected () =
   let crafted len_bytes =
     let w = Snapshot.W.create () in
-    String.iter (fun c -> Snapshot.W.u8 w (Char.code c)) "LCSN";
+    String.iter (fun c -> Snapshot.W.byte w (Char.code c)) "LCSN";
     Snapshot.W.u32 w 1;
-    Snapshot.W.u8 w (Char.code 'S');
+    Snapshot.W.byte w (Char.code 'S');
     Snapshot.W.string w "n";
-    String.iter (fun c -> Snapshot.W.u8 w (Char.code c)) len_bytes;
+    String.iter (fun c -> Snapshot.W.byte w (Char.code c)) len_bytes;
     Snapshot.W.u32 w 0;
-    Snapshot.W.u8 w (Char.code 'x');
-    Snapshot.W.u8 w (Char.code 'E');
+    Snapshot.W.byte w (Char.code 'x');
+    Snapshot.W.byte w (Char.code 'E');
     let prefix = Snapshot.W.contents w in
     Snapshot.W.u32 w (Snapshot.crc32 prefix);
     Snapshot.W.contents w
