@@ -20,7 +20,7 @@ type t = {
   free_in_block : int array;  (* block -> next unprogrammed page index *)
   invalid_in_block : int array;
   mutable active : int;  (* block receiving new writes *)
-  mutable free_blocks : int list;  (* fully erased, not active *)
+  free_blocks : int Queue.t;  (* fully erased, not active; oldest first *)
   mutable free_block_count : int;
   m_host_writes : Metrics.counter;
   m_gc_moves : Metrics.counter;
@@ -43,7 +43,10 @@ let create ?nand ?(op_ratio = 0.125) ?metrics ?(actor = "ftl") () =
   in
   let logical = (geo.blocks - reserve) * geo.pages_per_block in
   let total_pages = geo.blocks * geo.pages_per_block in
-  let free_blocks = List.init (geo.blocks - 1) (fun i -> i + 1) in
+  let free_blocks = Queue.create () in
+  for b = 1 to geo.blocks - 1 do
+    Queue.add b free_blocks
+  done;
   let m = match metrics with Some m -> m | None -> Metrics.create () in
   let t =
     {
@@ -85,10 +88,9 @@ let read t ~lpn =
         ~page:(page_of ~geo:t.geo p)
 
 let take_free_block t =
-  match t.free_blocks with
-  | [] -> None
-  | b :: rest ->
-    t.free_blocks <- rest;
+  match Queue.take_opt t.free_blocks with
+  | None -> None
+  | Some b ->
     t.free_block_count <- t.free_block_count - 1;
     Metrics.set t.m_free_blocks (float_of_int t.free_block_count);
     Some b
@@ -179,7 +181,7 @@ let rec gc t =
           t.geo.pages_per_block Free;
         t.free_in_block.(victim) <- 0;
         t.invalid_in_block.(victim) <- 0;
-        t.free_blocks <- t.free_blocks @ [ victim ];
+        Queue.add victim t.free_blocks;
         t.free_block_count <- t.free_block_count + 1;
         Metrics.set t.m_free_blocks (float_of_int t.free_block_count);
         if t.free_block_count <= gc_low_watermark then gc t else Ok ()))
@@ -252,7 +254,9 @@ let save w t =
   Snapshot.W.array w (fun w n -> Snapshot.W.varint w n) t.free_in_block;
   Snapshot.W.array w (fun w n -> Snapshot.W.varint w n) t.invalid_in_block;
   Snapshot.W.varint w t.active;
-  Snapshot.W.list w (fun w b -> Snapshot.W.varint w b) t.free_blocks;
+  Snapshot.W.list w
+    (fun w b -> Snapshot.W.varint w b)
+    (List.of_seq (Queue.to_seq t.free_blocks));
   Snapshot.W.varint w t.free_block_count
 
 let restore r t =
@@ -279,7 +283,9 @@ let restore r t =
   read_into t.free_in_block Snapshot.R.varint "free_in_block";
   read_into t.invalid_in_block Snapshot.R.varint "invalid_in_block";
   t.active <- Snapshot.R.varint r;
-  t.free_blocks <- Snapshot.R.list r Snapshot.R.varint;
+  let free_blocks = Snapshot.R.list r Snapshot.R.varint in
+  Queue.clear t.free_blocks;
+  List.iter (fun b -> Queue.add b t.free_blocks) free_blocks;
   t.free_block_count <- Snapshot.R.varint r;
   Metrics.set t.m_free_blocks (float_of_int t.free_block_count)
 

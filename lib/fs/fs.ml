@@ -59,6 +59,14 @@ type t = {
   m_block_reads : Metrics.counter;
   m_block_writes : Metrics.counter;
   m_cache_hits : Metrics.counter;
+  (* One-entry parsed-directory memo: the bytes of the directory parsed
+     last and its entries. Path resolution re-reads the same directories
+     (every WAL chunk resolves its path), and a memo keyed by the bytes
+     themselves can never go stale, so writes need not drop it. Host-only:
+     the block reads that fetch the bytes still happen, and it is never
+     saved. *)
+  mutable dir_bytes : string;
+  mutable dir_entries : (string * int) list;
 }
 
 type inode = {
@@ -109,23 +117,10 @@ let update_block t b base f =
 let ( let* ) = Result.bind
 
 (* u32 little-endian: read from a block string, written into a buffer *)
-let get_u32 s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
-
-let set_u32 b off v =
-  Bytes.set b off (Char.chr (v land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xff))
-
-let get_u16 s off = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8)
-
-let set_u16 b off v =
-  Bytes.set b off (Char.chr (v land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff))
+let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xffff_ffff
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
+let get_u16 = String.get_uint16_le
+let set_u16 b off v = Bytes.set_uint16_le b off (v land 0xffff)
 
 (* Inode (de)serialisation ------------------------------------------------ *)
 
@@ -151,20 +146,27 @@ let decode_inode s o =
   let mode = get_u16 s (o + 6) in
   let olen = Char.code s.[o + 8] in
   let owner = String.sub s (o + 9) olen in
-  let direct = Array.init ndirect (fun i -> get_u32 s (o + 48 + (4 * i))) in
+  let direct = Array.make ndirect 0 in
+  for i = 0 to ndirect - 1 do
+    direct.(i) <- get_u32 s (o + 48 + (4 * i))
+  done;
   let indirect = get_u32 s (o + 48 + (4 * ndirect)) in
   { used; kind; size; mode; owner; direct; indirect }
 
 let inodes_per_block t = t.block_size / inode_size
 
-let read_inode t ino =
+(* [f] applied to the inode-table block holding [ino] and the inode's
+   offset in it. *)
+let read_inode_slot t ino f =
   if ino < 0 || ino >= t.ninodes then Error (Invalid "bad inode number")
   else begin
     let blk = t.itable_start + (ino / inodes_per_block t) in
     let off = ino mod inodes_per_block t * inode_size in
     let* s = read_block t blk in
-    Ok (decode_inode s off)
+    Ok (f s off)
   end
+
+let read_inode t ino = read_inode_slot t ino decode_inode
 
 let write_inode t ino node =
   let blk = t.itable_start + (ino / inodes_per_block t) in
@@ -172,12 +174,15 @@ let write_inode t ino node =
   let* s = read_block t blk in
   update_block t blk s (fun buf -> encode_inode buf off node)
 
+(* First fit. Each probe reads the inode's block exactly as [read_inode]
+   would, but decodes only its used flag. *)
 let alloc_inode t =
+  let used s off = s.[off] = '\001' in
   let rec scan ino =
     if ino >= t.ninodes then Error No_space
     else
-      let* node = read_inode t ino in
-      if node.used then scan (ino + 1) else Ok ino
+      let* in_use = read_inode_slot t ino used in
+      if in_use then scan (ino + 1) else Ok ino
   in
   scan 0
 
@@ -389,7 +394,11 @@ let render_dir entries =
 
 let read_dir_entries t node =
   let* data = read_inode_data t node ~off:0 ~len:node.size in
-  Ok (parse_dir data)
+  if not (String.equal data t.dir_bytes) then begin
+    t.dir_entries <- parse_dir data;
+    t.dir_bytes <- data
+  end;
+  Ok t.dir_entries
 
 (* Free any data blocks past the first [keep_blocks] of the file, clearing
    their pointers (shared by truncate-shrink and directory rewrites). *)
@@ -526,6 +535,8 @@ let layout ?(cache = true) ?metrics ?(actor = "fs") ftl =
     m_block_reads = Metrics.counter m ~actor ~name:"block_reads";
     m_block_writes = Metrics.counter m ~actor ~name:"block_writes";
     m_cache_hits = Metrics.counter m ~actor ~name:"cache_hits";
+    dir_bytes = "";
+    dir_entries = [];
   }
 
 let format ?cache ?metrics ?actor ftl =

@@ -97,8 +97,9 @@ let clear_pasid t ~pasid =
   | Some tlb -> Tlb.invalidate_pasid tlb ~pasid);
   fire_invalidate t ~pasid
 
-(* Hoisted constants: [translate] runs per DMA byte, and building a fresh
-   permission record per call would allocate on every access. *)
+(* Hoisted constants: [translate] runs once per DMA transaction, and
+   building a fresh permission record per call would allocate on every
+   access. *)
 let need_read = Types.perm_r
 let need_write = { Types.read = false; write = true; exec = false }
 let need_exec = { Types.read = false; write = false; exec = true }
@@ -123,14 +124,14 @@ let translate_walk t ~pasid ~va ~access ~need ~vpn =
     Metrics.incr t.m_walks;
     match Pagetable.walk pt ~va ~access:need with
     | Pagetable.Translated { pa; levels; perm } ->
-      Metrics.incr ~by:levels t.m_walk_levels;
+      Metrics.add t.m_walk_levels levels;
       (match t.tlb with
       | None -> ()
       | Some tlb ->
         Tlb.insert tlb ~pasid ~vpn { Tlb.ppn = Layout.page_of_addr pa; perm });
       Ok_pa pa
     | Pagetable.No_mapping { level } ->
-      Metrics.incr ~by:level t.m_walk_levels;
+      Metrics.add t.m_walk_levels level;
       deliver_fault t { pasid; va; access; reason = Not_mapped }
     | Pagetable.Permission_denied _ ->
       Metrics.incr ~by:4 t.m_walk_levels;
@@ -138,30 +139,27 @@ let translate_walk t ~pasid ~va ~access ~need ~vpn =
 
 let page_off_mask = Int64.to_int Layout.page_mask
 
-(* Per-DMA-byte fast path: native-int virtual address in, native-int
+(* One byte-translation: native-int virtual address in, native-int
    physical address out, or [-1] on a fault (the record is then in
    [last_fault]). Virtual addresses in this simulation are well below
    2^62, so the round trip is exact; on a TLB hit nothing is allocated.
    Counter effects (translations, tlb hits/misses, walks, walk levels,
-   faults) are digest material and exactly match the pre-probe
-   implementation — [translate] below is the same code path, so the two
-   entry points cannot drift. *)
+   faults) are digest material — [translate] and [translate_run] below
+   are the same code path, so the entry points cannot drift. *)
+let walk_pa t ~pasid ~vai ~access ~need =
+  let vpn = Int64.of_int (vai lsr Layout.page_bits) in
+  match translate_walk t ~pasid ~va:(Int64.of_int vai) ~access ~need ~vpn with
+  | Ok_pa pa -> Int64.to_int pa
+  | Fault f ->
+    t.last_fault <- Some f;
+    -1
+
 let translate_pa t ~pasid ~vai ~access =
   Metrics.incr t.m_translations;
   let need = access_perm access in
-  let slow ~vpn =
-    match
-      translate_walk t ~pasid ~va:(Int64.of_int vai) ~access ~need ~vpn
-    with
-    | Ok_pa pa -> Int64.to_int pa
-    | Fault f ->
-      t.last_fault <- Some f;
-      -1
-  in
   match t.tlb with
   | Some tlb ->
-    let vpn_i = vai lsr Layout.page_bits in
-    let ppn = Tlb.probe tlb ~pasid ~vpn:vpn_i in
+    let ppn = Tlb.probe tlb ~pasid ~vpn:(vai lsr Layout.page_bits) in
     if ppn >= 0 then begin
       if Proto_perm.subsumes (Tlb.probe_perm tlb) need then
         (ppn lsl Layout.page_bits) lor (vai land page_off_mask)
@@ -177,8 +175,32 @@ let translate_pa t ~pasid ~vai ~access =
         | Ok_pa _ -> assert false
       end
     end
-    else slow ~vpn:(Int64.of_int vpn_i)
-  | None -> slow ~vpn:(Int64.of_int (vai lsr Layout.page_bits))
+    else walk_pa t ~pasid ~vai ~access ~need
+  | None -> walk_pa t ~pasid ~vai ~access ~need
+
+let page_bytes = page_off_mask + 1
+
+(* A DMA transaction of [n] bytes inside one page is accounted as [n]
+   byte-translations, the model's unit: the first is a real translation
+   (TLB probe, or walk and refill, or fault), and on success the other
+   [n-1] are replayed. With a TLB each of them would be a hit on the slot
+   the first one used, so the replay is O(1); without one each would be
+   the same full walk, so it is simply repeated. *)
+let translate_run t ~pasid ~vai ~n ~access =
+  if n < 1 || (vai land page_off_mask) + n > page_bytes then
+    invalid_arg "Iommu.translate_run: run must be non-empty within one page";
+  let pa = translate_pa t ~pasid ~vai ~access in
+  if pa >= 0 && n > 1 then begin
+    match t.tlb with
+    | Some tlb ->
+      Metrics.add t.m_translations (n - 1);
+      Tlb.replay_hits tlb (n - 1)
+    | None ->
+      for i = 1 to n - 1 do
+        ignore (translate_pa t ~pasid ~vai:(vai + i) ~access)
+      done
+  end;
+  pa
 
 let last_fault t =
   match t.last_fault with

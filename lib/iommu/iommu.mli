@@ -73,14 +73,24 @@ val translate : t -> pasid:int -> va:int64 -> access:access -> translate_result
     this returns. *)
 
 val translate_pa : t -> pasid:int -> vai:int -> access:access -> int
-(** Allocation-free [translate] for per-byte DMA: native-int virtual
-    address in, physical address out, or [-1] on a fault (read
-    {!last_fault} for the record; handlers have already run). Identical
-    counter and fault-delivery effects to [translate] — it is the same
-    code path. *)
+(** Allocation-free [translate]: native-int virtual address in, physical
+    address out, or [-1] on a fault (read {!last_fault} for the record;
+    handlers have already run). Identical counter and fault-delivery
+    effects to [translate] — it is the same code path. *)
+
+val translate_run : t -> pasid:int -> vai:int -> n:int -> access:access -> int
+(** One DMA transaction over the [n] bytes at [vai], which must lie in one
+    page: the physical address of [vai], or [-1] on a fault, as
+    {!translate_pa}. The run is accounted exactly as [n] [translate_pa]
+    calls on its bytes in address order. The first byte is translated for
+    real; after it succeeds the other [n-1] cannot fault, and are replayed
+    in O(1) with a TLB (translations, TLB hits, the LRU clock and the hit
+    slot's stamp) or walked again without one.
+    @raise Invalid_argument if [n < 1] or the run crosses a page. *)
 
 val last_fault : t -> fault
-(** The fault behind the most recent [-1] from [translate_pa].
+(** The fault behind the most recent [-1] from [translate_pa] or
+    [translate_run].
     @raise Invalid_argument if no fault was ever delivered. *)
 
 val pasids : t -> int list

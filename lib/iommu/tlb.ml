@@ -1,6 +1,6 @@
 type entry = { ppn : int64; perm : Proto_perm.t }
 
-(* Slots hold page numbers as native ints: every DMA byte access funnels
+(* Slots hold page numbers as native ints: every DMA transaction funnels
    through [probe], and boxed Int64 keys would put ~10 minor-heap
    allocations on that path. Page numbers are < 2^51 in this simulation,
    so the conversion at the (cold) int64 API boundary is exact. *)
@@ -21,6 +21,10 @@ type t = {
   slots : slot array array;  (* sets x ways *)
   mutable clock : int;
   mutable last_perm : Proto_perm.t;  (* perms of the latest [probe] hit *)
+  (* The slot the latest [probe] hit or [insert] filled, so [replay_hits]
+     can restamp it in O(1). Host-only: never saved, and only read right
+     after the probe or insert that set it. *)
+  mutable last_slot : slot;
   m_hits : Metrics.counter;
   m_misses : Metrics.counter;
   m_evictions : Metrics.counter;
@@ -38,12 +42,14 @@ let create ?(sets = 64) ?(ways = 4) ?metrics ?(actor = "tlb") () =
   (* Without a shared registry (standalone unit tests), counters live in a
      private one so the hot path never branches on an option. *)
   let m = match metrics with Some m -> m | None -> Metrics.create () in
+  let slots = Array.init sets (fun _ -> Array.init ways (fun _ -> mk_slot ())) in
   {
     sets;
     ways;
-    slots = Array.init sets (fun _ -> Array.init ways (fun _ -> mk_slot ()));
+    slots;
     clock = 0;
     last_perm = perm_none;
+    last_slot = slots.(0).(0);
     m_hits = Metrics.counter m ~actor ~name:"tlb_hits";
     m_misses = Metrics.counter m ~actor ~name:"tlb_misses";
     m_evictions = Metrics.counter m ~actor ~name:"tlb_evictions";
@@ -63,28 +69,36 @@ let tick t =
    the caller's job, via [probe_perm] — or -1 on a miss. Counter and LRU
    effects are exactly those of [lookup]: a tag match counts as a hit
    even if the permissions later prove insufficient. *)
+let rec probe_set t set i ~pasid ~vpn =
+  if i >= Array.length set then begin
+    Metrics.incr t.m_misses;
+    -1
+  end
+  else begin
+    let s = Array.unsafe_get set i in
+    if s.valid && s.pasid = pasid && s.vpn = vpn then begin
+      s.lru <- tick t;
+      t.last_perm <- s.perm;
+      t.last_slot <- s;
+      Metrics.incr t.m_hits;
+      s.ppn
+    end
+    else probe_set t set (i + 1) ~pasid ~vpn
+  end
+
 let probe t ~pasid ~vpn =
-  let set = Array.unsafe_get t.slots (set_index t ~pasid ~vpn) in
-  let n = Array.length set in
-  let rec go i =
-    if i >= n then begin
-      Metrics.incr t.m_misses;
-      -1
-    end
-    else begin
-      let s = Array.unsafe_get set i in
-      if s.valid && s.pasid = pasid && s.vpn = vpn then begin
-        s.lru <- tick t;
-        t.last_perm <- s.perm;
-        Metrics.incr t.m_hits;
-        s.ppn
-      end
-      else go (i + 1)
-    end
-  in
-  go 0
+  probe_set t (Array.unsafe_get t.slots (set_index t ~pasid ~vpn)) 0 ~pasid ~vpn
 
 let probe_perm t = t.last_perm
+
+(* [k] more hits on the slot the latest [probe] hit or [insert] filled,
+   with exactly the counter, clock and LRU effects of [k] further
+   [probe]s of that page: each would tick the clock and stamp the slot,
+   so only the last stamp survives. *)
+let replay_hits t k =
+  Metrics.add t.m_hits k;
+  t.clock <- t.clock + k;
+  t.last_slot.lru <- t.clock
 
 let lookup t ~pasid ~vpn =
   let ppn = probe t ~pasid ~vpn:(Int64.to_int vpn) in
@@ -111,7 +125,8 @@ let insert t ~pasid ~vpn (e : entry) =
   s.vpn <- vpn;
   s.ppn <- ppn;
   s.perm <- e.perm;
-  s.lru <- tick t
+  s.lru <- tick t;
+  t.last_slot <- s
 
 let invalidate_page t ~pasid ~vpn =
   let vpn = Int64.to_int vpn in

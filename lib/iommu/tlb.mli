@@ -34,6 +34,12 @@ val probe_perm : t -> Proto_perm.t
 (** Permissions of the most recent [probe] hit. Only meaningful directly
     after a non-negative [probe] return. *)
 
+val replay_hits : t -> int -> unit
+(** [replay_hits t k] accounts [k] further hits on the slot that the most
+    recent [probe] hit or [insert] filled: hits, the LRU clock and that
+    slot's LRU stamp end exactly as after [k] more [probe]s of its page.
+    O(1); only meaningful directly after such a [probe] or [insert]. *)
+
 val insert : t -> pasid:int -> vpn:int64 -> entry -> unit
 val invalidate_page : t -> pasid:int -> vpn:int64 -> unit
 val invalidate_pasid : t -> pasid:int -> unit

@@ -17,12 +17,12 @@ type t = {
   size_i : int;  (* [size] as a native int, for the byte-access fast path *)
   chunks : (int64, view) Hashtbl.t;  (* chunk number -> backing store *)
   touched : (int64, unit) Hashtbl.t; (* frame numbers materialised so far *)
-  (* One-entry caches for the per-byte DMA path. [read_u8]/[write_u8] run
-     for every descriptor and ring byte a device touches; an int64-keyed
-     [Hashtbl.find_opt] per byte (polymorphic hash of a boxed key) would
-     dominate the whole access. Pure host-side memoisation: the cached
-     chunk is the same Bigarray the table holds, and the touched-page
-     cache only skips idempotent set re-insertions. *)
+  (* One-entry caches for the ring-field DMA path. [read_field]/
+     [write_field] run for every descriptor and ring field a device
+     touches; an int64-keyed [Hashtbl.find_opt] per field (polymorphic
+     hash of a boxed key) would dominate the whole access. Pure host-side
+     memoisation: the cached chunk is the same Bigarray the table holds,
+     and the touched-page cache only skips idempotent set re-insertions. *)
   mutable last_cnum : int;           (* -1 = invalid *)
   mutable last_chunk : view;
   mutable last_touched : int;        (* frame number, -1 = invalid *)
@@ -98,48 +98,91 @@ let touch_range t addr len =
     done
   end
 
-(* Native-int byte accessors — the form the DMA per-byte path calls so
-   no boxed address crosses the module boundary. *)
-let read_byte t ai =
-  if ai < 0 || ai >= t.size_i then check t (Int64.of_int ai) 1;
-  let cnum = ai lsr chunk_bits in
-  if cnum = t.last_cnum then
-    Char.code (Bigarray.Array1.unsafe_get t.last_chunk (ai land (chunk_bytes - 1)))
-  else begin
+(* Ring fields: one little-endian Bigarray access per field, on native-int
+   physical addresses so no boxed address crosses the module boundary. *)
+external get16 : view -> int -> int = "%caml_bigstring_get16u"
+external get32 : view -> int -> int32 = "%caml_bigstring_get32u"
+external get64 : view -> int -> int64 = "%caml_bigstring_get64u"
+external set16 : view -> int -> int -> unit = "%caml_bigstring_set16u"
+external set32 : view -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external set64 : view -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* A field must lie inside DRAM and inside one chunk (a field inside one
+   page always does). *)
+let check_field t pa n =
+  if pa < 0 || pa + n > t.size_i then check t (Int64.of_int pa) n;
+  if (pa land (chunk_bytes - 1)) + n > chunk_bytes then
+    invalid_arg "Physmem: field crosses a chunk boundary"
+
+(* Point [last_chunk] at the chunk under [pa] for a read; false if that
+   chunk was never written (definitionally zero, nothing to cache). *)
+let cache_chunk_for_read t pa =
+  let cnum = pa lsr chunk_bits in
+  if cnum <> t.last_cnum then begin
     match Hashtbl.find_opt t.chunks (Int64.of_int cnum) with
-    | None -> 0 (* untouched, definitionally zero; nothing to cache *)
+    | None -> ()
     | Some c ->
       t.last_cnum <- cnum;
-      t.last_chunk <- c;
-      Char.code (Bigarray.Array1.unsafe_get c (ai land (chunk_bytes - 1)))
+      t.last_chunk <- c
+  end;
+  cnum = t.last_cnum
+
+let read_field t pa n =
+  check_field t pa n;
+  if not (cache_chunk_for_read t pa) then 0
+  else begin
+    let c = t.last_chunk and off = pa land (chunk_bytes - 1) in
+    match n with
+    | 1 -> Char.code (Bigarray.Array1.unsafe_get c off)
+    | 2 -> if Sys.big_endian then bswap16 (get16 c off) else get16 c off
+    | 4 ->
+      let v = get32 c off in
+      (* Convert in each branch: an int32-valued [if] would be boxed. *)
+      (if Sys.big_endian then Int32.to_int (bswap32 v) else Int32.to_int v)
+      land 0xffff_ffff
+    | _ -> invalid_arg "Physmem.read_field: width must be 1, 2 or 4"
   end
 
-let write_byte t ai v =
-  if ai < 0 || ai >= t.size_i then check t (Int64.of_int ai) 1;
-  mark_touched t (ai lsr Layout.page_bits);
-  let c = chunk_c t (ai lsr chunk_bits) in
-  Bigarray.Array1.unsafe_set c (ai land (chunk_bytes - 1))
-    (Char.unsafe_chr (v land 0xff))
+let read_field64 t pa =
+  check_field t pa 8;
+  if not (cache_chunk_for_read t pa) then 0L
+  else begin
+    let v = get64 t.last_chunk (pa land (chunk_bytes - 1)) in
+    if Sys.big_endian then bswap64 v else v
+  end
 
+(* The chunk under a field being written, with its frames marked touched. *)
+let chunk_for_write t pa n =
+  mark_touched t (pa lsr Layout.page_bits);
+  mark_touched t ((pa + n - 1) lsr Layout.page_bits);
+  chunk_c t (pa lsr chunk_bits)
+
+let write_field t pa n v =
+  check_field t pa n;
+  if n <> 1 && n <> 2 && n <> 4 then
+    invalid_arg "Physmem.write_field: width must be 1, 2 or 4";
+  let c = chunk_for_write t pa n and off = pa land (chunk_bytes - 1) in
+  match n with
+  | 1 -> Bigarray.Array1.unsafe_set c off (Char.unsafe_chr (v land 0xff))
+  | 2 ->
+    let v = v land 0xffff in
+    set16 c off (if Sys.big_endian then bswap16 v else v)
+  | _ ->
+    let v = Int32.of_int v in
+    set32 c off (if Sys.big_endian then bswap32 v else v)
+
+let write_field64 t pa v =
+  check_field t pa 8;
+  let c = chunk_for_write t pa 8 in
+  set64 c (pa land (chunk_bytes - 1)) (if Sys.big_endian then bswap64 v else v)
+
+let read_byte t ai = read_field t ai 1
+let write_byte t ai v = write_field t ai 1 v
 let read_u8 t addr = read_byte t (Int64.to_int addr)
 let write_u8 t addr v = write_byte t (Int64.to_int addr) v
-
-let read_u64 t addr =
-  check t addr 8;
-  let v = ref 0L in
-  for i = 0 to 7 do
-    let byte = read_u8 t (Int64.add addr (Int64.of_int i)) in
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int byte) (i * 8))
-  done;
-  !v
-
-let write_u64 t addr v =
-  check t addr 8;
-  for i = 0 to 7 do
-    write_u8 t
-      (Int64.add addr (Int64.of_int i))
-      (Int64.to_int (Int64.shift_right_logical v (i * 8)) land 0xff)
-  done
 
 let read_into t addr out ~pos:start ~len =
   check t addr len;
@@ -189,6 +232,14 @@ let write_string_sub t addr s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Physmem.write_string_sub";
   write_sub t addr blit_string_in s ~pos ~len
+
+(* Little-endian, may span chunks: the cold int64-addressed form. *)
+let read_u64 t addr = String.get_int64_le (read_bytes t addr 8) 0
+
+let write_u64 t addr v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 v;
+  write_bytes_sub t addr b ~pos:0 ~len:8
 
 let fill t addr len c = write_bytes t addr (String.make len c)
 

@@ -24,13 +24,28 @@ val size : t -> int64
 val read_u8 : t -> int64 -> int
 val write_u8 : t -> int64 -> int -> unit
 
-(** Native-int forms of [read_u8]/[write_u8], for per-byte hot paths
-    where a boxed address per access would dominate. Physical addresses
-    fit a native int (DRAM is well under 2^62 bytes). *)
+(** Native-int physical addresses, for the DMA ring path where a boxed
+    address per access would dominate. Physical addresses fit a native
+    int (DRAM is well under 2^62 bytes). Each call is one Bigarray access;
+    the field must lie inside one 64 KiB backing chunk, which any field
+    inside one page does, else [Invalid_argument]. *)
+
+val read_field : t -> int -> int -> int
+(** [read_field t pa n] is the little-endian unsigned field of [n] = 1, 2
+    or 4 bytes at [pa]. *)
+
+val write_field : t -> int -> int -> int -> unit
+(** [write_field t pa n v] stores the low [n] = 1, 2 or 4 bytes of [v] at
+    [pa], little-endian. *)
+
+val read_field64 : t -> int -> int64
+val write_field64 : t -> int -> int64 -> unit
+(** The 8-byte little-endian field at [pa], all 64 bits. *)
 
 val read_byte : t -> int -> int
-
 val write_byte : t -> int -> int -> unit
+(** [read_field]/[write_field] with width 1. *)
+
 val read_u64 : t -> int64 -> int64
 (** Little-endian, may span frames. *)
 

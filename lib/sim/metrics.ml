@@ -70,6 +70,7 @@ let histogram t ~actor ~name =
     h
 
 let incr ?(by = 1) c = c.count <- c.count + by
+let add c n = c.count <- c.count + n
 let counter_value c = c.count
 let set g v = g.level <- v
 let gauge_value g = g.level

@@ -33,6 +33,11 @@ val gauge : t -> actor:string -> name:string -> gauge
 val histogram : t -> actor:string -> name:string -> histogram
 
 val incr : ?by:int -> counter -> unit
+
+val add : counter -> int -> unit
+(** [add c n] is [incr ~by:n c] without boxing [Some n] at the call: for
+    hot paths that bump by a computed amount. *)
+
 val counter_value : counter -> int
 
 val set : gauge -> float -> unit

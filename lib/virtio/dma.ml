@@ -40,67 +40,144 @@ let create ~iommu ~pasid ~mem =
 
 let pasid t = t.pasid
 
-let translate t va access =
-  match Iommu.translate t.iommu ~pasid:t.pasid ~va ~access with
-  | Iommu.Ok_pa pa -> pa
-  | Iommu.Fault f -> raise (Dma_fault f)
+(* Ring transactions. A descriptor, a used-ring element or one ring field
+   is one DMA transaction: one [Iommu.translate_run] per page segment,
+   accounted as one translation per byte, then one native-int Physmem
+   access per field. Addresses stay native ints end to end, so nothing is
+   boxed; simulated VAs are far below 2^62, so the round trips are exact. *)
+let page_mask = Int64.to_int Layout.page_mask
+let page_bytes = page_mask + 1
 
-(* Per-byte accessors stay on native ints end to end (address translation
-   included): descriptor and ring traffic funnels through here one byte
-   at a time, and boxing an Int64 per byte would dominate the simulation.
-   Simulated VAs are far below 2^62, so the round trips are exact. *)
-let translate_i t vai access =
-  let pa = Iommu.translate_pa t.iommu ~pasid:t.pasid ~vai ~access in
+let run t vai n access =
+  let pa = Iommu.translate_run t.iommu ~pasid:t.pasid ~vai ~n ~access in
   if pa >= 0 then pa else raise (Dma_fault (Iommu.last_fault t.iommu))
 
-let read_byte t vai = Physmem.read_byte t.mem (translate_i t vai Iommu.Read)
+(* The copy path and grants translate once per page segment. *)
+let translate t va access = Int64.of_int (run t (Int64.to_int va) 1 access)
+let in_one_page vai n = (vai land page_mask) + n <= page_bytes
 
-let write_byte t vai v =
-  Physmem.write_byte t.mem (translate_i t vai Iommu.Write) v
+(* A transaction that crosses a page: each page segment is its own run, in
+   address order, through a small buffer. A fault on the second page
+   leaves the first page's bytes written, as the bytes in order would. *)
+let read_split t vai n =
+  let buf = Bytes.create n in
+  let first = page_bytes - (vai land page_mask) in
+  let pa = run t vai first Iommu.Read in
+  Physmem.read_into t.mem (Int64.of_int pa) buf ~pos:0 ~len:first;
+  let pa = run t (vai + first) (n - first) Iommu.Read in
+  Physmem.read_into t.mem (Int64.of_int pa) buf ~pos:first ~len:(n - first);
+  buf
 
-let read_u8 t va = read_byte t (Int64.to_int va)
-let write_u8 t va v = write_byte t (Int64.to_int va) v
+let write_split t vai buf =
+  let n = Bytes.length buf in
+  let first = page_bytes - (vai land page_mask) in
+  let pa = run t vai first Iommu.Write in
+  Physmem.write_bytes_sub t.mem (Int64.of_int pa) buf ~pos:0 ~len:first;
+  let pa = run t (vai + first) (n - first) Iommu.Write in
+  Physmem.write_bytes_sub t.mem (Int64.of_int pa) buf ~pos:first ~len:(n - first)
 
-let read_uint t va n =
-  let vai = Int64.to_int va in
-  let v = ref 0 in
-  for i = 0 to n - 1 do
-    v := !v lor (read_byte t (vai + i) lsl (i * 8))
-  done;
-  !v
+let get_field buf off n =
+  match n with
+  | 1 -> Bytes.get_uint8 buf off
+  | 2 -> Bytes.get_uint16_le buf off
+  | _ -> Int32.to_int (Bytes.get_int32_le buf off) land 0xffff_ffff
 
-let write_uint t va n v =
-  let vai = Int64.to_int va in
-  for i = 0 to n - 1 do
-    write_byte t (vai + i) ((v lsr (i * 8)) land 0xff)
-  done
+let set_field buf off n v =
+  match n with
+  | 1 -> Bytes.set_uint8 buf off (v land 0xff)
+  | 2 -> Bytes.set_uint16_le buf off (v land 0xffff)
+  | _ -> Bytes.set_int32_le buf off (Int32.of_int v)
 
-let read_u16 t va = read_uint t va 2
-let write_u16 t va v = write_uint t va 2 v
-let read_u32 t va = read_uint t va 4
-let write_u32 t va v = write_uint t va 4 v
+let read_field t vai n =
+  if in_one_page vai n then Physmem.read_field t.mem (run t vai n Iommu.Read) n
+  else get_field (read_split t vai n) 0 n
 
-let read_u64 t va =
-  let vai = Int64.to_int va in
-  let lo = ref 0 and hi = ref 0 in
-  for i = 0 to 3 do
-    lo := !lo lor (read_byte t (vai + i) lsl (i * 8))
-  done;
-  for i = 4 to 7 do
-    hi := !hi lor (read_byte t (vai + i) lsl ((i - 4) * 8))
-  done;
-  Int64.logor (Int64.of_int !lo) (Int64.shift_left (Int64.of_int !hi) 32)
+let write_field t vai n v =
+  if in_one_page vai n then
+    Physmem.write_field t.mem (run t vai n Iommu.Write) n v
+  else begin
+    let buf = Bytes.create n in
+    set_field buf 0 n v;
+    write_split t vai buf
+  end
 
-let write_u64 t va v =
-  let vai = Int64.to_int va in
-  let lo = Int64.to_int (Int64.logand v 0xFFFFFFFFL) in
-  let hi = Int64.to_int (Int64.shift_right_logical v 32) in
-  for i = 0 to 3 do
-    write_byte t (vai + i) ((lo lsr (i * 8)) land 0xff)
-  done;
-  for i = 4 to 7 do
-    write_byte t (vai + i) ((hi lsr ((i - 4) * 8)) land 0xff)
-  done
+let read_field64 t vai =
+  if in_one_page vai 8 then Physmem.read_field64 t.mem (run t vai 8 Iommu.Read)
+  else Bytes.get_int64_le (read_split t vai 8) 0
+
+let write_field64 t vai v =
+  if in_one_page vai 8 then
+    Physmem.write_field64 t.mem (run t vai 8 Iommu.Write) v
+  else begin
+    let buf = Bytes.create 8 in
+    Bytes.set_int64_le buf 0 v;
+    write_split t vai buf
+  end
+
+let read_u8 t va = read_field t (Int64.to_int va) 1
+let write_u8 t va v = write_field t (Int64.to_int va) 1 v
+let read_u16 t va = read_field t (Int64.to_int va) 2
+let write_u16 t va v = write_field t (Int64.to_int va) 2 v
+let read_u32 t va = read_field t (Int64.to_int va) 4
+let write_u32 t va v = write_field t (Int64.to_int va) 4 v
+let read_u64 t va = read_field64 t (Int64.to_int va)
+let write_u64 t va v = write_field64 t (Int64.to_int va) v
+
+(* Composite transactions. One that crosses a page is done field by
+   field: the same bytes in the same order, so the same accounting and
+   the same partial write on a fault. *)
+
+(* Descriptor: addr u64 | len u32 | flags u16 | next u16. *)
+let read_desc t vai =
+  if in_one_page vai 16 then begin
+    let pa = run t vai 16 Iommu.Read in
+    ( Physmem.read_field64 t.mem pa,
+      Physmem.read_field t.mem (pa + 8) 4,
+      Physmem.read_field t.mem (pa + 12) 2,
+      Physmem.read_field t.mem (pa + 14) 2 )
+  end
+  else begin
+    let addr = read_field64 t vai in
+    let len = read_field t (vai + 8) 4 in
+    let flags = read_field t (vai + 12) 2 in
+    (addr, len, flags, read_field t (vai + 14) 2)
+  end
+
+let write_desc t vai ~addr ~len ~flags ~next =
+  if in_one_page vai 16 then begin
+    let pa = run t vai 16 Iommu.Write in
+    Physmem.write_field64 t.mem pa addr;
+    Physmem.write_field t.mem (pa + 8) 4 len;
+    Physmem.write_field t.mem (pa + 12) 2 flags;
+    Physmem.write_field t.mem (pa + 14) 2 next
+  end
+  else begin
+    write_field64 t vai addr;
+    write_field t (vai + 8) 4 len;
+    write_field t (vai + 12) 2 flags;
+    write_field t (vai + 14) 2 next
+  end
+
+let read_pair32 t vai =
+  if in_one_page vai 8 then begin
+    let pa = run t vai 8 Iommu.Read in
+    (Physmem.read_field t.mem pa 4, Physmem.read_field t.mem (pa + 4) 4)
+  end
+  else begin
+    let a = read_field t vai 4 in
+    (a, read_field t (vai + 4) 4)
+  end
+
+let write_pair32 t vai a b =
+  if in_one_page vai 8 then begin
+    let pa = run t vai 8 Iommu.Write in
+    Physmem.write_field t.mem pa 4 a;
+    Physmem.write_field t.mem (pa + 4) 4 b
+  end
+  else begin
+    write_field t vai 4 a;
+    write_field t (vai + 4) 4 b
+  end
 
 let read_into t va out ~pos ~len =
   let rec go va dst_off remaining =
@@ -147,7 +224,6 @@ let write_bytes_sub t va b ~pos ~len =
 
 (* --- DMI fast path ----------------------------------------------------- *)
 
-let page_bytes = Int64.to_int Layout.page_size
 let access_tag = function Iommu.Read -> 0 | Iommu.Write -> 1 | Iommu.Exec -> 2
 
 (* The zero-copy contract (DESIGN.md §14): when [va, va+len) lies inside

@@ -17,6 +17,18 @@ val create :
 
 val pasid : t -> int
 
+(** {2 Fields and ring transactions}
+
+    Each call below is one DMA transaction: one
+    {!Lastcpu_iommu.Iommu.translate_run} per page segment, then one
+    little-endian Physmem access per field. The modelled accounting is
+    byte-exact: a transaction of [n] bytes counts as [n] byte-translations
+    in address order (translations, TLB hits/misses, walks, the LRU state
+    and faults all end as if each byte were translated on its own). A
+    transaction that crosses a page is split there, each segment its own
+    run; a fault on the second page raises {!Dma_fault} after the first
+    page's bytes were written. Values are little-endian and unsigned. *)
+
 val read_u8 : t -> int64 -> int
 val write_u8 : t -> int64 -> int -> unit
 val read_u16 : t -> int64 -> int
@@ -25,6 +37,33 @@ val read_u32 : t -> int64 -> int
 val write_u32 : t -> int64 -> int -> unit
 val read_u64 : t -> int64 -> int64
 val write_u64 : t -> int64 -> int64 -> unit
+
+(** The ring path takes native-int virtual addresses, so no boxed address
+    is built per access (simulated VAs are far below 2^62). *)
+
+val read_field : t -> int -> int -> int
+(** [read_field t vai n]: the [n] = 1, 2 or 4 byte field at [vai]. *)
+
+val write_field : t -> int -> int -> int -> unit
+val read_field64 : t -> int -> int64
+val write_field64 : t -> int -> int64 -> unit
+
+val read_desc : t -> int -> int64 * int * int * int
+(** The 16-byte virtqueue descriptor at [vai] as one transaction:
+    [(addr, len, flags, next)], laid out addr u64 | len u32 | flags u16 |
+    next u16. *)
+
+val write_desc :
+  t -> int -> addr:int64 -> len:int -> flags:int -> next:int -> unit
+
+val read_pair32 : t -> int -> int * int
+(** Two consecutive u32 fields (a used-ring element: id, len) as one 8-byte
+    transaction. *)
+
+val write_pair32 : t -> int -> int -> int -> unit
+
+(** {2 Byte ranges} *)
+
 val read_bytes : t -> int64 -> int -> string
 val write_bytes : t -> int64 -> string -> unit
 

@@ -14,63 +14,46 @@ let check_size size =
   if size <= 0 || size > 32768 || size land (size - 1) <> 0 then
     invalid_arg "Virtqueue: size must be a power of two in [1, 32768]"
 
-let desc_off i = Int64.of_int (16 * i)
-let avail_off size = Int64.of_int (16 * size)
-let avail_ring_off size i = Int64.add (avail_off size) (Int64.of_int (4 + (2 * i)))
+let desc_off i = 16 * i
+let avail_off size = 16 * size
+let avail_ring_off size i = avail_off size + 4 + (2 * i)
 
 let used_off size =
   let avail_end = (16 * size) + 4 + (2 * size) in
-  Int64.of_int ((avail_end + 3) land lnot 3)
+  (avail_end + 3) land lnot 3
 
-let used_ring_off size i = Int64.add (used_off size) (Int64.of_int (4 + (8 * i)))
+let used_ring_off size i = used_off size + 4 + (8 * i)
 
 let layout_bytes ~size =
   check_size size;
-  Int64.to_int (used_off size) + 4 + (8 * size)
+  used_off size + 4 + (8 * size)
 
-(* Shared accessors over a DMA view rooted at [base]. *)
+(* Shared accessors over a DMA view rooted at [base]. Each is one DMA
+   transaction (a whole descriptor, a whole used element, or one index or
+   avail-ring field) on native-int addresses; [base] is kept as given
+   only for snapshots. *)
 module Raw = struct
-  type t = { dma : Dma.t; base : int64; size : int }
+  type t = { dma : Dma.t; base : int64; basei : int; size : int }
 
-  let addr t off = Int64.add t.base off
-  let read_u16 t off = Dma.read_u16 t.dma (addr t off)
-  let write_u16 t off v = Dma.write_u16 t.dma (addr t off) v
-  let read_u32 t off = Dma.read_u32 t.dma (addr t off)
-  let write_u32 t off v = Dma.write_u32 t.dma (addr t off) v
-  let read_u64 t off = Dma.read_u64 t.dma (addr t off)
-  let write_u64 t off v = Dma.write_u64 t.dma (addr t off) v
-
-  let read_desc t i =
-    let off = desc_off i in
-    let va = read_u64 t off in
-    let len = read_u32 t (Int64.add off 8L) in
-    let flags = read_u16 t (Int64.add off 12L) in
-    let next = read_u16 t (Int64.add off 14L) in
-    (va, len, flags, next)
+  let make ~dma ~base ~size = { dma; base; basei = Int64.to_int base; size }
+  let read_u16 t off = Dma.read_field t.dma (t.basei + off) 2
+  let write_u16 t off v = Dma.write_field t.dma (t.basei + off) 2 v
+  let read_desc t i = Dma.read_desc t.dma (t.basei + desc_off i)
 
   let write_desc t i ~va ~len ~flags ~next =
-    let off = desc_off i in
-    write_u64 t off va;
-    write_u32 t (Int64.add off 8L) len;
-    write_u16 t (Int64.add off 12L) flags;
-    write_u16 t (Int64.add off 14L) next
+    Dma.write_desc t.dma (t.basei + desc_off i) ~addr:va ~len ~flags ~next
 
-  let avail_idx t = read_u16 t (Int64.add (avail_off t.size) 2L)
-  let set_avail_idx t v = write_u16 t (Int64.add (avail_off t.size) 2L) (v land 0xffff)
+  let avail_idx t = read_u16 t (avail_off t.size + 2)
+  let set_avail_idx t v = write_u16 t (avail_off t.size + 2) (v land 0xffff)
   let avail_ring t i = read_u16 t (avail_ring_off t.size i)
   let set_avail_ring t i v = write_u16 t (avail_ring_off t.size i) v
-  let used_idx t = read_u16 t (Int64.add (used_off t.size) 2L)
-  let set_used_idx t v = write_u16 t (Int64.add (used_off t.size) 2L) (v land 0xffff)
+  let used_idx t = read_u16 t (used_off t.size + 2)
+  let set_used_idx t v = write_u16 t (used_off t.size + 2) (v land 0xffff)
   let used_flags t = read_u16 t (used_off t.size)
-
-  let used_ring t i =
-    let off = used_ring_off t.size i in
-    (read_u32 t off, read_u32 t (Int64.add off 4L))
+  let used_ring t i = Dma.read_pair32 t.dma (t.basei + used_ring_off t.size i)
 
   let set_used_ring t i ~id ~len =
-    let off = used_ring_off t.size i in
-    write_u32 t off id;
-    write_u32 t (Int64.add off 4L) len
+    Dma.write_pair32 t.dma (t.basei + used_ring_off t.size i) id len
 end
 
 module Driver = struct
@@ -87,7 +70,7 @@ module Driver = struct
 
   let create ~dma ~base ~size =
     check_size size;
-    let raw = { Raw.dma; base; size } in
+    let raw = Raw.make ~dma ~base ~size in
     (* Zero the ring indices; descriptor contents are written on add. *)
     Raw.write_u16 raw (avail_off size) 0;
     Raw.set_avail_idx raw 0;
@@ -168,16 +151,15 @@ module Driver = struct
       else begin
         (* Write the indirect table into driver memory: sequential
            entries, NEXT-chained as the spec requires. *)
+        let table = Int64.to_int table_va in
         List.iteri
           (fun i b ->
-            let off = Int64.add table_va (Int64.of_int (16 * i)) in
-            Dma.write_u64 t.raw.Raw.dma off b.va;
-            Dma.write_u32 t.raw.Raw.dma (Int64.add off 8L) b.len;
-            Dma.write_u16 t.raw.Raw.dma (Int64.add off 12L)
-              ((if i < n - 1 then desc_f_next else 0)
-              lor if b.writable then desc_f_write else 0);
-            Dma.write_u16 t.raw.Raw.dma (Int64.add off 14L)
-              (if i < n - 1 then i + 1 else 0))
+            Dma.write_desc t.raw.Raw.dma (table + desc_off i) ~addr:b.va
+              ~len:b.len
+              ~flags:
+                ((if i < n - 1 then desc_f_next else 0)
+                lor if b.writable then desc_f_write else 0)
+              ~next:(if i < n - 1 then i + 1 else 0))
           buffers;
         let head = t.free_head in
         Raw.write_desc t.raw head ~va:table_va ~len:(16 * n)
@@ -258,7 +240,7 @@ module Driver = struct
     let used_seen = Snapshot.R.varint r in
     let completion_count = Snapshot.R.varint r in
     {
-      raw = { Raw.dma; base; size };
+      raw = Raw.make ~dma ~base ~size;
       free_head;
       free_count;
       next_free;
@@ -276,7 +258,7 @@ module Device = struct
 
   let create ~dma ~base ~size =
     check_size size;
-    { raw = { Raw.dma; base; size }; avail_seen = 0 }
+    { raw = Raw.make ~dma ~base ~size; avail_seen = 0 }
 
   let pending t =
     let avail = Raw.avail_idx t.raw in
@@ -288,15 +270,18 @@ module Device = struct
       let slot = t.avail_seen mod t.raw.Raw.size in
       let head = Raw.avail_ring t.raw slot in
       t.avail_seen <- t.avail_seen + 1;
+      (* An indirect entry's [next] is implied by its position, so only
+         its first 14 bytes are read: addr, len and flags. *)
       let read_indirect table_va bytes =
         let entries = bytes / 16 in
+        let dma = t.raw.Raw.dma and table = Int64.to_int table_va in
         let rec go i acc =
           if i >= entries then List.rev acc
           else begin
-            let off = Int64.add table_va (Int64.of_int (16 * i)) in
-            let va = Dma.read_u64 t.raw.Raw.dma off in
-            let len = Dma.read_u32 t.raw.Raw.dma (Int64.add off 8L) in
-            let flags = Dma.read_u16 t.raw.Raw.dma (Int64.add off 12L) in
+            let off = table + desc_off i in
+            let va = Dma.read_field64 dma off in
+            let len = Dma.read_field dma (off + 8) 4 in
+            let flags = Dma.read_field dma (off + 12) 2 in
             let buf = { va; len; writable = flags land desc_f_write <> 0 } in
             if flags land desc_f_next <> 0 then go (i + 1) (buf :: acc)
             else List.rev (buf :: acc)
@@ -365,5 +350,5 @@ module Device = struct
     let size = Snapshot.R.varint r in
     check_size size;
     let avail_seen = Snapshot.R.varint r in
-    { raw = { Raw.dma; base; size }; avail_seen }
+    { raw = Raw.make ~dma ~base ~size; avail_seen }
 end

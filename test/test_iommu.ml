@@ -261,6 +261,45 @@ let test_iommu_no_tlb_mode () =
   Alcotest.(check int) "every access walks" 2 (Iommu.walks iommu);
   Alcotest.(check int) "no tlb hits" 0 (Iommu.tlb_hits iommu)
 
+(* A run of [n] bytes is accounted as [n] byte-translations: after a
+   miss (walk and refill), a hit that is not the newest, and an eviction,
+   the counters and the saved TLB (slots, LRU stamps, clock) match [n]
+   separate [translate_pa] calls. *)
+let test_iommu_translate_run_replays_bytes () =
+  let mk () =
+    let iommu = Iommu.create ~tlb_sets:1 ~tlb_ways:2 () in
+    (match
+       Iommu.map iommu ~pasid:1 ~va:0L ~pa:0x10_000L ~bytes:(Int64.mul 4L page)
+         ~perm:Types.perm_rw
+     with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    iommu
+  in
+  let state iommu =
+    let w = Lastcpu_sim.Snapshot.W.create () in
+    Iommu.save w iommu;
+    ( [ Iommu.translations iommu; Iommu.tlb_hits iommu; Iommu.tlb_misses iommu;
+        Iommu.tlb_evictions iommu; Iommu.walks iommu; Iommu.walk_levels iommu ],
+      Lastcpu_sim.Snapshot.W.contents w )
+  in
+  let runs = [ (0, 16); (4096, 8); (16, 4); (8192, 2); (4100, 16); (0, 1) ] in
+  let a = mk () and b = mk () in
+  List.iter
+    (fun (vai, n) ->
+      let pa = Iommu.translate_run a ~pasid:1 ~vai ~n ~access:Iommu.Read in
+      for i = 0 to n - 1 do
+        let pb = Iommu.translate_pa b ~pasid:1 ~vai:(vai + i) ~access:Iommu.Read in
+        if i = 0 then Alcotest.(check int) "same physical address" pb pa
+      done;
+      let counters_a, saved_a = state a and counters_b, saved_b = state b in
+      Alcotest.(check (list int)) "counters" counters_b counters_a;
+      Alcotest.(check string) "saved TLB" saved_b saved_a)
+    runs;
+  Alcotest.check_raises "a run may not cross a page"
+    (Invalid_argument "Iommu.translate_run: run must be non-empty within one page")
+    (fun () -> ignore (Iommu.translate_run a ~pasid:1 ~vai:4090 ~n:8 ~access:Iommu.Read))
+
 let () =
   Alcotest.run "iommu"
     [
@@ -291,5 +330,7 @@ let () =
           Alcotest.test_case "write protection" `Quick test_iommu_write_protection;
           Alcotest.test_case "clear pasid" `Quick test_iommu_clear_pasid;
           Alcotest.test_case "no-tlb mode" `Quick test_iommu_no_tlb_mode;
+          Alcotest.test_case "translate_run per-byte accounting" `Quick
+            test_iommu_translate_run_replays_bytes;
         ] );
     ]

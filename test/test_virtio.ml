@@ -1,4 +1,4 @@
-(* Tests for DMA views, split virtqueues and feature negotiation. *)
+(* Tests for DMA views, ring transactions and split virtqueues. *)
 
 module Types = Lastcpu_proto.Types
 module Layout = Lastcpu_mem.Layout
@@ -404,6 +404,263 @@ let test_vq_drain_batched () =
     [ 200; 202; 204; 206 ] (collect []);
   Alcotest.(check int) "ring fully recycled" size (Vq.Driver.num_free driver)
 
+(* --- Ring transactions vs the per-byte reference ------------------------- *)
+
+(* The reference oracle is the per-byte DMA the ring accessors replaced:
+   every byte translated on its own through [translate_pa], in address
+   order, then one Physmem byte access. The transaction-level accessors
+   must leave the same bytes, counters, TLB state and faults behind. *)
+let ref_byte_pa iommu vai access =
+  let pa = Iommu.translate_pa iommu ~pasid:1 ~vai ~access in
+  if pa >= 0 then pa else raise (Dma.Dma_fault (Iommu.last_fault iommu))
+
+let ref_read iommu mem vai n =
+  let b = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.set_uint8 b i
+      (Physmem.read_byte mem (ref_byte_pa iommu (vai + i) Iommu.Read))
+  done;
+  Bytes.to_string b
+
+let ref_write iommu mem vai data =
+  for i = 0 to String.length data - 1 do
+    Physmem.write_byte mem
+      (ref_byte_pa iommu (vai + i) Iommu.Write)
+      (Char.code data.[i])
+  done
+
+(* A world: 8 IOMMU pages at [eq_va] over 1 MiB of DRAM, with a TLB small
+   enough (2 sets x 2 ways) that runs evict each other. Page 3 is
+   read-only and page 6 unmapped; page 7 sits on a DRAM chunk nothing has
+   written, so it reads as zeros. *)
+let eq_va = 0x4000_0000
+let page_bytes = 4096L
+let eq_pages = 8
+let eq_pa page = if page = 7 then 0x8_0000 else 0x1_0000 + (page * 4096)
+
+let eq_world ~no_tlb =
+  let mem = Physmem.create ~size:(Int64.of_int (1 lsl 20)) () in
+  let iommu = Iommu.create ~tlb_sets:2 ~tlb_ways:2 ~no_tlb () in
+  for page = 0 to eq_pages - 1 do
+    if page <> 6 then begin
+      let perm = if page = 3 then Types.perm_r else Types.perm_rw in
+      match
+        Iommu.map iommu ~pasid:1
+          ~va:(Int64.of_int (eq_va + (page * 4096)))
+          ~pa:(Int64.of_int (eq_pa page)) ~bytes:page_bytes ~perm
+      with
+      | Ok () -> ()
+      | Error e -> failwith e
+    end;
+    if page < 7 then
+      Physmem.write_bytes mem
+        (Int64.of_int (eq_pa page))
+        (String.init 4096 (fun i -> Char.chr (((i * 7) + page) land 0xff)))
+  done;
+  (iommu, mem, Dma.create ~iommu ~pasid:1 ~mem)
+
+type shape = Field of int | Desc | Pair32
+type eq_op = { shape : shape; write : bool; vai : int; data : string }
+
+let width = function Field n -> n | Desc -> 16 | Pair32 -> 8
+
+let le s off n =
+  match n with
+  | 1 -> String.get_uint8 s off
+  | 2 -> String.get_uint16_le s off
+  | _ -> Int32.to_int (String.get_int32_le s off) land 0xffff_ffff
+
+let put b off n v =
+  match n with
+  | 1 -> Bytes.set_uint8 b off v
+  | 2 -> Bytes.set_uint16_le b off v
+  | _ -> Bytes.set_int32_le b off (Int32.of_int v)
+
+(* One op through the transaction-level accessors; a read returns its
+   bytes, little-endian, so it compares directly with the reference. *)
+let run_new dma { shape; write; vai; data } =
+  let va = Int64.of_int vai in
+  let out = Bytes.create (width shape) in
+  (match (shape, write) with
+  | Field 8, false -> Bytes.set_int64_le out 0 (Dma.read_u64 dma va)
+  | Field 8, true -> Dma.write_u64 dma va (String.get_int64_le data 0)
+  | Field n, false ->
+    let read = match n with 1 -> Dma.read_u8 | 2 -> Dma.read_u16 | _ -> Dma.read_u32 in
+    put out 0 n (read dma va)
+  | Field n, true ->
+    let write = match n with 1 -> Dma.write_u8 | 2 -> Dma.write_u16 | _ -> Dma.write_u32 in
+    write dma va (le data 0 n)
+  | Desc, false ->
+    let addr, len, flags, next = Dma.read_desc dma vai in
+    Bytes.set_int64_le out 0 addr;
+    put out 8 4 len;
+    put out 12 2 flags;
+    put out 14 2 next
+  | Desc, true ->
+    Dma.write_desc dma vai ~addr:(String.get_int64_le data 0) ~len:(le data 8 4)
+      ~flags:(le data 12 2) ~next:(le data 14 2)
+  | Pair32, false ->
+    let a, b = Dma.read_pair32 dma vai in
+    put out 0 4 a;
+    put out 4 4 b
+  | Pair32, true -> Dma.write_pair32 dma vai (le data 0 4) (le data 4 4));
+  if write then "" else Bytes.to_string out
+
+let run_ref iommu mem { shape; write; vai; data } =
+  if write then (ref_write iommu mem vai data; "")
+  else ref_read iommu mem vai (width shape)
+
+let outcome f =
+  match f () with s -> Ok s | exception Dma.Dma_fault fault -> Error fault
+
+let iommu_state iommu mem =
+  let w = Lastcpu_sim.Snapshot.W.create () in
+  Iommu.save w iommu;
+  ( [ Iommu.translations iommu; Iommu.tlb_hits iommu; Iommu.tlb_misses iommu;
+      Iommu.tlb_evictions iommu; Iommu.walks iommu; Iommu.walk_levels iommu;
+      Iommu.faults iommu; Physmem.touched_frames mem ],
+    Lastcpu_sim.Snapshot.W.contents w,
+    List.init eq_pages (fun page -> Physmem.read_bytes mem (Int64.of_int (eq_pa page)) 4096) )
+
+(* Run [ops] through a reference world and a transaction world side by
+   side; [Some msg] at the first divergence. *)
+let first_divergence ~no_tlb ops =
+  let ref_iommu, ref_mem, _ = eq_world ~no_tlb in
+  let iommu, mem, dma = eq_world ~no_tlb in
+  let rec go i = function
+    | [] -> None
+    | op :: rest ->
+      let expected = outcome (fun () -> run_ref ref_iommu ref_mem op) in
+      let got = outcome (fun () -> run_new dma op) in
+      if expected <> got then Some (Printf.sprintf "op %d: result or fault differs" i)
+      else begin
+        let counters, tlb, bytes = iommu_state iommu mem in
+        let ref_counters, ref_tlb, ref_bytes = iommu_state ref_iommu ref_mem in
+        if counters <> ref_counters then
+          Some
+            (Printf.sprintf "op %d: counters [%s] <> reference [%s]" i
+               (String.concat ";" (List.map string_of_int counters))
+               (String.concat ";" (List.map string_of_int ref_counters)))
+        else if not (String.equal tlb ref_tlb) then
+          Some (Printf.sprintf "op %d: TLB/page-table save differs" i)
+        else if bytes <> ref_bytes then Some (Printf.sprintf "op %d: memory differs" i)
+        else go (i + 1) rest
+      end
+  in
+  go 0 ops
+
+let show_op { shape; write; vai; _ } =
+  Printf.sprintf "%s %s @0x%x"
+    (if write then "write" else "read")
+    (match shape with Field n -> Printf.sprintf "u%d" (8 * n) | Desc -> "desc" | Pair32 -> "pair32")
+    vai
+
+let eq_op_gen =
+  let open QCheck.Gen in
+  let* shape = oneofl [ Field 1; Field 2; Field 4; Field 8; Desc; Pair32 ] in
+  let* write = bool in
+  let* page = int_bound (eq_pages - 1) in
+  (* Mostly near a page edge, so runs straddle pages often. *)
+  let* off =
+    frequency [ (2, int_range (4096 - 16) 4095); (1, int_bound 16); (1, int_bound 4095) ]
+  in
+  let+ data = string_size ~gen:char (return (width shape)) in
+  { shape; write; vai = eq_va + (page * 4096) + off; data }
+
+let transaction_equivalence_prop =
+  QCheck.Test.make ~name:"equal the per-byte reference" ~count:300
+    QCheck.(
+      pair bool (make ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+                   Gen.(list_size (int_range 1 24) eq_op_gen)))
+    (fun (no_tlb, ops) ->
+      match first_divergence ~no_tlb ops with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+let check_same ~no_tlb ops =
+  match first_divergence ~no_tlb ops with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg
+
+let at page off = eq_va + (page * 4096) + off
+let bytes16 = String.init 16 (fun i -> Char.chr (0xA0 + i))
+
+(* A write straddling into an unmapped (page 6) or read-only (page 3)
+   page faults on the second page after the first page's bytes landed. *)
+let test_straddle_partial_write () =
+  List.iter
+    (fun (no_tlb, page, reason) ->
+      let op = { shape = Desc; write = true; vai = at (page - 1) (4096 - 6); data = bytes16 } in
+      check_same ~no_tlb [ op ];
+      let _, mem, dma = eq_world ~no_tlb in
+      (match run_new dma op with
+      | _ -> Alcotest.fail "expected a fault on the second page"
+      | exception Dma.Dma_fault f ->
+        Alcotest.(check bool) "fault reason" true (f.Iommu.reason = reason);
+        Alcotest.(check int64) "fault on the second page's first byte"
+          (Int64.of_int (at page 0)) f.Iommu.va);
+      Alcotest.(check string) "first page's bytes written" (String.sub bytes16 0 6)
+        (Physmem.read_bytes mem (Int64.of_int (eq_pa (page - 1) + 4096 - 6)) 6))
+    [ (false, 6, Iommu.Not_mapped); (false, 3, Iommu.Protection);
+      (true, 6, Iommu.Not_mapped); (true, 3, Iommu.Protection) ]
+
+(* Reading page 3 caches its read-only translation; a write then hits in
+   the TLB and faults on the cached permissions. *)
+let test_protection_fault_tlb_hit () =
+  let read = { shape = Field 4; write = false; vai = at 3 64; data = "" } in
+  let write = { read with write = true; data = "\001\002\003\004" } in
+  check_same ~no_tlb:false [ read; write; read ];
+  let iommu, _, dma = eq_world ~no_tlb:false in
+  ignore (run_new dma read);
+  let hits = Iommu.tlb_hits iommu in
+  (match run_new dma write with
+  | _ -> Alcotest.fail "expected a protection fault"
+  | exception Dma.Dma_fault f ->
+    Alcotest.(check bool) "protection" true (f.Iommu.reason = Iommu.Protection));
+  Alcotest.(check int) "the fault was a TLB hit" (hits + 1) (Iommu.tlb_hits iommu)
+
+(* Without a TLB every byte walks the page table. *)
+let test_no_tlb_walks_per_byte () =
+  let op = { shape = Desc; write = false; vai = at 0 0; data = "" } in
+  check_same ~no_tlb:true [ op; { op with write = true; data = bytes16 } ];
+  let iommu, _, dma = eq_world ~no_tlb:true in
+  ignore (run_new dma op);
+  Alcotest.(check int) "one walk per byte" 16 (Iommu.walks iommu);
+  Alcotest.(check int) "one translation per byte" 16 (Iommu.translations iommu)
+
+(* Allocation budget of the ring hot path: one add -> pop -> push_used ->
+   poll_used round trip of a two-descriptor chain. Every ring access is a
+   DMA transaction on native-int addresses, so what is left is the
+   descriptor tuples, the chain's buffer list and the option results; a
+   change that boxes an address per field or loops per byte fails here. *)
+let vq_roundtrip_words_budget = 96.
+
+let test_vq_roundtrip_allocation_budget () =
+  let dma_a, dma_b, va = rig () in
+  let driver = Vq.Driver.create ~dma:dma_a ~base:va ~size:8 in
+  let device = Vq.Device.create ~dma:dma_b ~base:va ~size:8 in
+  let chain =
+    [
+      { Vq.va = Int64.add va 8192L; len = 64; writable = false };
+      { Vq.va = Int64.add va 12288L; len = 64; writable = true };
+    ]
+  in
+  let round () =
+    (match Vq.Driver.add driver chain with Ok _ -> () | Error e -> failwith e);
+    (match Vq.Device.pop device with
+    | Some { Vq.Device.head; _ } -> Vq.Device.push_used device ~head ~written:8
+    | None -> failwith "no chain");
+    match Vq.Driver.poll_used driver with Some _ -> () | None -> failwith "no completion"
+  in
+  for _ = 1 to 100 do round () done;
+  let rounds = 20_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do round () done;
+  let per_round = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  if per_round > vq_roundtrip_words_budget then
+    Alcotest.failf "virtqueue round trip: %.2f minor words > budget %.0f" per_round
+      vq_roundtrip_words_budget
+
 let () =
   Alcotest.run "virtio"
     [
@@ -437,5 +694,16 @@ let () =
         [
           Alcotest.test_case "batched drain equals pop/push loop" `Quick
             test_vq_drain_batched;
+        ] );
+      ( "ring dma",
+        [
+          QCheck_alcotest.to_alcotest transaction_equivalence_prop;
+          Alcotest.test_case "straddle faults on the second page" `Quick
+            test_straddle_partial_write;
+          Alcotest.test_case "protection fault on a TLB hit" `Quick
+            test_protection_fault_tlb_hit;
+          Alcotest.test_case "no TLB walks per byte" `Quick test_no_tlb_walks_per_byte;
+          Alcotest.test_case "round-trip allocation budget" `Quick
+            test_vq_roundtrip_allocation_budget;
         ] );
     ]
