@@ -148,4 +148,3 @@ let subscriptions t =
 
 let topics_retained t = Hashtbl.length t.retained
 let published t = t.publish_count
-let events_sent t = t.event_count

@@ -22,4 +22,3 @@ val subscriptions : t -> int
 
 val topics_retained : t -> int
 val published : t -> int
-val events_sent : t -> int

@@ -54,18 +54,7 @@ let kernel t = t.kern
 let fs t = t.filesystem
 let ftl t = t.ftl
 
-let nand_snapshot t =
-  let n = Ftl.nand t.ftl in
-  (Nand.reads n, Nand.programs n, Nand.total_erases n)
-
-let nand_cost t (r0, p0, e0) =
-  let costs = Engine.costs t.engine in
-  let r1, p1, e1 = nand_snapshot t in
-  Int64.add
-    (Int64.mul (Int64.of_int (r1 - r0)) costs.Costs.flash_read_page_ns)
-    (Int64.add
-       (Int64.mul (Int64.of_int (p1 - p0)) costs.Costs.flash_write_page_ns)
-       (Int64.mul (Int64.of_int (e1 - e0)) costs.Costs.flash_erase_block_ns))
+let nand_busy_ns t = Nand.busy_ns (Ftl.nand t.ftl)
 
 (* Control plane ------------------------------------------------------------ *)
 
@@ -86,13 +75,12 @@ let open_file t ~path ~user k =
 
 let setup_shared t ~bytes k =
   ignore bytes;
-  let costs = Engine.costs t.engine in
   (* mmap: kernel allocates frames and programs both devices' IOMMUs
      itself (extra PTE-writing time on the CPU), then a grant syscall. *)
   Kernel.syscall t.kern ~name:"mmap"
-    ~extra:(Int64.mul 4L costs.Costs.iommu_program_ns) (fun () ->
+    ~extra:(Int64.mul 4L Costs.iommu_program_ns) (fun () ->
       Kernel.syscall t.kern ~name:"grant"
-        ~extra:(Int64.mul 2L costs.Costs.iommu_program_ns) k)
+        ~extra:(Int64.mul 2L Costs.iommu_program_ns) k)
 
 let teardown_shared t k =
   Kernel.syscall t.kern ~name:"munmap" k
@@ -109,9 +97,9 @@ let mediated_io t ~name ~(run : unit -> ('a, string) result)
            gone until the reset-device pass completes. *)
         k (Error "storage device down")
       else begin
-        let snapshot = nand_snapshot t in
+        let nand_before = nand_busy_ns t in
         let result = run () in
-        let flash = nand_cost t snapshot in
+        let flash = Int64.sub (nand_busy_ns t) nand_before in
         Engine.schedule t.engine ~delay:flash (fun () ->
             Kernel.interrupt t.kern ~name:(name ^ "-complete") (fun () ->
                 k result))

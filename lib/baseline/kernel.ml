@@ -37,18 +37,16 @@ let pick t =
 let syscall t ~name ?(extra = 0L) k =
   ignore name;
   t.syscall_count <- t.syscall_count + 1;
-  let costs = Engine.costs t.engine in
   let service =
-    Int64.add costs.Costs.syscall_ns (Int64.add costs.Costs.kernel_op_ns extra)
+    Int64.add Costs.syscall_ns (Int64.add Costs.kernel_op_ns extra)
   in
   Station.submit (pick t) ~service k
 
 let interrupt t ~name ?(extra = 0L) k =
   ignore name;
   t.interrupt_count <- t.interrupt_count + 1;
-  let costs = Engine.costs t.engine in
   let service =
-    Int64.add costs.Costs.interrupt_ns (Int64.add costs.Costs.kernel_op_ns extra)
+    Int64.add Costs.interrupt_ns (Int64.add Costs.kernel_op_ns extra)
   in
   Station.submit (pick t) ~service k
 
@@ -58,9 +56,8 @@ let interrupt t ~name ?(extra = 0L) k =
    capacity these are exactly [syscall]/[interrupt]. *)
 let try_syscall t ~name ?(extra = 0L) k =
   let station = pick t in
-  let costs = Engine.costs t.engine in
   let service =
-    Int64.add costs.Costs.syscall_ns (Int64.add costs.Costs.kernel_op_ns extra)
+    Int64.add Costs.syscall_ns (Int64.add Costs.kernel_op_ns extra)
   in
   ignore name;
   match Station.try_submit station ~service k with
@@ -73,9 +70,8 @@ let try_syscall t ~name ?(extra = 0L) k =
 
 let try_interrupt t ~name ?(extra = 0L) k =
   let station = pick t in
-  let costs = Engine.costs t.engine in
   let service =
-    Int64.add costs.Costs.interrupt_ns (Int64.add costs.Costs.kernel_op_ns extra)
+    Int64.add Costs.interrupt_ns (Int64.add Costs.kernel_op_ns extra)
   in
   ignore name;
   match Station.try_submit station ~service k with

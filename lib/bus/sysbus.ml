@@ -200,7 +200,6 @@ let schedule_frame t msg ~delay fn =
   else Engine.schedule t.engine ~delay fn
 
 let broadcast_from_bus t payload =
-  let costs = Engine.costs t.engine in
   Array.iteri
     (fun id slot ->
       (* Boundary proxies are another shard's devices: the remote bus owns
@@ -208,7 +207,7 @@ let broadcast_from_bus t payload =
       if slot.live && slot.shard = t.home_shard then begin
         let msg = Message.make ~src:bus_src ~dst:(Types.Device id) ~corr:0 payload in
         Metrics.incr t.m_broadcasts;
-        schedule_frame t msg ~delay:costs.Costs.bus_hop_ns
+        schedule_frame t msg ~delay:Costs.bus_hop_ns
           (fun () -> if slot.live then slot.handler msg)
       end)
     t.devices
@@ -690,7 +689,6 @@ let lane_for t src =
 
 let reply t ~to_ ~corr payload =
   (* Bus-originated response: one hop back to the device. *)
-  let costs = Engine.costs t.engine in
   let s = slot t to_ in
   if s.shard <> t.home_shard then begin
     (* The addressee lives on another shard: defer to the boundary instead
@@ -704,7 +702,7 @@ let reply t ~to_ ~corr payload =
     let msg = Message.make ~src:bus_src ~dst:(Types.Device to_) ~corr payload in
     Metrics.incr t.m_routed;
     Metrics.incr ~by:(Message.wire_size msg) t.m_control_bytes;
-    schedule_frame t msg ~delay:costs.Costs.bus_hop_ns
+    schedule_frame t msg ~delay:Costs.bus_hop_ns
       (fun () -> if s.live then s.handler msg)
   end
 
@@ -732,7 +730,7 @@ let verify_token t ~src ~expect_wielder (token : Token.t) =
   end
 
 let token_cost t =
-  if t.config.enable_tokens then (Engine.costs t.engine).Costs.token_verify_ns
+  if t.config.enable_tokens then Costs.token_verify_ns
   else 0L
 
 let range_covered ~(token : Token.t) ~base ~bytes =
@@ -954,7 +952,6 @@ let schedule_delivery t (msg : Message.t) ~delay deliver =
   end
 
 let deliver_unicast t (msg : Message.t) dst =
-  let costs = Engine.costs t.engine in
   let s = slot t dst in
   if s.shard <> t.home_shard then
     (* Defensive: [send] diverts remote-addressed frames before they reach
@@ -982,7 +979,7 @@ let deliver_unicast t (msg : Message.t) dst =
   end
   else begin
     Metrics.incr t.m_routed;
-    schedule_delivery t msg ~delay:costs.Costs.bus_hop_ns (fun () ->
+    schedule_delivery t msg ~delay:Costs.bus_hop_ns (fun () ->
         if s.live then s.handler msg)
   end
 
@@ -991,7 +988,6 @@ let quarantined_src t src =
   && t.devices.(src).trust = Quarantined
 
 let send_routed t (msg : Message.t) =
-  let costs = Engine.costs t.engine in
   let size = Message.wire_size msg in
   Metrics.incr ~by:size t.m_control_bytes;
   (* Rendering a message is by far the most expensive thing on this path;
@@ -1033,12 +1029,12 @@ let send_routed t (msg : Message.t) =
     end
     else begin
       let service =
-        let base = costs.Costs.bus_process_ns in
+        let base = Costs.bus_process_ns in
         match msg.payload with
         | Message.Map_directive _ | Message.Grant_request _
         | Message.Unmap_directive _ ->
           (* Privileged ops pay token verification + PTE writes. *)
-          Int64.add base (Int64.add (token_cost t) costs.Costs.iommu_program_ns)
+          Int64.add base (Int64.add (token_cost t) Costs.iommu_program_ns)
         | _ -> base
       in
       let lane = lane_for t msg.src in
@@ -1054,7 +1050,7 @@ let send_routed t (msg : Message.t) =
             (fun id s ->
               if id <> msg.src && s.live && s.shard = t.home_shard then begin
                 Metrics.incr t.m_broadcasts;
-                schedule_delivery t msg ~delay:costs.Costs.bus_hop_ns
+                schedule_delivery t msg ~delay:Costs.bus_hop_ns
                   (fun () -> if s.live then s.handler msg)
               end)
             t.devices
@@ -1081,8 +1077,8 @@ let send_routed t (msg : Message.t) =
   if Engine.sanitizing t.engine then
     Engine.schedule
       ~label:(fun () -> frame_desc msg)
-      t.engine ~delay:costs.Costs.bus_hop_ns arrive
-  else Engine.schedule t.engine ~delay:costs.Costs.bus_hop_ns arrive
+      t.engine ~delay:Costs.bus_hop_ns arrive
+  else Engine.schedule t.engine ~delay:Costs.bus_hop_ns arrive
 
 (* The quarantine fence: a fenced device's frames never reach a lane — the
    same structural cut the boundary-proxy skip uses, applied for trust
@@ -1141,7 +1137,6 @@ let notify t ~src ~dst ~queue =
       (Printf.sprintf "dev%d -> unknown dev%d queue=%d" src dst queue)
   end
   else begin
-  let costs = Engine.costs t.engine in
   let s = slot t dst in
   if s.shard <> t.home_shard then begin
     (* A doorbell ringing across the border rides the boundary mailbox
@@ -1165,7 +1160,7 @@ let notify t ~src ~dst ~queue =
       Message.make ~src ~dst:(Types.Device dst) ~corr:0
         (Message.Doorbell { queue })
     in
-    schedule_frame t msg ~delay:costs.Costs.doorbell_ns
+    schedule_frame t msg ~delay:Costs.doorbell_ns
       (fun () -> if s.live then s.handler msg)
   end
   end

@@ -687,7 +687,6 @@ let t4 () =
 (* --- T5: address translation / TLB sweep ------------------------------------------ *)
 
 let t5 () =
-  let costs = Costs.default in
   let pages = 1024 in
   let accesses = 200_000 in
   let configs =
@@ -737,8 +736,8 @@ let t5 () =
           if hits + misses = 0 then 0. else float_of_int hits /. total *. 100.
         in
         let avg_cost =
-          (float_of_int (hits + misses) *. Int64.to_float costs.Costs.tlb_hit_ns
-          +. float_of_int walk_levels *. Int64.to_float costs.Costs.iommu_walk_level_ns)
+          (float_of_int (hits + misses) *. Int64.to_float Costs.tlb_hit_ns
+          +. float_of_int walk_levels *. Int64.to_float Costs.iommu_walk_level_ns)
           /. total
         in
         [
@@ -759,7 +758,7 @@ let t5 () =
     rows;
     notes =
       [ Printf.sprintf "%d accesses; 4-level table walk = 4 x %Ldns" accesses
-          costs.Costs.iommu_walk_level_ns ];
+          Costs.iommu_walk_level_ns ];
   }
 
 (* --- T6: virtqueue throughput ------------------------------------------------------ *)
@@ -779,19 +778,17 @@ let t6_one ~depth ~via_bus =
   closed_loop_rate engine ~workers:depth (fun _ k ->
       File_client.read fc "/kv/data.log" ~off:0 ~len:64 (fun _ -> k ()))
 
-let t6 ?(doorbells_via_bus = false) () =
+let t6 () =
   let depths = [ 1; 2; 4; 8; 16 ] in
   let rows =
     List.map
       (fun depth ->
         let direct = t6_one ~depth ~via_bus:false in
-        let conflated =
-          if doorbells_via_bus then t6_one ~depth ~via_bus:true else nan
-        in
+        let conflated = t6_one ~depth ~via_bus:true in
         [
           string_of_int depth;
           Printf.sprintf "%.0f" direct;
-          (if doorbells_via_bus then Printf.sprintf "%.0f" conflated else "-");
+          Printf.sprintf "%.0f" conflated;
         ])
       depths
   in
@@ -2650,7 +2647,7 @@ let registry ~shards =
     ("t3", t3);
     ("t4", t4);
     ("t5", t5);
-    ("t6", fun () -> t6 ~doorbells_via_bus:true ());
+    ("t6", t6);
     ("t7", t7);
     ("t8", t8);
     ("t9", t9);

@@ -42,10 +42,10 @@ val t4 : unit -> table
 val t5 : unit -> table
 (** Address translation: TLB geometry sweep under a Zipfian working set. *)
 
-val t6 : ?doorbells_via_bus:bool -> unit -> table
-(** VIRTIO virtqueue throughput vs queue depth. [doorbells_via_bus:true]
-    adds the §2.3 ablation column: notifications conflated onto the
-    control bus instead of MSI-style memory writes. *)
+val t6 : unit -> table
+(** VIRTIO virtqueue throughput vs queue depth, with doorbells written
+    MSI-style and, as the §2.3 ablation column, conflated onto the
+    control bus. *)
 
 val t7 : unit -> table
 (** End-to-end KVS under YCSB-like mixes, both designs. *)

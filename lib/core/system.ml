@@ -1,6 +1,5 @@
 module Types = Lastcpu_proto.Types
 module Engine = Lastcpu_sim.Engine
-module Costs = Lastcpu_sim.Costs
 module Physmem = Lastcpu_mem.Physmem
 module Netsim = Lastcpu_net.Netsim
 module Sysbus = Lastcpu_bus.Sysbus
@@ -15,7 +14,6 @@ module Message = Lastcpu_proto.Message
 
 type spec = {
   seed : int64;
-  costs : Costs.t;
   enable_tokens : bool;
   heartbeat_timeout_ns : int64;
   nic_count : int;
@@ -38,7 +36,6 @@ type spec = {
 let default_spec =
   {
     seed = 42L;
-    costs = Costs.default;
     enable_tokens = true;
     heartbeat_timeout_ns = 0L;
     nic_count = 1;
@@ -78,7 +75,7 @@ let dram_pages = 65536
 
 let build ?(spec = default_spec) () =
   let engine =
-    Engine.create ~seed:spec.seed ~costs:spec.costs ~fault_plan:spec.fault_plan
+    Engine.create ~seed:spec.seed ~fault_plan:spec.fault_plan
       ~tie:spec.tie ~sanitize:spec.sanitize ()
   in
   let memory = Physmem.create ~size:(Int64.shift_left 1L 31) () in
@@ -122,8 +119,7 @@ let build ?(spec = default_spec) () =
   let nic_list =
     List.init spec.nic_count (fun i ->
         Smart_nic.create sysbus ~mem:memory ~net:network
-          ~name:(Printf.sprintf "nic%d" i)
-          ~auto_start:false ())
+          ~name:(Printf.sprintf "nic%d" i) ())
   in
   let console_dev =
     if spec.with_console then Some (Console_dev.create sysbus ~mem:memory ())
@@ -183,7 +179,6 @@ let nic t i = List.nth t.nic_list i
 let auth t = t.auth_dev
 let console t = t.console_dev
 let accel t i = List.nth t.accel_list i
-let accels t = t.accel_list
 
 let fresh_pasid t =
   let p = t.next_pasid in

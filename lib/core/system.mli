@@ -10,7 +10,6 @@ module Types = Lastcpu_proto.Types
 
 type spec = {
   seed : int64;
-  costs : Lastcpu_sim.Costs.t;
   enable_tokens : bool;
   heartbeat_timeout_ns : int64;  (** 0 disables liveness sweeping *)
   nic_count : int;
@@ -70,7 +69,6 @@ val nics : t -> Lastcpu_devices.Smart_nic.t list
 val auth : t -> Lastcpu_devices.Auth_dev.t option
 val console : t -> Lastcpu_devices.Console_dev.t option
 val accel : t -> int -> Lastcpu_devices.Accel_dev.t
-val accels : t -> Lastcpu_devices.Accel_dev.t list
 
 val fresh_pasid : t -> Types.pasid
 (** Allocate an application address-space id. *)

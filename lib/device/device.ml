@@ -232,7 +232,6 @@ let dispatch t (msg : Message.t) =
 let handle t msg =
   (* Per-device monitor: messages are processed serially with a fixed
      per-message cost — the "modest hardware" of §2.2. *)
-  let costs = Engine.costs t.engine in
   let now = Engine.now t.engine in
   if Message.expired msg ~now then begin
     Metrics.bump t.m_expired;
@@ -241,7 +240,7 @@ let handle t msg =
   end
   else
     match
-      Station.try_submit t.station ~service:costs.Costs.device_process_ns
+      Station.try_submit t.station ~service:Costs.device_process_ns
         (fun () -> dispatch t msg)
     with
     | `Accepted -> ()
@@ -312,9 +311,12 @@ let restore_state t body =
   t.next_queue <- Snapshot.R.varint r;
   let ring = Snapshot.R.array r Snapshot.R.vint in
   if Array.length ring <> recent_size then
-    invalid_arg "Device.restore: recent-ring size differs from checkpoint";
+    raise (Snapshot.R.Corrupt "device recent-ring size differs");
+  let recent_idx = Snapshot.R.varint r in
+  if recent_idx < 0 || recent_idx >= recent_size then
+    raise (Snapshot.R.Corrupt "device recent-ring index out of range");
   Array.blit ring 0 t.recent 0 recent_size;
-  t.recent_idx <- Snapshot.R.varint r;
+  t.recent_idx <- recent_idx;
   Hashtbl.reset t.conns;
   let n = Snapshot.R.varint r in
   for _ = 1 to n do
@@ -453,9 +455,8 @@ let fresh_queue_id t =
 let start t =
   if not t.is_started then begin
     t.is_started <- true;
-    let costs = Engine.costs t.engine in
     (* Self-test: a short deterministic delay before announcing. *)
-    let self_test = Int64.mul 10L costs.Costs.device_process_ns in
+    let self_test = Int64.mul 10L Costs.device_process_ns in
     Engine.schedule t.engine ~delay:self_test (fun () ->
         Metrics.incr t.m_sent;
         Sysbus.send t.sysbus
@@ -760,7 +761,6 @@ let connections t = List.map snd (Detmap.bindings t.conns)
 let connection_count t = Hashtbl.length t.conns
 let messages_handled t = Metrics.counter_value t.m_handled
 let requests_sent t = Metrics.counter_value t.m_sent
-let late_discover_responses t = Metrics.counter_value t.m_discover_late
 let late_responses t = Metrics.counter_value t.m_request_late
 
 let forged_failures t = Metrics.lazy_value t.m_forged_failures

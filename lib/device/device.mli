@@ -251,7 +251,7 @@ val reply : t -> to_:Types.device_id -> corr:int -> Message.payload -> unit
 val doorbell : t -> dst:Types.device_id -> queue:int -> unit
 (** Data-plane notification: modelled as a direct memory write (cheap,
     does not transit the bus's message processor — §2.3). Set
-    [route_doorbells_via_bus] to conflate planes (T3 ablation). *)
+    [route_doorbells_via_bus] to conflate planes (the T6 ablation). *)
 
 val route_doorbells_via_bus : t -> bool -> unit
 
@@ -275,10 +275,6 @@ val connection_count : t -> int
 
 val messages_handled : t -> int
 val requests_sent : t -> int
-
-val late_discover_responses : t -> int
-(** Discover answers that arrived after the first (swallowed, not leaked
-    to the app handler). *)
 
 val late_responses : t -> int
 (** Responses that arrived after their request already completed (timed

@@ -112,10 +112,9 @@ let create sysbus ~mem ~name () =
             t.jobs <- t.jobs + 1;
             t.bytes <- t.bytes + Accel_proto.job_bytes job;
             let engine = Device.engine dev in
-            let costs = Engine.costs engine in
             let dma = Device.dma dev ~pasid in
-            run_with_cost engine ~per_byte:costs.Costs.accel_byte_ns
-              ~setup:costs.Costs.accel_setup_ns dma job (fun outcome ->
+            run_with_cost engine ~per_byte:Costs.accel_byte_ns
+              ~setup:Costs.accel_setup_ns dma job (fun outcome ->
                 (match outcome with
                 | Accel_proto.Fault _ -> t.faults <- t.faults + 1
                 | Accel_proto.Value _ | Accel_proto.Written _ -> ());
@@ -165,6 +164,5 @@ let submit client ~accel ~pasid job k =
 
 let run_locally client ~pasid job k =
   let engine = Device.engine client in
-  let costs = Engine.costs engine in
   let dma = Device.dma client ~pasid in
-  run_with_cost engine ~per_byte:costs.Costs.wimpy_byte_ns ~setup:0L dma job k
+  run_with_cost engine ~per_byte:Costs.wimpy_byte_ns ~setup:0L dma job k

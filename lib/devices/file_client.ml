@@ -7,6 +7,8 @@ module Dma = Lastcpu_virtio.Dma
 
 let shm_bytes = 65536L
 let slot_bytes = 2048 (* request area and response area each *)
+let queue_size = 64 (* descriptors: two per request, so 32 slots *)
+let block_size = 512 (* block-service block size asked for at bopen *)
 
 type slot = { req_va : int64; resp_va : int64 }
 
@@ -20,7 +22,6 @@ type t = {
   mutable driver : Vq.Driver.t;
   dma : Dma.t;
   shm_va : int64;
-  token : Token.t;
   mutable free_slots : slot list;
   by_head : (int, slot * (Ssd_proto.response -> unit)) Hashtbl.t;
   waiting : (Ssd_proto.request * (Ssd_proto.response -> unit)) Queue.t;
@@ -29,9 +30,7 @@ type t = {
 
 let provider t = t.provider_id
 let connection t = t.conn
-let grant_token t = t.token
 let in_flight t = Hashtbl.length t.by_head
-let requests_completed t = t.completed
 
 (* Submission --------------------------------------------------------------- *)
 
@@ -156,8 +155,8 @@ let restore r t =
 
 (* Connection (the Figure-2 sequence) ---------------------------------------- *)
 
-let connect dev ~memctl ~pasid ~shm_va ~user ~path_hint ?auth ?(queue_size = 64)
-    ?req_timeout ?req_retries k =
+let connect dev ~memctl ~pasid ~shm_va ~user ~path_hint ?auth ?req_timeout
+    ?req_retries k =
   let fail stage code =
     k
       (Error
@@ -236,7 +235,6 @@ let connect dev ~memctl ~pasid ~shm_va ~user ~path_hint ?auth ?(queue_size = 64)
                               driver;
                               dma;
                               shm_va;
-                              token;
                               free_slots;
                               by_head = Hashtbl.create 16;
                               waiting = Queue.create ();
@@ -298,7 +296,7 @@ let stat t path k =
 let rename t from_path to_path k =
   request t (Ssd_proto.Rename { from_path; to_path }) (lift_unit k)
 
-let bopen t ?(block_size = 512) path k =
+let bopen t path k =
   request t (Ssd_proto.Bopen { path; block_size }) (function
     | Ssd_proto.Ok_handle h -> k (Ok h)
     | Ssd_proto.Err m -> k (Error m)

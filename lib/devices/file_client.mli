@@ -32,12 +32,11 @@ val connect :
   user:string ->
   path_hint:string ->
   ?auth:Token.t ->
-  ?queue_size:int ->
   ?req_timeout:int64 ->
   ?req_retries:int ->
   ((t, string) result -> unit) ->
   unit
-(** [queue_size] defaults to 64 descriptors (32 in-flight request slots).
+(** The queue has 64 descriptors (32 in-flight request slots).
     [req_timeout]/[req_retries] arm each control-plane request of the
     sequence (open, alloc, grant, vq-attach) with a timeout and bounded
     retransmits — used when connecting under fault injection. Default: no
@@ -45,8 +44,6 @@ val connect :
 
 val provider : t -> Types.device_id
 val connection : t -> int
-val grant_token : t -> Token.t
-(** The DRAM capability covering the shared region (issued at step 5). *)
 
 val request : t -> Ssd_proto.request -> (Ssd_proto.response -> unit) -> unit
 (** Queue a raw file operation; queues internally when all slots are in
@@ -71,10 +68,9 @@ val rename : t -> string -> string -> ((unit, string) result -> unit) -> unit
 (** Block-service wrappers (handle-based virtual block devices; handles are
     scoped to this connection): *)
 
-val bopen :
-  t -> ?block_size:int -> string -> ((int, string) result -> unit) -> unit
-(** Open (creating if needed) a backing file as a block device; default
-    block size 512. *)
+val bopen : t -> string -> ((int, string) result -> unit) -> unit
+(** Open (creating if needed) a backing file as a block device of
+    512-byte blocks. *)
 
 val bread :
   t -> handle:int -> lba:int -> count:int -> ((string, string) result -> unit) -> unit
@@ -94,7 +90,6 @@ val close : t -> (unit -> unit) -> unit
 (** Detach the queue, close the connection and free the shared memory. *)
 
 val in_flight : t -> int
-val requests_completed : t -> int
 
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 (** Append the virtqueue driver state, free request-slot pool (in reuse

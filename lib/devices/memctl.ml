@@ -336,33 +336,3 @@ let allocations_of t ~pasid =
           (fun a -> (a.va, a.bytes))
           (Hashtbl.find_opt t.allocations (pasid, va)))
       !l
-
-let release_pasid t ~pasid =
-  match Hashtbl.find_opt t.by_pasid pasid with
-  | None -> ()
-  | Some l ->
-    List.iter
-      (fun va ->
-        match Hashtbl.find_opt t.allocations (pasid, va) with
-        | None -> ()
-        | Some alloc ->
-          let token =
-            mint t ~subject:alloc.subject ~pasid ~pa:alloc.pa ~bytes:alloc.bytes
-              ~perm:Types.perm_rwx
-          in
-          Device.request t.dev ~dst:Types.Bus
-            (Message.Unmap_directive
-               {
-                 device = alloc.subject;
-                 pasid;
-                 va = alloc.va;
-                 bytes = alloc.bytes;
-                 auth = token;
-               })
-            (fun _ -> ());
-          scrub t alloc;
-          Buddy.free t.buddy ~addr:alloc.pa ~pages:alloc.pages;
-          refund t ~pasid alloc.pages;
-          Hashtbl.remove t.allocations (pasid, va))
-      !l;
-    Hashtbl.remove t.by_pasid pasid

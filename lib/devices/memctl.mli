@@ -41,10 +41,6 @@ val used_pages : t -> int
 val allocations_of : t -> pasid:int -> (int64 * int64) list
 (** [(va, bytes)] currently held by an address space. *)
 
-val release_pasid : t -> pasid:int -> unit
-(** Application teardown: free every allocation of the address space and
-    instruct the bus to unmap them everywhere it mapped them. *)
-
 val revoke_subject : t -> subject:Lastcpu_proto.Types.device_id -> unit
 (** Revocation cascade: free every allocation the device holds as token
     subject (any address space) and unmap it everywhere. Registered with

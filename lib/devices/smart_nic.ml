@@ -13,7 +13,7 @@ type t = {
   m_tx : Metrics.counter;
 }
 
-let create sysbus ~mem ~net ~name ?(auto_start = true) () =
+let create sysbus ~mem ~net ~name () =
   let dev = Device.create sysbus ~mem ~name () in
   let m = Engine.metrics (Device.engine dev) in
   let actor = Device.actor dev in
@@ -39,7 +39,6 @@ let create sysbus ~mem ~net ~name ?(auto_start = true) () =
           Ok { Device.connection = Device.fresh_connection dev; shm_bytes = 0L });
       on_close = (fun ~connection:_ -> ());
     };
-  if auto_start then Device.start dev;
   t
 
 let device t = t.dev
@@ -50,6 +49,3 @@ let on_packet t f = t.rx_handler <- Some f
 let send_packet t ~dst frame =
   Metrics.incr t.m_tx;
   Netsim.send t.endpoint ~dst frame
-
-let packets_received t = Metrics.counter_value t.m_rx
-let packets_sent t = Metrics.counter_value t.m_tx

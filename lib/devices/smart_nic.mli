@@ -19,12 +19,10 @@ val create :
   mem:Lastcpu_mem.Physmem.t ->
   net:Lastcpu_net.Netsim.t ->
   name:string ->
-  ?auto_start:bool ->
   unit ->
   t
-(** [auto_start] defaults to [true]; pass [false] when a hosted application
-    wants to add its own services before the device announces itself (call
-    [Device.start (device t)] afterwards). *)
+(** The NIC does not announce itself: a hosted application adds its own
+    services first, then calls [Device.start (device t)]. *)
 
 val device : t -> Lastcpu_device.Device.t
 val id : t -> Lastcpu_proto.Types.device_id
@@ -36,6 +34,3 @@ val on_packet : t -> (src:int -> string -> unit) -> unit
 (** Install the hosted application's receive path. *)
 
 val send_packet : t -> dst:int -> string -> unit
-
-val packets_received : t -> int
-val packets_sent : t -> int

@@ -58,18 +58,7 @@ let decode_vq_attach =
 
 (* NAND cost accounting ----------------------------------------------------- *)
 
-let nand_snapshot t =
-  let n = Ftl.nand t.ftl in
-  (Nand.reads n, Nand.programs n, Nand.total_erases n)
-
-let nand_cost t (r0, p0, e0) =
-  let costs = Engine.costs (Device.engine t.dev) in
-  let r1, p1, e1 = nand_snapshot t in
-  Int64.add
-    (Int64.mul (Int64.of_int (r1 - r0)) costs.Costs.flash_read_page_ns)
-    (Int64.add
-       (Int64.mul (Int64.of_int (p1 - p0)) costs.Costs.flash_write_page_ns)
-       (Int64.mul (Int64.of_int (e1 - e0)) costs.Costs.flash_erase_block_ns))
+let nand_busy_ns t = Nand.busy_ns (Ftl.nand t.ftl)
 
 (* Request execution -------------------------------------------------------- *)
 
@@ -240,7 +229,7 @@ let process_queue t ~queue =
     let total_cost = ref 0L in
     let completions =
       Vq.Device.drain_deferred qs.vq ~f:(fun { Vq.Device.buffers; _ } ->
-          let snapshot = nand_snapshot t in
+          let nand_before = nand_busy_ns t in
           let response =
             match decode_chain_request dma buffers with
             | Error m -> Ssd_proto.Err ("malformed request: " ^ m)
@@ -256,7 +245,8 @@ let process_queue t ~queue =
               | Ok n -> n
               | Error _ -> 0)
           in
-          total_cost := Int64.add !total_cost (nand_cost t snapshot);
+          total_cost :=
+            Int64.add !total_cost (Int64.sub (nand_busy_ns t) nand_before);
           written)
     in
     (match completions with
@@ -505,4 +495,3 @@ let id t = Device.id t.dev
 let fs t = t.filesystem
 let ftl t = t.ftl
 let requests_served t = Metrics.counter_value t.m_served
-let active_queues t = Hashtbl.length t.queues

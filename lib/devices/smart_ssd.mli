@@ -47,4 +47,3 @@ val decode_vq_attach :
   string -> (int * int64 * int * int * string, string) result
 
 val requests_served : t -> int
-val active_queues : t -> int

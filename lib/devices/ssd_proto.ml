@@ -229,18 +229,3 @@ let decode_response_view ?pos ?len v =
   match Parse_view.response (Wire.View_reader.create ?pos ?len v) with
   | r -> Ok r
   | exception Wire.Malformed m -> Error m
-
-let request_path = function
-  | Create { path; _ }
-  | Unlink { path }
-  | Mkdir { path; _ }
-  | Read { path; _ }
-  | Write { path; _ }
-  | Stat { path }
-  | Readdir { path }
-  | Truncate { path; _ }
-  | Fsync { path } ->
-    path
-  | Bopen { path; _ } -> path
-  | Rename { from_path; _ } -> from_path
-  | Bread _ | Bwrite _ | Bclose _ -> "<handle>"

@@ -60,5 +60,3 @@ val encode_response_into : response -> Lastcpu_proto.Slice.t -> pos:int -> int
 
 val decode_response_view :
   ?pos:int -> ?len:int -> Lastcpu_proto.Slice.t -> (response, string) result
-
-val request_path : request -> string

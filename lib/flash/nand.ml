@@ -1,3 +1,4 @@
+module Costs = Lastcpu_sim.Costs
 module Faults = Lastcpu_sim.Faults
 module Wire = Lastcpu_proto.Wire
 
@@ -150,6 +151,13 @@ let erase_count t ~block =
 let total_erases t = t.erase_total
 let reads t = t.read_count
 let programs t = t.program_count
+
+let busy_ns t =
+  Int64.add
+    (Int64.mul (Int64.of_int t.read_count) Costs.flash_read_page_ns)
+    (Int64.add
+       (Int64.mul (Int64.of_int t.program_count) Costs.flash_write_page_ns)
+       (Int64.mul (Int64.of_int t.erase_total) Costs.flash_erase_block_ns))
 
 (* Checkpointing: programmed pages sparsely, per block, plus wear and op
    counters. Page CRCs never travel — they are a pure function of the

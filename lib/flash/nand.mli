@@ -39,6 +39,11 @@ val total_erases : t -> int
 val reads : t -> int
 val programs : t -> int
 
+val busy_ns : t -> int64
+(** Virtual time of every read, program and erase this array has done, at
+    the {!Lastcpu_sim.Costs} flash constants. The NAND time of a span of
+    work is the difference of two readings. *)
+
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 (** Append programmed pages (sparsely), wear and op counters
     (checkpointing). Page CRCs are recomputed on restore. *)

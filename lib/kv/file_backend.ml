@@ -104,8 +104,6 @@ let backend t =
     Store.replace_log = (fun data k -> replace_log t data k);
   }
 
-let log_bytes t = t.log_end
-
 (* Checkpointing: only the end-of-log offset. A rebuilt backend learns its
    [log_end] by stat-ing a freshly formatted filesystem (zero), so the
    restore must bring back the offset matching the restored flash image. *)

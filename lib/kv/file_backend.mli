@@ -14,8 +14,6 @@ val create :
 (** Creates the log file if missing and learns its current size. *)
 
 val backend : t -> Store.backend
-val log_bytes : t -> int
-(** Current end-of-log offset. *)
 
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 (** Append the end-of-log offset (checkpointing). *)

@@ -92,9 +92,8 @@ let execute_client t op k =
       Metrics.incr o.m_shed;
       (* Deterministic retry-after: the admitted window drains through the
          WAL's flash-program bottleneck, one page per op. *)
-      let costs = Engine.costs t.engine in
       let retry_after_ns =
-        Int64.mul (Int64.of_int t.client_in_flight) costs.Lastcpu_sim.Costs.flash_write_page_ns
+        Int64.mul (Int64.of_int t.client_in_flight) Lastcpu_sim.Costs.flash_write_page_ns
       in
       Engine.trace_event t.engine ~actor:t.actor ~kind:"kv.shed"
         (Printf.sprintf "in-flight=%d retry-after=%Ldns" t.client_in_flight

@@ -143,12 +143,8 @@ let shard ep = ep.ep_shard
 let endpoint_count t = Array.length t.endpoints
 let set_receiver ep f = ep.rx <- Some f
 
-let serialisation_ns t frame =
-  let costs = Engine.costs t.engine in
-  Int64.mul costs.Lastcpu_sim.Costs.net_byte_ns
-    (Int64.of_int (String.length frame))
-
-let link_ns t = (Engine.costs t.engine).Lastcpu_sim.Costs.net_link_ns
+let serialisation_ns frame =
+  Int64.mul Lastcpu_sim.Costs.net_byte_ns (Int64.of_int (String.length frame))
 
 let deliver t ~src ~dst frame =
   if dst < 0 || dst >= Array.length t.endpoints then Metrics.incr t.m_dropped
@@ -176,7 +172,7 @@ let frame_fault_key ~src ~dst frame =
   Sanitizer.fnv_finish (Sanitizer.fnv_string h frame)
 
 let fly t ~src ~dst ~extra frame =
-  let delay = Int64.add (link_ns t) extra in
+  let delay = Int64.add Lastcpu_sim.Costs.net_link_ns extra in
   let deliver () = deliver t ~src ~dst frame in
   if Engine.sanitizing t.engine then
     Engine.schedule
@@ -203,7 +199,7 @@ let send ep ~dst frame =
   (* Serialise through the egress port (queueing under load), then fly the
      link. The fault plan can drop the frame on the wire or add delay
      (which reorders it past later frames). *)
-  Station.submit ep.egress ~service:(serialisation_ns t frame) (fun () ->
+  Station.submit ep.egress ~service:(serialisation_ns frame) (fun () ->
       if dst >= 0 && dst < Array.length t.endpoints
          && t.endpoints.(dst).ep_shard <> t.home_shard
       then

@@ -82,149 +82,138 @@ let error_code_of_tag = function
 
 (* --- encoding ----------------------------------------------------------- *)
 
-(* One encoder, three sinks. The byte layout is defined once below and
-   driven through whatever sink the caller needs: a growable buffer
-   ([encode]), a caller-provided slice ([encode_into] — bytes land
-   directly in backing DRAM), or a byte counter ([encoded_size] — the
-   size is computed, not measured off a throwaway encode). *)
-module Emit (W : SINK) = struct
-  let w_perm w (p : Types.perm) =
-    W.byte w
-      ((if p.read then 1 else 0)
-      lor (if p.write then 2 else 0)
-      lor if p.exec then 4 else 0)
+let w_perm w (p : Types.perm) =
+  Writer.byte w
+    ((if p.read then 1 else 0)
+    lor (if p.write then 2 else 0)
+    lor if p.exec then 4 else 0)
 
-  let w_service w (s : Message.service_desc) =
-    W.byte w (service_kind_tag s.kind);
-    W.string w s.name;
-    W.varint w s.version
+let w_service w (s : Message.service_desc) =
+  Writer.byte w (service_kind_tag s.kind);
+  Writer.string w s.name;
+  Writer.varint w s.version
 
-  let w_token w (t : Token.t) =
-    W.varint w t.issuer;
-    W.varint w t.subject;
-    W.varint w t.pasid;
-    W.string w t.resource;
-    W.int64 w t.base;
-    W.int64 w t.length;
-    w_perm w t.perm;
-    W.int64 w t.nonce;
-    W.varint w t.epoch;
-    W.int64 w t.mac
+let w_token w (t : Token.t) =
+  Writer.varint w t.issuer;
+  Writer.varint w t.subject;
+  Writer.varint w t.pasid;
+  Writer.string w t.resource;
+  Writer.int64 w t.base;
+  Writer.int64 w t.length;
+  w_perm w t.perm;
+  Writer.int64 w t.nonce;
+  Writer.varint w t.epoch;
+  Writer.int64 w t.mac
 
-  let w_kv w (k, v) =
-    W.string w k;
-    W.string w v
+let w_kv w (k, v) =
+  Writer.string w k;
+  Writer.string w v
 
-  let payload w (p : Message.payload) =
-    W.byte w (tag_of_payload p);
-    match p with
-    | Device_alive { services } -> W.list w w_service services
-    | Heartbeat -> ()
-    | Discover_request { kind; query } ->
-      W.byte w (service_kind_tag kind);
-      W.string w query
-    | Discover_response { provider; service; query } ->
-      W.varint w provider;
-      w_service w service;
-      W.string w query
-    | Open_service { service; pasid; auth; params } ->
-      w_service w service;
-      W.varint w pasid;
-      W.option w w_token auth;
-      W.list w w_kv params
-    | Open_response { accepted; connection; shm_bytes; error } ->
-      W.bool w accepted;
-      W.varint w connection;
-      W.int64 w shm_bytes;
-      W.option w (fun w e -> W.byte w (error_code_tag e)) error
-    | Close_service { connection } -> W.varint w connection
-    | Alloc_request { pasid; va; bytes; perm } ->
-      W.varint w pasid;
-      W.int64 w va;
-      W.int64 w bytes;
-      w_perm w perm
-    | Alloc_response { ok; va; bytes; grant; error } ->
-      W.bool w ok;
-      W.int64 w va;
-      W.int64 w bytes;
-      W.option w w_token grant;
-      W.option w (fun w e -> W.byte w (error_code_tag e)) error
-    | Map_directive { device; pasid; va; pa; bytes; perm; auth } ->
-      W.varint w device;
-      W.varint w pasid;
-      W.int64 w va;
-      W.int64 w pa;
-      W.int64 w bytes;
-      w_perm w perm;
-      w_token w auth
-    | Grant_request { to_device; pasid; va; bytes; perm; auth } ->
-      W.varint w to_device;
-      W.varint w pasid;
-      W.int64 w va;
-      W.int64 w bytes;
-      w_perm w perm;
-      w_token w auth
-    | Map_complete { pasid; va; ok } ->
-      W.varint w pasid;
-      W.int64 w va;
-      W.bool w ok
-    | Free_request { pasid; va; bytes } ->
-      W.varint w pasid;
-      W.int64 w va;
-      W.int64 w bytes
-    | Unmap_directive { device; pasid; va; bytes; auth } ->
-      W.varint w device;
-      W.varint w pasid;
-      W.int64 w va;
-      W.int64 w bytes;
-      w_token w auth
-    | Doorbell { queue } -> W.varint w queue
-    | Fault_notify { pasid; va; detail } ->
-      W.varint w pasid;
-      W.int64 w va;
-      W.string w detail
-    | Resource_failed { resource } -> W.string w resource
-    | Device_failed { device } -> W.varint w device
-    | Reset_device -> ()
-    | Reset_resource { resource } -> W.string w resource
-    | Load_image { image; bytes } ->
-      W.string w image;
-      W.int64 w bytes
-    | Auth_request { user; credential } ->
-      W.string w user;
-      W.string w credential
-    | Auth_response { ok; session } ->
-      W.bool w ok;
-      W.option w w_token session
-    | Error_msg { code; detail } ->
-      W.byte w (error_code_tag code);
-      W.string w detail
-    | App_message { tag; body } ->
-      W.string w tag;
-      W.string w body
+let w_payload w (p : Message.payload) =
+  Writer.byte w (tag_of_payload p);
+  match p with
+  | Device_alive { services } -> Writer.list w w_service services
+  | Heartbeat -> ()
+  | Discover_request { kind; query } ->
+    Writer.byte w (service_kind_tag kind);
+    Writer.string w query
+  | Discover_response { provider; service; query } ->
+    Writer.varint w provider;
+    w_service w service;
+    Writer.string w query
+  | Open_service { service; pasid; auth; params } ->
+    w_service w service;
+    Writer.varint w pasid;
+    Writer.option w w_token auth;
+    Writer.list w w_kv params
+  | Open_response { accepted; connection; shm_bytes; error } ->
+    Writer.bool w accepted;
+    Writer.varint w connection;
+    Writer.int64 w shm_bytes;
+    Writer.option w (fun w e -> Writer.byte w (error_code_tag e)) error
+  | Close_service { connection } -> Writer.varint w connection
+  | Alloc_request { pasid; va; bytes; perm } ->
+    Writer.varint w pasid;
+    Writer.int64 w va;
+    Writer.int64 w bytes;
+    w_perm w perm
+  | Alloc_response { ok; va; bytes; grant; error } ->
+    Writer.bool w ok;
+    Writer.int64 w va;
+    Writer.int64 w bytes;
+    Writer.option w w_token grant;
+    Writer.option w (fun w e -> Writer.byte w (error_code_tag e)) error
+  | Map_directive { device; pasid; va; pa; bytes; perm; auth } ->
+    Writer.varint w device;
+    Writer.varint w pasid;
+    Writer.int64 w va;
+    Writer.int64 w pa;
+    Writer.int64 w bytes;
+    w_perm w perm;
+    w_token w auth
+  | Grant_request { to_device; pasid; va; bytes; perm; auth } ->
+    Writer.varint w to_device;
+    Writer.varint w pasid;
+    Writer.int64 w va;
+    Writer.int64 w bytes;
+    w_perm w perm;
+    w_token w auth
+  | Map_complete { pasid; va; ok } ->
+    Writer.varint w pasid;
+    Writer.int64 w va;
+    Writer.bool w ok
+  | Free_request { pasid; va; bytes } ->
+    Writer.varint w pasid;
+    Writer.int64 w va;
+    Writer.int64 w bytes
+  | Unmap_directive { device; pasid; va; bytes; auth } ->
+    Writer.varint w device;
+    Writer.varint w pasid;
+    Writer.int64 w va;
+    Writer.int64 w bytes;
+    w_token w auth
+  | Doorbell { queue } -> Writer.varint w queue
+  | Fault_notify { pasid; va; detail } ->
+    Writer.varint w pasid;
+    Writer.int64 w va;
+    Writer.string w detail
+  | Resource_failed { resource } -> Writer.string w resource
+  | Device_failed { device } -> Writer.varint w device
+  | Reset_device -> ()
+  | Reset_resource { resource } -> Writer.string w resource
+  | Load_image { image; bytes } ->
+    Writer.string w image;
+    Writer.int64 w bytes
+  | Auth_request { user; credential } ->
+    Writer.string w user;
+    Writer.string w credential
+  | Auth_response { ok; session } ->
+    Writer.bool w ok;
+    Writer.option w w_token session
+  | Error_msg { code; detail } ->
+    Writer.byte w (error_code_tag code);
+    Writer.string w detail
+  | App_message { tag; body } ->
+    Writer.string w tag;
+    Writer.string w body
 
-  let w_dest w (d : Types.dest) =
-    match d with
-    | Device id ->
-      W.byte w 0;
-      W.varint w id
-    | Bus -> W.byte w 1
-    | Broadcast -> W.byte w 2
+let w_dest w (d : Types.dest) =
+  match d with
+  | Device id ->
+    Writer.byte w 0;
+    Writer.varint w id
+  | Bus -> Writer.byte w 1
+  | Broadcast -> Writer.byte w 2
 
-  let message w (m : Message.t) =
-    W.varint w m.src;
-    w_dest w m.dst;
-    W.varint w m.corr;
-    payload w m.payload;
-    (* Deadline trailer, after the payload so the header layout pinned by
-       the conformance tests is untouched. Every frame carries it; one that
-       ends at the payload is malformed. *)
-    W.option w W.int64 m.deadline_ns
-end
-
-module Emit_buf = Emit (Writer)
-module Emit_view = Emit (View_writer)
-module Emit_size = Emit (Sizer)
+let w_message w (m : Message.t) =
+  Writer.varint w m.src;
+  w_dest w m.dst;
+  Writer.varint w m.corr;
+  w_payload w m.payload;
+  (* Deadline trailer, after the payload so the header layout pinned by
+     the conformance tests is untouched. Every frame carries it; one that
+     ends at the payload is malformed. *)
+  Writer.option w Writer.int64 m.deadline_ns
 
 (* --- decoding ----------------------------------------------------------- *)
 
@@ -371,18 +360,8 @@ let r_dest r : Types.dest =
 
 let encode (m : Message.t) =
   let w = Writer.create () in
-  Emit_buf.message w m;
+  w_message w m;
   Writer.contents w
-
-let encode_into (m : Message.t) view ~pos =
-  let w = View_writer.create ~pos view in
-  Emit_view.message w m;
-  View_writer.pos w - pos
-
-let encoded_size (m : Message.t) =
-  let s = Sizer.create () in
-  Emit_size.message s m;
-  Sizer.size s
 
 let decode s =
   let r = Reader.of_string s in

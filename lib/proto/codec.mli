@@ -10,17 +10,6 @@ val decode : string -> Message.t
     [deadline_ns] travels as a trailer after the payload; a frame without
     the trailer is malformed. *)
 
-val encode_into : Message.t -> Slice.t -> pos:int -> int
-(** Encode directly into a caller-provided slice (a DRAM view, a
-    virtqueue slot) starting at [pos]; returns the bytes written, which
-    equals {!encoded_size}. Byte-identical to {!encode}.
-    @raise Wire.Malformed if the message does not fit. *)
-
-val encoded_size : Message.t -> int
-(** [encoded_size m] is [String.length (encode m)], computed by running
-    the encoder against a byte counter — no buffer is allocated and no
-    bytes are materialised. *)
-
 val frame : string -> string
 (** Append the 8-byte CRC-32 trailer to arbitrary body bytes. Lets the
     protocol fuzzer build checksum-valid frames around mutated bodies, so

@@ -42,7 +42,7 @@ let decode f s =
 
 (* Byte counter with the Writer's encoding signature: drive the same encode
    logic through it and [size] is the encoded length, with no buffer and
-   no bytes materialised. Codec.encoded_size is built on this. *)
+   no bytes materialised. *)
 module Sizer = struct
   type t = { mutable n : int }
 

@@ -13,21 +13,21 @@
    registry/directory-sized tables these helpers serve. Hot paths should
    keep using point lookups ([find_opt], [mem]), which are order-free. *)
 
-let sorted_keys ?(compare = Stdlib.compare) tbl =
+let sorted_keys tbl =
   List.sort_uniq compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
 
-let bindings ?compare tbl =
+let bindings tbl =
   (* One binding per key: the visible one ([Hashtbl.find]), matching what
      lookups observe even if shadowed bindings exist underneath. *)
-  List.map (fun k -> (k, Hashtbl.find tbl k)) (sorted_keys ?compare tbl)
+  List.map (fun k -> (k, Hashtbl.find tbl k)) (sorted_keys tbl)
 
-let iter_sorted ?compare f tbl =
-  List.iter (fun (k, v) -> f k v) (bindings ?compare tbl)
+let iter_sorted f tbl =
+  List.iter (fun (k, v) -> f k v) (bindings tbl)
 
-let fold_sorted ?compare f tbl init =
-  List.fold_left (fun acc (k, v) -> f k v acc) init (bindings ?compare tbl)
+let fold_sorted f tbl init =
+  List.fold_left (fun acc (k, v) -> f k v acc) init (bindings tbl)
 
-let min_key ?(compare = Stdlib.compare) tbl =
+let min_key tbl =
   Hashtbl.fold
     (fun k _ acc ->
       match acc with

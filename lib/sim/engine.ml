@@ -33,7 +33,6 @@ type sani = {
 type t = {
   mutable clock : int64;
   queue : (unit -> unit) Heap.t;
-  costs : Costs.t;
   trace : Trace.t;
   rng : Rng.t;
   metrics : Metrics.t;
@@ -57,13 +56,12 @@ type t = {
   mutable owner_cell : Ownership.tracker option;
 }
 
-let create ?(seed = 42L) ?(costs = Costs.default) ?trace_capacity ?fault_plan
+let create ?(seed = 42L) ?trace_capacity ?fault_plan
     ?(tie = Fifo) ?(sanitize = false) ?(queue_hint = 0) () =
   let metrics = Metrics.create () in
   {
     clock = 0L;
     queue = Heap.create ~tie ~hint:queue_hint ();
-    costs;
     trace = Trace.create ?capacity:trace_capacity ();
     rng = Rng.create ~seed;
     metrics;
@@ -91,7 +89,6 @@ let bind_shard t ~shard =
 let shard_owner t = Option.map Ownership.owner t.owner_cell
 
 let now t = t.clock
-let costs t = t.costs
 let trace t = t.trace
 let rng t = t.rng
 let fork_rng t = Rng.split t.rng

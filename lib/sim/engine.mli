@@ -28,7 +28,6 @@ type t
 
 val create :
   ?seed:int64 ->
-  ?costs:Costs.t ->
   ?trace_capacity:int ->
   ?fault_plan:Faults.plan ->
   ?tie:tie_break ->
@@ -57,7 +56,6 @@ val bind_shard : t -> shard:int -> unit
 val shard_owner : t -> int option
 (** The shard this engine is bound to, if {!bind_shard} has run. *)
 
-val costs : t -> Costs.t
 val trace : t -> Trace.t
 val rng : t -> Rng.t
 (** The engine's root generator; prefer [fork_rng] per component. *)

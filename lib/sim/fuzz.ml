@@ -53,11 +53,6 @@ let mutate_int t v =
   | 2 -> v + pick t 17 - 8
   | _ -> Int64.to_int (Rng.int64 t.rng)
 
-let mutate_bool t v =
-  match pick t 2 with
-  | 0 -> not v
-  | _ -> Rng.bool t.rng
-
 let mutate_string t s =
   match pick t 4 with
   | 0 -> ""

@@ -39,7 +39,6 @@ val byte : t -> int
 
 val mutate_int64 : t -> int64 -> int64
 val mutate_int : t -> int -> int
-val mutate_bool : t -> bool -> bool
 val mutate_string : t -> string -> string
 
 (** {1 Byte-buffer mutations}

@@ -45,8 +45,6 @@ let float t =
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = float t in
   (* u = 0. would give infinity; nudge into (0, 1]. *)

@@ -33,9 +33,6 @@ val int : t -> int -> int
 val float : t -> float
 (** [float t] is uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] samples an exponential distribution. Used for
     inter-arrival times of open workloads. *)

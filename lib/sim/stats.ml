@@ -23,7 +23,6 @@ module Summary = struct
   let count t = t.n
   let mean t = if t.n = 0 then 0. else t.mean
   let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
   let min t = if t.n = 0 then 0. else t.mn
   let max t = if t.n = 0 then 0. else t.mx
   let total t = t.total
@@ -129,11 +128,6 @@ module Histogram = struct
   let merge a b =
     let counts = Array.mapi (fun i c -> c + b.counts.(i)) a.counts in
     { counts; n = a.n + b.n; sum = a.sum +. b.sum }
-
-  let reset t =
-    Array.fill t.counts 0 (Array.length t.counts) 0;
-    t.n <- 0;
-    t.sum <- 0.
 
   (* Buckets encode sparsely: soak histograms touch a few dozen of the
      481 buckets, so (index, count) pairs beat a dense dump. *)

@@ -17,7 +17,6 @@ module Summary : sig
   val variance : t -> float
   (** Unbiased sample variance; [0.] with fewer than two observations. *)
 
-  val stddev : t -> float
   val min : t -> float
   val max : t -> float
   val total : t -> float
@@ -48,7 +47,6 @@ module Histogram : sig
 
   val mean : t -> float
   val merge : t -> t -> t
-  val reset : t -> unit
 
   val save : Snapshot.W.t -> t -> unit
   (** Append the histogram (sparse bucket encoding) for checkpointing. *)

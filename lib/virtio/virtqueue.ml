@@ -10,9 +10,17 @@ let desc_f_indirect = 4
 
 type buffer = { va : int64; len : int; writable : bool }
 
+let valid_size size = size > 0 && size <= 32768 && size land (size - 1) = 0
+
 let check_size size =
-  if size <= 0 || size > 32768 || size land (size - 1) <> 0 then
+  if not (valid_size size) then
     invalid_arg "Virtqueue: size must be a power of two in [1, 32768]"
+
+let restore_size r =
+  let size = Lastcpu_sim.Snapshot.R.varint r in
+  if not (valid_size size) then
+    raise (Lastcpu_sim.Snapshot.R.Corrupt "virtqueue size out of range");
+  size
 
 let desc_off i = 16 * i
 let avail_off size = 16 * size
@@ -49,7 +57,6 @@ module Raw = struct
   let set_avail_ring t i v = write_u16 t (avail_ring_off t.size i) v
   let used_idx t = read_u16 t (used_off t.size + 2)
   let set_used_idx t v = write_u16 t (used_off t.size + 2) (v land 0xffff)
-  let used_flags t = read_u16 t (used_off t.size)
   let used_ring t i = Dma.read_pair32 t.dma (t.basei + used_ring_off t.size i)
 
   let set_used_ring t i ~id ~len =
@@ -174,8 +181,6 @@ module Driver = struct
       end
     end
 
-  let kick_needed t = Raw.used_flags t.raw land 1 = 0
-
   let poll_used t =
     let used = Raw.used_idx t.raw in
     if used land 0xffff = t.used_seen land 0xffff then None
@@ -228,14 +233,25 @@ module Driver = struct
 
   let restore r ~dma =
     let base = Snapshot.R.int64 r in
-    let size = Snapshot.R.varint r in
-    check_size size;
+    let size = restore_size r in
     let free_head = Snapshot.R.varint r in
     let free_count = Snapshot.R.varint r in
     let next_free = Snapshot.R.array r Snapshot.R.varint in
     let chain_len = Snapshot.R.array r Snapshot.R.varint in
     if Array.length next_free <> size || Array.length chain_len <> size then
       raise (Snapshot.R.Corrupt "virtqueue driver table length mismatch");
+    (* [add] and [poll_used] index the tables with these: the head and
+       every free-list link must be a descriptor id, and the free count
+       plus the posted chains' lengths must sum to the ring size. *)
+    let index i = i >= 0 && i < size in
+    let chain n = n >= 0 && n <= size in
+    if not (index free_head && Array.for_all index next_free) then
+      raise (Snapshot.R.Corrupt "virtqueue driver descriptor id out of range");
+    if
+      not
+        (chain free_count && Array.for_all chain chain_len
+        && Array.fold_left ( + ) free_count chain_len = size)
+    then raise (Snapshot.R.Corrupt "virtqueue driver chain lengths mismatch");
     let avail_shadow = Snapshot.R.varint r in
     let used_seen = Snapshot.R.varint r in
     let completion_count = Snapshot.R.varint r in
@@ -311,15 +327,15 @@ module Device = struct
     Raw.set_used_ring t.raw (used mod t.raw.Raw.size) ~id:head ~len:written;
     Raw.set_used_idx t.raw (used + 1)
 
-  (* Batched service. [drain] takes every available chain in one event and
-     publishes the used entries in one shot at the end; [drain_deferred] /
-     [publish_used] split the two halves for devices that surface
-     completions later (the SSD publishes only after the flash work's
-     simulated cost has elapsed). Publication deliberately replays the
-     per-entry used-ring access sequence of a [push_used] loop: ring
-     traffic goes through the IOMMU, whose counters are folded into the
-     golden digests, so batching may only save host time — closure
-     dispatch, list churn — never modeled accesses. *)
+  (* Batched service, split in two halves for devices that surface
+     completions later: [drain_deferred] takes every available chain in
+     one event, and [publish_used] publishes the used entries in one shot
+     once the work's simulated cost has elapsed (the SSD's flash time).
+     Publication deliberately replays the per-entry used-ring access
+     sequence of a [push_used] loop: ring traffic goes through the IOMMU,
+     whose counters are folded into the golden digests, so batching may
+     only save host time — closure dispatch, list churn — never modeled
+     accesses. *)
   let drain_deferred t ~f =
     let rec go acc =
       match pop t with
@@ -330,11 +346,6 @@ module Device = struct
 
   let publish_used t completions =
     List.iter (fun (head, written) -> push_used t ~head ~written) completions
-
-  let drain t ~f =
-    let completions = drain_deferred t ~f in
-    publish_used t completions;
-    List.length completions
 
   (* Checkpointing: the device side only keeps a shadow of avail.idx;
      [restore] rebuilds the record without touching ring memory. *)
@@ -347,8 +358,7 @@ module Device = struct
 
   let restore r ~dma =
     let base = Snapshot.R.int64 r in
-    let size = Snapshot.R.varint r in
-    check_size size;
+    let size = restore_size r in
     let avail_seen = Snapshot.R.varint r in
     { raw = Raw.make ~dma ~base ~size; avail_seen }
 end

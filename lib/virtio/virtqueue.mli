@@ -43,9 +43,6 @@ module Driver : sig
       driver-owned memory at [table_va] (16 bytes per segment) and a single
       ring descriptor points at them — long chains cost one ring slot. *)
 
-  val kick_needed : t -> bool
-  (** True when the device asked for notification (used-ring flags). *)
-
   val poll_used : t -> (int * int) option
   (** [(head, written)] for the next completion, recycling its
       descriptors. *)
@@ -59,7 +56,10 @@ module Driver : sig
   val restore : Lastcpu_sim.Snapshot.R.t -> dma:Dma.t -> t
   (** Reconstruct a driver handle from {!save}d state over [dma] without
       re-initialising ring memory (contents come back with DRAM).
-      @raise Lastcpu_sim.Snapshot.R.Corrupt on malformed input. *)
+      @raise Lastcpu_sim.Snapshot.R.Corrupt on malformed input, including
+      a ring size that is not a power of two in [\[1, 32768\]], a free
+      list or head outside the descriptor table, or chain lengths that do
+      not account for every descriptor. *)
 end
 
 module Device : sig
@@ -77,24 +77,18 @@ module Device : sig
   val push_used : t -> head:int -> written:int -> unit
   (** Complete a chain, making it visible on the used ring. *)
 
-  val drain : t -> f:(chain -> int) -> int
-  (** Service every available chain in one event: pop each, apply [f]
-      (which returns the bytes written into the chain's writable
-      segments), then publish all used entries in one shot. Returns the
-      number of chains drained. The ring access sequence is exactly that
-      of a [pop]/[push_used] loop — the batching saves host work only,
-      keeping the IOMMU/TLB accounting (and with it the golden digests)
-      unchanged. *)
-
   val drain_deferred : t -> f:(chain -> int) -> (int * int) list
-  (** The pop half of {!drain}: service every available chain but return
-      the [(head, written)] completions instead of publishing them, for
-      devices that surface completions after a simulated delay. *)
+  (** Service every available chain in one event: pop each and apply [f]
+      (which returns the bytes written into the chain's writable
+      segments), returning the [(head, written)] completions unpublished,
+      for devices that surface completions after a simulated delay. *)
 
   val publish_used : t -> (int * int) list -> unit
-  (** The publish half of {!drain}: push each completion onto the used
-      ring, in order, replaying the per-entry access sequence of a
-      [push_used] loop. *)
+  (** Push each completion onto the used ring, in order. The ring access
+      sequence of [drain_deferred] then [publish_used] is exactly that of
+      a [pop]/[push_used] loop — the batching saves host work only,
+      keeping the IOMMU/TLB accounting (and with it the golden digests)
+      unchanged. *)
 
   val pending : t -> int
   (** Chains posted but not yet popped. *)

@@ -14,9 +14,8 @@ let test_syscall_cost_model () =
   let finished = ref 0L in
   Kernel.syscall kern ~name:"x" (fun () -> finished := Engine.now engine);
   Engine.run engine;
-  let costs = Costs.default in
   Alcotest.(check int64) "syscall + kernel_op"
-    (Int64.add costs.Costs.syscall_ns costs.Costs.kernel_op_ns)
+    (Int64.add Costs.syscall_ns Costs.kernel_op_ns)
     !finished;
   Alcotest.(check int) "counted" 1 (Kernel.syscalls kern)
 
@@ -28,8 +27,7 @@ let test_kernel_serializes_on_one_core () =
     Kernel.syscall kern ~name:"x" (fun () -> finishes := Engine.now engine :: !finishes)
   done;
   Engine.run engine;
-  let costs = Costs.default in
-  let per = Int64.add costs.Costs.syscall_ns costs.Costs.kernel_op_ns in
+  let per = Int64.add Costs.syscall_ns Costs.kernel_op_ns in
   Alcotest.(check (list int64)) "back to back"
     [ per; Int64.mul 2L per; Int64.mul 3L per ]
     (List.rev !finishes)
@@ -52,9 +50,8 @@ let test_interrupt_cost () =
   let finished = ref 0L in
   Kernel.interrupt kern ~name:"irq" (fun () -> finished := Engine.now engine);
   Engine.run engine;
-  let costs = Costs.default in
   Alcotest.(check int64) "interrupt + kernel_op"
-    (Int64.add costs.Costs.interrupt_ns costs.Costs.kernel_op_ns)
+    (Int64.add Costs.interrupt_ns Costs.kernel_op_ns)
     !finished
 
 let test_central_file_io () =
@@ -92,9 +89,8 @@ let test_central_io_charges_flash_time () =
   Central.file_write central ~path:"/f" ~user:"u" ~off:0 ~data:"x" (fun _ ->
       t_done := Engine.now engine);
   Engine.run engine;
-  let costs = Costs.default in
   Alcotest.(check bool) "write pays NAND program time" true
-    (Int64.sub !t_done t0 >= costs.Costs.flash_write_page_ns)
+    (Int64.sub !t_done t0 >= Costs.flash_write_page_ns)
 
 let test_central_store_backend_recovery () =
   let engine = Engine.create () in

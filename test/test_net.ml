@@ -27,9 +27,8 @@ let test_latency_model () =
   Netsim.set_receiver b (fun ~src:_ _ -> arrival := Engine.now e);
   Netsim.send a ~dst:(Netsim.address b) (String.make 100 'x');
   Engine.run e;
-  let costs = Costs.default in
   let expect =
-    Int64.add costs.Costs.net_link_ns (Int64.mul costs.Costs.net_byte_ns 100L)
+    Int64.add Costs.net_link_ns (Int64.mul Costs.net_byte_ns 100L)
   in
   Alcotest.(check int64) "latency = link + bytes" expect !arrival
 
@@ -83,10 +82,9 @@ let test_egress_contention () =
   Engine.run e;
   match List.rev !arrivals with
   | [ t1; t2 ] ->
-    let costs = Costs.default in
-    let ser = Int64.mul costs.Costs.net_byte_ns 1000L in
+    let ser = Int64.mul Costs.net_byte_ns 1000L in
     Alcotest.(check int64) "first = ser + link"
-      (Int64.add ser costs.Costs.net_link_ns)
+      (Int64.add ser Costs.net_link_ns)
       t1;
     Alcotest.(check int64) "second queues behind first" (Int64.add t1 ser) t2
   | l -> Alcotest.fail (Printf.sprintf "expected 2 arrivals, got %d" (List.length l))

@@ -276,45 +276,6 @@ let test_wire_size_positive () =
       Alcotest.(check bool) "positive" true (Message.wire_size msg > 0))
     sample_payloads
 
-(* --- Zero-copy codec ----------------------------------------------------- *)
-
-(* The contract behind direct-view encoding: for EVERY payload
-   constructor, [encoded_size] equals the byte length [encode] produces,
-   and [encode_into] lays down exactly those bytes at the requested view
-   offset. [sample_payloads] covers each constructor, so adding a payload
-   without extending the Emit functor trips this test. *)
-let test_encoded_size_all_constructors () =
-  let check_msg label msg =
-    let s = Codec.encode msg in
-    Alcotest.(check int)
-      (label ^ ": encoded_size")
-      (String.length s) (Codec.encoded_size msg);
-    let v = Slice.create (String.length s + 7) in
-    let n = Codec.encode_into msg v ~pos:3 in
-    Alcotest.(check int) (label ^ ": encode_into length") (String.length s) n;
-    Alcotest.(check string)
-      (label ^ ": encode_into bytes")
-      s
-      (Slice.to_string v ~pos:3 ~len:n)
-  in
-  List.iteri
-    (fun i payload ->
-      let msg =
-        Message.make ~src:(i mod 5)
-          ~dst:
-            (match i mod 3 with
-            | 0 -> Types.Device 9
-            | 1 -> Types.Bus
-            | _ -> Types.Broadcast)
-          ~corr:(i * 1000) payload
-      in
-      check_msg (Message.payload_tag payload) msg)
-    sample_payloads;
-  (* The deadline trailer changes the frame length; the sizer must track it. *)
-  check_msg "deadline trailer"
-    (Message.make ~src:1 ~dst:Types.Bus ~corr:7 ~deadline_ns:123_456_789L
-       Message.Heartbeat)
-
 (* --- CRC-32 stub --------------------------------------------------------- *)
 
 (* The C stub must be bit-identical to the original OCaml loop: WAL
@@ -390,8 +351,6 @@ let () =
           Alcotest.test_case "legacy frames" `Quick test_codec_rejects_legacy_frames;
           QCheck_alcotest.to_alcotest codec_fuzz_prop;
           Alcotest.test_case "wire size positive" `Quick test_wire_size_positive;
-          Alcotest.test_case "encoded_size every constructor" `Quick
-            test_encoded_size_all_constructors;
         ] );
       ( "crc32",
         [

@@ -23,6 +23,9 @@ module System = Lastcpu_core.System
 module Scenario = Lastcpu_core.Scenario_kvs
 module Checkpoint = Lastcpu_core.Checkpoint
 module Experiments = Lastcpu_core.Experiments
+module Iommu = Lastcpu_iommu.Iommu
+module Dma = Lastcpu_virtio.Dma
+module Vq = Lastcpu_virtio.Virtqueue
 
 let temp_snapshot () =
   let path = Filename.temp_file "lastcpu-snap-test" ".snap" in
@@ -492,6 +495,117 @@ let test_crash_window_survives_restore () =
         (Engine.now (System.engine c))
         (Engine.now engine_b))
 
+(* --- untrusted indices in restored state ---------------------------------- *)
+
+(* A restored index that later subscripts an array must be rejected at
+   restore as [Corrupt], not raise [Invalid_argument] out of the engine
+   the first time a request uses it. *)
+let rejects_corrupt what f =
+  match f () with
+  | exception Snapshot.R.Corrupt _ -> ()
+  | _ -> Alcotest.fail (what ^ " accepted")
+
+let test_device_recent_index_rejected () =
+  let _, client, _ = breaker_rig () in
+  let _, save, restore =
+    List.find
+      (fun (name, _, _) -> name = "dev:" ^ Device.actor client)
+      (Engine.snapshot_hooks (Device.engine client))
+  in
+  let body = save () in
+  (* Re-encode the header up to the ring index; the rest of the body is
+     kept byte for byte. *)
+  let r = Snapshot.R.of_string body in
+  let counters = List.init 3 (fun _ -> Snapshot.R.varint r) in
+  let ring = Snapshot.R.array r Snapshot.R.vint in
+  let idx = Snapshot.R.varint r in
+  let header idx =
+    let w = Snapshot.W.create () in
+    List.iter (Snapshot.W.varint w) counters;
+    Snapshot.W.array w Snapshot.W.vint ring;
+    Snapshot.W.varint w idx;
+    Snapshot.W.contents w
+  in
+  let rest =
+    let n = String.length (header idx) in
+    String.sub body n (String.length body - n)
+  in
+  let with_idx i = header i ^ rest in
+  restore (with_idx (Array.length ring - 1));
+  List.iter
+    (fun i ->
+      rejects_corrupt (Printf.sprintf "recent_idx %d" i) (fun () ->
+          restore (with_idx i)))
+    [ Array.length ring; 1000 ]
+
+let test_virtqueue_driver_indices_rejected () =
+  let va = 0x4000_0000L in
+  let iommu = Iommu.create () in
+  (match
+     Iommu.map iommu ~pasid:1 ~va ~pa:0x10_0000L ~bytes:0x4000L
+       ~perm:Types.perm_rw
+   with
+  | Ok () -> ()
+  | Error e -> failwith e);
+  let dma = Dma.create ~iommu ~pasid:1 ~mem:(Physmem.create ()) in
+  let size = 8 in
+  let driver = Vq.Driver.create ~dma ~base:va ~size in
+  (match
+     Vq.Driver.add driver
+       [
+         { Vq.va = Int64.add va 0x2000L; len = 64; writable = false };
+         { Vq.va = Int64.add va 0x3000L; len = 64; writable = true };
+       ]
+   with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  let saved =
+    let w = Snapshot.W.create () in
+    Vq.Driver.save w driver;
+    Snapshot.W.contents w
+  in
+  let r = Snapshot.R.of_string saved in
+  let base = Snapshot.R.int64 r in
+  let size' = Snapshot.R.varint r in
+  let free_head = Snapshot.R.varint r in
+  let free_count = Snapshot.R.varint r in
+  let next_free = Snapshot.R.array r Snapshot.R.varint in
+  let chain_len = Snapshot.R.array r Snapshot.R.varint in
+  let tail = List.init 3 (fun _ -> Snapshot.R.varint r) in
+  let encode ?(size = size') ?(free_head = free_head) ?(free_count = free_count)
+      ?(next_free = next_free) ?(chain_len = chain_len) () =
+    let w = Snapshot.W.create () in
+    Snapshot.W.int64 w base;
+    Snapshot.W.varint w size;
+    Snapshot.W.varint w free_head;
+    Snapshot.W.varint w free_count;
+    Snapshot.W.array w Snapshot.W.varint next_free;
+    Snapshot.W.array w Snapshot.W.varint chain_len;
+    List.iter (Snapshot.W.varint w) tail;
+    Snapshot.W.contents w
+  in
+  let restore bytes = Vq.Driver.restore (Snapshot.R.of_string bytes) ~dma in
+  Alcotest.(check string) "re-encoding is exact" saved (encode ());
+  Alcotest.(check int) "untouched state restores" (size - 2)
+    (Vq.Driver.num_free (restore (encode ())));
+  let set a i v =
+    let a = Array.copy a in
+    a.(i) <- v;
+    a
+  in
+  List.iter
+    (fun (what, bytes) -> rejects_corrupt what (fun () -> restore bytes))
+    [
+      ("free_head = size", encode ~free_head:size ());
+      ("free_head 1000", encode ~free_head:1000 ());
+      ("free_count > size", encode ~free_count:(size + 1) ());
+      ("next_free entry 1000", encode ~next_free:(set next_free 3 1000) ());
+      ("chain_len > size", encode ~chain_len:(set chain_len 5 (size + 1)) ());
+      ("descriptor counted twice", encode ~chain_len:(set chain_len 5 1) ());
+      ("ring size 6", encode ~size:6 ~next_free:(Array.make 6 0)
+         ~chain_len:(Array.make 6 0) ~free_count:6 ());
+    ]
+
 (* --- checkpoint orchestrator mismatches ---------------------------------- *)
 
 let test_checkpoint_mismatches () =
@@ -698,6 +812,13 @@ let () =
             test_crash_window_survives_restore;
           Alcotest.test_case "orchestrator mismatches" `Quick
             test_checkpoint_mismatches;
+        ] );
+      ( "untrusted indices",
+        [
+          Alcotest.test_case "device recent-ring index" `Quick
+            test_device_recent_index_rejected;
+          Alcotest.test_case "virtqueue driver tables" `Quick
+            test_virtqueue_driver_indices_rejected;
         ] );
       ( "whole machine",
         [

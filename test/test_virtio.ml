@@ -362,8 +362,9 @@ let vq_model_prop =
         script;
       !ok)
 
-(* Device.drain must behave exactly like a pop/push_used loop: same
-   completions, same order, one call. *)
+(* Device.drain_deferred + publish_used (the pair the SSD runs) must
+   behave exactly like a pop/push_used loop: same completions, same
+   order. *)
 let test_vq_drain_batched () =
   let dma_a, dma_b, va = rig ~pages:32 () in
   let size = 8 in
@@ -384,15 +385,18 @@ let test_vq_drain_batched () =
     | Error e -> failwith e
   done;
   let served = ref [] in
-  let n =
-    Vq.Device.drain device ~f:(fun { Vq.Device.buffers; _ } ->
+  let completions =
+    Vq.Device.drain_deferred device ~f:(fun { Vq.Device.buffers; _ } ->
         match buffers with
         | [ req; _resp ] ->
           served := req.Vq.len :: !served;
           req.Vq.len * 2
         | _ -> Alcotest.fail "unexpected chain shape")
   in
-  Alcotest.(check int) "drained all four" 4 n;
+  Alcotest.(check int) "drained all four" 4 (List.length completions);
+  Alcotest.(check (option (pair int int))) "nothing published before publish_used"
+    None (Vq.Driver.poll_used driver);
+  Vq.Device.publish_used device completions;
   Alcotest.(check (list int)) "service order" [ 100; 101; 102; 103 ]
     (List.rev !served);
   let rec collect acc =
