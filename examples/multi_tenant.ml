@@ -77,7 +77,7 @@ let () =
   (* 2. Memory isolation: bob's PASID has no mapping for alice's shared
      memory; the IOMMU faults the access on the device. *)
   let dma_b = Device.dma dev ~pasid:pasid_b in
-  (match Dma.read_u8 dma_b 0x4000_0000L with
+  (match Dma.read_field dma_b 0x4000_0000 1 with
   | _ -> print_endline "bob reads alice's shm: ALLOWED (BUG)"
   | exception Dma.Dma_fault f ->
     Printf.printf "bob reads alice's shm: IOMMU FAULT (pasid=%d va=0x%Lx %s)\n"

@@ -118,7 +118,7 @@ let () =
       done_ := true);
   System.run_until_idle system;
   assert !done_;
-  let spaces = Dma.read_u64 dma (Int64.add hist_dst (Int64.of_int (8 * 32))) in
+  let spaces = Dma.read_field64 dma (Int64.to_int hist_dst + (8 * 32)) in
   Printf.printf "space (0x20) count read back by the NIC: %Ld\n" spaces;
 
   (* Fault containment: a job over never-granted memory faults on the

@@ -48,8 +48,6 @@ let create engine ?cores ?run_queue_capacity ?geometry () =
     (Faults.crashes faults);
   t
 
-let storage_down t = t.storage_down
-
 let kernel t = t.kern
 let fs t = t.filesystem
 let ftl t = t.ftl

@@ -34,12 +34,6 @@ val kernel : t -> Kernel.t
 val fs : t -> Lastcpu_fs.Fs.t
 val ftl : t -> Lastcpu_flash.Ftl.t
 
-val storage_down : t -> bool
-(** True inside a fault-plan crash window: the storage device is gone and
-    mediated I/O fails with ["storage device down"] until the kernel's
-    reset-device pass at the revive edge. The engine's fault plan also
-    injects NAND read faults into this baseline's (identical) flash. *)
-
 (** Control-plane operations (T1/T3 workloads): *)
 
 val discover : t -> query:string -> (unit -> unit) -> unit
@@ -59,9 +53,6 @@ val file_write :
 
 val file_create :
   t -> path:string -> user:string -> ((unit, string) result -> unit) -> unit
-
-val file_truncate :
-  t -> path:string -> user:string -> len:int -> ((unit, string) result -> unit) -> unit
 
 val store_backend : t -> path:string -> user:string -> Lastcpu_kv.Store.backend
 (** A {!Lastcpu_kv.Store} backend whose log I/O goes through the kernel:

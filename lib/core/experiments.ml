@@ -935,7 +935,7 @@ let t8 () =
   let victim_pasid = System.fresh_pasid system in
   let scenario_a, faults_a =
     probe (fun () ->
-        ignore (Dma.read_u64 (Device.dma nic1_dev ~pasid:victim_pasid) 0xDEAD_0000L))
+        ignore (Dma.read_field64 (Device.dma nic1_dev ~pasid:victim_pasid) 0xDEAD_0000))
   in
   let done1 = ref false in
   bystander_op (fun () -> done1 := true);
@@ -953,7 +953,7 @@ let t8 () =
   assert !alloc_done;
   let scenario_b, faults_b =
     probe (fun () ->
-        Dma.write_u8 (Device.dma nic1_dev ~pasid:ro_pasid) 0xA000_0000L 1)
+        Dma.write_field (Device.dma nic1_dev ~pasid:ro_pasid) 0xA000_0000 1 1)
   in
   let done2 = ref false in
   bystander_op (fun () -> done2 := true);

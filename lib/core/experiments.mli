@@ -194,14 +194,12 @@ val t17_soak :
     and revocation; a KV provider crash and failover; a
     no-silent-resurrection revive (bare heartbeat ignored, explicit
     re-announce honored); parole re-admission with a stale pre-revocation
-    token replay; and recovery. Checkpointing stops after boundary
-    {!t17_kill_boundary} because [Kv_app.save_state] refuses once the app
-    has failed over. The soak asserts each segment's containment
-    postcondition and raises [Invalid_argument] on any violation. *)
-
-val t17_kill_boundary : int
-(** Boundary where the kill leg of {!t17} dies mid-checkpoint (2) — the
-    resume leg must fall back a generation and re-run the barrage. *)
+    token replay; and recovery. Checkpointing stops after boundary 2,
+    where the kill leg dies mid-checkpoint, because [Kv_app.save_state]
+    refuses once the app has failed over; the resume leg must fall back a
+    generation and re-run the barrage. The soak asserts each segment's
+    containment postcondition and raises [Invalid_argument] on any
+    violation. *)
 
 val t17 : ?seed:int64 -> unit -> table
 (** Uninterrupted, killed-at-torn-checkpoint, and resumed runs of

@@ -341,13 +341,12 @@ let restore_state t body =
     Hashtbl.replace t.breakers peer { state; failures }
   done
 
-let create ?shard sysbus ~mem ~name ?tlb_sets ?tlb_ways ?(no_tlb = false) () =
+let create ?shard sysbus ~mem ~name () =
   let engine = Sysbus.engine sysbus in
   let m = Engine.metrics engine in
   let actor = Metrics.claim_actor m name in
   let iommu =
-    Iommu.create ?tlb_sets ?tlb_ways ~no_tlb ~metrics:m
-      ~actor:(actor ^ ".iommu") ()
+    Iommu.create ~metrics:m ~actor:(actor ^ ".iommu") ()
   in
   let counter n = Metrics.counter m ~actor ~name:n in
   let lazy_counter n = Metrics.lazy_counter m ~actor ~name:n in
@@ -763,7 +762,6 @@ let messages_handled t = Metrics.counter_value t.m_handled
 let requests_sent t = Metrics.counter_value t.m_sent
 let late_responses t = Metrics.counter_value t.m_request_late
 
-let forged_failures t = Metrics.lazy_value t.m_forged_failures
 let request_retries t = Metrics.counter_value t.m_retries
 let requests_gave_up t = Metrics.counter_value t.m_gave_up
 let actor t = t.actor

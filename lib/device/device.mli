@@ -47,9 +47,6 @@ val create :
   Lastcpu_bus.Sysbus.t ->
   mem:Lastcpu_mem.Physmem.t ->
   name:string ->
-  ?tlb_sets:int ->
-  ?tlb_ways:int ->
-  ?no_tlb:bool ->
   unit ->
   t
 (** Attach a new device to the bus (not yet live; call [start]). [shard]
@@ -279,11 +276,6 @@ val requests_sent : t -> int
 val late_responses : t -> int
 (** Responses that arrived after their request already completed (timed
     out or was answered by a duplicate); swallowed and counted. *)
-
-val forged_failures : t -> int
-(** [Device_failed] notifications that claimed a peer source. Only the bus
-    (src < 0) legitimately originates failure broadcasts; peer-sourced ones
-    are counted here and never acted on. *)
 
 val request_retries : t -> int
 (** Timed-out requests that were retransmitted. *)

@@ -55,9 +55,8 @@ let execute dma (job : Accel_proto.job) : Accel_proto.outcome =
         let i = Char.code c in
         counts.(i) <- Int64.add counts.(i) 1L)
       data;
-    Array.iteri
-      (fun i v -> Dma.write_u64 dma (Int64.add dst (Int64.of_int (8 * i))) v)
-      counts;
+    let dst = Int64.to_int dst in
+    Array.iteri (fun i v -> Dma.write_field64 dma (dst + (8 * i)) v) counts;
     Accel_proto.Written (256 * 8)
 
 let run_with_cost engine ~per_byte ~setup dma job k =

@@ -16,7 +16,7 @@ val create :
   ?users:(string * string) list ->
   unit ->
   t
-(** [users] are (name, password) pairs; more can be added later. *)
+(** [users] are (name, password) pairs. *)
 
 val device : t -> Lastcpu_device.Device.t
 val id : t -> Lastcpu_proto.Types.device_id
@@ -24,6 +24,5 @@ val id : t -> Lastcpu_proto.Types.device_id
 val key : t -> Lastcpu_proto.Token.key
 (** Verification key to hand to services at assembly time. *)
 
-val add_user : t -> user:string -> password:string -> unit
 val auth_attempts : t -> int
 val auth_failures : t -> int

@@ -41,8 +41,3 @@ val used_pages : t -> int
 val allocations_of : t -> pasid:int -> (int64 * int64) list
 (** [(va, bytes)] currently held by an address space. *)
 
-val revoke_subject : t -> subject:Lastcpu_proto.Types.device_id -> unit
-(** Revocation cascade: free every allocation the device holds as token
-    subject (any address space) and unmap it everywhere. Registered with
-    {!Lastcpu_bus.Sysbus.on_revoke} at create, so a bus-level revocation
-    or quarantine tears the controller's grants down automatically. *)

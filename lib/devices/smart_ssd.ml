@@ -221,6 +221,23 @@ let write_chain_response dma (buffers : Vq.buffer list) resp =
 
 (* Doorbell service --------------------------------------------------------- *)
 
+(* One chain: decode the request, run it, write the response; the bytes
+   written into the chain. *)
+let serve_chain t qs dma buffers =
+  let response =
+    match decode_chain_request dma buffers with
+    | Error m -> Ssd_proto.Err ("malformed request: " ^ m)
+    | Ok req ->
+      Metrics.incr t.m_served;
+      exec_request t ~qs req
+  in
+  match write_chain_response dma buffers response with
+  | Ok n -> n
+  | Error m -> (
+    match write_chain_response dma buffers (Ssd_proto.Err m) with
+    | Ok n -> n
+    | Error _ -> 0)
+
 let process_queue t ~queue =
   match Hashtbl.find_opt t.queues queue with
   | None -> ()
@@ -230,20 +247,13 @@ let process_queue t ~queue =
     let completions =
       Vq.Device.drain_deferred qs.vq ~f:(fun { Vq.Device.buffers; _ } ->
           let nand_before = nand_busy_ns t in
-          let response =
-            match decode_chain_request dma buffers with
-            | Error m -> Ssd_proto.Err ("malformed request: " ^ m)
-            | Ok req ->
-              Metrics.incr t.m_served;
-              exec_request t ~qs req
-          in
           let written =
-            match write_chain_response dma buffers response with
-            | Ok n -> n
-            | Error m -> (
-              match write_chain_response dma buffers (Ssd_proto.Err m) with
-              | Ok n -> n
-              | Error _ -> 0)
+            (* Buffer addresses are peer-written: one outside this PASID's
+               mapping faults that chain alone, which completes with
+               nothing written while the next chain is still served. *)
+            match serve_chain t qs dma buffers with
+            | n -> n
+            | exception Dma.Dma_fault _ -> 0
           in
           total_cost :=
             Int64.add !total_cost (Int64.sub (nand_busy_ns t) nand_before);

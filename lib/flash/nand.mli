@@ -9,9 +9,6 @@ type t
 
 type geometry = { blocks : int; pages_per_block : int; page_size : int }
 
-val default_geometry : geometry
-(** 256 blocks x 64 pages x 4 KiB = 64 MiB. *)
-
 val create :
   ?geometry:geometry -> ?faults:Lastcpu_sim.Faults.t -> ?tag:string -> unit -> t
 (** [faults] enables injected transient read failures and bit flips on

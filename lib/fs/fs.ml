@@ -817,7 +817,6 @@ let chown t ~user path ~owner =
   end
 
 let free_blocks = count_free_blocks
-let total_blocks t = t.total_blocks
 
 (* Consistency checking ---------------------------------------------------- *)
 

@@ -83,7 +83,6 @@ val chmod : t -> user:string -> string -> mode:int -> (unit, error) result
 val chown : t -> user:string -> string -> owner:string -> (unit, error) result
 
 val free_blocks : t -> int
-val total_blocks : t -> int
 
 (** {1 Consistency checking} *)
 

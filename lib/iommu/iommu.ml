@@ -20,7 +20,6 @@ type t = {
   tlb : Tlb.t option;
   mutable fault_handler : (fault -> unit) option;
   mutable fault_observers : (fault -> unit) list;  (* registration order *)
-  mutable invalidate_hooks : (pasid:int -> unit) list;  (* registration order *)
   (* Details of the most recent fault [translate_pa] delivered; the
      int-returning fast path cannot carry the record in its result. *)
   mutable last_fault : fault option;
@@ -39,7 +38,6 @@ let create ?tlb_sets ?tlb_ways ?(no_tlb = false) ?metrics ?(actor = "iommu") () 
        else Some (Tlb.create ?sets:tlb_sets ?ways:tlb_ways ~metrics:m ~actor ()));
     fault_handler = None;
     fault_observers = [];
-    invalidate_hooks = [];
     last_fault = None;
     m_translations = Metrics.counter m ~actor ~name:"translations";
     m_walks = Metrics.counter m ~actor ~name:"walks";
@@ -52,14 +50,6 @@ let attach_fault_handler t f =
   t.fault_handler <- Some f
 
 let add_fault_observer t f = t.fault_observers <- t.fault_observers @ [ f ]
-
-(* Mapping-change notification, the DMI invalidation edge: anything that
-   cached a translation (Dma direct-map grants) must drop it when the
-   mapping it rode on changes. Hooks are host-side bookkeeping — they
-   touch no registry counter, so firing them is digest-neutral. *)
-let on_invalidate t f = t.invalidate_hooks <- t.invalidate_hooks @ [ f ]
-let fire_invalidate t ~pasid =
-  List.iter (fun f -> f ~pasid) t.invalidate_hooks
 
 let table t ~pasid =
   match Hashtbl.find_opt t.tables pasid with
@@ -87,15 +77,13 @@ let unmap t ~pasid ~va ~bytes =
         in
         Tlb.invalidate_page tlb ~pasid ~vpn
       done);
-    fire_invalidate t ~pasid;
     removed
 
 let clear_pasid t ~pasid =
   Hashtbl.remove t.tables pasid;
-  (match t.tlb with
+  match t.tlb with
   | None -> ()
-  | Some tlb -> Tlb.invalidate_pasid tlb ~pasid);
-  fire_invalidate t ~pasid
+  | Some tlb -> Tlb.invalidate_pasid tlb ~pasid
 
 (* Hoisted constants: [translate] runs once per DMA transaction, and
    building a fresh permission record per call would allocate on every

@@ -46,15 +46,6 @@ val add_fault_observer : t -> (fault -> unit) -> unit
     single handler. Observers are closures and are re-attached on rebuild,
     like the handler. *)
 
-val on_invalidate : t -> (pasid:int -> unit) -> unit
-(** Mapping-change notification: runs (in registration order) whenever a
-    PASID's translations shrink — {!unmap} and {!clear_pasid}, which the
-    bus's capability revocation and quarantine paths both funnel through.
-    Holders of cached translations (the DMA layer's direct-map grants)
-    listen here and drop them. Hooks are host-side bookkeeping: they touch
-    no registry counter, so firing them never moves a digest. Closures,
-    re-attached on rebuild like fault handlers. *)
-
 val map :
   t -> pasid:int -> va:int64 -> pa:int64 -> bytes:int64 -> perm:Proto_perm.t ->
   (unit, string) result
@@ -123,8 +114,6 @@ val walk_levels : t -> int
 (** Total levels touched across all walks (each full walk adds 4). *)
 
 val faults : t -> int
-val access_perm : access -> Proto_perm.t
-(** The minimal permission required for an access. *)
 
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 (** Append all per-PASID mappings and the TLB state (checkpointing).

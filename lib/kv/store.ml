@@ -130,7 +130,6 @@ let compact t k =
 
 let puts t = Metrics.counter_value t.m_puts
 let gets t = Metrics.counter_value t.m_gets
-let deletes t = Metrics.counter_value t.m_dels
 
 let applied_watermark t = t.applied
 let set_applied_watermark t n =

@@ -57,7 +57,6 @@ val compact : t -> ((unit, string) result -> unit) -> unit
 
 val puts : t -> int
 val gets : t -> int
-val deletes : t -> int
 
 val applied_watermark : t -> int
 (** Number of decodable log records the index currently reflects. *)

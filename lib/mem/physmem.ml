@@ -179,11 +179,6 @@ let write_field64 t pa v =
   let c = chunk_for_write t pa 8 in
   set64 c (pa land (chunk_bytes - 1)) (if Sys.big_endian then bswap64 v else v)
 
-let read_byte t ai = read_field t ai 1
-let write_byte t ai v = write_field t ai 1 v
-let read_u8 t addr = read_byte t (Int64.to_int addr)
-let write_u8 t addr v = write_byte t (Int64.to_int addr) v
-
 let read_into t addr out ~pos:start ~len =
   check t addr len;
   let pos = ref 0 in
@@ -233,30 +228,25 @@ let write_string_sub t addr s ~pos ~len =
     invalid_arg "Physmem.write_string_sub";
   write_sub t addr blit_string_in s ~pos ~len
 
-(* Little-endian, may span chunks: the cold int64-addressed form. *)
-let read_u64 t addr = String.get_int64_le (read_bytes t addr 8) 0
-
-let write_u64 t addr v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  write_bytes_sub t addr b ~pos:0 ~len:8
-
 let fill t addr len c = write_bytes t addr (String.make len c)
 
 let view t addr len =
   check t addr len;
   if len <= 0 then invalid_arg "Physmem.view: length must be positive";
-  let c0 = chunk_of_addr addr
-  and c1 = chunk_of_addr (Int64.add addr (Int64.of_int (len - 1))) in
-  if c0 <> c1 then
+  let ai = Int64.to_int addr in
+  let off = ai land (chunk_bytes - 1) in
+  if off + len > chunk_bytes then
     invalid_arg
       (Printf.sprintf "Physmem.view: [0x%Lx, +%d) crosses a chunk boundary"
          addr len);
   (* A view is a write-capable window: every frame under it must join the
      touched set now, or bytes written through it would be invisible to
-     [save]. *)
-  touch_range t addr len;
-  Bigarray.Array1.sub (chunk t c0) (offset_in_chunk addr) len
+     [save]. Views are built per DMA access, so both go through the
+     one-entry caches. *)
+  for frame = ai lsr Layout.page_bits to (ai + len - 1) lsr Layout.page_bits do
+    mark_touched t frame
+  done;
+  Bigarray.Array1.sub (chunk_c t (ai lsr chunk_bits)) off len
 
 let touched_frames t = Hashtbl.length t.touched
 

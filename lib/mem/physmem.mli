@@ -5,7 +5,8 @@
     is touched. All device DMA in the emulation lands here (after IOMMU
     translation). The chunk granularity exists so {!view} can hand out
     real sub-arrays over the backing store — the zero-copy data plane
-    (DMI grants, NAND page I/O, codec slices) is built on those views. *)
+    ([Dma.map_single], NAND page I/O, codec slices) is built on those
+    views. *)
 
 type t
 
@@ -20,9 +21,6 @@ val create : ?size:int64 -> unit -> t
     beyond [size] raise [Invalid_argument]. *)
 
 val size : t -> int64
-
-val read_u8 : t -> int64 -> int
-val write_u8 : t -> int64 -> int -> unit
 
 (** Native-int physical addresses, for the DMA ring path where a boxed
     address per access would dominate. Physical addresses fit a native
@@ -42,14 +40,6 @@ val read_field64 : t -> int -> int64
 val write_field64 : t -> int -> int64 -> unit
 (** The 8-byte little-endian field at [pa], all 64 bits. *)
 
-val read_byte : t -> int -> int
-val write_byte : t -> int -> int -> unit
-(** [read_field]/[write_field] with width 1. *)
-
-val read_u64 : t -> int64 -> int64
-(** Little-endian, may span frames. *)
-
-val write_u64 : t -> int64 -> int64 -> unit
 val read_bytes : t -> int64 -> int -> string
 val write_bytes : t -> int64 -> string -> unit
 

@@ -1,8 +1,8 @@
 (* A byte slice: the common currency of the zero-copy data plane. DRAM
-   views (Physmem), DMI grants (Dma.map_single) and codec cursors
-   (Wire.View_reader/View_writer) all carry this one type, so payloads
-   move bigarray-to-bigarray with memcpy underneath instead of
-   round-tripping through intermediate strings. *)
+   views (Physmem.view, Dma.map_single) and codec cursors
+   (Wire.View_reader/View_writer) all carry this one type, so payloads are
+   encoded and decoded in place instead of round-tripping through
+   intermediate strings. *)
 
 type t = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -21,14 +21,10 @@ external unsafe_blit_to_bytes : t -> int -> Bytes.t -> int -> int -> unit
 [@@noalloc]
 
 let length = Bigarray.Array1.dim
-let sub = Bigarray.Array1.sub
-let get = Bigarray.Array1.get
-let set = Bigarray.Array1.set
-let fill = Bigarray.Array1.fill
 
 let create len =
   let s = Bigarray.Array1.create Bigarray.char Bigarray.c_layout len in
-  fill s '\000';
+  Bigarray.Array1.fill s '\000';
   s
 
 let check_range what len pos n =
@@ -49,9 +45,6 @@ let blit_to_bytes src ~src_pos dst ~dst_pos ~len =
   check_range "blit_to_bytes" (length src) src_pos len;
   check_range "blit_to_bytes" (Bytes.length dst) dst_pos len;
   unsafe_blit_to_bytes src src_pos dst dst_pos len
-
-let blit src ~src_pos dst ~dst_pos ~len =
-  Bigarray.Array1.blit (sub src src_pos len) (sub dst dst_pos len)
 
 let to_string src ~pos ~len =
   check_range "to_string" (length src) pos len;

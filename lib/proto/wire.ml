@@ -109,25 +109,12 @@ module View_writer = struct
       byte t (Int64.to_int (Int64.shift_right_logical v (shift * 8)))
     done
 
-  let raw_string t s ~src_pos ~len =
-    ensure t len;
-    Slice.blit_string s ~src_pos t.data ~dst_pos:t.pos ~len;
-    t.pos <- t.pos + len
-
   let string t s =
-    varint t (String.length s);
-    raw_string t s ~src_pos:0 ~len:(String.length s)
-
-  let raw_view t v ~src_pos ~len =
+    let len = String.length s in
+    varint t len;
     ensure t len;
-    Slice.blit v ~src_pos t.data ~dst_pos:t.pos ~len;
+    Slice.blit_string s ~src_pos:0 t.data ~dst_pos:t.pos ~len;
     t.pos <- t.pos + len
-
-  let view t v =
-    (* Length-prefixed like [string], but the payload bytes blit
-       bigarray-to-bigarray. *)
-    varint t (Slice.length v);
-    raw_view t v ~src_pos:0 ~len:(Slice.length v)
 
   let bool t b = byte t (if b then 1 else 0)
 
@@ -145,8 +132,7 @@ module View_writer = struct
 end
 
 (* Cursor over a slice (a DRAM view): decode straight out of backing
-   memory. [view] hands payload fields back as sub-windows — storage
-   stays shared, nothing is copied until someone needs a string. *)
+   memory, with no intermediate string for the frame. *)
 module View_reader = struct
   type t = { data : Slice.t; mutable pos : int; limit : int }
 
@@ -190,20 +176,11 @@ module View_reader = struct
            (Printf.sprintf "count %d at %d exceeds the bytes left" n t.pos));
     n
 
-  let take t len =
-    if len < 0 || len > t.limit - t.pos then
-      raise (Malformed "truncated string");
-    let v = Slice.sub t.data t.pos len in
-    t.pos <- t.pos + len;
-    v
-
   let string t =
     let len = count t in
     let s = Slice.to_string t.data ~pos:t.pos ~len in
     t.pos <- t.pos + len;
     s
-
-  let view t = take t (varint t)
 
   let bool t =
     match byte t with

@@ -81,13 +81,6 @@ module View_writer : sig
   val varint : t -> int -> unit
   val int64 : t -> int64 -> unit
   val string : t -> string -> unit
-  val view : t -> Slice.t -> unit
-  (** Length-prefixed like [string]; payload bytes blit slice-to-slice. *)
-
-  val raw_string : t -> string -> src_pos:int -> len:int -> unit
-  val raw_view : t -> Slice.t -> src_pos:int -> len:int -> unit
-  (** Unprefixed raw bytes (caller frames them). *)
-
   val bool : t -> bool -> unit
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
@@ -97,10 +90,8 @@ module View_writer : sig
 end
 
 (** Cursor over a slice (a DRAM view): decode straight out of backing
-    memory. {!View_reader.view} hands payload fields back as sub-windows
-    sharing storage with the underlying slice. Like {!Reader}, a length
-    or count that is negative or runs past the window raises
-    [Malformed]. *)
+    memory. Like {!Reader}, a length or count that is negative or runs
+    past the window raises [Malformed]. *)
 module View_reader : sig
   type t
 
@@ -109,10 +100,6 @@ module View_reader : sig
   val varint : t -> int
   val int64 : t -> int64
   val string : t -> string
-  val view : t -> Slice.t
-  val take : t -> int -> Slice.t
-  (** [take t len] consumes [len] raw bytes as a sub-window. *)
-
   val bool : t -> bool
   val list : t -> (t -> 'a) -> 'a list
   val option : t -> (t -> 'a) -> 'a option

@@ -40,8 +40,6 @@ val default_chaos : plan
     jitter, corruption and NAND read trouble. No crash windows — compose
     those per experiment. *)
 
-val is_zero : plan -> bool
-
 type t
 
 val create : ?plan:plan -> seed:int64 -> Metrics.t -> t

@@ -46,8 +46,6 @@ val mutate_string : t -> string -> string
     For encoded frames. All total: the empty string maps to itself
     (except {!extend}, which grows it). *)
 
-val flip_bit : t -> string -> string
-val overwrite_byte : t -> string -> string
 val truncate : t -> string -> string
 val extend : t -> string -> string
 

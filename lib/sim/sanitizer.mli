@@ -28,7 +28,6 @@ val compare_journals :
     labels and drifts tick times by a few service times; only the state
     trajectory is contractual. *)
 
-val pp_tick : Format.formatter -> tick -> unit
 val pp_divergence : Format.formatter -> divergence -> unit
 
 (** {2 Hash utilities} (also used by digest probes and keyed fault draws) *)

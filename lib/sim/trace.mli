@@ -42,7 +42,6 @@ val clear : t -> unit
 
 val span_begin_kind : string
 val span_end_kind : string
-val span_key : name:string -> id:int -> string
 
 val begin_span : t -> time:int64 -> actor:string -> name:string -> id:int -> unit
 
@@ -54,7 +53,6 @@ val end_span :
 val open_span_count : t -> int
 (** Spans begun but not yet ended. *)
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit
 
 val to_json_lines : t -> string

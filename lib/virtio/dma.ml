@@ -4,39 +4,9 @@ module Layout = Lastcpu_mem.Layout
 
 exception Dma_fault of Iommu.fault
 
-(* A direct-map grant: the DRAM view for one (va, len, access) range,
-   kept until the IOMMU tells us the underlying mapping changed. Host-side
-   cache only — the modeled translation accounting is replayed on every
-   access (see [map_single]), so hits and invalidations never move a
-   digest. *)
-type grant = { base_pa : int64; gview : Physmem.view }
+type t = { iommu : Iommu.t; pasid : int; mem : Physmem.t }
 
-type t = {
-  iommu : Iommu.t;
-  pasid : int;
-  mem : Physmem.t;
-  grants : (int64 * int * int, grant) Hashtbl.t;  (* va, len, access tag *)
-  mutable dmi_hits : int;
-  mutable dmi_invalidations : int;
-}
-
-let create ~iommu ~pasid ~mem =
-  let t =
-    {
-      iommu;
-      pasid;
-      mem;
-      grants = Hashtbl.create 16;
-      dmi_hits = 0;
-      dmi_invalidations = 0;
-    }
-  in
-  Iommu.on_invalidate iommu (fun ~pasid ->
-      if pasid = t.pasid && Hashtbl.length t.grants > 0 then begin
-        t.dmi_invalidations <- t.dmi_invalidations + Hashtbl.length t.grants;
-        Hashtbl.reset t.grants
-      end);
-  t
+let create ~iommu ~pasid ~mem = { iommu; pasid; mem }
 
 let pasid t = t.pasid
 
@@ -52,7 +22,7 @@ let run t vai n access =
   let pa = Iommu.translate_run t.iommu ~pasid:t.pasid ~vai ~n ~access in
   if pa >= 0 then pa else raise (Dma_fault (Iommu.last_fault t.iommu))
 
-(* The copy path and grants translate once per page segment. *)
+(* The copy path and [map_single] translate once per page segment. *)
 let translate t va access = Int64.of_int (run t (Int64.to_int va) 1 access)
 let in_one_page vai n = (vai land page_mask) + n <= page_bytes
 
@@ -114,15 +84,6 @@ let write_field64 t vai v =
     write_split t vai buf
   end
 
-let read_u8 t va = read_field t (Int64.to_int va) 1
-let write_u8 t va v = write_field t (Int64.to_int va) 1 v
-let read_u16 t va = read_field t (Int64.to_int va) 2
-let write_u16 t va v = write_field t (Int64.to_int va) 2 v
-let read_u32 t va = read_field t (Int64.to_int va) 4
-let write_u32 t va v = write_field t (Int64.to_int va) 4 v
-let read_u64 t va = read_field64 t (Int64.to_int va)
-let write_u64 t va v = write_field64 t (Int64.to_int va) v
-
 (* Composite transactions. One that crosses a page is done field by
    field: the same bytes in the same order, so the same accounting and
    the same partial write on a fault. *)
@@ -179,81 +140,41 @@ let write_pair32 t vai a b =
     write_field t (vai + 4) 4 b
   end
 
-let read_into t va out ~pos ~len =
-  let rec go va dst_off remaining =
-    if remaining > 0 then begin
-      let off = Layout.offset_in_page va in
-      let chunk = min remaining (Int64.to_int Layout.page_size - off) in
-      let pa = translate t va Iommu.Read in
-      Physmem.read_into t.mem pa out ~pos:dst_off ~len:chunk;
-      go (Int64.add va (Int64.of_int chunk)) (dst_off + chunk) (remaining - chunk)
-    end
-  in
-  go va pos len
-
+(* The copy path: one translation per page segment. *)
 let read_bytes t va len =
   let out = Bytes.create len in
-  read_into t va out ~pos:0 ~len;
+  let rec go va pos =
+    if pos < len then begin
+      let n = min (len - pos) (page_bytes - Layout.offset_in_page va) in
+      Physmem.read_into t.mem (translate t va Iommu.Read) out ~pos ~len:n;
+      go (Int64.add va (Int64.of_int n)) (pos + n)
+    end
+  in
+  go va 0;
   Bytes.unsafe_to_string out
 
-let write_string_sub t va s ~pos ~len =
-  let rec go va src_off remaining =
-    if remaining > 0 then begin
-      let off = Layout.offset_in_page va in
-      let chunk = min remaining (Int64.to_int Layout.page_size - off) in
-      let pa = translate t va Iommu.Write in
-      Physmem.write_string_sub t.mem pa s ~pos:src_off ~len:chunk;
-      go (Int64.add va (Int64.of_int chunk)) (src_off + chunk) (remaining - chunk)
+let write_bytes t va s =
+  let len = String.length s in
+  let rec go va pos =
+    if pos < len then begin
+      let n = min (len - pos) (page_bytes - Layout.offset_in_page va) in
+      Physmem.write_string_sub t.mem (translate t va Iommu.Write) s ~pos ~len:n;
+      go (Int64.add va (Int64.of_int n)) (pos + n)
     end
   in
-  go va pos len
+  go va 0
 
-let write_bytes t va s = write_string_sub t va s ~pos:0 ~len:(String.length s)
-
-let write_bytes_sub t va b ~pos ~len =
-  let rec go va src_off remaining =
-    if remaining > 0 then begin
-      let off = Layout.offset_in_page va in
-      let chunk = min remaining (Int64.to_int Layout.page_size - off) in
-      let pa = translate t va Iommu.Write in
-      Physmem.write_bytes_sub t.mem pa b ~pos:src_off ~len:chunk;
-      go (Int64.add va (Int64.of_int chunk)) (src_off + chunk) (remaining - chunk)
-    end
-  in
-  go va pos len
-
-(* --- DMI fast path ----------------------------------------------------- *)
-
-let access_tag = function Iommu.Read -> 0 | Iommu.Write -> 1 | Iommu.Exec -> 2
-
-(* The zero-copy contract (DESIGN.md §14): when [va, va+len) lies inside
-   one IOMMU page the probe is exactly the one translation the copying
-   path ([read_bytes] / [write_bytes]) would spend — IOMMU and TLB
-   counters are registry state folded into the golden digests, so the
-   fast path must change host time only, never modeled behaviour — and it
-   cannot fail halfway (a page always sits inside one backing chunk).
-   Multi-page ranges return None without touching the IOMMU, leaving the
-   caller's copy path as the only translation pass. What a grant hit
-   skips is the host-side view reconstruction; what the view itself
-   eliminates is the string round-trip on either side. On a fault the
-   usual [Dma_fault] escapes, precisely as the copying path would have
-   faulted. *)
+(* The zero-copy path (DESIGN.md §14): when [va, va+len) lies inside one
+   IOMMU page, the one translation the copy path would spend on it, then a
+   view straight onto the DRAM behind it. A page always sits inside one
+   backing chunk, so the view cannot fail halfway. Multi-page ranges
+   return None without touching the IOMMU, leaving the caller's copy path
+   as the only translation pass. On a fault the usual [Dma_fault] escapes,
+   precisely as the copy path would have faulted. The view is built per
+   call, so it always sits on the chunk DRAM holds now. *)
 let map_single t ~va ~len ~perm =
   if len <= 0 || Layout.offset_in_page va + len > page_bytes then None
-  else begin
-    let pa = translate t va perm in
-    let key = (va, len, access_tag perm) in
-    match Hashtbl.find_opt t.grants key with
-    | Some g when g.base_pa = pa ->
-      t.dmi_hits <- t.dmi_hits + 1;
-      Some g.gview
-    | _ -> (
-      match Physmem.view t.mem pa len with
-      | exception Invalid_argument _ -> None (* caller takes the copy path *)
-      | gview ->
-        Hashtbl.replace t.grants key { base_pa = pa; gview };
-        Some gview)
-  end
-
-let dmi_hits t = t.dmi_hits
-let dmi_invalidations t = t.dmi_invalidations
+  else
+    match Physmem.view t.mem (translate t va perm) len with
+    | v -> Some v
+    | exception Invalid_argument _ -> None (* caller takes the copy path *)

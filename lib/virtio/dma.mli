@@ -27,19 +27,9 @@ val pasid : t -> int
     and faults all end as if each byte were translated on its own). A
     transaction that crosses a page is split there, each segment its own
     run; a fault on the second page raises {!Dma_fault} after the first
-    page's bytes were written. Values are little-endian and unsigned. *)
-
-val read_u8 : t -> int64 -> int
-val write_u8 : t -> int64 -> int -> unit
-val read_u16 : t -> int64 -> int
-val write_u16 : t -> int64 -> int -> unit
-val read_u32 : t -> int64 -> int
-val write_u32 : t -> int64 -> int -> unit
-val read_u64 : t -> int64 -> int64
-val write_u64 : t -> int64 -> int64 -> unit
-
-(** The ring path takes native-int virtual addresses, so no boxed address
-    is built per access (simulated VAs are far below 2^62). *)
+    page's bytes were written. Values are little-endian and unsigned.
+    Addresses are native ints, so no boxed address is built per access
+    (simulated VAs are far below 2^62). *)
 
 val read_field : t -> int -> int -> int
 (** [read_field t vai n]: the [n] = 1, 2 or 4 byte field at [vai]. *)
@@ -62,17 +52,12 @@ val read_pair32 : t -> int -> int * int
 
 val write_pair32 : t -> int -> int -> int -> unit
 
-(** {2 Byte ranges} *)
+(** {2 Byte ranges}
+
+    The copy path: one translation per page segment. *)
 
 val read_bytes : t -> int64 -> int -> string
 val write_bytes : t -> int64 -> string -> unit
-
-val read_into : t -> int64 -> Bytes.t -> pos:int -> len:int -> unit
-(** [read_bytes] into a caller-provided buffer (no result allocation). *)
-
-val write_string_sub : t -> int64 -> string -> pos:int -> len:int -> unit
-val write_bytes_sub : t -> int64 -> Bytes.t -> pos:int -> len:int -> unit
-(** Write a slice of the argument without carving an intermediate string. *)
 
 val map_single :
   t ->
@@ -80,24 +65,15 @@ val map_single :
   len:int ->
   perm:Lastcpu_iommu.Iommu.access ->
   Lastcpu_mem.Physmem.view option
-(** DMI-style direct grant: a window straight onto backing DRAM for
-    [va, va+len), when that range lies inside one IOMMU page. The probe is
-    exactly the one translation the copying path would spend (IOMMU/TLB
-    counters feed golden digests — the fast path may only change host
-    time), then returns the cached view if the translation is unchanged,
-    or rebuilds it. Multi-page ranges return [None] without touching the
-    IOMMU, so the caller's copy-path fallback remains the only translation
-    pass. Raises {!Dma_fault} exactly where [read_bytes]/[write_bytes]
-    would.
+(** The zero-copy path: a view straight onto the DRAM behind
+    [va, va+len), when that range lies inside one IOMMU page. It spends
+    exactly the one translation the copy path would (IOMMU/TLB counters
+    feed golden digests, so the view may only change host time), and is
+    built afresh on every call. Multi-page ranges return [None] without
+    touching the IOMMU, so the caller's copy-path fallback remains the
+    only translation pass. Raises {!Dma_fault} exactly where
+    [read_bytes]/[write_bytes] would.
 
-    Grants are dropped whenever this PASID's mappings shrink (IOMMU unmap,
-    PASID teardown, capability revocation, quarantine — all funnel through
-    {!Lastcpu_iommu.Iommu.on_invalidate}); do not hold a view across
-    events, re-request it per access instead (hits are cheap). *)
-
-val dmi_hits : t -> int
-(** Direct-map grants served from cache (host-perf observability; not
-    modeled state, so deliberately absent from snapshots). *)
-
-val dmi_invalidations : t -> int
-(** Cached grants dropped by mapping-change notifications. *)
+    A view is valid for the call that made it: do not hold one across
+    events (an unmap, a PASID teardown or a DRAM restore may move what
+    the address names), re-request it per access instead. *)

@@ -6,7 +6,6 @@
 
 let desc_f_next = 1
 let desc_f_write = 2
-let desc_f_indirect = 4
 
 type buffer = { va : int64; len : int; writable : bool }
 
@@ -141,46 +140,6 @@ module Driver = struct
       end
     end
 
-  let add_indirect t ~table_va buffers =
-    let n = List.length buffers in
-    if n = 0 then Error "empty chain"
-    else if 1 > t.free_count then Error "out of descriptors"
-    else begin
-      let rec ordered seen_writable = function
-        | [] -> true
-        | b :: rest ->
-          if b.writable then ordered true rest
-          else if seen_writable then false
-          else ordered false rest
-      in
-      if not (ordered false buffers) then
-        Error "read-only segment after writable segment"
-      else begin
-        (* Write the indirect table into driver memory: sequential
-           entries, NEXT-chained as the spec requires. *)
-        let table = Int64.to_int table_va in
-        List.iteri
-          (fun i b ->
-            Dma.write_desc t.raw.Raw.dma (table + desc_off i) ~addr:b.va
-              ~len:b.len
-              ~flags:
-                ((if i < n - 1 then desc_f_next else 0)
-                lor if b.writable then desc_f_write else 0)
-              ~next:(if i < n - 1 then i + 1 else 0))
-          buffers;
-        let head = t.free_head in
-        Raw.write_desc t.raw head ~va:table_va ~len:(16 * n)
-          ~flags:desc_f_indirect ~next:0;
-        t.free_head <- t.next_free.(head);
-        t.free_count <- t.free_count - 1;
-        t.chain_len.(head) <- 1;
-        Raw.set_avail_ring t.raw (t.avail_shadow mod size t) head;
-        t.avail_shadow <- t.avail_shadow + 1;
-        Raw.set_avail_idx t.raw t.avail_shadow;
-        Ok head
-      end
-    end
-
   let poll_used t =
     let used = Raw.used_idx t.raw in
     if used land 0xffff = t.used_seen land 0xffff then None
@@ -286,37 +245,15 @@ module Device = struct
       let slot = t.avail_seen mod t.raw.Raw.size in
       let head = Raw.avail_ring t.raw slot in
       t.avail_seen <- t.avail_seen + 1;
-      (* An indirect entry's [next] is implied by its position, so only
-         its first 14 bytes are read: addr, len and flags. *)
-      let read_indirect table_va bytes =
-        let entries = bytes / 16 in
-        let dma = t.raw.Raw.dma and table = Int64.to_int table_va in
-        let rec go i acc =
-          if i >= entries then List.rev acc
-          else begin
-            let off = table + desc_off i in
-            let va = Dma.read_field64 dma off in
-            let len = Dma.read_field dma (off + 8) 4 in
-            let flags = Dma.read_field dma (off + 12) 2 in
-            let buf = { va; len; writable = flags land desc_f_write <> 0 } in
-            if flags land desc_f_next <> 0 then go (i + 1) (buf :: acc)
-            else List.rev (buf :: acc)
-          end
-        in
-        go 0 []
-      in
+      (* Only NEXT and WRITE mean anything; other flag bits are ignored. *)
       let rec walk i acc guard =
         if guard > t.raw.Raw.size then
           invalid_arg "Virtqueue.Device.pop: descriptor chain loop"
         else begin
           let va, len, flags, next = Raw.read_desc t.raw i in
-          if flags land desc_f_indirect <> 0 then
-            List.rev_append acc (read_indirect va len)
-          else begin
-            let buf = { va; len; writable = flags land desc_f_write <> 0 } in
-            if flags land desc_f_next <> 0 then walk next (buf :: acc) (guard + 1)
-            else List.rev (buf :: acc)
-          end
+          let buf = { va; len; writable = flags land desc_f_write <> 0 } in
+          if flags land desc_f_next <> 0 then walk next (buf :: acc) (guard + 1)
+          else List.rev (buf :: acc)
         end
       in
       Some { head; buffers = walk head [] 0 }

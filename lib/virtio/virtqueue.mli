@@ -11,7 +11,8 @@
     - descriptor table: 16 bytes x size
     - available ring: 4 + 2 x size bytes
     - used ring: 4 + 8 x size bytes
-    Descriptor flags: NEXT=1, WRITE=2. *)
+    Descriptor flags: NEXT=1, WRITE=2; the device ignores every other
+    bit. *)
 
 type buffer = {
   va : int64;  (** virtual address of the segment *)
@@ -36,12 +37,6 @@ module Driver : sig
   (** Post a descriptor chain; returns the head descriptor id. Fails when
       the chain is empty or descriptors are exhausted. Read-only segments
       must precede device-writable ones (VIRTIO convention). *)
-
-  val add_indirect : t -> table_va:int64 -> buffer list -> (int, string) result
-  (** Post a chain through an indirect descriptor table
-      (VIRTIO_F_INDIRECT_DESC): the segment descriptors are written to
-      driver-owned memory at [table_va] (16 bytes per segment) and a single
-      ring descriptor points at them — long chains cost one ring slot. *)
 
   val poll_used : t -> (int * int) option
   (** [(head, written)] for the next completion, recycling its
@@ -71,8 +66,7 @@ module Device : sig
   type chain = { head : int; buffers : buffer list }
 
   val pop : t -> chain option
-  (** Next posted chain from the available ring, walking descriptor
-      links. *)
+  (** Next posted chain from the available ring, walking NEXT links. *)
 
   val push_used : t -> head:int -> written:int -> unit
   (** Complete a chain, making it visible on the used ring. *)

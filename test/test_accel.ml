@@ -131,7 +131,7 @@ let test_histogram () =
   | Accel_proto.Written _ -> ()
   | _ -> Alcotest.fail "histogram failed");
   let count c =
-    Dma.read_u64 dma (Int64.add dst (Int64.of_int (8 * Char.code c)))
+    Dma.read_field64 dma (Int64.to_int dst + (8 * Char.code c))
   in
   Alcotest.(check int64) "a x2" 2L (count 'a');
   Alcotest.(check int64) "b x3" 3L (count 'b');

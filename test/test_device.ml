@@ -188,8 +188,8 @@ let test_alloc_maps_and_returns_token () =
   | None -> Alcotest.fail "alloc never completed");
   (* The mapping is live: DMA through it works. *)
   let dma = Device.dma dev ~pasid:3 in
-  Dma.write_u64 dma 0x4000_0000L 0x1234L;
-  Alcotest.(check int64) "dma works" 0x1234L (Dma.read_u64 dma 0x4000_0000L);
+  Dma.write_field64 dma 0x4000_0000 0x1234L;
+  Alcotest.(check int64) "dma works" 0x1234L (Dma.read_field64 dma 0x4000_0000);
   Alcotest.(check int) "memctl accounting" 2 (Memctl.used_pages mc);
   Alcotest.(check (list (pair int64 int64)))
     "allocations listed"
@@ -237,7 +237,7 @@ let test_free_unmaps_and_releases () =
   Alcotest.(check int) "pool restored" 0 (Memctl.used_pages mc);
   (* DMA now faults: the bus revoked the translation. *)
   let dma = Device.dma dev ~pasid:3 in
-  match Dma.read_u8 dma 0x4000_0000L with
+  match Dma.read_field dma 0x4000_0000 1 with
   | _ -> Alcotest.fail "mapping survived free"
   | exception Dma.Dma_fault _ -> ()
 
@@ -505,7 +505,7 @@ let test_fault_handler_invoked () =
   let seen = ref [] in
   Device.on_fault dev (fun f -> seen := f :: !seen);
   let dma = Device.dma dev ~pasid:1 in
-  (match Dma.read_u8 dma 0xBAD0_0000L with
+  (match Dma.read_field dma 0xBAD0_0000 1 with
   | _ -> Alcotest.fail "expected fault"
   | exception Dma.Dma_fault _ -> ());
   Alcotest.(check int) "handler saw it" 1 (List.length !seen);

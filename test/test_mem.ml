@@ -122,15 +122,16 @@ let buddy_invariant_prop =
 
 let test_physmem_rw () =
   let m = Physmem.create ~size:(Int64.mul 16L 4096L) () in
-  Physmem.write_u8 m 0L 0x42;
-  Alcotest.(check int) "u8" 0x42 (Physmem.read_u8 m 0L);
-  Physmem.write_u64 m 100L 0x1122334455667788L;
-  Alcotest.(check int64) "u64" 0x1122334455667788L (Physmem.read_u64 m 100L);
-  Alcotest.(check int) "u64 little-endian low byte" 0x88 (Physmem.read_u8 m 100L)
+  Physmem.write_field m 0 1 0x42;
+  Alcotest.(check int) "u8" 0x42 (Physmem.read_field m 0 1);
+  Physmem.write_field64 m 100 0x1122334455667788L;
+  Alcotest.(check int64) "u64" 0x1122334455667788L (Physmem.read_field64 m 100);
+  Alcotest.(check int) "u64 little-endian low byte" 0x88
+    (Physmem.read_field m 100 1)
 
 let test_physmem_zero_fill () =
   let m = Physmem.create () in
-  Alcotest.(check int) "untouched reads zero" 0 (Physmem.read_u8 m 12345L);
+  Alcotest.(check int) "untouched reads zero" 0 (Physmem.read_field m 12345 1);
   Alcotest.(check string) "bytes zero" (String.make 8 '\000')
     (Physmem.read_bytes m 99999L 8)
 
@@ -140,14 +141,14 @@ let test_physmem_cross_page () =
   let addr = Int64.sub 8192L 50L in
   Physmem.write_bytes m addr data;
   Alcotest.(check string) "straddling read" data (Physmem.read_bytes m addr 100);
-  Physmem.write_u64 m (Int64.sub 4096L 4L) 0x0102030405060708L;
+  Physmem.write_field64 m (4096 - 4) 0x0102030405060708L;
   Alcotest.(check int64) "straddling u64" 0x0102030405060708L
-    (Physmem.read_u64 m (Int64.sub 4096L 4L))
+    (Physmem.read_field64 m (4096 - 4))
 
 let test_physmem_bounds () =
   let m = Physmem.create ~size:4096L () in
   Alcotest.(check bool) "oob write raises" true
-    (match Physmem.write_u8 m 4096L 1 with
+    (match Physmem.write_field m 4096 1 1 with
     | () -> false
     | exception Invalid_argument _ -> true);
   Alcotest.(check bool) "oob span raises" true
@@ -157,27 +158,29 @@ let test_physmem_bounds () =
 
 let test_physmem_sparse () =
   let m = Physmem.create ~size:(Int64.shift_left 1L 30) () in
-  Physmem.write_u8 m 0L 1;
-  Physmem.write_u8 m (Int64.shift_left 1L 29) 1;
+  Physmem.write_field m 0 1 1;
+  Physmem.write_field m (1 lsl 29) 1 1;
   Alcotest.(check int) "only touched frames" 2 (Physmem.touched_frames m)
 
 (* --- Bigarray backing: views, native-int entry points, snapshots -------- *)
 
 module Snapshot = Lastcpu_sim.Snapshot
 
-(* read_byte/write_byte are the int-native aliases of read_u8/write_u8 —
-   same store, same bounds discipline. *)
+(* The native-int field accessors and the int64 byte-range accessors alias
+   one store, with one bounds discipline. *)
 let test_physmem_byte_aliases () =
   let m = Physmem.create ~size:1_000_000L () in
-  Physmem.write_byte m 4097 0xAB;
-  Alcotest.(check int) "int write, i64 read" 0xAB (Physmem.read_u8 m 4097L);
-  Physmem.write_u8 m 4098L 0xCD;
-  Alcotest.(check int) "i64 write, int read" 0xCD (Physmem.read_byte m 4098);
+  Physmem.write_field m 4097 1 0xAB;
+  Alcotest.(check string) "field write, range read" "\xab"
+    (Physmem.read_bytes m 4097L 1);
+  Physmem.write_bytes m 4098L "\xcd";
+  Alcotest.(check int) "range write, field read" 0xCD
+    (Physmem.read_field m 4098 1);
   Alcotest.(check int) "unmaterialised frame reads zero" 0
-    (Physmem.read_byte m 900_000);
+    (Physmem.read_field m 900_000 1);
   Alcotest.check_raises "int bounds enforced"
     (Invalid_argument "Physmem: access [0xf4240, +1) out of range") (fun () ->
-      ignore (Physmem.read_byte m 1_000_000))
+      ignore (Physmem.read_field m 1_000_000 1))
 
 (* A view is a real window onto DRAM: bytes written through it are seen by
    the copy path (including the cached chunk accessor) and vice versa. *)
@@ -190,7 +193,7 @@ let test_physmem_view_coherence () =
   Bigarray.Array1.set v 0 'B';
   Alcotest.(check string) "copy path sees view writes" "Before"
     (Physmem.read_bytes m 8192L 6);
-  Physmem.write_byte m 8193 (Char.code 'E');
+  Physmem.write_field m 8193 1 (Char.code 'E');
   Alcotest.(check char) "view sees byte-path writes" 'E'
     (Bigarray.Array1.get v 1);
   (* Views must not cross the 64 KiB backing-chunk boundary. *)
@@ -210,13 +213,13 @@ let test_physmem_view_then_save () =
   let m2 = Physmem.create ~size:1_000_000L () in
   Physmem.restore (Snapshot.R.of_string (Snapshot.W.contents w)) m2;
   Alcotest.(check int) "view write survives the round trip" (Char.code 'Z')
-    (Physmem.read_u8 m2 12_291L)
+    (Physmem.read_field m2 12_291 1)
 
 let test_physmem_snapshot_roundtrip () =
   let m = Physmem.create ~size:2_000_000L () in
   Physmem.write_bytes m 0L "frame zero";
   Physmem.write_bytes m 1_048_576L "a megabyte in";
-  Physmem.write_u8 m 1_999_999L 0x7E;
+  Physmem.write_field m 1_999_999 1 0x7E;
   let w = Snapshot.W.create () in
   Physmem.save w m;
   let m2 = Physmem.create ~size:2_000_000L () in
@@ -226,18 +229,19 @@ let test_physmem_snapshot_roundtrip () =
   Alcotest.(check string) "low frame" "frame zero" (Physmem.read_bytes m2 0L 10);
   Alcotest.(check string) "high frame" "a megabyte in"
     (Physmem.read_bytes m2 1_048_576L 13);
-  Alcotest.(check int) "last byte" 0x7E (Physmem.read_u8 m2 1_999_999L);
-  Alcotest.(check int) "untouched stays zero" 0 (Physmem.read_u8 m2 500_000L);
+  Alcotest.(check int) "last byte" 0x7E (Physmem.read_field m2 1_999_999 1);
+  Alcotest.(check int) "untouched stays zero" 0
+    (Physmem.read_field m2 500_000 1);
   (* Restore replaces state: a dirty target ends up identical, and its
      one-entry caches cannot leak stale pre-restore bytes. *)
   let m3 = Physmem.create ~size:2_000_000L () in
   Physmem.write_bytes m3 0L "stale stale";
-  ignore (Physmem.read_byte m3 4);
+  ignore (Physmem.read_field m3 4 1);
   Physmem.restore (Snapshot.R.of_string (Snapshot.W.contents w)) m3;
   Alcotest.(check string) "restore overwrote dirty target" "frame zero"
     (Physmem.read_bytes m3 0L 10);
   Alcotest.(check int) "cached chunk not stale" (Char.code 'r')
-    (Physmem.read_byte m3 1)
+    (Physmem.read_field m3 1 1)
 
 (* The snapshot byte format predates the Bigarray backing: a checkpoint
    handcrafted in the old writer's layout (i64 size, then a (i64 page

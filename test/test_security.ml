@@ -14,6 +14,7 @@ module Smart_ssd = Lastcpu_devices.Smart_ssd
 module Memctl = Lastcpu_devices.Memctl
 module Auth_dev = Lastcpu_devices.Auth_dev
 module Dma = Lastcpu_virtio.Dma
+module Vq = Lastcpu_virtio.Virtqueue
 module Iommu = Lastcpu_iommu.Iommu
 module File_client = Lastcpu_devices.File_client
 module Codec = Lastcpu_proto.Codec
@@ -46,9 +47,9 @@ let test_cross_pasid_no_access () =
   System.run_until_idle system;
   Alcotest.(check bool) "A allocated" true !allocated;
   let dma_a = Device.dma dev ~pasid:pasid_a in
-  Dma.write_u64 dma_a 0x4000_0000L 0x5EC2E7L;
+  Dma.write_field64 dma_a 0x4000_0000 0x5EC2E7L;
   let dma_b = Device.dma dev ~pasid:pasid_b in
-  match Dma.read_u64 dma_b 0x4000_0000L with
+  match Dma.read_field64 dma_b 0x4000_0000 with
   | _ -> Alcotest.fail "PASID isolation breached"
   | exception Dma.Dma_fault f ->
     Alcotest.(check bool) "not mapped for B" true (f.Iommu.reason = Iommu.Not_mapped)
@@ -81,7 +82,7 @@ let test_forged_alloc_response_cannot_map () =
   Alcotest.(check bool) "token failure recorded" true
     ((Sysbus.counters bus).Sysbus.token_failures > 0);
   let dma = Device.dma dev ~pasid:33 in
-  match Dma.read_u8 dma 0x4000_0000L with
+  match Dma.read_field dma 0x4000_0000 1 with
   | _ -> Alcotest.fail "forged mapping installed"
   | exception Dma.Dma_fault _ -> ()
 
@@ -444,6 +445,78 @@ let test_hostile_kv_frame_contained () =
     | [ { Kv_proto.corr = 2; reply = Kv_proto.Value None } ] -> ()
     | _ -> Alcotest.fail "the Get after the hostile frame was not answered"
 
+(* Descriptor buffer addresses are written by the peer. A buffer outside
+   the SSD's mapping faults its own chain only: that chain completes with
+   nothing written and the chain after it is still served. *)
+let test_ssd_bad_chain_contained () =
+  let system = booted () in
+  let dev = Smart_nic.device (System.nic system 0) in
+  let ssd = Smart_ssd.id (System.ssd system 0) in
+  let pasid = System.fresh_pasid system in
+  let shm = 0x4000_0000L and bytes = 65536L in
+  let token = ref None in
+  Device.alloc dev ~memctl:(Memctl.id (System.memctl system)) ~pasid ~va:shm
+    ~bytes ~perm:Types.perm_rw (fun r -> token := Result.to_option r);
+  System.run_until_idle system;
+  let granted = ref false in
+  (match !token with
+  | None -> Alcotest.fail "alloc failed"
+  | Some auth ->
+    Device.grant dev ~to_device:ssd ~pasid ~va:shm ~bytes ~perm:Types.perm_rw
+      ~auth (fun r -> granted := Result.is_ok r));
+  System.run_until_idle system;
+  Alcotest.(check bool) "shared memory granted" true !granted;
+  let dma = Device.dma dev ~pasid in
+  let driver = Vq.Driver.create ~dma ~base:shm ~size:8 in
+  let queue = Device.fresh_queue_id dev in
+  let attached = ref false in
+  Device.request dev ~dst:(Types.Device ssd)
+    (Message.App_message
+       {
+         tag = "vq-attach";
+         body =
+           Smart_ssd.encode_vq_attach ~queue ~base:shm ~size:8 ~pasid
+             ~user:"root";
+       })
+    (function
+      | Message.App_message { tag = "vq-ok"; _ } -> attached := true
+      | _ -> ());
+  System.run_until_idle system;
+  Alcotest.(check bool) "queue attached" true !attached;
+  let request = Ssd_proto.encode_request (Ssd_proto.Stat { path = "/" }) in
+  let req_va = Int64.add shm 8192L and resp_va = Int64.add shm 12288L in
+  let outside = 0x7000_0000L in
+  Dma.write_bytes dma req_va request;
+  let post req resp =
+    match
+      Vq.Driver.add driver
+        [
+          { Vq.va = req; len = String.length request; writable = false };
+          { Vq.va = resp; len = 512; writable = true };
+        ]
+    with
+    | Ok head -> head
+    | Error e -> Alcotest.fail e
+  in
+  let bad_request = post outside resp_va in
+  let bad_response = post req_va outside in
+  let good = post req_va resp_va in
+  Device.doorbell dev ~dst:ssd ~queue;
+  System.run_until_idle system;
+  let rec completions acc =
+    match Vq.Driver.poll_used driver with
+    | Some c -> completions (c :: acc)
+    | None -> List.rev acc
+  in
+  match completions [] with
+  | [ (h1, 0); (h2, 0); (h3, written) ] when written > 0 ->
+    Alcotest.(check (list int)) "completion order"
+      [ bad_request; bad_response; good ] [ h1; h2; h3 ];
+    (match Ssd_proto.decode_response (Dma.read_bytes dma resp_va written) with
+    | Ok (Ssd_proto.Ok_stat { kind_dir = true; _ }) -> ()
+    | _ -> Alcotest.fail "the good chain's response is not a directory stat")
+  | _ -> Alcotest.fail "expected two empty completions, then the good chain"
+
 let () =
   Alcotest.run "security"
     [
@@ -468,5 +541,7 @@ let () =
             test_app_decoders_total;
           Alcotest.test_case "hostile kv frame contained" `Quick
             test_hostile_kv_frame_contained;
+          Alcotest.test_case "ssd bad chain contained" `Quick
+            test_ssd_bad_chain_contained;
         ] );
     ]

@@ -30,15 +30,16 @@ let rig ?(pages = 16) ?(va = 0x4000_0000L) ?(pa = 0x10_0000L)
 
 let test_dma_shared_visibility () =
   let dma_a, dma_b, va = rig () in
-  Dma.write_u64 dma_a va 0xCAFEBABEL;
-  Alcotest.(check int64) "b sees a's write" 0xCAFEBABEL (Dma.read_u64 dma_b va);
+  Dma.write_field64 dma_a (Int64.to_int va) 0xCAFEBABEL;
+  Alcotest.(check int64) "b sees a's write" 0xCAFEBABEL
+    (Dma.read_field64 dma_b (Int64.to_int va));
   Dma.write_bytes dma_b (Int64.add va 100L) "hello from b";
   Alcotest.(check string) "a sees b's write" "hello from b"
     (Dma.read_bytes dma_a (Int64.add va 100L) 12)
 
 let test_dma_fault_unmapped () =
   let dma_a, _, _ = rig () in
-  match Dma.read_u8 dma_a 0x9999_0000L with
+  match Dma.read_field dma_a 0x9999_0000 1 with
   | _ -> Alcotest.fail "expected fault"
   | exception Dma.Dma_fault f ->
     Alcotest.(check bool) "not mapped" true (f.Iommu.reason = Iommu.Not_mapped)
@@ -52,12 +53,13 @@ let test_dma_cross_page () =
 
 let test_dma_u16_u32 () =
   let dma_a, _, va = rig () in
-  Dma.write_u16 dma_a va 0xBEEF;
-  Alcotest.(check int) "u16" 0xBEEF (Dma.read_u16 dma_a va);
-  Dma.write_u32 dma_a (Int64.add va 8L) 0xDEADBEEF;
-  Alcotest.(check int) "u32" 0xDEADBEEF (Dma.read_u32 dma_a (Int64.add va 8L))
+  let vai = Int64.to_int va in
+  Dma.write_field dma_a vai 2 0xBEEF;
+  Alcotest.(check int) "u16" 0xBEEF (Dma.read_field dma_a vai 2);
+  Dma.write_field dma_a (vai + 8) 4 0xDEADBEEF;
+  Alcotest.(check int) "u32" 0xDEADBEEF (Dma.read_field dma_a (vai + 8) 4)
 
-(* --- DMI grants and invalidation ----------------------------------------- *)
+(* --- Views: map_single and invalidation ---------------------------------- *)
 
 (* map_single: single-page ranges yield a direct view backed by the same
    DRAM the copy path reads. *)
@@ -82,73 +84,89 @@ let test_dmi_map_single_view () =
   Alcotest.(check int) "no translations spent on refusal" t_before
     (Iommu.translations iommu_b)
 
-(* Repeated grants hit the host-side cache; unmap (the IOMMU invalidation
-   edge every revocation path funnels through) drops them. *)
-let test_dmi_grant_cache_and_unmap () =
+(* Both paths to DRAM, [map_single] and the copy path, fault at [va]. *)
+let expect_fault what dma va =
+  let not_mapped path access =
+    match access () with
+    | () -> Alcotest.fail (Printf.sprintf "%s: %s survived" what path)
+    | exception Dma.Dma_fault f ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %s faults" what path) true
+        (f.Iommu.reason = Iommu.Not_mapped)
+  in
+  not_mapped "map_single" (fun () ->
+      ignore (Dma.map_single dma ~va ~len:64 ~perm:Iommu.Read));
+  not_mapped "read_bytes" (fun () -> ignore (Dma.read_bytes dma va 64))
+
+let map_pages iommu ~pasid ~pa ~pages =
+  match
+    Iommu.map iommu ~pasid ~va:0x5000_0000L ~pa
+      ~bytes:(Int64.mul (Int64.of_int pages) page) ~perm:Types.perm_rw
+  with
+  | Ok () -> ()
+  | Error e -> failwith e
+
+(* After an unmap (the IOMMU edge every revocation path funnels through)
+   neither path reaches the page any more. *)
+let test_dmi_unmap () =
   let mem = Physmem.create () in
   let iommu = Iommu.create () in
-  (match
-     Iommu.map iommu ~pasid:7 ~va:0x5000_0000L ~pa:0x40_0000L
-       ~bytes:(Int64.mul 4L page) ~perm:Types.perm_rw
-   with
-  | Ok () -> ()
-  | Error e -> failwith e);
+  map_pages iommu ~pasid:7 ~pa:0x40_0000L ~pages:4;
   let dma = Dma.create ~iommu ~pasid:7 ~mem in
   let va = 0x5000_0000L in
   (match Dma.map_single dma ~va ~len:256 ~perm:Iommu.Read with
-  | None -> Alcotest.fail "grant failed"
+  | None -> Alcotest.fail "map_single failed"
   | Some _ -> ());
-  let hits0 = Dma.dmi_hits dma in
-  (match Dma.map_single dma ~va ~len:256 ~perm:Iommu.Read with
-  | None -> Alcotest.fail "re-grant failed"
-  | Some _ -> ());
-  Alcotest.(check int) "second map is a cache hit" (hits0 + 1)
-    (Dma.dmi_hits dma);
-  let inv0 = Dma.dmi_invalidations dma in
   ignore (Iommu.unmap iommu ~pasid:7 ~va ~bytes:page);
-  Alcotest.(check bool) "unmap dropped cached grants" true
-    (Dma.dmi_invalidations dma > inv0);
-  (match Dma.map_single dma ~va ~len:256 ~perm:Iommu.Read with
-  | exception Dma.Dma_fault f ->
-    Alcotest.(check bool) "probe faults like the copy path would" true
-      (f.Iommu.reason = Iommu.Not_mapped)
-  | Some _ -> Alcotest.fail "grant survived unmap"
-  | None -> Alcotest.fail "expected a fault, not a decline")
+  expect_fault "after unmap" dma va
 
 (* PASID teardown (application exit, epoch revocation, quarantine — all
-   end in [clear_pasid]) must drop that PASID's grants and only that
-   PASID's. *)
+   end in [clear_pasid]) cuts that PASID off and only that PASID. *)
 let test_dmi_pasid_teardown () =
   let mem = Physmem.create () in
   let iommu = Iommu.create () in
-  let mk pasid pa =
-    (match
-       Iommu.map iommu ~pasid ~va:0x5000_0000L ~pa ~bytes:page
-         ~perm:Types.perm_rw
-     with
-    | Ok () -> ()
-    | Error e -> failwith e);
-    Dma.create ~iommu ~pasid ~mem
-  in
-  let dma7 = mk 7 0x40_0000L in
-  let dma8 = mk 8 0x80_0000L in
-  let grant dma =
-    match Dma.map_single dma ~va:0x5000_0000L ~len:64 ~perm:Iommu.Read with
-    | Some _ -> ()
-    | None -> Alcotest.fail "grant failed"
-  in
-  grant dma7;
-  grant dma8;
-  let inv8 = Dma.dmi_invalidations dma8 in
+  map_pages iommu ~pasid:7 ~pa:0x40_0000L ~pages:1;
+  map_pages iommu ~pasid:8 ~pa:0x80_0000L ~pages:1;
+  let dma7 = Dma.create ~iommu ~pasid:7 ~mem in
+  let dma8 = Dma.create ~iommu ~pasid:8 ~mem in
+  let va = 0x5000_0000L in
+  Dma.write_bytes dma8 va "pasid 8";
   Iommu.clear_pasid iommu ~pasid:7;
-  Alcotest.(check bool) "pasid 7 grants dropped" true
-    (Dma.dmi_invalidations dma7 > 0);
-  Alcotest.(check int) "pasid 8 grants untouched" inv8
-    (Dma.dmi_invalidations dma8);
-  let hits8 = Dma.dmi_hits dma8 in
-  grant dma8;
-  Alcotest.(check int) "pasid 8 cache still warm" (hits8 + 1)
-    (Dma.dmi_hits dma8)
+  expect_fault "after clear_pasid" dma7 va;
+  (match Dma.map_single dma8 ~va ~len:7 ~perm:Iommu.Read with
+  | Some v ->
+    Alcotest.(check string) "pasid 8 view unaffected" "pasid 8"
+      (Lastcpu_proto.Slice.to_string v ~pos:0 ~len:7)
+  | None -> Alcotest.fail "pasid 8 map_single failed");
+  Alcotest.(check string) "pasid 8 copy unaffected" "pasid 8"
+    (Dma.read_bytes dma8 va 7)
+
+(* A DRAM restore replaces the backing chunks: a view taken afterwards
+   reads and writes the restored memory, not the discarded chunks. *)
+let test_dmi_view_after_restore () =
+  let mem = Physmem.create () in
+  let iommu = Iommu.create () in
+  map_pages iommu ~pasid:1 ~pa:0x10_0000L ~pages:1;
+  let dma = Dma.create ~iommu ~pasid:1 ~mem in
+  let va = 0x5000_0000L in
+  let view () =
+    match Dma.map_single dma ~va ~len:8 ~perm:Iommu.Write with
+    | Some v -> v
+    | None -> Alcotest.fail "map_single failed"
+  in
+  Dma.write_bytes dma va "restored";
+  let w = Lastcpu_sim.Snapshot.W.create () in
+  Physmem.save w mem;
+  Dma.write_bytes dma va "clobber!";
+  ignore (view ());
+  Physmem.restore
+    (Lastcpu_sim.Snapshot.R.of_string (Lastcpu_sim.Snapshot.W.contents w))
+    mem;
+  let v = view () in
+  Alcotest.(check string) "view reads restored DRAM" "restored"
+    (Lastcpu_proto.Slice.to_string v ~pos:0 ~len:8);
+  Lastcpu_proto.Slice.blit_string "written!" ~src_pos:0 v ~dst_pos:0 ~len:8;
+  Alcotest.(check string) "view writes restored DRAM" "written!"
+    (Dma.read_bytes dma va 8)
 
 (* --- Virtqueue --------------------------------------------------------------- *)
 
@@ -264,42 +282,36 @@ let test_vq_many_roundtrips_wraparound () =
     | None -> Alcotest.fail (Printf.sprintf "poll %d: empty" i)
   done
 
-let test_vq_indirect_descriptors () =
-  let dma_a, dma_b, va = rig () in
+(* The device walks NEXT and WRITE only: a descriptor with flag bit 4
+   (INDIRECT in VIRTIO) set pops as one plain buffer, and the pop costs
+   the same translations as a plain descriptor's, so no table is read. *)
+let test_vq_indirect_flag_plain () =
+  let iommu_b = Iommu.create () in
+  let dma_a, dma_b, va = rig ~iommu_b () in
   let driver = Vq.Driver.create ~dma:dma_a ~base:va ~size:4 in
   let device = Vq.Device.create ~dma:dma_b ~base:va ~size:4 in
-  (* A 6-segment chain through a 4-deep queue: only possible indirectly. *)
-  let seg i writable =
-    { Vq.va = Int64.add va (Int64.of_int (16384 + (i * 256))); len = 32; writable }
-  in
-  let chain = [ seg 0 false; seg 1 false; seg 2 false; seg 3 true; seg 4 true; seg 5 true ] in
-  let table_va = Int64.add va 32768L in
-  Dma.write_bytes dma_a (seg 0 false).Vq.va "indirect!";
-  let head =
-    match Vq.Driver.add_indirect driver ~table_va chain with
-    | Ok h -> h
+  let buf = { Vq.va = Int64.add va 16384L; len = 64; writable = false } in
+  let post () =
+    match Vq.Driver.add driver [ buf ] with
+    | Ok head -> head
     | Error e -> Alcotest.fail e
   in
-  (* Only one ring descriptor consumed. *)
-  Alcotest.(check int) "one slot used" 3 (Vq.Driver.num_free driver);
-  (match Vq.Device.pop device with
-  | None -> Alcotest.fail "expected chain"
-  | Some { Vq.Device.head = h; buffers } ->
-    Alcotest.(check int) "head" head h;
-    Alcotest.(check int) "six segments" 6 (List.length buffers);
-    Alcotest.(check (list bool)) "writability preserved"
-      [ false; false; false; true; true; true ]
-      (List.map (fun (b : Vq.buffer) -> b.Vq.writable) buffers);
-    (match buffers with
-    | first :: _ ->
-      Alcotest.(check string) "device reads through indirect" "indirect!"
-        (Dma.read_bytes dma_b first.Vq.va 9)
-    | [] -> Alcotest.fail "empty");
-    Vq.Device.push_used device ~head:h ~written:0);
-  (match Vq.Driver.poll_used driver with
-  | Some (h, _) -> Alcotest.(check int) "completion" head h
-  | None -> Alcotest.fail "no completion");
-  Alcotest.(check int) "slot recycled" 4 (Vq.Driver.num_free driver)
+  let pop_cost () =
+    let before = Iommu.translations iommu_b in
+    match Vq.Device.pop device with
+    | Some { Vq.Device.buffers; _ } ->
+      (buffers, Iommu.translations iommu_b - before)
+    | None -> Alcotest.fail "expected chain"
+  in
+  ignore (post ());
+  let plain, plain_cost = pop_cost () in
+  let head = post () in
+  (* Descriptor flags live at byte 12 of the 16-byte descriptor. *)
+  Dma.write_field dma_a (Int64.to_int va + (16 * head) + 12) 2 4;
+  let flagged, flagged_cost = pop_cost () in
+  Alcotest.(check int) "one buffer" 1 (List.length flagged);
+  Alcotest.(check bool) "the posted buffer" true (flagged = plain);
+  Alcotest.(check int) "no table read" plain_cost flagged_cost
 
 let test_vq_empty_chain_rejected () =
   let dma_a, _, va = rig () in
@@ -422,15 +434,15 @@ let ref_read iommu mem vai n =
   let b = Bytes.create n in
   for i = 0 to n - 1 do
     Bytes.set_uint8 b i
-      (Physmem.read_byte mem (ref_byte_pa iommu (vai + i) Iommu.Read))
+      (Physmem.read_field mem (ref_byte_pa iommu (vai + i) Iommu.Read) 1)
   done;
   Bytes.to_string b
 
 let ref_write iommu mem vai data =
   for i = 0 to String.length data - 1 do
-    Physmem.write_byte mem
+    Physmem.write_field mem
       (ref_byte_pa iommu (vai + i) Iommu.Write)
-      (Char.code data.[i])
+      1 (Char.code data.[i])
   done
 
 (* A world: 8 IOMMU pages at [eq_va] over 1 MiB of DRAM, with a TLB small
@@ -483,17 +495,12 @@ let put b off n v =
 (* One op through the transaction-level accessors; a read returns its
    bytes, little-endian, so it compares directly with the reference. *)
 let run_new dma { shape; write; vai; data } =
-  let va = Int64.of_int vai in
   let out = Bytes.create (width shape) in
   (match (shape, write) with
-  | Field 8, false -> Bytes.set_int64_le out 0 (Dma.read_u64 dma va)
-  | Field 8, true -> Dma.write_u64 dma va (String.get_int64_le data 0)
-  | Field n, false ->
-    let read = match n with 1 -> Dma.read_u8 | 2 -> Dma.read_u16 | _ -> Dma.read_u32 in
-    put out 0 n (read dma va)
-  | Field n, true ->
-    let write = match n with 1 -> Dma.write_u8 | 2 -> Dma.write_u16 | _ -> Dma.write_u32 in
-    write dma va (le data 0 n)
+  | Field 8, false -> Bytes.set_int64_le out 0 (Dma.read_field64 dma vai)
+  | Field 8, true -> Dma.write_field64 dma vai (String.get_int64_le data 0)
+  | Field n, false -> put out 0 n (Dma.read_field dma vai n)
+  | Field n, true -> Dma.write_field dma vai n (le data 0 n)
   | Desc, false ->
     let addr, len, flags, next = Dma.read_desc dma vai in
     Bytes.set_int64_le out 0 addr;
@@ -683,16 +690,18 @@ let () =
             test_vq_descriptor_exhaustion_and_recycle;
           Alcotest.test_case "ordering rule" `Quick test_vq_ordering_rule;
           Alcotest.test_case "index wraparound" `Quick test_vq_many_roundtrips_wraparound;
-          Alcotest.test_case "indirect descriptors" `Quick test_vq_indirect_descriptors;
+          Alcotest.test_case "indirect flag is a plain buffer" `Quick
+            test_vq_indirect_flag_plain;
           Alcotest.test_case "empty chain rejected" `Quick test_vq_empty_chain_rejected;
           QCheck_alcotest.to_alcotest vq_model_prop;
         ] );
       ( "dmi",
         [
           Alcotest.test_case "map_single view" `Quick test_dmi_map_single_view;
-          Alcotest.test_case "grant cache + unmap" `Quick
-            test_dmi_grant_cache_and_unmap;
+          Alcotest.test_case "unmap faults both paths" `Quick test_dmi_unmap;
           Alcotest.test_case "pasid teardown" `Quick test_dmi_pasid_teardown;
+          Alcotest.test_case "view after DRAM restore" `Quick
+            test_dmi_view_after_restore;
         ] );
       ( "drain",
         [

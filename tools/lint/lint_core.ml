@@ -27,8 +27,8 @@
            lint.rules.
      D009  [Physmem.read_bytes]/[Physmem.write_bytes] in data-plane hot
            paths (lib/virtio, lib/flash, lib/net) — these are the copy
-           path; hot code should move bytes through views and grants
-           ([Physmem.view], [Dma.map_single]) per DESIGN Â§14. The copy
+           path; hot code should move bytes through views
+           ([Physmem.view], [Dma.map_single]) per DESIGN.md §14. The copy
            fallback itself (dma.ml) is the blessed home, exempted in
            lint.rules; any other use needs a suppression saying why the
            copy path is the right tool there.
@@ -246,7 +246,7 @@ let classify path =
       ( "D009",
         Printf.sprintf
           "Physmem.%s is the copy path; data-plane hot code should move \
-           bytes through views/grants (Physmem.view, Dma.map_single \
+           bytes through views (Physmem.view, Dma.map_single, \
            DESIGN #14) or justify the copy in lint.suppressions"
           fn );
     ]
