@@ -1,22 +1,24 @@
 (* Page-level mapping FTL.
 
    State per physical page: free (erased), valid (holds a live lpn) or
-   invalid (superseded, awaiting GC). Writes go to the current "active"
-   block, append-style. When free blocks fall below a low watermark, GC
+   invalid (superseded, awaiting GC), unboxed in one int array. Writes go
+   to the current "active" block, append-style. When free blocks fall below a low watermark, GC
    picks a victim by greedy benefit (most invalid pages), breaking ties
    toward low erase count for wear leveling, relocates live pages into the
    active stream, and erases the victim. *)
 
 module Metrics = Lastcpu_sim.Metrics
 
-type page_info = Free | Valid of int (* lpn *) | Invalid
+(* Page states: an lpn (>= 0) for a valid page, else one of these. *)
+let free = -1
+let invalid = -2
 
 type t = {
   nand : Nand.t;
   geo : Nand.geometry;
   logical : int;
   map : int array;  (* lpn -> physical page number, -1 = unmapped *)
-  state : page_info array;  (* ppn -> state *)
+  state : int array;  (* ppn -> lpn, [free] or [invalid] *)
   free_in_block : int array;  (* block -> next unprogrammed page index *)
   invalid_in_block : int array;
   mutable active : int;  (* block receiving new writes *)
@@ -26,7 +28,6 @@ type t = {
   m_gc_moves : Metrics.counter;
   m_gc_runs : Metrics.counter;
   m_free_blocks : Metrics.gauge;
-  zero : string;  (* the one all-zero page every unmapped read returns *)
 }
 
 let ppn ~geo ~block ~page = (block * geo.Nand.pages_per_block) + page
@@ -54,7 +55,7 @@ let create ?nand ?(op_ratio = 0.125) ?metrics ?(actor = "ftl") () =
       geo;
       logical;
       map = Array.make logical (-1);
-      state = Array.make total_pages Free;
+      state = Array.make total_pages free;
       free_in_block = Array.make geo.blocks 0;
       invalid_in_block = Array.make geo.blocks 0;
       active = 0;
@@ -64,7 +65,6 @@ let create ?nand ?(op_ratio = 0.125) ?metrics ?(actor = "ftl") () =
       m_gc_moves = Metrics.counter m ~actor ~name:"gc_moves";
       m_gc_runs = Metrics.counter m ~actor ~name:"gc_runs";
       m_free_blocks = Metrics.gauge m ~actor ~name:"free_blocks";
-      zero = String.make geo.page_size '\000';
     }
   in
   Metrics.set t.m_free_blocks (float_of_int t.free_block_count);
@@ -82,10 +82,17 @@ let read t ~lpn =
   | Error _ as e -> e
   | Ok () ->
     let p = t.map.(lpn) in
-    if p < 0 then Ok t.zero
+    if p < 0 then Ok (Nand.zero_page t.nand)
     else
       Nand.read_page t.nand ~block:(block_of ~geo:t.geo p)
         ~page:(page_of ~geo:t.geo p)
+
+let peek t ~lpn =
+  let p = t.map.(lpn) in
+  if p < 0 then Nand.zero_page t.nand
+  else
+    Nand.peek_page t.nand ~block:(block_of ~geo:t.geo p)
+      ~page:(page_of ~geo:t.geo p)
 
 let take_free_block t =
   match Queue.take_opt t.free_blocks with
@@ -95,9 +102,10 @@ let take_free_block t =
     Metrics.set t.m_free_blocks (float_of_int t.free_block_count);
     Some b
 
-(* Program [data] into the next free page of the active block, advancing to
-   a fresh block when the active one fills. Returns the ppn used. *)
-let rec append t data =
+(* Program the next free page of the active block with [program] (a
+   partial [Nand.program_*]), advancing to a fresh block when the active
+   one fills. Returns the ppn used. *)
+let rec append t program =
   let blk = t.active in
   let page = t.free_in_block.(blk) in
   if page >= t.geo.pages_per_block then begin
@@ -105,10 +113,10 @@ let rec append t data =
     | None -> Error "no free blocks (GC failed to reclaim)"
     | Some b ->
       t.active <- b;
-      append t data
+      append t program
   end
   else begin
-    match Nand.program_page t.nand ~block:blk ~page data with
+    match program ~block:blk ~page with
     | Error _ as e -> e
     | Ok () ->
       t.free_in_block.(blk) <- page + 1;
@@ -116,7 +124,7 @@ let rec append t data =
   end
 
 let invalidate t p =
-  t.state.(p) <- Invalid;
+  t.state.(p) <- invalid;
   t.invalid_in_block.(block_of ~geo:t.geo p) <-
     t.invalid_in_block.(block_of ~geo:t.geo p) + 1
 
@@ -155,19 +163,23 @@ let rec gc t =
       if page >= t.geo.pages_per_block then res
       else begin
         let p = ppn ~geo:t.geo ~block:victim ~page in
-        match t.state.(p) with
-        | Valid lpn -> (
+        let lpn = t.state.(p) in
+        if lpn < 0 then move (page + 1) res
+        else
           match Nand.read_page t.nand ~block:victim ~page with
           | Error e -> Error e
-          | Ok data -> (
-            match append t data with
+          | Ok v -> (
+            match
+              append t
+                (Nand.program_with t.nand (fun b off ->
+                     Bytes.blit v.Nand.bytes v.off b off t.geo.page_size))
+            with
             | Error e -> Error e
             | Ok p' ->
-              t.state.(p') <- Valid lpn;
+              t.state.(p') <- lpn;
               t.map.(lpn) <- p';
               Metrics.incr t.m_gc_moves;
-              move (page + 1) res))
-        | Free | Invalid -> move (page + 1) res
+              move (page + 1) res)
       end
     in
     (match move 0 (Ok ()) with
@@ -178,7 +190,7 @@ let rec gc t =
       | Ok () ->
         Array.fill t.state
           (ppn ~geo:t.geo ~block:victim ~page:0)
-          t.geo.pages_per_block Free;
+          t.geo.pages_per_block free;
         t.free_in_block.(victim) <- 0;
         t.invalid_in_block.(victim) <- 0;
         Queue.add victim t.free_blocks;
@@ -194,25 +206,43 @@ let ensure_space t =
     | Error _ as e -> e
   else Ok ()
 
+(* Program [lpn]'s new page with [program], after any GC: [program] runs
+   while [map] still names the page's current location. *)
+let store t ~lpn program =
+  match ensure_space t with
+  | Error _ as e -> e
+  | Ok () -> (
+    match append t program with
+    | Error _ as e -> e
+    | Ok p ->
+      Metrics.incr t.m_host_writes;
+      let old = t.map.(lpn) in
+      if old >= 0 then invalidate t old;
+      t.map.(lpn) <- p;
+      t.state.(p) <- lpn;
+      Ok ())
+
 let write t ~lpn data =
   match check_lpn t lpn with
   | Error _ as e -> e
+  | Ok () when String.length data > t.geo.page_size ->
+    Error "data exceeds page size"
+  | Ok () -> store t ~lpn (Nand.program_page t.nand data)
+
+let update t ~lpn f =
+  match check_lpn t lpn with
+  | Error _ as e -> e
   | Ok () ->
-    if String.length data > t.geo.page_size then Error "data exceeds page size"
-    else begin
-      match ensure_space t with
-      | Error _ as e -> e
-      | Ok () -> (
-        match append t data with
-        | Error _ as e -> e
-        | Ok p ->
-          Metrics.incr t.m_host_writes;
-          let old = t.map.(lpn) in
-          if old >= 0 then invalidate t old;
-          t.map.(lpn) <- p;
-          t.state.(p) <- Valid lpn;
-          Ok ())
-    end
+    store t ~lpn
+      (Nand.program_with t.nand (fun b off ->
+           let cur = peek t ~lpn in
+           Bytes.blit cur.Nand.bytes cur.off b off t.geo.page_size;
+           f b off))
+
+let write_zeroes t ~lpn =
+  match check_lpn t lpn with
+  | Error _ as e -> e
+  | Ok () -> store t ~lpn (Nand.program_zeroes t.nand)
 
 let trim t ~lpn =
   match check_lpn t lpn with
@@ -244,12 +274,11 @@ let save w t =
   Snapshot.W.array w (fun w p -> Snapshot.W.vint w p) t.map;
   Snapshot.W.array w
     (fun w s ->
-      match s with
-      | Free -> Snapshot.W.byte w 0
-      | Valid lpn ->
+      if s >= 0 then begin
         Snapshot.W.byte w 1;
-        Snapshot.W.varint w lpn
-      | Invalid -> Snapshot.W.byte w 2)
+        Snapshot.W.varint w s
+      end
+      else Snapshot.W.byte w (if s = free then 0 else 2))
     t.state;
   Snapshot.W.array w (fun w n -> Snapshot.W.varint w n) t.free_in_block;
   Snapshot.W.array w (fun w n -> Snapshot.W.varint w n) t.invalid_in_block;
@@ -259,34 +288,75 @@ let save w t =
     (List.of_seq (Queue.to_seq t.free_blocks));
   Snapshot.W.varint w t.free_block_count
 
+(* Decode and validate the whole section before touching [t]: every index
+   a later write or GC subscripts with is checked here, so a hostile
+   section is [Corrupt] at restore, never an exception inside an engine
+   event, and a rejected one leaves the translation state as it was. *)
 let restore r t =
   let logical = Snapshot.R.varint r in
   if logical <> t.logical then
     invalid_arg "Ftl.restore: logical size differs from checkpoint";
-  let read_into dest decode name =
-    let n = Snapshot.R.varint r in
-    if n <> Array.length dest then
-      raise (Snapshot.R.Corrupt ("ftl " ^ name ^ " length mismatch"));
-    for i = 0 to n - 1 do
-      dest.(i) <- decode r
-    done
+  let corrupt m = raise (Snapshot.R.Corrupt ("ftl " ^ m)) in
+  let total_pages = Array.length t.state in
+  let ppb = t.geo.pages_per_block in
+  let read_array n decode name =
+    let a = Snapshot.R.array r decode in
+    if Array.length a <> n then corrupt (name ^ " length mismatch");
+    a
   in
-  read_into t.map Snapshot.R.vint "map";
-  read_into t.state
-    (fun r ->
-      match Snapshot.R.byte r with
-      | 0 -> Free
-      | 1 -> Valid (Snapshot.R.varint r)
-      | 2 -> Invalid
-      | _ -> raise (Snapshot.R.Corrupt "bad ftl page state tag"))
-    "state";
-  read_into t.free_in_block Snapshot.R.varint "free_in_block";
-  read_into t.invalid_in_block Snapshot.R.varint "invalid_in_block";
-  t.active <- Snapshot.R.varint r;
+  let map = read_array logical Snapshot.R.vint "map" in
+  let state =
+    read_array total_pages
+      (fun r ->
+        match Snapshot.R.byte r with
+        | 0 -> free
+        | 1 ->
+          let lpn = Snapshot.R.varint r in
+          if lpn < 0 then corrupt "negative lpn";
+          lpn
+        | 2 -> invalid
+        | _ -> corrupt "bad page state tag")
+      "state"
+  in
+  let per_block name =
+    let a = read_array t.geo.blocks Snapshot.R.varint name in
+    if Array.exists (fun n -> n < 0 || n > ppb) a then
+      corrupt (name ^ " count out of range");
+    a
+  in
+  let free_in_block = per_block "free_in_block" in
+  let invalid_in_block = per_block "invalid_in_block" in
+  let active = Snapshot.R.varint r in
   let free_blocks = Snapshot.R.list r Snapshot.R.varint in
+  let free_block_count = Snapshot.R.varint r in
+  Array.iter
+    (fun p -> if p < -1 || p >= total_pages then corrupt "map entry out of range")
+    map;
+  Array.iteri
+    (fun p lpn ->
+      if lpn >= 0 && (lpn >= logical || map.(lpn) <> p) then
+        corrupt "valid page disagrees with map")
+    state;
+  Array.iteri
+    (fun lpn p -> if p >= 0 && state.(p) <> lpn then corrupt "map disagrees with page state")
+    map;
+  let seen = Array.make t.geo.blocks false in
+  List.iter
+    (fun b ->
+      if b < 0 || b >= t.geo.blocks || seen.(b) then
+        corrupt "active or free block out of range or repeated";
+      seen.(b) <- true)
+    (active :: free_blocks);
+  if free_block_count <> List.length free_blocks then
+    corrupt "free block count disagrees with free list";
+  Array.blit map 0 t.map 0 logical;
+  Array.blit state 0 t.state 0 total_pages;
+  Array.blit free_in_block 0 t.free_in_block 0 t.geo.blocks;
+  Array.blit invalid_in_block 0 t.invalid_in_block 0 t.geo.blocks;
+  t.active <- active;
   Queue.clear t.free_blocks;
   List.iter (fun b -> Queue.add b t.free_blocks) free_blocks;
-  t.free_block_count <- Snapshot.R.varint r;
+  t.free_block_count <- free_block_count;
   Metrics.set t.m_free_blocks (float_of_int t.free_block_count)
 
 let max_erase_skew t =

@@ -27,11 +27,29 @@ val logical_pages : t -> int
 
 val page_size : t -> int
 
-val read : t -> lpn:int -> (string, string) result
-(** Unwritten logical pages read as zeroes. *)
+(** Reads return a {!Nand.view}, valid until the next write, update, GC
+    (any write may run one) or restore on this FTL; see {!Nand.view}. *)
+
+val read : t -> lpn:int -> (Nand.view, string) result
+(** Counted NAND read. Unwritten logical pages read as zeroes. *)
+
+val peek : t -> lpn:int -> Nand.view
+(** The current contents of an in-range [lpn], without a NAND read
+    ({!Nand.peek_page}): for bytes the caller has already read once. *)
 
 val write : t -> lpn:int -> string -> (unit, string) result
-(** Out-of-place write; triggers GC when free blocks run low. *)
+(** Out-of-place write of [data] (short data is padded with 0xFF);
+    triggers GC when free blocks run low. *)
+
+val write_zeroes : t -> lpn:int -> (unit, string) result
+(** Out-of-place write of an all-zero page ({!Nand.program_zeroes}). *)
+
+val update : t -> lpn:int -> (Bytes.t -> int -> unit) -> (unit, string) result
+(** Read-modify-write: GC runs first, then the new page is filled with a
+    copy of [lpn]'s current contents (zeroes if unwritten) and [f buf off]
+    edits that page in place, at [off] in [buf]. The copy is host-side
+    and uncounted: read the page through {!read} first when the read is
+    part of the model. *)
 
 val trim : t -> lpn:int -> unit
 (** Drop the mapping (logical delete). *)
@@ -61,4 +79,6 @@ val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 val restore : Lastcpu_sim.Snapshot.R.t -> t -> unit
 (** Overwrite the translation state with state written by {!save}.
     @raise Invalid_argument if the logical size differs from the checkpoint.
-    @raise Lastcpu_sim.Snapshot.R.Corrupt on malformed input. *)
+    @raise Lastcpu_sim.Snapshot.R.Corrupt on malformed input, including
+    out-of-range or inconsistent map entries, page states, per-block
+    counts, active block or free list; [t] is then left unchanged. *)

@@ -8,14 +8,27 @@ let default_geometry = { blocks = 256; pages_per_block = 64; page_size = 4096 }
 
 type page_state = Erased | Programmed
 
+type view = { bytes : Bytes.t; off : int }
+
+(* A block's pages live in one arena of [pages_per_block * page_size]
+   bytes, allocated when a page of it is first programmed with data and
+   reused after every erase, so a program is one blit and a read hands
+   out a view. A page programmed with zeroes is only marked: its reads
+   share the chip's one zero page, so zero-filling a block writes no
+   arena bytes. *)
+let erased_slot = 0
+let arena_slot = 1
+let zero_slot = 2
+
 type block = {
-  pages : string option array;  (* None = erased; never copied, never mutated *)
+  mutable arena : Bytes.t;  (* empty until the first data program *)
+  slots : int array;  (* per page: [erased_slot], [arena_slot] or [zero_slot] *)
   crcs : int array;  (* CRC-32 of each programmed page (the on-die ECC);
-                        -1 = not yet computed. The CRC is a pure function
-                        of the immutable page bytes, so it is computed
-                        lazily, on the first fault-injected read — most
-                        pages are programmed, read cleanly and erased
-                        without ever needing it. *)
+                        -1 = not yet computed. The CRC is a function of
+                        the page bytes, which change only by a program,
+                        so it is computed lazily, on the first
+                        fault-injected read — most pages are programmed,
+                        read cleanly and erased without ever needing it. *)
   mutable erases : int;
 }
 
@@ -24,7 +37,8 @@ type t = {
   data : block array;
   faults : Faults.t option;
   tag : string; (* distinguishes fault keys between chips on one engine *)
-  erased : string; (* the one all-0xFF page every erased read returns *)
+  erased : view; (* the one all-0xFF page every erased read returns *)
+  zero : view; (* the one all-zero page: zero-filled pages, unmapped lpns *)
   mutable read_count : int;
   mutable program_count : int;
   mutable erase_total : int;
@@ -36,11 +50,13 @@ let create ?(geometry = default_geometry) ?faults ?(tag = "nand") () =
   {
     geo = geometry;
     tag;
-    erased = String.make geometry.page_size '\xff';
+    erased = { bytes = Bytes.make geometry.page_size '\xff'; off = 0 };
+    zero = { bytes = Bytes.make geometry.page_size '\000'; off = 0 };
     data =
       Array.init geometry.blocks (fun _ ->
           {
-            pages = Array.make geometry.pages_per_block None;
+            arena = Bytes.empty;
+            slots = Array.make geometry.pages_per_block erased_slot;
             crcs = Array.make geometry.pages_per_block (-1);
             erases = 0;
           });
@@ -60,19 +76,29 @@ let check t ~block ~page =
 let page_state t ~block ~page =
   match check t ~block ~page with
   | Error _ -> invalid_arg "Nand.page_state: out of range"
-  | Ok () -> (
-    match t.data.(block).pages.(page) with None -> Erased | Some _ -> Programmed)
+  | Ok () ->
+    if t.data.(block).slots.(page) = erased_slot then Erased else Programmed
+
+let zero_page t = t.zero
+
+let peek_page t ~block ~page =
+  let blk = t.data.(block) in
+  let slot = blk.slots.(page) in
+  if slot = arena_slot then { bytes = blk.arena; off = page * t.geo.page_size }
+  else if slot = zero_slot then t.zero
+  else t.erased
 
 (* The stored checksum of a programmed page, computing and caching it on
-   first use. [s] must be the stored (unflipped) page; it is immutable,
-   so the lazy value is identical to what eager computation at program
-   time would have stored. *)
-let page_crc t ~block ~page s =
-  let c = t.data.(block).crcs.(page) in
+   first use; identical to what eager computation at program time would
+   have stored. *)
+let page_crc t ~block ~page =
+  let blk = t.data.(block) in
+  let c = blk.crcs.(page) in
   if c >= 0 then c
   else begin
-    let c = Wire.crc32 s in
-    t.data.(block).crcs.(page) <- c;
+    let v = peek_page t ~block ~page in
+    let c = Wire.crc32_sub (Bytes.unsafe_to_string v.bytes) v.off t.geo.page_size in
+    blk.crcs.(page) <- c;
     c
   end
 
@@ -81,9 +107,9 @@ let read_page t ~block ~page =
   | Error _ as e -> e
   | Ok () ->
     t.read_count <- t.read_count + 1;
-    (match t.data.(block).pages.(page) with
-    | None -> Ok t.erased
-    | Some stored -> (
+    let stored = peek_page t ~block ~page in
+    if t.data.(block).slots.(page) = erased_slot then Ok stored
+    else begin
       (* Programmed pages can suffer injected transient read failures or
          bit flips; the per-page CRC (the ECC stand-in) catches flips, so
          both surface as an I/O error the caller can retry. Erased pages
@@ -99,46 +125,59 @@ let read_page t ~block ~page =
           | None -> Ok stored
           | Some bit ->
             (* The flip lands in a private copy: stored pages never change. *)
-            let flipped = Bytes.of_string stored in
+            let flipped = Bytes.sub stored.bytes stored.off t.geo.page_size in
             let i = bit / 8 in
             Bytes.set flipped i
               (Char.chr
                  (Char.code (Bytes.get flipped i) lxor (1 lsl (bit mod 8))));
-            let s = Bytes.unsafe_to_string flipped in
-            if Wire.crc32 s <> page_crc t ~block ~page stored then
-              Error "uncorrectable bit error (ECC)"
-            else Ok s)
-      | Some _ | None -> Ok stored))
+            if
+              Wire.crc32 (Bytes.unsafe_to_string flipped)
+              <> page_crc t ~block ~page
+            then Error "uncorrectable bit error (ECC)"
+            else Ok { bytes = flipped; off = 0 })
+      | Some _ | None -> Ok stored
+    end
 
-let program_page t ~block ~page data =
+(* Program an erased page: [fill] (if any) writes its bytes into the
+   block's arena, else the page reads as zeroes. *)
+let program t ~block ~page fill =
   match check t ~block ~page with
   | Error _ as e -> e
   | Ok () ->
-    if String.length data > t.geo.page_size then Error "data exceeds page size"
+    let blk = t.data.(block) in
+    if blk.slots.(page) <> erased_slot then Error "page not erased"
     else begin
-      match t.data.(block).pages.(page) with
-      | Some _ -> Error "page not erased"
-      | None ->
-        t.program_count <- t.program_count + 1;
-        let stored =
-          if String.length data = t.geo.page_size then data
-          else begin
-            let b = Bytes.of_string t.erased in
-            Bytes.blit_string data 0 b 0 (String.length data);
-            Bytes.unsafe_to_string b
-          end
-        in
-        t.data.(block).pages.(page) <- Some stored;
-        t.data.(block).crcs.(page) <- -1;
-        Ok ()
+      t.program_count <- t.program_count + 1;
+      (match fill with
+      | None -> blk.slots.(page) <- zero_slot
+      | Some fill ->
+        if Bytes.length blk.arena = 0 then
+          blk.arena <- Bytes.create (t.geo.pages_per_block * t.geo.page_size);
+        fill blk.arena (page * t.geo.page_size);
+        blk.slots.(page) <- arena_slot);
+      blk.crcs.(page) <- -1;
+      Ok ()
     end
+
+let program_with t ~block ~page fill = program t ~block ~page (Some fill)
+let program_zeroes t ~block ~page = program t ~block ~page None
+
+let program_page t ~block ~page data =
+  let len = String.length data in
+  match check t ~block ~page with
+  | Error _ as e -> e
+  | Ok () when len > t.geo.page_size -> Error "data exceeds page size"
+  | Ok () ->
+    program_with t ~block ~page (fun b off ->
+        Bytes.blit_string data 0 b off len;
+        Bytes.fill b (off + len) (t.geo.page_size - len) '\xff')
 
 let erase_block t ~block =
   match check t ~block ~page:0 with
   | Error _ as e -> e
   | Ok () ->
     let blk = t.data.(block) in
-    Array.fill blk.pages 0 t.geo.pages_per_block None;
+    Array.fill blk.slots 0 t.geo.pages_per_block erased_slot;
     blk.erases <- blk.erases + 1;
     t.erase_total <- t.erase_total + 1;
     Ok ()
@@ -160,29 +199,28 @@ let busy_ns t =
        (Int64.mul (Int64.of_int t.erase_total) Costs.flash_erase_block_ns))
 
 (* Checkpointing: programmed pages sparsely, per block, plus wear and op
-   counters. Page CRCs never travel — they are a pure function of the
-   page bytes and are recomputed lazily after restore. *)
+   counters. Page CRCs never travel — they are a function of the page
+   bytes and are recomputed lazily after restore. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
 let save w t =
+  let ps = t.geo.page_size in
   Snapshot.W.varint w t.geo.blocks;
   Snapshot.W.varint w t.geo.pages_per_block;
-  Snapshot.W.varint w t.geo.page_size;
-  Array.iter
-    (fun blk ->
+  Snapshot.W.varint w ps;
+  Array.iteri
+    (fun block blk ->
       Snapshot.W.varint w blk.erases;
       let programmed = ref [] in
-      Array.iteri
-        (fun i p ->
-          match p with
-          | None -> ()
-          | Some s -> programmed := (i, s) :: !programmed)
-        blk.pages;
+      for i = t.geo.pages_per_block - 1 downto 0 do
+        if blk.slots.(i) <> erased_slot then programmed := i :: !programmed
+      done;
       Snapshot.W.list w
-        (fun w (i, s) ->
-          Snapshot.W.varint w i;
-          Snapshot.W.string w s)
-        (List.rev !programmed))
+        (fun w page ->
+          let v = peek_page t ~block ~page in
+          Snapshot.W.varint w page;
+          Snapshot.W.bytes w v.bytes v.off ps)
+        !programmed)
     t.data;
   Snapshot.W.varint w t.read_count;
   Snapshot.W.varint w t.program_count;
@@ -200,15 +238,17 @@ let restore r t =
   Array.iter
     (fun blk ->
       blk.erases <- Snapshot.R.varint r;
-      Array.fill blk.pages 0 pages_per_block None;
+      Array.fill blk.slots 0 pages_per_block erased_slot;
       Array.fill blk.crcs 0 pages_per_block (-1);
       let n = Snapshot.R.varint r in
       for _ = 1 to n do
         let i = Snapshot.R.varint r in
-        let contents = Snapshot.R.string r in
-        if i < 0 || i >= pages_per_block || String.length contents <> page_size
-        then raise (Snapshot.R.Corrupt "nand page out of shape");
-        blk.pages.(i) <- Some contents
+        if i < 0 || i >= pages_per_block then
+          raise (Snapshot.R.Corrupt "nand page out of shape");
+        if Bytes.length blk.arena = 0 then
+          blk.arena <- Bytes.create (pages_per_block * page_size);
+        Snapshot.R.string_into r blk.arena (i * page_size) page_size;
+        blk.slots.(i) <- arena_slot
       done)
     t.data;
   t.read_count <- Snapshot.R.varint r;

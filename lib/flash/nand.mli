@@ -23,12 +23,42 @@ type page_state = Erased | Programmed
 
 val page_state : t -> block:int -> page:int -> page_state
 
-val read_page : t -> block:int -> page:int -> (string, string) result
-(** Reading an erased page returns all-0xFF bytes (as real NAND does). *)
+(** A read-only view of one page: its [page_size] bytes start at [off] in
+    [bytes]. Pages live in one arena per erase block, allocated when the
+    block's first page is programmed with data and reused after every
+    erase, so a view is a window on the chip's storage, not a copy.
+
+    {b Lifetime.} A view is valid until the next program, {!erase_block}
+    or {!restore} on this chip; after that it may show other bytes. Use
+    it at once (decode or blit out of it) and never write through it. *)
+type view = { bytes : Bytes.t; off : int }
+
+val read_page : t -> block:int -> page:int -> (view, string) result
+(** Counted, fault-injected read. Reading an erased page returns all-0xFF
+    bytes (as real NAND does). *)
+
+val zero_page : t -> view
+(** The chip's one all-zero page, shared by every zero-filled page and by
+    the FTL's unmapped reads. *)
+
+val peek_page : t -> block:int -> page:int -> view
+(** The stored page, uncounted and never faulted: a host-side look at
+    bytes the model has already read (the FS block cache, the FTL's
+    read-modify-write). The coordinates must be in range. *)
+
+val program_with :
+  t -> block:int -> page:int -> (Bytes.t -> int -> unit) -> (unit, string) result
+(** [program_with t ~block ~page fill] programs an erased page in place:
+    [fill buf off] must write all [page_size] bytes at [off] in [buf]
+    (the block's arena). Fails if the page is not erased. *)
+
+val program_zeroes : t -> block:int -> page:int -> (unit, string) result
+(** Program an erased page with all-zero bytes. It touches no arena: its
+    reads share the chip's one zero page. *)
 
 val program_page : t -> block:int -> page:int -> string -> (unit, string) result
-(** Fails if the page is not erased or data exceeds the page size (short
-    data is padded with 0xFF). *)
+(** {!program_with} a blit of [data]. Fails if the page is not erased or
+    data exceeds the page size (short data is padded with 0xFF). *)
 
 val erase_block : t -> block:int -> (unit, string) result
 val erase_count : t -> block:int -> int
@@ -43,9 +73,12 @@ val busy_ns : t -> int64
 
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 (** Append programmed pages (sparsely), wear and op counters
-    (checkpointing). Page CRCs are recomputed on restore. *)
+    (checkpointing). Page CRCs are recomputed on restore. The arenas are
+    covered here: this is the only copy of the page bytes a checkpoint
+    holds. *)
 
 val restore : Lastcpu_sim.Snapshot.R.t -> t -> unit
-(** Overwrite the array contents with state written by {!save}.
+(** Overwrite the array contents with state written by {!save}. Ends the
+    lifetime of every outstanding {!view}.
     @raise Invalid_argument if the geometry differs from the checkpoint.
     @raise Lastcpu_sim.Snapshot.R.Corrupt on malformed input. *)

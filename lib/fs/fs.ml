@@ -1,4 +1,5 @@
 module Ftl = Lastcpu_flash.Ftl
+module Nand = Lastcpu_flash.Nand
 module Metrics = Lastcpu_sim.Metrics
 module Detmap = Lastcpu_sim.Detmap
 
@@ -52,10 +53,12 @@ type t = {
   root_ino : int;
   (* Device-DRAM block cache (write-through): models the on-device cache
      hierarchy of §2.3. Reads served from here cost no NAND operation;
-     every write still programs flash (durability preserved). An entry is
-     the very string the NAND page holds (DESIGN §14, "Storage pages"). *)
-  cache : (int, string) Hashtbl.t option;
-  zero : string;  (* the one all-zero block every zero-fill writes *)
+     every write still programs flash (durability preserved). The cache
+     is one bit per block: a cached block's bytes are the page the FTL
+     maps it to (DESIGN §14, "Storage pages"). *)
+  cached : Bytes.t option;  (* '\001' per cached block *)
+  (* First-fit hint: every data block below it is in use. *)
+  mutable alloc_hint : int;
   m_block_reads : Metrics.counter;
   m_block_writes : Metrics.counter;
   m_cache_hits : Metrics.counter;
@@ -81,50 +84,60 @@ type inode = {
 
 (* Low-level block IO ----------------------------------------------------- *)
 
-(* A block is one immutable string shared by the cache and the NAND page:
-   [read_block] hands it out as is; only [update_block] copies. *)
+(* [read_block] returns a view of the NAND page itself (DESIGN §14): it
+   is valid only until the next block write, which may run GC, so every
+   caller decodes or copies out of it before writing. *)
 let read_block t b =
   Metrics.incr t.m_block_reads;
-  let from_flash () =
-    Result.map_error (fun e -> Io e) (Ftl.read t.ftl ~lpn:b)
-  in
-  match t.cache with
-  | None -> from_flash ()
-  | Some cache -> (
-    match Hashtbl.find_opt cache b with
-    | Some cached ->
-      Metrics.incr t.m_cache_hits;
-      Ok cached
-    | None ->
-      let res = from_flash () in
-      Result.iter (Hashtbl.replace cache b) res;
-      res)
+  match t.cached with
+  | Some cached
+    when b >= 0 && b < t.total_blocks && Bytes.get cached b <> '\000' ->
+    Metrics.incr t.m_cache_hits;
+    Ok (Ftl.peek t.ftl ~lpn:b)
+  | cache -> (
+    match Ftl.read t.ftl ~lpn:b with
+    | Ok _ as res ->
+      Option.iter (fun cached -> Bytes.set cached b '\001') cache;
+      res
+    | Error e -> Error (Io e))
 
-let write_block t b data =
-  Metrics.incr t.m_block_writes;
-  match Ftl.write t.ftl ~lpn:b data with
+let wrote t b = function
   | Ok () ->
-    Option.iter (fun cache -> Hashtbl.replace cache b data) t.cache;
+    Option.iter (fun cached -> Bytes.set cached b '\001') t.cached;
     Ok ()
   | Error e -> Error (Io e)
 
-(* Write block [b] as [base] modified by [f]: the one copy a write takes. *)
-let update_block t b base f =
-  let buf = Bytes.of_string base in
-  f buf;
-  write_block t b (Bytes.unsafe_to_string buf)
+let zero_block t b =
+  Metrics.incr t.m_block_writes;
+  wrote t b (Ftl.write_zeroes t.ftl ~lpn:b)
+
+(* Write block [b] as its current contents edited in place by [f buf o]
+   (the block's bytes are at [o] in [buf]): one blit into the new page. *)
+let update_block t b f =
+  Metrics.incr t.m_block_writes;
+  wrote t b (Ftl.update t.ftl ~lpn:b f)
 
 let ( let* ) = Result.bind
 
-(* u32 little-endian: read from a block string, written into a buffer *)
-let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xffff_ffff
+(* Read block [b] (the modelled read), then rewrite it edited by [f]. *)
+let modify_block t b f =
+  let* _ = read_block t b in
+  update_block t b f
+
+(* Fields are read from a page view and written into a page buffer at an
+   offset that already includes the page's own. u32/u16 are little-endian. *)
+let get_char (v : Nand.view) off = Bytes.get v.bytes (v.off + off)
+
+let get_u32 (v : Nand.view) off =
+  Int32.to_int (Bytes.get_int32_le v.bytes (v.off + off)) land 0xffff_ffff
+
+let get_u16 (v : Nand.view) off = Bytes.get_uint16_le v.bytes (v.off + off)
 let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
-let get_u16 = String.get_uint16_le
 let set_u16 b off v = Bytes.set_uint16_le b off (v land 0xffff)
 
 (* Inode (de)serialisation ------------------------------------------------ *)
 
-(* Both work on the inode slot at byte [o] of an inode-table block. *)
+(* Both work on the inode slot at byte [o] of an inode-table page. *)
 let encode_inode b o ino =
   Bytes.fill b o inode_size '\000';
   Bytes.set b o (if ino.used then '\001' else '\000');
@@ -139,18 +152,18 @@ let encode_inode b o ino =
   done;
   set_u32 b (o + 48 + (4 * ndirect)) ino.indirect
 
-let decode_inode s o =
-  let used = s.[o] = '\001' in
-  let kind = if s.[o + 1] = '\001' then Directory else Regular in
-  let size = get_u32 s (o + 2) in
-  let mode = get_u16 s (o + 6) in
-  let olen = Char.code s.[o + 8] in
-  let owner = String.sub s (o + 9) olen in
+let decode_inode v o =
+  let used = get_char v o = '\001' in
+  let kind = if get_char v (o + 1) = '\001' then Directory else Regular in
+  let size = get_u32 v (o + 2) in
+  let mode = get_u16 v (o + 6) in
+  let olen = Char.code (get_char v (o + 8)) in
+  let owner = Bytes.sub_string v.bytes (v.off + o + 9) olen in
   let direct = Array.make ndirect 0 in
   for i = 0 to ndirect - 1 do
-    direct.(i) <- get_u32 s (o + 48 + (4 * i))
+    direct.(i) <- get_u32 v (o + 48 + (4 * i))
   done;
-  let indirect = get_u32 s (o + 48 + (4 * ndirect)) in
+  let indirect = get_u32 v (o + 48 + (4 * ndirect)) in
   { used; kind; size; mode; owner; direct; indirect }
 
 let inodes_per_block t = t.block_size / inode_size
@@ -171,13 +184,12 @@ let read_inode t ino = read_inode_slot t ino decode_inode
 let write_inode t ino node =
   let blk = t.itable_start + (ino / inodes_per_block t) in
   let off = ino mod inodes_per_block t * inode_size in
-  let* s = read_block t blk in
-  update_block t blk s (fun buf -> encode_inode buf off node)
+  modify_block t blk (fun buf o -> encode_inode buf (o + off) node)
 
 (* First fit. Each probe reads the inode's block exactly as [read_inode]
    would, but decodes only its used flag. *)
 let alloc_inode t =
-  let used s off = s.[off] = '\001' in
+  let used v off = get_char v off = '\001' in
   let rec scan ino =
     if ino >= t.ninodes then Error No_space
     else
@@ -188,17 +200,22 @@ let alloc_inode t =
 
 (* Block bitmap ----------------------------------------------------------- *)
 
-let bit_get s i = Char.code s.[i / 8] land (1 lsl (i mod 8)) <> 0
+let bit_get v i = Char.code (get_char v (i / 8)) land (1 lsl (i mod 8)) <> 0
 
-let bit_set i v b =
-  let cur = Char.code (Bytes.get b (i / 8)) in
+(* Set bit [i] of the bitmap page at [o] in [b] to [v]. *)
+let bit_set i v b o =
+  let cur = Char.code (Bytes.get b (o + (i / 8))) in
   let mask = 1 lsl (i mod 8) in
-  Bytes.set b (i / 8) (Char.chr (if v then cur lor mask else cur land lnot mask))
+  Bytes.set b (o + (i / 8))
+    (Char.chr (if v then cur lor mask else cur land lnot mask))
 
 let bits_per_block t = t.block_size * 8
 
+(* First fit over the data region. Every data block below [alloc_hint] is
+   in use, so the bit scan starts there; the bitmap blocks before the
+   hint's are still read, exactly as a scan from bit 0 reads them. *)
 let alloc_block t =
-  (* First-fit over the data region. *)
+  let hint_bi = t.alloc_hint / bits_per_block t in
   let rec scan_block bi =
     if bi >= t.bitmap_blocks then Error No_space
     else begin
@@ -209,18 +226,20 @@ let alloc_block t =
         else begin
           let blk = base + i in
           if blk >= t.total_blocks then Error No_space
-          else if blk >= t.data_start && not (bit_get b i) then begin
-            let* () = update_block t (t.bitmap_start + bi) b (bit_set i true) in
+          else if not (bit_get b i) then begin
+            let* () = update_block t (t.bitmap_start + bi) (bit_set i true) in
+            t.alloc_hint <- blk + 1;
             (* Zero the block so stale contents never leak between files —
                the isolation property §2.1 demands of a multi-client
                device. *)
-            let* () = write_block t blk t.zero in
+            let* () = zero_block t blk in
             Ok blk
           end
           else scan_bit (i + 1)
         end
       in
-      scan_bit 0
+      if bi < hint_bi then scan_block (bi + 1)
+      else scan_bit (if bi = hint_bi then t.alloc_hint - base else 0)
     end
   in
   scan_block 0
@@ -234,7 +253,8 @@ let free_block t blk =
     let* b = read_block t (t.bitmap_start + bi) in
     if not (bit_get b i) then Error (Invalid "double free of block")
     else begin
-      let* () = update_block t (t.bitmap_start + bi) b (bit_set i false) in
+      let* () = update_block t (t.bitmap_start + bi) (bit_set i false) in
+      if blk < t.alloc_hint then t.alloc_hint <- blk;
       Ftl.trim t.ftl ~lpn:blk;
       Ok ()
     end
@@ -293,7 +313,9 @@ let bmap t node n ~grow =
       else if not grow then Ok 0
       else begin
         let* blk = alloc_block t in
-        let* () = update_block t ind_blk ind (fun b -> set_u32 b (4 * idx) blk) in
+        let* () =
+          update_block t ind_blk (fun b o -> set_u32 b (o + (4 * idx)) blk)
+        in
         Ok blk
       end
     end
@@ -319,8 +341,8 @@ let read_inode_data t node ~off ~len =
           go (pos + chunk)
         end
         else
-          let* s = read_block t blk in
-          Bytes.blit_string s boff out pos chunk;
+          let* v = read_block t blk in
+          Bytes.blit v.bytes (v.off + boff) out pos chunk;
           go (pos + chunk)
       end
     in
@@ -339,9 +361,9 @@ let write_inode_data t ino node ~off data =
         let boff = fpos mod t.block_size in
         let chunk = min (len - pos) (t.block_size - boff) in
         let* blk = bmap t node n ~grow:true in
-        let* s = read_block t blk in
         let* () =
-          update_block t blk s (fun buf -> Bytes.blit_string data pos buf boff chunk)
+          modify_block t blk (fun buf o ->
+              Bytes.blit_string data pos buf (o + boff) chunk)
         in
         go (pos + chunk)
       end
@@ -425,10 +447,9 @@ let free_blocks_beyond t node ~keep_blocks =
     free_block t blk
   end
   else begin
-    let* ind = read_block t node.indirect in
-    update_block t node.indirect ind (fun buf ->
+    modify_block t node.indirect (fun buf o ->
         for i = keep_blocks - ndirect to ptrs_per_block t - 1 do
-          set_u32 buf (4 * i) 0
+          set_u32 buf (o + (4 * i)) 0
         done)
   end
 
@@ -500,12 +521,13 @@ let require node ~user ~want path =
 (* Superblock ------------------------------------------------------------- *)
 
 let write_superblock t =
-  update_block t 0 t.zero (fun b ->
-      Bytes.blit_string magic 0 b 0 (String.length magic);
-      set_u32 b 8 t.total_blocks;
-      set_u32 b 12 t.bitmap_blocks;
-      set_u32 b 16 t.itable_blocks;
-      set_u32 b 20 t.root_ino)
+  update_block t 0 (fun b o ->
+      Bytes.fill b o t.block_size '\000';
+      Bytes.blit_string magic 0 b o (String.length magic);
+      set_u32 b (o + 8) t.total_blocks;
+      set_u32 b (o + 12) t.bitmap_blocks;
+      set_u32 b (o + 16) t.itable_blocks;
+      set_u32 b (o + 20) t.root_ino)
 
 let layout ?(cache = true) ?metrics ?(actor = "fs") ftl =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
@@ -530,8 +552,8 @@ let layout ?(cache = true) ?metrics ?(actor = "fs") ftl =
     data_start;
     ninodes = itable_blocks * (block_size / inode_size);
     root_ino = 0;
-    cache = (if cache then Some (Hashtbl.create 1024) else None);
-    zero = String.make block_size '\000';
+    cached = (if cache then Some (Bytes.make total_blocks '\000') else None);
+    alloc_hint = data_start;
     m_block_reads = Metrics.counter m ~actor ~name:"block_reads";
     m_block_writes = Metrics.counter m ~actor ~name:"block_writes";
     m_cache_hits = Metrics.counter m ~actor ~name:"cache_hits";
@@ -557,8 +579,9 @@ let format ?cache ?metrics ?actor ftl =
               min (bits_per_block t) (t.data_start - (bi * bits_per_block t))
             in
             init (bi + 1)
-              (update_block t (t.bitmap_start + bi) t.zero (fun b ->
-                   for i = 0 to used - 1 do bit_set i true b done))
+              (update_block t (t.bitmap_start + bi) (fun b o ->
+                   Bytes.fill b o t.block_size '\000';
+                   for i = 0 to used - 1 do bit_set i true b o done))
           end
       in
       init 0 (Ok ())
@@ -571,7 +594,7 @@ let format ?cache ?metrics ?actor ftl =
         | Ok () ->
           if i >= t.itable_blocks then Ok ()
           else
-            zero (i + 1) (write_block t (t.itable_start + i) t.zero)
+            zero (i + 1) (zero_block t (t.itable_start + i))
       in
       zero 0 (Ok ())
     in
@@ -594,7 +617,8 @@ let format ?cache ?metrics ?actor ftl =
 let mount ?cache ?metrics ?actor ftl =
   let t = layout ?cache ?metrics ?actor ftl in
   let* b = read_block t 0 in
-  if not (String.equal (String.sub b 0 (String.length magic)) magic) then
+  let stored_magic = Bytes.sub_string b.bytes b.off (String.length magic) in
+  if not (String.equal stored_magic magic) then
     Error (Invalid "bad superblock magic")
   else if get_u32 b 8 <> t.total_blocks then
     Error (Invalid "superblock geometry mismatch")
@@ -647,16 +671,16 @@ let free_file_blocks t node =
   if node.indirect = 0 then Ok ()
   else begin
     let* ind = read_block t node.indirect in
+    (* Copy the pointers out: each free writes the bitmap, which may run GC
+       and end the view's lifetime. *)
+    let ptrs = Array.init (ptrs_per_block t) (fun i -> get_u32 ind (4 * i)) in
     let rec free_ind i res =
       match res with
       | Error _ as e -> e
       | Ok () ->
         if i >= ptrs_per_block t then Ok ()
-        else begin
-          let blk = get_u32 ind (4 * i) in
-          if blk = 0 then free_ind (i + 1) (Ok ())
-          else free_ind (i + 1) (free_block t blk)
-        end
+        else if ptrs.(i) = 0 then free_ind (i + 1) (Ok ())
+        else free_ind (i + 1) (free_block t ptrs.(i))
     in
     let* () = free_ind 0 (Ok ()) in
     let blk = node.indirect in
@@ -741,6 +765,18 @@ let truncate t ~user path ~len =
       else begin
         let keep_blocks = (len + t.block_size - 1) / t.block_size in
         let* () = free_blocks_beyond t node ~keep_blocks in
+        (* Zero the cut-off tail of the last kept block, so a later
+           extension reads zeroes there, not the old bytes. *)
+        let tail = len mod t.block_size in
+        let* () =
+          if tail = 0 then Ok ()
+          else
+            let* last = bmap t node (len / t.block_size) ~grow:false in
+            if last = 0 then Ok ()
+            else
+              modify_block t last (fun buf o ->
+                  Bytes.fill buf (o + tail) (t.block_size - tail) '\000')
+        in
         node.size <- len;
         write_inode t ino node
       end
@@ -938,34 +974,40 @@ let pp_fsck_report ppf r =
     r.unmarked_blocks r.orphan_inodes
 
 (* Checkpointing: everything durable lives in the FTL/NAND image (saved by
-   the device that owns the chip). The only in-memory state is the block
-   cache — and it must be saved, because cache hits skip NAND reads, and
-   both the NAND op counters and the per-page fault-occurrence streams are
-   observable; a resumed run with a cold cache would diverge. *)
+   the device that owns the chip). The only in-memory state is which
+   blocks the cache holds — and it must be saved, because cache hits skip
+   NAND reads, and both the NAND op counters and the per-page
+   fault-occurrence streams are observable; a resumed run with a cold
+   cache would diverge. The cached bytes are the FTL's pages, so only the
+   block ids travel. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
 let save w t =
   Snapshot.W.option w
-    (fun w cache ->
-      Snapshot.W.list w
-        (fun w (b, data) ->
-          Snapshot.W.varint w b;
-          Snapshot.W.string w data)
-        (Detmap.bindings cache))
-    t.cache
+    (fun w cached ->
+      let ids = ref [] in
+      for b = Bytes.length cached - 1 downto 0 do
+        if Bytes.get cached b <> '\000' then ids := b :: !ids
+      done;
+      Snapshot.W.list w (fun w b -> Snapshot.W.varint w b) !ids)
+    t.cached
 
 let restore r t =
-  match (Snapshot.R.bool r, t.cache) with
-  | false, None -> ()
-  | true, Some cache ->
-    Hashtbl.reset cache;
-    let n = Snapshot.R.varint r in
-    for _ = 1 to n do
-      let b = Snapshot.R.varint r in
-      let data = Snapshot.R.string r in
-      if String.length data <> t.block_size then
-        raise (Snapshot.R.Corrupt "fs cache block has wrong size");
-      Hashtbl.replace cache b data
-    done
+  match (Snapshot.R.bool r, t.cached) with
+  | false, None -> t.alloc_hint <- t.data_start
+  | true, Some cached ->
+    let ids = Snapshot.R.list r Snapshot.R.varint in
+    ignore
+      (List.fold_left
+         (fun prev b ->
+           if b <= prev || b >= t.total_blocks then
+             raise
+               (Snapshot.R.Corrupt
+                  "fs cached block out of range or out of order");
+           b)
+         (-1) ids);
+    Bytes.fill cached 0 t.total_blocks '\000';
+    List.iter (fun b -> Bytes.set cached b '\001') ids;
+    t.alloc_hint <- t.data_start
   | true, None | false, Some _ ->
     invalid_arg "Fs.restore: cache presence differs from checkpoint"

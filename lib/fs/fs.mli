@@ -105,11 +105,15 @@ val fsck : t -> (fsck_report, error) result
 val pp_fsck_report : Format.formatter -> fsck_report -> unit
 
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
-(** Append the block cache (checkpointing). Durable state is in the FTL
-    image, saved by the chip's owner; the cache is saved because hits skip
-    observable NAND reads. *)
+(** Append which blocks the cache holds, as increasing block ids
+    (checkpointing). Durable state is in the FTL image, saved by the
+    chip's owner, and a cached block's bytes are its FTL page, so only
+    the ids travel; they are saved because hits skip observable NAND
+    reads. *)
 
 val restore : Lastcpu_sim.Snapshot.R.t -> t -> unit
-(** Overwrite the block cache with state written by {!save}.
+(** Overwrite the cached-block set with state written by {!save}, after
+    the FTL underneath has been restored.
     @raise Invalid_argument if cache presence differs from the checkpoint.
-    @raise Lastcpu_sim.Snapshot.R.Corrupt on malformed input. *)
+    @raise Lastcpu_sim.Snapshot.R.Corrupt on malformed input, including a
+    block id out of range or not strictly increasing. *)

@@ -77,6 +77,10 @@ module W = struct
     varint w (String.length s);
     Buffer.add_string w s
 
+  let bytes w b pos len =
+    varint w len;
+    Buffer.add_subbytes w b pos len
+
   let list w f xs =
     varint w (List.length xs);
     List.iter (f w) xs
@@ -155,6 +159,12 @@ module R = struct
     let s = String.sub r.buf r.pos len in
     r.pos <- r.pos + len;
     s
+
+  let string_into r dst pos len =
+    let n = count r in
+    if n <> len then corrupt "string of %d bytes at %d, expected %d" n r.pos len;
+    Bytes.blit_string r.buf r.pos dst pos n;
+    r.pos <- r.pos + n
 
   let list r f = List.init (count r) (fun _ -> f r)
   let array r f = Array.init (count r) (fun _ -> f r)

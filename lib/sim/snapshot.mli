@@ -50,6 +50,11 @@ module W : sig
   val bool : t -> bool -> unit
   val float : t -> float -> unit
   val string : t -> string -> unit
+
+  val bytes : t -> Bytes.t -> int -> int -> unit
+  (** [bytes w b pos len] writes [len] bytes of [b] from [pos], encoded
+      exactly as {!string} of that substring. *)
+
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
@@ -74,6 +79,11 @@ module R : sig
   val bool : t -> bool
   val float : t -> float
   val string : t -> string
+
+  val string_into : t -> Bytes.t -> int -> int -> unit
+  (** [string_into r dst pos len] decodes a {!string} field straight into
+      [dst] at [pos]; the field must be exactly [len] bytes long. *)
+
   val list : t -> (t -> 'a) -> 'a list
   val array : t -> (t -> 'a) -> 'a array
   val option : t -> (t -> 'a) -> 'a option

@@ -5,11 +5,16 @@ module Ftl = Lastcpu_flash.Ftl
 
 let small_geometry = { Nand.blocks = 16; pages_per_block = 8; page_size = 512 }
 
+(* Reads copied out of their page views, for comparison. *)
+let str (v : Nand.view) = Bytes.sub_string v.bytes v.off small_geometry.page_size
+let read_page n ~block ~page = Result.map str (Nand.read_page n ~block ~page)
+let ftl_read ftl ~lpn = Result.map str (Ftl.read ftl ~lpn)
+
 (* --- Nand ----------------------------------------------------------------- *)
 
 let test_nand_erased_reads_ff () =
   let n = Nand.create ~geometry:small_geometry () in
-  match Nand.read_page n ~block:0 ~page:0 with
+  match read_page n ~block:0 ~page:0 with
   | Ok data ->
     Alcotest.(check int) "size" 512 (String.length data);
     Alcotest.(check char) "0xff" '\xff' data.[0]
@@ -20,7 +25,7 @@ let test_nand_program_read () =
   (match Nand.program_page n ~block:1 ~page:2 "hello" with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  match Nand.read_page n ~block:1 ~page:2 with
+  match read_page n ~block:1 ~page:2 with
   | Ok data ->
     Alcotest.(check string) "data" "hello" (String.sub data 0 5);
     Alcotest.(check char) "padding is ff" '\xff' data.[5]
@@ -53,10 +58,10 @@ let test_nand_erase_cycle () =
 
 let test_nand_bounds () =
   let n = Nand.create ~geometry:small_geometry () in
-  (match Nand.read_page n ~block:99 ~page:0 with
+  (match read_page n ~block:99 ~page:0 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "oob block accepted");
-  (match Nand.read_page n ~block:0 ~page:99 with
+  (match read_page n ~block:0 ~page:99 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "oob page accepted");
   match Nand.program_page n ~block:0 ~page:0 (String.make 1000 'x') with
@@ -67,7 +72,7 @@ let test_nand_bounds () =
 
 let test_ftl_read_unwritten_zero () =
   let ftl = Ftl.create ~nand:(Nand.create ~geometry:small_geometry ()) () in
-  match Ftl.read ftl ~lpn:0 with
+  match ftl_read ftl ~lpn:0 with
   | Ok data -> Alcotest.(check char) "zero" '\000' data.[0]
   | Error e -> Alcotest.fail e
 
@@ -76,7 +81,7 @@ let test_ftl_write_read_roundtrip () =
   (match Ftl.write ftl ~lpn:5 "payload" with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  match Ftl.read ftl ~lpn:5 with
+  match ftl_read ftl ~lpn:5 with
   | Ok data -> Alcotest.(check string) "data" "payload" (String.sub data 0 7)
   | Error e -> Alcotest.fail e
 
@@ -84,7 +89,7 @@ let test_ftl_overwrite_updates () =
   let ftl = Ftl.create ~nand:(Nand.create ~geometry:small_geometry ()) () in
   (match Ftl.write ftl ~lpn:3 "one" with Ok () -> () | Error e -> Alcotest.fail e);
   (match Ftl.write ftl ~lpn:3 "two" with Ok () -> () | Error e -> Alcotest.fail e);
-  match Ftl.read ftl ~lpn:3 with
+  match ftl_read ftl ~lpn:3 with
   | Ok data -> Alcotest.(check string) "latest wins" "two" (String.sub data 0 3)
   | Error e -> Alcotest.fail e
 
@@ -103,7 +108,7 @@ let test_ftl_gc_under_churn () =
   Alcotest.(check bool) "write amp sane" true (Ftl.write_amplification ftl >= 1.0);
   (* Data still correct after GC. *)
   for lpn = 0 to min 9 (logical - 1) do
-    match Ftl.read ftl ~lpn with
+    match ftl_read ftl ~lpn with
     | Ok data ->
       let expect = Printf.sprintf "r40-l%d" lpn in
       Alcotest.(check string) "survives gc" expect
@@ -115,7 +120,7 @@ let test_ftl_trim () =
   let ftl = Ftl.create ~nand:(Nand.create ~geometry:small_geometry ()) () in
   (match Ftl.write ftl ~lpn:1 "data" with Ok () -> () | Error e -> Alcotest.fail e);
   Ftl.trim ftl ~lpn:1;
-  match Ftl.read ftl ~lpn:1 with
+  match ftl_read ftl ~lpn:1 with
   | Ok data -> Alcotest.(check char) "trimmed reads zero" '\000' data.[0]
   | Error e -> Alcotest.fail e
 
@@ -128,7 +133,7 @@ let test_ftl_full_capacity () =
     | Error e -> Alcotest.fail (Printf.sprintf "lpn %d: %s" lpn e)
   done;
   for lpn = 0 to logical - 1 do
-    match Ftl.read ftl ~lpn with
+    match ftl_read ftl ~lpn with
     | Ok data ->
       let expect = Printf.sprintf "p%d" lpn in
       Alcotest.(check string) "full device intact" expect
@@ -144,6 +149,72 @@ let test_ftl_bounds () =
   match Ftl.write ftl ~lpn:(Ftl.logical_pages ftl) "x" with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "oob lpn accepted"
+
+let ok = function Ok v -> v | Error e -> Alcotest.fail e
+
+(* A chip whose logical pages from 10 up hold static data, so churning
+   the low ones makes GC relocate live pages. *)
+let full_ftl () =
+  let ftl = Ftl.create ~nand:(Nand.create ~geometry:small_geometry ()) () in
+  for lpn = 10 to Ftl.logical_pages ftl - 1 do
+    ok (Ftl.write ftl ~lpn "static")
+  done;
+  ftl
+
+(* An update starts from the page's current bytes, wherever GC has moved
+   them since the last write. *)
+let test_ftl_update_edits_current_page () =
+  let ftl = full_ftl () in
+  ok (Ftl.write ftl ~lpn:2 "abcdef");
+  for round = 1 to 40 do
+    for lpn = 3 to 9 do
+      ok (Ftl.write ftl ~lpn (string_of_int round))
+    done;
+    if round mod 10 = 0 then
+      ok
+        (Ftl.update ftl ~lpn:2 (fun b off ->
+             Bytes.set b (off + 1) (Char.chr (65 + (round mod 26)))))
+  done;
+  Alcotest.(check bool) "gc moved pages" true (Ftl.moved_pages ftl > 0);
+  Alcotest.(check string) "edits kept, rest intact" "aOcdef"
+    (String.sub (ok (ftl_read ftl ~lpn:2)) 0 6)
+
+(* Zero-filled pages share one zero page: they read as zeroes, take an
+   update like any page, and survive GC and a checkpoint. *)
+let test_zero_pages () =
+  let ftl = full_ftl () in
+  ok (Ftl.write ftl ~lpn:0 "x");
+  ok (Ftl.write_zeroes ftl ~lpn:0);
+  ok (Ftl.write_zeroes ftl ~lpn:1);
+  ok (Ftl.update ftl ~lpn:1 (fun b off -> Bytes.set b (off + 3) 'z'));
+  for round = 1 to 40 do
+    for lpn = 2 to 9 do
+      ok (Ftl.write ftl ~lpn (string_of_int round))
+    done
+  done;
+  let zero = String.make small_geometry.page_size '\000' in
+  let one = String.mapi (fun i c -> if i = 3 then 'z' else c) zero in
+  let save ftl =
+    let w = Lastcpu_sim.Snapshot.W.create () in
+    Nand.save w (Ftl.nand ftl);
+    Ftl.save w ftl;
+    Lastcpu_sim.Snapshot.W.contents w
+  in
+  let saved = save ftl in
+  let restored = Ftl.create ~nand:(Nand.create ~geometry:small_geometry ()) () in
+  let r = Lastcpu_sim.Snapshot.R.of_string saved in
+  Nand.restore r (Ftl.nand restored);
+  Ftl.restore r restored;
+  List.iter
+    (fun (lpn, want) ->
+      Alcotest.(check string) (Printf.sprintf "lpn %d" lpn) want
+        (ok (ftl_read ftl ~lpn));
+      Alcotest.(check string) (Printf.sprintf "restored lpn %d" lpn) want
+        (str (Ftl.peek restored ~lpn)))
+    [ (0, zero); (1, one) ];
+  Alcotest.(check bool) "gc moved pages" true (Ftl.moved_pages ftl > 0);
+  Alcotest.(check string) "restored stack saves the same bytes" saved
+    (save restored)
 
 let ftl_model_prop =
   QCheck.Test.make ~name:"ftl matches a simple map model under churn" ~count:30
@@ -161,7 +232,7 @@ let ftl_model_prop =
               (fun lpn expect acc ->
                 acc
                 &&
-                match Ftl.read ftl ~lpn with
+                match ftl_read ftl ~lpn with
                 | Ok got -> String.sub got 0 (String.length expect) = expect
                 | Error _ -> false)
               model true)
@@ -206,6 +277,9 @@ let () =
           Alcotest.test_case "full capacity" `Quick test_ftl_full_capacity;
           Alcotest.test_case "bounds" `Quick test_ftl_bounds;
           Alcotest.test_case "wear leveling" `Quick test_ftl_wear_leveling_bounded_skew;
+          Alcotest.test_case "update edits current page" `Quick
+            test_ftl_update_edits_current_page;
+          Alcotest.test_case "zero pages" `Quick test_zero_pages;
           QCheck_alcotest.to_alcotest ftl_model_prop;
         ] );
     ]

@@ -345,6 +345,108 @@ let fs_model_prop =
             | Error _ -> false))
         writes)
 
+(* Stale views: block reads hand out views of NAND pages, valid only until
+   the next block write, and every write may run GC on this 16x16 chip
+   (the accounting pin's), relocating pages and erasing their block. A
+   seeded mix of creates, writes across direct and indirect blocks,
+   truncates, renames and unlinks is checked after every step against a
+   model of file contents, and at one random step the stack goes through
+   a checkpoint into a fresh chip. Any view held across a write would
+   read another block's bytes. *)
+let random_ops_match_model ~cache ~seed =
+  let geometry = { Nand.blocks = 16; pages_per_block = 16; page_size = 4096 } in
+  let stack () =
+    let ftl = Ftl.create ~nand:(Nand.create ~geometry ()) () in
+    (ftl, Ftl.nand ftl)
+  in
+  let ftl, nand = stack () in
+  let fs = ref (ok (Fs.format ~cache ftl)) and ftl = ref ftl and nand = ref nand in
+  let rng = Random.State.make [| seed; Bool.to_int cache |] in
+  let steps = 900 in
+  let checkpoint_at = Random.State.int rng steps in
+  let model : (string, Bytes.t) Hashtbl.t = Hashtbl.create 8 in
+  let names = [| "/a"; "/b"; "/d/c" |] in
+  ok (Fs.mkdir !fs ~user:"u" "/d");
+  let pick () = names.(Random.State.int rng (Array.length names)) in
+  let step () =
+    let name = pick () in
+    match (Random.State.int rng 100, Hashtbl.find_opt model name) with
+    | _, None ->
+      ok (Fs.create !fs ~user:"u" name);
+      Hashtbl.replace model name Bytes.empty
+    | n, Some cur when n < 95 ->
+      (* Appends and random writes up to about 280 KiB: deep into the
+         indirect block, and three such files nearly fill the chip, so GC
+         must relocate live pages (an indirect block's among them) while
+         an unlink is still reading its pointers. *)
+      let size = Bytes.length cur in
+      let off =
+        if n < 80 && size < 260_000 then size else Random.State.int rng 260_000
+      in
+      let data =
+        String.init (1 + Random.State.int rng 24_000) (fun _ ->
+            Char.chr (97 + Random.State.int rng 26))
+      in
+      let len = max (Bytes.length cur) (off + String.length data) in
+      let next = Bytes.make len '\000' in
+      Bytes.blit cur 0 next 0 (Bytes.length cur);
+      Bytes.blit_string data 0 next off (String.length data);
+      ok (Fs.write !fs ~user:"u" name ~off data);
+      Hashtbl.replace model name next
+    | (95 | 96), Some cur ->
+      let len = Random.State.int rng (Bytes.length cur + 5000) in
+      let next = Bytes.make len '\000' in
+      Bytes.blit cur 0 next 0 (min len (Bytes.length cur));
+      ok (Fs.truncate !fs ~user:"u" name ~len);
+      Hashtbl.replace model name next
+    | (97 | 98), Some cur ->
+      let target = pick () in
+      ok (Fs.rename !fs ~user:"u" name target);
+      if name <> target then begin
+        Hashtbl.remove model name;
+        Hashtbl.replace model target cur
+      end
+    | _, Some _ ->
+      ok (Fs.unlink !fs ~user:"u" name);
+      Hashtbl.remove model name
+  in
+  let checkpoint () =
+    let w = Lastcpu_sim.Snapshot.W.create () in
+    Nand.save w !nand;
+    Ftl.save w !ftl;
+    Fs.save w !fs;
+    let r = Lastcpu_sim.Snapshot.R.of_string (Lastcpu_sim.Snapshot.W.contents w) in
+    let ftl', nand' = stack () in
+    Nand.restore r nand';
+    Ftl.restore r ftl';
+    let fs' = ok (Fs.mount ~cache ftl') in
+    Fs.restore r fs';
+    fs := fs';
+    ftl := ftl';
+    nand := nand'
+  in
+  for i = 0 to steps - 1 do
+    if i = checkpoint_at then checkpoint ();
+    step ();
+    Array.iter
+      (fun name ->
+        match Hashtbl.find_opt model name with
+        | None ->
+          Alcotest.(check bool) (Printf.sprintf "step %d: %s absent" i name) false
+            (Fs.exists !fs name)
+        | Some want ->
+          Alcotest.(check string)
+            (Printf.sprintf "step %d: %s contents" i name)
+            (Bytes.to_string want)
+            (ok (Fs.read !fs ~user:"u" name ~off:0 ~len:(Bytes.length want + 1))))
+      names
+  done;
+  ignore (check_clean "after random ops" !fs);
+  Alcotest.(check bool) "gc ran" true (Ftl.gc_runs !ftl > 0)
+
+let test_random_ops_match_model cache () =
+  List.iter (fun seed -> random_ops_match_model ~cache ~seed) [ 1; 2 ]
+
 let () =
   Alcotest.run "fs"
     [
@@ -385,5 +487,9 @@ let () =
           Alcotest.test_case "accounting pinned (no cache)" `Quick
             (test_accounting_pinned false);
           QCheck_alcotest.to_alcotest fs_model_prop;
+          Alcotest.test_case "random ops match model (cache)" `Quick
+            (test_random_ops_match_model true);
+          Alcotest.test_case "random ops match model (no cache)" `Quick
+            (test_random_ops_match_model false);
         ] );
     ]

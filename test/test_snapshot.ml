@@ -26,6 +26,9 @@ module Experiments = Lastcpu_core.Experiments
 module Iommu = Lastcpu_iommu.Iommu
 module Dma = Lastcpu_virtio.Dma
 module Vq = Lastcpu_virtio.Virtqueue
+module Nand = Lastcpu_flash.Nand
+module Ftl = Lastcpu_flash.Ftl
+module Fs = Lastcpu_fs.Fs
 
 let temp_snapshot () =
   let path = Filename.temp_file "lastcpu-snap-test" ".snap" in
@@ -606,6 +609,160 @@ let test_virtqueue_driver_indices_rejected () =
          ~chain_len:(Array.make 6 0) ~free_count:6 ());
     ]
 
+(* FTL and FS sections: every index a later write or GC subscripts with is
+   checked at restore. The sections are re-encoded field by field from a
+   real save, with one field changed per case. *)
+let restore_result restore body =
+  match restore (Snapshot.R.of_string body) with
+  | () -> Ok ()
+  | exception Snapshot.R.Corrupt m -> Error m
+
+type ftl_section = {
+  logical : int;
+  map : int array;
+  state : int array;  (* lpn, or -1 free / -2 invalid *)
+  free_in_block : int array;
+  invalid_in_block : int array;
+  active : int;
+  free_list : int list;
+  free_count : int;
+}
+
+let decode_ftl body =
+  let r = Snapshot.R.of_string body in
+  let logical = Snapshot.R.varint r in
+  let map = Snapshot.R.array r Snapshot.R.vint in
+  let state =
+    Snapshot.R.array r (fun r ->
+        match Snapshot.R.byte r with
+        | 0 -> -1
+        | 1 -> Snapshot.R.varint r
+        | _ -> -2)
+  in
+  let free_in_block = Snapshot.R.array r Snapshot.R.varint in
+  let invalid_in_block = Snapshot.R.array r Snapshot.R.varint in
+  let active = Snapshot.R.varint r in
+  let free_list = Snapshot.R.list r Snapshot.R.varint in
+  let free_count = Snapshot.R.varint r in
+  { logical; map; state; free_in_block; invalid_in_block; active; free_list;
+    free_count }
+
+let encode_ftl f =
+  let w = Snapshot.W.create () in
+  Snapshot.W.varint w f.logical;
+  Snapshot.W.array w Snapshot.W.vint f.map;
+  Snapshot.W.array w
+    (fun w s ->
+      if s >= 0 then begin
+        Snapshot.W.byte w 1;
+        Snapshot.W.varint w s
+      end
+      else Snapshot.W.byte w (if s = -1 then 0 else 2))
+    f.state;
+  Snapshot.W.array w Snapshot.W.varint f.free_in_block;
+  Snapshot.W.array w Snapshot.W.varint f.invalid_in_block;
+  Snapshot.W.varint w f.active;
+  Snapshot.W.list w Snapshot.W.varint f.free_list;
+  Snapshot.W.varint w f.free_count;
+  Snapshot.W.contents w
+
+let ftl_save ftl =
+  let w = Snapshot.W.create () in
+  Ftl.save w ftl;
+  Snapshot.W.contents w
+
+let test_ftl_section_rejected () =
+  let geometry = { Nand.blocks = 8; pages_per_block = 4; page_size = 64 } in
+  let ftl = Ftl.create ~nand:(Nand.create ~geometry ()) () in
+  for i = 0 to 9 do
+    match Ftl.write ftl ~lpn:(i mod 5) (string_of_int i) with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  done;
+  let body = ftl_save ftl in
+  let f = decode_ftl body in
+  Alcotest.(check string) "codec mirrors Ftl.save" body (encode_ftl f);
+  let set a i v =
+    let a = Array.copy a in
+    a.(i) <- v;
+    a
+  in
+  let total = Array.length f.state in
+  let valid = ref (-1) in
+  Array.iteri (fun p lpn -> if lpn >= 0 && !valid < 0 then valid := p) f.state;
+  let valid = !valid and lpn = f.state.(!valid) in
+  let unmapped = ref (-1) in
+  Array.iteri (fun l p -> if p < 0 && !unmapped < 0 then unmapped := l) f.map;
+  let unmapped = !unmapped in
+  let free_b = List.hd f.free_list in
+  List.iter
+    (fun (what, section) ->
+      let target = Ftl.create ~nand:(Nand.create ~geometry ()) () in
+      let before = ftl_save target in
+      (match restore_result (fun r -> Ftl.restore r target) section with
+      | Error _ -> ()
+      | Ok () -> Alcotest.fail (what ^ " accepted"));
+      Alcotest.(check string) (what ^ ": ftl untouched") before (ftl_save target))
+    [
+      ("map entry = total pages", encode_ftl { f with map = set f.map lpn total });
+      ("map entry -2", encode_ftl { f with map = set f.map lpn (-2) });
+      ("valid lpn >= logical",
+       encode_ftl { f with state = set f.state valid f.logical });
+      ("valid page the map does not name",
+       encode_ftl { f with state = set f.state valid unmapped });
+      ("map names a free page",
+       encode_ftl { f with state = set f.state valid (-1) });
+      ("active out of range", encode_ftl { f with active = 8 });
+      ("free block out of range",
+       encode_ftl { f with free_list = 8 :: List.tl f.free_list });
+      ("free list repeats a block",
+       encode_ftl { f with free_list = free_b :: f.free_list;
+                           free_count = f.free_count + 1 });
+      ("active on the free list", encode_ftl { f with active = free_b });
+      ("free count disagrees", encode_ftl { f with free_count = f.free_count + 1 });
+      ("fill count > pages per block",
+       encode_ftl { f with free_in_block = set f.free_in_block 0 5 });
+      ("invalid count > pages per block",
+       encode_ftl { f with invalid_in_block = set f.invalid_in_block 0 5 });
+    ];
+  let target = Ftl.create ~nand:(Nand.create ~geometry ()) () in
+  (match restore_result (fun r -> Ftl.restore r target) body with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("genuine section rejected: " ^ e));
+  Alcotest.(check string) "genuine section restores" body (ftl_save target)
+
+let test_fs_cached_ids_rejected () =
+  let ftl =
+    Ftl.create
+      ~nand:
+        (Nand.create
+           ~geometry:{ Nand.blocks = 16; pages_per_block = 16; page_size = 4096 }
+           ())
+      ()
+  in
+  let fs =
+    match Fs.format ftl with Ok fs -> fs | Error e -> Alcotest.fail (Fs.error_to_string e)
+  in
+  let section ids =
+    let w = Snapshot.W.create () in
+    Snapshot.W.option w (fun w -> Snapshot.W.list w Snapshot.W.varint) (Some ids);
+    Snapshot.W.contents w
+  in
+  let blocks = Ftl.logical_pages ftl in
+  (match restore_result (fun r -> Fs.restore r fs) (section [ 0; 3; blocks - 1 ]) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("genuine ids rejected: " ^ e));
+  List.iter
+    (fun (what, ids) ->
+      match restore_result (fun r -> Fs.restore r fs) (section ids) with
+      | Error _ -> ()
+      | Ok () -> Alcotest.fail (what ^ " accepted"))
+    [
+      ("id = block count", [ 0; blocks ]);
+      ("repeated id", [ 2; 2 ]);
+      ("decreasing ids", [ 3; 1 ]);
+    ]
+
 (* --- checkpoint orchestrator mismatches ---------------------------------- *)
 
 let test_checkpoint_mismatches () =
@@ -819,6 +976,9 @@ let () =
             test_device_recent_index_rejected;
           Alcotest.test_case "virtqueue driver tables" `Quick
             test_virtqueue_driver_indices_rejected;
+          Alcotest.test_case "ftl section" `Quick test_ftl_section_rejected;
+          Alcotest.test_case "fs cached block ids" `Quick
+            test_fs_cached_ids_rejected;
         ] );
       ( "whole machine",
         [
