@@ -51,7 +51,8 @@ let topology_cmd =
 (* --- figure2 --------------------------------------------------------------- *)
 
 let figure2 seed show_trace json_path =
-  match Scenario.run ~spec:(spec_of_seed seed) () with
+  let spec = { (spec_of_seed seed) with System.trace = true } in
+  match Scenario.run ~spec () with
   | Error e ->
     Printf.eprintf "scenario failed: %s\n" e;
     1

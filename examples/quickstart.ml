@@ -16,7 +16,7 @@ let () =
      launches the KVS application on the smart NIC. The application runs
      the seven-step Figure-2 sequence against the SSD, the memory
      controller and the bus. *)
-  match Scenario.run () with
+  match Scenario.run ~spec:{ System.default_spec with trace = true } () with
   | Error e ->
     prerr_endline ("bring-up failed: " ^ e);
     exit 1

@@ -150,7 +150,7 @@ type t = {
 
 let bus_src = -1 (* messages originated by the bus itself *)
 
-let trace t kind detail = Engine.trace_event t.engine ~actor:"bus" ~kind detail
+let trace t kind fmt = Engine.tracef t.engine ~actor:"bus" ~kind fmt
 
 (* One stable identity per frame: route + payload kind. Triple duty — the
    sanitizer event label, the fault-injection content key, and the frame
@@ -247,8 +247,7 @@ let rec arm_sweep t ~time =
               && Int64.sub now slot.last_heartbeat
                  > t.config.heartbeat_timeout_ns
             then begin
-              Engine.trace_event t.engine ~actor:"bus" ~kind:"bus.liveness"
-                (Printf.sprintf "%s (dev%d) timed out" slot.name id);
+              trace t "bus.liveness" "%s (dev%d) timed out" slot.name id;
               mark_failed ~disconnect:false t id
             end)
           t.devices;
@@ -271,9 +270,8 @@ let on_revoke t f = t.revoke_hooks <- t.revoke_hooks @ [ f ]
 let revoke t id =
   Hashtbl.replace t.epochs id (current_epoch t id + 1);
   Metrics.bump t.m_revocations;
-  trace t "bus.revoke"
-    (Printf.sprintf "dev%d (%s) capabilities revoked, epoch now %d" id
-       t.devices.(id).name (current_epoch t id));
+  trace t "bus.revoke" "dev%d (%s) capabilities revoked, epoch now %d"
+    id t.devices.(id).name (current_epoch t id);
   List.iter (fun f -> f ~device:id) t.revoke_hooks;
   let s = t.devices.(id) in
   List.iter (fun pasid -> Iommu.clear_pasid s.iommu ~pasid) (Iommu.pasids s.iommu)
@@ -283,9 +281,8 @@ let quarantine_device t id =
   if s.trust <> Quarantined then begin
     s.trust <- Quarantined;
     Metrics.bump t.m_quarantines;
-    trace t "bus.quarantine"
-      (Printf.sprintf "dev%d (%s) quarantined, score=%d" id s.name
-         s.misbehavior);
+    trace t "bus.quarantine" "dev%d (%s) quarantined, score=%d"
+      id s.name s.misbehavior;
     revoke t id;
     (* Fence + tell consumers, exactly like a crash: the failure broadcast
        is the recovery signal the PR-2 failover path already understands. *)
@@ -304,8 +301,7 @@ let release_quarantine t id =
     s.last_priv_corr <- -1;
     s.last_priv_corr_count <- 0;
     s.connected <- true;
-    trace t "bus.release-quarantine"
-      (Printf.sprintf "dev%d (%s) released on parole" id s.name);
+    trace t "bus.release-quarantine" "dev%d (%s) released on parole" id s.name;
     s.handler
       (Message.make ~src:bus_src ~dst:(Types.Device id) ~corr:0
          Message.Reset_device)
@@ -320,18 +316,16 @@ let report_misbehavior t ~src ~weight ~what =
     if s.shard = t.home_shard && s.trust <> Quarantined then begin
       s.misbehavior <- s.misbehavior + weight;
       Metrics.bump t.m_misbehavior;
-      trace t "bus.misbehavior"
-        (Printf.sprintf "dev%d (%s): %s, score %d" src s.name what
-           s.misbehavior);
+      trace t "bus.misbehavior" "dev%d (%s): %s, score %d"
+        src s.name what s.misbehavior;
       if s.misbehavior >= default_quarantine.quarantine_score then
         quarantine_device t src
       else if
         s.misbehavior >= default_quarantine.suspect_score && s.trust = Trusted
       then begin
         s.trust <- Suspect;
-        trace t "bus.suspect"
-          (Printf.sprintf "dev%d (%s) now suspect, score %d" src s.name
-             s.misbehavior)
+        trace t "bus.suspect" "dev%d (%s) now suspect, score %d"
+          src s.name s.misbehavior
       end
     end
   end
@@ -540,8 +534,7 @@ let create ?(config = default_config) ?(shard = 0) engine =
           | None -> ()
           | Some id ->
             Faults.note_crash faults;
-            Engine.trace_event engine ~actor:"bus" ~kind:"fault.crash"
-              (Printf.sprintf "%s (dev%d) crashed by fault plan" device id);
+            trace t "fault.crash" "%s (dev%d) crashed by fault plan" device id;
             mark_failed t id);
       Engine.schedule_static_at engine ~time:(Int64.add at_ns down_ns)
         (fun () ->
@@ -551,13 +544,11 @@ let create ?(config = default_config) ?(shard = 0) engine =
             (* A fault-plan revive is a power cycle, not a pardon: the
                quarantine holds until an operator releases it. *)
             trace t "fault.revive"
-              (Printf.sprintf "%s (dev%d) still quarantined, revive ignored"
-                 device id)
+              "%s (dev%d) still quarantined, revive ignored" device id
           | Some id ->
             let s = t.devices.(id) in
             Faults.note_revive faults;
-            Engine.trace_event engine ~actor:"bus" ~kind:"fault.revive"
-              (Printf.sprintf "%s (dev%d) revived by fault plan" device id);
+            trace t "fault.revive" "%s (dev%d) revived by fault plan" device id;
             s.connected <- true;
             (* Out-of-band reset line: poke the handler directly (the slot
                is not yet live, so a bus message could not reach it) so the
@@ -741,7 +732,7 @@ let handle_map_directive t ~src ~corr ~device ~pasid ~va ~pa ~bytes ~perm
   let fail reason =
     Metrics.incr t.m_token_failures;
     score_bad_token t ~src ~what:("map denied: " ^ reason);
-    trace t "bus.map-denied" reason;
+    trace t "bus.map-denied" "%s" reason;
     reply t ~to_:src ~corr
       (Message.Error_msg { code = Types.E_bad_token; detail = reason })
   in
@@ -758,7 +749,7 @@ let handle_map_directive t ~src ~corr ~device ~pasid ~va ~pa ~bytes ~perm
       t.config.enable_tokens && not (Types.perm_subsumes auth.perm perm)
     then fail "permissions exceed token grant"
     else if not (known_device t device) then begin
-      trace t "bus.map-denied" (Printf.sprintf "no such device %d" device);
+      trace t "bus.map-denied" "no such device %d" device;
       reply t ~to_:src ~corr
         (Message.Error_msg
            {
@@ -770,16 +761,15 @@ let handle_map_directive t ~src ~corr ~device ~pasid ~va ~pa ~bytes ~perm
       let target = slot t device in
       match Iommu.map target.iommu ~pasid ~va ~pa ~bytes ~perm with
       | Error reason ->
-        trace t "bus.map-failed" reason;
+        trace t "bus.map-failed" "%s" reason;
         reply t ~to_:src ~corr
           (Message.Error_msg { code = Types.E_bad_address; detail = reason });
         reply t ~to_:device ~corr (Message.Map_complete { pasid; va; ok = false })
       | Ok () ->
         let pages = Lastcpu_mem.Layout.pages_of_bytes bytes in
         Metrics.incr ~by:pages t.m_maps;
-        trace t "bus.map"
-          (Printf.sprintf "dev%d pasid=%d va=0x%Lx pa=0x%Lx pages=%d" device
-             pasid va pa pages);
+        trace t "bus.map" "dev%d pasid=%d va=0x%Lx pa=0x%Lx pages=%d"
+          device pasid va pa pages;
         reply t ~to_:device ~corr (Message.Map_complete { pasid; va; ok = true });
         if src <> device then
           reply t ~to_:src ~corr (Message.Map_complete { pasid; va; ok = true })
@@ -791,7 +781,7 @@ let handle_grant t ~src ~corr ~to_device ~pasid ~va ~bytes ~perm
     Metrics.incr t.m_token_failures;
     (if code = Types.E_bad_token then
        score_bad_token t ~src ~what:("grant denied: " ^ reason));
-    trace t "bus.grant-denied" reason;
+    trace t "bus.grant-denied" "%s" reason;
     reply t ~to_:src ~corr (Message.Error_msg { code; detail = reason })
   in
   match verify_token t ~src ~expect_wielder:`Subject auth with
@@ -814,9 +804,8 @@ let handle_grant t ~src ~corr ~to_device ~pasid ~va ~bytes ~perm
       let rec go i =
         if i = npages then begin
           Metrics.incr ~by:npages t.m_maps;
-          trace t "bus.grant"
-            (Printf.sprintf "dev%d -> dev%d pasid=%d va=0x%Lx pages=%d" src
-               to_device pasid va npages);
+          trace t "bus.grant" "dev%d -> dev%d pasid=%d va=0x%Lx pages=%d"
+            src to_device pasid va npages;
           reply t ~to_:src ~corr (Message.Map_complete { pasid; va; ok = true })
         end
         else begin
@@ -859,9 +848,8 @@ let handle_unmap t ~src ~corr ~device ~pasid ~va ~bytes ~(auth : Token.t) =
       (fun s -> removed := !removed + Iommu.unmap s.iommu ~pasid ~va ~bytes)
       t.devices;
     Metrics.incr ~by:!removed t.m_unmaps;
-    trace t "bus.unmap"
-      (Printf.sprintf "pasid=%d va=0x%Lx pages=%d (all devices)" pasid va
-         !removed);
+    trace t "bus.unmap" "pasid=%d va=0x%Lx pages=%d (all devices)"
+      pasid va !removed;
     reply t ~to_:src ~corr (Message.Map_complete { pasid; va; ok = true })
 
 let handle_bus_message t (msg : Message.t) =
@@ -876,9 +864,8 @@ let handle_bus_message t (msg : Message.t) =
       s.live <- true;
       s.services <- services;
       s.last_heartbeat <- Engine.now t.engine;
-      trace t "bus.alive"
-        (Printf.sprintf "%s (dev%d) with %d services" s.name src
-           (List.length services))
+      trace t "bus.alive" "%s (dev%d) with %d services"
+        s.name src (List.length services)
     end
   | Message.Heartbeat ->
     let s = slot t src in
@@ -894,7 +881,7 @@ let handle_bus_message t (msg : Message.t) =
     note_privileged_corr t ~src ~corr:msg.corr;
     handle_unmap t ~src ~corr:msg.corr ~device ~pasid ~va ~bytes ~auth
   | Message.Resource_failed { resource } ->
-    trace t "bus.resource-failed" resource;
+    trace t "bus.resource-failed" "%s" resource;
     broadcast_from_bus t (Message.Resource_failed { resource })
   | _ ->
     reply t ~to_:src ~corr:msg.corr
@@ -936,13 +923,10 @@ let schedule_delivery t (msg : Message.t) ~delay deliver =
       | Error _ -> true
     in
     if corrupted_and_caught then
-      trace t "fault.corrupt"
-        (Printf.sprintf "frame to %s corrupted, CRC mismatch, dropped"
-           (Types.dest_to_string msg.dst))
+      trace t "fault.corrupt" "frame to %s corrupted, CRC mismatch, dropped"
+        (Types.dest_to_string msg.dst)
     else if Faults.drop_message faults ~key then
-      trace t "fault.msg-loss"
-        (Printf.sprintf "frame to %s lost"
-           (Types.dest_to_string msg.dst))
+      trace t "fault.msg-loss" "frame to %s lost" (Types.dest_to_string msg.dst)
     else begin
       let delay = Int64.add delay (Faults.message_jitter faults ~key) in
       schedule_frame t msg ~delay deliver;
@@ -962,9 +946,8 @@ let deliver_unicast t (msg : Message.t) dst =
        delivering it now cannot help the requester, so shed it here
        rather than spend the target's cycles on it. *)
     Metrics.bump t.m_expired;
-    trace t "bus.expired"
-      (Printf.sprintf "%s to dev%d past deadline, shed"
-         (Message.payload_tag msg.payload) dst)
+    trace t "bus.expired" "%s to dev%d past deadline, shed"
+      (Message.payload_tag msg.payload) dst
   end
   else if not s.live then begin
     Metrics.incr t.m_undeliverable;
@@ -990,19 +973,20 @@ let quarantined_src t src =
 let send_routed t (msg : Message.t) =
   let size = Message.wire_size msg in
   Metrics.incr ~by:size t.m_control_bytes;
-  (* Rendering a message is by far the most expensive thing on this path;
-     with tracing off the formatter must never run. *)
+  (* The one guarded trace site: even an untraced [tracef] would allocate
+     its argument closures on every routed message (96 minor words per
+     message against the 68 budget in test_bus.ml), so the branch comes
+     first. *)
   if Engine.tracing t.engine then
-    Engine.trace_event t.engine
+    Engine.tracef t.engine
       ~actor:(if msg.src >= 0 then device_name t msg.src else "bus")
       ~kind:("msg." ^ Message.payload_tag msg.payload)
-      (Format.asprintf "%a" Message.pp msg);
+      "%s" (Format.asprintf "%a" Message.pp msg);
   match msg.dst with
   | Types.Device dst when not (known_device t dst) ->
     Metrics.incr t.m_undeliverable;
-    trace t "bus.undeliverable"
-      (Printf.sprintf "%s to unknown dev%d dropped"
-         (Message.payload_tag msg.payload) dst);
+    trace t "bus.undeliverable" "%s to unknown dev%d dropped"
+      (Message.payload_tag msg.payload) dst;
     if known_device t msg.src && (slot t msg.src).live then
       reply t ~to_:msg.src ~corr:msg.corr
         (Message.Error_msg
@@ -1023,9 +1007,8 @@ let send_routed t (msg : Message.t) =
     let now = Engine.now t.engine in
     if Message.expired msg ~now then begin
       Metrics.bump t.m_expired;
-      trace t "bus.expired"
-        (Printf.sprintf "%s from dev%d past deadline on arrival, shed"
-           (Message.payload_tag msg.payload) msg.src)
+      trace t "bus.expired" "%s from dev%d past deadline on arrival, shed"
+        (Message.payload_tag msg.payload) msg.src
     end
     else begin
       let service =
@@ -1062,9 +1045,8 @@ let send_routed t (msg : Message.t) =
            retry-after hint (time for this lane's queue to drain) so the
            sender can pace instead of hammering. *)
         let retry_after_ns = Station.drain_ns lane ~now in
-        trace t "bus.busy"
-          (Printf.sprintf "%s from dev%d rejected, retry-after=%Ldns"
-             (Message.payload_tag msg.payload) msg.src retry_after_ns);
+        trace t "bus.busy" "%s from dev%d rejected, retry-after=%Ldns"
+          (Message.payload_tag msg.payload) msg.src retry_after_ns;
         if msg.src >= 0 && (slot t msg.src).live then
           reply t ~to_:msg.src ~corr:msg.corr
             (Message.Error_msg
@@ -1087,9 +1069,8 @@ let send t (msg : Message.t) =
   Ownership.touch t.owner_cell;
   if quarantined_src t msg.src then begin
     Metrics.bump t.m_fenced;
-    trace t "bus.fenced"
-      (Printf.sprintf "%s from quarantined dev%d dropped"
-         (Message.payload_tag msg.payload) msg.src)
+    trace t "bus.fenced" "%s from quarantined dev%d dropped"
+      (Message.payload_tag msg.payload) msg.src
   end
   else send_routed t msg
 
@@ -1101,8 +1082,7 @@ let send_raw t ~src bytes =
   Ownership.touch t.owner_cell;
   if quarantined_src t src then begin
     Metrics.bump t.m_fenced;
-    trace t "bus.fenced"
-      (Printf.sprintf "raw frame from quarantined dev%d dropped" src)
+    trace t "bus.fenced" "raw frame from quarantined dev%d dropped" src
   end
   else begin
     match Codec.decode_framed_result bytes with
@@ -1112,14 +1092,12 @@ let send_raw t ~src bytes =
          s.malformed_frames <- s.malformed_frames + 1);
       Metrics.bump t.m_malformed;
       score_malformed t ~src ~what:("malformed frame: " ^ reason);
-      trace t "bus.malformed"
-        (Printf.sprintf "frame from dev%d dropped: %s" src reason)
+      trace t "bus.malformed" "frame from dev%d dropped: %s" src reason
     | Ok msg ->
       if msg.src <> src then begin
         report_misbehavior t ~src ~weight:default_quarantine.spoof_weight
           ~what:(Printf.sprintf "spoofed src %d" msg.src);
-        trace t "bus.spoofed"
-          (Printf.sprintf "dev%d forged src %d, dropped" src msg.src)
+        trace t "bus.spoofed" "dev%d forged src %d, dropped" src msg.src
       end
       else send t msg
   end
@@ -1128,13 +1106,12 @@ let notify t ~src ~dst ~queue =
   Ownership.touch t.owner_cell;
   if quarantined_src t src then begin
     Metrics.bump t.m_fenced;
-    trace t "bus.fenced"
-      (Printf.sprintf "doorbell from quarantined dev%d dropped" src)
+    trace t "bus.fenced" "doorbell from quarantined dev%d dropped" src
   end
   else if not (known_device t dst) then begin
     Metrics.incr t.m_doorbells_dropped;
-    trace t "bus.doorbell-dropped"
-      (Printf.sprintf "dev%d -> unknown dev%d queue=%d" src dst queue)
+    trace t "bus.doorbell-dropped" "dev%d -> unknown dev%d queue=%d"
+      src dst queue
   end
   else begin
   let s = slot t dst in
@@ -1152,8 +1129,8 @@ let notify t ~src ~dst ~queue =
     (* A doorbell to a dead device is a write to nowhere: count it so the
        silence is visible in telemetry instead of a mystery hang. *)
     Metrics.incr t.m_doorbells_dropped;
-    trace t "bus.doorbell-dropped"
-      (Printf.sprintf "dev%d -> dev%d queue=%d (target not live)" src dst queue)
+    trace t "bus.doorbell-dropped" "dev%d -> dev%d queue=%d (target not live)"
+      src dst queue
   end
   else begin
     let msg =
@@ -1168,13 +1145,13 @@ let notify t ~src ~dst ~queue =
 (* --- failure injection --------------------------------------------------- *)
 
 let fail_device t id =
-  trace t "bus.fail-device" (Printf.sprintf "dev%d (%s)" id (device_name t id));
+  trace t "bus.fail-device" "dev%d (%s)" id (device_name t id);
   mark_failed t id
 
 let revive_device t id =
   let s = slot t id in
   s.connected <- true;
-  trace t "bus.revive" (Printf.sprintf "dev%d (%s)" id s.name)
+  trace t "bus.revive" "dev%d (%s)" id s.name
 
 (* --- containment observability ------------------------------------------ *)
 

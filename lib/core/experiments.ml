@@ -152,7 +152,8 @@ let f1 () =
 (* --- F2: KVS initialization sequence ----------------------------------------- *)
 
 let f2 () =
-  let outcome = kvs_machine ~name:"f2" () in
+  let spec = { System.default_spec with System.trace = true } in
+  let outcome = kvs_machine ~name:"f2" ~spec () in
   let steps = Scenario_kvs.figure2_steps outcome in
   {
     id = "f2";

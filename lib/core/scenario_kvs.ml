@@ -92,7 +92,10 @@ let expected =
   ]
 
 let figure2_steps outcome =
-  let entries = Trace.entries (Engine.trace (System.engine outcome.system)) in
+  let engine = System.engine outcome.system in
+  if not (Engine.tracing engine) then
+    invalid_arg "Scenario_kvs.figure2_steps: the run recorded no trace";
+  let entries = Trace.entries (Engine.trace engine) in
   let rec scan entries expected acc =
     match expected with
     | [] -> List.rev acc

@@ -7,7 +7,7 @@
 
     [figure2_steps] extracts from the run trace the seven-step message
     sequence of Figure 2, in order, so tests and the CLI can compare
-    it against the paper. *)
+    it against the paper; the run must be traced ([spec.trace]). *)
 
 type outcome = {
   system : System.t;
@@ -33,6 +33,8 @@ type step = {
 
 val figure2_steps : outcome -> step list
 (** The seven steps in trace order; fewer than seven indicates a broken
-    bring-up (tests assert all seven, in order). *)
+    bring-up (tests assert all seven, in order).
+    @raise Invalid_argument unless the run was built with
+    [spec.trace = true]. *)
 
 val pp_steps : Format.formatter -> step list -> unit

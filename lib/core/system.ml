@@ -29,6 +29,7 @@ type spec = {
   fault_plan : Lastcpu_sim.Faults.plan;
   tie : Engine.tie_break;
   sanitize : bool;
+  trace : bool;
   shard : int;
   quarantine : bool;
 }
@@ -51,6 +52,7 @@ let default_spec =
     fault_plan = Lastcpu_sim.Faults.zero;
     tie = Engine.Fifo;
     sanitize = false;
+    trace = false;
     shard = 0;
     quarantine = false;
   }
@@ -75,8 +77,8 @@ let dram_pages = 65536
 
 let build ?(spec = default_spec) () =
   let engine =
-    Engine.create ~seed:spec.seed ~fault_plan:spec.fault_plan
-      ~tie:spec.tie ~sanitize:spec.sanitize ()
+    Engine.create ~seed:spec.seed ~trace:spec.trace
+      ~fault_plan:spec.fault_plan ~tie:spec.tie ~sanitize:spec.sanitize ()
   in
   let memory = Physmem.create ~size:(Int64.shift_left 1L 31) () in
   let network = Netsim.create ~shard:spec.shard engine in

@@ -33,6 +33,9 @@ type spec = {
   sanitize : bool;
       (** journal multi-event ticks for the ordering sanitizer (default
           [false]: zero overhead) *)
+  trace : bool;
+      (** record the run trace ({!Lastcpu_sim.Engine.trace}); [false]
+          (default) records nothing and formats no trace detail *)
   shard : int;
       (** home shard id for this system's bus and network in a temporally
           decoupled multi-shard run (default [0]; irrelevant outside one) *)

@@ -158,9 +158,8 @@ let dispatch t (msg : Message.t) =
       end
       else begin
         Metrics.bump t.m_forged_failures;
-        Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.forged-failure"
-          (Printf.sprintf "Device_failed{dev%d} claimed by dev%d, ignored"
-             device msg.src)
+        Engine.tracef t.engine ~actor:t.dev_name ~kind:"device.forged-failure"
+          "Device_failed{dev%d} claimed by dev%d, ignored" device msg.src
       end
     | Message.Discover_request { kind; query } ->
       List.iter
@@ -235,8 +234,8 @@ let handle t msg =
   let now = Engine.now t.engine in
   if Message.expired msg ~now then begin
     Metrics.bump t.m_expired;
-    Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.expired"
-      (Printf.sprintf "%s past deadline, shed" (Message.payload_tag msg.payload))
+    Engine.tracef t.engine ~actor:t.dev_name ~kind:"device.expired"
+      "%s past deadline, shed" (Message.payload_tag msg.payload)
   end
   else
     match
@@ -245,9 +244,8 @@ let handle t msg =
     with
     | `Accepted -> ()
     | `Rejected ->
-      Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.busy"
-        (Printf.sprintf "%s rejected, monitor queue full"
-           (Message.payload_tag msg.payload));
+      Engine.tracef t.engine ~actor:t.dev_name ~kind:"device.busy"
+        "%s rejected, monitor queue full" (Message.payload_tag msg.payload);
       (* NACK requests so the sender can back off; drop responses silently
          (the requester's timeout covers them, and NACKing a NACK loops). *)
       if (not (response_like msg.payload)) && msg.src >= 0 then begin
@@ -405,11 +403,11 @@ let create ?shard sysbus ~mem ~name () =
     ~restore:(restore_state t);
   Iommu.attach_fault_handler iommu (fun fault ->
       Metrics.incr t.m_faults;
-      Engine.trace_event engine ~actor:name ~kind:"device.fault"
-        (Printf.sprintf "pasid=%d va=0x%Lx %s" fault.Iommu.pasid fault.Iommu.va
-           (match fault.Iommu.reason with
-           | Iommu.Not_mapped -> "not-mapped"
-           | Iommu.Protection -> "protection"));
+      Engine.tracef engine ~actor:name ~kind:"device.fault"
+        "pasid=%d va=0x%Lx %s" fault.Iommu.pasid fault.Iommu.va
+        (match fault.Iommu.reason with
+        | Iommu.Not_mapped -> "not-mapped"
+        | Iommu.Protection -> "protection");
       match t.fault_handler with Some f -> f fault | None -> ());
   t
 
@@ -546,27 +544,26 @@ let observe_peer_result t peer (payload : Message.payload) =
         in
         b.state <- Open (Int64.add (Engine.now t.engine) window);
         Metrics.bump t.m_breaker_opened;
-        Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.breaker-open"
-          (Printf.sprintf "peer=%d failures=%d window=%Ldns" peer b.failures
-             window)
+        Engine.tracef t.engine ~actor:t.dev_name ~kind:"device.breaker-open"
+          "peer=%d failures=%d window=%Ldns" peer b.failures window
       end
     | _ ->
       if b.failures > 0 || b.state <> Closed then
-        Engine.trace_event t.engine ~actor:t.dev_name
-          ~kind:"device.breaker-close" (Printf.sprintf "peer=%d" peer);
+        Engine.tracef t.engine ~actor:t.dev_name ~kind:"device.breaker-close"
+          "peer=%d" peer;
       b.failures <- 0;
       b.state <- Closed)
 
 let request t ?deadline_ns ?timeout ?(retries = 0) ~dst payload k =
   let corr = fresh_corr t in
   let peer = peer_of_dst dst in
-  (* The span covers send-to-completion; ending it inside the wrapped
-     continuation makes the response and timeout paths both close it
-     exactly once, and recording the corr in the recent ring lets a
-     response that races the give-up be swallowed instead of leaking. *)
-  Engine.begin_span t.engine ~actor:t.actor ~name:"request" ~id:corr;
+  (* Timed send-to-completion: the wrapped continuation is the one exit of
+     the response, timeout and fast-fail paths, so it observes exactly
+     once, and recording the corr in the recent ring lets a response that
+     races the give-up be swallowed instead of leaking. *)
+  let t0 = Engine.now t.engine in
   let finish payload =
-    Engine.end_span t.engine ~actor:t.actor ~name:"request" ~id:corr;
+    Engine.observe_since t.engine ~actor:t.actor ~name:"request_ns" t0;
     remember_corr t corr;
     k payload
   in
@@ -592,8 +589,8 @@ let request t ?deadline_ns ?timeout ?(retries = 0) ~dst payload k =
        deliberately bypasses [observe_peer_result]: fast-fails must not
        extend the open window they are caused by. *)
     Metrics.bump t.m_breaker_fast_fails;
-    Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.breaker-reject"
-      (Printf.sprintf "peer=%d retry-after=%Ldns" peer remaining);
+    Engine.tracef t.engine ~actor:t.dev_name ~kind:"device.breaker-reject"
+      "peer=%d retry-after=%Ldns" peer remaining;
     Engine.schedule t.engine ~delay:0L (fun () ->
         finish
           (Message.Error_msg
@@ -652,6 +649,7 @@ let default_discover_timeout = 1_000_000L (* 1 ms *)
 let discover t ~kind ~query ?(timeout = default_discover_timeout) ?(retries = 0)
     k =
   let corr = fresh_corr t in
+  let t0 = Engine.now t.engine in
   let answered = ref false in
   (* [dispatch] removes the pending entry each time it matches, so the
      handler re-registers itself: providers answering after the first are
@@ -661,7 +659,7 @@ let discover t ~kind ~query ?(timeout = default_discover_timeout) ?(retries = 0)
     Hashtbl.replace t.pending corr handler;
     if not !answered then begin
       answered := true;
-      Engine.end_span t.engine ~actor:t.actor ~name:"discover" ~id:corr;
+      Engine.observe_since t.engine ~actor:t.actor ~name:"discover_ns" t0;
       match payload with
       | Message.Discover_response { provider; service; _ } ->
         k (Some (provider, service))
@@ -670,7 +668,6 @@ let discover t ~kind ~query ?(timeout = default_discover_timeout) ?(retries = 0)
     else Metrics.incr t.m_discover_late
   in
   Hashtbl.replace t.pending corr handler;
-  Engine.begin_span t.engine ~actor:t.actor ~name:"discover" ~id:corr;
   let probe () =
     Metrics.incr t.m_sent;
     Sysbus.send t.sysbus
@@ -690,7 +687,7 @@ let discover t ~kind ~query ?(timeout = default_discover_timeout) ?(retries = 0)
         else begin
           Hashtbl.remove t.pending corr;
           answered := true;
-          Engine.end_span t.engine ~actor:t.actor ~name:"discover" ~id:corr;
+          Engine.observe_since t.engine ~actor:t.actor ~name:"discover_ns" t0;
           k None
         end)
   in

@@ -38,12 +38,11 @@ type t = {
 let rec execute t op (k : Kv_proto.reply -> unit) =
   if t.failing_over then Queue.push (op, k) t.parked
   else begin
-    (* One span per operation: the framework times every KV op, whatever its
-       entry point (network fast path or local call). *)
-    let span = Engine.fresh_span_id t.engine in
-    Engine.begin_span t.engine ~actor:t.actor ~name:"kv_op" ~id:span;
+    (* Every KV op is timed, whatever its entry point (network fast path
+       or local call): the store answers each op once, through [k]. *)
+    let t0 = Engine.now t.engine in
     let k reply =
-      Engine.end_span t.engine ~actor:t.actor ~name:"kv_op" ~id:span;
+      Engine.observe_since t.engine ~actor:t.actor ~name:"kv_op_ns" t0;
       k reply
     in
     match op with
@@ -95,9 +94,8 @@ let execute_client t op k =
       let retry_after_ns =
         Int64.mul (Int64.of_int t.client_in_flight) Lastcpu_sim.Costs.flash_write_page_ns
       in
-      Engine.trace_event t.engine ~actor:t.actor ~kind:"kv.shed"
-        (Printf.sprintf "in-flight=%d retry-after=%Ldns" t.client_in_flight
-           retry_after_ns);
+      Engine.tracef t.engine ~actor:t.actor ~kind:"kv.shed"
+        "in-flight=%d retry-after=%Ldns" t.client_in_flight retry_after_ns;
       k (Kv_proto.Failed (Message.busy_detail ~retry_after_ns))
     end
     else begin
@@ -206,10 +204,9 @@ let rec reattach t ~dev ~memctl ~user ~log_path ~auth ~req_timeout ~req_retries
                     t.fc <- fc;
                     t.fb <- fb;
                     t.recovered <- n;
-                    Engine.trace_event t.engine ~actor:t.actor
-                      ~kind:"kv.failover"
-                      (Printf.sprintf "reattached to dev%d (%d records)"
-                         (File_client.provider fc) n);
+                    Engine.tracef t.engine ~actor:t.actor ~kind:"kv.failover"
+                      "reattached to dev%d (%d records)"
+                      (File_client.provider fc) n;
                     t.failing_over <- false;
                     drain_parked t)))
 
@@ -219,8 +216,8 @@ let install_supervisor t ~dev ~memctl ~user ~log_path ~auth ~req_timeout
       if (not t.failing_over) && device = File_client.provider t.fc then begin
         t.failing_over <- true;
         Metrics.bump t.m_failovers;
-        Engine.trace_event t.engine ~actor:t.actor ~kind:"kv.failover"
-          (Printf.sprintf "provider dev%d failed, re-running discovery" device);
+        Engine.tracef t.engine ~actor:t.actor ~kind:"kv.failover"
+          "provider dev%d failed, re-running discovery" device;
         File_client.abort_in_flight t.fc "provider failed";
         reattach t ~dev ~memctl ~user ~log_path ~auth ~req_timeout ~req_retries
           ~fresh ~attempt:0

@@ -33,11 +33,11 @@ type sani = {
 type t = {
   mutable clock : int64;
   queue : (unit -> unit) Heap.t;
-  trace : Trace.t;
+  trace : Trace.t;  (* appended to only when [tracing] *)
+  tracing : bool;
   rng : Rng.t;
   metrics : Metrics.t;
   faults : Faults.t;
-  mutable next_span : int;
   mutable executed : int;
   sani : sani option;
   mutable probes : (unit -> int64) list; (* order-insensitive: summed *)
@@ -56,17 +56,17 @@ type t = {
   mutable owner_cell : Ownership.tracker option;
 }
 
-let create ?(seed = 42L) ?trace_capacity ?fault_plan
-    ?(tie = Fifo) ?(sanitize = false) ?(queue_hint = 0) () =
+let create ?(seed = 42L) ?(trace = false) ?fault_plan ?(tie = Fifo)
+    ?(sanitize = false) () =
   let metrics = Metrics.create () in
   {
     clock = 0L;
-    queue = Heap.create ~tie ~hint:queue_hint ();
-    trace = Trace.create ?capacity:trace_capacity ();
+    queue = Heap.create ~tie ();
+    trace = Trace.create ();
+    tracing = trace;
     rng = Rng.create ~seed;
     metrics;
     faults = Faults.create ?plan:fault_plan ~seed metrics;
-    next_span = 0;
     executed = 0;
     sani =
       (if sanitize then
@@ -95,7 +95,7 @@ let fork_rng t = Rng.split t.rng
 let metrics t = t.metrics
 let faults t = t.faults
 let sanitizing t = t.sani <> None
-let tracing t = Trace.enabled t.trace
+let tracing t = t.tracing
 
 let register_probe t f = t.probes <- f :: t.probes
 
@@ -273,7 +273,6 @@ let save_state t =
   let w = Snapshot.W.create () in
   Snapshot.W.int64 w t.clock;
   Snapshot.W.varint w t.executed;
-  Snapshot.W.varint w t.next_span;
   Snapshot.W.int64 w (Rng.state t.rng);
   let entries = Heap.to_sorted_list t.queue in
   Snapshot.W.list w (fun w (time, _) -> Snapshot.W.int64 w time) entries;
@@ -295,7 +294,6 @@ let restore_state t s =
   let r = Snapshot.R.of_string s in
   let clock = Snapshot.R.int64 r in
   t.executed <- Snapshot.R.varint r;
-  t.next_span <- Snapshot.R.varint r;
   Rng.set_state t.rng (Snapshot.R.int64 r);
   let saved_times = Snapshot.R.list r Snapshot.R.int64 in
   (* [W.option] frames the sani payload with a presence bool. *)
@@ -329,24 +327,14 @@ let restore_state t s =
   List.iter (fun (time, f) -> Heap.push t.queue ~priority:time f) kept;
   t.static_pending <- List.length kept
 
-let trace_event t ~actor ~kind detail =
-  Trace.append t.trace ~time:t.clock ~actor ~kind detail
+(* Formats only when tracing: an untraced run pays for the arguments'
+   closures, never for the rendering. *)
+let tracef t ~actor ~kind fmt =
+  if t.tracing then
+    Printf.ksprintf (Trace.append t.trace ~time:t.clock ~actor ~kind) fmt
+  else Printf.ikfprintf ignore () fmt
 
-(* Spans: framework-timed intervals. [end_span] feeds the duration into the
-   registry histogram [actor/<name>_ns], so latency distributions accumulate
-   without each experiment hand-rolling its own tally. *)
-let fresh_span_id t =
-  let id = t.next_span in
-  t.next_span <- t.next_span + 1;
-  id
-
-let begin_span t ~actor ~name ~id =
-  Trace.begin_span t.trace ~time:t.clock ~actor ~name ~id
-
-let end_span t ~actor ~name ~id =
-  match Trace.end_span t.trace ~time:t.clock ~actor ~name ~id with
-  | None -> ()
-  | Some dur ->
-    Metrics.observe
-      (Metrics.histogram t.metrics ~actor ~name:(name ^ "_ns"))
-      (Int64.to_float dur)
+let observe_since t ~actor ~name t0 =
+  Metrics.observe
+    (Metrics.histogram t.metrics ~actor ~name)
+    (Int64.to_float (Int64.sub t.clock t0))

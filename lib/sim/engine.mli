@@ -28,19 +28,16 @@ type t
 
 val create :
   ?seed:int64 ->
-  ?trace_capacity:int ->
+  ?trace:bool ->
   ?fault_plan:Faults.plan ->
   ?tie:tie_break ->
   ?sanitize:bool ->
-  ?queue_hint:int ->
   unit ->
   t
-(** Fresh engine at time 0. [seed] defaults to [42L]; [fault_plan] to
+(** Fresh engine at time 0. [seed] defaults to [42L]; [trace] to [false]
+    (no trace is recorded: {!trace} stays empty); [fault_plan] to
     {!Faults.zero} (no injection); [tie] to [Fifo]; [sanitize] to [false]
-    (no journalling overhead). [trace_capacity] bounds the retained trace;
-    [0] disables event tracing entirely (spans still time into metrics —
-    see {!Trace.enabled}). [queue_hint] pre-sizes the event queue so
-    steady-state workloads never pay a heap growth copy. *)
+    (no journalling overhead). *)
 
 val now : t -> int64
 (** Current virtual time in nanoseconds. *)
@@ -57,6 +54,8 @@ val shard_owner : t -> int option
 (** The shard this engine is bound to, if {!bind_shard} has run. *)
 
 val trace : t -> Trace.t
+(** The run trace; empty unless created with [~trace:true]. *)
+
 val rng : t -> Rng.t
 (** The engine's root generator; prefer [fork_rng] per component. *)
 
@@ -136,7 +135,7 @@ val snapshot_hooks :
 (** All registered hooks, in registration order. *)
 
 val save_state : t -> string
-(** Serialize the engine's own state: clock, event/span counters, RNG
+(** Serialize the engine's own state: clock, event counter, RNG
     position, sanitizer journal, metrics and fault state, and the multiset
     of pending static timestamps (closures are never serialized).
     @raise Invalid_argument unless {!quiescent}. *)
@@ -151,17 +150,25 @@ val restore_state : t -> string -> unit
     @raise Invalid_argument if sanitize mode differs from the checkpoint.
     @raise Snapshot.R.Corrupt on malformed input. *)
 
-val trace_event : t -> actor:string -> kind:string -> string -> unit
-(** Append to the run trace at the current virtual time. *)
+val tracef :
+  t -> actor:string -> kind:string -> ('a, unit, string, unit) format4 -> 'a
+(** [tracef t ~actor ~kind fmt args] appends the formatted detail to the
+    run trace at the current virtual time. With tracing off nothing is
+    formatted, though the arguments are still evaluated. *)
 
 val tracing : t -> bool
-(** Whether the trace retains events ([trace_capacity] was not [0]).
-    Call sites that format trace detail strings eagerly should skip the
-    work when this is [false]. *)
+(** Whether the engine records a trace. A per-message site whose argument
+    closures alone would cost allocations can branch on this instead. *)
 
 val metrics : t -> Metrics.t
 (** The run-wide telemetry registry: all subsystem counters, gauges and
     latency histograms live here, keyed [actor/instrument]. *)
+
+val observe_since : t -> actor:string -> name:string -> int64 -> unit
+(** [observe_since t ~actor ~name t0] feeds [now t - t0] into the registry
+    histogram [actor/name], which is created on its first observation. An
+    op that holds its start time in its continuation calls this once, when
+    it completes. *)
 
 val faults : t -> Faults.t
 (** The run's fault-injection state (a zero plan unless [create] was given
@@ -181,14 +188,3 @@ val register_probe : t -> (unit -> int64) -> unit
 val sanitizer_journal : t -> Sanitizer.tick list
 (** The multi-event ticks journalled so far (flushes the in-progress tick
     group). Empty unless created with [~sanitize:true]. *)
-
-val fresh_span_id : t -> int
-(** A run-unique id for correlating span begin/end pairs that have no
-    natural correlation id of their own. *)
-
-val begin_span : t -> actor:string -> name:string -> id:int -> unit
-(** Open span [name#id] at the current virtual time (traced). *)
-
-val end_span : t -> actor:string -> name:string -> id:int -> unit
-(** Close span [name#id]: traces the end and feeds the duration into the
-    registry histogram [actor/<name>_ns]. No-op for unknown spans. *)

@@ -35,12 +35,7 @@ let tie_key tie seq =
   | Lifo -> Int64.neg (Int64.of_int seq)
   | Salted salt -> Sanitizer.mix64 (Int64.logxor salt (Int64.of_int seq))
 
-let create ?(tie = Fifo) ?(hint = 0) () =
-  { data = (if hint > 0 then Array.make hint Empty else [||]);
-    size = 0;
-    next_seq = 0;
-    tie;
-  }
+let create ?(tie = Fifo) () = { data = [||]; size = 0; next_seq = 0; tie }
 
 let length h = h.size
 

@@ -18,12 +18,10 @@ type tie_break =
 type 'a t
 (** A mutable min-heap holding values of type ['a]. *)
 
-val create : ?tie:tie_break -> ?hint:int -> unit -> 'a t
+val create : ?tie:tie_break -> unit -> 'a t
 (** [create ()] is an empty heap. [tie] (default [Fifo]) selects the order
     among equal priorities; the non-FIFO modes exist for the ordering
-    sanitizer's perturbed runs and are equally deterministic. [hint]
-    (default 0) pre-sizes the backing array so steady-state workloads of a
-    known queue depth never pay a growth copy. *)
+    sanitizer's perturbed runs and are equally deterministic. *)
 
 val length : 'a t -> int
 (** [length h] is the number of elements currently in [h]. *)

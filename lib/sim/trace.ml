@@ -3,71 +3,17 @@ type entry = { time : int64; actor : string; kind : string; detail : string }
 type t = {
   mutable entries : entry list;  (* newest first *)
   mutable length : int;
-  capacity : int option;
-  enabled : bool;  (* capacity Some 0 = tracing off: appends are no-ops *)
-  open_spans : (string, int64) Hashtbl.t; (* "name#id" -> begin time *)
 }
 
-let create ?capacity () =
-  {
-    entries = [];
-    length = 0;
-    capacity;
-    enabled = capacity <> Some 0;
-    open_spans = Hashtbl.create 16;
-  }
-
-let enabled t = t.enabled
+let create () = { entries = []; length = 0 }
 
 let append t ~time ~actor ~kind detail =
-  if t.enabled then begin
-    t.entries <- { time; actor; kind; detail } :: t.entries;
-    t.length <- t.length + 1;
-    match t.capacity with
-    | Some cap when t.length > cap ->
-      (* Dropping the oldest entry of a singly-linked list is O(n); traces
-         with a capacity are small (ring-buffer-like use), so this is fine. *)
-      let rec keep n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: keep (n - 1) rest
-      in
-      t.entries <- keep cap t.entries;
-      t.length <- cap
-    | Some _ | None -> ()
-  end
+  t.entries <- { time; actor; kind; detail } :: t.entries;
+  t.length <- t.length + 1
 
 let length t = t.length
 let entries t = List.rev t.entries
 let find_all t ~kind = List.filter (fun e -> e.kind = kind) (entries t)
-
-(* Spans: paired begin/end entries correlated by "name#id". Begin times are
-   kept in a side table (not recovered from entries) so capacity-trimmed
-   traces still time long-lived spans correctly. *)
-let span_begin_kind = "span.begin"
-let span_end_kind = "span.end"
-let span_key ~name ~id = name ^ "#" ^ string_of_int id
-
-let begin_span t ~time ~actor ~name ~id =
-  let key = span_key ~name ~id in
-  Hashtbl.replace t.open_spans key time;
-  append t ~time ~actor ~kind:span_begin_kind key
-
-let end_span t ~time ~actor ~name ~id =
-  let key = span_key ~name ~id in
-  match Hashtbl.find_opt t.open_spans key with
-  | None -> None (* unknown or already ended: not an error, just no sample *)
-  | Some start ->
-    Hashtbl.remove t.open_spans key;
-    append t ~time ~actor ~kind:span_end_kind key;
-    Some (Int64.sub time start)
-
-let open_span_count t = Hashtbl.length t.open_spans
-
-let clear t =
-  t.entries <- [];
-  t.length <- 0;
-  Hashtbl.reset t.open_spans
 
 let pp_entry ppf e =
   Format.fprintf ppf "[%8Ld ns] %-14s %-22s %s" e.time e.actor e.kind e.detail

@@ -428,14 +428,14 @@ let test_notify_fast_path () =
     (Lastcpu_sim.Station.jobs_completed (Sysbus.station bus))
 
 (* Allocation budget of the routing hot path: one Heartbeat through the
-   bus (hop + station + hop) with tracing off, to a no-op handler. With
-   trace and sanitize off the path formats no frame descriptions, so the
-   minor words per message are the routing machinery alone; a change that
-   adds per-message allocation fails here. *)
+   bus (hop + station + hop) on a default engine, to a no-op handler. With
+   trace and sanitize off (the default every run uses) the path formats no
+   frame descriptions, so the minor words per message are the routing
+   machinery alone; a change that adds per-message allocation fails here. *)
 let route_words_budget = 68.
 
 let test_route_allocation_budget () =
-  let engine = Engine.create ~trace_capacity:0 ~queue_hint:16 () in
+  let engine = Engine.create () in
   let bus = Sysbus.create engine in
   let attach name =
     Sysbus.attach bus ~name ~iommu:(Iommu.create ()) ~handler:(fun _ -> ())

@@ -4,6 +4,8 @@
 module Types = Lastcpu_proto.Types
 module Message = Lastcpu_proto.Message
 module Engine = Lastcpu_sim.Engine
+module Metrics = Lastcpu_sim.Metrics
+module Trace = Lastcpu_sim.Trace
 module System = Lastcpu_core.System
 module Scenario = Lastcpu_core.Scenario_kvs
 module Sysbus = Lastcpu_bus.Sysbus
@@ -50,8 +52,11 @@ let test_topology_mentions_all_devices () =
       Alcotest.(check bool) (name ^ " in topology") true (contains name))
     [ "memctl"; "ssd0"; "nic0"; "authdev"; "console" ]
 
+(* Figure 2 is read off the run trace, which only a traced run records. *)
+let traced = { System.default_spec with trace = true }
+
 let test_figure2_steps_in_order () =
-  match Scenario.run () with
+  match Scenario.run ~spec:traced () with
   | Error e -> Alcotest.fail e
   | Ok outcome ->
     let steps = Scenario.figure2_steps outcome in
@@ -67,7 +72,7 @@ let test_figure2_steps_in_order () =
 
 let test_scenario_deterministic () =
   let run () =
-    match Scenario.run () with
+    match Scenario.run ~spec:traced () with
     | Error e -> Alcotest.fail e
     | Ok outcome ->
       ( outcome.Scenario.boot_ns,
@@ -81,17 +86,39 @@ let test_figure2_with_authentication () =
   (* The authenticated variant of the bring-up: step 3 carries a real
      session token minted by the auth device and verified by the SSD. *)
   let spec =
-    {
-      System.default_spec with
-      with_auth = true;
-      users = [ ("kvs", "kvs-secret") ];
-    }
+    { traced with with_auth = true; users = [ ("kvs", "kvs-secret") ] }
   in
   match Scenario.run ~spec () with
   | Error e -> Alcotest.fail e
   | Ok outcome ->
     Alcotest.(check int) "seven steps" 7
       (List.length (Scenario.figure2_steps outcome))
+
+(* The trace is opt-in: a default run records nothing, and tracing changes
+   no metric. *)
+let test_default_run_untraced () =
+  let run spec =
+    match Scenario.run ~spec () with
+    | Error e -> Alcotest.fail e
+    | Ok outcome -> outcome
+  in
+  let plain = run System.default_spec and with_trace = run traced in
+  let engine o = System.engine o.Scenario.system in
+  Alcotest.(check int) "no entries" 0
+    (Trace.length (Engine.trace (engine plain)));
+  Alcotest.(check int) "traced run: seven steps" 7
+    (List.length (Scenario.figure2_steps with_trace));
+  Alcotest.(check int64) "same metrics digest"
+    (Metrics.digest (Engine.metrics (engine plain)))
+    (Metrics.digest (Engine.metrics (engine with_trace)))
+
+let test_untraced_figure2_raises () =
+  match Scenario.run () with
+  | Error e -> Alcotest.fail e
+  | Ok outcome -> (
+    match Scenario.figure2_steps outcome with
+    | _ -> Alcotest.fail "an untraced run yielded figure-2 steps"
+    | exception Invalid_argument _ -> ())
 
 let test_no_cpu_after_boot () =
   (* The load-bearing claim: after bring-up, serving KVS traffic generates
@@ -262,6 +289,10 @@ let () =
           Alcotest.test_case "with authentication" `Quick
             test_figure2_with_authentication;
           Alcotest.test_case "no CPU on the data path" `Quick test_no_cpu_after_boot;
+          Alcotest.test_case "default run records no trace" `Quick
+            test_default_run_untraced;
+          Alcotest.test_case "untraced run raises" `Quick
+            test_untraced_figure2_raises;
         ] );
       ( "multi-app",
         [ Alcotest.test_case "two apps two pasids" `Quick test_two_apps_two_pasids ] );

@@ -1,4 +1,5 @@
-(* Telemetry registry: handles, snapshots, spans and legacy-accessor parity. *)
+(* Telemetry registry: handles, snapshots, op timing and legacy-accessor
+   parity. *)
 
 module Engine = Lastcpu_sim.Engine
 module Metrics = Lastcpu_sim.Metrics
@@ -10,6 +11,13 @@ module System = Lastcpu_core.System
 module Scenario = Lastcpu_core.Scenario_kvs
 module Smart_nic = Lastcpu_devices.Smart_nic
 module Smart_ssd = Lastcpu_devices.Smart_ssd
+module Memctl = Lastcpu_devices.Memctl
+module Physmem = Lastcpu_mem.Physmem
+module Types = Lastcpu_proto.Types
+module Message = Lastcpu_proto.Message
+module Fs = Lastcpu_fs.Fs
+module Kv_app = Lastcpu_kv.Kv_app
+module Kv_proto = Lastcpu_kv.Kv_proto
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -143,32 +151,119 @@ let test_snapshot_deterministic () =
   in
   Alcotest.(check string) "identical seeded runs" (snap ()) (snap ())
 
-(* --- spans --------------------------------------------------------------------- *)
+(* --- exactly-once timing ------------------------------------------------------ *)
 
-let test_span_pairing () =
-  let outcome = scenario_exn () in
-  let system = outcome.Scenario.system in
-  System.run_until_idle system;
-  let trace = Engine.trace (System.engine system) in
-  let begins = Trace.find_all trace ~kind:Trace.span_begin_kind in
-  let ends = Trace.find_all trace ~kind:Trace.span_end_kind in
-  checkb "spans were recorded" true (List.length begins > 0);
-  check "every begin has an end" (List.length begins) (List.length ends);
-  check "no dangling spans" 0 (Trace.open_span_count trace);
-  let begin_keys =
-    List.fold_left
-      (fun acc (e : Trace.entry) -> e.Trace.detail :: acc)
-      [] begins
+(* Each op holds its start time in its continuation and observes its
+   histogram when it completes, so every completion path (answer, timeout,
+   breaker fast-fail, late duplicate) must add exactly one sample. *)
+
+let observations engine ~actor ~name =
+  match Metrics.find (Engine.metrics engine) ~actor ~name with
+  | Some (Metrics.Histogram_v r) -> r.Stats.n
+  | Some _ -> Alcotest.failf "%s/%s is not a histogram" actor name
+  | None -> 0
+
+let device_rig () =
+  let engine = Engine.create () in
+  let bus = Sysbus.create engine in
+  let mem = Physmem.create () in
+  let device name =
+    let d = Device.create bus ~mem ~name () in
+    Device.start d;
+    d
   in
-  List.iter
-    (fun (e : Trace.entry) ->
-      checkb "end matches a begin" true (List.mem e.Trace.detail begin_keys))
-    ends;
-  (* Durations landed in the registry as <name>_ns histograms. *)
-  let m = Engine.metrics (System.engine system) in
-  match Metrics.find m ~actor:"memctl" ~name:"request_ns" with
-  | Some (Metrics.Histogram_v r) -> checkb "memctl request span timed" true (r.Stats.n > 0)
-  | _ -> Alcotest.fail "memctl/request_ns histogram missing"
+  (engine, bus, mem, device)
+
+let test_request_timed_once () =
+  let engine, bus, mem, device = device_rig () in
+  let mc = Memctl.create bus ~mem ~dram_pages:1024 () in
+  let mute = device "mute" (* never answers app messages *) in
+  let client = device "client" in
+  Engine.run engine;
+  let timed () =
+    observations engine ~actor:(Device.actor client) ~name:"request_ns"
+  in
+  let replies = ref 0 in
+  let request dst payload =
+    Device.request client ~timeout:10_000L ~dst:(Types.Device dst) payload
+      (fun _ -> incr replies);
+    Engine.run engine
+  in
+  request (Memctl.id mc)
+    (Message.Alloc_request
+       { pasid = 7; va = 0x4000_0000L; bytes = 4096L; perm = Types.perm_rw });
+  check "answered" 1 (timed ());
+  Device.enable_circuit_breaker client ~threshold:1 ~cooldown_ns:1_000_000L;
+  let ping = Message.App_message { tag = "ping"; body = "" } in
+  request (Device.id mute) ping;
+  check "timed out" 2 (timed ());
+  checkb "breaker open" true
+    (Device.breaker_state client ~peer:(Device.id mute) = `Open);
+  request (Device.id mute) ping;
+  check "breaker fast-fail counted" 1 (Device.breaker_fast_fails client);
+  check "fast-failed" 3 (timed ());
+  check "every caller answered once" 3 !replies
+
+let test_discover_timed_once () =
+  let engine, bus, mem, device = device_rig () in
+  (* Two providers: the second answer is a late duplicate. *)
+  ignore (Memctl.create bus ~mem ~name:"mc0" ~dram_pages:1024 ());
+  ignore
+    (Memctl.create bus ~mem ~name:"mc1" ~dram_base:0x2000_0000L
+       ~dram_pages:1024 ());
+  let seeker = device "seeker" in
+  Engine.run engine;
+  let timed () =
+    observations engine ~actor:(Device.actor seeker) ~name:"discover_ns"
+  in
+  let found = ref [] in
+  let discover kind =
+    Device.discover seeker ~kind ~query:"" (fun r -> found := r :: !found);
+    Engine.run engine
+  in
+  discover Types.Memory_service;
+  checkb "answered" true (List.length !found = 1 && List.hd !found <> None);
+  check "answered once" 1 (timed ());
+  discover Types.File_service;
+  checkb "timed out" true (List.length !found = 2 && List.hd !found = None);
+  check "timed out once" 2 (timed ())
+
+let test_kv_op_timed_once () =
+  match Scenario.run ~smoke_ops:0 () with
+  | Error e -> Alcotest.fail e
+  | Ok outcome ->
+    let system = outcome.Scenario.system and app = outcome.Scenario.app in
+    let engine = System.engine system in
+    let timed () =
+      List.fold_left
+        (fun n (_, name, v) ->
+          match v with
+          | Metrics.Histogram_v r when name = "kv_op_ns" -> n + r.Stats.n
+          | _ -> n)
+        0
+        (Metrics.snapshot (Engine.metrics engine))
+    in
+    let before = timed () in
+    let reply = ref None in
+    let op o =
+      Kv_app.local_op app o (fun r -> reply := Some r);
+      System.run_until_idle system
+    in
+    op (Kv_proto.Get "absent");
+    checkb "get answered" true (!reply = Some (Kv_proto.Value None));
+    check "get" (before + 1) (timed ());
+    (* Pull the log out from under the store: the WAL append fails. *)
+    (match
+       Fs.unlink (Smart_ssd.fs (System.ssd system 0)) ~user:"root"
+         "/kv/data.log"
+     with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Fs.error_to_string e));
+    op (Kv_proto.Put ("k", "v"));
+    (match !reply with
+    | Some (Kv_proto.Failed _) -> ()
+    | _ -> Alcotest.fail "put should fail without its log");
+    check "failed put" (before + 2) (timed ())
 
 (* --- legacy-accessor parity ------------------------------------------------------ *)
 
@@ -241,8 +336,15 @@ let () =
         ] );
       ( "determinism",
         [ Alcotest.test_case "seeded snapshot" `Quick test_snapshot_deterministic ] );
-      ( "spans",
-        [ Alcotest.test_case "pairing on figure-2 run" `Quick test_span_pairing ] );
+      ( "timing",
+        [
+          Alcotest.test_case "request answer, timeout, fast-fail" `Quick
+            test_request_timed_once;
+          Alcotest.test_case "discover answer and timeout" `Quick
+            test_discover_timed_once;
+          Alcotest.test_case "kv get and failed put" `Quick
+            test_kv_op_timed_once;
+        ] );
       ( "parity",
         [ Alcotest.test_case "legacy accessors" `Quick test_accessor_parity ] );
       ( "export",

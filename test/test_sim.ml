@@ -55,10 +55,9 @@ let test_heap_salted_ties () =
     "salted order is a permutation of the ties"
     [ "a"; "b"; "c"; "d" ] (List.sort compare o1)
 
-(* A small hint must not cap the heap: growth past the initial capacity
-   keeps every entry and the order. *)
+(* Growth from the empty initial array keeps every entry and the order. *)
 let test_heap_growth () =
-  let h = Heap.create ~hint:2 () in
+  let h = Heap.create () in
   for i = 999 downto 0 do
     Heap.push h ~priority:(Int64.of_int i) i
   done;
@@ -248,14 +247,22 @@ let test_trace_json_lines () =
     in
     has "a\\\"b" && has "\\n" && has "\\\\" && has "\\u0001")
 
-let test_trace_capacity () =
-  let t = Trace.create ~capacity:3 () in
-  for i = 1 to 10 do
-    Trace.append t ~time:(Int64.of_int i) ~actor:"a" ~kind:"k" (string_of_int i)
-  done;
-  Alcotest.(check int) "bounded" 3 (Trace.length t);
-  let details = List.map (fun (e : Trace.entry) -> e.Trace.detail) (Trace.entries t) in
-  Alcotest.(check (list string)) "newest retained" [ "8"; "9"; "10" ] details
+(* The trace is opt-in: a default engine records nothing and never runs
+   the formatter, a traced one records what [tracef] formats. *)
+let test_trace_opt_in () =
+  let off = Engine.create () in
+  Alcotest.(check bool) "default engine untraced" false (Engine.tracing off);
+  Engine.tracef off ~actor:"a" ~kind:"k" "%a" (fun () () -> Alcotest.fail "formatted") ();
+  Alcotest.(check int) "nothing recorded" 0 (Trace.length (Engine.trace off));
+  let on = Engine.create ~trace:true () in
+  Engine.schedule on ~delay:7L (fun () ->
+      Engine.tracef on ~actor:"a" ~kind:"k" "n=%d" 3);
+  Engine.run on;
+  match Trace.entries (Engine.trace on) with
+  | [ e ] ->
+    Alcotest.(check int64) "stamped now" 7L e.Trace.time;
+    Alcotest.(check string) "formatted" "n=3" e.Trace.detail
+  | l -> Alcotest.failf "expected one entry, got %d" (List.length l)
 
 (* --- Engine -------------------------------------------------------------- *)
 
@@ -318,7 +325,7 @@ let test_engine_determinism () =
 let schedule_words_budget = 8.
 
 let test_engine_allocation_budget () =
-  let e = Engine.create ~trace_capacity:0 ~queue_hint:64 () in
+  let e = Engine.create () in
   let remaining = ref 200_000 in
   let rec ping () =
     if !remaining > 0 then begin
@@ -427,7 +434,7 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "lifo ties" `Quick test_heap_lifo_ties;
           Alcotest.test_case "salted ties" `Quick test_heap_salted_ties;
-          Alcotest.test_case "growth past hint" `Quick test_heap_growth;
+          Alcotest.test_case "growth keeps order" `Quick test_heap_growth;
           Alcotest.test_case "top accessors" `Quick test_heap_top_accessors;
           Alcotest.test_case "pop clears slot" `Quick test_heap_pop_clears_slot;
           Alcotest.test_case "clear" `Quick test_heap_clear;
@@ -455,7 +462,7 @@ let () =
         [
           Alcotest.test_case "order and filter" `Quick test_trace_order_and_filter;
           Alcotest.test_case "json lines" `Quick test_trace_json_lines;
-          Alcotest.test_case "capacity" `Quick test_trace_capacity;
+          Alcotest.test_case "opt-in" `Quick test_trace_opt_in;
         ] );
       ( "engine",
         [
