@@ -72,8 +72,7 @@ let publish t ~topic ~payload ~retain =
    restore without them would silently drop every subscriber. Tables are
    written in sorted key order so the section bytes are a function of
    content, never of Hashtbl internals. *)
-let save_state t =
-  let w = Snapshot.W.create () in
+let save_state t w =
   Snapshot.W.varint w t.publish_count;
   Snapshot.W.varint w t.event_count;
   Snapshot.W.varint w (Hashtbl.length t.subs);
@@ -87,11 +86,9 @@ let save_state t =
     (fun topic payload ->
       Snapshot.W.string w topic;
       Snapshot.W.string w payload)
-    t.retained;
-  Snapshot.W.contents w
+    t.retained
 
-let restore_state t s =
-  let r = Snapshot.R.of_string s in
+let restore_state t r =
   t.publish_count <- Snapshot.R.varint r;
   t.event_count <- Snapshot.R.varint r;
   Hashtbl.reset t.subs;
@@ -120,8 +117,8 @@ let launch ~nic ?(start_device = true) () =
   let dev = Smart_nic.device nic in
   Engine.register_snapshot (Device.engine dev)
     ~name:("pubsub:" ^ Device.actor dev)
-    ~save:(fun () -> save_state t)
-    ~restore:(fun s -> restore_state t s);
+    ~save:(save_state t)
+    ~restore:(restore_state t);
   if start_device then Device.start (Smart_nic.device nic);
   Smart_nic.on_packet nic (fun ~src frame ->
       match Pubsub_proto.decode_request frame with

@@ -360,8 +360,7 @@ let note_privileged_corr t ~src ~corr =
    contents — everything [Device_alive]/crash handling mutates after
    attach. Controller keys are deliberately excluded: boot re-registers
    them deterministically before any checkpoint can be taken. *)
-let save_state t =
-  let w = Snapshot.W.create () in
+let save_state t w =
   Snapshot.W.array w
     (fun w (s : device_slot) ->
       Snapshot.W.string w s.name;
@@ -393,11 +392,9 @@ let save_state t =
     (fun w (id, e) ->
       Snapshot.W.vint w id;
       Snapshot.W.vint w e)
-    (Lastcpu_sim.Detmap.bindings t.epochs);
-  Snapshot.W.contents w
+    (Lastcpu_sim.Detmap.bindings t.epochs)
 
-let restore_state t body =
-  let r = Snapshot.R.of_string body in
+let restore_state t r =
   let n = Snapshot.R.varint r in
   if n <> Array.length t.devices then
     invalid_arg
@@ -515,7 +512,7 @@ let create ?(config = default_config) ?(shard = 0) engine =
   if Engine.sanitizing engine then
     Engine.register_probe engine (fun () -> t.frame_digest);
   Engine.register_snapshot engine ~name:actor
-    ~save:(fun () -> save_state t)
+    ~save:(save_state t)
     ~restore:(restore_state t);
   (* Scheduled crash→revive windows from the engine's fault plan. Devices
      attach after [create], so resolve names at fire time, not here. *)

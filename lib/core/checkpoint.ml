@@ -22,28 +22,29 @@ let parts target =
     match target with
     | Single _ -> []
     | Sharded tp ->
-      [ ("temporal", (fun () -> Temporal.save_state tp), Temporal.restore_state tp) ]
+      [ ("temporal", Temporal.save_state tp, Temporal.restore_state tp) ]
   in
   let shard i e =
-    (engine_section i, (fun () -> Engine.save_state e), Engine.restore_state e)
+    (engine_section i, Engine.save_state e, Engine.restore_state e)
     :: List.map
          (fun (name, save, restore) -> (hook_section i name, save, restore))
          (Engine.snapshot_hooks e)
   in
   coordinator @ List.concat (Array.to_list (Array.mapi shard (engines target)))
 
+(* Savers run while the temp file is open: check before opening it. *)
 let save ?torn_keep_bytes ~path ~tag target =
-  let meta =
-    let w = Snapshot.W.create () in
+  (match target with
+  | Single e when Engine.quiescent e -> ()
+  | Sharded tp when Temporal.quiescent tp -> ()
+  | _ -> invalid_arg "Checkpoint.save: target is not quiescent");
+  let meta w =
     Snapshot.W.string w tag;
-    Snapshot.W.varint w (Array.length (engines target));
-    Snapshot.W.contents w
+    Snapshot.W.varint w (Array.length (engines target))
   in
   let sections =
-    { Snapshot.name = "meta"; body = meta }
-    :: List.map
-         (fun (name, save, _restore) -> { Snapshot.name; body = save () })
-         (parts target)
+    ("meta", meta)
+    :: List.map (fun (name, save, _restore) -> (name, save)) (parts target)
   in
   match torn_keep_bytes with
   | None -> Snapshot.write ~path sections
@@ -66,7 +67,7 @@ let restore ~path ~tag target =
                 name))
     in
     try
-      let meta = Snapshot.R.of_string (find "meta") in
+      let meta = find "meta" in
       let saved_tag = Snapshot.R.string meta in
       if not (String.equal saved_tag tag) then
         raise
@@ -83,7 +84,7 @@ let restore ~path ~tag target =
          missing one fails the restore with nothing mutated. *)
       parts target
       |> List.map (fun (name, _save, restore) -> (find name, restore))
-      |> List.iter (fun (body, restore) -> restore body);
+      |> List.iter (fun (window, restore) -> restore window);
       Ok generation
     with
     | Mismatch m -> Error m

@@ -27,9 +27,9 @@ val save : ?torn_keep_bytes:int -> path:string -> tag:string -> target -> unit
     [torn_keep_bytes] is the chaos hook: write a deliberately truncated
     primary instead — the on-disk state of a process killed mid-checkpoint
     by a non-atomic writer.
-    @raise Invalid_argument when the target is not quiescent (via
-    {!Lastcpu_sim.Engine.save_state}) or a subsystem refuses to
-    checkpoint. *)
+    @raise Invalid_argument when the target is not quiescent (checked
+    before any file is opened or rotated) or a subsystem refuses to
+    checkpoint (the temp file is removed, both generations untouched). *)
 
 val restore :
   path:string ->

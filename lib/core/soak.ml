@@ -15,12 +15,8 @@ let run ~name ~seed ?(lanes = 1) ~segments ?(last_checkpoint = segments)
   in
   let progress = ref 0 in
   Engine.register_snapshot first_engine ~name:(name ^ "-progress")
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
-      Snapshot.W.varint w !progress;
-      Snapshot.W.contents w)
-    ~restore:(fun data ->
-      progress := Snapshot.R.varint (Snapshot.R.of_string data));
+    ~save:(fun w -> Snapshot.W.varint w !progress)
+    ~restore:(fun r -> progress := Snapshot.R.varint r);
   let tag = Printf.sprintf "%s:%Ld" name seed in
   let restored =
     if not resume then None

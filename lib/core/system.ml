@@ -154,18 +154,11 @@ let build ?(spec = default_spec) () =
      DMA view find the restored DRAM already in place. *)
   let module Snapshot = Lastcpu_sim.Snapshot in
   Engine.register_snapshot engine ~name:"dram"
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
-      Physmem.save w memory;
-      Snapshot.W.contents w)
-    ~restore:(fun data -> Physmem.restore (Snapshot.R.of_string data) memory);
+    ~save:(fun w -> Physmem.save w memory)
+    ~restore:(fun r -> Physmem.restore r memory);
   Engine.register_snapshot engine ~name:"system"
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
-      Snapshot.W.varint w t.next_pasid;
-      Snapshot.W.contents w)
-    ~restore:(fun data ->
-      t.next_pasid <- Snapshot.R.varint (Snapshot.R.of_string data));
+    ~save:(fun w -> Snapshot.W.varint w t.next_pasid)
+    ~restore:(fun r -> t.next_pasid <- Snapshot.R.varint r);
   t
 
 let engine t = t.engine

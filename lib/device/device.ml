@@ -275,8 +275,7 @@ let dma t ~pasid =
    holds at most dead entries whose responses were already lost. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
-let save_state t =
-  let w = Snapshot.W.create () in
+let save_state t w =
   Snapshot.W.varint w t.next_corr;
   Snapshot.W.varint w t.next_conn;
   Snapshot.W.varint w t.next_queue;
@@ -299,11 +298,9 @@ let save_state t =
         Snapshot.W.int64 w until
       | Half_open -> Snapshot.W.byte w 2);
       Snapshot.W.varint w b.failures)
-    (Detmap.bindings t.breakers);
-  Snapshot.W.contents w
+    (Detmap.bindings t.breakers)
 
-let restore_state t body =
-  let r = Snapshot.R.of_string body in
+let restore_state t r =
   t.next_corr <- Snapshot.R.varint r;
   t.next_conn <- Snapshot.R.varint r;
   t.next_queue <- Snapshot.R.varint r;
@@ -399,7 +396,7 @@ let create ?shard sysbus ~mem ~name () =
   in
   t.dev_id <- id;
   Engine.register_snapshot engine ~name:("dev:" ^ actor)
-    ~save:(fun () -> save_state t)
+    ~save:(save_state t)
     ~restore:(restore_state t);
   Iommu.attach_fault_handler iommu (fun fault ->
       Metrics.incr t.m_faults;

@@ -123,14 +123,11 @@ let create sysbus ~mem ~name () =
      jobs, and an in-flight job is volatile (blocks quiescence). *)
   let module Snapshot = Lastcpu_sim.Snapshot in
   Engine.register_snapshot (Device.engine dev) ~name:(Device.actor dev)
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
+    ~save:(fun w ->
       Snapshot.W.varint w t.jobs;
       Snapshot.W.varint w t.bytes;
-      Snapshot.W.varint w t.faults;
-      Snapshot.W.contents w)
-    ~restore:(fun data ->
-      let r = Snapshot.R.of_string data in
+      Snapshot.W.varint w t.faults)
+    ~restore:(fun r ->
       t.jobs <- Snapshot.R.varint r;
       t.bytes <- Snapshot.R.varint r;
       t.faults <- Snapshot.R.varint r);

@@ -87,8 +87,7 @@ let create sysbus ~mem ?(users = []) () =
      can be added mid-run). [signing_key] and [salt] are drawn from the
      fork before any state restore, so the rebuild re-derives them. *)
   Engine.register_snapshot engine ~name:(Device.actor dev)
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
+    ~save:(fun w ->
       Snapshot.W.varint w t.attempts;
       Snapshot.W.varint w t.failures;
       Snapshot.W.int64 w (Rng.state t.rng);
@@ -96,10 +95,8 @@ let create sysbus ~mem ?(users = []) () =
         (fun w (user, d) ->
           Snapshot.W.string w user;
           Snapshot.W.int64 w d)
-        (Detmap.bindings t.passwd);
-      Snapshot.W.contents w)
-    ~restore:(fun data ->
-      let r = Snapshot.R.of_string data in
+        (Detmap.bindings t.passwd))
+    ~restore:(fun r ->
       t.attempts <- Snapshot.R.varint r;
       t.failures <- Snapshot.R.varint r;
       Rng.set_state t.rng (Snapshot.R.int64 r);

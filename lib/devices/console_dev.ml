@@ -59,13 +59,10 @@ let create sysbus ~mem ?(capacity = 4096) () =
   let module Snapshot = Lastcpu_sim.Snapshot in
   Lastcpu_sim.Engine.register_snapshot (Device.engine dev)
     ~name:(Device.actor dev)
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
+    ~save:(fun w ->
       Snapshot.W.varint w t.received;
-      Snapshot.W.list w (fun w line -> Snapshot.W.string w line) t.lines;
-      Snapshot.W.contents w)
-    ~restore:(fun data ->
-      let r = Snapshot.R.of_string data in
+      Snapshot.W.list w (fun w line -> Snapshot.W.string w line) t.lines)
+    ~restore:(fun r ->
       t.received <- Snapshot.R.varint r;
       t.lines <- Snapshot.R.list r Snapshot.R.string;
       t.count <- List.length t.lines;

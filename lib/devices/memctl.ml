@@ -45,8 +45,7 @@ let default_dram_pages = 65536
 module Snapshot = Lastcpu_sim.Snapshot
 module Detmap = Lastcpu_sim.Detmap
 
-let save_state t =
-  let w = Snapshot.W.create () in
+let save_state t w =
   Buddy.save w t.buddy;
   Snapshot.W.int64 w (Rng.state t.rng);
   Snapshot.W.list w
@@ -74,11 +73,9 @@ let save_state t =
     (fun w (pasid, va) ->
       Snapshot.W.vint w pasid;
       Snapshot.W.int64 w va)
-    (List.map fst (Detmap.bindings t.inflight));
-  Snapshot.W.contents w
+    (List.map fst (Detmap.bindings t.inflight))
 
-let restore_state t body =
-  let r = Snapshot.R.of_string body in
+let restore_state t r =
   Buddy.restore r t.buddy;
   Rng.set_state t.rng (Snapshot.R.int64 r);
   Hashtbl.reset t.charged;
@@ -316,7 +313,7 @@ let create sysbus ~mem ?(name = "memctl") ?(dram_base = default_dram_base)
   Sysbus.register_controller sysbus (Device.id dev) ~resource:"dram" ~key:t.key;
   Sysbus.on_revoke sysbus (fun ~device -> revoke_subject t ~subject:device);
   Engine.register_snapshot engine ~name:(Device.actor dev)
-    ~save:(fun () -> save_state t)
+    ~save:(save_state t)
     ~restore:(restore_state t);
   Device.start dev;
   t

@@ -324,8 +324,7 @@ let handle_vq_detach t (msg : Message.t) body =
 module Snapshot = Lastcpu_sim.Snapshot
 module Detmap = Lastcpu_sim.Detmap
 
-let save_state t =
-  let w = Snapshot.W.create () in
+let save_state t w =
   Nand.save w (Ftl.nand t.ftl);
   Ftl.save w t.ftl;
   Fs.save w t.filesystem;
@@ -343,11 +342,9 @@ let save_state t =
           Snapshot.W.varint w block_size)
         (Detmap.bindings qs.handles);
       Snapshot.W.varint w qs.next_handle)
-    (Detmap.bindings t.queues);
-  Snapshot.W.contents w
+    (Detmap.bindings t.queues)
 
-let restore_state t body =
-  let r = Snapshot.R.of_string body in
+let restore_state t r =
   Nand.restore r (Ftl.nand t.ftl);
   Ftl.restore r t.ftl;
   Fs.restore r t.filesystem;
@@ -495,7 +492,7 @@ let create sysbus ~mem ~name ?geometry ?auth_key () =
                { code = Types.E_invalid; detail = Fs.error_to_string e }))
       | _ -> ());
   Engine.register_snapshot (Device.engine dev) ~name:actor
-    ~save:(fun () -> save_state t)
+    ~save:(save_state t)
     ~restore:(restore_state t);
   Device.start dev;
   t

@@ -205,6 +205,14 @@ module Snapshot = Lastcpu_sim.Snapshot
 
 let save w t =
   let ps = t.geo.page_size in
+  (* Nearly all of an SSD's section: room at once for the live pages, plus
+     16 bytes a page for their framing and the FTL and FS maps after them. *)
+  let live b =
+    Array.fold_left (fun n s -> n + Bool.to_int (s <> erased_slot)) 0 b.slots
+  in
+  Snapshot.W.reserve w
+    ((ps * Array.fold_left (fun n b -> n + live b) 0 t.data)
+    + (16 * t.geo.blocks * t.geo.pages_per_block));
   Snapshot.W.varint w t.geo.blocks;
   Snapshot.W.varint w t.geo.pages_per_block;
   Snapshot.W.varint w ps;

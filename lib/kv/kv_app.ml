@@ -132,20 +132,17 @@ let failovers t = Metrics.lazy_value t.m_failovers
    non-provider devices only. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
-let save_state t =
+let save_state t w =
   if failovers t > 0 then
     invalid_arg "Kv_app: checkpoint after a failover is not supported";
-  let w = Snapshot.W.create () in
   Snapshot.W.bool w t.failing_over;
   Snapshot.W.varint w t.recovered;
   Snapshot.W.varint w t.client_in_flight;
   Store.save w t.kv;
   File_backend.save w t.fb;
-  File_client.save w t.fc;
-  Snapshot.W.contents w
+  File_client.save w t.fc
 
-let restore_state t data =
-  let r = Snapshot.R.of_string data in
+let restore_state t r =
   t.failing_over <- Snapshot.R.bool r;
   t.recovered <- Snapshot.R.varint r;
   t.client_in_flight <- Snapshot.R.varint r;
@@ -284,7 +281,7 @@ let launch ~nic ~memctl ~pasid ~shm_va ~user ~log_path ?auth
                   | Ok n ->
                     t.recovered <- n;
                     Engine.register_snapshot engine ~name:actor
-                      ~save:(fun () -> save_state t)
+                      ~save:(save_state t)
                       ~restore:(restore_state t);
                     install_fast_path t;
                     (match supervisor with

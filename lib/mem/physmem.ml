@@ -228,7 +228,10 @@ let write_string_sub t addr s ~pos ~len =
     invalid_arg "Physmem.write_string_sub";
   write_sub t addr blit_string_in s ~pos ~len
 
-let fill t addr len c = write_bytes t addr (String.make len c)
+let fill_in c _ chunk off n = Bigarray.Array1.(fill (sub chunk off n) c)
+let fill t addr len c =
+  if len < 0 then invalid_arg "Physmem.fill";
+  write_sub t addr fill_in c ~pos:0 ~len
 
 let view t addr len =
   check t addr len;

@@ -41,18 +41,15 @@ and t = {
    receiverless placeholders so the address counter lines up and
    endpoints attached after the resume get the same addresses they would
    have gotten in the uninterrupted run. *)
-let save_state t =
-  let w = Snapshot.W.create () in
+let save_state t w =
   Snapshot.W.array w
     (fun w ep ->
       Snapshot.W.string w ep.ep_name;
       Snapshot.W.vint w ep.ep_shard;
       Station.save w ep.egress)
-    t.endpoints;
-  Snapshot.W.contents w
+    t.endpoints
 
-let restore_state t s =
-  let r = Snapshot.R.of_string s in
+let restore_state t r =
   let n = Snapshot.R.varint r in
   for i = 0 to n - 1 do
     let name = Snapshot.R.string r in
@@ -105,8 +102,8 @@ let create ?(shard = 0) engine =
     }
   in
   Engine.register_snapshot engine ~name:t.actor
-    ~save:(fun () -> save_state t)
-    ~restore:(fun s -> restore_state t s);
+    ~save:(save_state t)
+    ~restore:(restore_state t);
   t
 
 let home_shard t = t.home_shard

@@ -1,11 +1,31 @@
 /* CRC-32 (IEEE 802.3, reflected 0xEDB88320), slice-by-8: the tree's one
    CRC-32, bit-identical to the OCaml oracle Wire.crc32_reference. Wire and
-   Snapshot call it; Snapshot bounds-checks every range passed in. */
+   Snapshot call it; Snapshot bounds-checks every range passed in, and
+   extends a file CRC over a section with crc32_combine. */
 
 #include <stdint.h>
 #include <caml/mlvalues.h>
 
 static uint32_t crc_tab[8][256];
+
+/* x2n_tab[k] = x^(2^k) modulo the CRC polynomial, for crc32_combine. */
+static uint32_t x2n_tab[32];
+
+/* a * b modulo the CRC polynomial, in the reflected bit order. */
+static uint32_t multmodp(uint32_t a, uint32_t b)
+{
+  uint32_t m = (uint32_t)1 << 31, p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0)
+        break;
+    }
+    m >>= 1;
+    b = (b & 1) ? (b >> 1) ^ 0xEDB88320u : b >> 1;
+  }
+  return p;
+}
 
 /* Filled when the program (or the stub library) is loaded: before any
    OCaml code runs, so no domain ever reads a half-written table. */
@@ -22,6 +42,9 @@ __attribute__((constructor)) static void crc_init(void)
     for (n = 0; n < 256; n++)
       crc_tab[k][n] = crc_tab[0][crc_tab[k - 1][n] & 0xff]
                     ^ (crc_tab[k - 1][n] >> 8);
+  x2n_tab[0] = (uint32_t)1 << 30; /* x^1 */
+  for (k = 1; k < 32; k++)
+    x2n_tab[k] = multmodp(x2n_tab[k - 1], x2n_tab[k - 1]);
 }
 
 /* crc -> string -> pos -> len -> int, in [0, 2^32); the range unchecked */
@@ -54,4 +77,23 @@ CAMLprim value lastcpu_crc32(value vs)
 {
   return lastcpu_crc32_update(Val_long(0), vs, Val_long(0),
                               Val_long(caml_string_length(vs)));
+}
+
+/* crc1 -> crc2 -> len2 -> int: the CRC-32 of A ^ B from crc1 = CRC(A),
+   crc2 = CRC(B) and len2 = |B| >= 0, without B's bytes (zlib's
+   crc32_combine): shift crc1 by len2 zero bytes, i.e. multiply it by
+   x^(8 * len2) mod P, then add crc2. */
+CAMLprim value lastcpu_crc32_combine(value vcrc1, value vcrc2, value vlen2)
+{
+  unsigned long n = (unsigned long)Long_val(vlen2);
+  uint32_t p = (uint32_t)1 << 31; /* x^0 */
+  int k = 3;                      /* x^(2^3) = x^8: one byte */
+  while (n) {
+    if (n & 1)
+      p = multmodp(x2n_tab[k & 31], p);
+    n >>= 1;
+    k++;
+  }
+  return Val_long((long)(multmodp(p, (uint32_t)Long_val(vcrc1))
+                         ^ (uint32_t)Long_val(vcrc2)));
 }

@@ -46,7 +46,8 @@ type t = {
      statics defines quiescence — the only points where a whole-machine
      checkpoint can capture the event queue as data. *)
   mutable static_pending : int;
-  mutable hooks : (string * (unit -> string) * (string -> unit)) list;
+  mutable hooks :
+    (string * (Snapshot.W.t -> unit) * (Snapshot.R.t -> unit)) list;
   (* reversed registration order *)
   (* Ownership tag, set by the shard coordinator when this engine becomes
      a shard: every schedule is then a guarded access, so a closure that
@@ -267,10 +268,9 @@ let restore_sani r s =
    uses the timestamps to decide which rebuilt statics are still live.
    Draining and re-pushing the heap here is order-preserving: entries
    re-enter in pop order with fresh ascending sequence numbers. *)
-let save_state t =
+let save_state t w =
   if not (quiescent t) then
     invalid_arg "Engine.save_state: queue has volatile events";
-  let w = Snapshot.W.create () in
   Snapshot.W.int64 w t.clock;
   Snapshot.W.varint w t.executed;
   Snapshot.W.int64 w (Rng.state t.rng);
@@ -278,9 +278,12 @@ let save_state t =
   Snapshot.W.list w (fun w (time, _) -> Snapshot.W.int64 w time) entries;
   List.iter (fun (time, f) -> Heap.push t.queue ~priority:time f) entries;
   Snapshot.W.option w save_sani t.sani;
-  Snapshot.W.string w (Metrics.save_state t.metrics);
-  Snapshot.W.string w (Faults.save_state t.faults);
-  Snapshot.W.contents w
+  List.iter
+    (fun save ->
+      let sub = Snapshot.W.create () in
+      save sub;
+      Snapshot.W.string w (Snapshot.W.contents sub))
+    [ Metrics.save_state t.metrics; Faults.save_state t.faults ]
 
 (* Restore over a freshly REBUILT engine: the same deterministic builder
    that produced the checkpointed machine has already re-created every
@@ -290,8 +293,7 @@ let save_state t =
    (consuming multiset matches), drop the rest — those are statics that had
    already fired before the checkpoint (e.g. a crash whose revive is the
    surviving half of the window). *)
-let restore_state t s =
-  let r = Snapshot.R.of_string s in
+let restore_state t r =
   let clock = Snapshot.R.int64 r in
   t.executed <- Snapshot.R.varint r;
   Rng.set_state t.rng (Snapshot.R.int64 r);
@@ -302,8 +304,8 @@ let restore_state t s =
   | false, None -> ()
   | true, None | false, Some _ ->
     invalid_arg "Engine.restore_state: sanitize mode differs from checkpoint");
-  Metrics.restore_state t.metrics (Snapshot.R.string r);
-  Faults.restore_state t.faults (Snapshot.R.string r);
+  Snapshot.R.nested r (Metrics.restore_state t.metrics);
+  Snapshot.R.nested r (Faults.restore_state t.faults);
   let remaining = Hashtbl.create 16 in
   List.iter
     (fun time ->

@@ -124,23 +124,26 @@ val quiescent : t -> bool
     {!restore_state} and the hooks' [restore]. *)
 
 val register_snapshot :
-  t -> name:string -> save:(unit -> string) -> restore:(string -> unit) -> unit
-(** Register a subsystem checkpoint hook. Hooks are kept in registration
+  t -> name:string ->
+  save:(Snapshot.W.t -> unit) -> restore:(Snapshot.R.t -> unit) -> unit
+(** Register a subsystem checkpoint hook: [save] writes its section body
+    into the save's shared writer, [restore] reads it from a window over
+    that body. Hooks are kept in registration
     order; a rebuild therefore re-registers the same names in the same
     order.
     @raise Invalid_argument on a duplicate [name]. *)
 
 val snapshot_hooks :
-  t -> (string * (unit -> string) * (string -> unit)) list
+  t -> (string * (Snapshot.W.t -> unit) * (Snapshot.R.t -> unit)) list
 (** All registered hooks, in registration order. *)
 
-val save_state : t -> string
-(** Serialize the engine's own state: clock, event counter, RNG
+val save_state : t -> Snapshot.W.t -> unit
+(** Write the engine's own state: clock, event counter, RNG
     position, sanitizer journal, metrics and fault state, and the multiset
     of pending static timestamps (closures are never serialized).
     @raise Invalid_argument unless {!quiescent}. *)
 
-val restore_state : t -> string -> unit
+val restore_state : t -> Snapshot.R.t -> unit
 (** Overwrite a freshly rebuilt engine with checkpointed state. The
     rebuilt queue is reconciled against the saved timestamps: each rebuilt
     static whose time matches a saved pending time at or past the restored

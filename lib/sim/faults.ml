@@ -234,18 +234,15 @@ let note_revive t = tally t (fun c -> c.revives_injected)
    are rebuilt from the experiment spec, and decisions are pure functions
    of (seed, key, class, occurrence). Restoring occurrence counts makes a
    resumed run draw the exact continuation of the interrupted stream. *)
-let save_state t =
-  let w = Snapshot.W.create () in
+let save_state t w =
   Snapshot.W.list w
     (fun w ((key, cls), n) ->
       Snapshot.W.int64 w key;
       Snapshot.W.varint w cls;
       Snapshot.W.varint w n)
-    (Detmap.bindings t.occ);
-  Snapshot.W.contents w
+    (Detmap.bindings t.occ)
 
-let restore_state t s =
-  let r = Snapshot.R.of_string s in
+let restore_state t r =
   Hashtbl.reset t.occ;
   List.iter
     (fun (slot, n) -> Hashtbl.replace t.occ slot n)

@@ -104,11 +104,11 @@ val note_revive : t -> unit
 
 (** {2 Checkpointing} *)
 
-val save_state : t -> string
-(** Serialize the per-key occurrence counters. The plan and seed are not
+val save_state : t -> Snapshot.W.t -> unit
+(** Write the per-key occurrence counters. The plan and seed are not
     included — a resume rebuilds them from the experiment spec. *)
 
-val restore_state : t -> string -> unit
+val restore_state : t -> Snapshot.R.t -> unit
 (** Overwrite the occurrence counters with state from {!save_state}, so
     subsequent decisions continue the interrupted stream exactly.
     @raise Snapshot.R.Corrupt on malformed input. *)

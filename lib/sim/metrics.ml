@@ -163,8 +163,7 @@ let size t = Hashtbl.length t.table
    binds to the restored record. The claimed-actor table is part of the state: a post-restore
    [claim_actor] must uniquify against the original run's claims, not the
    rebuild's. *)
-let save_state t =
-  let w = Snapshot.W.create () in
+let save_state t w =
   Snapshot.W.list w
     (fun w (name, n) ->
       Snapshot.W.string w name;
@@ -186,11 +185,9 @@ let save_state t =
         Snapshot.W.byte w 2;
         Stats.Histogram.save w h.hist;
         Stats.Summary.save w h.summ)
-    (Detmap.bindings t.table);
-  Snapshot.W.contents w
+    (Detmap.bindings t.table)
 
-let restore_state t s =
-  let r = Snapshot.R.of_string s in
+let restore_state t r =
   Hashtbl.reset t.claimed;
   List.iter
     (fun (name, n) -> Hashtbl.replace t.claimed name n)

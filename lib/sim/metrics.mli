@@ -89,11 +89,11 @@ val actors : t -> string list
 
 val size : t -> int
 
-val save_state : t -> string
-(** Serialize the whole registry (instrument values, histogram buckets,
+val save_state : t -> Snapshot.W.t -> unit
+(** Write the whole registry (instrument values, histogram buckets,
     claimed-actor table) for a checkpoint. *)
 
-val restore_state : t -> string -> unit
+val restore_state : t -> Snapshot.R.t -> unit
 (** Overwrite the registry with state written by {!save_state}.
     Instrument records already present (a rebuilt topology re-registered
     them) are mutated in place so existing handles observe the restored

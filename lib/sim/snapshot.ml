@@ -26,27 +26,41 @@ let magic = "LCSN"
 
 external crc32 : string -> int = "lastcpu_crc32" [@@noalloc]
 
-external crc32_unchecked :
-  int -> string -> int -> int -> int = "lastcpu_crc32_update" [@@noalloc]
+(* Over a string or a writer's bytes; the range is unchecked. *)
+external crc32_bytes :
+  int -> Bytes.t -> int -> int -> int = "lastcpu_crc32_update" [@@noalloc]
+
+external crc32_combine : int -> int -> int -> int = "lastcpu_crc32_combine"
+[@@noalloc]
 
 let crc32_update crc s pos len =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Snapshot.crc32_update";
-  crc32_unchecked crc s pos len
+  crc32_bytes crc (Bytes.unsafe_of_string s) pos len
 
 (* --- field codec ---------------------------------------------------------- *)
 
-(* The tree's one string-backed field codec: bus frames, app protocols,
-   WAL records and checkpoint sections all use this layout (Wire aliases
-   [W]/[R] as its Writer/Reader). Ints are little-endian, lengths and
-   counts unsigned LEB128, strings and lists length-prefixed. *)
+(* The tree's one field codec: bus frames, app protocols, WAL records and
+   checkpoint sections all use this layout (Wire aliases [W]/[R] as its
+   Writer/Reader). Ints are little-endian, lengths and counts unsigned
+   LEB128, strings and lists length-prefixed. *)
 module W = struct
-  type t = Buffer.t
+  (* A byte cursor: the encoding is [bytes] up to [len]. *)
+  type t = { mutable bytes : Bytes.t; mutable len : int }
 
   (* Small on purpose: kv-read encodes one short reply per op. *)
-  let create () = Buffer.create 64
-  let contents w = Buffer.contents w
-  let byte w n = Buffer.add_char w (Char.chr (n land 0xff))
+  let create () = { bytes = Bytes.create 64; len = 0 }
+  let contents w = Bytes.sub_string w.bytes 0 w.len
+
+  (* At least doubles, so byte-by-byte growth stays amortized O(1). *)
+  let reserve w n =
+    let cap = Bytes.length w.bytes in
+    if w.len + n > cap then w.bytes <- Bytes.extend w.bytes 0 (max n cap)
+
+  let byte w n =
+    if w.len >= Bytes.length w.bytes then reserve w 1;
+    Bytes.unsafe_set w.bytes w.len (Char.unsafe_chr (n land 0xff));
+    w.len <- w.len + 1
 
   let u32 w n =
     byte w n;
@@ -73,13 +87,16 @@ module W = struct
   let bool w b = byte w (if b then 1 else 0)
   let float w f = int64 w (Int64.bits_of_float f)
 
-  let string w s =
-    varint w (String.length s);
-    Buffer.add_string w s
+  let blit w b pos len =
+    reserve w len;
+    Bytes.blit b pos w.bytes w.len len;
+    w.len <- w.len + len
 
   let bytes w b pos len =
     varint w len;
-    Buffer.add_subbytes w b pos len
+    blit w b pos len
+
+  let string w s = bytes w (Bytes.unsafe_of_string s) 0 (String.length s)
 
   let list w f xs =
     varint w (List.length xs);
@@ -99,15 +116,17 @@ end
 module R = struct
   exception Corrupt of string
 
-  type t = { buf : string; mutable pos : int }
+  (* A cursor over [buf] that never reads at or past [lim]: the whole
+     string for a frame, one section's body for a checkpoint restorer. *)
+  type t = { buf : string; mutable pos : int; lim : int }
 
   let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
-  let of_string buf = { buf; pos = 0 }
-  let at_end r = r.pos >= String.length r.buf
+  let of_string buf = { buf; pos = 0; lim = String.length buf }
+  let at_end r = r.pos >= r.lim
 
   let byte r =
-    if r.pos >= String.length r.buf then corrupt "truncated (byte at %d)" r.pos;
-    let c = Char.code r.buf.[r.pos] in
+    if r.pos >= r.lim then corrupt "truncated (byte at %d)" r.pos;
+    let c = Char.code (String.unsafe_get r.buf r.pos) in
     r.pos <- r.pos + 1;
     c
 
@@ -150,7 +169,7 @@ module R = struct
      least one byte, so a count past the bytes left is corrupt. *)
   let count r =
     let n = varint r in
-    if n < 0 || n > String.length r.buf - r.pos then
+    if n < 0 || n > r.lim - r.pos then
       corrupt "count %d at %d exceeds the bytes left" n r.pos;
     n
 
@@ -166,6 +185,13 @@ module R = struct
     Bytes.blit_string r.buf r.pos dst pos n;
     r.pos <- r.pos + n
 
+  (* A {!string} field read in place: [f] gets a window over its bytes. *)
+  let nested r f =
+    let n = count r in
+    let v = f { r with lim = r.pos + n } in
+    r.pos <- r.pos + n;
+    v
+
   let list r f = List.init (count r) (fun _ -> f r)
   let array r f = Array.init (count r) (fun _ -> f r)
 
@@ -174,78 +200,91 @@ end
 
 (* --- container ------------------------------------------------------------ *)
 
-type section = { name : string; body : string }
+type section = string * (W.t -> unit)
 
-(* Stream the container through [emit], folding the file CRC over each
-   piece as it goes, so the file is never assembled in memory. Returns the
-   4-byte trailer instead of emitting it, so [write_torn] can cut it. *)
+(* Stream the container through [emit] without assembling the file: one
+   writer is reused for every section body, each body is CRC'd once in
+   place, and the file CRC is extended over the body by combining that
+   CRC instead of a second pass. Returns the 4-byte trailer instead of
+   emitting it, so [write_torn] can cut it. *)
 let stream emit sections =
+  let head = W.create () and body = W.create () in
   let crc = ref 0 in
-  let put s =
-    crc := crc32_update !crc s 0 (String.length s);
-    emit s
-  in
   let frame f =
-    let w = W.create () in
-    f w;
-    put (W.contents w)
+    head.W.len <- 0;
+    f head;
+    crc := crc32_bytes !crc head.W.bytes 0 head.W.len;
+    emit head.W.bytes 0 head.W.len
   in
   frame (fun w ->
-      Buffer.add_string w magic;
+      W.blit w (Bytes.unsafe_of_string magic) 0 4;
       W.u32 w version);
   List.iter
-    (fun { name; body } ->
+    (fun (name, save) ->
+      body.W.len <- 0;
+      save body;
+      let len = body.W.len in
+      let body_crc = crc32_bytes 0 body.W.bytes 0 len in
       frame (fun w ->
           W.byte w (Char.code 'S');
           W.string w name;
-          W.varint w (String.length body);
-          W.u32 w (crc32 body));
-      put body)
+          W.varint w len;
+          W.u32 w body_crc);
+      crc := crc32_combine !crc body_crc len;
+      emit body.W.bytes 0 len)
     sections;
   frame (fun w -> W.byte w (Char.code 'E'));
-  let trailer = W.create () in
-  W.u32 trailer !crc;
-  W.contents trailer
+  head.W.len <- 0;
+  W.u32 head !crc;
+  W.contents head
 
 let encode sections =
   let b = Buffer.create 4096 in
-  Buffer.add_string b (stream (Buffer.add_string b) sections);
+  Buffer.add_string b (stream (Buffer.add_subbytes b) sections);
   Buffer.contents b
 
+(* A verified file and each section's (name, body offset, body length). *)
+type sections = { data : string; index : (string * int * int) list }
+
+(* Each body is CRC'd once, against its frame; the file CRC is derived by
+   hashing the frame headers and combining the body CRCs in. *)
 let decode s =
   try
-    let r = R.of_string s in
     if String.length s < 8 || String.sub s 0 4 <> magic then
       R.corrupt "bad magic";
-    r.R.pos <- 4;
+    let r = { (R.of_string s) with R.pos = 4 } in
     let v = R.u32 r in
     if v <> version then R.corrupt "unsupported version %d" v;
-    let rec sections acc =
+    let rec sections crc acc =
+      let frame = r.R.pos in
       match Char.chr (R.byte r) with
       | 'S' ->
         let name = R.string r in
         let len = R.count r in
-        let crc = R.u32 r in
+        let body_crc = R.u32 r in
         let start = r.R.pos in
         if len > String.length s - start then
           R.corrupt "truncated section %S" name;
-        if crc32_update 0 s start len <> crc then
+        if crc32_update 0 s start len <> body_crc then
           R.corrupt "checksum mismatch in section %S" name;
-        let body = String.sub s start len in
         r.R.pos <- start + len;
-        sections ({ name; body } :: acc)
+        let crc = crc32_update crc s frame (start - frame) in
+        sections (crc32_combine crc body_crc len) ((name, start, len) :: acc)
       | 'E' ->
-        let prefix = r.R.pos in
-        if R.u32 r <> crc32_update 0 s 0 prefix then
-          R.corrupt "file checksum mismatch";
+        let crc = crc32_update crc s frame 1 in
+        if R.u32 r <> crc then R.corrupt "file checksum mismatch";
         List.rev acc
       | c -> R.corrupt "bad frame tag %C" c
     in
-    Ok (sections [])
+    Ok { data = s; index = sections (crc32_update 0 s 0 8) [] }
   with R.Corrupt m -> Error m
 
-let find sections name =
-  List.find_map (fun s -> if s.name = name then Some s.body else None) sections
+let find { data; index } name =
+  List.find_map
+    (fun (n, pos, len) ->
+      if String.equal n name then Some { R.buf = data; pos; lim = pos + len }
+      else None)
+    index
 
 (* --- file I/O with generations -------------------------------------------- *)
 
@@ -254,28 +293,37 @@ let previous_generation path = path ^ ".1"
 let rotate path =
   if Sys.file_exists path then Sys.rename path (previous_generation path)
 
-let write ~path sections =
+(* Stream to [path ^ ".tmp"], keeping at most [keep] bytes and then [cut]
+   bytes of the trailer; only once every section is written is the old
+   generation rotated and the temp file renamed into place. A saver that
+   raises leaves no temp file and both generations untouched. *)
+let save_file ~path ~keep ~cut sections =
   let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc ->
-      output_string oc (stream (output_string oc) sections));
+  (try
+     Out_channel.with_open_bin tmp (fun oc ->
+         let left = ref (max 0 keep) in
+         let emit b pos len =
+           let n = min !left len in
+           Out_channel.output oc b pos n;
+           left := !left - n
+         in
+         let trailer = stream emit sections in
+         emit (Bytes.unsafe_of_string trailer) 0 cut)
+   with e ->
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   rotate path;
   Sys.rename tmp path
 
+let write ~path sections = save_file ~path ~keep:max_int ~cut:4 sections
+
 (* Chaos hook: simulate the host dying mid-checkpoint. The previous
-   generation has already been rotated out of the way (as a real
-   checkpoint would), and the primary is left torn at [keep_bytes], never
-   past the trailer's third byte — the on-disk state a kill -9 mid-write
-   of a non-atomic writer would leave. [load] must reject it. *)
+   generation is rotated out of the way (as a real checkpoint would), and
+   the primary is left torn at [keep_bytes], never past the trailer's
+   third byte — the on-disk state a kill -9 mid-write of a non-atomic
+   writer would leave. [load] must reject it. *)
 let write_torn ~path ~keep_bytes sections =
-  rotate path;
-  Out_channel.with_open_bin path (fun oc ->
-      let left = ref (max 0 keep_bytes) in
-      let emit s =
-        let n = min !left (String.length s) in
-        output_substring oc s 0 n;
-        left := !left - n
-      in
-      emit (String.sub (stream emit sections) 0 3))
+  save_file ~path ~keep:keep_bytes ~cut:3 sections
 
 let read_file path =
   if not (Sys.file_exists path) then Error (path ^ ": no such file")

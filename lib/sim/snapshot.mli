@@ -1,5 +1,5 @@
 (** Versioned, CRC-framed snapshot container, and the tree's one
-    string-backed field codec ({!W}/{!R}).
+    field codec ({!W}/{!R}).
 
     A snapshot is a flat list of named, length-prefixed, individually
     checksummed sections. The framing makes torn writes structurally
@@ -24,6 +24,11 @@ val crc32_update : int -> string -> int -> int -> int
     ([0] if empty), over [len] bytes of [s] at [pos]. Raises
     [Invalid_argument] when the range falls outside [s]. *)
 
+external crc32_combine : int -> int -> int -> int = "lastcpu_crc32_combine"
+[@@noalloc]
+(** [crc32_combine (crc32 a) (crc32 b) (String.length b)] is
+    [crc32 (a ^ b)], computed without [b]'s bytes (zlib's algorithm). *)
+
 (** The field codec. One byte layout serves bus frames, app protocols,
     WAL records and snapshot sections: {!Lastcpu_proto.Wire} re-exports
     [W] and [R] as its [Writer] and [Reader], and they satisfy its
@@ -31,12 +36,16 @@ val crc32_update : int -> string -> int -> int -> int
     counts are unsigned LEB128; strings, lists and arrays carry a length
     or count prefix. *)
 
-(** Field writer: append-only buffer of primitive encodings. *)
+(** Field writer: an append-only byte cursor of primitive encodings. *)
 module W : sig
   type t
 
   val create : unit -> t
   val contents : t -> string
+
+  val reserve : t -> int -> unit
+  (** [reserve w n] makes room for [n] more bytes at once. *)
+
   val byte : t -> int -> unit
   val u32 : t -> int -> unit
   val int64 : t -> int64 -> unit
@@ -63,7 +72,8 @@ end
 (** Field reader over bytes from a peer or a file. Every decoder raises
     {!R.Corrupt} on malformed input: a truncated field, an over-long
     varint, a bool byte other than 0 or 1, or a length or count that is
-    negative or runs past the bytes left. No other exception escapes. *)
+    negative or runs past the bytes left. No other exception escapes. A
+    window ({!find}, {!nested}) stops every check, {!at_end} too, at its end. *)
 module R : sig
   exception Corrupt of string
 
@@ -84,22 +94,29 @@ module R : sig
   (** [string_into r dst pos len] decodes a {!string} field straight into
       [dst] at [pos]; the field must be exactly [len] bytes long. *)
 
+  val nested : t -> (t -> 'a) -> 'a
+  (** [nested r f] runs [f] on a window over a {!string} field's bytes. *)
+
   val list : t -> (t -> 'a) -> 'a list
   val array : t -> (t -> 'a) -> 'a array
   val option : t -> (t -> 'a) -> 'a option
 end
 
-type section = { name : string; body : string }
+type section = string * (W.t -> unit)
+(** A section's name and the saver that writes its body. *)
 
 val encode : section list -> string
 (** Serialize sections into one framed, checksummed byte string. *)
 
-val decode : string -> (section list, string) result
+type sections
+(** A verified file's sections, read in place. *)
+
+val decode : string -> (sections, string) result
 (** Parse and verify a framed byte string; [Error] describes the first
     structural or checksum failure (torn file, bad magic, bad version). *)
 
-val find : section list -> string -> string option
-(** Body of the first section with the given name. *)
+val find : sections -> string -> R.t option
+(** A fresh window over the body of the first section with that name. *)
 
 type generation = Primary | Previous
 
@@ -109,7 +126,8 @@ val previous_generation : string -> string
 val write : path:string -> section list -> unit
 (** Atomically replace the snapshot at [path]: stream {!encode}'s bytes to
     a temp file, rotate any existing [path] to [path ^ ".1"], then rename
-    into place. At most two generations are kept. *)
+    into place. At most two generations are kept. A saver that raises
+    removes the temp file and leaves both generations as they were. *)
 
 val write_torn : path:string -> keep_bytes:int -> section list -> unit
 (** Chaos hook: leave [path] deliberately torn (the first [keep_bytes]
@@ -117,6 +135,6 @@ val write_torn : path:string -> keep_bytes:int -> section list -> unit
     reproducing the on-disk state of a process killed mid-checkpoint by a
     non-atomic writer. {!load} must reject the primary and fall back. *)
 
-val load : path:string -> (generation * section list, string) result
+val load : path:string -> (generation * sections, string) result
 (** Read and verify [path]; on any failure (missing, torn, corrupt), try
     the previous generation. [Error] combines both failures. *)

@@ -245,21 +245,13 @@ let run_until_quiescent ?pool t =
     assert progressed
   done
 
-let save_state t =
-  Array.iter
-    (fun s ->
-      if s.out <> [] then
-        invalid_arg "Temporal.save_state: unflushed outbox entries")
-    t.shards;
-  let w = Snapshot.W.create () in
+let save_state t w =
   Snapshot.W.int64 w t.base;
   Snapshot.W.varint w t.boundary_events;
   Snapshot.W.varint w t.windows;
-  Snapshot.W.array w (fun w s -> Snapshot.W.varint w s.oseq) t.shards;
-  Snapshot.W.contents w
+  Snapshot.W.array w (fun w s -> Snapshot.W.varint w s.oseq) t.shards
 
-let restore_state t s =
-  let r = Snapshot.R.of_string s in
+let restore_state t r =
   t.base <- Snapshot.R.int64 r;
   t.boundary_events <- Snapshot.R.varint r;
   t.windows <- Snapshot.R.varint r;

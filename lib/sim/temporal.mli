@@ -84,13 +84,13 @@ val quiescent : t -> bool
 val run_until_quiescent : ?pool:Parallel.Pool.t -> t -> unit
 (** Run windows until {!quiescent} — the nearest checkpointable point. *)
 
-val save_state : t -> string
-(** Serialize the coordinator: clock origin, window/boundary counters and
+val save_state : t -> Snapshot.W.t -> unit
+(** Write the coordinator: clock origin, window/boundary counters and
     per-shard posting sequence numbers. Shard engine state is saved
-    separately via {!Engine.save_state}.
-    @raise Invalid_argument if an outbox is non-empty (not quiescent). *)
+    separately via {!Engine.save_state}. Call it only when {!quiescent}:
+    outbox entries are not saved. *)
 
-val restore_state : t -> string -> unit
+val restore_state : t -> Snapshot.R.t -> unit
 (** Overwrite a rebuilt coordinator (same shard count) with checkpointed
     state.
     @raise Invalid_argument on a shard-count mismatch.

@@ -208,7 +208,11 @@ let test_pubsub_snapshot_roundtrip () =
       (Engine.snapshot_hooks (System.engine system))
   in
   Alcotest.(check bool) "hook registered" true (String.length name > 7);
-  let bytes = save () in
+  let bytes =
+    let w = Snapshot.W.create () in
+    save w;
+    Snapshot.W.contents w
+  in
   (* Perturb the broker past the checkpoint... *)
   send alice { Proto.corr = 4; op = Proto.Unsubscribe "news/*" };
   send bob
@@ -219,7 +223,7 @@ let test_pubsub_snapshot_roundtrip () =
   System.run_until_idle system;
   Alcotest.(check bool) "state drifted" true (Pubsub.subscriptions app <> subs);
   (* ...and roll it back. *)
-  restore bytes;
+  restore (Snapshot.R.of_string bytes);
   Alcotest.(check int) "subs restored" subs (Pubsub.subscriptions app);
   Alcotest.(check int) "retained restored" retained (Pubsub.topics_retained app);
   Alcotest.(check int) "counters restored" published (Pubsub.published app)

@@ -162,6 +162,33 @@ let test_physmem_sparse () =
   Physmem.write_field m (1 lsl 29) 1 1;
   Alcotest.(check int) "only touched frames" 2 (Physmem.touched_frames m)
 
+(* A fill across a 64 KiB chunk boundary, over bytes already written, is
+   the same as writing the filled string: same bytes, same touched set. *)
+let test_physmem_fill_across_chunk () =
+  let size = 1_000_000L in
+  let addr = Int64.sub 65536L 5000L and len = 12_000 in
+  let seed m =
+    Physmem.write_bytes m (Int64.sub addr 100L) (String.make 300 'x');
+    Physmem.write_bytes m (Int64.add addr 11_900L) (String.make 300 'y')
+  in
+  let filled = Physmem.create ~size () and written = Physmem.create ~size () in
+  seed filled;
+  seed written;
+  Physmem.fill filled addr len '\xa5';
+  Physmem.write_bytes written addr (String.make len '\xa5');
+  Alcotest.(check string) "bytes"
+    (Physmem.read_bytes written 0L 131072)
+    (Physmem.read_bytes filled 0L 131072);
+  Alcotest.(check int) "touched frames"
+    (Physmem.touched_frames written)
+    (Physmem.touched_frames filled);
+  let image m =
+    let w = Lastcpu_sim.Snapshot.W.create () in
+    Physmem.save w m;
+    Lastcpu_sim.Snapshot.W.contents w
+  in
+  Alcotest.(check string) "saved image" (image written) (image filled)
+
 (* --- Bigarray backing: views, native-int entry points, snapshots -------- *)
 
 module Snapshot = Lastcpu_sim.Snapshot
@@ -306,6 +333,8 @@ let () =
           Alcotest.test_case "cross page" `Quick test_physmem_cross_page;
           Alcotest.test_case "bounds" `Quick test_physmem_bounds;
           Alcotest.test_case "sparse" `Quick test_physmem_sparse;
+          Alcotest.test_case "fill across a chunk" `Quick
+            test_physmem_fill_across_chunk;
           Alcotest.test_case "byte aliases" `Quick test_physmem_byte_aliases;
           Alcotest.test_case "view coherence" `Quick test_physmem_view_coherence;
           Alcotest.test_case "view then save" `Quick test_physmem_view_then_save;

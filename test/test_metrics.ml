@@ -90,7 +90,10 @@ let restored_registry () =
   Metrics.bump ~by:5 (Metrics.lazy_counter m ~actor:"bus" ~name:"quarantines");
   let m' = Metrics.create () in
   let l = Metrics.lazy_counter m' ~actor:"bus" ~name:"quarantines" in
-  Metrics.restore_state m' (Metrics.save_state m);
+  let w = Lastcpu_sim.Snapshot.W.create () in
+  Metrics.save_state m w;
+  Metrics.restore_state m'
+    (Lastcpu_sim.Snapshot.R.of_string (Lastcpu_sim.Snapshot.W.contents w));
   (m', l)
 
 let test_lazy_reads_restored () =

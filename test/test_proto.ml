@@ -323,6 +323,34 @@ let test_crc32_stub_matches_reference () =
           ignore (Snapshot.crc32_update 0 s pos len)))
     [ (-1, 1); (0, -1); (8, 10); (1, max_int) ]
 
+(* The combined CRC of two pieces is the CRC of their concatenation, on
+   the OCaml oracle: empty pieces and lengths that are not multiples of 8
+   included. A snapshot's file CRC is extended this way over each body. *)
+let crc32_combine_prop =
+  QCheck.Test.make ~name:"crc32_combine joins two pieces" ~count:500
+    QCheck.(pair (string_of_size Gen.(0 -- 100)) (string_of_size Gen.(0 -- 100)))
+    (fun (a, b) ->
+      Snapshot.crc32_combine (Wire.crc32_reference a) (Wire.crc32_reference b)
+        (String.length b)
+      = Wire.crc32_reference (a ^ b))
+
+let test_crc32_combine_lengths () =
+  let base = String.init 200 (fun i -> Char.chr ((i * 59 + 7) land 0xff)) in
+  for la = 0 to 9 do
+    for lb = 0 to 40 do
+      let a = String.sub base 0 la and b = String.sub base la lb in
+      Alcotest.(check int)
+        (Printf.sprintf "combine %d + %d bytes" la lb)
+        (Wire.crc32_reference (a ^ b))
+        (Snapshot.crc32_combine (Wire.crc32_reference a)
+           (Wire.crc32_reference b) lb)
+    done
+  done;
+  let big = String.make 70_001 '\x5a' in
+  Alcotest.(check int) "combine a 70,001-byte piece"
+    (Wire.crc32_reference ("ab" ^ big))
+    (Snapshot.crc32_combine (Wire.crc32 "ab") (Wire.crc32 big) 70_001)
+
 let () =
   Alcotest.run "proto"
     [
@@ -356,5 +384,7 @@ let () =
         [
           Alcotest.test_case "stub matches reference" `Quick
             test_crc32_stub_matches_reference;
+          Alcotest.test_case "combine lengths" `Quick test_crc32_combine_lengths;
+          QCheck_alcotest.to_alcotest crc32_combine_prop;
         ] );
     ]

@@ -75,11 +75,26 @@ let test_codec_roundtrip () =
     (Snapshot.R.option r Snapshot.R.int64);
   Alcotest.(check bool) "eof" true (Snapshot.R.at_end r)
 
-let sections =
-  [
-    { Snapshot.name = "alpha"; body = "aaaa" };
-    { Snapshot.name = "beta"; body = String.make 300 'b' };
-  ]
+(* A named section whose body is exactly [body]'s bytes. *)
+let section name body : Snapshot.section =
+  (name, fun w -> String.iter (fun c -> Snapshot.W.byte w (Char.code c)) body)
+
+(* A window's bytes up to its end. *)
+let rest r =
+  let b = Buffer.create 16 in
+  while not (Snapshot.R.at_end r) do
+    Buffer.add_char b (Char.chr (Snapshot.R.byte r))
+  done;
+  Buffer.contents b
+
+let find_body sections name = Option.map rest (Snapshot.find sections name)
+
+let rejects_corrupt what f =
+  match f () with
+  | exception Snapshot.R.Corrupt _ -> ()
+  | _ -> Alcotest.fail (what ^ " accepted")
+
+let sections = [ section "alpha" "aaaa"; section "beta" (String.make 300 'b') ]
 
 let test_encode_decode () =
   let bytes = Snapshot.encode sections in
@@ -87,12 +102,12 @@ let test_encode_decode () =
   | Error e -> Alcotest.fail e
   | Ok decoded ->
     Alcotest.(check (option string)) "alpha" (Some "aaaa")
-      (Snapshot.find decoded "alpha");
+      (find_body decoded "alpha");
     Alcotest.(check (option string)) "beta"
       (Some (String.make 300 'b'))
-      (Snapshot.find decoded "beta");
+      (find_body decoded "beta");
     Alcotest.(check (option string)) "missing" None
-      (Snapshot.find decoded "gamma")
+      (find_body decoded "gamma")
 
 let test_bit_flip_rejected () =
   let bytes = Bytes.of_string (Snapshot.encode sections) in
@@ -103,6 +118,56 @@ let test_bit_flip_rejected () =
   match Snapshot.decode (Bytes.to_string bytes) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bit flip accepted"
+
+(* The file CRC is combined from the section CRCs, not recomputed over the
+   bytes, so a flip where no section CRC reaches — a frame header's name
+   or length byte, or the trailer — must still be [Error]. Layout: magic
+   and version (8 bytes), then alpha's frame: 'S' at 8, name length at 9,
+   name at 10-14, body length at 15. *)
+let test_header_and_trailer_flips_rejected () =
+  let bytes = Snapshot.encode sections in
+  let n = String.length bytes in
+  let rejects what i =
+    let b = Bytes.of_string bytes in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+    match Snapshot.decode (Bytes.to_string b) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+  in
+  rejects "name length byte" 9;
+  rejects "name byte" 10;
+  rejects "body length byte" 15;
+  List.iter
+    (fun i -> rejects (Printf.sprintf "trailer byte %d" (i - n + 4)) i)
+    [ n - 4; n - 3; n - 2; n - 1 ]
+
+(* A restorer's window ends at its section: a count that fits the bytes
+   left in the file but not in the section is [Corrupt], and [at_end]
+   holds exactly at the section's end. *)
+let test_window_ends_at_section () =
+  let short w =
+    Snapshot.W.varint w 5;
+    Snapshot.W.byte w 1;
+    Snapshot.W.byte w 2
+  in
+  match
+    Snapshot.decode
+      (Snapshot.encode [ ("short", short); section "long" (String.make 100 'z') ])
+  with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+    let window () = Option.get (Snapshot.find s "short") in
+    rejects_corrupt "list count past the section" (fun () ->
+        Snapshot.R.list (window ()) Snapshot.R.byte);
+    rejects_corrupt "string past the section" (fun () ->
+        Snapshot.R.string (window ()));
+    let r = window () in
+    ignore (Snapshot.R.varint r);
+    ignore (Snapshot.R.byte r);
+    Alcotest.(check bool) "one byte left" false (Snapshot.R.at_end r);
+    ignore (Snapshot.R.byte r);
+    Alcotest.(check bool) "at the section's end" true (Snapshot.R.at_end r);
+    rejects_corrupt "byte past the section" (fun () -> Snapshot.R.byte r)
 
 let test_truncation_rejected () =
   let bytes = Snapshot.encode sections in
@@ -116,10 +181,7 @@ let test_truncation_rejected () =
    orphan every snapshot already written. *)
 let test_format_pinned () =
   let fixed =
-    [
-      { Snapshot.name = "meta"; body = "\x03tag\x01" };
-      { Snapshot.name = "0/hook/kv"; body = "0123456789abcdef\xff" };
-    ]
+    [ section "meta" "\x03tag\x01"; section "0/hook/kv" "0123456789abcdef\xff" ]
   in
   let hex =
     String.concat ""
@@ -219,13 +281,13 @@ let test_crafted_section_length_rejected () =
           (match Snapshot.decode bytes with
           | Error _ -> ()
           | Ok _ -> Alcotest.fail (what ^ " accepted by decode"));
-          Snapshot.write ~path [ { Snapshot.name = "n"; body = "good" } ];
+          Snapshot.write ~path [ section "n" "good" ];
           Snapshot.write_torn ~path ~keep_bytes:0 [];
           Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
           match Snapshot.load ~path with
           | Ok (Snapshot.Previous, s) ->
             Alcotest.(check (option string)) (what ^ ": fallback")
-              (Some "good") (Snapshot.find s "n")
+              (Some "good") (find_body s "n")
           | Ok (Snapshot.Primary, _) -> Alcotest.fail (what ^ " loaded")
           | Error e -> Alcotest.fail e)
         [ ("max_int length", max_len); ("negative length", negative_len) ])
@@ -235,17 +297,17 @@ let test_generations_and_fallback () =
   Fun.protect
     ~finally:(fun () -> cleanup path)
     (fun () ->
-      let gen n = [ { Snapshot.name = "n"; body = string_of_int n } ] in
+      let gen n = [ section "n" (string_of_int n) ] in
       Snapshot.write ~path (gen 1);
       (match Snapshot.load ~path with
       | Ok (Snapshot.Primary, s) ->
-        Alcotest.(check (option string)) "gen 1" (Some "1") (Snapshot.find s "n")
+        Alcotest.(check (option string)) "gen 1" (Some "1") (find_body s "n")
       | Ok (Snapshot.Previous, _) -> Alcotest.fail "fresh write read as previous"
       | Error e -> Alcotest.fail e);
       Snapshot.write ~path (gen 2);
       (match Snapshot.load ~path with
       | Ok (Snapshot.Primary, s) ->
-        Alcotest.(check (option string)) "gen 2" (Some "2") (Snapshot.find s "n")
+        Alcotest.(check (option string)) "gen 2" (Some "2") (find_body s "n")
       | _ -> Alcotest.fail "second write not primary");
       (* A torn third write (killed mid-checkpoint) must fall back to the
          displaced second generation, not the first. *)
@@ -253,7 +315,7 @@ let test_generations_and_fallback () =
       (match Snapshot.load ~path with
       | Ok (Snapshot.Previous, s) ->
         Alcotest.(check (option string)) "fallback" (Some "2")
-          (Snapshot.find s "n")
+          (find_body s "n")
       | Ok (Snapshot.Primary, _) -> Alcotest.fail "torn primary accepted"
       | Error e -> Alcotest.fail e);
       (* Both generations bad: a combined error, not an exception. *)
@@ -268,7 +330,7 @@ let test_generations_and_fallback () =
 
 let test_hook_registry () =
   let engine = Engine.create () in
-  let noop_save () = "" in
+  let noop_save _ = () in
   let noop_restore _ = () in
   Engine.register_snapshot engine ~name:"b" ~save:noop_save
     ~restore:noop_restore;
@@ -286,9 +348,9 @@ let test_save_requires_quiescence () =
   Engine.schedule engine ~delay:10L (fun () -> ());
   Alcotest.check_raises "volatile event queued"
     (Invalid_argument "Engine.save_state: queue has volatile events")
-    (fun () -> ignore (Engine.save_state engine));
+    (fun () -> Engine.save_state engine (Snapshot.W.create ()));
   Engine.run_until_quiescent engine;
-  ignore (Engine.save_state engine)
+  Engine.save_state engine (Snapshot.W.create ())
 
 (* --- WAL watermark: no double-apply after restore (satellite) ----------- *)
 
@@ -503,10 +565,6 @@ let test_crash_window_survives_restore () =
 (* A restored index that later subscripts an array must be rejected at
    restore as [Corrupt], not raise [Invalid_argument] out of the engine
    the first time a request uses it. *)
-let rejects_corrupt what f =
-  match f () with
-  | exception Snapshot.R.Corrupt _ -> ()
-  | _ -> Alcotest.fail (what ^ " accepted")
 
 let test_device_recent_index_rejected () =
   let _, client, _ = breaker_rig () in
@@ -515,7 +573,11 @@ let test_device_recent_index_rejected () =
       (fun (name, _, _) -> name = "dev:" ^ Device.actor client)
       (Engine.snapshot_hooks (Device.engine client))
   in
-  let body = save () in
+  let body =
+    let w = Snapshot.W.create () in
+    save w;
+    Snapshot.W.contents w
+  in
   (* Re-encode the header up to the ring index; the rest of the body is
      kept byte for byte. *)
   let r = Snapshot.R.of_string body in
@@ -533,7 +595,7 @@ let test_device_recent_index_rejected () =
     let n = String.length (header idx) in
     String.sub body n (String.length body - n)
   in
-  let with_idx i = header i ^ rest in
+  let with_idx i = Snapshot.R.of_string (header i ^ rest) in
   restore (with_idx (Array.length ring - 1));
   List.iter
     (fun i ->
@@ -791,7 +853,7 @@ let test_checkpoint_mismatches () =
          must fail before either is applied. *)
       let saved = Engine.create () in
       Engine.register_snapshot saved ~name:"early"
-        ~save:(fun () -> "state")
+        ~save:(fun w -> Snapshot.W.string w "state")
         ~restore:(fun _ -> ());
       Engine.schedule saved ~delay:500L (fun () -> ());
       Engine.run_until_quiescent saved;
@@ -799,10 +861,10 @@ let test_checkpoint_mismatches () =
       let extra = Engine.create () in
       let early_restored = ref false in
       Engine.register_snapshot extra ~name:"early"
-        ~save:(fun () -> "")
+        ~save:(fun _ -> ())
         ~restore:(fun _ -> early_restored := true);
       Engine.register_snapshot extra ~name:"late-subsystem"
-        ~save:(fun () -> "")
+        ~save:(fun _ -> ())
         ~restore:(fun _ -> ());
       Engine.schedule_static_at extra ~time:200L (fun () -> ());
       (match
@@ -814,6 +876,81 @@ let test_checkpoint_mismatches () =
       Alcotest.(check int64) "clock untouched" 0L (Engine.now extra);
       Alcotest.(check int) "executed untouched" 0 (Engine.events_executed extra);
       Alcotest.(check int) "static still queued" 1 (Engine.pending extra))
+
+(* The same window rule through the orchestrator: a hook's list count that
+   runs into the next section is a corrupt section, and [restore] says
+   so with [Error]. *)
+let test_checkpoint_window_overrun () =
+  let path = temp_snapshot () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      let rig () =
+        let e = Engine.create () in
+        Engine.register_snapshot e ~name:"short"
+          ~save:(fun w ->
+            Snapshot.W.varint w 5;
+            Snapshot.W.byte w 1;
+            Snapshot.W.byte w 2)
+          ~restore:(fun r -> ignore (Snapshot.R.list r Snapshot.R.byte));
+        Engine.register_snapshot e ~name:"long"
+          ~save:(fun w -> Snapshot.W.string w (String.make 100 'z'))
+          ~restore:(fun r -> ignore (Snapshot.R.string r));
+        e
+      in
+      Checkpoint.save ~path ~tag:"overrun" (Checkpoint.Single (rig ()));
+      match Checkpoint.restore ~path ~tag:"overrun" (Checkpoint.Single (rig ())) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "list count past its section accepted")
+
+(* A save that fails leaves the disk as it was: quiescence is checked
+   before any file is opened, and a hook that raises mid-save (after
+   writing some bytes) removes the temp file before anything rotates. *)
+let test_failed_save_touches_nothing () =
+  let path = temp_snapshot () in
+  let tmp = path ^ ".tmp" in
+  Fun.protect
+    ~finally:(fun () ->
+      cleanup path;
+      try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      let engine = Engine.create () in
+      let saves = ref 0 and die = ref false in
+      Engine.register_snapshot engine ~name:"flaky"
+        ~save:(fun w ->
+          incr saves;
+          Snapshot.W.varint w !saves;
+          Snapshot.W.string w (String.make 10_000 'q');
+          if !die then failwith "hook died mid-save")
+        ~restore:(fun _ -> ());
+      let save ?torn_keep_bytes () =
+        Checkpoint.save ?torn_keep_bytes ~path ~tag:"t" (Checkpoint.Single engine)
+      in
+      save ();
+      save ();
+      let read p = In_channel.with_open_bin p In_channel.input_all in
+      let before = (read path, read (Snapshot.previous_generation path)) in
+      let unchanged what =
+        Alcotest.(check bool) (what ^ ": no temp file") false (Sys.file_exists tmp);
+        Alcotest.(check bool) (what ^ ": generations unchanged") true
+          ((read path, read (Snapshot.previous_generation path)) = before)
+      in
+      Engine.schedule engine ~delay:10L (fun () -> ());
+      List.iter
+        (fun torn_keep_bytes ->
+          Alcotest.check_raises "non-quiescent engine"
+            (Invalid_argument "Checkpoint.save: target is not quiescent")
+            (fun () -> save ?torn_keep_bytes ());
+          unchanged "non-quiescent engine")
+        [ None; Some 12 ];
+      Engine.run_until_quiescent engine;
+      die := true;
+      List.iter
+        (fun torn_keep_bytes ->
+          Alcotest.check_raises "hook raised" (Failure "hook died mid-save")
+            (fun () -> save ?torn_keep_bytes ());
+          unchanged "hook raised")
+        [ None; Some 12 ])
 
 (* --- whole-machine round trip -------------------------------------------- *)
 
@@ -930,6 +1067,21 @@ let test_t16_kill_resume_bit_identical () =
       Alcotest.(check bool) "breaker opened during the soak" true
         (Device.breaker_opens (nic_dev resumed.Experiments.t16_systems.(0)) > 0))
 
+(* A real checkpoint, pinned: the seed-42 T16 soak's final snapshot file,
+   as `lastcpu experiment t16 --snapshot-path` writes it. Any change to
+   what a subsystem saves, or to the container, moves its size or CRC. *)
+let test_t16_checkpoint_pinned () =
+  let path = temp_snapshot () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      ignore (Experiments.t16_soak ~seed:42L ~snapshot_path:path ());
+      let data = In_channel.with_open_bin path In_channel.input_all in
+      let n = String.length data in
+      Alcotest.(check int) "file bytes" 11_354_786 n;
+      Alcotest.(check int) "file CRC trailer" 0x15ce6b07
+        (Snapshot.R.u32 (Snapshot.R.of_string (String.sub data (n - 4) 4))))
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -938,6 +1090,10 @@ let () =
           Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "encode/decode" `Quick test_encode_decode;
           Alcotest.test_case "bit flip rejected" `Quick test_bit_flip_rejected;
+          Alcotest.test_case "header and trailer flips rejected" `Quick
+            test_header_and_trailer_flips_rejected;
+          Alcotest.test_case "window ends at its section" `Quick
+            test_window_ends_at_section;
           Alcotest.test_case "truncation rejected" `Quick
             test_truncation_rejected;
           Alcotest.test_case "format pinned" `Quick test_format_pinned;
@@ -969,6 +1125,10 @@ let () =
             test_crash_window_survives_restore;
           Alcotest.test_case "orchestrator mismatches" `Quick
             test_checkpoint_mismatches;
+          Alcotest.test_case "window overrun is an error" `Quick
+            test_checkpoint_window_overrun;
+          Alcotest.test_case "failed save touches nothing" `Quick
+            test_failed_save_touches_nothing;
         ] );
       ( "untrusted indices",
         [
@@ -989,5 +1149,7 @@ let () =
         [
           Alcotest.test_case "kill-resume bit-identical" `Slow
             test_t16_kill_resume_bit_identical;
+          Alcotest.test_case "seed-42 checkpoint pinned" `Quick
+            test_t16_checkpoint_pinned;
         ] );
     ]
