@@ -25,10 +25,11 @@ type block = {
   slots : int array;  (* per page: [erased_slot], [arena_slot] or [zero_slot] *)
   crcs : int array;  (* CRC-32 of each programmed page (the on-die ECC);
                         -1 = not yet computed. The CRC is a function of
-                        the page bytes, which change only by a program,
-                        so it is computed lazily, on the first
-                        fault-injected read — most pages are programmed,
-                        read cleanly and erased without ever needing it. *)
+                        the page bytes, which change only by a program
+                        (it resets the page's CRC) or a restore (it
+                        resets them all), so it is computed lazily, on a
+                        page's first fault-injected read or first save,
+                        and a later save of the unchanged page reuses it. *)
   mutable erases : int;
 }
 
@@ -199,20 +200,14 @@ let busy_ns t =
        (Int64.mul (Int64.of_int t.erase_total) Costs.flash_erase_block_ns))
 
 (* Checkpointing: programmed pages sparsely, per block, plus wear and op
-   counters. Page CRCs never travel — they are a function of the page
-   bytes and are recomputed lazily after restore. *)
+   counters. Each page is borrowed from its arena (or the zero page) with
+   its cached CRC, so a save copies no page and hashes only pages not
+   hashed since they were programmed. Page CRCs never travel — they are
+   a function of the page bytes and are recomputed lazily after restore. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
 let save w t =
   let ps = t.geo.page_size in
-  (* Nearly all of an SSD's section: room at once for the live pages, plus
-     16 bytes a page for their framing and the FTL and FS maps after them. *)
-  let live b =
-    Array.fold_left (fun n s -> n + Bool.to_int (s <> erased_slot)) 0 b.slots
-  in
-  Snapshot.W.reserve w
-    ((ps * Array.fold_left (fun n b -> n + live b) 0 t.data)
-    + (16 * t.geo.blocks * t.geo.pages_per_block));
   Snapshot.W.varint w t.geo.blocks;
   Snapshot.W.varint w t.geo.pages_per_block;
   Snapshot.W.varint w ps;
@@ -225,9 +220,11 @@ let save w t =
       done;
       Snapshot.W.list w
         (fun w page ->
+          let crc = page_crc t ~block ~page in
           let v = peek_page t ~block ~page in
           Snapshot.W.varint w page;
-          Snapshot.W.bytes w v.bytes v.off ps)
+          Snapshot.W.varint w ps;
+          Snapshot.W.borrow w v.bytes v.off ps ~crc)
         !programmed)
     t.data;
   Snapshot.W.varint w t.read_count;

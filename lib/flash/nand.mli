@@ -73,9 +73,11 @@ val busy_ns : t -> int64
 
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 (** Append programmed pages (sparsely), wear and op counters
-    (checkpointing). Page CRCs are recomputed on restore. The arenas are
-    covered here: this is the only copy of the page bytes a checkpoint
-    holds. *)
+    (checkpointing). Each page is {!Lastcpu_sim.Snapshot.W.borrow}ed
+    from its arena with its cached CRC, which this fills: the chip must
+    not be programmed, erased or restored until the save returns. Page
+    CRCs are recomputed on restore. The arenas are covered here: this is
+    the only copy of the page bytes a checkpoint holds. *)
 
 val restore : Lastcpu_sim.Snapshot.R.t -> t -> unit
 (** Overwrite the array contents with state written by {!save}. Ends the

@@ -45,12 +45,56 @@ let crc32_update crc s pos len =
    Writer/Reader). Ints are little-endian, lengths and counts unsigned
    LEB128, strings and lists length-prefixed. *)
 module W = struct
-  (* A byte cursor: the encoding is [bytes] up to [len]. *)
-  type t = { mutable bytes : Bytes.t; mutable len : int }
+  (* A byte cursor: the encoding is the writer's own [bytes] up to [len],
+     with each borrowed piece spliced in at the own-byte offset [at] where
+     it was appended. [pieces] is newest first and empty unless a saver
+     borrows, so a frame or record writer never walks it. *)
+  type piece = { at : int; src : Bytes.t; src_pos : int; src_len : int; crc : int }
+
+  type t = {
+    mutable bytes : Bytes.t;
+    mutable len : int;
+    mutable pieces : piece list;
+  }
 
   (* Small on purpose: kv-read encodes one short reply per op. *)
-  let create () = { bytes = Bytes.create 64; len = 0 }
-  let contents w = Bytes.sub_string w.bytes 0 w.len
+  let create () = { bytes = Bytes.create 64; len = 0; pieces = [] }
+
+  let clear w =
+    w.len <- 0;
+    w.pieces <- []
+
+  (* Fold [own] over each run of own bytes and [piece] over each borrowed
+     piece, in encoding order. *)
+  let fold w ~own ~piece acc =
+    let acc, last =
+      List.fold_left
+        (fun (acc, prev) p ->
+          (piece (own acc w.bytes prev (p.at - prev)) p, p.at))
+        (acc, 0) (List.rev w.pieces)
+    in
+    own acc w.bytes last (w.len - last)
+
+  let size w = List.fold_left (fun n p -> n + p.src_len) w.len w.pieces
+
+  let crc w =
+    fold w ~own:crc32_bytes
+      ~piece:(fun c p -> crc32_combine c p.crc p.src_len)
+      0
+
+  let iter w emit =
+    fold w
+      ~own:(fun () b pos len -> emit b pos len)
+      ~piece:(fun () p -> emit p.src p.src_pos p.src_len)
+      ()
+
+  let contents w =
+    match w.pieces with
+    | [] -> Bytes.sub_string w.bytes 0 w.len
+    | _ ->
+      let out = Buffer.create (size w) in
+      iter w (Buffer.add_subbytes out);
+      Buffer.contents out
 
   (* At least doubles, so byte-by-byte growth stays amortized O(1). *)
   let reserve w n =
@@ -97,6 +141,13 @@ module W = struct
     blit w b pos len
 
   let string w s = bytes w (Bytes.unsafe_of_string s) 0 (String.length s)
+
+  let borrow w src pos len ~crc =
+    if pos < 0 || len < 0 || pos > Bytes.length src - len then
+      invalid_arg "Snapshot.W.borrow";
+    if len > 0 then
+      w.pieces <-
+        { at = w.len; src; src_pos = pos; src_len = len; crc } :: w.pieces
 
   let list w f xs =
     varint w (List.length xs);
@@ -204,14 +255,16 @@ type section = string * (W.t -> unit)
 
 (* Stream the container through [emit] without assembling the file: one
    writer is reused for every section body, each body is CRC'd once in
-   place, and the file CRC is extended over the body by combining that
-   CRC instead of a second pass. Returns the 4-byte trailer instead of
-   emitting it, so [write_torn] can cut it. *)
+   place (a borrowed piece not at all: its CRC is combined in), and the
+   file CRC is extended over the body by combining that CRC instead of a
+   second pass. Each body is emitted before the next saver runs, which is
+   what keeps a borrowed piece unchanged until it is read. Returns the
+   4-byte trailer instead of emitting it, so [write_torn] can cut it. *)
 let stream emit sections =
   let head = W.create () and body = W.create () in
   let crc = ref 0 in
   let frame f =
-    head.W.len <- 0;
+    W.clear head;
     f head;
     crc := crc32_bytes !crc head.W.bytes 0 head.W.len;
     emit head.W.bytes 0 head.W.len
@@ -221,20 +274,19 @@ let stream emit sections =
       W.u32 w version);
   List.iter
     (fun (name, save) ->
-      body.W.len <- 0;
+      W.clear body;
       save body;
-      let len = body.W.len in
-      let body_crc = crc32_bytes 0 body.W.bytes 0 len in
+      let len = W.size body and body_crc = W.crc body in
       frame (fun w ->
           W.byte w (Char.code 'S');
           W.string w name;
           W.varint w len;
           W.u32 w body_crc);
       crc := crc32_combine !crc body_crc len;
-      emit body.W.bytes 0 len)
+      W.iter body emit)
     sections;
   frame (fun w -> W.byte w (Char.code 'E'));
-  head.W.len <- 0;
+  W.clear head;
   W.u32 head !crc;
   W.contents head
 

@@ -41,10 +41,9 @@ module W : sig
   type t
 
   val create : unit -> t
-  val contents : t -> string
 
-  val reserve : t -> int -> unit
-  (** [reserve w n] makes room for [n] more bytes at once. *)
+  val contents : t -> string
+  (** The encoding so far, borrowed pieces ({!borrow}) copied in. *)
 
   val byte : t -> int -> unit
   val u32 : t -> int -> unit
@@ -63,6 +62,21 @@ module W : sig
   val bytes : t -> Bytes.t -> int -> int -> unit
   (** [bytes w b pos len] writes [len] bytes of [b] from [pos], encoded
       exactly as {!string} of that substring. *)
+
+  val borrow : t -> Bytes.t -> int -> int -> crc:int -> unit
+  (** [borrow w b pos len ~crc] appends [len] raw bytes of [b] from [pos]
+      (no length prefix) by reference, not by copy; [crc] must be their
+      CRC-32. A save ({!write}, {!encode}) emits them straight from [b]
+      and folds [crc] into the section CRC with {!crc32_combine} instead
+      of hashing them. So [W.varint w len; W.borrow w b pos len ~crc]
+      encodes exactly as [W.bytes w b pos len]. Raises [Invalid_argument]
+      when the range falls outside [b].
+
+      {b Borrow rule.} The borrowed bytes must not change until the save
+      that runs this saver returns (or, outside a save, until
+      {!contents} is read). A checkpoint keeps it: each section is
+      emitted before the next saver runs, and no event runs during a
+      save. *)
 
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit

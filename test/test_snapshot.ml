@@ -193,23 +193,163 @@ let test_format_pinned () =
     "4c43534e0100000053046d65746105e7d6717103746167015309302f686f6f6b2f6b7611e6a5b84030313233343536373839616263646566ff4599b8c1a9"
     hex
 
-(* A torn write is exactly a prefix of the encoding, and never all of it. *)
+(* --- borrowed pieces ------------------------------------------------------ *)
+
+(* A writer script: own fields, and pieces of [page] that a borrowing
+   writer appends by reference and a copying one byte by byte ([Raw]) or
+   as a [W.bytes] field ([Field]). *)
+type item = Own of string | Raw of int * int | Field of int * int
+
+let page = Bytes.init 300 (fun i -> Char.chr ((i * 7) land 0xff))
+
+let write_items ~borrow items w =
+  let lend pos len =
+    Snapshot.W.borrow w page pos len
+      ~crc:(Snapshot.crc32_update 0 (Bytes.to_string page) pos len)
+  in
+  List.iter
+    (function
+      | Own s -> Snapshot.W.string w s
+      | Raw (pos, len) when borrow -> lend pos len
+      | Raw (pos, len) ->
+        for i = pos to pos + len - 1 do
+          Snapshot.W.byte w (Char.code (Bytes.get page i))
+        done
+      | Field (pos, len) when borrow ->
+        Snapshot.W.varint w len;
+        lend pos len
+      | Field (pos, len) -> Snapshot.W.bytes w page pos len)
+    items
+
+(* A borrow at offset 0, back-to-back borrows, zero-length borrows, and
+   borrows between and after own bytes. *)
+let scripts =
+  [
+    [ Raw (0, 300); Own "tail" ];
+    [ Own "head"; Field (10, 100); Field (110, 50); Raw (5, 7); Raw (200, 100) ];
+    [ Own "a"; Raw (17, 0); Own "b"; Field (0, 0); Raw (299, 1) ];
+  ]
+
+let sections_of ~borrow items =
+  [ section "alpha" "aaaa"; ("page", write_items ~borrow items) ]
+
+(* A writer holding borrowed pieces reads back, encodes and saves to disk
+   exactly as one that copied the same bytes. *)
+let test_borrowed_equals_copied () =
+  let path = temp_snapshot () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      List.iteri
+        (fun i items ->
+          let contents ~borrow =
+            let w = Snapshot.W.create () in
+            write_items ~borrow items w;
+            Snapshot.W.contents w
+          in
+          let what = Printf.sprintf "script %d %s" i in
+          Alcotest.(check string) (what "contents") (contents ~borrow:false)
+            (contents ~borrow:true);
+          let copied = Snapshot.encode (sections_of ~borrow:false items) in
+          Alcotest.(check string) (what "encode") copied
+            (Snapshot.encode (sections_of ~borrow:true items));
+          Snapshot.write ~path (sections_of ~borrow:true items);
+          Alcotest.(check string) (what "file") copied
+            (In_channel.with_open_bin path In_channel.input_all);
+          match Snapshot.decode copied with
+          | Ok s ->
+            Alcotest.(check (option string)) (what "body")
+              (Some (contents ~borrow:false)) (find_body s "page")
+          | Error e -> Alcotest.fail e)
+        scripts)
+
+(* Nand's page-CRC cache is filled by a save and reused by the next, so a
+   cached CRC left stale by a change to the page would put a wrong section
+   CRC in the file. After a save, change pages in every way a chip can —
+   new programs, GC relocations and erases, and a reprogram of a page whose
+   CRC a fault-injected read filled — and the next save must still decode
+   and equal the save of chips restored from it, whose caches are cold. *)
+let test_page_crc_cache_never_stale () =
+  let geometry = { Nand.blocks = 16; pages_per_block = 8; page_size = 512 } in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let ftl = Ftl.create ~nand:(Nand.create ~geometry ()) () in
+  let flips = { Faults.zero with Faults.nand_bit_flip = 1.0 } in
+  let faulted =
+    Nand.create ~geometry
+      ~faults:(Faults.create ~plan:flips ~seed:7L (Metrics.create ()))
+      ()
+  in
+  let encode ftl_nand faulted =
+    Snapshot.encode
+      [
+        ("ftl", fun w -> Nand.save w ftl_nand);
+        ("faulted", fun w -> Nand.save w faulted);
+      ]
+  in
+  let logical = Ftl.logical_pages ftl in
+  for lpn = 0 to logical - 6 do
+    ok (Ftl.write ftl ~lpn (Printf.sprintf "first %d" lpn))
+  done;
+  ok (Nand.program_page faulted ~block:0 ~page:0 "before");
+  (match Nand.read_page faulted ~block:0 ~page:0 with
+  | Error "uncorrectable bit error (ECC)" -> ()
+  | _ -> Alcotest.fail "the read did not check the page CRC");
+  ignore (encode (Ftl.nand ftl) faulted);
+  let moved = Ftl.moved_pages ftl in
+  let erases = Nand.total_erases (Ftl.nand ftl) in
+  for lpn = logical - 5 to logical - 1 do
+    ok (Ftl.write ftl ~lpn (Printf.sprintf "new %d" lpn))
+  done;
+  for round = 1 to 40 do
+    for lpn = 2 to 9 do
+      ok (Ftl.write ftl ~lpn (Printf.sprintf "round %d" round))
+    done
+  done;
+  Alcotest.(check bool) "gc relocated pages" true (Ftl.moved_pages ftl > moved);
+  Alcotest.(check bool) "gc erased blocks" true
+    (Nand.total_erases (Ftl.nand ftl) > erases);
+  ok (Nand.erase_block faulted ~block:0);
+  ok (Nand.program_page faulted ~block:0 ~page:0 "after");
+  let second = encode (Ftl.nand ftl) faulted in
+  match Snapshot.decode second with
+  | Error e -> Alcotest.fail ("second save: " ^ e)
+  | Ok s ->
+    let cold name faults =
+      let nand = Nand.create ~geometry ?faults () in
+      Nand.restore (Option.get (Snapshot.find s name)) nand;
+      nand
+    in
+    let fresh_faults = Faults.create ~plan:flips ~seed:7L (Metrics.create ()) in
+    Alcotest.(check string) "equals a cold-cache save" second
+      (encode (cold "ftl" None) (cold "faulted" (Some fresh_faults)))
+
+(* A torn write is exactly a prefix of the encoding, and never all of it,
+   also where the cut lands inside a borrowed page. *)
 let test_torn_write_is_prefix () =
   let path = temp_snapshot () in
   Fun.protect
     ~finally:(fun () -> cleanup path)
     (fun () ->
-      let full = Snapshot.encode sections in
-      let n = String.length full in
-      List.iter
-        (fun k ->
-          Snapshot.write_torn ~path ~keep_bytes:k sections;
-          let on_disk = In_channel.with_open_bin path In_channel.input_all in
-          let want = max 0 (min k (n - 1)) in
-          Alcotest.(check string)
-            (Printf.sprintf "first %d bytes" k)
-            (String.sub full 0 want) on_disk)
-        [ -1; 0; 1; 7; 8; 9; 20; n / 2; n - 4; n - 1; n; n + 10 ])
+      let tear ~extra written full =
+        let n = String.length full in
+        List.iter
+          (fun k ->
+            Snapshot.write_torn ~path ~keep_bytes:k written;
+            let on_disk = In_channel.with_open_bin path In_channel.input_all in
+            let want = max 0 (min k (n - 1)) in
+            Alcotest.(check string)
+              (Printf.sprintf "first %d bytes" k)
+              (String.sub full 0 want) on_disk)
+          ([ -1; 0; 1; 7; 8; 9; 20; n / 2; n - 4; n - 1; n; n + 10 ] @ extra n)
+      in
+      tear ~extra:(fun _ -> []) sections (Snapshot.encode sections);
+      (* The borrowed page is the last body: its 300 bytes end 5 bytes
+         before the end of the file (the 'E' frame and the trailer). *)
+      let items = [ Own "x"; Raw (0, 300) ] in
+      tear
+        ~extra:(fun n -> [ n - 305; n - 304; n - 155; n - 6 ])
+        (sections_of ~borrow:true items)
+        (Snapshot.encode (sections_of ~borrow:false items)))
 
 (* Counts read from an untrusted file become [Corrupt], never an
    allocation failure or an [Invalid_argument] from the stdlib. *)
@@ -1105,6 +1245,13 @@ let () =
             test_crafted_section_length_rejected;
           Alcotest.test_case "generations and fallback" `Quick
             test_generations_and_fallback;
+        ] );
+      ( "borrowed pages",
+        [
+          Alcotest.test_case "borrowed writer equals copied" `Quick
+            test_borrowed_equals_copied;
+          Alcotest.test_case "page-CRC cache never stale" `Quick
+            test_page_crc_cache_never_stale;
         ] );
       ( "engine hooks",
         [
