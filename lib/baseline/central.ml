@@ -50,7 +50,6 @@ let create engine ?cores ?run_queue_capacity ?geometry () =
 
 let kernel t = t.kern
 let fs t = t.filesystem
-let ftl t = t.ftl
 
 let nand_busy_ns t = Nand.busy_ns (Ftl.nand t.ftl)
 

@@ -32,7 +32,6 @@ val create :
 
 val kernel : t -> Kernel.t
 val fs : t -> Lastcpu_fs.Fs.t
-val ftl : t -> Lastcpu_flash.Ftl.t
 
 (** Control-plane operations (T1/T3 workloads): *)
 

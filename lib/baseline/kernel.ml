@@ -5,7 +5,6 @@ module Costs = Lastcpu_sim.Costs
 type t = {
   engine : Engine.t;
   stations : Station.t array;
-  run_queue_capacity : int option;
   mutable syscall_count : int;
   mutable interrupt_count : int;
   mutable eagain_count : int;
@@ -20,7 +19,6 @@ let create engine ?(cores = 1) ?run_queue_capacity () =
   {
     engine;
     stations = Array.init cores (fun _ -> Station.create ?capacity:run_queue_capacity engine);
-    run_queue_capacity;
     syscall_count = 0;
     interrupt_count = 0;
     eagain_count = 0;
@@ -85,20 +83,3 @@ let try_interrupt t ~name ?(extra = 0L) k =
 let syscalls t = t.syscall_count
 let interrupts t = t.interrupt_count
 let eagains t = t.eagain_count
-let run_queue_capacity t = t.run_queue_capacity
-let cores t = Array.length t.stations
-
-let busy_ns t =
-  Array.fold_left (fun acc s -> Int64.add acc (Station.busy_ns s)) 0L t.stations
-
-let total_wait_ns t =
-  Array.fold_left
-    (fun acc s -> Int64.add acc (Station.total_wait_ns s))
-    0L t.stations
-
-let utilization t =
-  let now = Engine.now t.engine in
-  if now <= 0L then 0.
-  else
-    Int64.to_float (busy_ns t)
-    /. (Int64.to_float now *. float_of_int (Array.length t.stations))

@@ -49,15 +49,3 @@ val interrupts : t -> int
 
 val eagains : t -> int
 (** Control operations refused by [try_syscall]/[try_interrupt]. *)
-
-val run_queue_capacity : t -> int option
-val cores : t -> int
-
-val busy_ns : t -> int64
-(** Total core-time consumed. *)
-
-val total_wait_ns : t -> int64
-(** Total queueing delay experienced at the cores. *)
-
-val utilization : t -> float
-(** Mean core utilization at current virtual time. *)

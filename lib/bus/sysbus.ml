@@ -19,28 +19,14 @@ module Ownership = Lastcpu_sim.Ownership
    [quarantine_score] fences the device. Legitimate retry storms reuse a
    correlation id, so same-corr privileged repeats only score past
    [replay_allowance]. *)
-type quarantine_config = {
-  suspect_score : int;
-  quarantine_score : int;
-  bad_token_weight : int;
-  malformed_weight : int;
-  dma_fault_weight : int;
-  replay_weight : int;
-  spoof_weight : int;
-  replay_allowance : int;
-}
-
-let default_quarantine =
-  {
-    suspect_score = 4;
-    quarantine_score = 10;
-    bad_token_weight = 3;
-    malformed_weight = 2;
-    dma_fault_weight = 2;
-    replay_weight = 1;
-    spoof_weight = 4;
-    replay_allowance = 8;
-  }
+let suspect_score = 4
+let quarantine_score = 10
+let bad_token_weight = 3
+let malformed_weight = 2
+let dma_fault_weight = 2
+let replay_weight = 1
+let spoof_weight = 4
+let replay_allowance = 8
 
 type config = {
   enable_tokens : bool;
@@ -318,10 +304,10 @@ let report_misbehavior t ~src ~weight ~what =
       Metrics.bump t.m_misbehavior;
       trace t "bus.misbehavior" "dev%d (%s): %s, score %d"
         src s.name what s.misbehavior;
-      if s.misbehavior >= default_quarantine.quarantine_score then
+      if s.misbehavior >= quarantine_score then
         quarantine_device t src
       else if
-        s.misbehavior >= default_quarantine.suspect_score && s.trust = Trusted
+        s.misbehavior >= suspect_score && s.trust = Trusted
       then begin
         s.trust <- Suspect;
         trace t "bus.suspect" "dev%d (%s) now suspect, score %d"
@@ -331,10 +317,10 @@ let report_misbehavior t ~src ~weight ~what =
   end
 
 let score_bad_token t ~src ~what =
-  report_misbehavior t ~src ~weight:default_quarantine.bad_token_weight ~what
+  report_misbehavior t ~src ~weight:bad_token_weight ~what
 
 let score_malformed t ~src ~what =
-  report_misbehavior t ~src ~weight:default_quarantine.malformed_weight ~what
+  report_misbehavior t ~src ~weight:malformed_weight ~what
 
 (* Replay evidence: privileged operations arriving again and again under
    one correlation id. Legitimate [Device.request] retransmits reuse their
@@ -345,8 +331,8 @@ let note_privileged_corr t ~src ~corr =
     let s = t.devices.(src) in
     if corr = s.last_priv_corr then begin
       s.last_priv_corr_count <- s.last_priv_corr_count + 1;
-      if s.last_priv_corr_count > default_quarantine.replay_allowance then
-        report_misbehavior t ~src ~weight:default_quarantine.replay_weight
+      if s.last_priv_corr_count > replay_allowance then
+        report_misbehavior t ~src ~weight:replay_weight
           ~what:(Printf.sprintf "replayed corr %d (x%d)" corr
                    s.last_priv_corr_count)
     end
@@ -614,7 +600,7 @@ let attach ?shard t ~name ~iommu ~handler =
   if t.config.quarantine && shard = t.home_shard then
     Iommu.add_fault_observer iommu (fun (f : Iommu.fault) ->
         report_misbehavior t ~src:id
-          ~weight:default_quarantine.dma_fault_weight
+          ~weight:dma_fault_weight
           ~what:
             (Printf.sprintf "DMA fault pasid=%d va=0x%Lx" f.Iommu.pasid
                f.Iommu.va));
@@ -1092,7 +1078,7 @@ let send_raw t ~src bytes =
       trace t "bus.malformed" "frame from dev%d dropped: %s" src reason
     | Ok msg ->
       if msg.src <> src then begin
-        report_misbehavior t ~src ~weight:default_quarantine.spoof_weight
+        report_misbehavior t ~src ~weight:spoof_weight
           ~what:(Printf.sprintf "spoofed src %d" msg.src);
         trace t "bus.spoofed" "dev%d forged src %d, dropped" src msg.src
       end

@@ -20,22 +20,26 @@ module Iommu = Lastcpu_iommu.Iommu
 
 type t
 
-type quarantine_config = {
-  suspect_score : int;  (** score at which Trusted demotes to Suspect *)
-  quarantine_score : int;  (** score at which the device is fenced *)
-  bad_token_weight : int;  (** forged/stale/miswielded capability token *)
-  malformed_weight : int;  (** undecodable frame at the raw ingress *)
-  dma_fault_weight : int;  (** out-of-grant DMA (IOMMU fault observer) *)
-  replay_weight : int;  (** privileged corr replays past the allowance *)
-  spoof_weight : int;  (** frame claiming another device's source *)
-  replay_allowance : int;
-      (** same-corr privileged repeats tolerated before scoring —
-          legitimate [Device.request] retransmits reuse their corr *)
-}
+(** {2 Quarantine policy}
 
-val default_quarantine : quarantine_config
-(** The one quarantine policy: the weights and thresholds the bus scores
-    with when [config.quarantine] is set. *)
+    The one policy the bus scores misbehavior with when [config.quarantine]
+    is set: each piece of evidence adds its class's weight to the sender's
+    score, and a score reaching [quarantine_score] fences the device. *)
+
+val quarantine_score : int
+(** score at which the device is fenced *)
+
+val bad_token_weight : int
+(** forged, stale or miswielded capability token *)
+
+val dma_fault_weight : int
+(** out-of-grant DMA (IOMMU fault observer) *)
+
+val replay_weight : int
+(** privileged corr replays past the allowance *)
+
+val spoof_weight : int
+(** frame claiming another device's source *)
 
 type config = {
   enable_tokens : bool;
@@ -53,8 +57,8 @@ type config = {
       (** advisory bound devices apply to their own request stations (read
           via {!device_queue_capacity}); [None] (default) = unbounded. *)
   quarantine : bool;
-      (** misbehavior scoring and automatic quarantine under
-          {!default_quarantine}. [false] (default) disables scoring
+      (** misbehavior scoring and automatic quarantine under the policy
+          above. [false] (default) disables scoring
           entirely: no counters register, no observers attach, and runs
           are bit-identical to pre-containment builds. *)
 }
@@ -255,9 +259,10 @@ val actor : t -> string
     several buses share an engine). *)
 
 val station : t -> Lastcpu_sim.Station.t
-(** The bus's first message processor (for utilisation metrics in T3). *)
+(** The bus's first message processor. *)
 
 val stations : t -> Lastcpu_sim.Station.t list
+(** Every lane's message processor, in lane order. *)
 
 val device_queue_capacity : t -> int option
 (** The configured advisory bound for device request stations; devices

@@ -283,7 +283,7 @@ let t1_centralized () =
   assert !done_;
   results
 
-let t1 ?(enable_tokens = true) () =
+let t1 ~enable_tokens () =
   let _, dec = t1_decentralized ~enable_tokens () in
   let cen = t1_centralized () in
   let ops = [ "discover"; "open"; "alloc+map"; "grant"; "free" ] in
@@ -1433,7 +1433,8 @@ let t13_centralized ~seed () =
     Metrics.counter_read (Engine.metrics engine) ~actor:"faults"
       ~name:"crashes_injected" )
 
-let t13 ?(seed = 42L) () =
+let t13 () =
+  let seed = 42L in
   let system, (d_stats, d_converged), d_retries, d_failovers, d_crashes =
     t13_decentralized ~seed ()
   in
@@ -1698,7 +1699,8 @@ let t14_centralized ~seed ~guards () =
   Engine.run engine;
   (engine, central, stats ())
 
-let t14 ?(seed = 42L) () =
+let t14 () =
+  let seed = 42L in
   let d_off_sys, d_off_app, d_off, d_off_churn, churn_n =
     t14_decentralized ~seed ~guards:false ()
   in
@@ -1925,7 +1927,8 @@ let t15_soak ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(tie = Engine.Fifo)
     t15_systems = ring.systems;
   }
 
-let t15 ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(seed = 42L) () =
+let t15 ~shards () =
+  let quantum = ring_lookahead_ns and seed = 42L in
   let r = t15_soak ~shards ~quantum ~seed () in
   (* Deliberately lane-count-free output: CI diffs the rendered table
      between --shards 1 and --shards 4 runs, so every cell must be a pure
@@ -2092,7 +2095,8 @@ let t16_soak ?(lanes = 1) ?(tie = Engine.Fifo) ?(sanitize = false)
 
 let t16_kill_boundary = 3
 
-let t16 ?(lanes = 1) ?(seed = 42L) () =
+let t16 ~lanes () =
+  let seed = 42L in
   (* Kill leg: checkpoint every boundary, die "mid-checkpoint" at boundary
      3 — the file written there is torn, exactly the on-disk state of a
      process killed between write and rename. Resume leg: fresh topology;
@@ -2445,7 +2449,8 @@ let t17_soak ?snapshot_path ?resume ?stop_after ?torn_final ~seed () =
     t17_system = system;
   }
 
-let t17 ?(seed = 42L) () =
+let t17 () =
+  let seed = 42L in
   (* Kill leg: die mid-checkpoint at the last checkpointable boundary — the
      barrage segment's own boundary — leaving a torn primary. Resume leg:
      torn primary rejected, previous generation restored; the entire
@@ -2496,11 +2501,8 @@ let t17 ?(seed = 42L) () =
            %d/%d/%d/%d, threshold %d); %d frames fenced, %d malformed \
            rejected"
           t17_segments t17_kv_clients t17_kv_ops
-          Sysbus.default_quarantine.Sysbus.dma_fault_weight
-          Sysbus.default_quarantine.Sysbus.bad_token_weight
-          Sysbus.default_quarantine.Sysbus.replay_weight
-          Sysbus.default_quarantine.Sysbus.spoof_weight
-          Sysbus.default_quarantine.Sysbus.quarantine_score
+          Sysbus.dma_fault_weight Sysbus.bad_token_weight Sysbus.replay_weight
+          Sysbus.spoof_weight Sysbus.quarantine_score
           full.t17_fenced full.t17_malformed;
         "re-admission is reset-line -> re-announce only: a bare heartbeat \
          from the revived provider is ignored, and the paroled rogue's \
@@ -2642,7 +2644,7 @@ let registry ~shards =
   [
     ("f1", f1);
     ("f2", f2);
-    ("t1", fun () -> t1 ());
+    ("t1", fun () -> t1 ~enable_tokens:true ());
     ("t1-notokens", fun () -> t1 ~enable_tokens:false ());
     ("t2", t2);
     ("t3", t3);
@@ -2655,11 +2657,11 @@ let registry ~shards =
     ("t10", t10);
     ("t11", t11);
     ("t12", t12);
-    ("t13", fun () -> t13 ());
-    ("t14", fun () -> t14 ());
+    ("t13", t13);
+    ("t14", t14);
     ("t15", fun () -> t15 ~shards ());
     ("t16", fun () -> t16 ~lanes:shards ());
-    ("t17", fun () -> t17 ());
+    ("t17", t17);
   ]
 
 let ids = List.map fst (registry ~shards:1)

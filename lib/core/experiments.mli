@@ -3,7 +3,9 @@
     The paper (a HotOS position paper) publishes no quantitative results;
     each experiment here operationalises one of its claims, comparing the
     CPU-less design against the centralized-CPU baseline where a comparison
-    is meaningful. All experiments are deterministic given the seed. *)
+    is meaningful. All experiments are deterministic given the seed. A
+    table is reached by its id through {!by_id}; EXPERIMENTS.md says what
+    each one measures. *)
 
 type table = {
   id : string;
@@ -15,71 +17,6 @@ type table = {
 }
 
 val print_table : Format.formatter -> table -> unit
-
-val f1 : unit -> table
-(** Figure 1: the architecture — topology of a booted CPU-less system. *)
-
-val f2 : unit -> table
-(** Figure 2: the seven-step KVS initialization sequence, with virtual
-    timestamps. *)
-
-val t1 : ?enable_tokens:bool -> unit -> table
-(** Control-plane operation latency, CPU-less vs centralized.
-    [enable_tokens:false] is the no-capability ablation. *)
-
-val t2 : unit -> table
-(** Performance isolation: KVS tail latency under a control-plane-noisy
-    neighbour, both designs. *)
-
-val t3 : unit -> table
-(** Control-plane scalability: aggregate throughput vs concurrent
-    applications. *)
-
-val t4 : unit -> table
-(** Failure handling: detection and recovery after a storage-device
-    failure, both designs. *)
-
-val t5 : unit -> table
-(** Address translation: TLB geometry sweep under a Zipfian working set. *)
-
-val t6 : unit -> table
-(** VIRTIO virtqueue throughput vs queue depth, with doorbells written
-    MSI-style and, as the §2.3 ablation column, conflated onto the
-    control bus. *)
-
-val t7 : unit -> table
-(** End-to-end KVS under YCSB-like mixes, both designs. *)
-
-val t8 : unit -> table
-(** Fault containment: IOMMU faults are delivered to the faulting device
-    only; bystander address spaces are unaffected. *)
-
-val t9 : unit -> table
-(** Initialization scaling: boot and discovery-storm time vs device count. *)
-
-val t10 : unit -> table
-(** FTL characterization: write amplification vs over-provisioning. *)
-
-val t11 : unit -> table
-(** Offload crossover: accelerator vs on-device embedded core. *)
-
-val t12 : unit -> table
-(** Recovery economics: WAL replay before/after compaction. *)
-
-val t13 : ?seed:int64 -> unit -> table
-(** Chaos soak: both designs run the same seeded client workload under an
-    identical fault plan (message loss/duplication/corruption, frame
-    loss/reordering, NAND read faults, a mid-workload storage-device
-    crash→revive window), reporting ops completed, retries, failovers and
-    convergence. *)
-
-val t14 : ?seed:int64 -> unit -> table
-(** Overload probe: an open-loop warm→pulse→recover load replayed on both
-    designs with the overload guards off and on. Guards off, the pulse's
-    backlog plus naive client retransmits keep post-pulse goodput
-    collapsed (metastable failure); guards on (bounded queues, admission
-    control, E_busy backpressure, circuit breaker, EAGAIN run queues) the
-    pulse is shed and recovery goodput returns to the warm baseline. *)
 
 (** {2 T15: temporal decoupling} *)
 
@@ -110,11 +47,6 @@ val t15_soak :
     number of execution lanes (Domains) only — for a fixed (seed,
     [quantum]) the result is bit-identical whatever its value. [quantum]
     defaults to the lookahead (50 us). *)
-
-val t15 : ?shards:int -> ?quantum:int64 -> ?seed:int64 -> unit -> table
-(** {!t15_soak} rendered as a table whose every cell is a pure function of
-    (seed, quantum) — CI diffs the output of [--shards 1] vs [--shards 4]
-    runs verbatim. *)
 
 (** {2 T16: crash-survivable simulation} *)
 
@@ -150,15 +82,10 @@ val t16_soak :
     lane-independent. *)
 
 val t16_kill_boundary : int
-(** Segment boundary after which the kill leg of {!t16} dies (3). *)
-
-val t16 : ?lanes:int -> ?seed:int64 -> unit -> table
-(** The full kill-resume cycle in one table: an uninterrupted run, a run
-    killed mid-checkpoint at boundary {!t16_kill_boundary} (leaving a torn
-    primary), and a resumed run that must fall back to the previous
-    generation and still finish bit-identical. Every cell is a pure
-    function of the seed — CI diffs [--shards 1] vs [--shards 4] output
-    verbatim. *)
+(** Segment boundary after which the kill leg of the "t16" table dies
+    (3): that table runs an uninterrupted soak, one killed mid-checkpoint
+    here (leaving a torn primary), and a resume that must fall back to the
+    previous generation and still finish bit-identical. *)
 
 (** {2 T17: rogue-device containment soak} *)
 
@@ -200,11 +127,6 @@ val t17_soak :
     generation and re-run the barrage. The soak asserts each segment's
     containment postcondition and raises [Invalid_argument] on any
     violation. *)
-
-val t17 : ?seed:int64 -> unit -> table
-(** Uninterrupted, killed-at-torn-checkpoint, and resumed runs of
-    {!t17_soak} in one table; the verdict row pins bit-identical digests,
-    events and virtual clocks. *)
 
 (** {2 Same-tick ordering sanitizer} *)
 

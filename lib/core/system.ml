@@ -60,7 +60,6 @@ let default_spec =
 type t = {
   spec : spec;
   engine : Engine.t;
-  memory : Physmem.t;
   network : Netsim.t;
   sysbus : Sysbus.t;
   mc_list : Memctl.t list;
@@ -135,7 +134,6 @@ let build ?(spec = default_spec) () =
     {
       spec;
       engine;
-      memory;
       network;
       sysbus;
       mc_list;
@@ -162,7 +160,6 @@ let build ?(spec = default_spec) () =
   t
 
 let engine t = t.engine
-let mem t = t.memory
 let net t = t.network
 let bus t = t.sysbus
 let memctl t = List.hd t.mc_list

@@ -40,8 +40,8 @@ type spec = {
       (** home shard id for this system's bus and network in a temporally
           decoupled multi-shard run (default [0]; irrelevant outside one) *)
   quarantine : bool;
-      (** bus misbehavior scoring + automatic quarantine under
-          {!Lastcpu_bus.Sysbus.default_quarantine}; [false] (default)
+      (** bus misbehavior scoring + automatic quarantine under the
+          {!Lastcpu_bus.Sysbus} quarantine policy; [false] (default)
           disables the policy entirely (bit-identical to pre-containment) *)
 }
 
@@ -58,7 +58,6 @@ val boot : ?timeout:int64 -> t -> (unit, string) result
     1 ms of virtual time). *)
 
 val engine : t -> Lastcpu_sim.Engine.t
-val mem : t -> Lastcpu_mem.Physmem.t
 val net : t -> Lastcpu_net.Netsim.t
 val bus : t -> Lastcpu_bus.Sysbus.t
 val memctl : t -> Lastcpu_devices.Memctl.t

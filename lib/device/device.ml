@@ -412,7 +412,6 @@ let id t = t.dev_id
 let name t = t.dev_name
 let bus t = t.sysbus
 let engine t = t.engine
-let shard t = Sysbus.device_shard t.sysbus t.dev_id
 
 let add_service t impl =
   t.services <- t.services @ [ impl ];
@@ -768,6 +767,5 @@ let breaker_state t ~peer =
 
 let breaker_opens t = Metrics.lazy_value t.m_breaker_opened
 let breaker_fast_fails t = Metrics.lazy_value t.m_breaker_fast_fails
-let messages_expired t = Metrics.lazy_value t.m_expired
 
 let queue_rejections t = Station.jobs_rejected t.station

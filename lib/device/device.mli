@@ -56,9 +56,6 @@ val create :
 val id : t -> Types.device_id
 val name : t -> string
 
-val shard : t -> int
-(** The device slot's shard affinity on its bus. *)
-
 val bus : t -> Lastcpu_bus.Sysbus.t
 val engine : t -> Lastcpu_sim.Engine.t
 
@@ -230,9 +227,6 @@ val breaker_state : t -> peer:Types.device_id -> [ `Closed | `Open | `Half_open 
 
 val breaker_opens : t -> int
 val breaker_fast_fails : t -> int
-
-val messages_expired : t -> int
-(** Inbound messages shed because their deadline had passed. *)
 
 val queue_rejections : t -> int
 (** Inbound messages rejected because the bounded monitor queue was full

@@ -134,7 +134,6 @@ let create sysbus ~mem ~name () =
   Device.start dev;
   t
 
-let device t = t.dev
 let id t = Device.id t.dev
 let jobs_run t = t.jobs
 let bytes_processed t = t.bytes

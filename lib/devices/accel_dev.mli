@@ -14,7 +14,6 @@ type t
 
 val create : Lastcpu_bus.Sysbus.t -> mem:Lastcpu_mem.Physmem.t -> name:string -> unit -> t
 
-val device : t -> Lastcpu_device.Device.t
 val id : t -> Lastcpu_proto.Types.device_id
 
 val jobs_run : t -> int

@@ -110,7 +110,6 @@ let create sysbus ~mem ?(users = []) () =
   Device.start dev;
   t
 
-let device t = t.dev
 let id t = Device.id t.dev
 let key t = t.signing_key
 let auth_attempts t = t.attempts

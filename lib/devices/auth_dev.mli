@@ -18,7 +18,6 @@ val create :
   t
 (** [users] are (name, password) pairs. *)
 
-val device : t -> Lastcpu_device.Device.t
 val id : t -> Lastcpu_proto.Types.device_id
 
 val key : t -> Lastcpu_proto.Token.key

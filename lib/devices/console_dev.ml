@@ -70,7 +70,6 @@ let create sysbus ~mem ?(capacity = 4096) () =
   Device.start dev;
   t
 
-let device t = t.dev
 let id t = Device.id t.dev
 let log_lines t = List.rev t.lines
 let lines_received t = t.received

@@ -17,7 +17,6 @@ val create :
   t
 (** [capacity] bounds retained lines (default 4096, oldest dropped). *)
 
-val device : t -> Lastcpu_device.Device.t
 val id : t -> Lastcpu_proto.Types.device_id
 
 val log_lines : t -> string list

@@ -30,7 +30,6 @@ type t = {
 
 let provider t = t.provider_id
 let connection t = t.conn
-let in_flight t = Hashtbl.length t.by_head
 
 (* Submission --------------------------------------------------------------- *)
 
@@ -272,11 +271,6 @@ let lift_unit k = function
 
 let create t ?(mode = 0o644) path k =
   request t (Ssd_proto.Create { path; mode }) (lift_unit k)
-
-let mkdir t ?(mode = 0o755) path k =
-  request t (Ssd_proto.Mkdir { path; mode }) (lift_unit k)
-
-let unlink t path k = request t (Ssd_proto.Unlink { path }) (lift_unit k)
 
 let read t path ~off ~len k =
   request t (Ssd_proto.Read { path; off; len }) (function

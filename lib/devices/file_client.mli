@@ -52,8 +52,6 @@ val request : t -> Ssd_proto.request -> (Ssd_proto.response -> unit) -> unit
 (** Convenience wrappers; [Error] carries the provider's message. *)
 
 val create : t -> ?mode:int -> string -> ((unit, string) result -> unit) -> unit
-val mkdir : t -> ?mode:int -> string -> ((unit, string) result -> unit) -> unit
-val unlink : t -> string -> ((unit, string) result -> unit) -> unit
 val read :
   t -> string -> off:int -> len:int -> ((string, string) result -> unit) -> unit
 val write :
@@ -88,8 +86,6 @@ val abort_in_flight : t -> string -> unit
 
 val close : t -> (unit -> unit) -> unit
 (** Detach the queue, close the connection and free the shared memory. *)
-
-val in_flight : t -> int
 
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 (** Append the virtqueue driver state, free request-slot pool (in reuse

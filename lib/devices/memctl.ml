@@ -133,7 +133,6 @@ let record t ~pasid alloc =
   l := alloc.va :: !l
 
 let pages_of t ~pasid = Option.value (Hashtbl.find_opt t.charged pasid) ~default:0
-let quota_pages t = t.quota
 
 let charge t ~pasid pages =
   Hashtbl.replace t.charged pasid (pages_of t ~pasid + pages)

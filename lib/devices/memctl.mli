@@ -28,7 +28,6 @@ val create :
     management policy lives here, on the controller — §2.2); default
     unlimited. *)
 
-val quota_pages : t -> int option
 val pages_of : t -> pasid:int -> int
 (** Pages currently charged to an address space. *)
 

@@ -27,9 +27,6 @@ val map_range :
   t -> va:int64 -> pa:int64 -> bytes:int64 -> perm:prot -> (unit, string) result
 (** Map a page-aligned range contiguously. All-or-nothing. *)
 
-val unmap : t -> va:int64 -> bool
-(** Unmap one page; [false] if it was not mapped. *)
-
 val unmap_range : t -> va:int64 -> bytes:int64 -> int
 (** Unmap a range; returns the number of pages that were mapped. *)
 
@@ -40,9 +37,6 @@ val mapped_pages : t -> int
 
 val iter : t -> (va:int64 -> pa:int64 -> perm:prot -> unit) -> unit
 (** Iterate over all leaf mappings (diagnostics, invariant checks). *)
-
-val reset : t -> unit
-(** Drop every mapping (checkpoint restore starts from empty). *)
 
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 (** Append all leaf mappings, in ascending va order (checkpointing). *)

@@ -3,7 +3,6 @@
 type t = Lastcpu_proto.Types.perm
 
 let subsumes = Lastcpu_proto.Types.perm_subsumes
-let to_string = Lastcpu_proto.Types.perm_to_string
 
 (* Compact encoding for checkpoints: bit 0 read, bit 1 write, bit 2 exec. *)
 let to_bits (p : t) =

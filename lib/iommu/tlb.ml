@@ -148,8 +148,6 @@ let hits t = Metrics.counter_value t.m_hits
 let misses t = Metrics.counter_value t.m_misses
 let evictions t = Metrics.counter_value t.m_evictions
 
-let capacity t = t.sets * t.ways
-
 (* Checkpointing: replacement state (valid bits, LRU stamps, the clock) is
    observable through future hit/miss counts, so the whole slot array is
    captured verbatim. Counters live in the shared registry and restore

@@ -50,8 +50,6 @@ val misses : t -> int
 val evictions : t -> int
 (** Valid entries displaced by [insert] for a different page. *)
 
-val capacity : t -> int
-
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 (** Append the full slot array and LRU clock (checkpointing): replacement
     state is observable through future hit/miss counts. *)

@@ -299,8 +299,3 @@ let local_op t op k = execute t op k
 
 let ops_shed t =
   match t.overload with None -> 0 | Some o -> Metrics.counter_value o.m_shed
-
-let goodput t =
-  match t.overload with
-  | None -> Metrics.counter_value t.m_served
-  | Some o -> Metrics.counter_value o.m_goodput

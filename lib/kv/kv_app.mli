@@ -68,7 +68,3 @@ val set_overload_policy : t -> max_pending:int -> unit
 
 val ops_shed : t -> int
 (** Client ops refused at the door by the overload policy. *)
-
-val goodput : t -> int
-(** Successfully answered admitted client ops (non-[Failed] replies) under
-    an overload policy; falls back to [ops_served] without one. *)

@@ -106,7 +106,6 @@ let free t ~addr ~pages =
   in
   coalesce want idx
 
-let total_pages t = t.pages
 let free_pages t = t.free_count
 let used_pages t = t.pages - t.free_count
 

@@ -20,7 +20,6 @@ val free : t -> addr:int64 -> pages:int -> unit
     with the same (rounded) size.
     @raise Invalid_argument on double-free or a foreign address. *)
 
-val total_pages : t -> int
 val free_pages : t -> int
 val used_pages : t -> int
 

@@ -50,8 +50,6 @@ let create ?(size = default_size) () =
     last_touched = -1;
   }
 
-let size t = t.size
-
 let check t addr len =
   if addr < 0L || Int64.add addr (Int64.of_int len) > t.size then
     invalid_arg

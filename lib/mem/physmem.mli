@@ -20,8 +20,6 @@ val create : ?size:int64 -> unit -> t
 (** [create ~size ()] models [size] bytes of DRAM (default 1 GiB). Accesses
     beyond [size] raise [Invalid_argument]. *)
 
-val size : t -> int64
-
 (** Native-int physical addresses, for the DMA ring path where a boxed
     address per access would dominate. Physical addresses fit a native
     int (DRAM is well under 2^62 bytes). Each call is one Bigarray access;

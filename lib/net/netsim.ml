@@ -135,7 +135,6 @@ let endpoint ?shard t ~name =
   ep
 
 let address ep = ep.addr
-let name ep = ep.ep_name
 let shard ep = ep.ep_shard
 let endpoint_count t = Array.length t.endpoints
 let set_receiver ep f = ep.rx <- Some f

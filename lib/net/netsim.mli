@@ -23,7 +23,6 @@ val endpoint : ?shard:int -> t -> name:string -> endpoint
     link, and its receiver is never invoked locally. *)
 
 val address : endpoint -> int
-val name : endpoint -> string
 
 val shard : endpoint -> int
 (** The endpoint's shard affinity. *)

@@ -64,10 +64,3 @@ let mint ?(epoch = 0) ~key ~issuer ~subject ~pasid ~resource ~base ~length
   { t with mac = compute_mac ~key t }
 
 let verify ~key t = Int64.equal (compute_mac ~key t) t.mac
-
-let pp ppf t =
-  Format.fprintf ppf
-    "token{issuer=%d subject=%d pasid=%d res=%s base=%a len=%Ld perm=%s \
-     epoch=%d}"
-    t.issuer t.subject t.pasid t.resource Types.pp_addr t.base t.length
-    (Types.perm_to_string t.perm) t.epoch

@@ -51,5 +51,3 @@ val mint :
 
 val verify : key:key -> t -> bool
 (** [verify ~key t] recomputes the MAC; any altered field fails. *)
-
-val pp : Format.formatter -> t -> unit

@@ -116,7 +116,6 @@ let create ?(plan = zero) ~seed metrics =
   in
   { plan; seed; occ = Hashtbl.create 64; c }
 
-let plan t = t.plan
 let active t = t.c <> None
 
 let tally t pick = match t.c with None -> () | Some c -> Metrics.incr (pick c)

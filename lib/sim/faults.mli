@@ -47,8 +47,6 @@ val create : ?plan:plan -> seed:int64 -> Metrics.t -> t
     internally). Counters register under actor ["faults"] only when the
     plan is non-zero. *)
 
-val plan : t -> plan
-
 val active : t -> bool
 (** [false] iff the plan is zero (callers may skip hook work entirely). *)
 
@@ -60,7 +58,7 @@ val key_of_string : string -> int64
 
 val key_init : int64
 (** Seeded initial state for building a content key with the streaming
-    {!Sanitizer.fnv_byte}/[fnv_string]/[fnv_int] fold:
+    {!Sanitizer.fnv_char}/[fnv_string]/[fnv_int] fold:
     [Sanitizer.fnv_finish (fold over key_init)] equals {!key_of_string} of
     the equivalent formatted description. Hot paths use this to key faults
     without allocating the description string. *)

@@ -10,7 +10,6 @@
 type t = { rng : Rng.t }
 
 let create ~seed = { rng = Rng.create ~seed }
-let rng t = t.rng
 
 (* Campaign checkpoint: the mutator is one stream position, so a resumed
    campaign continues the exact mutant sequence the uninterrupted one

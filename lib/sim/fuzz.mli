@@ -19,17 +19,11 @@ val save : Snapshot.W.t -> t -> unit
 
 val restore : Snapshot.R.t -> t -> unit
 
-val rng : t -> Rng.t
-(** The underlying generator, for campaign-level choices. *)
-
 val pick : t -> int -> int
 (** [pick t n] is uniform in [\[0, n)]. Requires [n > 0]. *)
 
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val byte : t -> int
-(** Uniform in [\[0, 256)]. *)
 
 (** {1 Scalar mutations}
 
@@ -41,13 +35,9 @@ val mutate_int64 : t -> int64 -> int64
 val mutate_int : t -> int -> int
 val mutate_string : t -> string -> string
 
-(** {1 Byte-buffer mutations}
-
-    For encoded frames. All total: the empty string maps to itself
-    (except {!extend}, which grows it). *)
-
-val truncate : t -> string -> string
-val extend : t -> string -> string
+(** {1 Byte-buffer mutations} *)
 
 val mutate_bytes : t -> string -> string
-(** One of the four above, chosen uniformly. *)
+(** A mutant of an encoded frame: one of a bit flip, one overwritten
+    byte, a truncation or an extension, chosen uniformly. Total: the
+    empty string maps to itself except under extension, which grows it. *)

@@ -81,7 +81,6 @@ let observe h v =
 
 let observations h = Stats.Histogram.count h.hist
 let report h = Stats.latency_report h.hist h.summ
-let hist h = h.hist
 let summary h = h.summ
 
 let value_of = function
@@ -324,13 +323,3 @@ let to_json t =
     (snapshot t);
   Buffer.add_string buf "]}";
   Buffer.contents buf
-
-let pp ppf t =
-  List.iter
-    (fun (actor, name, v) ->
-      match v with
-      | Counter_v n -> Format.fprintf ppf "%s/%s = %d@." actor name n
-      | Gauge_v g -> Format.fprintf ppf "%s/%s = %a@." actor name pp_float g
-      | Histogram_v r ->
-        Format.fprintf ppf "%s/%s : %a@." actor name Stats.pp_latency_report r)
-    (snapshot t)

@@ -46,7 +46,6 @@ val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
 val observations : histogram -> int
 val report : histogram -> Stats.latency_report
-val hist : histogram -> Stats.Histogram.t
 val summary : histogram -> Stats.Summary.t
 
 (** {2 Reading the registry} *)
@@ -115,5 +114,3 @@ val to_prometheus : t -> string
 
 val to_json : t -> string
 (** One JSON object: [{"metrics":[{"actor":…,"instrument":…,…},…]}]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -31,8 +31,6 @@ let int64 t =
 
 let split t = { state = int64 t; zipf_cache = None }
 
-let copy t = { state = t.state; zipf_cache = t.zipf_cache }
-
 let int t bound =
   assert (bound > 0);
   (* Rejection-free for practical bounds: take the high bits of the mix,

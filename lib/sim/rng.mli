@@ -14,9 +14,6 @@ val split : t -> t
 (** [split t] derives a new, statistically independent generator and
     advances [t]. Used to give each device its own stream. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (same future stream). *)
-
 val state : t -> int64
 (** Current stream position, for checkpointing. *)
 

@@ -54,9 +54,6 @@ val hash_string : int64 -> string -> int64
 val fnv_init : int64 -> int64
 (** Start a streaming hash from a seed. *)
 
-val fnv_byte : int64 -> int -> int64
-(** Fold one byte (low 8 bits significant by convention). *)
-
 val fnv_char : int64 -> char -> int64
 (** Fold one character. *)
 

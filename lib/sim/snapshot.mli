@@ -13,9 +13,6 @@
     decided by the engine's snapshot-hook registry
     ({!Engine.register_snapshot}). *)
 
-val version : int
-(** Format version stamped into (and required of) every file. *)
-
 external crc32 : string -> int = "lastcpu_crc32" [@@noalloc]
 (** IEEE CRC-32 of a string; the tree's one CRC-32, a C stub. *)
 

@@ -90,7 +90,3 @@ let restore r t =
 
 let drain_ns t ~now =
   if t.busy_until > now then Int64.sub t.busy_until now else 0L
-
-let utilization t ~now =
-  if now <= 0L then 0.
-  else Int64.to_float t.busy_total /. Int64.to_float now

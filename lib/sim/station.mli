@@ -3,8 +3,8 @@
     Models a serial resource in the emulation: the system management bus's
     message processor, or the baseline's single CPU running the kernel.
     Jobs submitted while the server is busy wait; each job's completion
-    callback runs at its virtual finish time. Utilisation and waiting-time
-    statistics feed the scalability experiments (T3).
+    callback runs at its virtual finish time. The busy-time and
+    waiting-time totals feed the benchmark's per-layer bus figures.
 
     A station may be bounded with [capacity]: {!try_submit} then rejects
     jobs that would make more than [capacity] outstanding, modelling a
@@ -55,9 +55,6 @@ val total_wait_ns : t -> int64
 val drain_ns : t -> now:int64 -> int64
 (** Virtual time until the server goes idle if nothing else arrives: the
     deterministic retry-after hint for rejected work. 0 when idle. *)
-
-val utilization : t -> now:int64 -> float
-(** [busy_ns / now]; 0 when [now = 0]. *)
 
 val save : Snapshot.W.t -> t -> unit
 (** Append the station's accounting (busy horizon, completion/rejection

@@ -25,7 +25,6 @@ module Summary = struct
   let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
   let min t = if t.n = 0 then 0. else t.mn
   let max t = if t.n = 0 then 0. else t.mx
-  let total t = t.total
 
   (* Checkpoint support: the accumulator is observable through percentile
      exports, so restore must reproduce every field bit-for-bit. *)
@@ -122,8 +121,6 @@ module Histogram = struct
       in
       scan 0 0
     end
-
-  let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
 
   let merge a b =
     let counts = Array.mapi (fun i c -> c + b.counts.(i)) a.counts in

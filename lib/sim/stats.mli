@@ -19,7 +19,6 @@ module Summary : sig
 
   val min : t -> float
   val max : t -> float
-  val total : t -> float
   val merge : t -> t -> t
   (** [merge a b] is a summary equivalent to having observed both streams. *)
 
@@ -45,7 +44,6 @@ module Histogram : sig
   (** [percentile h p] for [p] in [\[0, 100\]]; returns the upper edge of the
       bucket holding the p-th observation, [0.] when empty. *)
 
-  val mean : t -> float
   val merge : t -> t -> t
 
   val save : Snapshot.W.t -> t -> unit

@@ -8,8 +8,6 @@ type t = { iommu : Iommu.t; pasid : int; mem : Physmem.t }
 
 let create ~iommu ~pasid ~mem = { iommu; pasid; mem }
 
-let pasid t = t.pasid
-
 (* Ring transactions. A descriptor, a used-ring element or one ring field
    is one DMA transaction: one [Iommu.translate_run] per page segment,
    accounted as one translation per byte, then one native-int Physmem

@@ -15,8 +15,6 @@ val create :
   mem:Lastcpu_mem.Physmem.t ->
   t
 
-val pasid : t -> int
-
 (** {2 Fields and ring transactions}
 
     Each call below is one DMA transaction: one

@@ -140,37 +140,38 @@ module Driver = struct
       end
     end
 
-  let poll_used t =
+  (* The used ring is peer memory: an entry whose id is out of range or
+     not the head of an outstanding chain is dropped, and so is one whose
+     chain's descriptor links the peer rewrote. A chain is recycled along
+     the driver's own [next_free] links, which still hold it; each
+     descriptor is still read, one DMA transaction, to check its link. *)
+  let rec poll_used t =
     let used = Raw.used_idx t.raw in
     if used land 0xffff = t.used_seen land 0xffff then None
     else begin
       let slot = t.used_seen mod size t in
       let id, written = Raw.used_ring t.raw slot in
       t.used_seen <- t.used_seen + 1;
-      t.completion_count <- t.completion_count + 1;
-      (* Recycle the chain's descriptors onto the free list. *)
-      let n = t.chain_len.(id) in
-      assert (n > 0);
-      let rec last i k = if k = 1 then i else last t.next_free.(i) (k - 1) in
-      (* Walk the stored shared-memory chain links to rebuild locality:
-         next pointers in the desc table are still intact. *)
-      let rec relink i k =
-        if k > 1 then begin
+      let n = if id >= 0 && id < size t then t.chain_len.(id) else 0 in
+      (* The chain's last descriptor, or -1 at a link the peer changed. *)
+      let rec tail i k =
+        if k = 1 then i
+        else begin
           let _, _, _, next = Raw.read_desc t.raw i in
-          t.next_free.(i) <- next;
-          relink next (k - 1)
+          if next = t.next_free.(i) then tail next (k - 1) else -1
         end
       in
-      relink id n;
-      let tail = last id n in
-      t.next_free.(tail) <- t.free_head;
-      t.free_head <- id;
-      t.free_count <- t.free_count + n;
-      t.chain_len.(id) <- 0;
-      Some (id, written)
+      let last = if n > 0 then tail id n else -1 in
+      if last < 0 then poll_used t
+      else begin
+        t.completion_count <- t.completion_count + 1;
+        t.next_free.(last) <- t.free_head;
+        t.free_head <- id;
+        t.free_count <- t.free_count + n;
+        t.chain_len.(id) <- 0;
+        Some (id, written)
+      end
     end
-
-  let completions t = t.completion_count
 
   (* Checkpointing: the descriptor table, rings and buffers live in
      simulated DRAM (saved by Physmem); only the driver's local free-list

@@ -30,7 +30,6 @@ module Driver : sig
   val create : dma:Dma.t -> base:int64 -> size:int -> t
   (** Initialise ring memory (zeroes indices, builds the free list). *)
 
-  val size : t -> int
   val num_free : t -> int
 
   val add : t -> buffer list -> (int, string) result
@@ -40,9 +39,9 @@ module Driver : sig
 
   val poll_used : t -> (int * int) option
   (** [(head, written)] for the next completion, recycling its
-      descriptors. *)
-
-  val completions : t -> int
+      descriptors. Used entries the peer forged are skipped: an id out of
+      range or not heading an outstanding chain, or a chain whose
+      descriptor links were rewritten (that chain stays outstanding). *)
 
   val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
   (** Append the driver-local free list and shadow indices (checkpointing).

@@ -6,8 +6,8 @@
    through the same inventory + findings pipeline audit_main runs over
    .cmt files. Alongside the static goldens: the shared-suppressions
    contract between the two drivers, the grouped rule-line grammar, the
-   dynamic ownership sanitizer, and round-trip regressions pinning the
-   source fixes the first audit run forced (pubsub snapshot hook, fuzz
+   dynamic ownership sanitizer, and a round-trip regression pinning a
+   source fix the first audit run forced (the fuzz mutator's
    stream-position savers). *)
 
 module Engine = Lastcpu_sim.Engine
@@ -15,11 +15,6 @@ module Temporal = Lastcpu_sim.Temporal
 module Ownership = Lastcpu_sim.Ownership
 module Snapshot = Lastcpu_sim.Snapshot
 module Fuzz = Lastcpu_sim.Fuzz
-module System = Lastcpu_core.System
-module Netsim = Lastcpu_net.Netsim
-module Smart_nic = Lastcpu_devices.Smart_nic
-module Pubsub = Lastcpu_apps.Pubsub
-module Proto = Lastcpu_apps.Pubsub_proto
 
 let fixture name = Filename.concat "audit_fixtures" name
 let modname name = String.capitalize_ascii (Filename.remove_extension name)
@@ -174,60 +169,6 @@ let test_ownership_clean_run () =
 
 (* --- regressions for the audit-forced fixes ----------------------------------- *)
 
-(* D008 fix: the pubsub broker's subscription/retained tables now ride a
-   snapshot hook; a restore must bring back every subscriber and retained
-   topic, not just reachability. *)
-let test_pubsub_snapshot_roundtrip () =
-  let system = System.build () in
-  (match System.boot system with Ok () -> () | Error e -> Alcotest.fail e);
-  let nic = System.nic system 0 in
-  let app = Pubsub.launch ~nic ~start_device:false () in
-  let broker = Smart_nic.endpoint_address nic in
-  let client name =
-    let ep = Netsim.endpoint (System.net system) ~name in
-    Netsim.set_receiver ep (fun ~src:_ _ -> ());
-    ep
-  in
-  let send ep req = Netsim.send ep ~dst:broker (Proto.encode_request req) in
-  let alice = client "alice" and bob = client "bob" in
-  send alice { Proto.corr = 1; op = Proto.Subscribe "news/*" };
-  send bob { Proto.corr = 2; op = Proto.Subscribe "news/tech" };
-  send bob
-    {
-      Proto.corr = 3;
-      op = Proto.Publish { topic = "news/tech"; payload = "v1"; retain = true };
-    };
-  System.run_until_idle system;
-  let subs = Pubsub.subscriptions app in
-  let retained = Pubsub.topics_retained app in
-  let published = Pubsub.published app in
-  Alcotest.(check int) "two subs live" 2 subs;
-  let name, save, restore =
-    List.find
-      (fun (name, _, _) -> String.length name > 7 && String.sub name 0 7 = "pubsub:")
-      (Engine.snapshot_hooks (System.engine system))
-  in
-  Alcotest.(check bool) "hook registered" true (String.length name > 7);
-  let bytes =
-    let w = Snapshot.W.create () in
-    save w;
-    Snapshot.W.contents w
-  in
-  (* Perturb the broker past the checkpoint... *)
-  send alice { Proto.corr = 4; op = Proto.Unsubscribe "news/*" };
-  send bob
-    {
-      Proto.corr = 5;
-      op = Proto.Publish { topic = "other"; payload = "v2"; retain = true };
-    };
-  System.run_until_idle system;
-  Alcotest.(check bool) "state drifted" true (Pubsub.subscriptions app <> subs);
-  (* ...and roll it back. *)
-  restore (Snapshot.R.of_string bytes);
-  Alcotest.(check int) "subs restored" subs (Pubsub.subscriptions app);
-  Alcotest.(check int) "retained restored" retained (Pubsub.topics_retained app);
-  Alcotest.(check int) "counters restored" published (Pubsub.published app)
-
 (* D008 fix: a restored fuzz mutator continues the exact mutant sequence
    of the uninterrupted campaign. *)
 let test_fuzz_save_restore () =
@@ -274,8 +215,6 @@ let () =
         ] );
       ( "fixes",
         [
-          Alcotest.test_case "pubsub snapshot roundtrip" `Quick
-            test_pubsub_snapshot_roundtrip;
           Alcotest.test_case "fuzz campaign resume" `Quick
             test_fuzz_save_restore;
         ] );

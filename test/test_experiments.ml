@@ -5,6 +5,11 @@
 
 module E = Lastcpu_core.Experiments
 
+let run id =
+  match E.by_id id with
+  | Some table -> table ()
+  | None -> Alcotest.fail ("missing experiment " ^ id)
+
 let cell table r c =
   match List.nth_opt table.E.rows r with
   | Some row -> (
@@ -32,7 +37,7 @@ let float_cell table r c =
   else float_of_string (String.sub s 0 n)
 
 let test_f2_complete () =
-  let t = E.f2 () in
+  let t = run "f2" in
   Alcotest.(check int) "seven steps" 7 (List.length t.E.rows);
   (* Timestamps strictly increase down the table. *)
   let times = List.init 7 (fun i -> float_cell t i 1) in
@@ -43,7 +48,7 @@ let test_f2_complete () =
   Alcotest.(check bool) "monotonic" true (increasing times)
 
 let test_t5_tlb_monotone () =
-  let t = E.t5 () in
+  let t = run "t5" in
   Alcotest.(check int) "four configs" 4 (List.length t.E.rows);
   (* Hit rate rises, cost falls, as the TLB grows. *)
   let hit i = float_cell t i 1 in
@@ -55,7 +60,7 @@ let test_t5_tlb_monotone () =
   Alcotest.(check bool) "no-TLB is worst" true (cost 0 > 10. *. cost 3)
 
 let test_t9_scaling_shape () =
-  let t = E.t9 () in
+  let t = run "t9" in
   (* Boot grows mildly; broadcast deliveries grow quadratically: last row
      has 16 NICs -> 512 deliveries. *)
   let boot i = float_cell t i 1 in
@@ -71,7 +76,7 @@ let test_t9_scaling_shape () =
     t.E.rows
 
 let test_t10_wa_vs_op () =
-  let t = E.t10 () in
+  let t = run "t10" in
   let wa i = float_cell t i 2 in
   (* More over-provisioning -> less write amplification. *)
   Alcotest.(check bool) "WA falls with OP" true (wa 3 < wa 0);
@@ -80,7 +85,7 @@ let test_t10_wa_vs_op () =
     t.E.rows
 
 let test_t11_crossover () =
-  let t = E.t11 () in
+  let t = run "t11" in
   let speedup i = float_cell t i 3 in
   let n = List.length t.E.rows in
   (* Offload loses at the smallest size, wins at the largest, and the
@@ -92,7 +97,7 @@ let test_t11_crossover () =
   done
 
 let test_t1_same_order_of_magnitude () =
-  let t = E.t1 () in
+  let t = run "t1" in
   List.iter
     (fun row ->
       match row with

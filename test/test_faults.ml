@@ -297,7 +297,11 @@ let test_revive_rejoins_under_heartbeat_sweep () =
 (* --- the full chaos soak (T13) ----------------------------------------------- *)
 
 let test_t13_survives_with_failover () =
-  let table = Experiments.t13 () in
+  let table =
+    match Experiments.by_id "t13" with
+    | Some t13 -> t13 ()
+    | None -> Alcotest.fail "missing experiment t13"
+  in
   check "two designs" 2 (List.length table.Experiments.rows);
   List.iter
     (fun row ->

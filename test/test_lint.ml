@@ -70,6 +70,46 @@ let test_d009 () =
 
 let test_clean () = Alcotest.check finding "clean.ml" [] (scan "clean.ml")
 
+(* --- D010: unreferenced exports ------------------------------------------------ *)
+
+(* A small tree in memory: two libraries' interfaces and their callers.
+   Only values some other file reaches survive; a use inside the
+   module's own implementation does not count. *)
+let d010_tree =
+  [
+    ( "lib/a/alpha.mli",
+      "val used : int\n\
+       val dead : int\n\
+       val self_only : int\n\
+       module Sub : sig\n\
+      \  val deep : int\n\
+      \  val gone : int\n\
+       end\n\
+       val via_open : int\n\
+       val via_alias : int\n" );
+    ("lib/a/alpha.ml", "let self_only = 3\nlet dead = self_only\n");
+    ("lib/a/gamma.mli", "module Al = Alpha\n");
+    ("lib/b/beta.mli", "val x : int\nmodule Inner : sig val y : int end\n");
+    ( "bin/main.ml",
+      "module A = Lastcpu_a.Alpha\n\
+       module S = A.Sub\n\
+       let () = ignore (A.used + S.deep)\n" );
+    ("test/t.ml", "let () = Lastcpu_a.Alpha.(ignore via_open)\n");
+    ("test/u.ml", "let () = ignore Lastcpu_a.Gamma.Al.via_alias\n");
+    ("examples/e.ml", "module M = F (Lastcpu_b.Beta)\n");
+    ("bin/tool.mli", "val unscoped : int\n");
+  ]
+
+let test_d010 () =
+  let config = Lint_core.parse_rules "D010 scope=lib\n" in
+  Alcotest.check finding "unreferenced exports"
+    [
+      ("D010", 2, "dead"); ("D010", 3, "self_only"); ("D010", 6, "Sub.gone");
+    ]
+    (List.map
+       (fun f -> (f.Lint_core.rule, f.Lint_core.line, f.Lint_core.binding))
+       (Lint_core.unreferenced_exports config d010_tree))
+
 (* --- scope and exemptions ---------------------------------------------------- *)
 
 let test_out_of_scope () =
@@ -177,6 +217,7 @@ let () =
           Alcotest.test_case "d005" `Quick test_d005;
           Alcotest.test_case "d006" `Quick test_d006;
           Alcotest.test_case "d009" `Quick test_d009;
+          Alcotest.test_case "d010" `Quick test_d010;
           Alcotest.test_case "clean" `Quick test_clean;
         ] );
       ( "scoping",

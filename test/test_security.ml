@@ -25,7 +25,6 @@ module Kv_proto = Lastcpu_kv.Kv_proto
 module Wal = Lastcpu_kv.Wal
 module Ssd_proto = Lastcpu_devices.Ssd_proto
 module Accel_proto = Lastcpu_devices.Accel_proto
-module Pubsub_proto = Lastcpu_apps.Pubsub_proto
 
 let booted ?spec () =
   let system = System.build ?spec () in
@@ -342,23 +341,6 @@ let accel_outcomes =
   List.map Accel_proto.encode_outcome
     [ Accel_proto.Value 5L; Written 300; Fault "unmapped" ]
 
-let pubsub_requests =
-  List.map
-    (fun op -> Pubsub_proto.encode_request { Pubsub_proto.corr = 3; op })
-    [
-      Pubsub_proto.Subscribe "sensors/*";
-      Unsubscribe "t";
-      Publish { topic = "t"; payload = "p"; retain = true };
-    ]
-
-let pubsub_frames =
-  List.map Pubsub_proto.encode_frame
-    [
-      Pubsub_proto.Response { corr = 3; reply = Acked 2 };
-      Response { corr = 4; reply = Rejected "no" };
-      Event { topic = "t"; payload = "p" };
-    ]
-
 (* WAL record and framed bus frame bodies: the mutations are applied to
    the body, then framed with a valid CRC, so they reach the decoder. *)
 let wal_frame body =
@@ -404,10 +386,6 @@ let test_app_decoders_total () =
   check_total "Accel_proto.decode_job" Accel_proto.decode_job accel_jobs;
   check_total "Accel_proto.decode_outcome" Accel_proto.decode_outcome
     accel_outcomes;
-  check_total "Pubsub_proto.decode_request" Pubsub_proto.decode_request
-    pubsub_requests;
-  check_total "Pubsub_proto.decode_frame" Pubsub_proto.decode_frame
-    pubsub_frames;
   check_total "Smart_ssd.decode_vq_attach" Smart_ssd.decode_vq_attach
     [
       Smart_ssd.encode_vq_attach ~queue:2 ~base:0x4000_0000L ~size:256

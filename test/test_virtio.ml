@@ -320,6 +320,46 @@ let test_vq_empty_chain_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty chain accepted"
 
+(* The used ring is peer memory. Forged entries (an id out of range, a
+   free id, a repeated id) and a chain whose descriptor link the peer
+   rewrote are dropped without an exception; the honest completion still
+   arrives, the free count stays exact, and the free descriptors can all
+   be posted again. *)
+let test_vq_forged_used_entries () =
+  let dma_a, dma_b, va = rig () in
+  let driver = Vq.Driver.create ~dma:dma_a ~base:va ~size:8 in
+  let device = Vq.Device.create ~dma:dma_b ~base:va ~size:8 in
+  let buf i = { Vq.va = Int64.add va (Int64.of_int (8192 + (i * 64))); len = 8; writable = false } in
+  let post bufs =
+    match Vq.Driver.add driver bufs with
+    | Ok head -> head
+    | Error e -> Alcotest.fail e
+  in
+  let a = post [ buf 0; buf 1; buf 2 ] in
+  let b = post [ buf 3; buf 4 ] in
+  Alcotest.(check int) "three free" 3 (Vq.Driver.num_free driver);
+  (* A descriptor's next field is at byte 14; point [b]'s at a free one. *)
+  let b_next = Dma.read_field dma_b (Int64.to_int va + (16 * b) + 14) 2 in
+  Dma.write_field dma_b (Int64.to_int va + (16 * b) + 14) 2 ((b_next + 1) mod 8);
+  List.iter
+    (fun head -> Vq.Device.push_used device ~head ~written:1)
+    [ 99; 7; a; a; b ];
+  let rec reap acc =
+    match Vq.Driver.poll_used driver with
+    | Some (head, _) -> reap (head :: acc)
+    | None -> List.rev acc
+  in
+  Alcotest.(check (list int)) "only the honest completion" [ a ] (reap []);
+  Alcotest.(check int) "chain a recycled, b outstanding" 6
+    (Vq.Driver.num_free driver);
+  let heads = List.init 6 (fun i -> post [ buf (8 + i) ]) in
+  Alcotest.(check (list int)) "every free descriptor reposted" [ 0; 1; 2; 5; 6; 7 ]
+    (List.sort compare heads);
+  Alcotest.(check int) "none free" 0 (Vq.Driver.num_free driver);
+  match Vq.Driver.add driver [ buf 14 ] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "posted past the free count"
+
 (* Property: the queue behaves like a FIFO against a reference model under
    random interleavings of add / device-drain / driver-reap. *)
 let vq_model_prop =
@@ -693,6 +733,8 @@ let () =
           Alcotest.test_case "indirect flag is a plain buffer" `Quick
             test_vq_indirect_flag_plain;
           Alcotest.test_case "empty chain rejected" `Quick test_vq_empty_chain_rejected;
+          Alcotest.test_case "forged used entries dropped" `Quick
+            test_vq_forged_used_entries;
           QCheck_alcotest.to_alcotest vq_model_prop;
         ] );
       ( "dmi",

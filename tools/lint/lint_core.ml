@@ -33,6 +33,17 @@
            lint.rules; any other use needs a suppression saying why the
            copy path is the right tool there.
 
+     D010  unreferenced export — a [val] (or [external]) in an interface
+           in scope that no other scanned source references: not its
+           own implementation, only a caller elsewhere keeps an export
+           alive. References are resolved through the sources'
+           [module X = Lastcpu_y.Z] aliases, their [open]s and the
+           interfaces' own module aliases ([Wire.Writer] is
+           [Snapshot.W]); a module used whole ([include], a functor
+           argument, a packed module) references all of its values.
+           Cross-file, so it runs over every file the driver scans
+           rather than one file at a time.
+
    Rules D007/D008 (shard-ownership escape and snapshot coverage) share
    this config and suppression machinery but are computed by the
    Typedtree pass in audit_core.ml, driven by audit_main over .cmt files.
@@ -352,8 +363,236 @@ let read_file file =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let scan_file config ~root ~path =
-  scan_string config ~path (read_file (Filename.concat root path))
+(* --- D010: unreferenced exports -------------------------------------------- *)
+
+(* What one source file says about module paths: the value identifiers it
+   uses, its module aliases ([module X = P]), the modules it opens, and
+   the modules it uses whole. Paths are flattened longidents. *)
+type usage = {
+  mutable values : string list list;
+  mutable aliases : (string * string list) list;
+  mutable opens : string list list;
+  mutable wholes : string list list;
+}
+
+let usage_of_ast ast =
+  let u = { values = []; aliases = []; opens = []; wholes = [] } in
+  let open Ast_iterator in
+  let open Parsetree in
+  let alias name (me : module_expr) =
+    match (name, me.pmod_desc) with
+    | Some name, Pmod_ident { txt; _ } ->
+      u.aliases <- (name, Longident.flatten txt) :: u.aliases;
+      true
+    | _ -> false
+  in
+  let iter =
+    {
+      default_iterator with
+      expr =
+        (fun self e ->
+          match e.pexp_desc with
+          | Pexp_ident { txt; _ } ->
+            u.values <- Longident.flatten txt :: u.values
+          | Pexp_letmodule ({ txt; _ }, me, body) when alias txt me ->
+            self.expr self body
+          | _ -> default_iterator.expr self e);
+      module_binding =
+        (fun self mb ->
+          if not (alias mb.pmb_name.txt mb.pmb_expr) then
+            default_iterator.module_binding self mb);
+      module_declaration =
+        (fun self md ->
+          match md.pmd_type.pmty_desc with
+          | Pmty_alias { txt; _ } -> (
+            match md.pmd_name.txt with
+            | Some name ->
+              u.aliases <- (name, Longident.flatten txt) :: u.aliases
+            | None -> ())
+          | _ -> default_iterator.module_declaration self md);
+      open_declaration =
+        (fun self od ->
+          match od.popen_expr.pmod_desc with
+          | Pmod_ident { txt; _ } ->
+            u.opens <- Longident.flatten txt :: u.opens
+          | _ -> default_iterator.open_declaration self od);
+      open_description =
+        (fun _ od -> u.opens <- Longident.flatten od.popen_expr.txt :: u.opens);
+      module_expr =
+        (fun self me ->
+          match me.pmod_desc with
+          | Pmod_ident { txt; _ } ->
+            u.wholes <- Longident.flatten txt :: u.wholes
+          | _ -> default_iterator.module_expr self me);
+    }
+  in
+  (match ast with
+  | `Ml structure -> iter.structure iter structure
+  | `Mli signature -> iter.signature iter signature);
+  u
+
+(* The [val]s an interface declares, as paths below its own module
+   ([["Driver"; "poll_used"]] for a val inside [module Driver : sig ... end]),
+   each with its line. *)
+let interface_values (signature : Parsetree.signature) =
+  let open Parsetree in
+  let out = ref [] in
+  let rec items prefix sg = List.iter (item prefix) sg
+  and item prefix si =
+    match si.psig_desc with
+    | Psig_value vd ->
+      let line = vd.pval_loc.Location.loc_start.Lexing.pos_lnum in
+      out := (prefix @ [ vd.pval_name.txt ], line) :: !out
+    | Psig_module { pmd_name = { txt = Some name; _ }; pmd_type; _ } ->
+      module_type (prefix @ [ name ]) pmd_type
+    | Psig_recmodule mds ->
+      List.iter
+        (fun md ->
+          match md.pmd_name.txt with
+          | Some name -> module_type (prefix @ [ name ]) md.pmd_type
+          | None -> ())
+        mds
+    | _ -> ()
+  and module_type prefix mt =
+    match mt.pmty_desc with Pmty_signature sg -> items prefix sg | _ -> ()
+  in
+  items [] signature;
+  List.rev !out
+
+let module_of_path path =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+let rec is_prefix p l =
+  match (p, l) with
+  | [], _ -> true
+  | x :: p, y :: l -> String.equal x y && is_prefix p l
+  | _ :: _, [] -> false
+
+let rec drop n l =
+  if n = 0 then l else match l with [] -> [] | _ :: l -> drop (n - 1) l
+
+(* [sources] are (root-relative path, contents) for every scanned file,
+   [.ml] and [.mli]. Every interface in D010's scope has each of its
+   values checked for a reference from some file other than its own
+   [.ml]/[.mli] pair. A file that does not parse is skipped here: the
+   per-file scan reports it, and the compiler rejects it. *)
+let unreferenced_exports config sources =
+  let parsed =
+    List.filter_map
+      (fun (path, text) ->
+        let lexbuf = Lexing.from_string text in
+        Lexing.set_filename lexbuf path;
+        match
+          if Filename.check_suffix path ".mli" then `Mli (Parse.interface lexbuf)
+          else `Ml (Parse.implementation lexbuf)
+        with
+        | ast -> Some (path, ast)
+        | exception _ -> None)
+      sources
+  in
+  let in_scope path =
+    List.exists (fun r -> r.id = "D010") (active_rules config ~path)
+  in
+  let checked =
+    List.filter_map
+      (function
+        | path, `Mli sg when in_scope path -> Some (path, interface_values sg)
+        | _ -> None)
+      parsed
+  in
+  let modules = List.map (fun (path, _) -> module_of_path path) checked in
+  let usages = List.map (fun (path, ast) -> (path, usage_of_ast ast)) parsed in
+  (* Drop library wrappers and other outer names down to the first checked
+     module: [Lastcpu_sim.Metrics.pp] -> [Metrics.pp]; [] when the path
+     names no checked module. *)
+  let strip path =
+    let rec go = function
+      | m :: (_ :: _ as rest) when not (List.mem m modules) -> go rest
+      | l -> l
+    in
+    match go path with m :: _ as l when List.mem m modules -> l | _ -> []
+  in
+  (* Interface-level aliases ([module Writer = Lastcpu_sim.Snapshot.W] in
+     wire.mli), keyed by the path they are reached under. *)
+  let interface_aliases =
+    List.concat_map
+      (fun (path, u) ->
+        let m = module_of_path path in
+        if Filename.check_suffix path ".mli" && List.mem m modules then
+          List.map (fun (name, target) -> ([ m; name ], strip target)) u.aliases
+        else [])
+      usages
+  in
+  let rec canonical fuel path =
+    match
+      List.find_opt
+        (fun (from, target) -> target <> [] && is_prefix from path)
+        interface_aliases
+    with
+    | Some (from, target) when fuel > 0 ->
+      canonical (fuel - 1) (target @ drop (List.length from) path)
+    | _ -> path
+  in
+  (* Per file: every canonical value path it reaches, and every module it
+     uses whole. *)
+  let reached =
+    List.map
+      (fun (path, u) ->
+        let rec expand fuel = function
+          | head :: rest as p when fuel > 0 -> (
+            match List.assoc_opt head u.aliases with
+            | Some target when target <> [ head ] ->
+              expand (fuel - 1) (target @ rest)
+            | _ -> p)
+          | p -> p
+        in
+        let opened = List.map (expand 8) u.opens in
+        let resolve p =
+          List.map
+            (fun p -> canonical 8 (strip (expand 8 p)))
+            (p :: List.map (fun o -> o @ p) opened)
+        in
+        let values = Hashtbl.create 256 in
+        List.iter
+          (fun p -> List.iter (fun v -> Hashtbl.replace values v ()) (resolve p))
+          u.values;
+        let wholes =
+          List.filter (( <> ) []) (List.concat_map resolve u.wholes)
+        in
+        (Filename.remove_extension path, values, wholes))
+      usages
+  in
+  List.concat_map
+    (fun (mli, exports) ->
+      let own = Filename.remove_extension mli in
+      let m = module_of_path mli in
+      List.filter_map
+        (fun (sub, line) ->
+          let key = m :: sub in
+          let used =
+            List.exists
+              (fun (file, values, wholes) ->
+                (not (String.equal file own))
+                && (Hashtbl.mem values key
+                   || List.exists (fun w -> is_prefix w key) wholes))
+              reached
+          in
+          if used then None
+          else
+            Some
+              {
+                rule = "D010";
+                file = mli;
+                line;
+                binding = String.concat "." sub;
+                message =
+                  Printf.sprintf
+                    "%s is exported but no other source references it; \
+                     delete it or drop it from the interface"
+                    (String.concat "." key);
+              })
+        exports)
+    checked
 
 (* --- suppression application ----------------------------------------------- *)
 
@@ -388,7 +627,8 @@ let apply_suppressions ?known_rules suppressions findings =
 
 (* --- directory walk -------------------------------------------------------- *)
 
-let rec ml_files_under dir =
+(* [.ml] and [.mli] files under [dir], sorted. *)
+let rec source_files_under dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | entries ->
@@ -398,8 +638,10 @@ let rec ml_files_under dir =
         let full = Filename.concat dir entry in
         if Sys.is_directory full then
           if entry = "_build" || entry.[0] = '.' then acc
-          else acc @ ml_files_under full
-        else if Filename.check_suffix entry ".ml" then acc @ [ full ]
+          else acc @ source_files_under full
+        else if
+          Filename.check_suffix entry ".ml" || Filename.check_suffix entry ".mli"
+        then acc @ [ full ]
         else acc)
       [] entries
 
