@@ -222,7 +222,9 @@ let write_chain_response dma (buffers : Vq.buffer list) resp =
 (* Doorbell service --------------------------------------------------------- *)
 
 (* One chain: decode the request, run it, write the response; the bytes
-   written into the chain. *)
+   written into the chain. A chain with a bad descriptor link pops with
+   no buffers: its empty request is malformed and its error reply fits
+   nowhere, so nothing is written. *)
 let serve_chain t qs dma buffers =
   let response =
     match decode_chain_request dma buffers with

@@ -269,23 +269,27 @@ let write_amplification t =
    by its owner, not here. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
+(* [map] and [state] hold one entry per page, so they are coded in plain
+   loops: no closure call per entry. *)
 let save w t =
   Snapshot.W.varint w t.logical;
-  Snapshot.W.array w (fun w p -> Snapshot.W.vint w p) t.map;
-  Snapshot.W.array w
-    (fun w s ->
-      if s >= 0 then begin
-        Snapshot.W.byte w 1;
-        Snapshot.W.varint w s
-      end
-      else Snapshot.W.byte w (if s = free then 0 else 2))
-    t.state;
-  Snapshot.W.array w (fun w n -> Snapshot.W.varint w n) t.free_in_block;
-  Snapshot.W.array w (fun w n -> Snapshot.W.varint w n) t.invalid_in_block;
+  Snapshot.W.varint w (Array.length t.map);
+  for lpn = 0 to Array.length t.map - 1 do
+    Snapshot.W.vint w t.map.(lpn)
+  done;
+  Snapshot.W.varint w (Array.length t.state);
+  for p = 0 to Array.length t.state - 1 do
+    let s = t.state.(p) in
+    if s >= 0 then begin
+      Snapshot.W.byte w 1;
+      Snapshot.W.varint w s
+    end
+    else Snapshot.W.byte w (if s = free then 0 else 2)
+  done;
+  Snapshot.W.array w Snapshot.W.varint t.free_in_block;
+  Snapshot.W.array w Snapshot.W.varint t.invalid_in_block;
   Snapshot.W.varint w t.active;
-  Snapshot.W.list w
-    (fun w b -> Snapshot.W.varint w b)
-    (List.of_seq (Queue.to_seq t.free_blocks));
+  Snapshot.W.list w Snapshot.W.varint (List.of_seq (Queue.to_seq t.free_blocks));
   Snapshot.W.varint w t.free_block_count
 
 (* Decode and validate the whole section before touching [t]: every index
@@ -299,27 +303,30 @@ let restore r t =
   let corrupt m = raise (Snapshot.R.Corrupt ("ftl " ^ m)) in
   let total_pages = Array.length t.state in
   let ppb = t.geo.pages_per_block in
-  let read_array n decode name =
-    let a = Snapshot.R.array r decode in
-    if Array.length a <> n then corrupt (name ^ " length mismatch");
-    a
+  (* An array's count must be [n]; checked before its entries are read. *)
+  let expect n name =
+    if Snapshot.R.varint r <> n then corrupt (name ^ " length mismatch")
   in
-  let map = read_array logical Snapshot.R.vint "map" in
-  let state =
-    read_array total_pages
-      (fun r ->
-        match Snapshot.R.byte r with
-        | 0 -> free
-        | 1 ->
-          let lpn = Snapshot.R.varint r in
-          if lpn < 0 then corrupt "negative lpn";
-          lpn
-        | 2 -> invalid
-        | _ -> corrupt "bad page state tag")
-      "state"
-  in
+  expect logical "map";
+  let map = Array.make logical (-1) in
+  for lpn = 0 to logical - 1 do
+    map.(lpn) <- Snapshot.R.vint r
+  done;
+  expect total_pages "state";
+  let state = Array.make total_pages free in
+  for p = 0 to total_pages - 1 do
+    match Snapshot.R.byte r with
+    | 0 -> ()
+    | 1 ->
+      let lpn = Snapshot.R.varint r in
+      if lpn < 0 then corrupt "negative lpn";
+      state.(p) <- lpn
+    | 2 -> state.(p) <- invalid
+    | _ -> corrupt "bad page state tag"
+  done;
   let per_block name =
-    let a = read_array t.geo.blocks Snapshot.R.varint name in
+    expect t.geo.blocks name;
+    let a = Array.init t.geo.blocks (fun _ -> Snapshot.R.varint r) in
     if Array.exists (fun n -> n < 0 || n > ppb) a then
       corrupt (name ^ " count out of range");
     a
@@ -329,17 +336,19 @@ let restore r t =
   let active = Snapshot.R.varint r in
   let free_blocks = Snapshot.R.list r Snapshot.R.varint in
   let free_block_count = Snapshot.R.varint r in
-  Array.iter
-    (fun p -> if p < -1 || p >= total_pages then corrupt "map entry out of range")
-    map;
-  Array.iteri
-    (fun p lpn ->
-      if lpn >= 0 && (lpn >= logical || map.(lpn) <> p) then
-        corrupt "valid page disagrees with map")
-    state;
-  Array.iteri
-    (fun lpn p -> if p >= 0 && state.(p) <> lpn then corrupt "map disagrees with page state")
-    map;
+  for lpn = 0 to logical - 1 do
+    let p = map.(lpn) in
+    if p < -1 || p >= total_pages then corrupt "map entry out of range"
+  done;
+  for p = 0 to total_pages - 1 do
+    let lpn = state.(p) in
+    if lpn >= 0 && (lpn >= logical || map.(lpn) <> p) then
+      corrupt "valid page disagrees with map"
+  done;
+  for lpn = 0 to logical - 1 do
+    let p = map.(lpn) in
+    if p >= 0 && state.(p) <> lpn then corrupt "map disagrees with page state"
+  done;
   let seen = Array.make t.geo.blocks false in
   List.iter
     (fun b ->

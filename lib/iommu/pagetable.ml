@@ -216,16 +216,16 @@ let iter t f =
 
 (* Checkpointing: the radix structure is derivable from the leaf mappings,
    so the encoding is just the (va, pa, perm) list — [iter] visits leaves
-   in ascending va order, which keeps the bytes deterministic. *)
+   in ascending va order, which keeps the bytes deterministic. [mapped]
+   counts the leaves, so the list is written as it is walked, and an empty
+   table is not walked at all. *)
 let save w t =
-  let entries = ref [] in
-  iter t (fun ~va ~pa ~perm -> entries := (va, pa, perm) :: !entries);
-  Snapshot.W.list w
-    (fun w (va, pa, perm) ->
-      Snapshot.W.int64 w va;
-      Snapshot.W.int64 w pa;
-      Snapshot.W.byte w (Proto_perm.to_bits perm))
-    (List.rev !entries)
+  Snapshot.W.varint w t.mapped;
+  if t.mapped > 0 then
+    iter t (fun ~va ~pa ~perm ->
+        Snapshot.W.int64 w va;
+        Snapshot.W.int64 w pa;
+        Snapshot.W.byte w (Proto_perm.to_bits perm))
 
 let restore r t =
   reset t;

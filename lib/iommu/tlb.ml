@@ -159,18 +159,18 @@ let save w t =
   Snapshot.W.varint w t.sets;
   Snapshot.W.varint w t.ways;
   Snapshot.W.varint w t.clock;
-  Array.iter
-    (fun set ->
-      Array.iter
-        (fun s ->
-          Snapshot.W.bool w s.valid;
-          Snapshot.W.vint w s.pasid;
-          Snapshot.W.int64 w (Int64.of_int s.vpn);
-          Snapshot.W.int64 w (Int64.of_int s.ppn);
-          Snapshot.W.byte w (Proto_perm.to_bits s.perm);
-          Snapshot.W.varint w s.lru)
-        set)
-    t.slots
+  for set = 0 to t.sets - 1 do
+    let slots = t.slots.(set) in
+    for way = 0 to t.ways - 1 do
+      let s = slots.(way) in
+      Snapshot.W.bool w s.valid;
+      Snapshot.W.vint w s.pasid;
+      Snapshot.W.int64 w (Int64.of_int s.vpn);
+      Snapshot.W.int64 w (Int64.of_int s.ppn);
+      Snapshot.W.byte w (Proto_perm.to_bits s.perm);
+      Snapshot.W.varint w s.lru
+    done
+  done
 
 let restore r t =
   let sets = Snapshot.R.varint r in

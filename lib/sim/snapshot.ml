@@ -106,25 +106,34 @@ module W = struct
     Bytes.unsafe_set w.bytes w.len (Char.unsafe_chr (n land 0xff));
     w.len <- w.len + 1
 
+  (* Fixed-width fields reserve their bytes once and store them whole. *)
   let u32 w n =
-    byte w n;
-    byte w (n lsr 8);
-    byte w (n lsr 16);
-    byte w (n lsr 24)
+    reserve w 4;
+    Bytes.set_int32_le w.bytes w.len (Int32.of_int n);
+    w.len <- w.len + 4
 
   let int64 w n =
-    for shift = 0 to 7 do
-      byte w (Int64.to_int (Int64.shift_right_logical n (8 * shift)))
-    done
+    reserve w 8;
+    Bytes.set_int64_le w.bytes w.len n;
+    w.len <- w.len + 8
 
-  (* Unsigned LEB128; lengths and other non-negative quantities. *)
-  let rec varint w n =
-    assert (n >= 0);
-    if n < 0x80 then byte w n
-    else begin
-      byte w (0x80 lor (n land 0x7f));
-      varint w (n lsr 7)
+  (* [n]'s LEB128 bytes into [b] at [pos]; the position after them. *)
+  let rec put_varint b pos n =
+    if n < 0x80 then begin
+      Bytes.unsafe_set b pos (Char.unsafe_chr n);
+      pos + 1
     end
+    else begin
+      Bytes.unsafe_set b pos (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+      put_varint b (pos + 1) (n lsr 7)
+    end
+
+  (* Unsigned LEB128; lengths and other non-negative quantities. One
+     reservation covers the longest encoding (9 bytes for 63 bits). *)
+  let varint w n =
+    assert (n >= 0);
+    if w.len + 9 > Bytes.length w.bytes then reserve w 9;
+    w.len <- put_varint w.bytes w.len n
 
   (* Zigzag-encoded signed int, for quantities that may go negative. *)
   let vint w n = varint w ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
@@ -181,28 +190,40 @@ module R = struct
     r.pos <- r.pos + 1;
     c
 
+  (* Fixed-width fields are read whole; one that runs past [lim] fails
+     at the first byte missing, as a byte-by-byte read would. *)
   let u32 r =
-    let a = byte r in
-    let b = byte r in
-    let c = byte r in
-    let d = byte r in
-    a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24)
+    if r.pos + 4 > r.lim then corrupt "truncated (byte at %d)" (max r.pos r.lim);
+    let v = Int32.to_int (String.get_int32_le r.buf r.pos) land 0xffff_ffff in
+    r.pos <- r.pos + 4;
+    v
 
   let int64 r =
-    let v = ref 0L in
-    for shift = 0 to 7 do
-      v := Int64.logor !v (Int64.shift_left (Int64.of_int (byte r)) (8 * shift))
-    done;
-    !v
+    if r.pos + 8 > r.lim then corrupt "truncated (byte at %d)" (max r.pos r.lim);
+    let v = String.get_int64_le r.buf r.pos in
+    r.pos <- r.pos + 8;
+    v
 
+  (* The rest of a varint whose bits below [shift] are [acc]. *)
+  let rec varint_from r shift acc =
+    if shift >= Sys.int_size then corrupt "varint overflow at %d" r.pos;
+    let b = byte r in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else varint_from r (shift + 7) acc
+
+  (* Most lengths, counts and indices fit one byte: that case takes one
+     bounds check; anything else, truncation included, takes the loop. *)
   let varint r =
-    let rec go shift acc =
-      if shift >= Sys.int_size then corrupt "varint overflow at %d" r.pos;
-      let b = byte r in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
+    let pos = r.pos in
+    if pos < r.lim then begin
+      let b = Char.code (String.unsafe_get r.buf pos) in
+      if b < 0x80 then begin
+        r.pos <- pos + 1;
+        b
+      end
+      else varint_from r 0 0
+    end
+    else varint_from r 0 0
 
   let vint r =
     let n = varint r in

@@ -14,7 +14,11 @@
     ({!Engine.register_snapshot}). *)
 
 external crc32 : string -> int = "lastcpu_crc32" [@@noalloc]
-(** IEEE CRC-32 of a string; the tree's one CRC-32, a C stub. *)
+(** IEEE CRC-32 of a string; the tree's one CRC-32, a C stub. On x86
+    CPUs with PCLMULQDQ it hashes ranges of 64 bytes or more with a
+    carry-less-multiply fold, and everything else with a slice-by-8
+    table; the kernel is picked once at load time, and both give the
+    same bits. *)
 
 val crc32_update : int -> string -> int -> int -> int
 (** [crc32_update crc s pos len] extends [crc], the CRC-32 of a prefix

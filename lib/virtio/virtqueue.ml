@@ -140,11 +140,23 @@ module Driver = struct
       end
     end
 
+  (* Whether the [k]-descriptor chain at [i] links as the driver posted
+     it: every descriptor but the last is read, one DMA transaction each. *)
+  let rec links_intact t i k =
+    k = 1
+    ||
+    let _, _, _, next = Raw.read_desc t.raw i in
+    next = t.next_free.(i) && links_intact t next (k - 1)
+
+  (* The last descriptor of that chain, by the driver's own links. *)
+  let rec chain_last t i k = if k = 1 then i else chain_last t t.next_free.(i) (k - 1)
+
   (* The used ring is peer memory: an entry whose id is out of range or
-     not the head of an outstanding chain is dropped, and so is one whose
-     chain's descriptor links the peer rewrote. A chain is recycled along
-     the driver's own [next_free] links, which still hold it; each
-     descriptor is still read, one DMA transaction, to check its link. *)
+     not the head of an outstanding chain is dropped. A chain is recycled
+     along the driver's own [next_free] links, which still hold it. One
+     whose links the peer rewrote is recycled all the same but completes
+     with zero bytes written, so the caller sees a failed request instead
+     of losing the descriptors. *)
   let rec poll_used t =
     let used = Raw.used_idx t.raw in
     if used land 0xffff = t.used_seen land 0xffff then None
@@ -153,17 +165,10 @@ module Driver = struct
       let id, written = Raw.used_ring t.raw slot in
       t.used_seen <- t.used_seen + 1;
       let n = if id >= 0 && id < size t then t.chain_len.(id) else 0 in
-      (* The chain's last descriptor, or -1 at a link the peer changed. *)
-      let rec tail i k =
-        if k = 1 then i
-        else begin
-          let _, _, _, next = Raw.read_desc t.raw i in
-          if next = t.next_free.(i) then tail next (k - 1) else -1
-        end
-      in
-      let last = if n > 0 then tail id n else -1 in
-      if last < 0 then poll_used t
+      if n = 0 then poll_used t
       else begin
+        let written = if links_intact t id n then written else 0 in
+        let last = chain_last t id n in
         t.completion_count <- t.completion_count + 1;
         t.next_free.(last) <- t.free_head;
         t.free_head <- id;
@@ -246,10 +251,12 @@ module Device = struct
       let slot = t.avail_seen mod t.raw.Raw.size in
       let head = Raw.avail_ring t.raw slot in
       t.avail_seen <- t.avail_seen + 1;
-      (* Only NEXT and WRITE mean anything; other flag bits are ignored. *)
+      (* Only NEXT and WRITE mean anything; other flag bits are ignored.
+         The head and links are peer-written: one that names no
+         descriptor of the table, or a chain longer than the ring (a
+         loop), pops as malformed, with no buffers. *)
       let rec walk i acc guard =
-        if guard > t.raw.Raw.size then
-          invalid_arg "Virtqueue.Device.pop: descriptor chain loop"
+        if i >= t.raw.Raw.size || guard > t.raw.Raw.size then []
         else begin
           let va, len, flags, next = Raw.read_desc t.raw i in
           let buf = { va; len; writable = flags land desc_f_write <> 0 } in

@@ -40,8 +40,9 @@ module Driver : sig
   val poll_used : t -> (int * int) option
   (** [(head, written)] for the next completion, recycling its
       descriptors. Used entries the peer forged are skipped: an id out of
-      range or not heading an outstanding chain, or a chain whose
-      descriptor links were rewritten (that chain stays outstanding). *)
+      range or not heading an outstanding chain. A chain whose descriptor
+      links the peer rewrote is recycled along the driver's own links and
+      completes as [(head, 0)], nothing written. *)
 
   val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
   (** Append the driver-local free list and shadow indices (checkpointing).
@@ -65,7 +66,10 @@ module Device : sig
   type chain = { head : int; buffers : buffer list }
 
   val pop : t -> chain option
-  (** Next posted chain from the available ring, walking NEXT links. *)
+  (** Next posted chain from the available ring, walking NEXT links. A
+      chain whose head or a link names no descriptor of the table, or
+      whose links loop (more descriptors than the ring holds), is
+      malformed: it pops with no buffers, and never raises. *)
 
   val push_used : t -> head:int -> written:int -> unit
   (** Complete a chain, making it visible on the used ring. *)

@@ -280,9 +280,13 @@ let test_wire_size_positive () =
 
 (* The C stub must be bit-identical to the original OCaml loop: WAL
    records, NAND page checksums and snapshot files feed golden digests, so
-   a divergence would corrupt every pinned experiment. Lengths 0..70 at
-   offsets 0..7 probe every slice-by-8 alignment, plus a full NAND page
-   and 1 MiB of pseudo-random bytes; the update form must chain. *)
+   a divergence would corrupt every pinned experiment. Where the CPU has
+   carry-less multiplies, a range of 64 bytes or more is folded 16 bytes
+   at a time and its tail and every shorter range take the table loop:
+   lengths 0..300 at offsets 0..15, from zero and non-zero starting CRCs,
+   cross the 64-byte threshold and probe every slice-by-8 and fold
+   alignment, and every split of a range in two at 1..130 bytes must
+   chain. Then a full NAND page and 1 MiB of pseudo-random bytes. *)
 let test_crc32_stub_matches_reference () =
   let check s =
     Alcotest.(check int)
@@ -292,15 +296,30 @@ let test_crc32_stub_matches_reference () =
   check "";
   Alcotest.(check int) "IEEE 802.3 check value" 0xCBF43926
     (Wire.crc32 "123456789");
-  let base = String.init 80 (fun i -> Char.chr ((i * 37) land 0xff)) in
-  for pos = 0 to 7 do
-    for len = 0 to 70 do
-      Alcotest.(check int)
-        (Printf.sprintf "crc32_update at %d, %d bytes" pos len)
-        (Wire.crc32_reference (String.sub base pos len))
-        (Snapshot.crc32_update 0 base pos len)
-    done
-  done;
+  let base = String.init 400 (fun i -> Char.chr ((i * 173 + 41) land 0xff)) in
+  List.iter
+    (fun prefix ->
+      let start = Wire.crc32_reference prefix in
+      for pos = 0 to 15 do
+        for len = 0 to 300 do
+          Alcotest.(check int)
+            (Printf.sprintf "crc32_update from %#x at %d, %d bytes" start pos len)
+            (Wire.crc32_reference (prefix ^ String.sub base pos len))
+            (Snapshot.crc32_update start base pos len)
+        done
+      done)
+    [ ""; "x"; "lastcpu"; String.make 70 '\xff' ];
+  List.iter
+    (fun total ->
+      for cut = 1 to min 130 (total - 1) do
+        Alcotest.(check int)
+          (Printf.sprintf "%d bytes split at %d" total cut)
+          (Wire.crc32_reference (String.sub base 0 total))
+          (Snapshot.crc32_update
+             (Snapshot.crc32_update 0 base 0 cut)
+             base cut (total - cut))
+      done)
+    [ 63; 64; 65; 127; 128; 129; 130; 131; 200; 260 ];
   check (String.init 4096 (fun i -> Char.chr ((i * 131) land 0xff)));
   let rng = Random.State.make [| 16 |] in
   let mib = String.init (1 lsl 20) (fun _ -> Char.chr (Random.State.int rng 256)) in

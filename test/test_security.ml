@@ -423,10 +423,11 @@ let test_hostile_kv_frame_contained () =
     | [ { Kv_proto.corr = 2; reply = Kv_proto.Value None } ] -> ()
     | _ -> Alcotest.fail "the Get after the hostile frame was not answered"
 
-(* Descriptor buffer addresses are written by the peer. A buffer outside
-   the SSD's mapping faults its own chain only: that chain completes with
-   nothing written and the chain after it is still served. *)
-let test_ssd_bad_chain_contained () =
+(* A NIC-side virtqueue of 8 descriptors attached to SSD 0 over granted
+   shared memory at [shm], with a Stat request written at [req_va]. [post]
+   chains a request and a response buffer; [serve] rings the doorbell,
+   runs the system and returns the completions. *)
+let attached_ssd_queue () =
   let system = booted () in
   let dev = Smart_nic.device (System.nic system 0) in
   let ssd = Smart_ssd.id (System.ssd system 0) in
@@ -462,8 +463,7 @@ let test_ssd_bad_chain_contained () =
   System.run_until_idle system;
   Alcotest.(check bool) "queue attached" true !attached;
   let request = Ssd_proto.encode_request (Ssd_proto.Stat { path = "/" }) in
-  let req_va = Int64.add shm 8192L and resp_va = Int64.add shm 12288L in
-  let outside = 0x7000_0000L in
+  let req_va = Int64.add shm 8192L in
   Dma.write_bytes dma req_va request;
   let post req resp =
     match
@@ -476,24 +476,96 @@ let test_ssd_bad_chain_contained () =
     | Ok head -> head
     | Error e -> Alcotest.fail e
   in
+  let serve () =
+    Device.doorbell dev ~dst:ssd ~queue;
+    System.run_until_idle system;
+    let rec completions acc =
+      match Vq.Driver.poll_used driver with
+      | Some c -> completions (c :: acc)
+      | None -> List.rev acc
+    in
+    completions []
+  in
+  (dma, shm, req_va, post, serve)
+
+let check_directory_stat dma resp_va written =
+  match Ssd_proto.decode_response (Dma.read_bytes dma resp_va written) with
+  | Ok (Ssd_proto.Ok_stat { kind_dir = true; _ }) -> ()
+  | _ -> Alcotest.fail "the good chain's response is not a directory stat"
+
+(* Descriptor buffer addresses are written by the peer. A buffer outside
+   the SSD's mapping faults its own chain only: that chain completes with
+   nothing written and the chain after it is still served. *)
+let test_ssd_bad_chain_contained () =
+  let dma, shm, req_va, post, serve = attached_ssd_queue () in
+  let resp_va = Int64.add shm 12288L in
+  let outside = 0x7000_0000L in
   let bad_request = post outside resp_va in
   let bad_response = post req_va outside in
   let good = post req_va resp_va in
-  Device.doorbell dev ~dst:ssd ~queue;
-  System.run_until_idle system;
-  let rec completions acc =
-    match Vq.Driver.poll_used driver with
-    | Some c -> completions (c :: acc)
-    | None -> List.rev acc
-  in
-  match completions [] with
+  match serve () with
   | [ (h1, 0); (h2, 0); (h3, written) ] when written > 0 ->
     Alcotest.(check (list int)) "completion order"
       [ bad_request; bad_response; good ] [ h1; h2; h3 ];
-    (match Ssd_proto.decode_response (Dma.read_bytes dma resp_va written) with
-    | Ok (Ssd_proto.Ok_stat { kind_dir = true; _ }) -> ()
-    | _ -> Alcotest.fail "the good chain's response is not a directory stat")
+    check_directory_stat dma resp_va written
   | _ -> Alcotest.fail "expected two empty completions, then the good chain"
+
+(* Descriptor links are written by the peer too. A chain whose last
+   descriptor links back to its head loops, and one whose link names a
+   descriptor past the table points outside the grant: each completes
+   with nothing written, no exception leaves the SSD, and the chain after
+   them is still served. *)
+let test_ssd_bad_links_contained () =
+  let dma, shm, req_va, post, serve = attached_ssd_queue () in
+  let resp_va = Int64.add shm 12288L in
+  (* Flags at byte 12 of a descriptor, next at byte 14. *)
+  let set_link d ~next =
+    Dma.write_field dma (Int64.to_int shm + (16 * d) + 12) 2 1;
+    Dma.write_field dma (Int64.to_int shm + (16 * d) + 14) 2 next
+  in
+  let second head = Dma.read_field dma (Int64.to_int shm + (16 * head) + 14) 2 in
+  let looped = post req_va (Int64.add shm 16384L) in
+  set_link (second looped) ~next:looped;
+  let escaping = post req_va (Int64.add shm 20480L) in
+  set_link (second escaping) ~next:65535;
+  let good = post req_va resp_va in
+  match serve () with
+  | [ (h1, 0); (h2, 0); (h3, written) ] when written > 0 ->
+    Alcotest.(check (list int)) "completion order" [ looped; escaping; good ]
+      [ h1; h2; h3 ];
+    check_directory_stat dma resp_va written
+  | _ -> Alcotest.fail "expected two empty completions, then the good chain"
+
+(* Descriptor links the client posted are peer memory once posted. When
+   one is rewritten before the SSD serves the chain, File_client still
+   answers that request, with an error, and its slot and descriptors come
+   back: every slot then serves a request again. *)
+let test_file_client_rewritten_link () =
+  let system = booted () in
+  let dev = Smart_nic.device (System.nic system 0) in
+  let pasid = System.fresh_pasid system in
+  let shm = 0x4000_0000L in
+  let fc = ref None in
+  File_client.connect dev ~memctl:(Memctl.id (System.memctl system)) ~pasid
+    ~shm_va:shm ~user:"root" ~path_hint:"/" (fun r -> fc := Result.to_option r);
+  System.run_until_idle system;
+  let fc = match !fc with Some fc -> fc | None -> Alcotest.fail "connect failed" in
+  let first = ref None in
+  File_client.stat fc "/" (fun r -> first := Some r);
+  (* The first chain heads descriptor 0 and links to 1; its next field
+     is at byte 14. Point it at free descriptor 2. *)
+  Dma.write_field (Device.dma dev ~pasid) (Int64.to_int shm + 14) 2 2;
+  System.run_until_idle system;
+  (match !first with
+  | Some (Error _) -> ()
+  | Some (Ok _) -> Alcotest.fail "the rewritten chain answered Ok"
+  | None -> Alcotest.fail "the rewritten chain was never answered");
+  let answered = ref 0 in
+  for _ = 1 to 32 do
+    File_client.stat fc "/" (function Ok (_, true) -> incr answered | _ -> ())
+  done;
+  System.run_until_idle system;
+  Alcotest.(check int) "every slot serves again" 32 !answered
 
 let () =
   Alcotest.run "security"
@@ -521,5 +593,9 @@ let () =
             test_hostile_kv_frame_contained;
           Alcotest.test_case "ssd bad chain contained" `Quick
             test_ssd_bad_chain_contained;
+          Alcotest.test_case "ssd bad links contained" `Quick
+            test_ssd_bad_links_contained;
+          Alcotest.test_case "file client rewritten link" `Quick
+            test_file_client_rewritten_link;
         ] );
     ]

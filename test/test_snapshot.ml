@@ -822,7 +822,7 @@ let restore_result restore body =
 type ftl_section = {
   logical : int;
   map : int array;
-  state : int array;  (* lpn, or -1 free / -2 invalid *)
+  state : int array;  (* lpn, or -1 free / -2 invalid; -n is tag n *)
   free_in_block : int array;
   invalid_in_block : int array;
   active : int;
@@ -859,7 +859,7 @@ let encode_ftl f =
         Snapshot.W.byte w 1;
         Snapshot.W.varint w s
       end
-      else Snapshot.W.byte w (if s = -1 then 0 else 2))
+      else Snapshot.W.byte w (if s = -1 then 0 else -s))
     f.state;
   Snapshot.W.array w Snapshot.W.varint f.free_in_block;
   Snapshot.W.array w Snapshot.W.varint f.invalid_in_block;
@@ -897,6 +897,9 @@ let test_ftl_section_rejected () =
   Array.iteri (fun l p -> if p < 0 && !unmapped < 0 then unmapped := l) f.map;
   let unmapped = !unmapped in
   let free_b = List.hd f.free_list in
+  let erased = ref (-1) in
+  Array.iteri (fun p s -> if s = -1 && !erased < 0 then erased := p) f.state;
+  let erased = !erased in
   List.iter
     (fun (what, section) ->
       let target = Ftl.create ~nand:(Nand.create ~geometry ()) () in
@@ -926,6 +929,24 @@ let test_ftl_section_rejected () =
        encode_ftl { f with free_in_block = set f.free_in_block 0 5 });
       ("invalid count > pages per block",
        encode_ftl { f with invalid_in_block = set f.invalid_in_block 0 5 });
+      ("bad page state tag", encode_ftl { f with state = set f.state erased (-3) });
+      ("valid lpn far out of range",
+       encode_ftl { f with state = set f.state valid (1 lsl 40) });
+      ("map entry far out of range", encode_ftl { f with map = set f.map lpn (1 lsl 40) });
+      ("map entry far below -1", encode_ftl { f with map = set f.map lpn (-(1 lsl 40)) });
+      ("map one short",
+       encode_ftl { f with map = Array.sub f.map 0 (Array.length f.map - 1) });
+      ("map one long", encode_ftl { f with map = Array.append f.map [| -1 |] });
+      ("state one short",
+       encode_ftl { f with state = Array.sub f.state 0 (total - 1) });
+      ("state one long", encode_ftl { f with state = Array.append f.state [| -1 |] });
+      ("fill counts one short",
+       encode_ftl
+         { f with
+           free_in_block =
+             Array.sub f.free_in_block 0 (Array.length f.free_in_block - 1) });
+      ("truncated in the map", String.sub body 0 (Array.length f.map / 2));
+      ("truncated in the page states", String.sub body 0 (String.length body / 2));
     ];
   let target = Ftl.create ~nand:(Nand.create ~geometry ()) () in
   (match restore_result (fun r -> Ftl.restore r target) body with

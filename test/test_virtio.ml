@@ -321,10 +321,10 @@ let test_vq_empty_chain_rejected () =
   | Ok _ -> Alcotest.fail "empty chain accepted"
 
 (* The used ring is peer memory. Forged entries (an id out of range, a
-   free id, a repeated id) and a chain whose descriptor link the peer
-   rewrote are dropped without an exception; the honest completion still
-   arrives, the free count stays exact, and the free descriptors can all
-   be posted again. *)
+   free id, a repeated id) are dropped without an exception; a chain whose
+   descriptor link the peer rewrote is recycled but completes with zero
+   bytes; the honest completion still arrives, the free count stays exact,
+   and every descriptor can be posted again. *)
 let test_vq_forged_used_entries () =
   let dma_a, dma_b, va = rig () in
   let driver = Vq.Driver.create ~dma:dma_a ~base:va ~size:8 in
@@ -346,19 +346,72 @@ let test_vq_forged_used_entries () =
     [ 99; 7; a; a; b ];
   let rec reap acc =
     match Vq.Driver.poll_used driver with
-    | Some (head, _) -> reap (head :: acc)
+    | Some c -> reap (c :: acc)
     | None -> List.rev acc
   in
-  Alcotest.(check (list int)) "only the honest completion" [ a ] (reap []);
-  Alcotest.(check int) "chain a recycled, b outstanding" 6
-    (Vq.Driver.num_free driver);
-  let heads = List.init 6 (fun i -> post [ buf (8 + i) ]) in
-  Alcotest.(check (list int)) "every free descriptor reposted" [ 0; 1; 2; 5; 6; 7 ]
+  Alcotest.(check (list (pair int int)))
+    "the honest completion, then b with nothing written" [ (a, 1); (b, 0) ]
+    (reap []);
+  Alcotest.(check int) "chains a and b recycled" 8 (Vq.Driver.num_free driver);
+  let heads = List.init 8 (fun i -> post [ buf (8 + i) ]) in
+  Alcotest.(check (list int)) "every descriptor reposted" [ 0; 1; 2; 3; 4; 5; 6; 7 ]
     (List.sort compare heads);
   Alcotest.(check int) "none free" 0 (Vq.Driver.num_free driver);
   match Vq.Driver.add driver [ buf 14 ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "posted past the free count"
+
+(* Descriptor links and avail-ring heads are peer memory too. A chain
+   whose last descriptor links back to its head, one whose link names a
+   descriptor past the table (65535, outside the whole mapping), and an
+   avail entry naming no descriptor each pop as malformed: no buffers, no
+   exception, nothing read past the table, and a loop reads one
+   descriptor more than the ring holds. The chain posted after them pops
+   intact. *)
+let test_vq_bad_links_malformed () =
+  let iommu_b = Iommu.create () in
+  let dma_a, dma_b, va = rig ~iommu_b () in
+  let driver = Vq.Driver.create ~dma:dma_a ~base:va ~size:8 in
+  let device = Vq.Device.create ~dma:dma_b ~base:va ~size:8 in
+  let buf i = { Vq.va = Int64.add va (Int64.of_int (8192 + (i * 64))); len = 8; writable = false } in
+  let post bufs =
+    match Vq.Driver.add driver bufs with
+    | Ok head -> head
+    | Error e -> Alcotest.fail e
+  in
+  (* Flags at byte 12 of a descriptor, next at byte 14. *)
+  let set_link d ~next =
+    Dma.write_field dma_a (Int64.to_int va + (16 * d) + 12) 2 1;
+    Dma.write_field dma_a (Int64.to_int va + (16 * d) + 14) 2 next
+  in
+  let looped = post [ buf 0; buf 1 ] in
+  set_link (Dma.read_field dma_a (Int64.to_int va + (16 * looped) + 14) 2) ~next:looped;
+  let escaping = post [ buf 2 ] in
+  set_link escaping ~next:65535;
+  ignore (post [ buf 3 ]);
+  (* Avail-ring entries start at byte 16 * 8 + 4: entry 2, the chain just
+     posted, now names descriptor 8. *)
+  Dma.write_field dma_a (Int64.to_int va + (16 * 8) + 4 + 4) 2 8;
+  let good = post [ buf 4 ] in
+  let malformed what head descriptors =
+    let before = Iommu.translations iommu_b in
+    (match Vq.Device.pop device with
+    | Some { Vq.Device.head = h; buffers } ->
+      Alcotest.(check int) (what ^ ": head") head h;
+      Alcotest.(check int) (what ^ ": no buffers") 0 (List.length buffers)
+    | None -> Alcotest.fail (what ^ ": expected a chain"));
+    (* Avail idx and ring entry (2 + 2 bytes), then 16 per descriptor. *)
+    Alcotest.(check int) (what ^ ": descriptors read") (4 + (16 * descriptors))
+      (Iommu.translations iommu_b - before)
+  in
+  malformed "loop" looped 9;
+  malformed "link past the table" escaping 1;
+  malformed "head past the table" 8 0;
+  match Vq.Device.pop device with
+  | Some { Vq.Device.head; buffers = [ b ] } ->
+    Alcotest.(check int) "next head" good head;
+    Alcotest.(check bool) "its buffer" true (b = buf 4)
+  | _ -> Alcotest.fail "expected the good chain"
 
 (* Property: the queue behaves like a FIFO against a reference model under
    random interleavings of add / device-drain / driver-reap. *)
@@ -735,6 +788,8 @@ let () =
           Alcotest.test_case "empty chain rejected" `Quick test_vq_empty_chain_rejected;
           Alcotest.test_case "forged used entries dropped" `Quick
             test_vq_forged_used_entries;
+          Alcotest.test_case "bad descriptor links pop malformed" `Quick
+            test_vq_bad_links_malformed;
           QCheck_alcotest.to_alcotest vq_model_prop;
         ] );
       ( "dmi",
