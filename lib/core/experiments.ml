@@ -1312,7 +1312,7 @@ let failover_kvs ~name spec =
     ~pasid ~shm_va ~user:"kvs" ~log_path:"/kv/data.log" ~req_timeout:300_000L
     ~req_retries:6 ~supervisor:fresh_attach ()
     (fun r -> launched := Some r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   match !launched with
   | None -> invalid_arg (name ^ ": launch did not complete")
   | Some (Error e) -> invalid_arg (Printf.sprintf "%s: launch: %s" name e)
@@ -1335,6 +1335,18 @@ let t13_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed () =
   in
   let system, app = failover_kvs ~name:"t13" spec in
   let engine = System.engine system in
+  let crashes () =
+    Metrics.counter_read (Engine.metrics engine) ~actor:"faults"
+      ~name:"crashes_injected"
+  in
+  (* Both designs must meet the crash mid-workload: a bring-up that ran
+     into the fault plan would compare a recovered machine against one
+     that still has the crash ahead of it. *)
+  if crashes () <> 0 || Kv_app.failovers app <> 0 then
+    invalid_arg
+      (Printf.sprintf
+         "t13: bring-up reached the fault plan (%d crashes, %d failovers at %Ldns)"
+         (crashes ()) (Kv_app.failovers app) (Engine.now engine));
   (* Each op is retransmitted (same correlation id: the KVS ops are
      idempotent) on an escalating timer until a non-[Failed] reply arrives
      or the attempts run out. *)
@@ -1370,8 +1382,7 @@ let t13_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed () =
     (tally (), !converged),
     Device.request_retries nic_dev,
     Kv_app.failovers app,
-    Metrics.counter_read (Engine.metrics engine) ~actor:"faults"
-      ~name:"crashes_injected" )
+    crashes () )
 
 let t13_centralized ~seed () =
   let engine = Engine.create ~seed ~fault_plan:t13_plan () in
