@@ -14,9 +14,9 @@ type t = {
   mutable storage_down : bool;
 }
 
-let create engine ?cores ?run_queue_capacity ?geometry () =
+let create engine ?cores ?run_queue_capacity () =
   let faults = Engine.faults engine in
-  let nand = Nand.create ?geometry ~faults () in
+  let nand = Nand.create ~faults () in
   let ftl = Ftl.create ~nand () in
   let filesystem =
     match Fs.format ftl with
@@ -177,10 +177,6 @@ let store_backend t ~path ~user =
   }
 
 (* Network path ---------------------------------------------------------------- *)
-
-let kv_network_op t work k =
-  Kernel.interrupt t.kern ~name:"rx" (fun () ->
-      work (fun () -> Kernel.syscall t.kern ~name:"tx" k))
 
 let try_kv_network_op t work ~on_busy k =
   (* Guarded ingress: the rx interrupt is refused EAGAIN-style when the

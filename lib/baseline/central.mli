@@ -24,7 +24,6 @@ val create :
   Lastcpu_sim.Engine.t ->
   ?cores:int ->
   ?run_queue_capacity:int ->
-  ?geometry:Lastcpu_flash.Nand.geometry ->
   unit ->
   t
 (** [run_queue_capacity] bounds the kernel's per-core run queues (see
@@ -57,21 +56,17 @@ val store_backend : t -> path:string -> user:string -> Lastcpu_kv.Store.backend
 (** A {!Lastcpu_kv.Store} backend whose log I/O goes through the kernel:
     the baseline KVS runs the identical store logic. *)
 
-val kv_network_op :
-  t -> ((unit -> unit) -> unit) -> (unit -> unit) -> unit
-(** [kv_network_op t work k]: RX interrupt, then [work] (which performs
-    store operations and calls its continuation), then a TX syscall, then
-    [k]. Models packet-in/packet-out through the CPU. *)
-
 val try_kv_network_op :
   t ->
   ((unit -> unit) -> unit) ->
   on_busy:(retry_after_ns:int64 -> unit) ->
   (unit -> unit) ->
   unit
-(** Guarded variant: the RX interrupt goes through
-    {!Kernel.try_interrupt}; when the run queues are full the frame is
-    refused and [on_busy] fires with the core's drain time instead —
-    EAGAIN at the NIC rather than an interrupt storm. The TX completion of
-    admitted work is never refused. Identical to {!kv_network_op} when the
-    kernel has no [run_queue_capacity]. *)
+(** [try_kv_network_op t work ~on_busy k]: RX interrupt, then [work]
+    (which performs store operations and calls its continuation), then a
+    TX syscall, then [k] — packet-in/packet-out through the CPU. The RX
+    interrupt goes through {!Kernel.try_interrupt}: when the run queues
+    are full the frame is refused and [on_busy] fires with the core's
+    drain time instead — EAGAIN at the NIC rather than an interrupt storm.
+    A kernel without a [run_queue_capacity] never refuses. The TX
+    completion of admitted work is never refused. *)

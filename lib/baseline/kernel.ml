@@ -32,53 +32,44 @@ let pick t =
     t.stations;
   !best
 
-let syscall t ~name ?(extra = 0L) k =
-  ignore name;
-  t.syscall_count <- t.syscall_count + 1;
-  let service =
-    Int64.add Costs.syscall_ns (Int64.add Costs.kernel_op_ns extra)
-  in
-  Station.submit (pick t) ~service k
+type entry = Syscall | Interrupt
 
-let interrupt t ~name ?(extra = 0L) k =
-  ignore name;
-  t.interrupt_count <- t.interrupt_count + 1;
-  let service =
-    Int64.add Costs.interrupt_ns (Int64.add Costs.kernel_op_ns extra)
-  in
-  Station.submit (pick t) ~service k
-
-(* Bounded-admission variants: with a run-queue capacity, a full
-   least-loaded core refuses the work EAGAIN-style instead of queueing it
-   unboundedly; the retry-after hint is that core's drain time. Without a
-   capacity these are exactly [syscall]/[interrupt]. *)
-let try_syscall t ~name ?(extra = 0L) k =
+(* The one way into the kernel: [extra] ns of service on top of the
+   entry's crossing and [kernel_op_ns], on the least-loaded core. A
+   [bounded] entry is refused EAGAIN-style when that core's run queue is
+   full, with the core's drain time as the retry-after hint; an unbounded
+   one always queues. Without a run-queue capacity the two are the same. *)
+let enter t entry ~bounded ~extra k =
   let station = pick t in
-  let service =
-    Int64.add Costs.syscall_ns (Int64.add Costs.kernel_op_ns extra)
+  let crossing =
+    match entry with Syscall -> Costs.syscall_ns | Interrupt -> Costs.interrupt_ns
   in
-  ignore name;
-  match Station.try_submit station ~service k with
+  let service = Int64.add crossing (Int64.add Costs.kernel_op_ns extra) in
+  let admitted =
+    if bounded then Station.try_submit station ~service k
+    else begin
+      Station.submit station ~service k;
+      `Accepted
+    end
+  in
+  match admitted with
   | `Accepted ->
-    t.syscall_count <- t.syscall_count + 1;
+    (match entry with
+    | Syscall -> t.syscall_count <- t.syscall_count + 1
+    | Interrupt -> t.interrupt_count <- t.interrupt_count + 1);
     `Ok
   | `Rejected ->
     t.eagain_count <- t.eagain_count + 1;
     `Eagain (Station.drain_ns station ~now:(Engine.now t.engine))
 
-let try_interrupt t ~name ?(extra = 0L) k =
-  let station = pick t in
-  let service =
-    Int64.add Costs.interrupt_ns (Int64.add Costs.kernel_op_ns extra)
-  in
-  ignore name;
-  match Station.try_submit station ~service k with
-  | `Accepted ->
-    t.interrupt_count <- t.interrupt_count + 1;
-    `Ok
-  | `Rejected ->
-    t.eagain_count <- t.eagain_count + 1;
-    `Eagain (Station.drain_ns station ~now:(Engine.now t.engine))
+let syscall t ~name:_ ?(extra = 0L) k =
+  match enter t Syscall ~bounded:false ~extra k with `Ok | `Eagain _ -> ()
+
+let interrupt t ~name:_ k =
+  match enter t Interrupt ~bounded:false ~extra:0L k with `Ok | `Eagain _ -> ()
+
+let try_syscall t ~name:_ k = enter t Syscall ~bounded:true ~extra:0L k
+let try_interrupt t ~name:_ k = enter t Interrupt ~bounded:true ~extra:0L k
 
 let syscalls t = t.syscall_count
 let interrupts t = t.interrupt_count

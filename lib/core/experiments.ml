@@ -27,7 +27,6 @@ module Dma = Lastcpu_virtio.Dma
 module Sanitizer = Lastcpu_sim.Sanitizer
 module Ownership = Lastcpu_sim.Ownership
 module Temporal = Lastcpu_sim.Temporal
-module Parallel = Lastcpu_sim.Parallel
 module Shardlink = Lastcpu_bus.Shardlink
 module Snapshot = Lastcpu_sim.Snapshot
 
@@ -77,21 +76,49 @@ let sequentially n f k_done =
   let rec go i = if i = n then k_done () else f i (fun () -> go (i + 1)) in
   go 0
 
+(* How a loop sends its ops: [Open_loop gap] sends op [j + 1] [gap] ns
+   after op [j], whatever its answer; [Closed_loop f] sends it once op [j]
+   completes, after [f ()]. *)
+type pace = Open_loop of int64 | Closed_loop of (unit -> unit)
+
+(* Send [op j k] for j = 0, 1, ... while [more j], at [pace]. *)
+let paced engine ~pace ~more op =
+  let rec go j =
+    if more j then
+      match pace with
+      | Open_loop gap ->
+        op j ignore;
+        Engine.schedule engine ~delay:gap (fun () -> go (j + 1))
+      | Closed_loop f ->
+        op j (fun () ->
+            f ();
+            go (j + 1))
+  in
+  go 0
+
+(* Control-plane churn from [dev]: alloc→free pairs of one 4 KiB page
+   against [memctl] under [pasid], pair [j] at [va j], while [more j]. The
+   free goes out when the alloc is answered, whatever the answer. *)
+let churn engine dev ~memctl ~pasid ~va ?timeout ?retries ~pace more =
+  paced engine ~pace ~more (fun j k ->
+      let va = va j in
+      Device.alloc dev ~memctl ~pasid ~va ~bytes:4096L ~perm:Types.perm_rw
+        ?timeout ?retries (fun _ ->
+          Device.free dev ~memctl ~pasid ~va ~bytes:4096L (fun _ -> k ())))
+
+(* The centralized counterpart of one churn pair. *)
+let map_unmap kern _ k =
+  Kernel.syscall kern ~name:"mmap" (fun () -> Kernel.syscall kern ~name:"munmap" k)
+
 (* Completions per virtual second of [workers] closed loops over the next
-   20 ms of virtual time. [worker w] sets up loop [w] and returns its op,
-   which is re-sent as soon as the previous one completes. *)
-let closed_loop_rate engine ~workers worker =
+   20 ms of virtual time. [start w ~pace ~more] starts loop [w]. *)
+let closed_loop_rate engine ~workers start =
   let completed = ref 0 in
   let stop = ref false in
   for w = 0 to workers - 1 do
-    let op = worker w in
-    let rec loop () =
-      if not !stop then
-        op (fun () ->
-            incr completed;
-            loop ())
-    in
-    loop ()
+    start w
+      ~pace:(Closed_loop (fun () -> incr completed))
+      ~more:(fun _ -> not !stop)
   done;
   let t0 = Engine.now engine in
   Engine.run ~until:(Int64.add t0 20_000_000L) engine;
@@ -397,16 +424,10 @@ let t2_decentralized ~noisy =
     let noise_dev = Smart_nic.device (System.nic system 1) in
     let mc = Memctl.id (System.memctl system) in
     for j = 0 to 3 do
-      let noise_pasid = System.fresh_pasid system in
+      let pasid = System.fresh_pasid system in
       let va = Int64.add 0x7000_0000L (Int64.of_int (j * 0x100000)) in
-      let rec noise_loop () =
-        if not !stop then
-          Device.alloc noise_dev ~memctl:mc ~pasid:noise_pasid ~va
-            ~bytes:4096L ~perm:Types.perm_rw (fun _ ->
-              Device.free noise_dev ~memctl:mc ~pasid:noise_pasid ~va
-                ~bytes:4096L (fun _ -> noise_loop ()))
-      in
-      noise_loop ()
+      churn engine noise_dev ~memctl:mc ~pasid ~va:(fun _ -> va)
+        ~pace:(Closed_loop ignore) (fun _ -> not !stop)
     done
   end;
   t2_measure engine ~submit:(nic_kv system)
@@ -422,17 +443,12 @@ let t2_centralized ~noisy =
   preload_store store ~keys:t2_keys ~value_bytes:64 ~drain:(fun () ->
       Engine.run engine);
   let stop = ref false in
-  if noisy then begin
-    let kern = Central.kernel central in
+  if noisy then
     for _ = 1 to 4 do
-      let rec noise_loop () =
-        if not !stop then
-          Kernel.syscall kern ~name:"mmap" (fun () ->
-              Kernel.syscall kern ~name:"munmap" (fun () -> noise_loop ()))
-      in
-      noise_loop ()
-    done
-  end;
+      paced engine ~pace:(Closed_loop ignore)
+        ~more:(fun _ -> not !stop)
+        (map_unmap (Central.kernel central))
+    done;
   t2_measure engine
     ~submit:(fun () -> Workload.central central store)
     ~drain:(fun () -> Engine.run engine)
@@ -493,22 +509,20 @@ let t3_decentralized ?(memctls = 1) ?(lanes = 1) ~apps () =
     }
   in
   let system = booted ~name:"t3" spec in
+  let engine = System.engine system in
   let mcs = Array.of_list (List.map Memctl.id (System.memctls system)) in
-  closed_loop_rate (System.engine system) ~workers:apps (fun i ->
+  closed_loop_rate engine ~workers:apps (fun i ~pace ~more ->
       let dev = Smart_nic.device (System.nic system i) in
-      let mc = mcs.(i mod Array.length mcs) in
       let pasid = System.fresh_pasid system in
       let va = Int64.add 0x6000_0000L (Int64.of_int (i * 0x100000)) in
-      fun k ->
-        Device.alloc dev ~memctl:mc ~pasid ~va ~bytes:4096L ~perm:Types.perm_rw
-          (fun _ -> Device.free dev ~memctl:mc ~pasid ~va ~bytes:4096L (fun _ -> k ())))
+      churn engine dev ~memctl:mcs.(i mod Array.length mcs) ~pasid
+        ~va:(fun _ -> va) ~pace more)
 
 let t3_centralized ?(cores = 1) ~apps () =
   let engine = Engine.create () in
   let kern = Kernel.create engine ~cores () in
-  closed_loop_rate engine ~workers:apps (fun _ k ->
-      Kernel.syscall kern ~name:"mmap" (fun () ->
-          Kernel.syscall kern ~name:"munmap" k))
+  closed_loop_rate engine ~workers:apps (fun _ ~pace ~more ->
+      paced engine ~pace ~more (map_unmap kern))
 
 let t3 () =
   let app_counts = [ 1; 2; 4; 8; 16; 32 ] in
@@ -776,8 +790,9 @@ let t6_one ~depth ~via_bus =
   end;
   let fc = Kv_app.client outcome.Scenario_kvs.app in
   (* Closed loop of [depth] concurrent small reads of the log file. *)
-  closed_loop_rate engine ~workers:depth (fun _ k ->
-      File_client.read fc "/kv/data.log" ~off:0 ~len:64 (fun _ -> k ()))
+  closed_loop_rate engine ~workers:depth (fun _ ~pace ~more ->
+      paced engine ~pace ~more (fun _ k ->
+          File_client.read fc "/kv/data.log" ~off:0 ~len:64 (fun _ -> k ())))
 
 let t6 () =
   let depths = [ 1; 2; 4; 8; 16 ] in
@@ -1279,25 +1294,19 @@ let t13_make_op i =
   if i land 1 = 0 then Kv_proto.Put (key, Printf.sprintf "value-%06d" i)
   else Kv_proto.Get key
 
-(* The failover KV machine of T13 and T17: provision /kv on ssd0 only,
-   boot, launch the KVS on nic0 with a supervisor that re-attaches on a
-   fresh pasid/mapping, then provision ssd1. With one willing provider at
-   launch, discovery deterministically pins the app to ssd0, the device
-   the experiment will crash; afterwards re-discovery finds ssd1 (the log
-   itself is per-provider: failover restores availability, not the dead
-   device's data). *)
+(* The failover KV machine of T13 and T17: {!Scenario_kvs.boot} (which
+   provisions /kv on ssd0 only), the KVS launched on nic0 with a
+   supervisor that re-attaches on a fresh pasid/mapping, then /kv on ssd1.
+   With one willing provider at launch, discovery deterministically pins
+   the app to ssd0, the device the experiment will crash; afterwards
+   re-discovery finds ssd1 (the log itself is per-provider: failover
+   restores availability, not the dead device's data). *)
 let failover_kvs ~name spec =
-  let system = System.build ~spec () in
-  let provision ssd =
-    match Fs.mkdir (Smart_ssd.fs ssd) ~user:"root" ~mode:0o777 "/kv" with
-    | Ok () -> ()
-    | Error e ->
-      invalid_arg (Printf.sprintf "%s: mkdir /kv: %s" name (Fs.error_to_string e))
+  let system =
+    match Scenario_kvs.boot spec with
+    | Ok system -> system
+    | Error e -> invalid_arg (Printf.sprintf "%s: boot: %s" name e)
   in
-  provision (System.ssd system 0);
-  (match System.boot system with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Printf.sprintf "%s: boot: %s" name e));
   let next_va = ref 0x4000_0000L in
   let fresh_attach () =
     let va = !next_va in
@@ -1317,7 +1326,7 @@ let failover_kvs ~name spec =
   | None -> invalid_arg (name ^ ": launch did not complete")
   | Some (Error e) -> invalid_arg (Printf.sprintf "%s: launch: %s" name e)
   | Some (Ok app) ->
-    provision (System.ssd system 1);
+    Scenario_kvs.provision system 1;
     (system, app)
 
 (* Returns the soaked system plus ((client tally, converged), device
@@ -1364,19 +1373,10 @@ let t13_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed () =
      round trips ride the faulty bus, exercising the device framework's
      retry/backoff (2% message loss ⇒ a handful of retries). *)
   let nic_dev = Smart_nic.device (System.nic system 0) in
-  let mc = Memctl.id (System.memctl system) in
-  let churn_pasid = System.fresh_pasid system in
-  let rec churn i =
-    if i < 200 then begin
-      let va = Int64.add 0x8000_0000L (Int64.of_int (i * 4096)) in
-      Device.alloc nic_dev ~memctl:mc ~pasid:churn_pasid ~va ~bytes:4096L
-        ~perm:Types.perm_rw ~timeout:300_000L ~retries:6 (fun _ ->
-          Device.free nic_dev ~memctl:mc ~pasid:churn_pasid ~va ~bytes:4096L
-            (fun _ -> ()));
-      Engine.schedule engine ~delay:500_000L (fun () -> churn (i + 1))
-    end
-  in
-  churn 0;
+  churn engine nic_dev ~memctl:(Memctl.id (System.memctl system))
+    ~pasid:(System.fresh_pasid system)
+    ~va:(fun i -> Int64.add 0x8000_0000L (Int64.of_int (i * 4096)))
+    ~timeout:300_000L ~retries:6 ~pace:(Open_loop 500_000L) (fun i -> i < 200);
   System.run_until_idle system;
   ( system,
     (tally (), !converged),
@@ -1399,7 +1399,9 @@ let t13_centralized ~seed () =
   let run_op i k =
     let rec attempt tries_left backoff =
       let ok = ref false in
-      Central.kv_network_op central
+      Central.try_kv_network_op central
+        ~on_busy:(fun ~retry_after_ns:_ ->
+          invalid_arg "t13: an unbounded kernel refused a frame")
         (fun tx ->
           match t13_make_op i with
           | Kv_proto.Put (key, value) ->
@@ -1632,63 +1634,46 @@ let t14_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed ~guards ()
       sanitize;
     }
   in
-  let system = System.build ~spec () in
-  (match Fs.mkdir (Smart_ssd.fs (System.ssd system 0)) ~user:"root" ~mode:0o777 "/kv" with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("t14: mkdir /kv: " ^ Fs.error_to_string e));
-  (match System.boot system with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("t14: boot: " ^ e));
+  let { Scenario_kvs.system; app; _ } =
+    kvs_machine ~name:"t14" ~spec ~smoke_ops:0 ()
+  in
   let engine = System.engine system in
-  let launched = ref None in
-  Kv_app.launch
-    ~nic:(System.nic system 0)
-    ~memctl:(Memctl.id (System.memctl system))
-    ~pasid:(System.fresh_pasid system) ~shm_va:0x4000_0000L ~user:"kvs"
-    ~log_path:"/kv/data.log" ()
-    (fun r -> launched := Some r);
+  let nic_dev = Smart_nic.device (System.nic system 0) in
+  if guards then begin
+    Kv_app.set_overload_policy app ~max_pending:4;
+    Device.enable_circuit_breaker nic_dev ~threshold:3 ~cooldown_ns:2_000_000L
+  end;
+  let stats =
+    t14_client engine ~submit:(nic_kv system ()) ~start_ns:(Engine.now engine)
+      (t14_schedule ~rng:(Engine.fork_rng engine) ())
+  in
+  (* Control-plane tenant alongside the data-plane flood: open-loop
+     alloc requests through the NIC device; with guards on they carry a
+     deadline so any hop can shed them once they are useless. Their
+     success rate shows whether the control plane stays live. *)
+  let mc = Memctl.id (System.memctl system) in
+  let churn_pasid = System.fresh_pasid system in
+  let churn_ok = ref 0 in
+  let churn_n = 100 in
+  for i = 0 to churn_n - 1 do
+    Engine.schedule engine
+      ~delay:(Int64.mul (Int64.of_int i) 200_000L)
+      (fun () ->
+        let deadline_ns =
+          if guards then Some (Int64.add (Engine.now engine) 1_000_000L)
+          else None
+        in
+        let va = Int64.add 0x8000_0000L (Int64.of_int (i * 4096)) in
+        Device.request nic_dev ?deadline_ns ~timeout:500_000L ~retries:2
+          ~dst:(Types.Device mc)
+          (Message.Alloc_request
+             { pasid = churn_pasid; va; bytes = 4096L; perm = Types.perm_rw })
+          (function
+            | Message.Alloc_response { ok = true; _ } -> incr churn_ok
+            | _ -> ()))
+  done;
   System.run_until_idle system;
-  match !launched with
-  | None -> invalid_arg "t14: launch did not complete"
-  | Some (Error e) -> invalid_arg ("t14: launch: " ^ e)
-  | Some (Ok app) ->
-    let nic_dev = Smart_nic.device (System.nic system 0) in
-    if guards then begin
-      Kv_app.set_overload_policy app ~max_pending:4;
-      Device.enable_circuit_breaker nic_dev ~threshold:3
-        ~cooldown_ns:2_000_000L
-    end;
-    let stats =
-      t14_client engine ~submit:(nic_kv system ()) ~start_ns:(Engine.now engine)
-        (t14_schedule ~rng:(Engine.fork_rng engine) ())
-    in
-    (* Control-plane tenant alongside the data-plane flood: open-loop
-       alloc requests through the NIC device; with guards on they carry a
-       deadline so any hop can shed them once they are useless. Their
-       success rate shows whether the control plane stays live. *)
-    let mc = Memctl.id (System.memctl system) in
-    let churn_pasid = System.fresh_pasid system in
-    let churn_ok = ref 0 in
-    let churn_n = 100 in
-    for i = 0 to churn_n - 1 do
-      Engine.schedule engine
-        ~delay:(Int64.mul (Int64.of_int i) 200_000L)
-        (fun () ->
-          let deadline_ns =
-            if guards then Some (Int64.add (Engine.now engine) 1_000_000L)
-            else None
-          in
-          let va = Int64.add 0x8000_0000L (Int64.of_int (i * 4096)) in
-          Device.request nic_dev ?deadline_ns ~timeout:500_000L ~retries:2
-            ~dst:(Types.Device mc)
-            (Message.Alloc_request
-               { pasid = churn_pasid; va; bytes = 4096L; perm = Types.perm_rw })
-            (function
-              | Message.Alloc_response { ok = true; _ } -> incr churn_ok
-              | _ -> ()))
-    done;
-    System.run_until_idle system;
-    (system, app, stats (), !churn_ok, churn_n)
+  (system, app, stats (), !churn_ok, churn_n)
 
 let t14_centralized ~seed ~guards () =
   let engine = Engine.create ~seed () in
@@ -1864,20 +1849,12 @@ let ring_load ring i ~hist ~clients ~ops ~make_op ~on_done ~va_base ~allocs
     kv_clients ring.engines.(i) ~submit:(nic_kv system) ~hist ~clients ~ops
       ~think_ns:5_000L ~make_op ~on_done ()
   in
-  let nic_dev = Smart_nic.device (System.nic system 0) in
-  let pasid = System.fresh_pasid system in
-  let proxy = ring.remote_mc.(i) in
-  let rec churn j =
-    if j < allocs then begin
-      let va = Int64.add va_base (Int64.of_int (j * 4096)) in
-      Device.alloc nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
-        ~perm:Types.perm_rw ~timeout:800_000L ~retries:4 (fun _ ->
-          Device.free nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
-            (fun _ -> ()));
-      Engine.schedule ring.engines.(i) ~delay:gap_ns (fun () -> churn (j + 1))
-    end
-  in
-  churn 0
+  churn ring.engines.(i)
+    (Smart_nic.device (System.nic system 0))
+    ~memctl:ring.remote_mc.(i) ~pasid:(System.fresh_pasid system)
+    ~va:(fun j -> Int64.add va_base (Int64.of_int (j * 4096)))
+    ~timeout:800_000L ~retries:4 ~pace:(Open_loop gap_ns)
+    (fun j -> j < allocs)
 
 (* (digest, events, elapsed): per-shard metrics digests combined in shard
    order from [salt], events executed summed over shards, and the max
@@ -1908,26 +1885,31 @@ let t15_soak ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(tie = Engine.Fifo)
   if shards < 1 then invalid_arg "t15: shards must be >= 1";
   let ring = build_ring ~name:"t15" ~seed ~tie ~sanitize ~quantum () in
   let kv_done = Array.make ring_shards 0 in
-  for i = 0 to ring_shards - 1 do
-    ring_load ring i ~hist:"kv_shard" ~clients:t15_kv_clients ~ops:t15_kv_ops
-      ~make_op:(fun c j ->
-        let key = Printf.sprintf "key-%04d" ((j + (c * 7)) mod 64) in
-        if j mod 3 = 0 then Kv_proto.Put (key, Printf.sprintf "v-%d-%d" c j)
-        else Kv_proto.Get key)
-      ~on_done:(fun () -> kv_done.(i) <- kv_done.(i) + 1)
-      ~va_base:0x9000_0000L ~allocs:t15_remote_allocs ~gap_ns:t15_remote_gap_ns
-  done;
-  let pool = Parallel.Pool.create ~lanes:shards in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.shutdown pool)
-    (fun () -> Temporal.run ~pool ring.temporal);
-  Array.iteri
-    (fun i n ->
-      if n <> t15_kv_clients then
-        invalid_arg
-          (Printf.sprintf "t15: shard %d: %d/%d kv clients converged" i n
-             t15_kv_clients))
-    kv_done;
+  let install _ =
+    for i = 0 to ring_shards - 1 do
+      ring_load ring i ~hist:"kv_shard" ~clients:t15_kv_clients ~ops:t15_kv_ops
+        ~make_op:(fun c j ->
+          let key = Printf.sprintf "key-%04d" ((j + (c * 7)) mod 64) in
+          if j mod 3 = 0 then Kv_proto.Put (key, Printf.sprintf "v-%d-%d" c j)
+          else Kv_proto.Get key)
+        ~on_done:(fun () -> kv_done.(i) <- kv_done.(i) + 1)
+        ~va_base:0x9000_0000L ~allocs:t15_remote_allocs
+        ~gap_ns:t15_remote_gap_ns
+    done
+  in
+  let check _ =
+    Array.iteri
+      (fun i n ->
+        if n <> t15_kv_clients then
+          invalid_arg
+            (Printf.sprintf "t15: shard %d: %d/%d kv clients converged" i n
+               t15_kv_clients))
+      kv_done
+  in
+  let (_ : Soak.leg) =
+    Soak.run ~name:"t15" ~seed ~lanes:shards ~segments:1 ~install ~check
+      (Checkpoint.Sharded ring.temporal)
+  in
   let digest, events, elapsed = ring_fold ring ~salt:0x743135L (* "t15" *) in
   {
     t15_events = events;

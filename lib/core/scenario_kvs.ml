@@ -8,20 +8,25 @@ module Kv_proto = Lastcpu_kv.Kv_proto
 
 type outcome = { system : System.t; app : Kv_app.t; boot_ns : int64 }
 
-let default_log_path = "/kv/data.log"
 let shm_va = 0x4000_0000L
 
-let run ?spec ?(log_path = default_log_path) ?(smoke_ops = 3) () =
-  let system = System.build ?spec () in
-  (* Provision the data directory (deployment step, like formatting). *)
-  (match
-     Fs.mkdir (Smart_ssd.fs (System.ssd system 0)) ~user:"root" ~mode:0o777 "/kv"
-   with
+(* The data directory (a deployment step, like formatting). *)
+let provision system i =
+  match
+    Fs.mkdir (Smart_ssd.fs (System.ssd system i)) ~user:"root" ~mode:0o777 "/kv"
+  with
   | Ok () -> ()
-  | Error e -> invalid_arg ("provision: " ^ Fs.error_to_string e));
-  match System.boot system with
+  | Error e -> invalid_arg ("provision: " ^ Fs.error_to_string e)
+
+let boot spec =
+  let system = System.build ~spec () in
+  provision system 0;
+  Result.map (fun () -> system) (System.boot system)
+
+let run ?(spec = System.default_spec) ?(smoke_ops = 3) () =
+  match boot spec with
   | Error e -> Error e
-  | Ok () ->
+  | Ok system ->
     (* When the system runs with the authentication device, the KVS user
        logs in first and carries its session token through the open
        (Fig. 2 step 3, "including an authorization token"). The scenario
@@ -50,7 +55,7 @@ let run ?spec ?(log_path = default_log_path) ?(smoke_ops = 3) () =
     let pasid = System.fresh_pasid system in
     Kv_app.launch ~nic:(System.nic system 0)
       ~memctl:(Memctl.id (System.memctl system))
-      ~pasid ~shm_va ~user:"kvs" ~log_path ?auth:!session ()
+      ~pasid ~shm_va ~user:"kvs" ~log_path:"/kv/data.log" ?auth:!session ()
       (fun r -> result := Some r);
     System.run_until_quiescent system;
     (match !result with

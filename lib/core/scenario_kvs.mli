@@ -15,14 +15,19 @@ type outcome = {
   boot_ns : int64;  (** virtual time when the app finished initialization *)
 }
 
+val boot : System.spec -> (System.t, string) result
+(** [run]'s first half: build the system, provision [/kv] on ssd0 and
+    boot. For machines that launch the KVS their own way. *)
+
+val provision : System.t -> int -> unit
+(** Create the world-writable [/kv] data directory on SSD [i].
+    @raise Invalid_argument if it cannot. *)
+
 val run :
-  ?spec:System.spec ->
-  ?log_path:string ->
-  ?smoke_ops:int ->
-  unit ->
-  (outcome, string) result
-(** [smoke_ops] (default 3) put/get pairs executed after bring-up to prove
-    the data path. *)
+  ?spec:System.spec -> ?smoke_ops:int -> unit -> (outcome, string) result
+(** [boot], then launch the KVS on nic0 with its log at [/kv/data.log]
+    and drain to quiescence; [smoke_ops] (default 3) put/get pairs
+    executed after bring-up prove the data path. *)
 
 type step = {
   n : int;  (** 1-7, paper numbering *)

@@ -15,7 +15,6 @@ module Message = Lastcpu_proto.Message
 type spec = {
   seed : int64;
   enable_tokens : bool;
-  heartbeat_timeout_ns : int64;
   nic_count : int;
   ssd_count : int;
   accel_count : int;
@@ -38,7 +37,6 @@ let default_spec =
   {
     seed = 42L;
     enable_tokens = true;
-    heartbeat_timeout_ns = 0L;
     nic_count = 1;
     ssd_count = 1;
     accel_count = 0;
@@ -85,8 +83,8 @@ let build ?(spec = default_spec) () =
     Sysbus.create
       ~config:
         {
-          Sysbus.enable_tokens = spec.enable_tokens;
-          heartbeat_timeout_ns = spec.heartbeat_timeout_ns;
+          Sysbus.default_config with
+          enable_tokens = spec.enable_tokens;
           lanes = spec.bus_lanes;
           lane_capacity = spec.bus_lane_capacity;
           device_queue_capacity = spec.device_queue_capacity;
@@ -191,14 +189,15 @@ let all_device_ids t =
   (match t.console_dev with Some c -> ids := Console_dev.id c :: !ids | None -> ());
   !ids
 
-let boot ?(timeout = 1_000_000L) t =
+(* Boot gives every device 1 ms of virtual time to come live. *)
+let boot t =
   (* Start any NIC that nothing else started (no hosted app). *)
   List.iter
     (fun n ->
       let d = Smart_nic.device n in
       if not (Device.started d) then Device.start d)
     t.nic_list;
-  let deadline = Int64.add (Engine.now t.engine) timeout in
+  let deadline = Int64.add (Engine.now t.engine) 1_000_000L in
   let rec wait () =
     let missing =
       List.filter (fun id -> not (Sysbus.is_live t.sysbus id)) (all_device_ids t)
@@ -216,11 +215,12 @@ let boot ?(timeout = 1_000_000L) t =
   in
   wait ()
 
-let run_until_idle ?(max_events = 10_000_000) t =
-  Engine.run ~max_events t.engine
+(* Both drains stop after this many events, a guard against a run that
+   never settles. *)
+let max_events = 10_000_000
 
-let run_until_quiescent ?(max_events = 10_000_000) t =
-  Engine.run_until_quiescent ~max_events t.engine
+let run_until_idle t = Engine.run ~max_events t.engine
+let run_until_quiescent t = Engine.run_until_quiescent ~max_events t.engine
 
 let run_for t ns = Engine.run ~until:(Int64.add (Engine.now t.engine) ns) t.engine
 

@@ -11,7 +11,6 @@ module Types = Lastcpu_proto.Types
 type spec = {
   seed : int64;
   enable_tokens : bool;
-  heartbeat_timeout_ns : int64;  (** 0 disables liveness sweeping *)
   nic_count : int;
   ssd_count : int;
   accel_count : int;
@@ -53,9 +52,9 @@ val build : ?spec:spec -> unit -> t
 (** Construct all hardware. Devices begin their self-tests immediately;
     call [boot] to advance virtual time until the system is live. *)
 
-val boot : ?timeout:int64 -> t -> (unit, string) result
-(** Run the engine until every attached device is live (default timeout
-    1 ms of virtual time). *)
+val boot : t -> (unit, string) result
+(** Run the engine until every attached device is live, for at most 1 ms
+    of virtual time. *)
 
 val engine : t -> Lastcpu_sim.Engine.t
 val net : t -> Lastcpu_net.Netsim.t
@@ -75,12 +74,12 @@ val accel : t -> int -> Lastcpu_devices.Accel_dev.t
 val fresh_pasid : t -> Types.pasid
 (** Allocate an application address-space id. *)
 
-val run_until_idle : ?max_events:int -> t -> unit
-(** Drain the event queue (bounded by [max_events], default 10 million). *)
+val run_until_idle : t -> unit
+(** Drain the event queue (at most 10 million events). *)
 
-val run_until_quiescent : ?max_events:int -> t -> unit
+val run_until_quiescent : t -> unit
 (** Drain volatile events only, stopping as soon as the queue holds
-    nothing but statics (bounded by [max_events], default 10 million).
+    nothing but statics (at most 10 million events).
     Unlike {!run_until_idle} this does not fast-forward through pending
     fault-plan statics, so a crash window scheduled for the future
     survives bring-up. *)

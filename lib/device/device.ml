@@ -336,7 +336,7 @@ let restore_state t r =
     Hashtbl.replace t.breakers peer { state; failures }
   done
 
-let create ?shard sysbus ~mem ~name () =
+let create sysbus ~mem ~name () =
   let engine = Sysbus.engine sysbus in
   let m = Engine.metrics engine in
   let actor = Metrics.claim_actor m name in
@@ -392,7 +392,7 @@ let create ?shard sysbus ~mem ~name () =
     }
   in
   let id =
-    Sysbus.attach ?shard sysbus ~name ~iommu ~handler:(fun msg -> handle t msg)
+    Sysbus.attach sysbus ~name ~iommu ~handler:(fun msg -> handle t msg)
   in
   t.dev_id <- id;
   Engine.register_snapshot engine ~name:("dev:" ^ actor)
@@ -640,10 +640,9 @@ let request t ?deadline_ns ?timeout ?(retries = 0) ~dst payload k =
       in
       arm 0 delay)
 
-let default_discover_timeout = 1_000_000L (* 1 ms *)
+let discover_timeout = 1_000_000L (* 1 ms *)
 
-let discover t ~kind ~query ?(timeout = default_discover_timeout) ?(retries = 0)
-    k =
+let discover t ~kind ~query ?(retries = 0) k =
   let corr = fresh_corr t in
   let t0 = Engine.now t.engine in
   let answered = ref false in
@@ -673,7 +672,7 @@ let discover t ~kind ~query ?(timeout = default_discover_timeout) ?(retries = 0)
   (* A silent window means the broadcast (or every answer) was lost:
      re-probe with the same correlation id, bounded. *)
   let rec arm attempt =
-    Engine.schedule t.engine ~delay:timeout (fun () ->
+    Engine.schedule t.engine ~delay:discover_timeout (fun () ->
         if !answered then Hashtbl.remove t.pending corr
         else if attempt < retries then begin
           Metrics.incr t.m_retries;

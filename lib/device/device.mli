@@ -43,15 +43,9 @@ type service_impl = {
 }
 
 val create :
-  ?shard:int ->
-  Lastcpu_bus.Sysbus.t ->
-  mem:Lastcpu_mem.Physmem.t ->
-  name:string ->
-  unit ->
-  t
-(** Attach a new device to the bus (not yet live; call [start]). [shard]
-    (default the bus's home shard) is the slot's shard affinity — see
-    {!Lastcpu_bus.Sysbus.attach}. *)
+  Lastcpu_bus.Sysbus.t -> mem:Lastcpu_mem.Physmem.t -> name:string -> unit -> t
+(** Attach a new device to the bus (not yet live; call [start]), on the
+    bus's home shard. *)
 
 val id : t -> Types.device_id
 val name : t -> string
@@ -118,12 +112,11 @@ val discover :
   t ->
   kind:Types.service_kind ->
   query:string ->
-  ?timeout:int64 ->
   ?retries:int ->
   ((Types.device_id * Message.service_desc) option -> unit) ->
   unit
 (** Broadcast discovery (Fig. 2 step 1); continuation gets the first
-    provider to answer, or [None] once [timeout] (default 1 ms) has expired
+    provider to answer, or [None] once a 1 ms window has expired
     [retries + 1] times (default [retries = 0]). A silent window re-probes
     with the same correlation id — under fault injection the broadcast
     itself can be lost. Re-probes count toward [request_retries]. *)

@@ -269,8 +269,8 @@ let lift_unit k = function
   | Ssd_proto.Err m -> k (Error m)
   | _ -> k (Error "unexpected response")
 
-let create t ?(mode = 0o644) path k =
-  request t (Ssd_proto.Create { path; mode }) (lift_unit k)
+let create t path k =
+  request t (Ssd_proto.Create { path; mode = 0o644 }) (lift_unit k)
 
 let read t path ~off ~len k =
   request t (Ssd_proto.Read { path; off; len }) (function

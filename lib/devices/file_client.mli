@@ -51,7 +51,9 @@ val request : t -> Ssd_proto.request -> (Ssd_proto.response -> unit) -> unit
 
 (** Convenience wrappers; [Error] carries the provider's message. *)
 
-val create : t -> ?mode:int -> string -> ((unit, string) result -> unit) -> unit
+val create : t -> string -> ((unit, string) result -> unit) -> unit
+(** Create a regular file with mode 0o644. *)
+
 val read :
   t -> string -> off:int -> len:int -> ((string, string) result -> unit) -> unit
 val write :

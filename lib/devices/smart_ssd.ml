@@ -372,15 +372,14 @@ let restore_state t r =
     Device.on_doorbell t.dev ~queue (fun () -> process_queue t ~queue)
   done
 
-let create sysbus ~mem ~name ?geometry ?auth_key () =
+let create sysbus ~mem ~name ?auth_key () =
   (* The device claims the actor name; FTL and FS telemetry registers in
      the same engine registry under derived actors. *)
   let dev = Device.create sysbus ~mem ~name () in
   let metrics = Engine.metrics (Device.engine dev) in
   let actor = Device.actor dev in
   let nand =
-    Nand.create ?geometry ~faults:(Engine.faults (Device.engine dev)) ~tag:actor
-      ()
+    Nand.create ~faults:(Engine.faults (Device.engine dev)) ~tag:actor ()
   in
   let ftl = Ftl.create ~nand ~metrics ~actor:(actor ^ ".ftl") () in
   let filesystem =

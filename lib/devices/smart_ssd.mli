@@ -21,7 +21,6 @@ val create :
   Lastcpu_bus.Sysbus.t ->
   mem:Lastcpu_mem.Physmem.t ->
   name:string ->
-  ?geometry:Lastcpu_flash.Nand.geometry ->
   ?auth_key:Lastcpu_proto.Token.key ->
   unit ->
   t

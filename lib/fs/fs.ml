@@ -614,8 +614,8 @@ let format ?cache ?metrics ?actor ftl =
     Ok t
   end
 
-let mount ?cache ?metrics ?actor ftl =
-  let t = layout ?cache ?metrics ?actor ftl in
+let mount ?cache ftl =
+  let t = layout ?cache ftl in
   let* b = read_block t 0 in
   let stored_magic = Bytes.sub_string b.bytes b.off (String.length magic) in
   if not (String.equal stored_magic magic) then

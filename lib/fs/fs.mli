@@ -45,15 +45,12 @@ val format :
     cache: reads hit DRAM, writes always program NAND (§2.3's on-device
     cache hierarchy). *)
 
-val mount :
-  ?cache:bool ->
-  ?metrics:Lastcpu_sim.Metrics.t ->
-  ?actor:string ->
-  Lastcpu_flash.Ftl.t ->
-  (t, error) result
+val mount : ?cache:bool -> Lastcpu_flash.Ftl.t -> (t, error) result
 (** Attach to a previously formatted device; validates the superblock.
     Both constructors register block_reads/block_writes/cache_hits under
-    [actor] (default ["fs"]) in [metrics] (default: a private registry). *)
+    an actor in a registry: [format]'s [actor] (default ["fs"]) in its
+    [metrics] (default: a private registry); [mount]'s always ["fs"] in a
+    private registry. *)
 
 (** All operations take [~user] and enforce owner/mode. "root" bypasses
     permission checks. *)

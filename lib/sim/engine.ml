@@ -154,9 +154,9 @@ let schedule ?label t ~delay f =
    sweep): it never needs to be serialized, only counted, so the engine can
    tell "the queue holds only reconstructible work" (quiescent) apart from
    "there are in-flight closures nobody can rebuild". *)
-let schedule_static_at ?label t ~time f =
+let schedule_static_at t ~time f =
   t.static_pending <- t.static_pending + 1;
-  schedule_at ?label t ~time (fun () ->
+  schedule_at t ~time (fun () ->
       t.static_pending <- t.static_pending - 1;
       f ())
 

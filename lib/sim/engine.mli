@@ -74,8 +74,7 @@ val schedule_at :
   ?label:(unit -> string) -> t -> time:int64 -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at absolute [time >= now t]. *)
 
-val schedule_static_at :
-  ?label:(unit -> string) -> t -> time:int64 -> (unit -> unit) -> unit
+val schedule_static_at : t -> time:int64 -> (unit -> unit) -> unit
 (** Like {!schedule_at}, but marks the event {e static}: one that a rebuilt
     topology re-schedules identically from declarative inputs (fault-plan
     crash windows, periodic sweeps). Static events do not block quiescence

@@ -219,11 +219,6 @@ let run_window ?pool t =
     flush t;
     true
 
-let run ?pool t =
-  while run_window ?pool t do
-    ()
-  done
-
 (* --- checkpoint/restore ---------------------------------------------------- *)
 
 (* Quiescent = checkpointable: no outbox entries awaiting a flush and no

@@ -61,9 +61,6 @@ val run_window : ?pool:Parallel.Pool.t -> t -> bool
     lanes when given), then flush boundary events. [false] when no shard
     has work left, in which case nothing ran. *)
 
-val run : ?pool:Parallel.Pool.t -> t -> unit
-(** Run windows until every shard is drained. *)
-
 val boundary_events : t -> int
 (** Total cross-shard messages delivered so far. *)
 

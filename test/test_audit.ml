@@ -163,7 +163,8 @@ let test_ownership_clean_run () =
   ping e0 5;
   ping e1 5;
   Ownership.enable ();
-  Fun.protect ~finally:Ownership.disable (fun () -> Temporal.run t);
+  Fun.protect ~finally:Ownership.disable (fun () ->
+      Temporal.run_until_quiescent t);
   Alcotest.(check int) "all events fired" 22 !hits;
   Alcotest.(check bool) "guards exercised" true (Ownership.checks () > 0)
 

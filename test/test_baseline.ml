@@ -151,6 +151,26 @@ let test_kernel_run_queue_eagain () =
   Engine.run engine;
   Alcotest.(check int) "post-drain work ran" 3 !ran
 
+(* [syscall]/[interrupt] share [try_syscall]'s body but skip the bound:
+   the kernel's own completions must never be refused. *)
+let test_unconditional_entries_skip_bound () =
+  let engine = Engine.create () in
+  let kern = Kernel.create engine ~cores:1 ~run_queue_capacity:1 () in
+  let ran = ref 0 in
+  (match Kernel.try_syscall kern ~name:"x" (fun () -> incr ran) with
+  | `Ok -> ()
+  | `Eagain _ -> Alcotest.fail "first refused");
+  (match Kernel.try_syscall kern ~name:"x" (fun () -> incr ran) with
+  | `Ok -> Alcotest.fail "over-capacity work admitted"
+  | `Eagain _ -> ());
+  Kernel.syscall kern ~name:"x" (fun () -> incr ran);
+  Kernel.interrupt kern ~name:"irq" (fun () -> incr ran);
+  Engine.run engine;
+  Alcotest.(check int) "queued past the bound and ran" 3 !ran;
+  Alcotest.(check int) "syscalls" 2 (Kernel.syscalls kern);
+  Alcotest.(check int) "interrupts" 1 (Kernel.interrupts kern);
+  Alcotest.(check int) "one refusal" 1 (Kernel.eagains kern)
+
 let test_central_rx_refused_when_saturated () =
   let engine = Engine.create () in
   let central = Central.create engine ~cores:1 ~run_queue_capacity:1 () in
@@ -191,6 +211,8 @@ let () =
           Alcotest.test_case "multicore" `Quick test_multicore_parallelism;
           Alcotest.test_case "interrupt cost" `Quick test_interrupt_cost;
           Alcotest.test_case "run queue eagain" `Quick test_kernel_run_queue_eagain;
+          Alcotest.test_case "unconditional entries skip bound" `Quick
+            test_unconditional_entries_skip_bound;
         ] );
       ( "central",
         [

@@ -126,7 +126,7 @@ let pingpong_temporal ~quantum rounds =
     if i < rounds then Temporal.post tm ~src:1 ~dst:0 (ping (i + 1))
   in
   Engine.schedule e0 ~delay:7L (ping 0);
-  Temporal.run tm;
+  Temporal.run_until_quiescent tm;
   List.rev !tr
 
 let pingpong_sequential rounds =
@@ -173,7 +173,7 @@ let boundary_order ~tie =
       Temporal.post tm ~src:0 ~dst:2 (arrive "shard0-second"));
   Engine.schedule_at e1 ~time:10L (fun () ->
       Temporal.post tm ~src:1 ~dst:2 (arrive "shard1"));
-  Temporal.run tm;
+  Temporal.run_until_quiescent tm;
   List.rev !order
 
 let test_tie_break_cannot_reorder_boundary_delivery () =
@@ -254,7 +254,7 @@ let test_shardlink_round_trip () =
   Sysbus.send bus0
     (Message.make ~src:a ~dst:(Types.Device pa) ~corr:77
        (Message.App_message { tag = "ping"; body = "x" }));
-  Temporal.run tm;
+  Temporal.run_until_quiescent tm;
   (match !got_b with
   | Some msg ->
     Alcotest.(check int) "src is the b-side proxy" pb msg.Message.src;
@@ -266,7 +266,7 @@ let test_shardlink_round_trip () =
   Sysbus.send bus1
     (Message.make ~src:b ~dst:(Types.Device pb) ~corr:77
        (Message.App_message { tag = "pong"; body = "y" }));
-  Temporal.run tm;
+  Temporal.run_until_quiescent tm;
   (match !got_a with
   | Some msg ->
     Alcotest.(check int) "src is the a-side proxy" pa msg.Message.src;
