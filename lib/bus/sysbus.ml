@@ -49,6 +49,12 @@ let default_config =
 
 type trust = Trusted | Suspect | Quarantined
 
+(* One sender's link to the bus: the frames in flight on it, oldest first,
+   and the arrival event, which runs the oldest. Empty whenever the engine
+   is quiescent (each frame is a pending volatile event), so checkpoints
+   carry nothing for it. *)
+type link = { frames : Message.t Queue.t; next : unit -> unit }
+
 type device_slot = {
   name : string;
   iommu : Iommu.t;
@@ -65,6 +71,7 @@ type device_slot = {
   mutable malformed_frames : int;
   mutable last_priv_corr : int;  (* replay detection: last privileged corr *)
   mutable last_priv_corr_count : int;
+  mutable link : link option;  (* made on the device's first frame *)
 }
 
 type counters = {
@@ -132,6 +139,9 @@ type t = {
      sees an old generation and does nothing). *)
   mutable next_sweep : int64;
   mutable sweep_gen : int;
+  (* The link of frames the bus itself sends (and of any other source
+     outside the slot table). *)
+  mutable bus_link : link option;
 }
 
 let bus_src = -1 (* messages originated by the bus itself *)
@@ -493,6 +503,7 @@ let create ?(config = default_config) ?(shard = 0) engine =
       frame_digest = 0L;
       next_sweep = 0L;
       sweep_gen = 0;
+      bus_link = None;
     }
   in
   if Engine.sanitizing engine then
@@ -591,6 +602,7 @@ let attach ?shard t ~name ~iommu ~handler =
       malformed_frames = 0;
       last_priv_corr = -1;
       last_priv_corr_count = 0;
+      link = None;
     }
   in
   t.devices <- Array.append t.devices [| slot |];
@@ -953,6 +965,73 @@ let quarantined_src t src =
   src >= 0 && src < Array.length t.devices
   && t.devices.(src).trust = Quarantined
 
+(* A frame reaches the bus: shed it if past its deadline, else queue it
+   on its sender's lane for processing, or bounce E_busy from a full one. *)
+let arrive t (msg : Message.t) =
+  let now = Engine.now t.engine in
+  if Message.expired msg ~now then begin
+    Metrics.bump t.m_expired;
+    trace t "bus.expired" "%s from dev%d past deadline on arrival, shed"
+      (Message.payload_tag msg.payload) msg.src
+  end
+  else begin
+    let service =
+      let base = Costs.bus_process_ns in
+      match msg.payload with
+      | Message.Map_directive _ | Message.Grant_request _
+      | Message.Unmap_directive _ ->
+        (* Privileged ops pay token verification + PTE writes. *)
+        Int64.add base (Int64.add (token_cost t) Costs.iommu_program_ns)
+      | _ -> base
+    in
+    let lane = lane_for t msg.src in
+    let run () =
+      match msg.dst with
+      | Types.Bus -> handle_bus_message t msg
+      | Types.Device dst -> deliver_unicast t msg dst
+      | Types.Broadcast ->
+        (* Broadcast scope is the local shard; boundary proxies are
+           skipped (a cross-shard fan-out would need a link per shard,
+           which Shardlink callers set up explicitly when they want it). *)
+        Array.iteri
+          (fun id s ->
+            if id <> msg.src && s.live && s.shard = t.home_shard then begin
+              Metrics.incr t.m_broadcasts;
+              schedule_delivery t msg ~delay:Costs.bus_hop_ns
+                (fun () -> if s.live then s.handler msg)
+            end)
+          t.devices
+    in
+    match Station.try_submit lane ~service run with
+    | `Accepted -> ()
+    | `Rejected ->
+      (* Backpressure, not silence: bounce E_busy with a deterministic
+         retry-after hint (time for this lane's queue to drain) so the
+         sender can pace instead of hammering. *)
+      let retry_after_ns = Station.drain_ns lane ~now in
+      trace t "bus.busy" "%s from dev%d rejected, retry-after=%Ldns"
+        (Message.payload_tag msg.payload) msg.src retry_after_ns;
+      if msg.src >= 0 && (slot t msg.src).live then
+        reply t ~to_:msg.src ~corr:msg.corr
+          (Message.Error_msg
+             {
+               code = Types.E_busy;
+               detail = Message.busy_detail ~retry_after_ns;
+             })
+  end
+
+(* The sender's link, made on its first frame: its event runs [arrive]. *)
+let link_of t src =
+  let known = known_device t src in
+  match if known then t.devices.(src).link else t.bus_link with
+  | Some link -> link
+  | None ->
+    let frames = Queue.create () in
+    let link = { frames; next = (fun () -> arrive t (Queue.pop frames)) } in
+    if known then t.devices.(src).link <- Some link
+    else t.bus_link <- Some link;
+    link
+
 let send_routed t (msg : Message.t) =
   let size = Message.wire_size msg in
   Metrics.incr ~by:size t.m_control_bytes;
@@ -984,66 +1063,19 @@ let send_routed t (msg : Message.t) =
     boundary_post t ~dst_shard:(slot t dst).shard msg
   | _ ->
   (* One hop to the bus, then the bus's FIFO processor, then delivery.
-     This hop is not a frame commit (no digest contribution), so only the
+     The sender's link is FIFO: frames it sends in one tick reach the
+     lanes in send order whatever the engine's tie-break, because every
+     arrival event runs the oldest frame in flight on that link (the hop
+     is a constant latency, so that frame is always one arriving now).
+     The hop is not a frame commit (no digest contribution), so only the
      sanitizer label is at stake — branch rather than allocate a thunk. *)
-  let arrive () =
-    let now = Engine.now t.engine in
-    if Message.expired msg ~now then begin
-      Metrics.bump t.m_expired;
-      trace t "bus.expired" "%s from dev%d past deadline on arrival, shed"
-        (Message.payload_tag msg.payload) msg.src
-    end
-    else begin
-      let service =
-        let base = Costs.bus_process_ns in
-        match msg.payload with
-        | Message.Map_directive _ | Message.Grant_request _
-        | Message.Unmap_directive _ ->
-          (* Privileged ops pay token verification + PTE writes. *)
-          Int64.add base (Int64.add (token_cost t) Costs.iommu_program_ns)
-        | _ -> base
-      in
-      let lane = lane_for t msg.src in
-      let run () =
-        match msg.dst with
-        | Types.Bus -> handle_bus_message t msg
-        | Types.Device dst -> deliver_unicast t msg dst
-        | Types.Broadcast ->
-          (* Broadcast scope is the local shard; boundary proxies are
-             skipped (a cross-shard fan-out would need a link per shard,
-             which Shardlink callers set up explicitly when they want it). *)
-          Array.iteri
-            (fun id s ->
-              if id <> msg.src && s.live && s.shard = t.home_shard then begin
-                Metrics.incr t.m_broadcasts;
-                schedule_delivery t msg ~delay:Costs.bus_hop_ns
-                  (fun () -> if s.live then s.handler msg)
-              end)
-            t.devices
-      in
-      match Station.try_submit lane ~service run with
-      | `Accepted -> ()
-      | `Rejected ->
-        (* Backpressure, not silence: bounce E_busy with a deterministic
-           retry-after hint (time for this lane's queue to drain) so the
-           sender can pace instead of hammering. *)
-        let retry_after_ns = Station.drain_ns lane ~now in
-        trace t "bus.busy" "%s from dev%d rejected, retry-after=%Ldns"
-          (Message.payload_tag msg.payload) msg.src retry_after_ns;
-        if msg.src >= 0 && (slot t msg.src).live then
-          reply t ~to_:msg.src ~corr:msg.corr
-            (Message.Error_msg
-               {
-                 code = Types.E_busy;
-                 detail = Message.busy_detail ~retry_after_ns;
-               })
-    end
-  in
+  let link = link_of t msg.src in
+  Queue.push msg link.frames;
   if Engine.sanitizing t.engine then
     Engine.schedule
       ~label:(fun () -> frame_desc msg)
-      t.engine ~delay:Costs.bus_hop_ns arrive
-  else Engine.schedule t.engine ~delay:Costs.bus_hop_ns arrive
+      t.engine ~delay:Costs.bus_hop_ns link.next
+  else Engine.schedule t.engine ~delay:Costs.bus_hop_ns link.next
 
 (* The quarantine fence: a fenced device's frames never reach a lane — the
    same structural cut the boundary-proxy skip uses, applied for trust

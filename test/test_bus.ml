@@ -61,6 +61,27 @@ let test_unicast_routing () =
     Alcotest.(check int) "corr" 7 m.Message.corr
   | l -> Alcotest.fail (Printf.sprintf "expected 1 message, got %d" (List.length l))
 
+(* A device's link to the bus is FIFO: two frames sent in one tick reach
+   the lane, and so the receiver, in send order even when the engine runs
+   same-tick events last-in first-out. *)
+let test_same_tick_frames_keep_order () =
+  let engine = Engine.create ~tie:Engine.Lifo () in
+  let bus = Sysbus.create engine in
+  let a = attach_raw bus "a" and b = attach_raw bus "b" in
+  announce bus a;
+  announce bus b;
+  Engine.run engine;
+  List.iter
+    (fun corr ->
+      Sysbus.send bus
+        (Message.make ~src:a.id ~dst:(Types.Device b.id) ~corr
+           Message.Reset_device))
+    [ 1; 2; 3 ];
+  Engine.run engine;
+  Alcotest.(check (list int))
+    "send order" [ 1; 2; 3 ]
+    (List.rev_map (fun (m : Message.t) -> m.Message.corr) !(b.inbox))
+
 let test_broadcast_excludes_sender () =
   let engine = Engine.create () in
   let bus = Sysbus.create engine in
@@ -519,6 +540,8 @@ let () =
         [
           Alcotest.test_case "liveness" `Quick test_liveness;
           Alcotest.test_case "unicast" `Quick test_unicast_routing;
+          Alcotest.test_case "same-tick frames keep order" `Quick
+            test_same_tick_frames_keep_order;
           Alcotest.test_case "broadcast" `Quick test_broadcast_excludes_sender;
           Alcotest.test_case "undeliverable bounce" `Quick test_undeliverable_bounces_error;
           Alcotest.test_case "notify fast path" `Quick test_notify_fast_path;
