@@ -189,7 +189,6 @@ let all_device_ids t =
   (match t.console_dev with Some c -> ids := Console_dev.id c :: !ids | None -> ());
   !ids
 
-(* Boot gives every device 1 ms of virtual time to come live. *)
 let boot t =
   (* Start any NIC that nothing else started (no hosted app). *)
   List.iter
