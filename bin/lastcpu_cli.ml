@@ -288,12 +288,12 @@ let kv seed n =
       let key = Printf.sprintf "cli-%04d" i in
       Kv_app.local_op app (Kv_proto.Put (key, "value-" ^ key)) (fun r ->
           if r <> Kv_proto.Done then incr failures);
-      System.run_until_idle system;
+      System.run_until_quiescent system;
       Kv_app.local_op app (Kv_proto.Get key) (fun r ->
           match r with
           | Kv_proto.Value (Some _) -> ()
           | _ -> incr failures);
-      System.run_until_idle system
+      System.run_until_quiescent system
     done;
     Printf.printf "%d put+get pairs, %d failures, %Ld virtual ns\n" n !failures
       (Engine.now (System.engine system));
@@ -326,9 +326,9 @@ let metrics seed n json =
     for i = 1 to n do
       let key = Printf.sprintf "metrics-%04d" i in
       Kv_app.local_op app (Kv_proto.Put (key, "value-" ^ key)) (fun _ -> ());
-      System.run_until_idle system;
+      System.run_until_quiescent system;
       Kv_app.local_op app (Kv_proto.Get key) (fun _ -> ());
-      System.run_until_idle system
+      System.run_until_quiescent system
     done;
     print_metrics system json
 

@@ -39,7 +39,7 @@ let () =
         (Kv_proto.Put (Printf.sprintf "account-%02d" i, Printf.sprintf "$%d00" i))
         (fun reply -> if reply = Kv_proto.Done then incr applied)
     done;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Printf.printf "populated %d records through the data plane\n" !applied;
 
     (* Watch for the failure broadcast at the NIC (the consumer). *)
@@ -53,7 +53,7 @@ let () =
     let t_fail = Engine.now engine in
     Printf.printf "\n[%Ld ns] injecting hard failure of ssd0\n" t_fail;
     Sysbus.fail_device bus (Smart_ssd.id ssd);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (match !detected_at with
     | Some t ->
       Printf.printf "[%Ld ns] NIC received Device_failed broadcast (+%Ld ns)\n" t
@@ -68,7 +68,7 @@ let () =
       ~pasid:(System.fresh_pasid system)
       ~shm_va:0xA000_0000L ~user:"kvs" ~path_hint:"/kv/data.log" (fun r ->
         bounce := Some r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (match !bounce with
     | Some (Error e) -> Printf.printf "reconnect while dead: refused (%s)\n" e
     | Some (Ok _) -> print_endline "reconnect while dead: accepted (BUG)"
@@ -79,7 +79,7 @@ let () =
     Printf.printf "\n[%Ld ns] operator resets ssd0; device re-announces\n" t_revive;
     Sysbus.revive_device bus (Smart_ssd.id ssd);
     Device.reannounce (Smart_ssd.device ssd);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
 
     (* The application re-runs the Figure-2 sequence and replays the WAL. *)
     let recovered = ref None in
@@ -105,7 +105,7 @@ let () =
                       prerr_endline ("recover: " ^ e);
                       exit 1
                     | Ok n -> recovered := Some (n, store))));
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (match !recovered with
     | None -> print_endline "recovery never completed (BUG)"
     | Some (n, store) ->

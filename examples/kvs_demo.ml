@@ -43,7 +43,7 @@ let () =
         ~key:(Printf.sprintf "key-%06d" i)
         ~value (fun _ -> incr loaded)
     done;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Printf.printf "preloaded %d keys (WAL on ssd0)\n" !loaded;
     let bus_before = (Sysbus.counters (System.bus system)).Sysbus.routed in
     (* Closed-loop clients, 90% gets / 10% puts, Zipf-skewed keys. *)
@@ -85,7 +85,7 @@ let () =
               else send_next ()));
       send_next ()
     done;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     let elapsed = Int64.to_float (Int64.sub (Engine.now engine) t0) in
     let total_ops = clients * ops_per_client in
     let report = Stats.latency_report h s in

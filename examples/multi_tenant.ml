@@ -48,7 +48,7 @@ let () =
     ~user:"alice" ~path_hint:"/tenant-a/data" (fun r -> fc_a := Result.to_option r);
   File_client.connect dev ~memctl:mc ~pasid:pasid_b ~shm_va:0x5000_0000L
     ~user:"bob" ~path_hint:"/tenant-b/data" (fun r -> fc_b := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let a = Option.get !fc_a and b = Option.get !fc_b in
   Printf.printf "alice: connection %d, pasid %d\n" (File_client.connection a) pasid_a;
   Printf.printf "bob:   connection %d, pasid %d\n" (File_client.connection b) pasid_b;
@@ -56,10 +56,10 @@ let () =
   (* Tenants work independently through the data plane. *)
   File_client.create a "/tenant-a/data" (fun _ -> ());
   File_client.create b "/tenant-b/data" (fun _ -> ());
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   File_client.write a "/tenant-a/data" ~off:0 "alice's ledger" (fun _ -> ());
   File_client.write b "/tenant-b/data" ~off:0 "bob's ledger" (fun _ -> ());
-  System.run_until_idle system;
+  System.run_until_quiescent system;
 
   (* 1. File isolation: bob cannot read alice's file (mode 0644 but the
      directory is 0755 owned by alice; tighten the file itself). *)
@@ -68,7 +68,7 @@ let () =
   | Error e -> failwith (Fs.error_to_string e));
   let steal = ref None in
   File_client.read b "/tenant-a/data" ~off:0 ~len:16 (fun r -> steal := Some r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   (match !steal with
   | Some (Error e) -> Printf.printf "bob reads alice's file: DENIED (%s)\n" e
   | Some (Ok _) -> print_endline "bob reads alice's file: ALLOWED (BUG)"
@@ -90,7 +90,7 @@ let () =
   let ra = ref None and rb = ref None in
   File_client.read a "/tenant-a/data" ~off:0 ~len:14 (fun r -> ra := Result.to_option r);
   File_client.read b "/tenant-b/data" ~off:0 ~len:12 (fun r -> rb := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Printf.printf "alice still reads her data: %S\n" (Option.value !ra ~default:"FAIL");
   Printf.printf "bob still reads his data:   %S\n" (Option.value !rb ~default:"FAIL");
 
@@ -98,7 +98,7 @@ let () =
   let closed = ref 0 in
   File_client.close a (fun () -> incr closed);
   File_client.close b (fun () -> incr closed);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Printf.printf "connections closed: %d; DRAM pages in use: %d\n" !closed
     (Memctl.used_pages (System.memctl system));
   print_endline "done: isolation held on both the memory and the file axis."

@@ -32,7 +32,7 @@ let () =
   let provider = ref None in
   Device.discover dev ~kind:Types.Compute_service ~query:"" (fun r ->
       provider := Option.map fst r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   (match !provider with
   | Some id when id = Accel_dev.id accel ->
     Printf.printf "discovered compute service at dev%d\n" id
@@ -44,7 +44,7 @@ let () =
   let token = ref None in
   Device.alloc dev ~memctl:mc ~pasid ~va ~bytes:(Int64.of_int bytes)
     ~perm:Types.perm_rw (fun r -> token := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let token = match !token with Some t -> t | None -> failwith "alloc failed" in
   let dma = Device.dma dev ~pasid in
   let rng = Rng.create ~seed:7L in
@@ -72,7 +72,7 @@ let () =
   Device.grant dev ~to_device:(Accel_dev.id accel) ~pasid ~va
     ~bytes:(Int64.of_int bytes) ~perm:Types.perm_rw ~auth:token (fun r ->
       granted := Result.is_ok r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   if not !granted then failwith "grant failed";
   print_endline "granted the region to the accelerator via the bus";
 
@@ -88,13 +88,13 @@ let () =
       Accel_dev.submit dev ~accel:(Accel_dev.id accel) ~pasid job (fun o ->
           offload_result := Some o;
           offload_ns := Int64.sub (Engine.now engine) t0);
-      System.run_until_idle system;
+      System.run_until_quiescent system;
       let t1 = Engine.now engine in
       let local_result = ref None and local_ns = ref 0L in
       Accel_dev.run_locally dev ~pasid job (fun o ->
           local_result := Some o;
           local_ns := Int64.sub (Engine.now engine) t1);
-      System.run_until_idle system;
+      System.run_until_quiescent system;
       let matches =
         match (!offload_result, !local_result) with
         | Some (Accel_proto.Value a), Some (Accel_proto.Value b) -> a = b
@@ -116,7 +116,7 @@ let () =
       | Accel_proto.Written n -> Printf.printf "\nhistogram: %d bytes written\n" n
       | _ -> print_endline "\nhistogram failed");
       done_ := true);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   assert !done_;
   let spaces = Dma.read_field64 dma (Int64.to_int hist_dst + (8 * 32)) in
   Printf.printf "space (0x20) count read back by the NIC: %Ld\n" spaces;
@@ -127,7 +127,7 @@ let () =
   Accel_dev.submit dev ~accel:(Accel_dev.id accel) ~pasid
     (Accel_proto.Checksum { va = 0x9999_0000L; len = 64 })
     (fun o -> fault := Some o);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   (match !fault with
   | Some (Accel_proto.Fault m) -> Printf.printf "rogue job: contained (%s)\n" m
   | _ -> print_endline "rogue job: NOT contained (BUG)");

@@ -38,16 +38,16 @@ let () =
       (fun reply ->
         show "put greeting"
           (match reply with Kv_proto.Done -> "ok" | _ -> "FAILED"));
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Kv_app.local_op app (Kv_proto.Get "greeting") (fun reply ->
         show "get greeting"
           (match reply with
           | Kv_proto.Value (Some v) -> v
           | _ -> "FAILED"));
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Kv_app.local_op app (Kv_proto.Del "greeting") (fun reply ->
         show "del greeting"
           (match reply with Kv_proto.Deleted true -> "deleted" | _ -> "FAILED"));
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Printf.printf "\nvirtual time elapsed: %Ld ns; done.\n"
       (Lastcpu_sim.Engine.now (System.engine system))

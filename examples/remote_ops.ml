@@ -79,7 +79,7 @@ let () =
   log_from ssd_dev "ssd0: 2 connections active";
   log_from nic_dev "nic0: kv service announced";
   log_from nic_dev "nic0: 812 ops served this interval";
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Printf.printf "console collected %d log lines from devices\n\n"
     (Console_dev.lines_received console);
 
@@ -97,13 +97,13 @@ let () =
   in
   (* Unauthenticated access is refused; then login and read the logs. *)
   send "LOGS (no auth)" "LOGS 10";
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   send "AUTH (wrong password)" "AUTH operator wrong";
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   send "AUTH" "AUTH operator hunter2";
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   send "LOGS 3" "LOGS 3";
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   print_endline "\ndone: authentication by the auth device, logs from the";
   print_endline "console device, transport by the NIC — cooperation of";
   print_endline "self-managing devices, exactly as §4 sketches."

@@ -282,7 +282,7 @@ let t1_decentralized ?(seed = 42L) ?(tie = Engine.Fifo) ?(sanitize = false)
       ]
       (fun () -> done_ := true)
   in
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   assert !done_;
   (system, results)
 
@@ -416,7 +416,7 @@ let t2_decentralized ~noisy =
   let engine = System.engine system in
   let rng = Engine.fork_rng engine in
   preload_store (Kv_app.store app) ~keys:t2_keys ~value_bytes:64
-    ~drain:(fun () -> System.run_until_idle system);
+    ~drain:(fun () -> System.run_until_quiescent system);
   (* Noise: four closed alloc/free loops from nic1 (a control-plane-heavy
      tenant churning mappings as fast as the system lets it). *)
   let stop = ref false in
@@ -431,7 +431,7 @@ let t2_decentralized ~noisy =
     done
   end;
   t2_measure engine ~submit:(nic_kv system)
-    ~drain:(fun () -> System.run_until_idle system)
+    ~drain:(fun () -> System.run_until_quiescent system)
     ~rng ~stop
 
 (* Centralized: same store logic; network ops and noise share the CPU. *)
@@ -590,7 +590,7 @@ let t4_decentralized () =
   let messages_before = routed () in
   let t_fail = Engine.now engine in
   Sysbus.fail_device bus (Smart_ssd.id ssd);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let detection =
     match !detected_at with
     | Some t -> Int64.sub t t_fail
@@ -619,7 +619,7 @@ let t4_decentralized () =
                   match res with
                   | Error e -> invalid_arg ("t4 recover: " ^ e)
                   | Ok n -> recovered := Some (n, Engine.now engine))));
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   (match !recovered with
   | None -> invalid_arg "t4: recovery never completed"
   | Some (records, t_done) ->
@@ -861,9 +861,9 @@ let t7_decentralized ~mix_get_pct =
   let system = outcome.Scenario_kvs.system in
   let app = outcome.Scenario_kvs.app in
   preload_store (Kv_app.store app) ~keys:t7_keys ~value_bytes:100
-    ~drain:(fun () -> System.run_until_idle system);
+    ~drain:(fun () -> System.run_until_quiescent system);
   t7_measure (System.engine system) ~submit:(nic_kv system)
-    ~drain:(fun () -> System.run_until_idle system)
+    ~drain:(fun () -> System.run_until_quiescent system)
     ~mix_get_pct
 
 let t7_centralized ~mix_get_pct =
@@ -955,7 +955,7 @@ let t8 () =
   in
   let done1 = ref false in
   bystander_op (fun () -> done1 := true);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   (* Scenario B: write through a read-only mapping. *)
   let ro_pasid = System.fresh_pasid system in
   let mc = Memctl.id (System.memctl system) in
@@ -965,7 +965,7 @@ let t8 () =
       (match res with Ok _ -> () | Error e ->
         invalid_arg ("t8 alloc: " ^ Types.error_code_to_string e));
       alloc_done := true);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   assert !alloc_done;
   let scenario_b, faults_b =
     probe (fun () ->
@@ -973,7 +973,7 @@ let t8 () =
   in
   let done2 = ref false in
   bystander_op (fun () -> done2 := true);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   assert (!done1 && !done2);
   {
     id = "t8";
@@ -1023,7 +1023,7 @@ let t9 () =
               last_answer := Engine.now engine
             end))
       (System.nics system);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     let storm_ns = Int64.sub !last_answer t0 in
     let broadcasts =
       Metrics.counter_read (Engine.metrics engine)
@@ -1136,7 +1136,7 @@ let t11 () =
   let token = ref None in
   Device.alloc dev ~memctl:mc ~pasid ~va ~bytes:(Int64.of_int bytes)
     ~perm:Types.perm_rw (fun r -> token := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let token = match !token with Some t -> t | None -> invalid_arg "t11: alloc" in
   let dma = Device.dma dev ~pasid in
   for i = 0 to (bytes / 4096) - 1 do
@@ -1147,7 +1147,7 @@ let t11 () =
   let granted = ref false in
   Device.grant dev ~to_device:accel ~pasid ~va ~bytes:(Int64.of_int bytes)
     ~perm:Types.perm_rw ~auth:token (fun r -> granted := Result.is_ok r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   if not !granted then invalid_arg "t11: grant";
   let measure_one size =
     let job = Lastcpu_devices.Accel_proto.Checksum { va; len = size } in
@@ -1155,12 +1155,12 @@ let t11 () =
     let off_ns = ref 0L in
     Lastcpu_devices.Accel_dev.submit dev ~accel ~pasid job (fun _ ->
         off_ns := Int64.sub (Engine.now engine) t0);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     let t1 = Engine.now engine in
     let local_ns = ref 0L in
     Lastcpu_devices.Accel_dev.run_locally dev ~pasid job (fun _ ->
         local_ns := Int64.sub (Engine.now engine) t1);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (!off_ns, !local_ns)
   in
   let rows =
@@ -1206,7 +1206,7 @@ let t12 () =
         ~key:(Printf.sprintf "k%03d" (i mod live_keys))
         ~value:(String.make 64 'v') (fun _ -> ())
     done;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     let relaunch () =
       let t0 = Engine.now engine in
       let result = ref None in
@@ -1218,7 +1218,7 @@ let t12 () =
              (Int64.mul (Int64.of_int (System.fresh_pasid system)) 0x100_0000L))
         ~user:"kvs" ~log_path:"/kv/data.log" ~start_device:false ()
         (fun r -> result := Some (r, Engine.now engine));
-      System.run_until_idle system;
+      System.run_until_quiescent system;
       match !result with
       | Some (Ok app', t_done) ->
         (Kv_app.recovered_records app', Int64.sub t_done t0)
@@ -1227,7 +1227,7 @@ let t12 () =
     let records_before, recovery_before = relaunch () in
     let compacted = ref false in
     Store.compact (Kv_app.store app) (fun r -> compacted := Result.is_ok r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     if not !compacted then invalid_arg "t12: compaction failed";
     let records_after, recovery_after = relaunch () in
     (records_before, recovery_before, records_after, recovery_after)
@@ -1377,7 +1377,7 @@ let t13_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed () =
     ~pasid:(System.fresh_pasid system)
     ~va:(fun i -> Int64.add 0x8000_0000L (Int64.of_int (i * 4096)))
     ~timeout:300_000L ~retries:6 ~pace:(Open_loop 500_000L) (fun i -> i < 200);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   ( system,
     (tally (), !converged),
     Device.request_retries nic_dev,
@@ -1672,7 +1672,7 @@ let t14_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed ~guards ()
             | Message.Alloc_response { ok = true; _ } -> incr churn_ok
             | _ -> ()))
   done;
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   (system, app, stats (), !churn_ok, churn_n)
 
 let t14_centralized ~seed ~guards () =
@@ -2227,7 +2227,7 @@ let t17_soak ?snapshot_path ?resume ?stop_after ?torn_final ~seed () =
   Device.alloc rogue ~memctl:(Memctl.id mc) ~pasid:rogue_pasid
     ~va:t17_rogue_va ~bytes:t17_rogue_bytes ~perm:Types.perm_rw (fun r ->
       match r with Ok tok -> rogue_token := Some tok | Error _ -> ());
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let rogue_token =
     match !rogue_token with
     | Some tok -> tok

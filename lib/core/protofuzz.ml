@@ -219,7 +219,7 @@ let run ?(seed = 42L) ?(iters = 400) () =
   Device.alloc victim ~memctl:(Memctl.id mc) ~pasid:pasid_v ~va:sentinel_va
     ~bytes:sentinel_bytes ~perm:Types.perm_rw (fun r ->
       match r with Ok tok -> token := Some tok | Error _ -> ());
-  System.run_until_idle sys;
+  System.run_until_quiescent sys;
   let token =
     match !token with
     | Some tok -> tok
@@ -343,7 +343,7 @@ let run ?(seed = 42L) ?(iters = 400) () =
   let inject bytes =
     match
       Sysbus.send_raw bus ~src:attacker_id bytes;
-      System.run_until_idle sys
+      System.run_until_quiescent sys
     with
     | () -> ()
     | exception exn ->
@@ -380,7 +380,7 @@ let run ?(seed = 42L) ?(iters = 400) () =
     if quarantined then begin
       incr releases;
       Sysbus.release_quarantine bus attacker_id;
-      (match System.run_until_idle sys with
+      (match System.run_until_quiescent sys with
       | () -> ()
       | exception exn ->
         incr crashes;

@@ -50,7 +50,8 @@ let run ~name ~seed ?(lanes = 1) ~segments ?(last_checkpoint = segments)
     done
   in
   (match target with
-  | Checkpoint.Single e -> loop (fun () -> Engine.run ~max_events:10_000_000 e)
+  | Checkpoint.Single e ->
+    loop (fun () -> Engine.run_until_quiescent ~max_events:10_000_000 e)
   | Checkpoint.Sharded tp ->
     let pool = Parallel.Pool.create ~lanes in
     Fun.protect

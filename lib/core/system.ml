@@ -214,14 +214,10 @@ let boot t =
   in
   wait ()
 
-(* Both drains stop after this many events, a guard against a run that
+(* The drain stops after this many events, a guard against a run that
    never settles. *)
-let max_events = 10_000_000
-
-let run_until_idle t = Engine.run ~max_events t.engine
-let run_until_quiescent t = Engine.run_until_quiescent ~max_events t.engine
-
-let run_for t ns = Engine.run ~until:(Int64.add (Engine.now t.engine) ns) t.engine
+let run_until_quiescent t =
+  Engine.run_until_quiescent ~max_events:10_000_000 t.engine
 
 let topology t =
   let buf = Buffer.create 1024 in

@@ -74,18 +74,12 @@ val accel : t -> int -> Lastcpu_devices.Accel_dev.t
 val fresh_pasid : t -> Types.pasid
 (** Allocate an application address-space id. *)
 
-val run_until_idle : t -> unit
-(** Drain the event queue (at most 10 million events). *)
-
 val run_until_quiescent : t -> unit
-(** Drain volatile events only, stopping as soon as the queue holds
-    nothing but statics (at most 10 million events).
-    Unlike {!run_until_idle} this does not fast-forward through pending
-    fault-plan statics, so a crash window scheduled for the future
-    survives bring-up. *)
-
-val run_for : t -> int64 -> unit
-(** Advance virtual time by the given nanoseconds. *)
+(** The one drain: run events in time order, stopping as soon as the
+    queue holds nothing but statics (at most 10 million events). It does
+    not fast-forward through pending fault-plan statics, so a crash
+    window scheduled for the future survives bring-up. To reach a given
+    virtual time, run the engine with [Engine.run ~until]. *)
 
 val topology : t -> string
 (** Figure-1 rendering: devices, their services, and the control-plane

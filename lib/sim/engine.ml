@@ -189,33 +189,25 @@ let step t =
     true
   end
 
-let run ?until ?max_events t =
-  match (until, max_events) with
-  | None, None ->
+let run ?until t =
+  match until with
+  | None ->
     (* The common whole-run drain: nothing to check per event. *)
     while step t do
       ()
     done
-  | _ ->
-    let executed = ref 0 in
-    let budget_left () =
-      match max_events with None -> true | Some m -> !executed < m
-    in
+  | Some stop ->
     let rec loop () =
-      if budget_left () && not (Heap.is_empty t.queue) then begin
-        let time = Heap.top_prio t.queue in
-        match until with
-        | Some stop when time > stop -> t.clock <- stop
-        | Some _ | None ->
+      if not (Heap.is_empty t.queue) then begin
+        if Heap.top_prio t.queue > stop then t.clock <- stop
+        else begin
           ignore (step t);
-          incr executed;
           loop ()
+        end
       end
     in
     loop ();
-    (match until with
-    | Some stop when Heap.is_empty t.queue && t.clock < stop -> t.clock <- stop
-    | Some _ | None -> ())
+    if Heap.is_empty t.queue && t.clock < stop then t.clock <- stop
 
 (* Drain every volatile event, leaving only statics (if any) in the queue:
    the first point at or past the current time where a checkpoint can be

@@ -97,9 +97,9 @@ val next_event_time : t -> int64 option
     empty. The shard coordinator ({!Temporal}) uses this to pick the next
     quantum rendezvous without popping anything. *)
 
-val run : ?until:int64 -> ?max_events:int -> t -> unit
-(** [run t] executes events until the queue is empty, [until] (inclusive)
-    is passed, or [max_events] have run. The clock advances to each event's
+val run : ?until:int64 -> t -> unit
+(** [run t] executes events, statics included, until the queue is empty
+    or [until] (inclusive) is passed. The clock advances to each event's
     time; when stopped by [until], the clock is left at [until]. *)
 
 val step : t -> bool

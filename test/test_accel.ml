@@ -58,12 +58,12 @@ let rig () =
   let token = ref None in
   Device.alloc dev ~memctl:mc ~pasid ~va ~bytes:65536L ~perm:Types.perm_rw
     (fun r -> token := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let token = match !token with Some t -> t | None -> Alcotest.fail "alloc" in
   let granted = ref false in
   Device.grant dev ~to_device:(Accel_dev.id accel) ~pasid ~va ~bytes:65536L
     ~perm:Types.perm_rw ~auth:token (fun r -> granted := Result.is_ok r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check bool) "granted" true !granted;
   (system, dev, accel, pasid, va)
 
@@ -71,7 +71,7 @@ let submit_sync system dev accel pasid job =
   let outcome = ref None in
   Accel_dev.submit dev ~accel:(Accel_dev.id accel) ~pasid job (fun o ->
       outcome := Some o);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   match !outcome with Some o -> o | None -> Alcotest.fail "job never completed"
 
 (* --- behaviour -------------------------------------------------------------- *)
@@ -81,7 +81,7 @@ let test_discoverable () =
   let found = ref None in
   Device.discover dev ~kind:Types.Compute_service ~query:"" (fun r ->
       found := Option.map fst r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check (option int)) "found" (Some (Accel_dev.id accel)) !found
 
 let test_checksum_matches_local () =
@@ -92,7 +92,7 @@ let test_checksum_matches_local () =
   let local = ref None in
   Accel_dev.run_locally dev ~pasid (Accel_proto.Checksum { va; len = 44 })
     (fun o -> local := Some o);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   match (remote, !local) with
   | Accel_proto.Value a, Some (Accel_proto.Value b) ->
     Alcotest.(check int64) "same digest" a b
@@ -171,12 +171,12 @@ let test_read_only_grant_blocks_writes () =
   let token = ref None in
   Device.alloc dev ~memctl:mc ~pasid ~va ~bytes:8192L ~perm:Types.perm_rw
     (fun r -> token := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let token = match !token with Some t -> t | None -> Alcotest.fail "alloc" in
   let granted = ref false in
   Device.grant dev ~to_device:(Accel_dev.id accel) ~pasid ~va ~bytes:8192L
     ~perm:Types.perm_r ~auth:token (fun r -> granted := Result.is_ok r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check bool) "granted r/o" true !granted;
   (match
      submit_sync system dev accel pasid (Accel_proto.Checksum { va; len = 16 })

@@ -22,13 +22,13 @@ let rig () =
   File_client.connect dev ~memctl:mc ~pasid:(System.fresh_pasid system)
     ~shm_va:0x4000_0000L ~user:"blk" ~path_hint:"/vol/disk0" (fun r ->
       fc := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   match !fc with
   | Some fc -> (system, dev, mc, fc)
   | None -> Alcotest.fail "connect failed"
 
 let sync system r =
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   match !r with Some v -> v | None -> Alcotest.fail "request never completed"
 
 let bopen system fc path =
@@ -96,7 +96,7 @@ let test_handles_are_connection_scoped () =
   File_client.connect dev ~memctl:mc ~pasid:(System.fresh_pasid system)
     ~shm_va:0x4800_0000L ~user:"blk" ~path_hint:"/vol/disk0" (fun r ->
       fc2 := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   match !fc2 with
   | None -> Alcotest.fail "second connect failed"
   | Some fc2 ->

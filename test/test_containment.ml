@@ -456,7 +456,7 @@ let test_quarantine_revokes_memctl_grants () =
   Device.alloc rogue ~memctl:(Memctl.id mc) ~pasid ~va:0x7000_0000L
     ~bytes:8192L ~perm:Types.perm_rw (fun r ->
       ok := Result.is_ok r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check bool) "allocation granted" true !ok;
   Alcotest.(check bool)
     "allocation recorded" true
@@ -464,7 +464,7 @@ let test_quarantine_revokes_memctl_grants () =
   for _ = 1 to 5 do
     Sysbus.send_raw bus ~src:rogue_id "\xbad"
   done;
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check bool)
     "quarantined" true
     (Sysbus.trust_of bus rogue_id = Sysbus.Quarantined);
@@ -484,21 +484,21 @@ let test_free_requires_ownership () =
   let pasid = System.fresh_pasid system in
   Device.alloc owner ~memctl:(Memctl.id mc) ~pasid ~va:0x7100_0000L
     ~bytes:4096L ~perm:Types.perm_rw (fun _ -> ());
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check int) "one allocation" 1
     (List.length (Memctl.allocations_of mc ~pasid));
   (* The second NIC tries to free the first NIC's region. *)
   Sysbus.send bus
     (Message.make ~src:thief_id ~dst:(Types.Device (Memctl.id mc)) ~corr:404
        (Message.Free_request { pasid; va = 0x7100_0000L; bytes = 4096L }));
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check int) "cross-tenant free denied" 1
     (List.length (Memctl.allocations_of mc ~pasid));
   (* The owner's own free still works. *)
   let freed = ref false in
   Device.free owner ~memctl:(Memctl.id mc) ~pasid ~va:0x7100_0000L
     ~bytes:4096L (fun r -> freed := Result.is_ok r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check bool) "owner free succeeds" true !freed;
   Alcotest.(check (list (pair int64 int64)))
     "allocation gone" []
@@ -517,7 +517,7 @@ let test_freed_frames_scrubbed () =
   let pasid_b = System.fresh_pasid system in
   Device.alloc dev ~memctl:(Memctl.id mc) ~pasid:pasid_a ~va:0x7200_0000L
     ~bytes:4096L ~perm:Types.perm_rw (fun _ -> ());
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let pa_a =
     match
       Iommu.probe (Sysbus.iommu_of bus dev_id) ~pasid:pasid_a ~va:0x7200_0000L
@@ -529,10 +529,10 @@ let test_freed_frames_scrubbed () =
   Dma.write_bytes dma_a 0x7200_0000L (String.make 4096 'S');
   Device.free dev ~memctl:(Memctl.id mc) ~pasid:pasid_a ~va:0x7200_0000L
     ~bytes:4096L (fun _ -> ());
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Device.alloc dev ~memctl:(Memctl.id mc) ~pasid:pasid_b ~va:0x7300_0000L
     ~bytes:4096L ~perm:Types.perm_rw (fun _ -> ());
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let pa_b =
     match
       Iommu.probe (Sysbus.iommu_of bus dev_id) ~pasid:pasid_b ~va:0x7300_0000L

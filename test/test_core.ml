@@ -138,7 +138,7 @@ let test_no_cpu_after_boot () =
         (Lastcpu_kv.Kv_proto.Put (Printf.sprintf "k%d" i, "v"))
         (fun _ -> decr pending)
     done;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Alcotest.(check int) "ops completed" 0 !pending;
     let after = (Sysbus.counters bus).Sysbus.routed in
     Alcotest.(check int) "zero bus messages on the data path" before after
@@ -164,23 +164,23 @@ let test_two_apps_two_pasids () =
   let fc_a = ref None and fc_b = ref None in
   connect 0x4000_0000L "/a/data" (fun r -> fc_a := Result.to_option r);
   connect 0x4800_0000L "/b/data" (fun r -> fc_b := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   match (!fc_a, !fc_b) with
   | Some a, Some b ->
     let wrote = ref 0 in
     File_client.create a "/a/data" (fun _ -> ());
     File_client.create b "/b/data" (fun _ -> ());
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     File_client.write a "/a/data" ~off:0 "alpha" (fun r ->
         if r = Ok () then incr wrote);
     File_client.write b "/b/data" ~off:0 "beta" (fun r ->
         if r = Ok () then incr wrote);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Alcotest.(check int) "both wrote" 2 !wrote;
     let ra = ref None and rb = ref None in
     File_client.read a "/a/data" ~off:0 ~len:5 (fun r -> ra := Result.to_option r);
     File_client.read b "/b/data" ~off:0 ~len:4 (fun r -> rb := Result.to_option r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Alcotest.(check (option string)) "a data" (Some "alpha") !ra;
     Alcotest.(check (option string)) "b data" (Some "beta") !rb
   | _ -> Alcotest.fail "connections failed"
@@ -200,7 +200,7 @@ let test_failure_notification_reaches_consumers () =
           notified := true
         | _ -> ());
     Sysbus.fail_device bus (Smart_ssd.id (System.ssd system 0));
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Alcotest.(check bool) "nic notified of ssd failure" true !notified
 
 let test_ssd_revive_and_reconnect () =
@@ -211,10 +211,10 @@ let test_ssd_revive_and_reconnect () =
     let bus = System.bus system in
     let ssd = System.ssd system 0 in
     Sysbus.fail_device bus (Smart_ssd.id ssd);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Sysbus.revive_device bus (Smart_ssd.id ssd);
     Device.reannounce (Smart_ssd.device ssd);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Alcotest.(check bool) "live again" true (Sysbus.is_live bus (Smart_ssd.id ssd));
     (* Reconnect and read back the pre-failure data. *)
     let nic_dev = Smart_nic.device (System.nic system 0) in
@@ -224,14 +224,14 @@ let test_ssd_revive_and_reconnect () =
       ~pasid:(System.fresh_pasid system)
       ~shm_va:0x9000_0000L ~user:"kvs" ~path_hint:"/kv/data.log"
       (fun r -> fc := Result.to_option r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     match !fc with
     | None -> Alcotest.fail "reconnect failed"
     | Some fc ->
       let size = ref None in
       File_client.stat fc "/kv/data.log" (fun r ->
           match r with Ok (s, _) -> size := Some s | Error _ -> ());
-      System.run_until_idle system;
+      System.run_until_quiescent system;
       (match !size with
       | Some s -> Alcotest.(check bool) "log survived" true (s > 0)
       | None -> Alcotest.fail "stat failed")
@@ -256,7 +256,7 @@ let test_multi_memctl_and_lanes () =
         ~bytes:4096L ~perm:Types.perm_rw
         (fun r -> if Result.is_ok r then incr oks))
     mcs;
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check int) "all controllers allocate" 3 !oks;
   List.iter
     (fun mc -> Alcotest.(check int) "one page each" 1 (Memctl.used_pages mc))

@@ -278,13 +278,13 @@ let test_kv_app_end_to_end_and_recovery () =
           | _ -> Alcotest.fail "put failed");
           decr pending)
     done;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Alcotest.(check int) "all puts done" 0 !pending;
     (* Delete a few. *)
     for i = 1 to 5 do
       Kv_app.local_op app (Kv_proto.Del (Printf.sprintf "key%02d" i)) (fun _ -> ())
     done;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (* Relaunch the app (same log file): state must be recovered from the
        SSD-resident WAL. *)
     let relaunched = ref None in
@@ -294,7 +294,7 @@ let test_kv_app_end_to_end_and_recovery () =
       ~pasid ~shm_va:0x8000_0000L ~user:"kvs" ~log_path:"/kv/data.log"
       ~start_device:false ()
       (fun r -> relaunched := Some r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (match !relaunched with
     | Some (Ok app2) ->
       Alcotest.(check bool) "records recovered" true
@@ -302,7 +302,7 @@ let test_kv_app_end_to_end_and_recovery () =
       let check key expect =
         let g = ref None in
         Kv_app.local_op app2 (Kv_proto.Get key) (fun reply -> g := Some reply);
-        System.run_until_idle system;
+        System.run_until_quiescent system;
         match (!g, expect) with
         | Some (Kv_proto.Value got), _ ->
           Alcotest.(check (option string)) key expect got
@@ -334,11 +334,11 @@ let test_kv_network_path () =
         (Kv_proto.encode_request { Kv_proto.corr; op })
     in
     send (Kv_proto.Put ("remote", "hello")) 1;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     send (Kv_proto.Get "remote") 2;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     send (Kv_proto.Get "absent") 3;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     let by_corr c = List.find_opt (fun r -> r.Kv_proto.corr = c) !replies in
     (match by_corr 1 with
     | Some { Kv_proto.reply = Kv_proto.Done; _ } -> ()
@@ -413,7 +413,7 @@ let test_loader_service () =
     let found = ref None in
     Lastcpu_device.Device.discover dev
       ~kind:Lastcpu_proto.Types.Loader_service ~query:"" (fun r -> found := r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (match !found with
     | Some (id, _) ->
       Alcotest.(check int) "loader on the ssd" (Lastcpu_devices.Smart_ssd.id ssd) id
@@ -423,7 +423,7 @@ let test_loader_service () =
       ~dst:(Lastcpu_proto.Types.Device (Lastcpu_devices.Smart_ssd.id ssd))
       (Lastcpu_proto.Message.Load_image { image = "kvs-v2.bin"; bytes = 8192L })
       (fun p -> loaded := Some p);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (match !loaded with
     | Some (Lastcpu_proto.Message.App_message { tag = "load-ok"; _ }) -> ()
     | _ -> Alcotest.fail "load failed");
@@ -445,10 +445,10 @@ let test_compact_through_data_plane () =
       Store.put store ~key:"churn" ~value:(string_of_int i) (fun _ -> ())
     done;
     Store.put store ~key:"keep" ~value:"stable" (fun _ -> ());
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     let compacted = ref None in
     Store.compact store (fun r -> compacted := Some r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (match !compacted with
     | Some (Ok ()) -> ()
     | _ -> Alcotest.fail "compact failed");
@@ -460,13 +460,13 @@ let test_compact_through_data_plane () =
       ~shm_va:0x8800_0000L ~user:"kvs" ~log_path:"/kv/data.log"
       ~start_device:false ()
       (fun r -> relaunched := Some r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     match !relaunched with
     | Some (Ok app2) ->
       Alcotest.(check int) "live records only" 2 (Kv_app.recovered_records app2);
       let g = ref None in
       Kv_app.local_op app2 (Kv_proto.Get "churn") (fun r -> g := Some r);
-      System.run_until_idle system;
+      System.run_until_quiescent system;
       (match !g with
       | Some (Kv_proto.Value (Some "30")) -> ()
       | _ -> Alcotest.fail "latest value lost by compaction")
@@ -484,7 +484,7 @@ let test_crashed_compaction_leaves_old_log () =
       Store.put (Kv_app.store app)
         ~key:(Printf.sprintf "k%d" i) ~value:"v" (fun _ -> ())
     done;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (* Simulate the crashed compaction: a stale sidecar full of garbage. *)
     let fs = Lastcpu_devices.Smart_ssd.fs (Lastcpu_core.System.ssd system 0) in
     (match Lastcpu_fs.Fs.create fs ~user:"kvs" "/kv/data.log.new" with
@@ -503,14 +503,14 @@ let test_crashed_compaction_leaves_old_log () =
       ~shm_va:0x8C00_0000L ~user:"kvs" ~log_path:"/kv/data.log"
       ~start_device:false ()
       (fun r -> relaunched := Some r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (match !relaunched with
     | Some (Ok app2) ->
       Alcotest.(check int) "all records intact" 8 (Kv_app.recovered_records app2);
       (* And a fresh compaction overwrites the stale sidecar cleanly. *)
       let compacted = ref None in
       Store.compact (Kv_app.store app2) (fun r -> compacted := Some r);
-      System.run_until_idle system;
+      System.run_until_quiescent system;
       (match !compacted with
       | Some (Ok ()) -> ()
       | _ -> Alcotest.fail "compaction after crash failed")

@@ -250,7 +250,7 @@ let test_kv_op_timed_once () =
     let reply = ref None in
     let op o =
       Kv_app.local_op app o (fun r -> reply := Some r);
-      System.run_until_idle system
+      System.run_until_quiescent system
     in
     op (Kv_proto.Get "absent");
     checkb "get answered" true (!reply = Some (Kv_proto.Value None));

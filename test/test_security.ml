@@ -43,7 +43,7 @@ let test_cross_pasid_no_access () =
   let allocated = ref false in
   Device.alloc dev ~memctl:mc ~pasid:pasid_a ~va:0x4000_0000L ~bytes:4096L
     ~perm:Types.perm_rw (fun r -> allocated := Result.is_ok r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check bool) "A allocated" true !allocated;
   let dma_a = Device.dma dev ~pasid:pasid_a in
   Dma.write_field64 dma_a 0x4000_0000 0x5EC2E7L;
@@ -77,7 +77,7 @@ let test_forged_alloc_response_cannot_map () =
          auth = token;
        })
     (fun _ -> ());
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check bool) "token failure recorded" true
     ((Sysbus.counters bus).Sysbus.token_failures > 0);
   let dma = Device.dma dev ~pasid:33 in
@@ -95,7 +95,7 @@ let test_replayed_token_for_wrong_range () =
   let token = ref None in
   Device.alloc dev ~memctl:mc ~pasid ~va:0x4000_0000L ~bytes:4096L
     ~perm:Types.perm_rw (fun r -> token := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   match !token with
   | None -> Alcotest.fail "alloc failed"
   | Some tok ->
@@ -106,7 +106,7 @@ let test_replayed_token_for_wrong_range () =
       ~to_device:(Smart_ssd.id (System.ssd system 0))
       ~pasid ~va:0x7777_0000L ~bytes:4096L ~perm:Types.perm_rw ~auth:tok
       (fun r -> denied := Result.is_error r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Alcotest.(check bool) "grant outside mapping denied" true !denied
 
 let test_grant_perm_cannot_exceed_token () =
@@ -118,7 +118,7 @@ let test_grant_perm_cannot_exceed_token () =
   (* Read-only allocation. *)
   Device.alloc dev ~memctl:mc ~pasid ~va:0x4000_0000L ~bytes:4096L
     ~perm:Types.perm_r (fun r -> token := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   match !token with
   | None -> Alcotest.fail "alloc failed"
   | Some tok ->
@@ -127,7 +127,7 @@ let test_grant_perm_cannot_exceed_token () =
       ~to_device:(Smart_ssd.id (System.ssd system 0))
       ~pasid ~va:0x4000_0000L ~bytes:4096L ~perm:Types.perm_rw ~auth:tok
       (fun r -> denied := Result.is_error r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Alcotest.(check bool) "rw grant from r token denied" true !denied
 
 let test_fs_access_control_cross_user () =
@@ -148,13 +148,13 @@ let test_fs_access_control_cross_user () =
       ~pasid:(System.fresh_pasid system)
       ~shm_va:0xB000_0000L ~user:"mallory" ~path_hint:"/kv/data.log"
       (fun r -> fc := Result.to_option r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (match !fc with
     | None -> Alcotest.fail "connect failed"
     | Some fc ->
       let result = ref None in
       File_client.read fc "/kv/data.log" ~off:0 ~len:16 (fun r -> result := Some r);
-      System.run_until_idle system;
+      System.run_until_quiescent system;
       match !result with
       | Some (Error _) -> ()
       | Some (Ok _) -> Alcotest.fail "mallory read the log"
@@ -175,7 +175,7 @@ let test_session_tokens_required_when_auth_enabled () =
   let fc = ref None in
   File_client.connect dev ~memctl:mc ~pasid:(System.fresh_pasid system)
     ~shm_va:0x4000_0000L ~user:"alice" ~path_hint:"" (fun r -> fc := Some r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   (match !fc with
   | Some (Error _) -> ()
   | Some (Ok _) -> Alcotest.fail "open accepted without session"
@@ -191,7 +191,7 @@ let test_session_tokens_required_when_auth_enabled () =
       match p with
       | Message.Auth_response { ok = true; session = Some s } -> session := Some s
       | _ -> ());
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   match !session with
   | None -> Alcotest.fail "authentication failed"
   | Some s ->
@@ -199,7 +199,7 @@ let test_session_tokens_required_when_auth_enabled () =
     File_client.connect dev ~memctl:mc ~pasid:(System.fresh_pasid system)
       ~shm_va:0x4800_0000L ~user:"alice" ~path_hint:"" ~auth:s (fun r ->
         fc2 := Some r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (match !fc2 with
     | Some (Ok _) -> ()
     | Some (Error e) -> Alcotest.fail ("authorized open failed: " ^ e)
@@ -223,7 +223,7 @@ let test_session_token_wrong_user_rejected () =
       match p with
       | Message.Auth_response { session = s; _ } -> session := s
       | _ -> ());
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   match !session with
   | None -> Alcotest.fail "bob auth failed"
   | Some bob_session ->
@@ -234,7 +234,7 @@ let test_session_token_wrong_user_rejected () =
       ~pasid:(System.fresh_pasid system)
       ~shm_va:0x4000_0000L ~user:"alice" ~path_hint:"" ~auth:bob_session
       (fun r -> fc := Some r);
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     (match !fc with
     | Some (Error _) -> ()
     | Some (Ok _) -> Alcotest.fail "identity confusion accepted"
@@ -415,10 +415,10 @@ let test_hostile_kv_frame_contained () =
     let frame = "\x01\x00" ^ negative_varint in
     Alcotest.(check int) "an 11-byte frame" 11 (String.length frame);
     Netsim.send peer ~dst:nic_addr frame;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Netsim.send peer ~dst:nic_addr
       (Kv_proto.encode_request { Kv_proto.corr = 2; op = Kv_proto.Get "absent" });
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     match !replies with
     | [ { Kv_proto.corr = 2; reply = Kv_proto.Value None } ] -> ()
     | _ -> Alcotest.fail "the Get after the hostile frame was not answered"
@@ -436,14 +436,14 @@ let attached_ssd_queue () =
   let token = ref None in
   Device.alloc dev ~memctl:(Memctl.id (System.memctl system)) ~pasid ~va:shm
     ~bytes ~perm:Types.perm_rw (fun r -> token := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let granted = ref false in
   (match !token with
   | None -> Alcotest.fail "alloc failed"
   | Some auth ->
     Device.grant dev ~to_device:ssd ~pasid ~va:shm ~bytes ~perm:Types.perm_rw
       ~auth (fun r -> granted := Result.is_ok r));
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check bool) "shared memory granted" true !granted;
   let dma = Device.dma dev ~pasid in
   let driver = Vq.Driver.create ~dma ~base:shm ~size:8 in
@@ -460,7 +460,7 @@ let attached_ssd_queue () =
     (function
       | Message.App_message { tag = "vq-ok"; _ } -> attached := true
       | _ -> ());
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check bool) "queue attached" true !attached;
   let request = Ssd_proto.encode_request (Ssd_proto.Stat { path = "/" }) in
   let req_va = Int64.add shm 8192L in
@@ -478,7 +478,7 @@ let attached_ssd_queue () =
   in
   let serve () =
     Device.doorbell dev ~dst:ssd ~queue;
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     let rec completions acc =
       match Vq.Driver.poll_used driver with
       | Some c -> completions (c :: acc)
@@ -548,14 +548,14 @@ let test_file_client_rewritten_link () =
   let fc = ref None in
   File_client.connect dev ~memctl:(Memctl.id (System.memctl system)) ~pasid
     ~shm_va:shm ~user:"root" ~path_hint:"/" (fun r -> fc := Result.to_option r);
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let fc = match !fc with Some fc -> fc | None -> Alcotest.fail "connect failed" in
   let first = ref None in
   File_client.stat fc "/" (fun r -> first := Some r);
   (* The first chain heads descriptor 0 and links to 1; its next field
      is at byte 14. Point it at free descriptor 2. *)
   Dma.write_field (Device.dma dev ~pasid) (Int64.to_int shm + 14) 2 2;
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   (match !first with
   | Some (Error _) -> ()
   | Some (Ok _) -> Alcotest.fail "the rewritten chain answered Ok"
@@ -564,7 +564,7 @@ let test_file_client_rewritten_link () =
   for _ = 1 to 32 do
     File_client.stat fc "/" (function Ok (_, true) -> incr answered | _ -> ())
   done;
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check int) "every slot serves again" 32 !answered
 
 let () =

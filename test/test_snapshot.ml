@@ -662,7 +662,7 @@ let test_crash_window_survives_restore () =
       let ssd_a = Smart_ssd.id (System.ssd a 0) in
       (* Into the middle of the crash window: the crash static has fired,
          the revive static (absolute time 11ms) is still pending. *)
-      System.run_for a (Int64.sub 5_000_000L (Engine.now engine_a));
+      Engine.run ~until:5_000_000L engine_a;
       Alcotest.(check bool) "down mid-window" false
         (Sysbus.is_live (System.bus a) ssd_a);
       Alcotest.(check bool) "quiescent mid-window" true
@@ -1136,13 +1136,13 @@ let drive system app ~tag ~ops =
     let key = Printf.sprintf "%s-%03d" tag i in
     Kv_app.local_op app (Kv_proto.Put (key, "v" ^ key)) (fun r ->
         if r <> Kv_proto.Done then Alcotest.fail "put failed");
-    System.run_until_idle system;
+    System.run_until_quiescent system;
     Kv_app.local_op app (Kv_proto.Get key) (fun r ->
         match r with
         | Kv_proto.Value (Some _) -> ()
         | _ -> Alcotest.fail "get failed")
   done;
-  System.run_until_idle system
+  System.run_until_quiescent system
 
 let digest_of system = Metrics.digest (Engine.metrics (System.engine system))
 

@@ -52,7 +52,7 @@ let test_closed_loop_answers_each_op_once () =
       ~on_done:(fun () -> incr done_calls)
       ()
   in
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check (array int)) "each op answered once" (Array.make ops 1) settled;
   Alcotest.(check int) "on_done once" 1 !done_calls;
   let t = tally () in
@@ -82,7 +82,7 @@ let test_doubling_resend_reuses_corr () =
       ~on_settle:(fun i o -> outcomes.(i) <- Some o)
       ()
   in
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   let gaps times =
     List.map2 Int64.sub (List.tl times) (List.rev (List.tl (List.rev times)))
   in
@@ -126,7 +126,7 @@ let test_fixed_resend_stops_at_busy () =
       ~on_settle:(fun i o -> outcomes.(i) <- Some o)
       ()
   in
-  System.run_until_idle system;
+  System.run_until_quiescent system;
   Alcotest.(check (list int64)) "op 0: one resend, one interval later, then none"
     [ start_ns; Int64.add start_ns interval_ns ]
     (attempts_of log 0);
