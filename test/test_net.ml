@@ -54,19 +54,6 @@ let test_drop_no_receiver () =
   Engine.run e;
   Alcotest.(check int) "both dropped" 2 (Netsim.frames_dropped net)
 
-let test_broadcast () =
-  let e = Engine.create () in
-  let net = Netsim.create e in
-  let a = Netsim.endpoint net ~name:"a" in
-  let received = ref 0 in
-  for i = 1 to 4 do
-    let ep = Netsim.endpoint net ~name:(Printf.sprintf "peer%d" i) in
-    Netsim.set_receiver ep (fun ~src:_ _ -> incr received)
-  done;
-  Netsim.broadcast a "to all";
-  Engine.run e;
-  Alcotest.(check int) "all peers got it" 4 !received
-
 let test_egress_contention () =
   (* Two large frames sent back to back from one endpoint serialise through
      its egress port: the second arrives one full serialisation later. *)
@@ -106,7 +93,6 @@ let () =
           Alcotest.test_case "latency model" `Quick test_latency_model;
           Alcotest.test_case "in order" `Quick test_in_order_per_pair;
           Alcotest.test_case "drops" `Quick test_drop_no_receiver;
-          Alcotest.test_case "broadcast" `Quick test_broadcast;
           Alcotest.test_case "egress contention" `Quick test_egress_contention;
           Alcotest.test_case "duplicate names" `Quick test_duplicate_name_rejected;
         ] );

@@ -1239,8 +1239,8 @@ let test_t16_checkpoint_pinned () =
       ignore (Experiments.t16_soak ~seed:42L ~snapshot_path:path ());
       let data = In_channel.with_open_bin path In_channel.input_all in
       let n = String.length data in
-      Alcotest.(check int) "file bytes" 11_354_786 n;
-      Alcotest.(check int) "file CRC trailer" 0x15ce6b07
+      Alcotest.(check int) "file bytes" 11_354_742 n;
+      Alcotest.(check int) "file CRC trailer" 0x7e131d30
         (Snapshot.R.u32 (Snapshot.R.of_string (String.sub data (n - 4) 4))))
 
 let () =

@@ -1,6 +1,6 @@
 (* Tests for temporal decoupling: the quantum-synchronized shard
    coordinator (Temporal), the persistent lane pool and run_jobs edge
-   cases (Parallel), the cross-shard boundary plumbing in Sysbus/Netsim/
+   cases (Parallel), the cross-shard boundary plumbing in Sysbus and
    Shardlink, and the T15 determinism contract (fixed seed and quantum
    => results independent of the execution-lane count). *)
 
@@ -12,7 +12,6 @@ module Message = Lastcpu_proto.Message
 module Iommu = Lastcpu_iommu.Iommu
 module Sysbus = Lastcpu_bus.Sysbus
 module Shardlink = Lastcpu_bus.Shardlink
-module Netsim = Lastcpu_net.Netsim
 module Experiments = Lastcpu_core.Experiments
 module System = Lastcpu_core.System
 
@@ -187,42 +186,6 @@ let test_tie_break_cannot_reorder_boundary_delivery () =
       Alcotest.(check int) "all four delivered" 4 (List.length order))
     [ Engine.Fifo; Engine.Lifo; Engine.Salted 0xBADC0FFEEL ]
 
-(* --- Netsim boundary ports ---------------------------------------------- *)
-
-let test_netsim_boundary_port () =
-  let e0 = Engine.create () and e1 = Engine.create () in
-  let net0 = Netsim.create ~shard:0 e0 in
-  let net1 = Netsim.create ~shard:1 e1 in
-  Alcotest.(check int) "home shard" 1 (Netsim.home_shard net1);
-  let a = Netsim.endpoint net0 ~name:"a" in
-  let b_proxy = Netsim.endpoint ~shard:1 net0 ~name:"b" in
-  Alcotest.(check int) "proxy affinity" 1 (Netsim.shard b_proxy);
-  let b = Netsim.endpoint net1 ~name:"b" in
-  let got = ref None in
-  Netsim.set_receiver b (fun ~src frame -> got := Some (src, frame));
-  let crossed = ref [] in
-  Netsim.set_boundary net0 (fun ~dst_shard ~src ~dst frame ->
-      crossed := (dst_shard, src, dst) :: !crossed;
-      Netsim.inject net1 ~src:7 ~dst:(Netsim.address b) frame);
-  Alcotest.check_raises "boundary wires once"
-    (Invalid_argument "Netsim.set_boundary: boundary uplink already wired")
-    (fun () -> Netsim.set_boundary net0 (fun ~dst_shard:_ ~src:_ ~dst:_ _ -> ()));
-  Netsim.send a ~dst:(Netsim.address b_proxy) "hello";
-  Engine.run e0;
-  Alcotest.(check (list (triple int int int)))
-    "frame rode the uplink after local serialisation"
-    [ (1, Netsim.address a, Netsim.address b_proxy) ]
-    !crossed;
-  Alcotest.(check int) "counted" 1 (Netsim.boundary_out net0);
-  Engine.run e1;
-  (match !got with
-  | Some (src, frame) ->
-    Alcotest.(check int) "src as injected" 7 src;
-    Alcotest.(check string) "payload intact" "hello" frame
-  | None -> Alcotest.fail "frame never delivered on the far shard");
-  Alcotest.(check int) "far side counts it as local delivery" 1
-    (Netsim.frames_delivered net1)
-
 (* --- Sysbus + Shardlink round trip -------------------------------------- *)
 
 let test_shardlink_round_trip () =
@@ -349,8 +312,6 @@ let () =
         ] );
       ( "boundary",
         [
-          Alcotest.test_case "netsim boundary port" `Quick
-            test_netsim_boundary_port;
           Alcotest.test_case "shardlink round trip" `Quick
             test_shardlink_round_trip;
         ] );
