@@ -43,8 +43,7 @@ let create engine ?cores ?run_queue_capacity () =
           t.storage_down <- true);
       Engine.schedule_at engine ~time:(Int64.add at_ns down_ns) (fun () ->
           Faults.note_revive faults;
-          Kernel.syscall t.kern ~name:"reset-device" (fun () ->
-              t.storage_down <- false)))
+          Kernel.syscall t.kern (fun () -> t.storage_down <- false)))
     (Faults.crashes faults);
   t
 
@@ -57,10 +56,10 @@ let nand_busy_ns t = Nand.busy_ns (Ftl.nand t.ftl)
 
 let discover t ~query k =
   ignore query;
-  Kernel.syscall t.kern ~name:"discover" k
+  Kernel.syscall t.kern k
 
 let open_file t ~path ~user k =
-  Kernel.syscall t.kern ~name:"open" (fun () ->
+  Kernel.syscall t.kern (fun () ->
       let result =
         match Fs.stat t.filesystem path with
         | Ok _ -> Ok ()
@@ -68,27 +67,25 @@ let open_file t ~path ~user k =
       in
       ignore user;
       (* Device round trip to validate/open on the storage controller. *)
-      Kernel.interrupt t.kern ~name:"open-complete" (fun () -> k result))
+      Kernel.interrupt t.kern (fun () -> k result))
 
 let setup_shared t ~bytes k =
   ignore bytes;
   (* mmap: kernel allocates frames and programs both devices' IOMMUs
      itself (extra PTE-writing time on the CPU), then a grant syscall. *)
-  Kernel.syscall t.kern ~name:"mmap"
-    ~extra:(Int64.mul 4L Costs.iommu_program_ns) (fun () ->
-      Kernel.syscall t.kern ~name:"grant"
-        ~extra:(Int64.mul 2L Costs.iommu_program_ns) k)
+  Kernel.syscall t.kern ~extra:(Int64.mul 4L Costs.iommu_program_ns) (fun () ->
+      Kernel.syscall t.kern ~extra:(Int64.mul 2L Costs.iommu_program_ns) k)
 
 let teardown_shared t k =
-  Kernel.syscall t.kern ~name:"munmap" k
+  Kernel.syscall t.kern k
 
 (* Data plane ---------------------------------------------------------------- *)
 
 (* Kernel-mediated file operation: submission syscall, NAND time off-CPU,
    completion interrupt. *)
-let mediated_io t ~name ~(run : unit -> ('a, string) result)
+let mediated_io t ~(run : unit -> ('a, string) result)
     (k : ('a, string) result -> unit) =
-  Kernel.syscall t.kern ~name (fun () ->
+  Kernel.syscall t.kern (fun () ->
       if t.storage_down then
         (* The submit syscall returns EIO immediately: the device node is
            gone until the reset-device pass completes. *)
@@ -98,30 +95,27 @@ let mediated_io t ~name ~(run : unit -> ('a, string) result)
         let result = run () in
         let flash = Int64.sub (nand_busy_ns t) nand_before in
         Engine.schedule t.engine ~delay:flash (fun () ->
-            Kernel.interrupt t.kern ~name:(name ^ "-complete") (fun () ->
-                k result))
+            Kernel.interrupt t.kern (fun () -> k result))
       end)
 
 let lift fs_result =
   match fs_result with Ok v -> Ok v | Error e -> Error (Fs.error_to_string e)
 
 let file_read t ~path ~user ~off ~len k =
-  mediated_io t ~name:"read"
+  mediated_io t
     ~run:(fun () -> lift (Fs.read t.filesystem ~user path ~off ~len))
     k
 
 let file_write t ~path ~user ~off ~data k =
-  mediated_io t ~name:"write"
+  mediated_io t
     ~run:(fun () -> lift (Fs.write t.filesystem ~user path ~off data))
     k
 
 let file_create t ~path ~user k =
-  mediated_io t ~name:"create"
-    ~run:(fun () -> lift (Fs.create t.filesystem ~user path))
-    k
+  mediated_io t ~run:(fun () -> lift (Fs.create t.filesystem ~user path)) k
 
 let file_truncate t ~path ~user ~len k =
-  mediated_io t ~name:"truncate"
+  mediated_io t
     ~run:(fun () -> lift (Fs.truncate t.filesystem ~user path ~len))
     k
 
@@ -159,7 +153,7 @@ let store_backend t ~path ~user =
               match res with
               | Error _ as e -> k e
               | Ok () ->
-                mediated_io t ~name:"rename"
+                mediated_io t
                   ~run:(fun () -> lift (Fs.rename t.filesystem ~user sidecar path))
                   (fun res ->
                     match res with
@@ -184,8 +178,8 @@ let try_kv_network_op t work ~on_busy k =
      instead of interrupt-storming a saturated CPU. The tx completion stays
      unconditional: finishing admitted work sheds load, refusing it would
      only hold memory longer. *)
-  match Kernel.try_interrupt t.kern ~name:"rx" (fun () ->
-            work (fun () -> Kernel.syscall t.kern ~name:"tx" k))
+  match Kernel.try_interrupt t.kern (fun () ->
+            work (fun () -> Kernel.syscall t.kern k))
   with
   | `Ok -> ()
   | `Eagain retry_after_ns -> on_busy ~retry_after_ns

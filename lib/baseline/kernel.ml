@@ -62,14 +62,14 @@ let enter t entry ~bounded ~extra k =
     t.eagain_count <- t.eagain_count + 1;
     `Eagain (Station.drain_ns station ~now:(Engine.now t.engine))
 
-let syscall t ~name:_ ?(extra = 0L) k =
+let syscall t ?(extra = 0L) k =
   match enter t Syscall ~bounded:false ~extra k with `Ok | `Eagain _ -> ()
 
-let interrupt t ~name:_ k =
+let interrupt t k =
   match enter t Interrupt ~bounded:false ~extra:0L k with `Ok | `Eagain _ -> ()
 
-let try_syscall t ~name:_ k = enter t Syscall ~bounded:true ~extra:0L k
-let try_interrupt t ~name:_ k = enter t Interrupt ~bounded:true ~extra:0L k
+let try_syscall t k = enter t Syscall ~bounded:true ~extra:0L k
+let try_interrupt t k = enter t Interrupt ~bounded:true ~extra:0L k
 
 let syscalls t = t.syscall_count
 let interrupts t = t.interrupt_count

@@ -18,21 +18,21 @@ val create :
     each core's run queue for the [try_*] admission variants; default
     [None] keeps queues unbounded and [try_*] always accepts. *)
 
-val syscall : t -> name:string -> ?extra:int64 -> (unit -> unit) -> unit
-(** [syscall t ~name k]: enter the kernel, run [kernel_op_ns + extra] of
+val syscall : t -> ?extra:int64 -> (unit -> unit) -> unit
+(** [syscall t k]: enter the kernel, run [kernel_op_ns + extra] of
     service on the least-loaded core, then [k] at completion time. *)
 
-val interrupt : t -> name:string -> (unit -> unit) -> unit
+val interrupt : t -> (unit -> unit) -> unit
 (** Device interrupt: costs [interrupt_ns + kernel_op_ns] of core time. *)
 
-val try_syscall : t -> name:string -> (unit -> unit) -> [ `Ok | `Eagain of int64 ]
+val try_syscall : t -> (unit -> unit) -> [ `Ok | `Eagain of int64 ]
 (** EAGAIN-style admission: like [syscall] (with no [extra]), but when
     the least-loaded core's run queue is at [run_queue_capacity] the work
     is refused with [`Eagain retry_after_ns] (that core's drain time)
     instead of queueing. Without a capacity this is exactly [syscall] and
     always returns [`Ok]; both go through one kernel entry. *)
 
-val try_interrupt : t -> name:string -> (unit -> unit) -> [ `Ok | `Eagain of int64 ]
+val try_interrupt : t -> (unit -> unit) -> [ `Ok | `Eagain of int64 ]
 
 val syscalls : t -> int
 val interrupts : t -> int

@@ -108,7 +108,7 @@ let churn engine dev ~memctl ~pasid ~va ?timeout ?retries ~pace more =
 
 (* The centralized counterpart of one churn pair. *)
 let map_unmap kern _ k =
-  Kernel.syscall kern ~name:"mmap" (fun () -> Kernel.syscall kern ~name:"munmap" k)
+  Kernel.syscall kern (fun () -> Kernel.syscall kern k)
 
 (* Completions per virtual second of [workers] closed loops over the next
    20 ms of virtual time. [start w ~pace ~more] starts loop [w]. *)
@@ -301,7 +301,7 @@ let t1_centralized () =
         ( "open",
           fun _ k -> Central.open_file central ~path:"/target" ~user:"bench" (fun _ -> k ()) );
         ("alloc+map", fun _ k -> Central.setup_shared central ~bytes:16384L k);
-        ("grant", fun _ k -> Kernel.syscall kern ~name:"grant" k);
+        ("grant", fun _ k -> Kernel.syscall kern k);
         ("free", fun _ k -> Central.teardown_shared central k);
       ]
       (fun () -> done_ := true)
@@ -647,12 +647,13 @@ let t4_centralized () =
   let kern = Central.kernel central in
   let t_fail = Engine.now engine in
   let detected = ref 0L in
-  Kernel.interrupt kern ~name:"device-failed" (fun () ->
+  (* The device-failed interrupt, then the reset-device syscall. *)
+  Kernel.interrupt kern (fun () ->
       detected := Int64.sub (Engine.now engine) t_fail);
   Engine.run engine;
   let t_revive = Engine.now engine in
   let finished = ref None in
-  Kernel.syscall kern ~name:"reset-device" (fun () ->
+  Kernel.syscall kern (fun () ->
       Central.open_file central ~path:"/kv.log" ~user:"kvs" (fun _ ->
           Store.recover store (fun res ->
               match res with
@@ -1802,8 +1803,7 @@ type ring = {
    coupling exists, so the setup schedule is trivially lane-independent.
    [customize i spec] adjusts shard [i]'s spec. Ring links: shard i's NIC
    <-> shard (i+1)'s memory controller. *)
-let build_ring ~name ~seed ~tie ~sanitize ?quantum
-    ?(customize = fun _ spec -> spec) () =
+let build_ring ~name ~seed ~tie ~sanitize ?(customize = fun _ spec -> spec) () =
   let systems =
     Array.init ring_shards (fun i ->
         let spec =
@@ -1821,7 +1821,7 @@ let build_ring ~name ~seed ~tie ~sanitize ?quantum
           .Scenario_kvs.system)
   in
   let engines = Array.map System.engine systems in
-  let temporal = Temporal.create ?quantum ~lookahead:ring_lookahead_ns engines in
+  let temporal = Temporal.create ~lookahead:ring_lookahead_ns engines in
   let links = Shardlink.create temporal (Array.map System.bus systems) in
   let remote_mc =
     Array.init ring_shards (fun i ->
@@ -1880,10 +1880,9 @@ type t15_result = {
   t15_systems : System.t array;
 }
 
-let t15_soak ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(tie = Engine.Fifo)
-    ?(sanitize = false) ~seed () =
+let t15_soak ?(shards = 1) ?(tie = Engine.Fifo) ?(sanitize = false) ~seed () =
   if shards < 1 then invalid_arg "t15: shards must be >= 1";
-  let ring = build_ring ~name:"t15" ~seed ~tie ~sanitize ~quantum () in
+  let ring = build_ring ~name:"t15" ~seed ~tie ~sanitize () in
   let kv_done = Array.make ring_shards 0 in
   let install _ =
     for i = 0 to ring_shards - 1 do
@@ -1921,8 +1920,7 @@ let t15_soak ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(tie = Engine.Fifo)
   }
 
 let t15 ~shards () =
-  let quantum = ring_lookahead_ns and seed = 42L in
-  let r = t15_soak ~shards ~quantum ~seed () in
+  let r = t15_soak ~shards ~seed:42L () in
   (* Deliberately lane-count-free output: CI diffs the rendered table
      between --shards 1 and --shards 4 runs, so every cell must be a pure
      function of (seed, quantum). *)
@@ -1949,11 +1947,12 @@ let t15 ~shards () =
       ];
     notes =
       [
+        (* The ring's quantum is its lookahead, [Temporal.create]'s default. *)
         Printf.sprintf
           "quantum=%Ldns lookahead=%Ldns; ring of %d clusters, %d kv \
            clients x %d ops + %d cross-shard alloc/free pairs per shard"
-          quantum ring_lookahead_ns ring_shards t15_kv_clients t15_kv_ops
-          t15_remote_allocs;
+          ring_lookahead_ns ring_lookahead_ns ring_shards t15_kv_clients
+          t15_kv_ops t15_remote_allocs;
       ];
   }
 

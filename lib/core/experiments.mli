@@ -33,7 +33,6 @@ type t15_result = {
 
 val t15_soak :
   ?shards:int ->
-  ?quantum:int64 ->
   ?tie:Lastcpu_sim.Engine.tie_break ->
   ?sanitize:bool ->
   seed:int64 ->
@@ -44,9 +43,9 @@ val t15_soak :
     {!Lastcpu_bus.Shardlink}; each shard runs a local KVS closed loop
     while churning alloc/free pairs against the next shard's memory
     controller across the quantum boundary. [shards] (default 1) is the
-    number of execution lanes (Domains) only — for a fixed (seed,
-    [quantum]) the result is bit-identical whatever its value. [quantum]
-    defaults to the lookahead (50 us). *)
+    number of execution lanes (Domains) only — for a fixed [seed] the
+    result is bit-identical whatever its value. The quantum is the
+    lookahead (50 us). *)
 
 (** {2 T16: crash-survivable simulation} *)
 

@@ -12,7 +12,7 @@ let test_syscall_cost_model () =
   let engine = Engine.create () in
   let kern = Kernel.create engine () in
   let finished = ref 0L in
-  Kernel.syscall kern ~name:"x" (fun () -> finished := Engine.now engine);
+  Kernel.syscall kern (fun () -> finished := Engine.now engine);
   Engine.run engine;
   Alcotest.(check int64) "syscall + kernel_op"
     (Int64.add Costs.syscall_ns Costs.kernel_op_ns)
@@ -24,7 +24,7 @@ let test_kernel_serializes_on_one_core () =
   let kern = Kernel.create engine ~cores:1 () in
   let finishes = ref [] in
   for _ = 1 to 3 do
-    Kernel.syscall kern ~name:"x" (fun () -> finishes := Engine.now engine :: !finishes)
+    Kernel.syscall kern (fun () -> finishes := Engine.now engine :: !finishes)
   done;
   Engine.run engine;
   let per = Int64.add Costs.syscall_ns Costs.kernel_op_ns in
@@ -37,7 +37,7 @@ let test_multicore_parallelism () =
   let kern = Kernel.create engine ~cores:2 () in
   let finishes = ref [] in
   for _ = 1 to 2 do
-    Kernel.syscall kern ~name:"x" (fun () -> finishes := Engine.now engine :: !finishes)
+    Kernel.syscall kern (fun () -> finishes := Engine.now engine :: !finishes)
   done;
   Engine.run engine;
   match !finishes with
@@ -48,7 +48,7 @@ let test_interrupt_cost () =
   let engine = Engine.create () in
   let kern = Kernel.create engine () in
   let finished = ref 0L in
-  Kernel.interrupt kern ~name:"irq" (fun () -> finished := Engine.now engine);
+  Kernel.interrupt kern (fun () -> finished := Engine.now engine);
   Engine.run engine;
   Alcotest.(check int64) "interrupt + kernel_op"
     (Int64.add Costs.interrupt_ns Costs.kernel_op_ns)
@@ -129,7 +129,7 @@ let test_kernel_run_queue_eagain () =
   let engine = Engine.create () in
   let kern = Kernel.create engine ~cores:1 ~run_queue_capacity:2 () in
   let ran = ref 0 in
-  let submit () = Kernel.try_syscall kern ~name:"x" (fun () -> incr ran) in
+  let submit () = Kernel.try_syscall kern (fun () -> incr ran) in
   (match submit () with
   | `Ok -> ()
   | `Eagain _ -> Alcotest.fail "first refused");
@@ -145,7 +145,7 @@ let test_kernel_run_queue_eagain () =
   Alcotest.(check int) "admitted work ran" 2 !ran;
   Alcotest.(check int) "only admitted work counted" 2 (Kernel.syscalls kern);
   (* Drained: the queue admits again (interrupt path shares the bound). *)
-  (match Kernel.try_interrupt kern ~name:"irq" (fun () -> incr ran) with
+  (match Kernel.try_interrupt kern (fun () -> incr ran) with
   | `Ok -> ()
   | `Eagain _ -> Alcotest.fail "refused after drain");
   Engine.run engine;
@@ -157,14 +157,14 @@ let test_unconditional_entries_skip_bound () =
   let engine = Engine.create () in
   let kern = Kernel.create engine ~cores:1 ~run_queue_capacity:1 () in
   let ran = ref 0 in
-  (match Kernel.try_syscall kern ~name:"x" (fun () -> incr ran) with
+  (match Kernel.try_syscall kern (fun () -> incr ran) with
   | `Ok -> ()
   | `Eagain _ -> Alcotest.fail "first refused");
-  (match Kernel.try_syscall kern ~name:"x" (fun () -> incr ran) with
+  (match Kernel.try_syscall kern (fun () -> incr ran) with
   | `Ok -> Alcotest.fail "over-capacity work admitted"
   | `Eagain _ -> ());
-  Kernel.syscall kern ~name:"x" (fun () -> incr ran);
-  Kernel.interrupt kern ~name:"irq" (fun () -> incr ran);
+  Kernel.syscall kern (fun () -> incr ran);
+  Kernel.interrupt kern (fun () -> incr ran);
   Engine.run engine;
   Alcotest.(check int) "queued past the bound and ran" 3 !ran;
   Alcotest.(check int) "syscalls" 2 (Kernel.syscalls kern);
@@ -176,7 +176,7 @@ let test_central_rx_refused_when_saturated () =
   let central = Central.create engine ~cores:1 ~run_queue_capacity:1 () in
   (* Occupy the single core's whole run queue. *)
   (match
-     Kernel.try_syscall (Central.kernel central) ~name:"hog" (fun () -> ())
+     Kernel.try_syscall (Central.kernel central) (fun () -> ())
    with
   | `Ok -> ()
   | `Eagain _ -> Alcotest.fail "hog refused");
