@@ -18,9 +18,9 @@
      D005  stdout/stderr printing from library modules — libraries must
            report through telemetry/trace, not ambient side channels.
      D006  direct [Station.submit]/[Station.try_submit] — device/bus code
-           must route frames through the shard boundary mailbox
-           ([Sysbus.send]/[Netsim.send]) so cross-shard traffic is
-           deferred to the quantum edge; a direct station submit bypasses
+           must route frames through [Sysbus.send] (the shard boundary
+           mailbox) or [Netsim.send] so cross-shard traffic is deferred
+           to the quantum edge; a direct station submit bypasses
            shard affinity and breaks the temporal-decoupling determinism
            contract. The blessed homes (the bus/net/device frameworks
            themselves and the centralized baseline) are exempted in
