@@ -1,98 +1,55 @@
-(* Cross-shard links: proxy pairs over the Temporal boundary.
+(* Cross-shard links: port pairs over the Temporal boundary.
 
    A link couples one device on shard A with one device on shard B by
-   attaching a boundary-proxy slot on each side: P on A's bus standing for
-   the remote device, Q on B's bus standing for the local one. Traffic
-   addressed to a proxy leaves its bus through the boundary mailbox
-   (Sysbus.set_boundary); this module owns that mailbox for every coupled
-   bus and forwards each frame through Temporal.post, so it is delivered
-   on the destination shard's engine at send time + lookahead, at the
-   rendezvous closing the sending window.
+   attaching a link port on each side (Sysbus.attach_port): P on A's bus
+   standing for the remote device, Q on B's bus standing for the local one.
+   A port's handler is its forwarder: the bus hands it every frame
+   addressed to the port, and it re-sends the frame through Temporal.post,
+   so it is delivered on the destination shard's engine at send time +
+   lookahead, at the rendezvous closing the sending window.
 
    On arrival the frame is rebuilt with the source rewritten to the
-   destination-side proxy: real_b sees requests "from Q" and replies to Q,
+   destination-side port: real_b sees requests "from Q" and replies to Q,
    which routes straight back across the same link. Links are
-   point-to-point: every frame reaching proxy P is attributed to the link
+   point-to-point: every frame reaching port P is attributed to the link
    peer (including bus-originated error bounces, src = -1), matching how a
    cabled interconnect port behaves — whatever leaves through the port
    arrives from the paired port on the far side. *)
 
 module Message = Lastcpu_proto.Message
 module Types = Lastcpu_proto.Types
-module Iommu = Lastcpu_iommu.Iommu
-module Engine = Lastcpu_sim.Engine
 module Temporal = Lastcpu_sim.Temporal
-
-type route = {
-  r_dst_shard : int;
-  r_real : Types.device_id;  (* destination device on the remote bus *)
-  r_rewrite_src : Types.device_id;  (* remote-side proxy: rewritten src *)
-}
 
 type t = {
   temporal : Temporal.t;
   buses : Sysbus.t array;  (* indexed by shard id *)
-  (* (src_shard, proxy id on that shard's bus) -> where the frame goes.
-     Populated during [link] setup, read-only while shards run — safe to
-     share across lanes without locking. *)
-  routes : (int * Types.device_id, route) Hashtbl.t;
 }
-
-let forward t ~src_shard (msg : Message.t) =
-  let proxy =
-    match msg.dst with
-    | Types.Device id -> id
-    | Types.Bus | Types.Broadcast ->
-      invalid_arg "Shardlink: boundary frames must be unicast"
-  in
-  match Hashtbl.find_opt t.routes (src_shard, proxy) with
-  | None ->
-    invalid_arg
-      (Printf.sprintf
-         "Shardlink: no route for proxy dev%d on shard %d (attach ?shard \
-          without a matching link?)"
-         proxy src_shard)
-  | Some r ->
-    let msg' =
-      Message.make ?deadline_ns:msg.deadline_ns ~src:r.r_rewrite_src
-        ~dst:(Types.Device r.r_real) ~corr:msg.corr msg.payload
-    in
-    let dst_bus = t.buses.(r.r_dst_shard) in
-    Temporal.post
-      ~label:(fun () -> "xshard:" ^ Sysbus.frame_desc msg')
-      t.temporal ~src:src_shard ~dst:r.r_dst_shard
-      (fun () -> Sysbus.send dst_bus msg')
 
 let create temporal buses =
   if Array.length buses <> Temporal.shard_count temporal then
     invalid_arg "Shardlink.create: one bus per shard required";
   Array.iteri
     (fun i bus ->
-      if Sysbus.home_shard bus <> i then
-        invalid_arg
-          (Printf.sprintf
-             "Shardlink.create: bus at index %d has home shard %d" i
-             (Sysbus.home_shard bus));
       if not (Sysbus.engine bus == Temporal.engine temporal i) then
         invalid_arg
           (Printf.sprintf
              "Shardlink.create: bus at index %d not on shard %d's engine" i i))
     buses;
-  let t = { temporal; buses; routes = Hashtbl.create 16 } in
-  Array.iteri
-    (fun i bus ->
-      Sysbus.set_boundary bus (fun ~dst_shard:_ msg ->
-          forward t ~src_shard:i msg))
-    buses;
-  t
+  { temporal; buses }
 
-(* A proxy slot is inert locally: its handler must never run (frames to it
-   divert at the boundary check), and it owns no translations. *)
-let attach_proxy bus ~shard ~name =
-  Sysbus.attach ~shard bus ~name
-    ~iommu:(Iommu.create ~no_tlb:true ())
-    ~handler:(fun _ ->
-      failwith ("Shardlink: proxy handler invoked for " ^ name))
+(* The forwarder of a port on [src_shard] standing for [real] on
+   [dst_shard]; [far] is the port on [dst_shard] that the frame arrives
+   from. *)
+let forward t ~src_shard ~dst_shard ~real ~far (msg : Message.t) =
+  let msg' =
+    Message.make ?deadline_ns:msg.deadline_ns ~src:(Lazy.force far)
+      ~dst:(Types.Device real) ~corr:msg.corr msg.payload
+  in
+  let dst_bus = t.buses.(dst_shard) in
+  Temporal.post
+    ~label:(fun () -> "xshard:" ^ Sysbus.frame_desc msg')
+    t.temporal ~src:src_shard ~dst:dst_shard
+    (fun () -> Sysbus.send dst_bus msg')
 
 let link t ~a:(shard_a, dev_a) ~b:(shard_b, dev_b) =
   if shard_a = shard_b then
@@ -100,16 +57,22 @@ let link t ~a:(shard_a, dev_a) ~b:(shard_b, dev_b) =
   let bus_a = t.buses.(shard_a) and bus_b = t.buses.(shard_b) in
   let name_a = Sysbus.device_name bus_a dev_a
   and name_b = Sysbus.device_name bus_b dev_b in
-  let proxy_on_a =
-    attach_proxy bus_a ~shard:shard_b
-      ~name:(Printf.sprintf "link:%s@%d" name_b shard_b)
+  (* Each forwarder names the other port, which exists by the time any
+     frame crosses. *)
+  let rec port_on_a =
+    lazy
+      (Sysbus.attach_port bus_a
+         ~name:(Printf.sprintf "link:%s@%d" name_b shard_b)
+         ~forward:
+           (forward t ~src_shard:shard_a ~dst_shard:shard_b ~real:dev_b
+              ~far:port_on_b))
+  and port_on_b =
+    lazy
+      (Sysbus.attach_port bus_b
+         ~name:(Printf.sprintf "link:%s@%d" name_a shard_a)
+         ~forward:
+           (forward t ~src_shard:shard_b ~dst_shard:shard_a ~real:dev_a
+              ~far:port_on_a))
   in
-  let proxy_on_b =
-    attach_proxy bus_b ~shard:shard_a
-      ~name:(Printf.sprintf "link:%s@%d" name_a shard_a)
-  in
-  Hashtbl.replace t.routes (shard_a, proxy_on_a)
-    { r_dst_shard = shard_b; r_real = dev_b; r_rewrite_src = proxy_on_b };
-  Hashtbl.replace t.routes (shard_b, proxy_on_b)
-    { r_dst_shard = shard_a; r_real = dev_a; r_rewrite_src = proxy_on_a };
-  (proxy_on_a, proxy_on_b)
+  let port_on_a = Lazy.force port_on_a in
+  (port_on_a, Lazy.force port_on_b)

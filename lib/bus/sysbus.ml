@@ -59,7 +59,7 @@ type device_slot = {
   name : string;
   iommu : Iommu.t;
   handler : Message.t -> unit;
-  shard : int;  (* affinity; <> home shard makes this a boundary proxy *)
+  port : bool;  (* a link port: [handler] forwards to another shard *)
   mutable live : bool;
   mutable connected : bool;  (* false after fail_device *)
   mutable services : Message.service_desc list;
@@ -88,12 +88,6 @@ type counters = {
 type t = {
   engine : Engine.t;
   config : config;
-  home_shard : int;
-  (* Cross-shard mailbox, wired by Shardlink.  Every frame addressed to a
-     slot whose shard affinity differs from [home_shard] is handed here —
-     never to a local station — so the decoupling invariant (no direct
-     mutation of another shard's state) holds by construction. *)
-  mutable boundary : (dst_shard:int -> Message.t -> unit) option;
   lanes : Station.t array;
   mutable devices : device_slot array;
   controller_keys : (Types.device_id * string, Token.key) Hashtbl.t;
@@ -106,7 +100,7 @@ type t = {
   (* Ownership tag for the dynamic shard sanitizer: every ingress entry
      point (send / send_raw / notify) is a guarded access, so a closure
      running on another shard's lane that pokes this bus directly —
-     bypassing the boundary mailbox — trips at the call site. *)
+     bypassing a link port — trips at the call site. *)
   owner_cell : Ownership.tracker;
   (* Instrument handles into the engine's registry; [counters] rebuilds the
      legacy record from these, so existing call sites read unchanged. *)
@@ -198,9 +192,9 @@ let schedule_frame t msg ~delay fn =
 let broadcast_from_bus t payload =
   Array.iteri
     (fun id slot ->
-      (* Boundary proxies are another shard's devices: the remote bus owns
-         their management traffic, so local broadcasts skip them. *)
-      if slot.live && slot.shard = t.home_shard then begin
+      (* A link port stands for another shard's device: the remote bus owns
+         its management traffic, so local broadcasts skip it. *)
+      if slot.live && not slot.port then begin
         let msg = Message.make ~src:bus_src ~dst:(Types.Device id) ~corr:0 payload in
         Metrics.incr t.m_broadcasts;
         schedule_frame t msg ~delay:Costs.bus_hop_ns
@@ -235,11 +229,11 @@ let rec arm_sweep t ~time =
         let now = Engine.now t.engine in
         Array.iteri
           (fun id slot ->
-            (* Boundary proxies never heartbeat locally — liveness of the
-               real device is the remote bus's job. *)
+            (* Link ports never heartbeat locally — liveness of the real
+               device is the remote bus's job. *)
             if
               slot.live
-              && slot.shard = t.home_shard
+              && (not slot.port)
               && Int64.sub now slot.last_heartbeat
                  > t.config.heartbeat_timeout_ns
             then begin
@@ -309,7 +303,7 @@ let release_quarantine t id =
 let report_misbehavior t ~src ~weight ~what =
   if t.config.quarantine && src >= 0 && src < Array.length t.devices then begin
     let s = t.devices.(src) in
-    if s.shard = t.home_shard && s.trust <> Quarantined then begin
+    if (not s.port) && s.trust <> Quarantined then begin
       s.misbehavior <- s.misbehavior + weight;
       Metrics.bump t.m_misbehavior;
       trace t "bus.misbehavior" "dev%d (%s): %s, score %d"
@@ -472,8 +466,6 @@ let create ?(config = default_config) ?(shard = 0) engine =
     {
       engine;
       config;
-      home_shard = shard;
-      boundary = None;
       lanes =
         Array.init (max 1 config.lanes) (fun _ ->
             Station.create ?capacity:config.lane_capacity
@@ -557,43 +549,28 @@ let create ?(config = default_config) ?(shard = 0) engine =
   t
 
 let engine t = t.engine
-let home_shard t = t.home_shard
-
-let set_boundary t mailbox =
-  if t.boundary <> None then
-    invalid_arg "Sysbus.set_boundary: boundary mailbox already wired";
-  t.boundary <- Some mailbox
-
 let boundary_out t = Metrics.lazy_value t.m_boundary_out
 
-(* Hand a frame to the cross-shard mailbox. Callers account the frame's
-   wire size against this bus segment (it does travel up to the border);
-   routing, liveness and faults past it are the remote bus's business. *)
-let boundary_post t ~dst_shard (msg : Message.t) =
-  match t.boundary with
-  | None ->
-    invalid_arg
-      (Printf.sprintf
-         "Sysbus: frame for shard %d but no boundary mailbox wired \
-          (Shardlink.create missing?)"
-         dst_shard)
-  | Some mailbox ->
-    Metrics.bump t.m_boundary_out;
-    mailbox ~dst_shard msg
+(* Hand a frame to a link port: its handler forwards it to the far shard
+   at once, before any hop or lane. Callers account the frame's wire size
+   against this bus segment (it does travel up to the port); routing,
+   liveness and faults past it are the remote bus's business. *)
+let cross t s msg =
+  Metrics.bump t.m_boundary_out;
+  s.handler msg
 
-let attach ?shard t ~name ~iommu ~handler =
+let add_slot t ~name ~iommu ~handler ~port =
   let id = Array.length t.devices in
-  let shard = match shard with None -> t.home_shard | Some s -> s in
   let slot =
     {
       name;
       iommu;
       handler;
-      shard;
-      (* A boundary proxy is born live: the real device announces itself on
-         its own bus, and those management frames never cross shards.
-         Local liveness checks must not eat frames bound for the border. *)
-      live = shard <> t.home_shard;
+      port;
+      (* A link port is born live: the real device announces itself on its
+         own bus, and those management frames never cross shards. Local
+         liveness checks must not eat frames bound for the port. *)
+      live = port;
       connected = true;
       services = [];
       last_heartbeat = 0L;
@@ -606,10 +583,14 @@ let attach ?shard t ~name ~iommu ~handler =
     }
   in
   t.devices <- Array.append t.devices [| slot |];
+  id
+
+let attach t ~name ~iommu ~handler =
+  let id = add_slot t ~name ~iommu ~handler ~port:false in
   (* With a quarantine policy in force, tap the device's IOMMU fault stream:
      an out-of-grant DMA is containment evidence. The device's own fault
      handler (its fault queue) is untouched — this is a read-only observer. *)
-  if t.config.quarantine && shard = t.home_shard then
+  if t.config.quarantine then
     Iommu.add_fault_observer iommu (fun (f : Iommu.fault) ->
         report_misbehavior t ~src:id
           ~weight:dma_fault_weight
@@ -617,6 +598,11 @@ let attach ?shard t ~name ~iommu ~handler =
             (Printf.sprintf "DMA fault pasid=%d va=0x%Lx" f.Iommu.pasid
                f.Iommu.va));
   id
+
+(* A port owns no translations, so its IOMMU keeps no TLB. *)
+let attach_port t ~name ~forward =
+  add_slot t ~name ~iommu:(Iommu.create ~no_tlb:true ()) ~handler:forward
+    ~port:true
 
 let slot t id =
   if id < 0 || id >= Array.length t.devices then
@@ -630,9 +616,7 @@ let slot t id =
 let known_device t id = id >= 0 && id < Array.length t.devices
 
 let device_name t id = (slot t id).name
-let device_shard t id = (slot t id).shard
 let iommu_of t id = (slot t id).iommu
-let is_remote t id = (slot t id).shard <> t.home_shard
 let is_live t id = (slot t id).live
 
 let live_devices t =
@@ -658,7 +642,6 @@ let counters t =
   }
 
 let actor t = t.actor
-let station t = t.lanes.(0)
 let stations t = Array.to_list t.lanes
 let device_queue_capacity t = t.config.device_queue_capacity
 
@@ -674,23 +657,23 @@ let lane_for t src =
 (* --- privileged operations ---------------------------------------------- *)
 
 let reply t ~to_ ~corr payload =
-  (* Bus-originated response: one hop back to the device. *)
+  (* Bus-originated response: one hop back, or at once into a link port. *)
   let s = slot t to_ in
-  if s.shard <> t.home_shard then begin
-    (* The addressee lives on another shard: defer to the boundary instead
-       of invoking a proxy handler that has no device behind it. *)
+  if s.port || s.live then begin
     let msg = Message.make ~src:bus_src ~dst:(Types.Device to_) ~corr payload in
     Metrics.incr t.m_routed;
     Metrics.incr ~by:(Message.wire_size msg) t.m_control_bytes;
-    boundary_post t ~dst_shard:s.shard msg
+    if s.port then cross t s msg
+    else
+      schedule_frame t msg ~delay:Costs.bus_hop_ns
+        (fun () -> if s.live then s.handler msg)
   end
-  else if s.live then begin
-    let msg = Message.make ~src:bus_src ~dst:(Types.Device to_) ~corr payload in
-    Metrics.incr t.m_routed;
-    Metrics.incr ~by:(Message.wire_size msg) t.m_control_bytes;
-    schedule_frame t msg ~delay:Costs.bus_hop_ns
-      (fun () -> if s.live then s.handler msg)
-  end
+
+(* Answer a frame the bus cannot deliver with an error from the bus, if
+   its sender is a live slot. *)
+let bounce t (msg : Message.t) code detail =
+  if known_device t msg.src && (slot t msg.src).live then
+    reply t ~to_:msg.src ~corr:msg.corr (Message.Error_msg { code; detail })
 
 let verify_token t ~src ~expect_wielder (token : Token.t) =
   if not t.config.enable_tokens then Ok ()
@@ -932,11 +915,7 @@ let schedule_delivery t (msg : Message.t) ~delay deliver =
 
 let deliver_unicast t (msg : Message.t) dst =
   let s = slot t dst in
-  if s.shard <> t.home_shard then
-    (* Defensive: [send] diverts remote-addressed frames before they reach
-       a lane, but bus-internal paths could still route here. *)
-    boundary_post t ~dst_shard:s.shard msg
-  else if Message.expired msg ~now:(Engine.now t.engine) then begin
+  if Message.expired msg ~now:(Engine.now t.engine) then begin
     (* The deadline passed while the message sat in the lane queue:
        delivering it now cannot help the requester, so shed it here
        rather than spend the target's cycles on it. *)
@@ -947,13 +926,7 @@ let deliver_unicast t (msg : Message.t) dst =
   else if not s.live then begin
     Metrics.incr t.m_undeliverable;
     (* Bounce an error to the sender so it can recover (§4). *)
-    if msg.src >= 0 && (slot t msg.src).live then
-      reply t ~to_:msg.src ~corr:msg.corr
-        (Message.Error_msg
-           {
-             code = Types.E_device_failed;
-             detail = Printf.sprintf "dev%d is not live" dst;
-           })
+    bounce t msg Types.E_device_failed (Printf.sprintf "dev%d is not live" dst)
   end
   else begin
     Metrics.incr t.m_routed;
@@ -990,12 +963,12 @@ let arrive t (msg : Message.t) =
       | Types.Bus -> handle_bus_message t msg
       | Types.Device dst -> deliver_unicast t msg dst
       | Types.Broadcast ->
-        (* Broadcast scope is the local shard; boundary proxies are
-           skipped (a cross-shard fan-out would need a link per shard,
-           which Shardlink callers set up explicitly when they want it). *)
+        (* Broadcast scope is the local shard; link ports are skipped (a
+           cross-shard fan-out would need a link per shard, which
+           Shardlink callers set up explicitly when they want it). *)
         Array.iteri
           (fun id s ->
-            if id <> msg.src && s.live && s.shard = t.home_shard then begin
+            if id <> msg.src && s.live && not s.port then begin
               Metrics.incr t.m_broadcasts;
               schedule_delivery t msg ~delay:Costs.bus_hop_ns
                 (fun () -> if s.live then s.handler msg)
@@ -1011,13 +984,7 @@ let arrive t (msg : Message.t) =
       let retry_after_ns = Station.drain_ns lane ~now in
       trace t "bus.busy" "%s from dev%d rejected, retry-after=%Ldns"
         (Message.payload_tag msg.payload) msg.src retry_after_ns;
-      if msg.src >= 0 && (slot t msg.src).live then
-        reply t ~to_:msg.src ~corr:msg.corr
-          (Message.Error_msg
-             {
-               code = Types.E_busy;
-               detail = Message.busy_detail ~retry_after_ns;
-             })
+      bounce t msg Types.E_busy (Message.busy_detail ~retry_after_ns)
   end
 
 (* The sender's link, made on its first frame: its event runs [arrive]. *)
@@ -1049,18 +1016,12 @@ let send_routed t (msg : Message.t) =
     Metrics.incr t.m_undeliverable;
     trace t "bus.undeliverable" "%s to unknown dev%d dropped"
       (Message.payload_tag msg.payload) dst;
-    if known_device t msg.src && (slot t msg.src).live then
-      reply t ~to_:msg.src ~corr:msg.corr
-        (Message.Error_msg
-           {
-             code = Types.E_bad_address;
-             detail = Printf.sprintf "no such device %d" dst;
-           })
-  | Types.Device dst when (slot t dst).shard <> t.home_shard ->
-    (* Cross-shard frame: hand over at the border instead of taking a local
+    bounce t msg Types.E_bad_address (Printf.sprintf "no such device %d" dst)
+  | Types.Device dst when t.devices.(dst).port ->
+    (* Cross-shard frame: hand it to the port instead of taking a local
        lane — the destination's station discipline belongs to its shard. *)
     Metrics.incr t.m_routed;
-    boundary_post t ~dst_shard:(slot t dst).shard msg
+    cross t t.devices.(dst) msg
   | _ ->
   (* One hop to the bus, then the bus's FIFO processor, then delivery.
      The sender's link is FIFO: frames it sends in one tick reach the
@@ -1077,9 +1038,7 @@ let send_routed t (msg : Message.t) =
       t.engine ~delay:Costs.bus_hop_ns link.next
   else Engine.schedule t.engine ~delay:Costs.bus_hop_ns link.next
 
-(* The quarantine fence: a fenced device's frames never reach a lane — the
-   same structural cut the boundary-proxy skip uses, applied for trust
-   instead of shard affinity. *)
+(* The quarantine fence: a fenced device's frames never reach a lane. *)
 let send t (msg : Message.t) =
   Ownership.touch t.owner_cell;
   if quarantined_src t msg.src then begin
@@ -1130,16 +1089,13 @@ let notify t ~src ~dst ~queue =
   end
   else begin
   let s = slot t dst in
-  if s.shard <> t.home_shard then begin
-    (* A doorbell ringing across the border rides the boundary mailbox
-       like any other frame; the remote bus applies its own doorbell cost
-       and liveness check on arrival. *)
-    let msg =
-      Message.make ~src ~dst:(Types.Device dst) ~corr:0
-        (Message.Doorbell { queue })
-    in
-    boundary_post t ~dst_shard:s.shard msg
-  end
+  if s.port then
+    (* A doorbell ringing across the border rides the link port like any
+       other frame; the remote bus applies its own doorbell cost and
+       liveness check on arrival. *)
+    cross t s
+      (Message.make ~src ~dst:(Types.Device dst) ~corr:0
+         (Message.Doorbell { queue }))
   else if not s.live then begin
     (* A doorbell to a dead device is a write to nowhere: count it so the
        silence is visible in telemetry instead of a mystery hang. *)

@@ -66,63 +66,51 @@ type config = {
 val default_config : config
 
 val create : ?config:config -> ?shard:int -> Lastcpu_sim.Engine.t -> t
-(** [shard] (default [0]) is this bus's home shard id in a temporally
-    decoupled run; attached slots default to it. Single-shard runs never
-    need to pass it. *)
+(** [shard] (default [0]) tags the bus for the ownership sanitizer: in a
+    temporally decoupled run, a direct call into it from another shard's
+    lane raises. Slots carry no shard; single-shard runs never pass it. *)
 
 val engine : t -> Lastcpu_sim.Engine.t
-
-val home_shard : t -> int
 
 (** {1 Attachment and liveness} *)
 
 val attach :
-  ?shard:int ->
   t ->
   name:string ->
   iommu:Iommu.t ->
   handler:(Message.t -> unit) ->
   Types.device_id
 (** Physically connect a device. It is not live (routable) until its
-    [Device_alive] is processed. The handler runs at message-delivery time.
-
-    [shard] (default the bus's home shard) is the slot's shard affinity.
-    A slot whose affinity differs from the home shard is a {e boundary
-    proxy}: frames addressed to it are handed to the boundary mailbox (see
-    {!set_boundary}) instead of a local station, its handler is never
-    invoked, and local broadcasts and the heartbeat sweep skip it. *)
+    [Device_alive] is processed. The handler runs at message-delivery time. *)
 
 val device_name : t -> Types.device_id -> string
-
-val device_shard : t -> Types.device_id -> int
-(** The slot's shard affinity (the home shard for ordinary devices). *)
 
 val iommu_of : t -> Types.device_id -> Iommu.t
 (** The IOMMU the bus programs for this slot. Read-only introspection for
     containment assertions (pair with {!Iommu.probe} /
     {!Iommu.iter_mappings}); devices keep their own handle from attach. *)
 
-val is_remote : t -> Types.device_id -> bool
-(** Whether the slot is a boundary proxy (affinity differs from home). *)
-
 val is_live : t -> Types.device_id -> bool
 val live_devices : t -> Types.device_id list
 
-(** {1 Cross-shard boundary}
+(** {1 Link ports}
 
     In a temporally decoupled run ({!Lastcpu_sim.Temporal}) every
-    cross-shard interaction leaves this bus through one funnel: the
-    boundary mailbox. [send], [reply], [notify] and unicast delivery all
-    divert to it when the destination slot's affinity is remote, so no
-    local station ever queues work for another shard's state — the
-    decoupling invariant the D006 lint rule enforces at call sites. *)
+    cross-shard interaction leaves this bus through a link port: a slot
+    whose handler forwards to another shard. {!val-send}, bus replies and
+    {!notify} hand a frame addressed to a port to its handler at once,
+    before any hop or lane, so no local station ever queues work for
+    another shard's state — the decoupling invariant the D006 lint rule
+    enforces at call sites. *)
 
-val set_boundary : t -> (dst_shard:int -> Message.t -> unit) -> unit
-(** Wire the cross-shard mailbox (done once, by [Shardlink.create]).
-    @raise Invalid_argument if already wired. *)
+val attach_port :
+  t -> name:string -> forward:(Message.t -> unit) -> Types.device_id
+(** Add a link port (done by [Shardlink.link]). It is born live, owns an
+    IOMMU with no TLB and no translations, and is skipped by broadcasts,
+    the heartbeat sweep and misbehaviour scoring. *)
 
 val boundary_out : t -> int
-(** Frames handed to the boundary mailbox so far (a
+(** Frames handed to link ports so far (a
     {!Lastcpu_sim.Metrics.lazy_counter}). *)
 
 val register_controller :
@@ -257,9 +245,6 @@ val counters : t -> counters
 val actor : t -> string
 (** Registry actor name this bus claimed (["bus"], or ["bus#2"], … when
     several buses share an engine). *)
-
-val station : t -> Lastcpu_sim.Station.t
-(** The bus's first message processor. *)
 
 val stations : t -> Lastcpu_sim.Station.t list
 (** Every lane's message processor, in lane order. *)

@@ -36,8 +36,9 @@ type spec = {
       (** record the run trace ({!Lastcpu_sim.Engine.trace}); [false]
           (default) records nothing and formats no trace detail *)
   shard : int;
-      (** home shard id for this system's bus and network in a temporally
-          decoupled multi-shard run (default [0]; irrelevant outside one) *)
+      (** ownership tag of this system's bus and network for the shard
+          sanitizer in a temporally decoupled run (default [0]; irrelevant
+          outside one) *)
   quarantine : bool;
       (** bus misbehavior scoring + automatic quarantine under the
           {!Lastcpu_bus.Sysbus} quarantine policy; [false] (default)

@@ -108,9 +108,11 @@ end
 
 val crc32 : string -> int
 (** CRC-32 (IEEE 802.3) of the whole string, in [\[0, 2^32)]. Any
-    single-bit flip changes the checksum. Computed by a slice-by-8 C
-    stub — this checksum runs over every NAND page program and WAL
-    record, so it is squarely on the storage hot path. *)
+    single-bit flip changes the checksum. Computed by a C stub that
+    folds ranges of 64 bytes or more with PCLMULQDQ on x86 CPUs that
+    have it and uses a slice-by-8 table otherwise — this checksum runs
+    over every NAND page program and WAL record, so it is squarely on
+    the storage hot path. *)
 
 val crc32_sub : string -> int -> int -> int
 (** [crc32_sub s pos len]: CRC-32 of the [len] bytes at [pos]. Raises

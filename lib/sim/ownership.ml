@@ -66,6 +66,6 @@ let touch t =
                 "ownership violation: cell `%s' is owned by shard %d but was \
                  accessed from the lane running shard %d during a parallel \
                  window — route cross-shard traffic through the quantum-edge \
-                 rendezvous (Temporal.post / the boundary mailbox)"
+                 rendezvous (Temporal.post, as a link port does)"
                 t.t_name t.t_owner s))
   end

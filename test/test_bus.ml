@@ -446,7 +446,7 @@ let test_notify_fast_path () =
   | _ -> Alcotest.fail "expected doorbell");
   (* Doorbells do not occupy the bus station. *)
   Alcotest.(check int) "station untouched by notify" 2
-    (Lastcpu_sim.Station.jobs_completed (Sysbus.station bus))
+    (Lastcpu_sim.Station.jobs_completed (List.hd (Sysbus.stations bus)))
 
 (* Allocation budget of the routing hot path: one Heartbeat through the
    bus (hop + station + hop) on a default engine, to a no-op handler. With

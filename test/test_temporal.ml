@@ -188,53 +188,106 @@ let test_tie_break_cannot_reorder_boundary_delivery () =
 
 (* --- Sysbus + Shardlink round trip -------------------------------------- *)
 
-let test_shardlink_round_trip () =
+(* Device [a] on shard 0 linked to device [b] on shard 1; each handler
+   logs what it receives, newest first. *)
+type link_rig = {
+  tm : Temporal.t;
+  bus0 : Sysbus.t;
+  bus1 : Sysbus.t;
+  a : Types.device_id;
+  b : Types.device_id;
+  pa : Types.device_id;  (* port on bus0 standing for b *)
+  pb : Types.device_id;  (* port on bus1 standing for a *)
+  got_a : Message.t list ref;
+  got_b : Message.t list ref;
+}
+
+let link_rig ?(config0 = Sysbus.default_config) () =
   let e0 = Engine.create () and e1 = Engine.create () in
-  let bus0 = Sysbus.create ~shard:0 e0 and bus1 = Sysbus.create ~shard:1 e1 in
-  let got_b = ref None and got_a = ref None in
+  let bus0 = Sysbus.create ~config:config0 ~shard:0 e0
+  and bus1 = Sysbus.create ~shard:1 e1 in
+  let got_a = ref [] and got_b = ref [] in
   let b =
     Sysbus.attach bus1 ~name:"b" ~iommu:(Iommu.create ())
-      ~handler:(fun msg -> got_b := Some msg)
+      ~handler:(fun msg -> got_b := msg :: !got_b)
   in
   let a =
     Sysbus.attach bus0 ~name:"a" ~iommu:(Iommu.create ())
-      ~handler:(fun msg -> got_a := Some msg)
+      ~handler:(fun msg -> got_a := msg :: !got_a)
   in
   List.iter
     (fun (bus, id) ->
       Sysbus.send bus
         (Message.make ~src:id ~dst:Types.Bus ~corr:0
            (Message.Device_alive { services = [] }));
-      Engine.run (Sysbus.engine bus))
+      Engine.run_until_quiescent (Sysbus.engine bus))
     [ (bus0, a); (bus1, b) ];
   let tm = Temporal.create ~lookahead:1000L [| e0; e1 |] in
   let sl = Shardlink.create tm [| bus0; bus1 |] in
   let pa, pb = Shardlink.link sl ~a:(0, a) ~b:(1, b) in
-  Alcotest.(check bool) "proxy is remote on its bus" true
-    (Sysbus.is_remote bus0 pa);
-  Alcotest.(check int) "proxy affinity" 1 (Sysbus.device_shard bus0 pa);
-  (* a -> proxy-on-a crosses to b, src rewritten to proxy-on-b... *)
-  Sysbus.send bus0
-    (Message.make ~src:a ~dst:(Types.Device pa) ~corr:77
+  { tm; bus0; bus1; a; b; pa; pb; got_a; got_b }
+
+let test_shardlink_round_trip () =
+  let r = link_rig () in
+  (* a -> port-on-a crosses to b, src rewritten to port-on-b... *)
+  Sysbus.send r.bus0
+    (Message.make ~src:r.a ~dst:(Types.Device r.pa) ~corr:77
        (Message.App_message { tag = "ping"; body = "x" }));
-  Temporal.run_until_quiescent tm;
-  (match !got_b with
-  | Some msg ->
-    Alcotest.(check int) "src is the b-side proxy" pb msg.Message.src;
+  Temporal.run_until_quiescent r.tm;
+  (match !(r.got_b) with
+  | [ msg ] ->
+    Alcotest.(check int) "src is the b-side port" r.pb msg.Message.src;
     Alcotest.(check int) "corr preserved" 77 msg.Message.corr
-  | None -> Alcotest.fail "ping never crossed");
+  | _ -> Alcotest.fail "ping never crossed");
   Alcotest.(check int) "bus0 counted the crossing" 1
-    (Sysbus.boundary_out bus0);
+    (Sysbus.boundary_out r.bus0);
   (* ...and the reply path works symmetrically. *)
-  Sysbus.send bus1
-    (Message.make ~src:b ~dst:(Types.Device pb) ~corr:77
+  Sysbus.send r.bus1
+    (Message.make ~src:r.b ~dst:(Types.Device r.pb) ~corr:77
        (Message.App_message { tag = "pong"; body = "y" }));
-  Temporal.run_until_quiescent tm;
-  (match !got_a with
-  | Some msg ->
-    Alcotest.(check int) "src is the a-side proxy" pa msg.Message.src;
+  Temporal.run_until_quiescent r.tm;
+  match !(r.got_a) with
+  | [ msg ] ->
+    Alcotest.(check int) "src is the a-side port" r.pa msg.Message.src;
     Alcotest.(check int) "corr preserved" 77 msg.Message.corr
-  | None -> Alcotest.fail "pong never crossed back")
+  | _ -> Alcotest.fail "pong never crossed back"
+
+(* A frame over the link to a dead device: the far bus bounces an error to
+   its port, and the bus's reply to a port crosses back like any frame. *)
+let test_shardlink_bounce_crosses_back () =
+  let r = link_rig () in
+  Sysbus.fail_device r.bus1 r.b;
+  Sysbus.send r.bus0
+    (Message.make ~src:r.a ~dst:(Types.Device r.pa) ~corr:5
+       (Message.App_message { tag = "ping"; body = "x" }));
+  Temporal.run_until_quiescent r.tm;
+  Alcotest.(check int) "b received nothing" 0 (List.length !(r.got_b));
+  Alcotest.(check int) "bus1 sent the bounce through its port" 1
+    (Sysbus.boundary_out r.bus1);
+  match !(r.got_a) with
+  | [ { Message.src; corr; payload = Message.Error_msg { code; _ }; _ } ] ->
+    Alcotest.(check int) "from the a-side port" r.pa src;
+    Alcotest.(check int) "corr preserved" 5 corr;
+    Alcotest.(check bool) "E_device_failed" true (code = Types.E_device_failed)
+  | _ -> Alcotest.fail "expected one Error_msg back at a"
+
+(* Broadcasts and the heartbeat sweep stay on their shard: neither reaches
+   a port, so nothing crosses and the port stays live. *)
+let test_shardlink_port_skipped_locally () =
+  let r =
+    link_rig
+      ~config0:{ Sysbus.default_config with heartbeat_timeout_ns = 500L }
+      ()
+  in
+  Sysbus.send r.bus0
+    (Message.make ~src:r.a ~dst:Types.Broadcast ~corr:9
+       (Message.Discover_request { kind = Types.Memory_service; query = "" }));
+  Temporal.run_until_quiescent r.tm;
+  Alcotest.(check bool) "the sweep ran: silent a timed out" false
+    (Sysbus.is_live r.bus0 r.a);
+  Alcotest.(check bool) "port still live" true (Sysbus.is_live r.bus0 r.pa);
+  Alcotest.(check int) "nothing crossed" 0 (Sysbus.boundary_out r.bus0);
+  Alcotest.(check int) "b received nothing" 0 (List.length !(r.got_b))
 
 (* --- T15: the determinism contract end to end --------------------------- *)
 
@@ -314,6 +367,10 @@ let () =
         [
           Alcotest.test_case "shardlink round trip" `Quick
             test_shardlink_round_trip;
+          Alcotest.test_case "shardlink bounce crosses back" `Quick
+            test_shardlink_bounce_crosses_back;
+          Alcotest.test_case "shardlink port skipped by broadcast and sweep"
+            `Quick test_shardlink_port_skipped_locally;
         ] );
       ( "t15",
         [

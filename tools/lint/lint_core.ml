@@ -18,11 +18,11 @@
      D005  stdout/stderr printing from library modules — libraries must
            report through telemetry/trace, not ambient side channels.
      D006  direct [Station.submit]/[Station.try_submit] — device/bus code
-           must route frames through [Sysbus.send] (the shard boundary
-           mailbox) or [Netsim.send] so cross-shard traffic is deferred
-           to the quantum edge; a direct station submit bypasses
-           shard affinity and breaks the temporal-decoupling determinism
-           contract. The blessed homes (the bus/net/device frameworks
+           must route frames through [Sysbus.send] (which hands frames
+           for another shard to a link port) or [Netsim.send] so
+           cross-shard traffic is deferred to the quantum edge; a direct
+           station submit bypasses the link ports and breaks the
+           temporal-decoupling determinism contract. The blessed homes (the bus/net/device frameworks
            themselves and the centralized baseline) are exempted in
            lint.rules.
      D009  [Physmem.read_bytes]/[Physmem.write_bytes] in data-plane hot
@@ -265,9 +265,9 @@ let classify path =
     [
       ( "D006",
         Printf.sprintf
-          "Station.%s submits work directly, bypassing the shard boundary \
-           mailbox; route frames through Sysbus.send/Netsim.send so \
-           cross-shard traffic defers to the quantum edge"
+          "Station.%s submits work directly, bypassing Sysbus.send and \
+           its link ports; route frames through Sysbus.send/Netsim.send \
+           so cross-shard traffic defers to the quantum edge"
           fn );
     ]
   | _ when List.mem path d005_idents ->
