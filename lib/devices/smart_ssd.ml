@@ -318,16 +318,16 @@ let handle_vq_detach t (msg : Message.t) body =
   Device.reply t.dev ~to_:msg.Message.src ~corr:msg.Message.corr
     (Message.App_message { tag = "vq-ok"; body = "" })
 
-(* Checkpointing: the full storage stack this device owns — NAND image,
-   FTL maps, FS block cache — plus every attached virtqueue's device-side
-   state and open block handles. Queues are re-wired to their doorbells on
-   restore; the rings themselves live in DRAM and come back with the
-   memory image. *)
+(* Checkpointing: the full storage stack this device owns — NAND image
+   (only live pages carry bytes), FTL maps, FS block cache — plus every
+   attached virtqueue's device-side state and open block handles. Queues
+   are re-wired to their doorbells on restore; the rings themselves live
+   in DRAM and come back with the memory image. *)
 module Snapshot = Lastcpu_sim.Snapshot
 module Detmap = Lastcpu_sim.Detmap
 
 let save_state t w =
-  Nand.save w (Ftl.nand t.ftl);
+  Nand.save w (Ftl.nand t.ftl) ~stale:(Ftl.stale t.ftl);
   Ftl.save w t.ftl;
   Fs.save w t.filesystem;
   Snapshot.W.list w

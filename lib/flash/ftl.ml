@@ -254,6 +254,8 @@ let trim t ~lpn =
       t.map.(lpn) <- -1
     end
 
+let stale t ~block ~page = t.state.(ppn ~geo:t.geo ~block ~page) = invalid
+
 let gc_runs t = Metrics.counter_value t.m_gc_runs
 let moved_pages t = Metrics.counter_value t.m_gc_moves
 let host_writes t = Metrics.counter_value t.m_host_writes
@@ -266,7 +268,8 @@ let write_amplification t =
    states, per-block fill/invalid counts, the active block and the free
    list (order matters: blocks are taken from the head and GC appends to
    the tail, so wear leveling depends on it). The NAND underneath is saved
-   by its owner, not here. *)
+   by its owner, not here, with [stale] naming the pages whose bytes it
+   may drop. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
 (* [map] and [state] hold one entry per page, so they are coded in plain

@@ -200,13 +200,16 @@ let busy_ns t =
        (Int64.mul (Int64.of_int t.erase_total) Costs.flash_erase_block_ns))
 
 (* Checkpointing: programmed pages sparsely, per block, plus wear and op
-   counters. Each page is borrowed from its arena (or the zero page) with
-   its cached CRC, so a save copies no page and hashes only pages not
-   hashed since they were programmed. Page CRCs never travel — they are
-   a function of the page bytes and are recomputed lazily after restore. *)
+   counters. A page's record is its index and a length: [page_size] and
+   its bytes, or 0 for a page whose bytes no reader needs (one [stale]
+   names, or the zero page), which restores as a programmed zero page. A
+   data page is borrowed from its arena with its cached CRC, so a save
+   copies no page and hashes only pages not hashed since they were
+   programmed. Page CRCs never travel — they are a function of the page
+   bytes and are recomputed lazily after restore. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
-let save w t =
+let save w t ~stale =
   let ps = t.geo.page_size in
   Snapshot.W.varint w t.geo.blocks;
   Snapshot.W.varint w t.geo.pages_per_block;
@@ -220,17 +223,23 @@ let save w t =
       done;
       Snapshot.W.list w
         (fun w page ->
-          let crc = page_crc t ~block ~page in
-          let v = peek_page t ~block ~page in
           Snapshot.W.varint w page;
-          Snapshot.W.varint w ps;
-          Snapshot.W.borrow w v.bytes v.off ps ~crc)
+          if blk.slots.(page) = zero_slot || stale ~block ~page then
+            Snapshot.W.varint w 0
+          else begin
+            let crc = page_crc t ~block ~page in
+            Snapshot.W.varint w ps;
+            Snapshot.W.borrow w blk.arena (page * ps) ps ~crc
+          end)
         !programmed)
     t.data;
   Snapshot.W.varint w t.read_count;
   Snapshot.W.varint w t.program_count;
   Snapshot.W.varint w t.erase_total
 
+(* Decode and check the whole section before touching [t], so a rejected
+   one leaves the chip as it was: per block its erase count and its
+   programmed pages, each with its bytes, or [""] for a zero page. *)
 let restore r t =
   let blocks = Snapshot.R.varint r in
   let pages_per_block = Snapshot.R.varint r in
@@ -240,22 +249,39 @@ let restore r t =
     || pages_per_block <> t.geo.pages_per_block
     || page_size <> t.geo.page_size
   then invalid_arg "Nand.restore: geometry differs from checkpoint";
-  Array.iter
-    (fun blk ->
-      blk.erases <- Snapshot.R.varint r;
+  let page r =
+    let i = Snapshot.R.varint r in
+    let bytes = Snapshot.R.string r in
+    if i < 0 || i >= pages_per_block then
+      raise (Snapshot.R.Corrupt "nand page out of shape");
+    if bytes <> "" && String.length bytes <> page_size then
+      raise (Snapshot.R.Corrupt "nand page length out of shape");
+    (i, bytes)
+  in
+  let decoded =
+    Array.init blocks (fun _ ->
+        let erases = Snapshot.R.varint r in
+        (erases, Snapshot.R.list r page))
+  in
+  let read_count = Snapshot.R.varint r in
+  let program_count = Snapshot.R.varint r in
+  let erase_total = Snapshot.R.varint r in
+  Array.iter2
+    (fun blk (erases, pages) ->
+      blk.erases <- erases;
       Array.fill blk.slots 0 pages_per_block erased_slot;
       Array.fill blk.crcs 0 pages_per_block (-1);
-      let n = Snapshot.R.varint r in
-      for _ = 1 to n do
-        let i = Snapshot.R.varint r in
-        if i < 0 || i >= pages_per_block then
-          raise (Snapshot.R.Corrupt "nand page out of shape");
-        if Bytes.length blk.arena = 0 then
-          blk.arena <- Bytes.create (pages_per_block * page_size);
-        Snapshot.R.string_into r blk.arena (i * page_size) page_size;
-        blk.slots.(i) <- arena_slot
-      done)
-    t.data;
-  t.read_count <- Snapshot.R.varint r;
-  t.program_count <- Snapshot.R.varint r;
-  t.erase_total <- Snapshot.R.varint r
+      List.iter
+        (fun (i, bytes) ->
+          if bytes = "" then blk.slots.(i) <- zero_slot
+          else begin
+            if Bytes.length blk.arena = 0 then
+              blk.arena <- Bytes.create (pages_per_block * page_size);
+            Bytes.blit_string bytes 0 blk.arena (i * page_size) page_size;
+            blk.slots.(i) <- arena_slot
+          end)
+        pages)
+    t.data decoded;
+  t.read_count <- read_count;
+  t.program_count <- program_count;
+  t.erase_total <- erase_total

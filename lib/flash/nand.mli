@@ -71,16 +71,27 @@ val busy_ns : t -> int64
     the {!Lastcpu_sim.Costs} flash constants. The NAND time of a span of
     work is the difference of two readings. *)
 
-val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
+val save :
+  Lastcpu_sim.Snapshot.W.t -> t -> stale:(block:int -> page:int -> bool) -> unit
 (** Append programmed pages (sparsely), wear and op counters
-    (checkpointing). Each page is {!Lastcpu_sim.Snapshot.W.borrow}ed
-    from its arena with its cached CRC, which this fills: the chip must
-    not be programmed, erased or restored until the save returns. Page
-    CRCs are recomputed on restore. The arenas are covered here: this is
-    the only copy of the page bytes a checkpoint holds. *)
+    (checkpointing). A page that [stale] names (an FTL passes
+    [Ftl.stale]: a superseded copy no reader looks at again; a bare chip
+    passes [fun ~block:_ ~page:_ -> false]) and a page that shares
+    {!zero_page} are written as their index and length 0, with no bytes,
+    and restore as programmed zero pages. Every other page is
+    {!Lastcpu_sim.Snapshot.W.borrow}ed from its arena with its cached
+    CRC, which this fills: the chip must not be programmed, erased or
+    restored until the save returns. Page CRCs are recomputed on restore.
+    The arenas are covered here: this is the only copy of the page bytes
+    a checkpoint holds. *)
 
 val restore : Lastcpu_sim.Snapshot.R.t -> t -> unit
-(** Overwrite the array contents with state written by {!save}. Ends the
-    lifetime of every outstanding {!view}.
+(** Overwrite the array contents with state written by {!save}: a page
+    with length 0 comes back programmed, reading as zeroes. The whole
+    section is decoded and checked first, so on an exception the chip is
+    left as it was; on success it ends the lifetime of every outstanding
+    {!view}.
     @raise Invalid_argument if the geometry differs from the checkpoint.
-    @raise Lastcpu_sim.Snapshot.R.Corrupt on malformed input. *)
+    @raise Lastcpu_sim.Snapshot.R.Corrupt on malformed input, including a
+    page index out of range or a page length other than 0 and
+    [page_size]. *)

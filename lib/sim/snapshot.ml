@@ -251,12 +251,6 @@ module R = struct
     r.pos <- r.pos + len;
     s
 
-  let string_into r dst pos len =
-    let n = count r in
-    if n <> len then corrupt "string of %d bytes at %d, expected %d" n r.pos len;
-    Bytes.blit_string r.buf r.pos dst pos n;
-    r.pos <- r.pos + n
-
   (* A {!string} field read in place: [f] gets a window over its bytes. *)
   let nested r f =
     let n = count r in

@@ -105,10 +105,6 @@ module R : sig
   val float : t -> float
   val string : t -> string
 
-  val string_into : t -> Bytes.t -> int -> int -> unit
-  (** [string_into r dst pos len] decodes a {!string} field straight into
-      [dst] at [pos]; the field must be exactly [len] bytes long. *)
-
   val nested : t -> (t -> 'a) -> 'a
   (** [nested r f] runs [f] on a window over a {!string} field's bytes. *)
 

@@ -40,6 +40,9 @@ let cleanup path =
     (fun p -> try Sys.remove p with Sys_error _ -> ())
     [ path; Snapshot.previous_generation path ]
 
+(* The stale-page predicate of a chip no FTL owns. *)
+let no_stale ~block:_ ~page:_ = false
+
 (* --- container format --------------------------------------------------- *)
 
 let test_codec_roundtrip () =
@@ -282,8 +285,8 @@ let test_page_crc_cache_never_stale () =
   let encode ftl_nand faulted =
     Snapshot.encode
       [
-        ("ftl", fun w -> Nand.save w ftl_nand);
-        ("faulted", fun w -> Nand.save w faulted);
+        ("ftl", fun w -> Nand.save w ftl_nand ~stale:no_stale);
+        ("faulted", fun w -> Nand.save w faulted ~stale:no_stale);
       ]
   in
   let logical = Ftl.logical_pages ftl in
@@ -986,6 +989,171 @@ let test_fs_cached_ids_rejected () =
       ("decreasing ids", [ 3; 1 ]);
     ]
 
+(* --- NAND section: live pages only ----------------------------------------- *)
+
+(* A NAND section as [Nand.save] writes it: the geometry, per block its
+   erase count and programmed pages as (index, bytes) — [""] for a
+   length-0 page — then the read, program and erase counters. *)
+type nand_section = {
+  geo : int * int * int;
+  blocks : (int * (int * string) list) array;
+  counters : int * int * int;
+}
+
+let decode_nand body =
+  let r = Snapshot.R.of_string body in
+  (* Three varints, read in order (a tuple's are evaluated right to left). *)
+  let three () =
+    let a = Snapshot.R.varint r in
+    let b = Snapshot.R.varint r in
+    (a, b, Snapshot.R.varint r)
+  in
+  let geo = three () in
+  let blocks =
+    let n, _, _ = geo in
+    Array.init n (fun _ ->
+        let erases = Snapshot.R.varint r in
+        let pages =
+          Snapshot.R.list r (fun r ->
+              let i = Snapshot.R.varint r in
+              (i, Snapshot.R.string r))
+        in
+        (erases, pages))
+  in
+  let counters = three () in
+  { geo; blocks; counters }
+
+let encode_nand n =
+  let w = Snapshot.W.create () in
+  let v = Snapshot.W.varint w in
+  let b, ppb, ps = n.geo in
+  v b;
+  v ppb;
+  v ps;
+  Array.iter
+    (fun (erases, pages) ->
+      v erases;
+      Snapshot.W.list w
+        (fun w (i, bytes) ->
+          Snapshot.W.varint w i;
+          Snapshot.W.string w bytes)
+        pages)
+    n.blocks;
+  let r, p, e = n.counters in
+  v r;
+  v p;
+  v e;
+  Snapshot.W.contents w
+
+let nand_save ?(stale = no_stale) nand =
+  let w = Snapshot.W.create () in
+  Nand.save w nand ~stale;
+  Snapshot.W.contents w
+
+let view_string nand (v : Nand.view) =
+  Bytes.sub_string v.bytes v.off (Nand.geometry nand).Nand.page_size
+
+let page_bytes nand ~block ~page = view_string nand (Nand.peek_page nand ~block ~page)
+
+let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e
+
+(* A page the FTL superseded and a zero-filled page are saved as their
+   index and length 0; restored, both read as zeroes and are still
+   programmed, so a program to either fails until an erase, while the
+   live pages keep their bytes. *)
+let test_stale_and_zero_pages_carry_no_bytes () =
+  let geometry = { Nand.blocks = 8; pages_per_block = 4; page_size = 64 } in
+  let ftl = Ftl.create ~nand:(Nand.create ~geometry ()) () in
+  ok_or_fail (Ftl.write ftl ~lpn:0 "old");
+  ok_or_fail (Ftl.write ftl ~lpn:0 "new");
+  ok_or_fail (Ftl.write_zeroes ftl ~lpn:1);
+  ok_or_fail (Ftl.write ftl ~lpn:2 "live");
+  let body = nand_save (Ftl.nand ftl) ~stale:(Ftl.stale ftl) in
+  let f = decode_nand body in
+  Alcotest.(check string) "codec mirrors Nand.save" body (encode_nand f);
+  Alcotest.(check (list (pair int int))) "block 0 page lengths"
+    [ (0, 0); (1, 64); (2, 0); (3, 64) ]
+    (List.map (fun (i, b) -> (i, String.length b)) (snd f.blocks.(0)));
+  let nand = Nand.create ~geometry () in
+  let restored = Ftl.create ~nand () in
+  let r = Snapshot.R.of_string (body ^ ftl_save ftl) in
+  Nand.restore r nand;
+  Ftl.restore r restored;
+  let zero = String.make 64 '\000' in
+  List.iter
+    (fun (what, page) ->
+      Alcotest.(check string) (what ^ " reads zeroes") zero
+        (page_bytes nand ~block:0 ~page);
+      Alcotest.(check bool) (what ^ " is programmed") true
+        (Nand.page_state nand ~block:0 ~page = Nand.Programmed);
+      Alcotest.(check (result unit string)) (what ^ " refuses a program")
+        (Error "page not erased")
+        (Nand.program_page nand ~block:0 ~page "x"))
+    [ ("stale page", 0); ("zero page", 2) ];
+  List.iter
+    (fun (lpn, want) ->
+      Alcotest.(check string) (Printf.sprintf "lpn %d" lpn) want
+        (String.sub (view_string nand (Ftl.peek restored ~lpn)) 0 (String.length want)))
+    [ (0, "new"); (1, zero); (2, "live") ];
+  Alcotest.(check string) "restored chip saves the same bytes" body
+    (nand_save nand ~stale:(Ftl.stale restored))
+
+(* Rewriting one lpn 50 times leaves 49 stale pages: each adds its index
+   and a zero length to the NAND section, never its bytes. *)
+let test_rewrites_add_no_page_bytes () =
+  let geometry = { Nand.blocks = 8; pages_per_block = 64; page_size = 4096 } in
+  let ftl = Ftl.create ~nand:(Nand.create ~geometry ()) () in
+  let size () = String.length (nand_save (Ftl.nand ftl) ~stale:(Ftl.stale ftl)) in
+  ok_or_fail (Ftl.write ftl ~lpn:7 "write 1");
+  let once = size () in
+  for i = 2 to 50 do
+    ok_or_fail (Ftl.write ftl ~lpn:7 (Printf.sprintf "write %d" i))
+  done;
+  Alcotest.(check int) "50 writes: 49 two-byte page records more" (once + (49 * 2))
+    (size ())
+
+(* Every crafted NAND section is [Corrupt] and leaves the chip as it was:
+   the whole section is checked before any block is overwritten. *)
+let test_nand_section_rejected () =
+  let geometry = { Nand.blocks = 4; pages_per_block = 4; page_size = 64 } in
+  let source = Nand.create ~geometry () in
+  ok_or_fail (Nand.program_page source ~block:0 ~page:0 "after");
+  ok_or_fail (Nand.program_zeroes source ~block:0 ~page:1);
+  ok_or_fail (Nand.program_page source ~block:3 ~page:2 "last");
+  let body = nand_save source in
+  let f = decode_nand body in
+  Alcotest.(check string) "codec mirrors Nand.save" body (encode_nand f);
+  let with_block b pages =
+    let blocks = Array.copy f.blocks in
+    blocks.(b) <- (fst blocks.(b), pages);
+    encode_nand { f with blocks }
+  in
+  List.iter
+    (fun (what, section) ->
+      let target = Nand.create ~geometry () in
+      ok_or_fail (Nand.program_page target ~block:0 ~page:0 "before");
+      let before = nand_save target in
+      (match restore_result (fun r -> Nand.restore r target) section with
+      | Error _ -> ()
+      | Ok () -> Alcotest.fail (what ^ " accepted"));
+      Alcotest.(check string) (what ^ ": earlier page untouched")
+        ("before" ^ String.make 58 '\xff')
+        (page_bytes target ~block:0 ~page:0);
+      Alcotest.(check string) (what ^ ": chip untouched") before (nand_save target))
+    [
+      ("page length 1", with_block 0 [ (0, "x") ]);
+      ("page length one short", with_block 0 [ (0, String.make 63 'x') ]);
+      ("page length one long", with_block 0 [ (0, String.make 65 'x') ]);
+      ("last block: page index = pages per block", with_block 3 [ (4, "") ]);
+      ("last block: page length 1", with_block 3 [ (2, "x") ]);
+      ("truncated in the counters", String.sub body 0 (String.length body - 1));
+    ];
+  let target = Nand.create ~geometry () in
+  (match restore_result (fun r -> Nand.restore r target) body with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("genuine section rejected: " ^ e));
+  Alcotest.(check string) "genuine section restores" body (nand_save target)
+
 (* --- checkpoint orchestrator mismatches ---------------------------------- *)
 
 let test_checkpoint_mismatches () =
@@ -1185,52 +1353,92 @@ let journal_of (r : Experiments.t16_result) =
     (fun system -> Engine.sanitizer_journal (System.engine system))
     (Array.to_list r.Experiments.t16_systems)
 
+(* One seed-42 kill-resume run, shared by the t16 tests: the uninterrupted
+   leg, the resumed leg and the two checkpoint files (primary, previous
+   generation) each leg left on disk. *)
+type t16_run = {
+  full : Experiments.t16_result;
+  killed_segments : int;
+  resumed : Experiments.t16_result;
+  full_files : string * string;
+  resumed_files : string * string;
+}
+
+let t16_run =
+  lazy
+    (let full_path = temp_snapshot () and path = temp_snapshot () in
+     Fun.protect
+       ~finally:(fun () -> cleanup full_path; cleanup path)
+       (fun () ->
+         let seed = 42L in
+         let files path =
+           let read p = In_channel.with_open_bin p In_channel.input_all in
+           (read path, read (Snapshot.previous_generation path))
+         in
+         let full =
+           Experiments.t16_soak ~sanitize:true ~seed ~snapshot_path:full_path ()
+         in
+         let killed =
+           Experiments.t16_soak ~sanitize:true ~seed ~snapshot_path:path
+             ~stop_after:Experiments.t16_kill_boundary ~torn_final:true ()
+         in
+         let resumed =
+           Experiments.t16_soak ~sanitize:true ~seed ~snapshot_path:path
+             ~resume:true ()
+         in
+         {
+           full;
+           killed_segments = killed.Experiments.t16_segments_run;
+           resumed;
+           full_files = files full_path;
+           resumed_files = files path;
+         }))
+
 let test_t16_kill_resume_bit_identical () =
-  let path = temp_snapshot () in
-  Fun.protect
-    ~finally:(fun () -> cleanup path)
-    (fun () ->
-      let seed = 42L in
-      let full = Experiments.t16_soak ~sanitize:true ~seed () in
-      let killed =
-        Experiments.t16_soak ~sanitize:true ~seed ~snapshot_path:path
-          ~stop_after:Experiments.t16_kill_boundary ~torn_final:true ()
-      in
-      Alcotest.(check int) "killed after boundary 3"
-        Experiments.t16_kill_boundary killed.Experiments.t16_segments_run;
-      let resumed =
-        Experiments.t16_soak ~sanitize:true ~seed ~snapshot_path:path
-          ~resume:true ()
-      in
-      (match resumed.Experiments.t16_restored with
-      | Some Snapshot.Previous -> ()
-      | Some Snapshot.Primary ->
-        Alcotest.fail "torn primary restored instead of rejected"
-      | None -> Alcotest.fail "resume leg did not restore");
-      Alcotest.(check int64) "digest bit-identical"
-        full.Experiments.t16_digest resumed.Experiments.t16_digest;
-      Alcotest.(check int) "event count identical" full.Experiments.t16_events
-        resumed.Experiments.t16_events;
-      Alcotest.(check int64) "virtual clock identical"
-        full.Experiments.t16_elapsed resumed.Experiments.t16_elapsed;
-      (* The sanitizer journal — every multi-event tick's observable-state
-         hash, restored from the snapshot and extended by the re-run —
-         must be bit-identical too, not just the end state. *)
-      Alcotest.(check int) "journal length identical"
-        (List.length (journal_of full))
-        (List.length (journal_of resumed));
-      Alcotest.(check bool) "journal bit-identical" true
-        (journal_of full = journal_of resumed);
-      (* The breaker actually exercised its crash window along the way. *)
-      let nic_dev system =
-        Lastcpu_devices.Smart_nic.device (System.nic system 0)
-      in
-      Alcotest.(check bool) "breaker opened during the soak" true
-        (Device.breaker_opens (nic_dev resumed.Experiments.t16_systems.(0)) > 0))
+  let { full; killed_segments; resumed; _ } = Lazy.force t16_run in
+  Alcotest.(check int) "killed after boundary 3" Experiments.t16_kill_boundary
+    killed_segments;
+  (match resumed.Experiments.t16_restored with
+  | Some Snapshot.Previous -> ()
+  | Some Snapshot.Primary ->
+    Alcotest.fail "torn primary restored instead of rejected"
+  | None -> Alcotest.fail "resume leg did not restore");
+  Alcotest.(check int64) "digest bit-identical"
+    full.Experiments.t16_digest resumed.Experiments.t16_digest;
+  Alcotest.(check int) "event count identical" full.Experiments.t16_events
+    resumed.Experiments.t16_events;
+  Alcotest.(check int64) "virtual clock identical"
+    full.Experiments.t16_elapsed resumed.Experiments.t16_elapsed;
+  (* The sanitizer journal — every multi-event tick's observable-state
+     hash, restored from the snapshot and extended by the re-run — must
+     be bit-identical too, not just the end state. *)
+  Alcotest.(check int) "journal length identical"
+    (List.length (journal_of full))
+    (List.length (journal_of resumed));
+  Alcotest.(check bool) "journal bit-identical" true
+    (journal_of full = journal_of resumed);
+  (* The breaker actually exercised its crash window along the way. *)
+  let nic_dev system = Lastcpu_devices.Smart_nic.device (System.nic system 0) in
+  Alcotest.(check bool) "breaker opened during the soak" true
+    (Device.breaker_opens (nic_dev resumed.Experiments.t16_systems.(0)) > 0)
+
+(* The resumed leg restored stale NAND pages as zero pages from the
+   previous generation and saved again: both files it leaves must equal
+   the uninterrupted leg's byte for byte. *)
+let test_t16_resumed_files_identical () =
+  let { full_files = full, full_prev; resumed_files = resumed, resumed_prev; _ } =
+    Lazy.force t16_run
+  in
+  Alcotest.(check bool) "primary byte-identical" true (String.equal full resumed);
+  Alcotest.(check bool) "previous generation byte-identical" true
+    (String.equal full_prev resumed_prev)
 
 (* A real checkpoint, pinned: the seed-42 T16 soak's final snapshot file,
    as `lastcpu experiment t16 --snapshot-path` writes it. Any change to
-   what a subsystem saves, or to the container, moves its size or CRC. *)
+   what a subsystem saves, or to the container, moves its size or CRC.
+   It was 11,354,742 B (CRC 0x7e131d30) while the NAND section carried
+   every programmed page's bytes; since stale and zero pages are saved
+   as their index and length 0, it holds live flash only. *)
 let test_t16_checkpoint_pinned () =
   let path = temp_snapshot () in
   Fun.protect
@@ -1239,8 +1447,8 @@ let test_t16_checkpoint_pinned () =
       ignore (Experiments.t16_soak ~seed:42L ~snapshot_path:path ());
       let data = In_channel.with_open_bin path In_channel.input_all in
       let n = String.length data in
-      Alcotest.(check int) "file bytes" 11_354_742 n;
-      Alcotest.(check int) "file CRC trailer" 0x7e131d30
+      Alcotest.(check int) "file bytes" 473_106 n;
+      Alcotest.(check int) "file CRC trailer" 0x71b74815
         (Snapshot.R.u32 (Snapshot.R.of_string (String.sub data (n - 4) 4))))
 
 let () =
@@ -1307,6 +1515,14 @@ let () =
           Alcotest.test_case "ftl section" `Quick test_ftl_section_rejected;
           Alcotest.test_case "fs cached block ids" `Quick
             test_fs_cached_ids_rejected;
+          Alcotest.test_case "nand section" `Quick test_nand_section_rejected;
+        ] );
+      ( "live pages",
+        [
+          Alcotest.test_case "stale and zero pages carry no bytes" `Quick
+            test_stale_and_zero_pages_carry_no_bytes;
+          Alcotest.test_case "rewrites add no page bytes" `Quick
+            test_rewrites_add_no_page_bytes;
         ] );
       ( "whole machine",
         [
@@ -1317,6 +1533,8 @@ let () =
         [
           Alcotest.test_case "kill-resume bit-identical" `Slow
             test_t16_kill_resume_bit_identical;
+          Alcotest.test_case "resumed files byte-identical" `Slow
+            test_t16_resumed_files_identical;
           Alcotest.test_case "seed-42 checkpoint pinned" `Quick
             test_t16_checkpoint_pinned;
         ] );
