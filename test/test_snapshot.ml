@@ -43,6 +43,8 @@ let cleanup path =
 (* The stale-page predicate of a chip no FTL owns. *)
 let no_stale ~block:_ ~page:_ = false
 
+let ok = function Ok v -> v | Error e -> Alcotest.fail e
+
 (* --- container format --------------------------------------------------- *)
 
 let test_codec_roundtrip () =
@@ -274,7 +276,6 @@ let test_borrowed_equals_copied () =
    and equal the save of chips restored from it, whose caches are cold. *)
 let test_page_crc_cache_never_stale () =
   let geometry = { Nand.blocks = 16; pages_per_block = 8; page_size = 512 } in
-  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
   let ftl = Ftl.create ~nand:(Nand.create ~geometry ()) () in
   let flips = { Faults.zero with Faults.nand_bit_flip = 1.0 } in
   let faulted =
@@ -1055,8 +1056,6 @@ let view_string nand (v : Nand.view) =
 
 let page_bytes nand ~block ~page = view_string nand (Nand.peek_page nand ~block ~page)
 
-let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e
-
 (* A page the FTL superseded and a zero-filled page are saved as their
    index and length 0; restored, both read as zeroes and are still
    programmed, so a program to either fails until an erase, while the
@@ -1064,10 +1063,10 @@ let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e
 let test_stale_and_zero_pages_carry_no_bytes () =
   let geometry = { Nand.blocks = 8; pages_per_block = 4; page_size = 64 } in
   let ftl = Ftl.create ~nand:(Nand.create ~geometry ()) () in
-  ok_or_fail (Ftl.write ftl ~lpn:0 "old");
-  ok_or_fail (Ftl.write ftl ~lpn:0 "new");
-  ok_or_fail (Ftl.write_zeroes ftl ~lpn:1);
-  ok_or_fail (Ftl.write ftl ~lpn:2 "live");
+  ok (Ftl.write ftl ~lpn:0 "old");
+  ok (Ftl.write ftl ~lpn:0 "new");
+  ok (Ftl.write_zeroes ftl ~lpn:1);
+  ok (Ftl.write ftl ~lpn:2 "live");
   let body = nand_save (Ftl.nand ftl) ~stale:(Ftl.stale ftl) in
   let f = decode_nand body in
   Alcotest.(check string) "codec mirrors Nand.save" body (encode_nand f);
@@ -1104,10 +1103,10 @@ let test_rewrites_add_no_page_bytes () =
   let geometry = { Nand.blocks = 8; pages_per_block = 64; page_size = 4096 } in
   let ftl = Ftl.create ~nand:(Nand.create ~geometry ()) () in
   let size () = String.length (nand_save (Ftl.nand ftl) ~stale:(Ftl.stale ftl)) in
-  ok_or_fail (Ftl.write ftl ~lpn:7 "write 1");
+  ok (Ftl.write ftl ~lpn:7 "write 1");
   let once = size () in
   for i = 2 to 50 do
-    ok_or_fail (Ftl.write ftl ~lpn:7 (Printf.sprintf "write %d" i))
+    ok (Ftl.write ftl ~lpn:7 (Printf.sprintf "write %d" i))
   done;
   Alcotest.(check int) "50 writes: 49 two-byte page records more" (once + (49 * 2))
     (size ())
@@ -1117,9 +1116,9 @@ let test_rewrites_add_no_page_bytes () =
 let test_nand_section_rejected () =
   let geometry = { Nand.blocks = 4; pages_per_block = 4; page_size = 64 } in
   let source = Nand.create ~geometry () in
-  ok_or_fail (Nand.program_page source ~block:0 ~page:0 "after");
-  ok_or_fail (Nand.program_zeroes source ~block:0 ~page:1);
-  ok_or_fail (Nand.program_page source ~block:3 ~page:2 "last");
+  ok (Nand.program_page source ~block:0 ~page:0 "after");
+  ok (Nand.program_zeroes source ~block:0 ~page:1);
+  ok (Nand.program_page source ~block:3 ~page:2 "last");
   let body = nand_save source in
   let f = decode_nand body in
   Alcotest.(check string) "codec mirrors Nand.save" body (encode_nand f);
@@ -1131,7 +1130,7 @@ let test_nand_section_rejected () =
   List.iter
     (fun (what, section) ->
       let target = Nand.create ~geometry () in
-      ok_or_fail (Nand.program_page target ~block:0 ~page:0 "before");
+      ok (Nand.program_page target ~block:0 ~page:0 "before");
       let before = nand_save target in
       (match restore_result (fun r -> Nand.restore r target) section with
       | Error _ -> ()
