@@ -327,7 +327,7 @@ module Snapshot = Lastcpu_sim.Snapshot
 module Detmap = Lastcpu_sim.Detmap
 
 let save_state t w =
-  Nand.save w (Ftl.nand t.ftl) ~stale:(Ftl.stale t.ftl);
+  Nand.save w (Ftl.nand t.ftl);
   Ftl.save w t.ftl;
   Fs.save w t.filesystem;
   Snapshot.W.list w

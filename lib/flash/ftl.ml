@@ -123,10 +123,14 @@ let rec append t program =
       Ok (ppn ~geo:t.geo ~block:blk ~page)
   end
 
+(* A superseded page is never read again (reads, updates and GC look
+   only at pages whose state is an lpn), so its bytes are dropped at once
+   and a checkpoint carries only live pages'. *)
 let invalidate t p =
+  let block = block_of ~geo:t.geo p in
   t.state.(p) <- invalid;
-  t.invalid_in_block.(block_of ~geo:t.geo p) <-
-    t.invalid_in_block.(block_of ~geo:t.geo p) + 1
+  Nand.discard t.nand ~block ~page:(page_of ~geo:t.geo p);
+  t.invalid_in_block.(block) <- t.invalid_in_block.(block) + 1
 
 (* Victim selection: maximize invalid pages; tie-break on lower erase count
    (wear leveling). Only fully-programmed, non-active blocks qualify. *)
@@ -254,8 +258,6 @@ let trim t ~lpn =
       t.map.(lpn) <- -1
     end
 
-let stale t ~block ~page = t.state.(ppn ~geo:t.geo ~block ~page) = invalid
-
 let gc_runs t = Metrics.counter_value t.m_gc_runs
 let moved_pages t = Metrics.counter_value t.m_gc_moves
 let host_writes t = Metrics.counter_value t.m_host_writes
@@ -268,8 +270,7 @@ let write_amplification t =
    states, per-block fill/invalid counts, the active block and the free
    list (order matters: blocks are taken from the head and GC appends to
    the tail, so wear leveling depends on it). The NAND underneath is saved
-   by its owner, not here, with [stale] naming the pages whose bytes it
-   may drop. *)
+   by its owner, not here. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
 (* [map] and [state] hold one entry per page, so they are coded in plain

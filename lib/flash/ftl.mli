@@ -54,11 +54,6 @@ val update : t -> lpn:int -> (Bytes.t -> int -> unit) -> (unit, string) result
 val trim : t -> lpn:int -> unit
 (** Drop the mapping (logical delete). *)
 
-val stale : t -> block:int -> page:int -> bool
-(** Whether a physical page holds a superseded copy awaiting GC: no read,
-    update or GC relocation looks at its bytes again. {!Nand.save} takes
-    it, so a checkpoint carries only live pages' bytes. *)
-
 (** Accounting: *)
 
 val gc_runs : t -> int
@@ -79,8 +74,7 @@ val nand : t -> Nand.t
 val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 (** Append the translation state — map, page states, free list (in order;
     wear leveling depends on it), active block (checkpointing). The NAND
-    underneath is saved separately by its owner, as
-    [Nand.save w (nand t) ~stale:(stale t)]. *)
+    underneath is saved separately by its owner. *)
 
 val restore : Lastcpu_sim.Snapshot.R.t -> t -> unit
 (** Overwrite the translation state with state written by {!save}.

@@ -173,6 +173,16 @@ let program_page t ~block ~page data =
         Bytes.blit_string data 0 b off len;
         Bytes.fill b (off + len) (t.geo.page_size - len) '\xff')
 
+(* Drop a programmed page's bytes: it stays programmed (a program still
+   fails until its block is erased) but reads as the zero page, so a
+   checkpoint need not carry them. *)
+let discard t ~block ~page =
+  let blk = t.data.(block) in
+  if blk.slots.(page) <> erased_slot then begin
+    blk.slots.(page) <- zero_slot;
+    blk.crcs.(page) <- -1
+  end
+
 let erase_block t ~block =
   match check t ~block ~page:0 with
   | Error _ as e -> e
@@ -201,15 +211,15 @@ let busy_ns t =
 
 (* Checkpointing: programmed pages sparsely, per block, plus wear and op
    counters. A page's record is its index and a length: [page_size] and
-   its bytes, or 0 for a page whose bytes no reader needs (one [stale]
-   names, or the zero page), which restores as a programmed zero page. A
-   data page is borrowed from its arena with its cached CRC, so a save
-   copies no page and hashes only pages not hashed since they were
-   programmed. Page CRCs never travel — they are a function of the page
-   bytes and are recomputed lazily after restore. *)
+   its bytes, or 0 for a page that shares the zero page (zero-filled or
+   discarded), which restores as a programmed zero page. A data page is
+   borrowed from its arena with its cached CRC, so a save copies no page
+   and hashes only pages not hashed since they were programmed. Page CRCs
+   never travel — they are a function of the page bytes and are
+   recomputed lazily after restore. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
-let save w t ~stale =
+let save w t =
   let ps = t.geo.page_size in
   Snapshot.W.varint w t.geo.blocks;
   Snapshot.W.varint w t.geo.pages_per_block;
@@ -224,7 +234,7 @@ let save w t ~stale =
       Snapshot.W.list w
         (fun w page ->
           Snapshot.W.varint w page;
-          if blk.slots.(page) = zero_slot || stale ~block ~page then
+          if blk.slots.(page) = zero_slot then
             Snapshot.W.varint w 0
           else begin
             let crc = page_crc t ~block ~page in

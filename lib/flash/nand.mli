@@ -60,6 +60,13 @@ val program_page : t -> block:int -> page:int -> string -> (unit, string) result
 (** {!program_with} a blit of [data]. Fails if the page is not erased or
     data exceeds the page size (short data is padded with 0xFF). *)
 
+val discard : t -> block:int -> page:int -> unit
+(** Drop a programmed page's bytes: it stays programmed, so a program to
+    it still fails until its block is erased, but it reads as
+    {!zero_page} and a checkpoint carries no bytes for it. The FTL calls
+    this on every page it supersedes, which no reader looks at again. An
+    erased page is left as it is; the coordinates must be in range. *)
+
 val erase_block : t -> block:int -> (unit, string) result
 val erase_count : t -> block:int -> int
 val total_erases : t -> int
@@ -71,14 +78,11 @@ val busy_ns : t -> int64
     the {!Lastcpu_sim.Costs} flash constants. The NAND time of a span of
     work is the difference of two readings. *)
 
-val save :
-  Lastcpu_sim.Snapshot.W.t -> t -> stale:(block:int -> page:int -> bool) -> unit
+val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
 (** Append programmed pages (sparsely), wear and op counters
-    (checkpointing). A page that [stale] names (an FTL passes
-    [Ftl.stale]: a superseded copy no reader looks at again; a bare chip
-    passes [fun ~block:_ ~page:_ -> false]) and a page that shares
-    {!zero_page} are written as their index and length 0, with no bytes,
-    and restore as programmed zero pages. Every other page is
+    (checkpointing). A page that shares {!zero_page} (zero-filled or
+    {!discard}ed) is written as its index and length 0, with no bytes,
+    and restores as a programmed zero page. Every other page is
     {!Lastcpu_sim.Snapshot.W.borrow}ed from its arena with its cached
     CRC, which this fills: the chip must not be programmed, erased or
     restored until the save returns. Page CRCs are recomputed on restore.

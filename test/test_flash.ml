@@ -196,7 +196,7 @@ let test_zero_pages () =
   let one = String.mapi (fun i c -> if i = 3 then 'z' else c) zero in
   let save ftl =
     let w = Lastcpu_sim.Snapshot.W.create () in
-    Nand.save w (Ftl.nand ftl) ~stale:(Ftl.stale ftl);
+    Nand.save w (Ftl.nand ftl);
     Ftl.save w ftl;
     Lastcpu_sim.Snapshot.W.contents w
   in

@@ -412,7 +412,7 @@ let random_ops_match_model ~cache ~seed =
   in
   let checkpoint () =
     let w = Lastcpu_sim.Snapshot.W.create () in
-    Nand.save w !nand ~stale:(Ftl.stale !ftl);
+    Nand.save w !nand;
     Ftl.save w !ftl;
     Fs.save w !fs;
     let r = Lastcpu_sim.Snapshot.R.of_string (Lastcpu_sim.Snapshot.W.contents w) in

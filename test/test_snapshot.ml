@@ -40,9 +40,6 @@ let cleanup path =
     (fun p -> try Sys.remove p with Sys_error _ -> ())
     [ path; Snapshot.previous_generation path ]
 
-(* The stale-page predicate of a chip no FTL owns. *)
-let no_stale ~block:_ ~page:_ = false
-
 let ok = function Ok v -> v | Error e -> Alcotest.fail e
 
 (* --- container format --------------------------------------------------- *)
@@ -286,8 +283,8 @@ let test_page_crc_cache_never_stale () =
   let encode ftl_nand faulted =
     Snapshot.encode
       [
-        ("ftl", fun w -> Nand.save w ftl_nand ~stale:no_stale);
-        ("faulted", fun w -> Nand.save w faulted ~stale:no_stale);
+        ("ftl", fun w -> Nand.save w ftl_nand);
+        ("faulted", fun w -> Nand.save w faulted);
       ]
   in
   let logical = Ftl.logical_pages ftl in
@@ -1046,9 +1043,9 @@ let encode_nand n =
   v e;
   Snapshot.W.contents w
 
-let nand_save ?(stale = no_stale) nand =
+let nand_save nand =
   let w = Snapshot.W.create () in
-  Nand.save w nand ~stale;
+  Nand.save w nand;
   Snapshot.W.contents w
 
 let view_string nand (v : Nand.view) =
@@ -1056,10 +1053,11 @@ let view_string nand (v : Nand.view) =
 
 let page_bytes nand ~block ~page = view_string nand (Nand.peek_page nand ~block ~page)
 
-(* A page the FTL superseded and a zero-filled page are saved as their
-   index and length 0; restored, both read as zeroes and are still
-   programmed, so a program to either fails until an erase, while the
-   live pages keep their bytes. *)
+(* A page the FTL superseded is discarded at once: like a zero-filled
+   page it reads as zeroes on the running chip and is saved as its index
+   and length 0; restored, both read as zeroes and are still programmed,
+   so a program to either fails until an erase, while the live pages keep
+   their bytes. *)
 let test_stale_and_zero_pages_carry_no_bytes () =
   let geometry = { Nand.blocks = 8; pages_per_block = 4; page_size = 64 } in
   let ftl = Ftl.create ~nand:(Nand.create ~geometry ()) () in
@@ -1067,7 +1065,9 @@ let test_stale_and_zero_pages_carry_no_bytes () =
   ok (Ftl.write ftl ~lpn:0 "new");
   ok (Ftl.write_zeroes ftl ~lpn:1);
   ok (Ftl.write ftl ~lpn:2 "live");
-  let body = nand_save (Ftl.nand ftl) ~stale:(Ftl.stale ftl) in
+  Alcotest.(check string) "superseded page discarded" (String.make 64 '\000')
+    (page_bytes (Ftl.nand ftl) ~block:0 ~page:0);
+  let body = nand_save (Ftl.nand ftl) in
   let f = decode_nand body in
   Alcotest.(check string) "codec mirrors Nand.save" body (encode_nand f);
   Alcotest.(check (list (pair int int))) "block 0 page lengths"
@@ -1095,14 +1095,14 @@ let test_stale_and_zero_pages_carry_no_bytes () =
         (String.sub (view_string nand (Ftl.peek restored ~lpn)) 0 (String.length want)))
     [ (0, "new"); (1, zero); (2, "live") ];
   Alcotest.(check string) "restored chip saves the same bytes" body
-    (nand_save nand ~stale:(Ftl.stale restored))
+    (nand_save nand)
 
 (* Rewriting one lpn 50 times leaves 49 stale pages: each adds its index
    and a zero length to the NAND section, never its bytes. *)
 let test_rewrites_add_no_page_bytes () =
   let geometry = { Nand.blocks = 8; pages_per_block = 64; page_size = 4096 } in
   let ftl = Ftl.create ~nand:(Nand.create ~geometry ()) () in
-  let size () = String.length (nand_save (Ftl.nand ftl) ~stale:(Ftl.stale ftl)) in
+  let size () = String.length (nand_save (Ftl.nand ftl)) in
   ok (Ftl.write ftl ~lpn:7 "write 1");
   let once = size () in
   for i = 2 to 50 do
@@ -1352,9 +1352,10 @@ let journal_of (r : Experiments.t16_result) =
     (fun system -> Engine.sanitizer_journal (System.engine system))
     (Array.to_list r.Experiments.t16_systems)
 
-(* One seed-42 kill-resume run, shared by the t16 tests: the uninterrupted
-   leg, the resumed leg and the two checkpoint files (primary, previous
-   generation) each leg left on disk. *)
+(* One seed-42 kill-resume run, shared by the t16 tests: an uninterrupted
+   leg that writes no checkpoints (the reference), the resumed leg, and
+   the two checkpoint files (primary, previous generation) that the
+   resumed leg and an uninterrupted checkpointing leg each left on disk. *)
 type t16_run = {
   full : Experiments.t16_result;
   killed_segments : int;
@@ -1374,9 +1375,9 @@ let t16_run =
            let read p = In_channel.with_open_bin p In_channel.input_all in
            (read path, read (Snapshot.previous_generation path))
          in
-         let full =
-           Experiments.t16_soak ~sanitize:true ~seed ~snapshot_path:full_path ()
-         in
+         let full = Experiments.t16_soak ~sanitize:true ~seed () in
+         ignore
+           (Experiments.t16_soak ~sanitize:true ~seed ~snapshot_path:full_path ());
          let killed =
            Experiments.t16_soak ~sanitize:true ~seed ~snapshot_path:path
              ~stop_after:Experiments.t16_kill_boundary ~torn_final:true ()
@@ -1421,9 +1422,9 @@ let test_t16_kill_resume_bit_identical () =
   Alcotest.(check bool) "breaker opened during the soak" true
     (Device.breaker_opens (nic_dev resumed.Experiments.t16_systems.(0)) > 0)
 
-(* The resumed leg restored stale NAND pages as zero pages from the
+(* The resumed leg restored discarded NAND pages as zero pages from the
    previous generation and saved again: both files it leaves must equal
-   the uninterrupted leg's byte for byte. *)
+   an uninterrupted checkpointing leg's byte for byte. *)
 let test_t16_resumed_files_identical () =
   let { full_files = full, full_prev; resumed_files = resumed, resumed_prev; _ } =
     Lazy.force t16_run
