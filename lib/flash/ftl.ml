@@ -162,7 +162,9 @@ let rec gc t =
   | None -> Error "gc: no victim with invalid pages"
   | Some victim ->
     Metrics.incr t.m_gc_runs;
-    (* Relocate live pages. *)
+    (* Relocate live pages. Each is invalidated as it moves, so a GC that
+       fails partway (an injected read failure) leaves the victim as a
+       host rewrite would: the moved pages invalid, the rest live. *)
     let rec move page res =
       if page >= t.geo.pages_per_block then res
       else begin
@@ -180,6 +182,7 @@ let rec gc t =
             with
             | Error e -> Error e
             | Ok p' ->
+              invalidate t p;
               t.state.(p') <- lpn;
               t.map.(lpn) <- p';
               Metrics.incr t.m_gc_moves;

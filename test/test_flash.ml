@@ -216,6 +216,68 @@ let test_zero_pages () =
   Alcotest.(check string) "restored stack saves the same bytes" saved
     (save restored)
 
+(* A GC whose second read fails (an injected transient failure; with
+   seed 5 the first GC's does) has moved one live page of its victim and
+   stops. The moved page must be invalid in the victim: the FTL still
+   saves and restores, and a later write of that lpn outlives the
+   victim's next GC instead of being rolled back to the moved copy. *)
+let test_partial_gc () =
+  let faults =
+    Lastcpu_sim.Faults.create
+      ~plan:{ Lastcpu_sim.Faults.zero with nand_read_fail = 0.5 }
+      ~seed:5L
+      (Lastcpu_sim.Metrics.create ())
+  in
+  let geometry = { small_geometry with Nand.blocks = 6; pages_per_block = 4 } in
+  let nand = Nand.create ~geometry ~faults () in
+  let ftl = Ftl.create ~nand () in
+  let model = Array.make (Ftl.logical_pages ftl) "" in
+  let write lpn data =
+    ok (Ftl.write ftl ~lpn data);
+    model.(lpn) <- data
+  in
+  (* Block 0 takes lpns 0-3 and lpn 0 is rewritten at once, so block 0 is
+     the only victim when the fifth of the six blocks fills. *)
+  List.iter
+    (fun lpn -> write lpn (Printf.sprintf "v1 %d" lpn))
+    ([ 0; 1; 2; 3; 0 ] @ List.init 12 (fun i -> 4 + i));
+  let reads = Nand.reads nand and moved = Ftl.moved_pages ftl in
+  write 0 "v2 0";
+  Alcotest.(check (pair int int))
+    "gc read twice, moved once" (2, 1)
+    (Nand.reads nand - reads, Ftl.moved_pages ftl - moved);
+  let w = Lastcpu_sim.Snapshot.W.create () in
+  Ftl.save w ftl;
+  (match
+     Ftl.restore
+       (Lastcpu_sim.Snapshot.R.of_string (Lastcpu_sim.Snapshot.W.contents w))
+       (Ftl.create ~nand:(Nand.create ~geometry ()) ())
+   with
+  | () -> ()
+  | exception Lastcpu_sim.Snapshot.R.Corrupt m -> Alcotest.fail m);
+  (* Rewrite every lpn block 0 held, so it is the best victim, then churn
+     the others until it is erased. A write whose GC fails with no free
+     block left is refused and changes nothing, so it is retried. *)
+  let rec put tries lpn data =
+    match Ftl.write ftl ~lpn data with
+    | Ok () -> model.(lpn) <- data
+    | Error _ when tries > 0 -> put (tries - 1) lpn data
+    | Error e -> Alcotest.fail e
+  in
+  List.iter (fun lpn -> put 10 lpn (Printf.sprintf "v2 %d" lpn)) [ 1; 2; 3 ];
+  let round = ref 0 in
+  while Nand.erase_count nand ~block:0 = 0 && !round < 200 do
+    put 10 (4 + (!round mod 12)) (Printf.sprintf "r%d" !round);
+    incr round
+  done;
+  Alcotest.(check bool) "victim erased" true (Nand.erase_count nand ~block:0 > 0);
+  Array.iteri
+    (fun lpn want ->
+      if want <> "" then
+        Alcotest.(check string) (Printf.sprintf "lpn %d" lpn) want
+          (String.sub (str (Ftl.peek ftl ~lpn)) 0 (String.length want)))
+    model
+
 let ftl_model_prop =
   QCheck.Test.make ~name:"ftl matches a simple map model under churn" ~count:30
     QCheck.(list (pair (int_bound 19) (string_of_size (Gen.return 8))))
@@ -280,6 +342,7 @@ let () =
           Alcotest.test_case "update edits current page" `Quick
             test_ftl_update_edits_current_page;
           Alcotest.test_case "zero pages" `Quick test_zero_pages;
+          Alcotest.test_case "partial gc" `Quick test_partial_gc;
           QCheck_alcotest.to_alcotest ftl_model_prop;
         ] );
     ]
