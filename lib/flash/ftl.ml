@@ -162,9 +162,10 @@ let rec gc t =
   | None -> Error "gc: no victim with invalid pages"
   | Some victim ->
     Metrics.incr t.m_gc_runs;
-    (* Relocate live pages. Each is invalidated as it moves, so a GC that
-       fails partway (an injected read failure) leaves the victim as a
-       host rewrite would: the moved pages invalid, the rest live. *)
+    (* Relocate live pages: each is read (the modelled cost), then its
+       frame moves to the new page. Each is invalidated as it moves, so a
+       GC that fails partway (an injected read failure) leaves the victim
+       as a host rewrite would: the moved pages invalid, the rest live. *)
     let rec move page res =
       if page >= t.geo.pages_per_block then res
       else begin
@@ -174,11 +175,11 @@ let rec gc t =
         else
           match Nand.read_page t.nand ~block:victim ~page with
           | Error e -> Error e
-          | Ok v -> (
+          | Ok _ -> (
             match
               append t
-                (Nand.program_with t.nand (fun b off ->
-                     Bytes.blit v.Nand.bytes v.off b off t.geo.page_size))
+                (Nand.rewrite t.nand ~src_block:victim ~src_page:page
+                   (fun _ _ -> ()))
             with
             | Error e -> Error e
             | Ok p' ->
@@ -236,15 +237,21 @@ let write t ~lpn data =
     Error "data exceeds page size"
   | Ok () -> store t ~lpn (Nand.program_page t.nand data)
 
+(* The new page takes over the current page's frame ([Nand.rewrite]);
+   an unmapped lpn starts from zeroes. *)
 let update t ~lpn f =
   match check_lpn t lpn with
   | Error _ as e -> e
   | Ok () ->
-    store t ~lpn
-      (Nand.program_with t.nand (fun b off ->
-           let cur = peek t ~lpn in
-           Bytes.blit cur.Nand.bytes cur.off b off t.geo.page_size;
-           f b off))
+    store t ~lpn (fun ~block ~page ->
+        let p = t.map.(lpn) in
+        if p < 0 then
+          Nand.program_with t.nand ~block ~page (fun b off ->
+              Bytes.fill b off t.geo.page_size '\000';
+              f b off)
+        else
+          Nand.rewrite t.nand ~block ~page ~src_block:(block_of ~geo:t.geo p)
+            ~src_page:(page_of ~geo:t.geo p) f)
 
 let write_zeroes t ~lpn =
   match check_lpn t lpn with

@@ -10,19 +10,20 @@ type page_state = Erased | Programmed
 
 type view = { bytes : Bytes.t; off : int }
 
-(* A block's pages live in one arena of [pages_per_block * page_size]
-   bytes, allocated when a page of it is first programmed with data and
-   reused after every erase, so a program is one blit and a read hands
-   out a view. A page programmed with zeroes is only marked: its reads
-   share the chip's one zero page, so zero-filling a block writes no
-   arena bytes. *)
+(* Each page position has one frame of [page_size] bytes, allocated the
+   first time the position is programmed with data and reused after
+   every erase, so a program fills a frame in place and a read hands out
+   a view of it. A rewrite moves the source page's frame to the new
+   position (a swap, not a copy). A page programmed with zeroes is only
+   marked: its reads share the chip's one zero page, so zero-filling a
+   block writes no frame bytes. *)
 let erased_slot = 0
-let arena_slot = 1
+let frame_slot = 1
 let zero_slot = 2
 
 type block = {
-  mutable arena : Bytes.t;  (* empty until the first data program *)
-  slots : int array;  (* per page: [erased_slot], [arena_slot] or [zero_slot] *)
+  frames : Bytes.t array;  (* per page; empty until its first data program *)
+  slots : int array;  (* per page: [erased_slot], [frame_slot] or [zero_slot] *)
   crcs : int array;  (* CRC-32 of each programmed page (the on-die ECC);
                         -1 = not yet computed. The CRC is a function of
                         the page bytes, which change only by a program
@@ -56,7 +57,7 @@ let create ?(geometry = default_geometry) ?faults ?(tag = "nand") () =
     data =
       Array.init geometry.blocks (fun _ ->
           {
-            arena = Bytes.empty;
+            frames = Array.make geometry.pages_per_block Bytes.empty;
             slots = Array.make geometry.pages_per_block erased_slot;
             crcs = Array.make geometry.pages_per_block (-1);
             erases = 0;
@@ -85,7 +86,7 @@ let zero_page t = t.zero
 let peek_page t ~block ~page =
   let blk = t.data.(block) in
   let slot = blk.slots.(page) in
-  if slot = arena_slot then { bytes = blk.arena; off = page * t.geo.page_size }
+  if slot = frame_slot then { bytes = blk.frames.(page); off = 0 }
   else if slot = zero_slot then t.zero
   else t.erased
 
@@ -139,8 +140,18 @@ let read_page t ~block ~page =
       | Some _ | None -> Ok stored
     end
 
-(* Program an erased page: [fill] (if any) writes its bytes into the
-   block's arena, else the page reads as zeroes. *)
+(* The frame at [page] of [blk], allocated on first use. *)
+let frame t blk page =
+  let f = blk.frames.(page) in
+  if Bytes.length f > 0 then f
+  else begin
+    let f = Bytes.create t.geo.page_size in
+    blk.frames.(page) <- f;
+    f
+  end
+
+(* Program an erased page: [fill blk] stores its bytes and returns its
+   slot. *)
 let program t ~block ~page fill =
   match check t ~block ~page with
   | Error _ as e -> e
@@ -149,19 +160,45 @@ let program t ~block ~page fill =
     if blk.slots.(page) <> erased_slot then Error "page not erased"
     else begin
       t.program_count <- t.program_count + 1;
-      (match fill with
-      | None -> blk.slots.(page) <- zero_slot
-      | Some fill ->
-        if Bytes.length blk.arena = 0 then
-          blk.arena <- Bytes.create (t.geo.pages_per_block * t.geo.page_size);
-        fill blk.arena (page * t.geo.page_size);
-        blk.slots.(page) <- arena_slot);
+      blk.slots.(page) <- fill blk;
       blk.crcs.(page) <- -1;
       Ok ()
     end
 
-let program_with t ~block ~page fill = program t ~block ~page (Some fill)
-let program_zeroes t ~block ~page = program t ~block ~page None
+let program_with t ~block ~page f =
+  program t ~block ~page (fun blk ->
+      f (frame t blk page) 0;
+      frame_slot)
+
+let program_zeroes t ~block ~page = program t ~block ~page (fun _ -> zero_slot)
+
+(* The source's frame changes places with the new position's, so the
+   source keeps a frame to reuse after its erase and reads as the zero
+   page meanwhile, as after [discard]. A zero source has no frame to give:
+   the new page starts from zeroes. *)
+let rewrite t ~block ~page ~src_block ~src_page f =
+  match check t ~block:src_block ~page:src_page with
+  | Error _ as e -> e
+  | Ok () ->
+    let src = t.data.(src_block) in
+    let slot = src.slots.(src_page) in
+    if slot = erased_slot then Error "source page not programmed"
+    else
+      program t ~block ~page (fun blk ->
+          if slot = zero_slot then begin
+            let b = frame t blk page in
+            Bytes.fill b 0 t.geo.page_size '\000';
+            f b 0
+          end
+          else begin
+            let b = src.frames.(src_page) in
+            src.frames.(src_page) <- blk.frames.(page);
+            src.slots.(src_page) <- zero_slot;
+            src.crcs.(src_page) <- -1;
+            blk.frames.(page) <- b;
+            f b 0
+          end;
+          frame_slot)
 
 let program_page t ~block ~page data =
   let len = String.length data in
@@ -213,7 +250,7 @@ let busy_ns t =
    counters. A page's record is its index and a length: [page_size] and
    its bytes, or 0 for a page that shares the zero page (zero-filled or
    discarded), which restores as a programmed zero page. A data page is
-   borrowed from its arena with its cached CRC, so a save copies no page
+   borrowed from its frame with its cached CRC, so a save copies no page
    and hashes only pages not hashed since they were programmed. Page CRCs
    never travel — they are a function of the page bytes and are
    recomputed lazily after restore. *)
@@ -239,7 +276,7 @@ let save w t =
           else begin
             let crc = page_crc t ~block ~page in
             Snapshot.W.varint w ps;
-            Snapshot.W.borrow w blk.arena (page * ps) ps ~crc
+            Snapshot.W.borrow w blk.frames.(page) 0 ps ~crc
           end)
         !programmed)
     t.data;
@@ -285,10 +322,8 @@ let restore r t =
         (fun (i, bytes) ->
           if bytes = "" then blk.slots.(i) <- zero_slot
           else begin
-            if Bytes.length blk.arena = 0 then
-              blk.arena <- Bytes.create (pages_per_block * page_size);
-            Bytes.blit_string bytes 0 blk.arena (i * page_size) page_size;
-            blk.slots.(i) <- arena_slot
+            Bytes.blit_string bytes 0 (frame t blk i) 0 page_size;
+            blk.slots.(i) <- frame_slot
           end)
         pages)
     t.data decoded;

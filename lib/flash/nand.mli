@@ -24,9 +24,10 @@ type page_state = Erased | Programmed
 val page_state : t -> block:int -> page:int -> page_state
 
 (** A read-only view of one page: its [page_size] bytes start at [off] in
-    [bytes]. Pages live in one arena per erase block, allocated when the
-    block's first page is programmed with data and reused after every
-    erase, so a view is a window on the chip's storage, not a copy.
+    [bytes]. Each page position has one frame, allocated the first time
+    the position is programmed with data and reused after every erase; a
+    {!rewrite} moves a frame to a new position. So a view is a window on
+    the chip's storage, not a copy.
 
     {b Lifetime.} A view is valid until the next program, {!erase_block}
     or {!restore} on this chip; after that it may show other bytes. Use
@@ -50,11 +51,28 @@ val program_with :
   t -> block:int -> page:int -> (Bytes.t -> int -> unit) -> (unit, string) result
 (** [program_with t ~block ~page fill] programs an erased page in place:
     [fill buf off] must write all [page_size] bytes at [off] in [buf]
-    (the block's arena). Fails if the page is not erased. *)
+    (the page's frame). Fails if the page is not erased. *)
 
 val program_zeroes : t -> block:int -> page:int -> (unit, string) result
-(** Program an erased page with all-zero bytes. It touches no arena: its
+(** Program an erased page with all-zero bytes. It touches no frame: its
     reads share the chip's one zero page. *)
+
+val rewrite :
+  t ->
+  block:int ->
+  page:int ->
+  src_block:int ->
+  src_page:int ->
+  (Bytes.t -> int -> unit) ->
+  (unit, string) result
+(** [rewrite t ~block ~page ~src_block ~src_page f] programs the erased
+    page with the programmed source page's bytes edited in place by
+    [f buf off], as {!program_with}. The bytes move, not copy: the new
+    page takes over the source's frame, and the source is left as
+    {!discard} leaves it (programmed, reading as {!zero_page}). A zero
+    source gives a page of zeroes to edit. It counts one program and no
+    read. Fails if the page is not erased or the source not programmed;
+    the source is then untouched. *)
 
 val program_page : t -> block:int -> page:int -> string -> (unit, string) result
 (** {!program_with} a blit of [data]. Fails if the page is not erased or
@@ -83,10 +101,10 @@ val save : Lastcpu_sim.Snapshot.W.t -> t -> unit
     (checkpointing). A page that shares {!zero_page} (zero-filled or
     {!discard}ed) is written as its index and length 0, with no bytes,
     and restores as a programmed zero page. Every other page is
-    {!Lastcpu_sim.Snapshot.W.borrow}ed from its arena with its cached
+    {!Lastcpu_sim.Snapshot.W.borrow}ed from its frame with its cached
     CRC, which this fills: the chip must not be programmed, erased or
     restored until the save returns. Page CRCs are recomputed on restore.
-    The arenas are covered here: this is the only copy of the page bytes
+    The frames are covered here: this is the only copy of the page bytes
     a checkpoint holds. *)
 
 val restore : Lastcpu_sim.Snapshot.R.t -> t -> unit

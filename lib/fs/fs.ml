@@ -62,14 +62,6 @@ type t = {
   m_block_reads : Metrics.counter;
   m_block_writes : Metrics.counter;
   m_cache_hits : Metrics.counter;
-  (* One-entry parsed-directory memo: the bytes of the directory parsed
-     last and its entries. Path resolution re-reads the same directories
-     (every WAL chunk resolves its path), and a memo keyed by the bytes
-     themselves can never go stale, so writes need not drop it. Host-only:
-     the block reads that fetch the bytes still happen, and it is never
-     saved. *)
-  mutable dir_bytes : string;
-  mutable dir_entries : (string * int) list;
 }
 
 type inode = {
@@ -137,7 +129,13 @@ let set_u16 b off v = Bytes.set_uint16_le b off (v land 0xffff)
 
 (* Inode (de)serialisation ------------------------------------------------ *)
 
-(* Both work on the inode slot at byte [o] of an inode-table page. *)
+(* All of these work on the inode slot at byte [o] of an inode-table
+   page. Path lookup reads the fields it needs straight from the view. *)
+let inode_is_dir v o = get_char v (o + 1) = '\001'
+let inode_size_of v o = get_u32 v (o + 2)
+let inode_direct v o i = get_u32 v (o + 48 + (4 * i))
+let inode_indirect v o = get_u32 v (o + 48 + (4 * ndirect))
+
 let encode_inode b o ino =
   Bytes.fill b o inode_size '\000';
   Bytes.set b o (if ino.used then '\001' else '\000');
@@ -154,16 +152,13 @@ let encode_inode b o ino =
 
 let decode_inode v o =
   let used = get_char v o = '\001' in
-  let kind = if get_char v (o + 1) = '\001' then Directory else Regular in
-  let size = get_u32 v (o + 2) in
+  let kind = if inode_is_dir v o then Directory else Regular in
+  let size = inode_size_of v o in
   let mode = get_u16 v (o + 6) in
   let olen = Char.code (get_char v (o + 8)) in
   let owner = Bytes.sub_string v.bytes (v.off + o + 9) olen in
-  let direct = Array.make ndirect 0 in
-  for i = 0 to ndirect - 1 do
-    direct.(i) <- get_u32 v (o + 48 + (4 * i))
-  done;
-  let indirect = get_u32 v (o + 48 + (4 * ndirect)) in
+  let direct = Array.init ndirect (inode_direct v o) in
+  let indirect = inode_indirect v o in
   { used; kind; size; mode; owner; direct; indirect }
 
 let inodes_per_block t = t.block_size / inode_size
@@ -174,12 +169,12 @@ let read_inode_slot t ino f =
   if ino < 0 || ino >= t.ninodes then Error (Invalid "bad inode number")
   else begin
     let blk = t.itable_start + (ino / inodes_per_block t) in
-    let off = ino mod inodes_per_block t * inode_size in
-    let* s = read_block t blk in
-    Ok (f s off)
+    match read_block t blk with
+    | Error e -> Error e
+    | Ok v -> f v (ino mod inodes_per_block t * inode_size)
   end
 
-let read_inode t ino = read_inode_slot t ino decode_inode
+let read_inode t ino = read_inode_slot t ino (fun v o -> Ok (decode_inode v o))
 
 let write_inode t ino node =
   let blk = t.itable_start + (ino / inodes_per_block t) in
@@ -189,7 +184,7 @@ let write_inode t ino node =
 (* First fit. Each probe reads the inode's block exactly as [read_inode]
    would, but decodes only its used flag. *)
 let alloc_inode t =
-  let used v off = get_char v off = '\001' in
+  let used v off = Ok (get_char v off = '\001') in
   let rec scan ino =
     if ino >= t.ninodes then Error No_space
     else
@@ -283,42 +278,45 @@ let ptrs_per_block t = t.block_size / 4
 
 let max_file_blocks t = ndirect + ptrs_per_block t
 
-(* Get the data block for file-block index [n]; allocate if [grow]. Returns
-   0 (a hole) only when not growing. *)
-let bmap t node n ~grow =
+(* The data block of file-block [n], 0 for a hole, of a file whose direct
+   pointers are [direct i] and whose indirect block is [indirect]: past
+   the direct pointers it reads the indirect block. *)
+let block_at t ~direct ~indirect n =
   if n < 0 || n >= max_file_blocks t then Error (Invalid "file too large")
+  else if n < ndirect then Ok (direct n)
+  else if indirect = 0 then Ok 0
+  else
+    let* ind = read_block t indirect in
+    Ok (get_u32 ind (4 * (n - ndirect)))
+
+(* Get the data block for file-block index [n]; allocate if [grow]. Returns
+   0 (a hole) only when not growing. A new indirect block is read before
+   its pointer is set, as a lookup through an existing one would. *)
+let bmap t node n ~grow =
+  let* cur =
+    block_at t ~direct:(Array.get node.direct) ~indirect:node.indirect n
+  in
+  if cur <> 0 || not grow then Ok cur
   else if n < ndirect then begin
-    if node.direct.(n) <> 0 then Ok node.direct.(n)
-    else if not grow then Ok 0
-    else
-      let* blk = alloc_block t in
-      node.direct.(n) <- blk;
-      Ok blk
+    let* blk = alloc_block t in
+    node.direct.(n) <- blk;
+    Ok blk
   end
   else begin
-    let idx = n - ndirect in
     let* ind_blk =
       if node.indirect <> 0 then Ok node.indirect
-      else if not grow then Ok 0
-      else
-        let* blk = alloc_block t in
-        node.indirect <- blk;
-        Ok blk
-    in
-    if ind_blk = 0 then Ok 0
-    else begin
-      let* ind = read_block t ind_blk in
-      let cur = get_u32 ind (4 * idx) in
-      if cur <> 0 then Ok cur
-      else if not grow then Ok 0
       else begin
         let* blk = alloc_block t in
-        let* () =
-          update_block t ind_blk (fun b o -> set_u32 b (o + (4 * idx)) blk)
-        in
+        node.indirect <- blk;
+        let* _ = read_block t blk in
         Ok blk
       end
-    end
+    in
+    let* blk = alloc_block t in
+    let* () =
+      update_block t ind_blk (fun b o -> set_u32 b (o + (4 * (n - ndirect))) blk)
+    in
+    Ok blk
   end
 
 (* Generic file read/write over an inode (works for directories too). *)
@@ -375,29 +373,70 @@ let write_inode_data t ino node ~off data =
 
 (* Directories ------------------------------------------------------------ *)
 
-(* Entry: u16 name_len | name | u32 ino. Whole directory is parsed and
-   rewritten on mutation; directories are small. *)
+(* Entry: u16 name_len | name | u32 ino, up to the first empty or cut-off
+   entry. A directory is read in place: the views of all its blocks
+   (reads end no view's lifetime), scanned where they are, so an entry
+   may straddle two blocks. Mutations render the whole directory anew;
+   directories are small. *)
 
-let parse_dir data =
-  let len = String.length data in
-  let rec go pos acc =
-    if pos + 2 > len then List.rev acc
-    else begin
-      let nlen = Char.code data.[pos] lor (Char.code data.[pos + 1] lsl 8) in
-      if nlen = 0 || pos + 2 + nlen + 4 > len then List.rev acc
-      else begin
-        let name = String.sub data (pos + 2) nlen in
-        let ino =
-          Char.code data.[pos + 2 + nlen]
-          lor (Char.code data.[pos + 2 + nlen + 1] lsl 8)
-          lor (Char.code data.[pos + 2 + nlen + 2] lsl 16)
-          lor (Char.code data.[pos + 2 + nlen + 3] lsl 24)
-        in
-        go (pos + 2 + nlen + 4) ((name, ino) :: acc)
-      end
-    end
+(* The views of the [size] bytes of a file whose pointers [direct] and
+   [indirect] are as {!block_at} takes them: each block is read in the
+   order [read_inode_data] reads it, and a hole is the zero page. *)
+let rec fill_views t views nblocks ~direct ~indirect n =
+  if n >= nblocks then Ok views
+  else
+    (* [block_at] fails at [n = max_file_blocks], the length of [views]. *)
+    match block_at t ~direct ~indirect n with
+    | Error e -> Error e
+    | Ok 0 -> fill_views t views nblocks ~direct ~indirect (n + 1)
+    | Ok blk -> (
+      match read_block t blk with
+      | Error e -> Error e
+      | Ok v ->
+        views.(n) <- v;
+        fill_views t views nblocks ~direct ~indirect (n + 1))
+
+let data_views t ~size ~direct ~indirect =
+  let nblocks = (size + t.block_size - 1) / t.block_size in
+  let views =
+    Array.make (min nblocks (max_file_blocks t)) (Nand.zero_page (Ftl.nand t.ftl))
   in
-  go 0 []
+  fill_views t views nblocks ~direct ~indirect 0
+
+let dir_byte t (views : Nand.view array) i =
+  let n = i / t.block_size in
+  let v = views.(n) in
+  Char.code (Bytes.get v.bytes (v.off + i - (n * t.block_size)))
+
+(* The name length of the entry at [at] of a directory of [size] bytes in
+   [views], or 0 where the entries end. Its name follows at [at + 2] and
+   its ino at [at + 2 + nlen]. *)
+let entry_len t views size at =
+  if at + 2 > size then 0
+  else begin
+    let nlen = dir_byte t views at lor (dir_byte t views (at + 1) lsl 8) in
+    if at + 2 + nlen + 4 > size then 0 else nlen
+  end
+
+let entry_ino t views at =
+  dir_byte t views at
+  lor (dir_byte t views (at + 1) lsl 8)
+  lor (dir_byte t views (at + 2) lsl 16)
+  lor (dir_byte t views (at + 3) lsl 24)
+
+let rec same_name t views at name pos len i =
+  i >= len
+  || dir_byte t views (at + i) = Char.code name.[pos + i]
+     && same_name t views at name pos len (i + 1)
+
+(* The ino of the first entry from [at] whose name is the [len] bytes of
+   [name] from [pos], or -1. *)
+let rec find_entry t views size name pos len at =
+  let nlen = entry_len t views size at in
+  if nlen = 0 then -1
+  else if nlen = len && same_name t views (at + 2) name pos len 0 then
+    entry_ino t views (at + 2 + nlen)
+  else find_entry t views size name pos len (at + 6 + nlen)
 
 let render_dir entries =
   let buf = Buffer.create 256 in
@@ -415,12 +454,21 @@ let render_dir entries =
   Buffer.contents buf
 
 let read_dir_entries t node =
-  let* data = read_inode_data t node ~off:0 ~len:node.size in
-  if not (String.equal data t.dir_bytes) then begin
-    t.dir_entries <- parse_dir data;
-    t.dir_bytes <- data
-  end;
-  Ok t.dir_entries
+  let size = node.size in
+  let* views =
+    data_views t ~size ~direct:(Array.get node.direct) ~indirect:node.indirect
+  in
+  let rec entries at acc =
+    let nlen = entry_len t views size at in
+    if nlen = 0 then List.rev acc
+    else begin
+      let name =
+        String.init nlen (fun i -> Char.chr (dir_byte t views (at + 2 + i)))
+      in
+      entries (at + 6 + nlen) ((name, entry_ino t views (at + 2 + nlen)) :: acc)
+    end
+  in
+  Ok (entries 0 [])
 
 (* Free any data blocks past the first [keep_blocks] of the file, clearing
    their pointers (shared by truncate-shrink and directory rewrites). *)
@@ -471,22 +519,43 @@ let split_path path =
   else
     Some (List.filter (fun c -> String.length c > 0) (String.split_on_char '/' path))
 
-let lookup t path =
-  match split_path path with
-  | None -> Error (Invalid (Printf.sprintf "bad path %S" path))
-  | Some components ->
-    let rec walk ino = function
-      | [] -> Ok ino
-      | name :: rest ->
-        let* node = read_inode t ino in
-        if node.kind <> Directory then Error (Not_a_directory path)
-        else
-          let* entries = read_dir_entries t node in
-          (match List.assoc_opt name entries with
-          | None -> Error (Not_found_e path)
-          | Some child -> walk child rest)
+(* Walk the components of [path] from [pos] (the non-empty runs between
+   slashes, as [split_path] gives them) down from directory [ino]. Each
+   directory's kind, size and pointers come straight from its inode-table
+   view, which its block reads leave valid, and each component is
+   compared where it is in [path]. *)
+let rec walk t path ino pos =
+  let len = String.length path in
+  if pos >= len then Ok ino
+  else if path.[pos] = '/' then walk t path ino (pos + 1)
+  else begin
+    let stop =
+      match String.index_from path pos '/' with
+      | i -> i
+      | exception Not_found -> len
     in
-    walk t.root_ino components
+    let child =
+      read_inode_slot t ino (fun v o ->
+          if not (inode_is_dir v o) then Error (Not_a_directory path)
+          else begin
+            let size = inode_size_of v o in
+            match
+              data_views t ~size ~direct:(inode_direct v o)
+                ~indirect:(inode_indirect v o)
+            with
+            | Error e -> Error e
+            | Ok views ->
+              let child = find_entry t views size path pos (stop - pos) 0 in
+              if child < 0 then Error (Not_found_e path) else Ok child
+          end)
+    in
+    match child with Error e -> Error e | Ok child -> walk t path child stop
+  end
+
+let lookup t path =
+  if String.length path = 0 || path.[0] <> '/' then
+    Error (Invalid (Printf.sprintf "bad path %S" path))
+  else walk t path t.root_ino 1
 
 let parent_of t path =
   match split_path path with
@@ -557,8 +626,6 @@ let layout ?(cache = true) ?metrics ?(actor = "fs") ftl =
     m_block_reads = Metrics.counter m ~actor ~name:"block_reads";
     m_block_writes = Metrics.counter m ~actor ~name:"block_writes";
     m_cache_hits = Metrics.counter m ~actor ~name:"cache_hits";
-    dir_bytes = "";
-    dir_entries = [];
   }
 
 let format ?cache ?metrics ?actor ftl =

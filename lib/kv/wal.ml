@@ -2,24 +2,38 @@ module Wire = Lastcpu_proto.Wire
 
 type record = Put of { key : string; value : string } | Del of { key : string }
 
+(* A string field: its varint length, then its bytes. *)
+let field_size s =
+  let rec varint n = if n < 0x80 then 1 else 1 + varint (n lsr 7) in
+  varint (String.length s) + String.length s
+
+let put_field b pos s =
+  let pos = Wire.Writer.put_varint b pos (String.length s) in
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* The record is built in one buffer of its exact size. Framing: u32
+   length with the top bit marking "CRC follows", then the CRC-32 of the
+   body, then the body. A word without the marker is not a record: replay
+   stops there, as at a torn tail. *)
 let encode r =
-  let w = Wire.Writer.create () in
+  let body =
+    match r with
+    | Put { key; value } -> 1 + field_size key + field_size value
+    | Del { key } -> 1 + field_size key
+  in
+  let b = Bytes.create (8 + body) in
   (match r with
   | Put { key; value } ->
-    Wire.Writer.byte w 0;
-    Wire.Writer.string w key;
-    Wire.Writer.string w value
+    Bytes.set b 8 '\000';
+    ignore (put_field b (put_field b 9 key) value)
   | Del { key } ->
-    Wire.Writer.byte w 1;
-    Wire.Writer.string w key);
-  let body = Wire.Writer.contents w in
-  (* Framing: u32 length with the top bit marking "CRC follows", then the
-     CRC-32 of the body, then the body. A word without the marker is not a
-     record: replay stops there, as at a torn tail. *)
-  let head = Wire.Writer.create () in
-  Wire.Writer.u32 head (String.length body lor 0x8000_0000);
-  Wire.Writer.u32 head (Wire.crc32 body);
-  Wire.Writer.contents head ^ body
+    Bytes.set b 8 '\001';
+    ignore (put_field b 9 key));
+  Bytes.set_int32_le b 0 (Int32.of_int (body lor 0x8000_0000));
+  Bytes.set_int32_le b 4
+    (Int32.of_int (Wire.crc32_sub (Bytes.unsafe_to_string b) 8 body));
+  Bytes.unsafe_to_string b
 
 (* The whole body must decode, to its last byte: a short or malformed
    body stops replay like a torn tail. *)

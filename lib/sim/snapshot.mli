@@ -53,6 +53,11 @@ module W : sig
   val varint : t -> int -> unit
   (** Unsigned LEB128; the argument must be non-negative. *)
 
+  val put_varint : Bytes.t -> int -> int -> int
+  (** [put_varint b pos n] stores {!varint}'s encoding of [n] in [b] at
+      [pos], which must have room for it (at most 9 bytes), and returns
+      the position after it: for a caller that sized its own buffer. *)
+
   val vint : t -> int -> unit
   (** Zigzag-encoded signed int. *)
 

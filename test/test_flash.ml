@@ -216,6 +216,58 @@ let test_zero_pages () =
   Alcotest.(check string) "restored stack saves the same bytes" saved
     (save restored)
 
+(* A rewrite moves the source page's bytes to the new page and edits
+   them there: one program, no read, and the source is left programmed as
+   a zero page, which a checkpoint carries without bytes. *)
+let test_nand_rewrite () =
+  let n = Nand.create ~geometry:small_geometry () in
+  let ps = small_geometry.page_size in
+  let zero = String.make ps '\000' in
+  ok (Nand.program_page n ~block:1 ~page:2 "hello");
+  let programs = Nand.programs n and reads = Nand.reads n in
+  ok
+    (Nand.rewrite n ~block:3 ~page:0 ~src_block:1 ~src_page:2 (fun b off ->
+         Bytes.set b (off + 1) 'E'));
+  Alcotest.(check (pair int int))
+    "one program, no read" (programs + 1, reads)
+    (Nand.programs n, Nand.reads n);
+  Alcotest.(check string) "moved and edited"
+    ("hEllo" ^ String.make (ps - 5) '\xff')
+    (str (Nand.peek_page n ~block:3 ~page:0));
+  Alcotest.(check string) "source reads zeroes" zero
+    (ok (read_page n ~block:1 ~page:2));
+  Alcotest.(check bool) "source still programmed" true
+    (Nand.page_state n ~block:1 ~page:2 = Nand.Programmed);
+  (match Nand.program_page n ~block:1 ~page:2 "again" with
+  | Error "page not erased" -> ()
+  | Ok () -> Alcotest.fail "program of the source accepted"
+  | Error e -> Alcotest.fail ("unexpected: " ^ e));
+  (* A zero source gives zeroes to edit; an erased one is refused. *)
+  ok (Nand.program_zeroes n ~block:4 ~page:0);
+  ok
+    (Nand.rewrite n ~block:4 ~page:1 ~src_block:4 ~src_page:0 (fun b off ->
+         Bytes.set b off 'z'));
+  Alcotest.(check string) "from a zero page"
+    ("z" ^ String.sub zero 1 (ps - 1))
+    (str (Nand.peek_page n ~block:4 ~page:1));
+  (match
+     Nand.rewrite n ~block:4 ~page:2 ~src_block:5 ~src_page:0 (fun _ _ -> ())
+   with
+  | Error "source page not programmed" -> ()
+  | Ok () -> Alcotest.fail "rewrite of an erased page accepted"
+  | Error e -> Alcotest.fail ("unexpected: " ^ e));
+  let save n =
+    let w = Lastcpu_sim.Snapshot.W.create () in
+    Nand.save w n;
+    Lastcpu_sim.Snapshot.W.contents w
+  in
+  let saved = save n in
+  let restored = Nand.create ~geometry:small_geometry () in
+  Nand.restore (Lastcpu_sim.Snapshot.R.of_string saved) restored;
+  Alcotest.(check string) "save, restore, save" saved (save restored);
+  Alcotest.(check string) "restored source reads zeroes" zero
+    (str (Nand.peek_page restored ~block:1 ~page:2))
+
 (* A GC whose second read fails (an injected transient failure; with
    seed 5 the first GC's does) has moved one live page of its victim and
    stops. The moved page must be invalid in the victim: the FTL still
@@ -328,6 +380,7 @@ let () =
           Alcotest.test_case "no overwrite" `Quick test_nand_no_overwrite;
           Alcotest.test_case "erase cycle" `Quick test_nand_erase_cycle;
           Alcotest.test_case "bounds" `Quick test_nand_bounds;
+          Alcotest.test_case "rewrite moves the page" `Quick test_nand_rewrite;
         ] );
       ( "ftl",
         [

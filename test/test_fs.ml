@@ -322,6 +322,53 @@ let test_accounting_pinned cache () =
       Ftl.gc_runs ftl;
     ]
 
+(* Path lookup reads the same blocks, in the same order, as it did when
+   it decoded every inode and parsed every directory: the block_reads and
+   cache_hits deltas of a stat (its lookup plus one inode read) were
+   measured on that implementation. /big's 21 entries of 206 bytes fill
+   two blocks, and its 20th entry straddles the boundary. *)
+let test_lookup_reads_pinned cache () =
+  let m = Lastcpu_sim.Metrics.create () in
+  let nand =
+    Nand.create ~geometry:{ Nand.blocks = 64; pages_per_block = 16; page_size = 4096 } ()
+  in
+  let fs = ok (Fs.format ~cache ~metrics:m (Ftl.create ~nand ())) in
+  let big i = Printf.sprintf "/big/%s%02d" (String.make 198 'n') i in
+  ok (Fs.mkdir fs ~user:"u" "/a");
+  ok (Fs.mkdir fs ~user:"u" "/a/b");
+  ok (Fs.create fs ~user:"u" "/a/b/c");
+  ok (Fs.create fs ~user:"u" "/a/data.log");
+  ok (Fs.mkdir fs ~user:"u" "/big");
+  for i = 0 to 20 do
+    ok (Fs.create fs ~user:"u" (big i))
+  done;
+  let count name = Lastcpu_sim.Metrics.counter_read m ~actor:"fs" ~name in
+  List.iter
+    (fun (path, want, reads) ->
+      let r0 = count "block_reads" and h0 = count "cache_hits" in
+      let got =
+        match Fs.stat fs path with
+        | Ok st -> Printf.sprintf "ino %d" st.Fs.ino
+        | Error e -> Fs.error_to_string e
+      in
+      let name = if String.length path > 20 then String.sub path 0 20 else path in
+      Alcotest.(check string) (name ^ " result") want got;
+      Alcotest.(check (pair int int))
+        (name ^ " block_reads, cache_hits")
+        (reads, if cache then reads else 0)
+        (count "block_reads" - r0, count "cache_hits" - h0))
+    [
+      ("/a/b/c", "ino 3", 7);
+      ("/a/nope", "not found: /a/nope", 4);
+      ("/a/data", "not found: /a/data", 4);
+      ("/a/data.log", "ino 4", 5);
+      ("/a/b/c/x", "not a directory: /a/b/c/x", 7);
+      ("/big", "ino 5", 3);
+      (big 0, "ino 6", 6);
+      (big 19, "ino 25", 6);
+      (big 20, "ino 26", 6);
+    ]
+
 let fs_model_prop =
   (* Random write/read sequences against a pure byte-array model. *)
   QCheck.Test.make ~name:"fs file contents match byte-array model" ~count:25
@@ -486,6 +533,10 @@ let () =
             (test_accounting_pinned true);
           Alcotest.test_case "accounting pinned (no cache)" `Quick
             (test_accounting_pinned false);
+          Alcotest.test_case "lookup reads pinned (cache)" `Quick
+            (test_lookup_reads_pinned true);
+          Alcotest.test_case "lookup reads pinned (no cache)" `Quick
+            (test_lookup_reads_pinned false);
           QCheck_alcotest.to_alcotest fs_model_prop;
           Alcotest.test_case "random ops match model (cache)" `Quick
             (test_random_ops_match_model true);

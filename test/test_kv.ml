@@ -25,6 +25,67 @@ let test_wal_roundtrip () =
   Alcotest.(check int) "count" (List.length records) (List.length decoded);
   Alcotest.(check bool) "equal" true (records = decoded)
 
+(* The record bytes are pinned: a Put and a Del with key lengths on both
+   sides of the one-byte varint limit and values from empty to past
+   64 KiB, each as its length, its first 16 bytes and its MD5 (taken when
+   records were built by the growable field writer). Key byte [i] is
+   [7i + 3] and value byte [i] is [13i + 5], both mod 256. *)
+let test_wal_bytes_pinned () =
+  let key n = String.init n (fun i -> Char.chr (((i * 7) + 3) land 0xff)) in
+  let value n = String.init n (fun i -> Char.chr (((i * 13) + 5) land 0xff)) in
+  let hex s =
+    String.concat ""
+      (List.init (min 16 (String.length s)) (fun i ->
+           Printf.sprintf "%02x" (Char.code s.[i])))
+  in
+  let pins =
+    [
+      (0, Some 0, 11, "0300008012d941ff000000", "df4fb38c26877ac268e56055c700d15b");
+      (0, Some 1, 12, "04000080d21a354800000105", "09df3d36c13e067e990391b0f088b39a");
+      (0, Some 4096, 4108, "04100080478bb79a0000802005121f2c", "5adc46d67b2e2e39a18330a2cdd8163a");
+      (0, Some 70000, 70013, "75110180ae5f816a0000f0a20405121f", "cd342747763ec5f46ec209041e18ed43");
+      (0, None, 10, "02000080be23c2580100", "e56a48ef4ea26e647a605c2c999fca59");
+      (127, Some 0, 138, "820000808089ab71007f030a11181f26", "74a1f550eb0d4e9137c2d2c8a176efcf");
+      (127, Some 1, 139, "83000080ea02ba56007f030a11181f26", "82460c488043d556cf3b2ca4bd494f19");
+      (127, Some 4096, 4235, "83100080e248002c007f030a11181f26", "b521900ec9115dab6dd6ad7fbf2f30f8");
+      (127, Some 70000, 70140, "f411018082e8cb5d007f030a11181f26", "d74c499f3642ee797384d14f580e9027");
+      (127, None, 137, "8100008081e785aa017f030a11181f26", "f02dbccc1b1db3d936ccfcda21efce84");
+      (128, Some 0, 140, "84000080d7d72d19008001030a11181f", "87b0ded6010a15dd4d01fc9ba45c4c31");
+      (128, Some 1, 141, "85000080e340dda3008001030a11181f", "0592c82e7a1007417c6584559ad1e174");
+      (128, Some 4096, 4237, "85100080fe649f54008001030a11181f", "dad092b26c72afac5bf8692f3c73225e");
+      (128, Some 70000, 70142, "f61101806bbe6174008001030a11181f", "756a8f3c6f0698ab5c06336243137a1e");
+      (128, None, 139, "830000803f776f2c018001030a11181f", "b98cb195e33406e2bade55f5f8cfcfb9");
+      (300, Some 0, 312, "3001008045b1268e00ac02030a11181f", "4295023aa8fcba141face84aae1729d1");
+      (300, Some 1, 313, "31010080edb94bbd00ac02030a11181f", "b8f1e3146d6951c02a405636313db480");
+      (300, Some 4096, 4409, "311100804c99a42300ac02030a11181f", "328c6de3a6861ca048d39adb6903bb19");
+      (300, Some 70000, 70314, "a2120180e3e7942200ac02030a11181f", "7c54527fec3aff28788c2c2cd73ac561");
+      (300, None, 311, "2f01008097132bff01ac02030a11181f", "39be9110b7e906e94c43de9173cea33a");
+    ]
+  in
+  let records =
+    List.map
+      (fun (k, v, len, head, md5) ->
+        let r =
+          match v with
+          | Some v -> Wal.Put { key = key k; value = value v }
+          | None -> Wal.Del { key = key k }
+        in
+        let bytes = Wal.encode r in
+        let name =
+          Printf.sprintf "key %d, %s" k
+            (match v with Some v -> Printf.sprintf "value %d" v | None -> "del")
+        in
+        Alcotest.(check (triple int string string))
+          name (len, head, md5)
+          (String.length bytes, hex bytes, Digest.to_hex (Digest.string bytes));
+        (r, bytes))
+      pins
+  in
+  let log = String.concat "" (List.map snd records) in
+  let decoded, stop = Wal.decode_all log in
+  Alcotest.(check int) "full parse" (String.length log) stop;
+  Alcotest.(check bool) "round trip" true (List.map fst records = decoded)
+
 let test_wal_torn_tail () =
   let r1 = Wal.encode (Wal.Put { key = "a"; value = "1" }) in
   let r2 = Wal.encode (Wal.Put { key = "b"; value = "2" }) in
@@ -522,6 +583,7 @@ let () =
       ( "wal",
         [
           Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
+          Alcotest.test_case "bytes pinned" `Quick test_wal_bytes_pinned;
           Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;
           Alcotest.test_case "garbage tail" `Quick test_wal_garbage_tail;
           Alcotest.test_case "crc detects bit rot" `Quick
