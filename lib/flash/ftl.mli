@@ -45,11 +45,12 @@ val write_zeroes : t -> lpn:int -> (unit, string) result
 (** Out-of-place write of an all-zero page ({!Nand.program_zeroes}). *)
 
 val update : t -> lpn:int -> (Bytes.t -> int -> unit) -> (unit, string) result
-(** Read-modify-write: GC runs first, then the new page is filled with a
-    copy of [lpn]'s current contents (zeroes if unwritten) and [f buf off]
-    edits that page in place, at [off] in [buf]. The copy is host-side
-    and uncounted: read the page through {!read} first when the read is
-    part of the model. *)
+(** Read-modify-write: GC runs first, then the new page takes over
+    [lpn]'s current page's bytes ({!Nand.rewrite}: a move, not a copy;
+    zeroes if unwritten) and [f buf off] edits them in place, at [off] in
+    [buf]. The superseded page reads as zeroes, as after any write. The
+    move is host-side and uncounted: read the page through {!read} first
+    when the read is part of the model. *)
 
 val trim : t -> lpn:int -> unit
 (** Drop the mapping (logical delete). *)

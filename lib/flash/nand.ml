@@ -11,18 +11,21 @@ type page_state = Erased | Programmed
 type view = { bytes : Bytes.t; off : int }
 
 (* Each page position has one frame of [page_size] bytes, allocated the
-   first time the position is programmed with data and reused after
-   every erase, so a program fills a frame in place and a read hands out
-   a view of it. A rewrite moves the source page's frame to the new
-   position (a swap, not a copy). A page programmed with zeroes is only
-   marked: its reads share the chip's one zero page, so zero-filling a
-   block writes no frame bytes. *)
+   first time the position is programmed with data (a block's table of
+   frames at its first such program, so an unwritten chip costs no heap)
+   and reused after every erase, so a program fills a frame in place and
+   a read hands out a view of it. A rewrite moves the source page's frame
+   to the new position (a swap, not a copy). A page programmed with
+   zeroes is only marked: its reads share the chip's one zero page, so
+   zero-filling a block writes no frame bytes. *)
 let erased_slot = 0
 let frame_slot = 1
 let zero_slot = 2
 
 type block = {
-  frames : Bytes.t array;  (* per page; empty until its first data program *)
+  mutable frames : Bytes.t array;
+      (* per page; [||] until the block's first data program, then each
+         empty until its page's *)
   slots : int array;  (* per page: [erased_slot], [frame_slot] or [zero_slot] *)
   crcs : int array;  (* CRC-32 of each programmed page (the on-die ECC);
                         -1 = not yet computed. The CRC is a function of
@@ -57,7 +60,7 @@ let create ?(geometry = default_geometry) ?faults ?(tag = "nand") () =
     data =
       Array.init geometry.blocks (fun _ ->
           {
-            frames = Array.make geometry.pages_per_block Bytes.empty;
+            frames = [||];
             slots = Array.make geometry.pages_per_block erased_slot;
             crcs = Array.make geometry.pages_per_block (-1);
             erases = 0;
@@ -140,13 +143,20 @@ let read_page t ~block ~page =
       | Some _ | None -> Ok stored
     end
 
-(* The frame at [page] of [blk], allocated on first use. *)
+(* [blk]'s frames and the frame at [page] of [blk], allocated on first
+   use. *)
+let frames t blk =
+  if Array.length blk.frames = 0 then
+    blk.frames <- Array.make t.geo.pages_per_block Bytes.empty;
+  blk.frames
+
 let frame t blk page =
-  let f = blk.frames.(page) in
+  let frames = frames t blk in
+  let f = frames.(page) in
   if Bytes.length f > 0 then f
   else begin
     let f = Bytes.create t.geo.page_size in
-    blk.frames.(page) <- f;
+    frames.(page) <- f;
     f
   end
 
@@ -191,11 +201,12 @@ let rewrite t ~block ~page ~src_block ~src_page f =
             f b 0
           end
           else begin
+            let dst = frames t blk in
             let b = src.frames.(src_page) in
-            src.frames.(src_page) <- blk.frames.(page);
+            src.frames.(src_page) <- dst.(page);
             src.slots.(src_page) <- zero_slot;
             src.crcs.(src_page) <- -1;
-            blk.frames.(page) <- b;
+            dst.(page) <- b;
             f b 0
           end;
           frame_slot)

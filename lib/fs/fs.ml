@@ -104,7 +104,8 @@ let zero_block t b =
   wrote t b (Ftl.write_zeroes t.ftl ~lpn:b)
 
 (* Write block [b] as its current contents edited in place by [f buf o]
-   (the block's bytes are at [o] in [buf]): one blit into the new page. *)
+   (the block's bytes are at [o] in [buf]): the new page takes over the
+   current one's bytes ([Ftl.update]), so nothing is copied. *)
 let update_block t b f =
   Metrics.incr t.m_block_writes;
   wrote t b (Ftl.update t.ftl ~lpn:b f)
@@ -373,15 +374,10 @@ let write_inode_data t ino node ~off data =
 
 (* Directories ------------------------------------------------------------ *)
 
-(* Entry: u16 name_len | name | u32 ino, up to the first empty or cut-off
-   entry. A directory is read in place: the views of all its blocks
-   (reads end no view's lifetime), scanned where they are, so an entry
-   may straddle two blocks. Mutations render the whole directory anew;
-   directories are small. *)
-
 (* The views of the [size] bytes of a file whose pointers [direct] and
    [indirect] are as {!block_at} takes them: each block is read in the
-   order [read_inode_data] reads it, and a hole is the zero page. *)
+   order [read_inode_data] reads it, and a hole is the zero page. Reads
+   end no view's lifetime, so all of them stay valid together. *)
 let rec fill_views t views nblocks ~direct ~indirect n =
   if n >= nblocks then Ok views
   else
@@ -402,6 +398,11 @@ let data_views t ~size ~direct ~indirect =
     Array.make (min nblocks (max_file_blocks t)) (Nand.zero_page (Ftl.nand t.ftl))
   in
   fill_views t views nblocks ~direct ~indirect 0
+
+(* Entry: u16 name_len | name | u32 ino, up to the first empty or cut-off
+   entry. Entries are scanned where they are in a directory's block
+   views, so one may straddle two blocks. Mutations render the whole
+   directory anew; directories are small. *)
 
 let dir_byte t (views : Nand.view array) i =
   let n = i / t.block_size in
